@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .collision import (
 )
 from .grover import GroverInstance, ideal_success_series, grover_operator, optimal_iterations
 from .linalg import InvariantViolation, trace_distance
-from .markov import MarkovNoiseParams, history_oracle, markov_evolve
+from .markov import HISTORY_MAX_STEPS, MarkovNoiseParams, history_oracle, markov_evolve
 from .measures import n_blp, n_cp
 from .noise import SingleQubitUnitary, build_chi, noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
 
@@ -96,6 +97,13 @@ def _parse_float(text: str, name: str) -> float:
         return float(text)
     except ValueError:
         raise ConfigError(f"{name}: {text!r} is not a number") from None
+
+
+def _parse_temperature(text: str) -> float:
+    value = _parse_float(text, "temperature")
+    if not (math.isfinite(value) and value >= 0.0):  # 0 selects pure ancillas
+        raise ConfigError(f"temperature must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
@@ -285,7 +293,7 @@ _SUBCOMMANDS: dict[str, dict] = {
             ("--m", "m", "noisy-qubit count (default 1)"),
             ("--p", "p", "fault probability (default 0.5)"),
             ("--mu", "mu", "memory parameter (default 0.5)"),
-            ("--steps", "steps", "horizon, at most 12 (default 8)"),
+            ("--steps", "steps", f"horizon, at most {HISTORY_MAX_STEPS} (default 8)"),
         ),
         "defaults": {"marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0.5", "steps": "8"},
     },
@@ -303,8 +311,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_options(ns: argparse.Namespace) -> dict[str, str]:
-    """Merge flags > config file > defaults into one string-valued dict."""
+def _resolve_options(ns) -> tuple[str, dict[str, str]]:
+    """Check the command; merge flags > config file > defaults into strings."""
+    if isinstance(ns, dict):
+        ns = argparse.Namespace(**ns)
+    if not getattr(ns, "command", None):
+        raise ConfigError("no command given; see --help")
+    if ns.command not in _SUBCOMMANDS:
+        raise ConfigError(f"unknown command {ns.command!r}")
     info = _SUBCOMMANDS[ns.command]
     known = {dest for _, dest, _ in info["options"] + _COMMON}
     resolved: dict[str, Optional[str]] = {
@@ -329,7 +343,9 @@ def _resolve_options(ns: argparse.Namespace) -> dict[str, str]:
     if resolved.get("output") is None:
         resolved["output"] = "-"
     resolved["jobs"] = resolved.get("jobs") or "1"
-    return {k: v for k, v in resolved.items() if v is not None}
+    if _parse_int(resolved["jobs"], "jobs") < 1:
+        raise ConfigError(f"jobs must be at least 1, got {resolved['jobs']!r}")
+    return ns.command, {k: v for k, v in resolved.items() if v is not None}
 
 
 def _require(opts: dict, key: str, command: str) -> str:
@@ -444,21 +460,20 @@ def _noisy_grid(opts: dict, command: str):
 
 def _handle_noisy(opts: dict) -> ResultTable:
     n, marked, u, ps, mus, steps = _noisy_grid(opts, "noisy")
-    temperature = _parse_float(opts["temperature"], "temperature")
+    temperature = _parse_temperature(opts["temperature"])
     if "positions" in opts:
         position_sets = [_parse_int_list(opts["positions"], "positions")]
         ms = [len(position_sets[0])]
     else:
         ms = list(_parse_int_list(opts["m"], "m"))
         position_sets = [None] * len(ms)
-    jobs = _parse_int(opts["jobs"], "jobs")
     points, labels = [], []
     for (m, positions), p, mu in itertools.product(
         zip(ms, position_sets), ps, mus
     ):
         points.append((n, marked, u, m, positions, p, mu, temperature, steps))
         labels.append(_label(m=m, p=p, mu=mu))
-    all_series = _run_grid(_series_point, points, jobs)
+    all_series = _run_grid(_series_point, points, int(opts["jobs"]))
     rows = [
         [t] + [float(series[t]) for series in all_series] for t in range(steps + 1)
     ]
@@ -472,12 +487,11 @@ def _handle_invariance(opts: dict) -> ResultTable:
     p = _parse_float(opts["p"], "p")
     mu = _parse_float(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
-    jobs = _parse_int(opts["jobs"], "jobs")
     points = []
     for m in range(1, n + 1):
         for positions in itertools.combinations(range(n), m):
             points.append((n, marked, u, m, positions, p, mu, 0.0, steps))
-    all_series = _run_grid(_series_point, points, jobs)
+    all_series = _run_grid(_series_point, points, int(opts["jobs"]))
     reference = all_series[0]  # m=1, position (0,)
     deviations = np.max(
         np.abs(np.stack(all_series) - reference[None, :]), axis=0
@@ -498,12 +512,11 @@ def _handle_firstmax(opts: dict) -> ResultTable:
     ps = _parse_float_list(opts["p"], "p")
     mus = _parse_float_list(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
-    jobs = _parse_int(opts["jobs"], "jobs")
     points = [
         (n, marked, u, m, None, p, mu, 0.0, steps)
         for n, p, mu in itertools.product(ns_list, ps, mus)
     ]
-    results = _run_grid(_firstmax_point, points, jobs)
+    results = _run_grid(_firstmax_point, points, int(opts["jobs"]))
     rows = [
         [pt[0], pt[5], pt[6], t_star, p_star]
         for pt, (t_star, p_star) in zip(points, results)
@@ -513,14 +526,13 @@ def _handle_firstmax(opts: dict) -> ResultTable:
 
 def _handle_blp(opts: dict) -> ResultTable:
     n, marked, u, ps, mus, steps = _noisy_grid(opts, "blp")
-    temperature = _parse_float(opts["temperature"], "temperature")
+    temperature = _parse_temperature(opts["temperature"])
     m = _parse_int(opts["m"], "m")
-    jobs = _parse_int(opts["jobs"], "jobs")
     points = [
         (n, marked, u, m, p, mu, temperature, steps)
         for p, mu in itertools.product(ps, mus)
     ]
-    values = _run_grid(_blp_point, points, jobs)
+    values = _run_grid(_blp_point, points, int(opts["jobs"]))
     meta = _meta("blp", opts)
     meta["witness_only"] = "true"
     rows = [[pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
@@ -530,11 +542,10 @@ def _handle_blp(opts: dict) -> ResultTable:
 def _handle_cpdiv(opts: dict) -> ResultTable:
     n, marked, u, ps, mus, steps = _noisy_grid(opts, "cpdiv")
     m = _parse_int(opts["m"], "m")
-    jobs = _parse_int(opts["jobs"], "jobs")
     points = [
         (n, marked, u, m, p, mu, steps) for p, mu in itertools.product(ps, mus)
     ]
-    values = _run_grid(_cpdiv_point, points, jobs)
+    values = _run_grid(_cpdiv_point, points, int(opts["jobs"]))
     meta = _meta("cpdiv", opts)
     meta["witness_only"] = "true"
     rows = [[pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
@@ -545,14 +556,13 @@ def _handle_thermal(opts: dict) -> ResultTable:
     n, marked, u, ps, mus, steps = _noisy_grid(opts, "thermal")
     m = _parse_int(opts["m"], "m")
     temps = _parse_float_list(opts["temps"], "temps")
-    if any(t <= 0.0 for t in temps):
-        raise ConfigError(f"temps must be positive, got {opts['temps']!r}")
-    jobs = _parse_int(opts["jobs"], "jobs")
+    if not all(math.isfinite(t) and t > 0.0 for t in temps):
+        raise ConfigError(f"temps must be finite and positive, got {opts['temps']!r}")
     points = [
         (n, marked, u, m, p, mu, temp, steps)
         for temp, p, mu in itertools.product(temps, ps, mus)
     ]
-    values = _run_grid(_blp_point, points, jobs)
+    values = _run_grid(_blp_point, points, int(opts["jobs"]))
     meta = _meta("thermal", opts)
     meta["witness_only"] = "true"
     rows = [[pt[6], pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
@@ -583,12 +593,11 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
     mus = _parse_float_list(opts["mu"], "mu")
     trials = _parse_int(opts["trials"], "trials")
     seed = _parse_int(opts["seed"], "seed")
-    jobs = _parse_int(opts["jobs"], "jobs")
     points = [
         (n, marked, u, m, p, mu, trials, seed)
         for p, mu in itertools.product(ps, mus)
     ]
-    rows = _run_grid(_dilation_point, points, jobs)
+    rows = _run_grid(_dilation_point, points, int(opts["jobs"]))
     for row in rows:
         for name, tol in _DILATION_TOLS.items():
             value = row[_DILATION_COLUMNS.index(name)]
@@ -610,8 +619,8 @@ def _handle_oracle_check(opts: dict) -> ResultTable:
     p = _parse_float(opts["p"], "p")
     mu = _parse_float(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
-    if steps > 12:
-        raise ConfigError(f"oracle-check is exponential in steps; {steps} > 12")
+    if steps > HISTORY_MAX_STEPS:
+        raise ConfigError(f"oracle-check is exponential in steps; {steps} > {HISTORY_MAX_STEPS}")
     inst = GroverInstance(n, marked)
     spec = noise_spec(u, m, n)
     params = MarkovNoiseParams(p, mu)
@@ -646,17 +655,9 @@ _HANDLERS = {
 }
 
 
-def run(options) -> ResultTable:
-    """Programmatic entry point: a parsed namespace (or dict) to a table."""
-    if isinstance(options, dict):
-        options = argparse.Namespace(**options)
-    if not getattr(options, "command", None):
-        raise ConfigError("no command given; see --help")
-    if options.command not in _HANDLERS:
-        raise ConfigError(f"unknown command {options.command!r}")
-    opts = _resolve_options(options)
+def _tabulate(command: str, opts: dict[str, str]) -> ResultTable:
     try:
-        return _HANDLERS[options.command](opts)
+        return _HANDLERS[command](opts)
     except ValueError as exc:
         # Domain validation (bad ranges etc.) is a configuration problem.
         if isinstance(exc, ConfigError):
@@ -664,12 +665,16 @@ def run(options) -> ResultTable:
         raise ConfigError(str(exc)) from exc
 
 
+def run(options) -> ResultTable:
+    """Programmatic entry point: a parsed namespace (or dict) to a table."""
+    return _tabulate(*_resolve_options(options))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
-        ns = parser.parse_args(argv)
-        table = run(ns)
-        opts = _resolve_options(ns)
+        command, opts = _resolve_options(parser.parse_args(argv))
+        table = _tabulate(command, opts)
         if opts["output"] == "-":
             emit(table, opts["format"], sys.stdout)
         else:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
-    InvariantViolation,
     dagger,
     partial_trace,
     random_density,
@@ -362,6 +361,19 @@ def channel_maps(
     )
 
 
+def _walker_blocks(kset: KrausSet, n_dim: int) -> list[tuple[int, int, ComplexMatrix]]:
+    # (row, col, B) for each operator's single nonzero N x N walker block B,
+    # a view into the operator; all-zero operators (zero weight) drop out.
+    out = []
+    for op in kset.ops:
+        blocks = op.reshape(2, n_dim, 2, n_dim).swapaxes(1, 2)
+        nonzero = np.argwhere(blocks.any(axis=(2, 3)))
+        if len(nonzero) > 1:
+            raise ValueError(f"{kset.kind} Kraus operator has {len(nonzero)} nonzero walker blocks")
+        out += [(i, j, blocks[i, j]) for i, j in nonzero]
+    return out
+
+
 def collision_evolve(
     first: KrausSet,
     steady: KrausSet,
@@ -374,10 +386,13 @@ def collision_evolve(
 ) -> EvolutionTrace:
     """Iterate the collision map from joint state ``r0`` for ``steps`` steps.
 
-    The first collision uses ``first``, all later ones ``steady``. Success
-    probability at each step is the marked diagonal element of the system
-    marginal. ``validate`` re-checks the joint state each step (tolerance
-    1e-9) and raises :class:`InvariantViolation` on failure.
+    The first collision uses ``first``, all later ones ``steady``. Each
+    Kraus operator has one nonzero walker block B at (r, c), so only the
+    label blocks of diag(sigma_0, sigma_1) are carried, with sigma'_r =
+    sum_k B_k sigma_{c_k} B_k^dagger (``ValueError`` otherwise). Success
+    probability is the marked diagonal element of sigma_0 + sigma_1.
+    ``validate`` re-checks the joint state each step (tolerance 1e-9) and
+    raises :class:`InvariantViolation` on failure.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -386,26 +401,32 @@ def collision_evolve(
         raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
     if not 0 <= marked < n_dim:
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
-
-    def success(r: ComplexMatrix) -> float:
-        return float((r[marked, marked] + r[n_dim + marked, n_dim + marked]).real)
-
-    r = np.array(r0, dtype=complex)
+    first_blocks = _walker_blocks(first, n_dim)
+    steady_blocks = _walker_blocks(steady, n_dim)
+    zero = np.zeros((n_dim, n_dim), dtype=complex)
+    r0 = np.array(r0, dtype=complex)
+    sigma = [r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]]
     probs = np.empty(steps + 1, dtype=float)
-    probs[0] = success(r)
-    sys_states = [partial_trace(r, (2, n_dim), keep=(1,))] if keep_states else None
-    joints = [r.copy()] if keep_joint else None
-    if validate:
-        require_density(r, 1e-9, what="joint state t=0")
-    for t in range(1, steps + 1):
-        r = apply_kraus(first if t == 1 else steady, r)
-        probs[t] = success(r)
-        if validate:
-            require_density(r, 1e-9, what=f"joint state t={t}")
+    sys_states, joints = [], []
+    for t in range(steps + 1):
+        if t:
+            nxt = [zero.copy(), zero.copy()]
+            for row, col, b in first_blocks if t == 1 else steady_blocks:
+                nxt[row] += b @ sigma[col] @ dagger(b)
+            sigma = nxt
+        marginal = sigma[0] + sigma[1]
+        probs[t] = marginal[marked, marked].real
         if keep_states:
-            sys_states.append(partial_trace(r, (2, n_dim), keep=(1,)))
-        if keep_joint:
-            joints.append(r.copy())
+            sys_states.append(marginal)
+        if keep_joint or validate:
+            joint = r0
+            if t:
+                joint = np.zeros_like(r0)
+                joint[:n_dim, :n_dim], joint[n_dim:, n_dim:] = sigma
+            if validate:
+                require_density(joint, 1e-9, what=f"joint state t={t}")
+            if keep_joint:
+                joints.append(joint)
     return EvolutionTrace(
         probs,
         states=tuple(sys_states) if keep_states else None,

@@ -25,8 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, partial_trace, projector, tensor
+from .linalg import ComplexMatrix, projector, tensor
 from .noise import NoiseSpec, build_chi, noisy_grover
+
+# Largest horizon the explicit history sum accepts; its cost is 2**steps.
+HISTORY_MAX_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,12 @@ def history_oracle(
     Exponential-cost reference implementation: each history (k_1 .. k_t)
     contributes its chain probability times the corresponding pure
     evolution. Used to validate the collision construction; refuses
-    steps > 16.
+    steps > ``HISTORY_MAX_STEPS``.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if steps > 16:
-        raise ValueError(f"history sum over 2^{steps} branches refused; cap is 16")
+    if steps > HISTORY_MAX_STEPS:
+        raise ValueError(f"history sum over 2^{steps} branches refused (cap {HISTORY_MAX_STEPS})")
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     ops = (g, gp)

@@ -2,11 +2,11 @@
 
 Two standard measures, adapted to discrete steps: the trace-distance
 (information backflow) measure over a fixed orthogonal state pair, and a
-CP-divisibility measure built from the Choi-like evolution of a spectator
-extension. Both sum the positive increments of their monitored series, so
-both are lower-bound witnesses: a positive value certifies memory effects,
-a zero does not certify their absence (no optimization over inputs is
-performed).
+trace-norm divisibility witness on the traceless operator |s><s| - |w><w|
+of the system alone (no spectator register). Both sum the positive
+increments of their monitored series, so both are lower-bound witnesses: a
+positive value certifies memory effects, a zero does not certify their
+absence (no optimization over inputs is performed).
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .collision import ThermalBathParams, KrausSet, apply_kraus, channel_maps, collision_evolve, thermal_weights
+from .collision import ThermalBathParams, channel_maps, collision_evolve, thermal_weights
 from .grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from .linalg import (
     ComplexMatrix,
     InvariantViolation,
-    partial_trace,
     projector,
     tensor,
     trace_distance,
@@ -139,59 +138,30 @@ def n_blp(
     return MeasureResult(value, d_sys, steps, witness_only=True, meta=meta)
 
 
-def _extend_kraus(kset: KrausSet, n_dim: int) -> KrausSet:
-    # Lift each 2N x 2N operator to walker (x) spectator (x) system, acting
-    # as the identity on the N-dimensional spectator in the middle slot.
-    ops = []
-    eye = np.eye(n_dim, dtype=complex)
-    big_dim = 2 * n_dim * n_dim
-    for k in kset.ops:
-        big = np.zeros((big_dim, big_dim), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                block = k[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim]
-                if not block.any():
-                    continue
-                big[
-                    i * n_dim * n_dim : (i + 1) * n_dim * n_dim,
-                    j * n_dim * n_dim : (j + 1) * n_dim * n_dim,
-                ] = np.kron(eye, block)
-        ops.append(big)
-    return KrausSet(tuple(ops), kset.labels, kset.kind)
-
-
 def n_cp(
     inst: GroverInstance,
     spec: NoiseSpec,
     params: MarkovNoiseParams,
     steps: int,
 ) -> MeasureResult:
-    """CP-divisibility witness from a spectator extension.
+    """Trace-norm witness on the pair (|s>, |w>).
 
-    The traceless operator (I/N) (x) (|s><s| - |w><w|) on spectator (x)
-    system rides the channel extended by an untouched spectator copy;
-    monitored is half the trace norm of the walker-traced image. Any
-    increase witnesses a non-CP intermediate map. Pure-ancilla channel
-    only.
+    X = |s><s| - |w><w| (uniform superposition minus marked state) rides
+    the collision channel with the walker in |+><+|; monitored is half the
+    trace norm of its system image, sqrt(1 - 1/N) at t = 0. No spectator
+    register appears. A positive trace preserving map cannot raise the
+    trace norm of a traceless operator, so any increase shows that the
+    intermediate map from t to t + 1 is not positive: the dynamics is
+    neither P- nor CP-divisible (the criterion of Rivas, Huelga and Plenio
+    on this one operator). Pure-ancilla channel only.
     """
-    N = inst.N
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     first, steady = channel_maps(params, g, gp)
-    ext_first = _extend_kraus(first, N)
-    ext_steady = _extend_kraus(steady, N)
     witness = projector(uniform_superposition(inst)) - projector(marked_state(inst))
-    r = tensor(projector(_PLUS), np.eye(N, dtype=complex) / N, witness)
-    dims = (2, N, N)
-
-    def gamma(op: ComplexMatrix) -> float:
-        return 0.5 * trace_norm(partial_trace(op, dims, keep=(1, 2)))
-
-    series = np.empty(steps + 1, dtype=float)
-    series[0] = gamma(r)
-    for t in range(1, steps + 1):
-        r = apply_kraus(ext_first if t == 1 else ext_steady, r)
-        series[t] = gamma(r)
+    r0 = tensor(projector(_PLUS), witness)
+    trace = collision_evolve(first, steady, r0, steps, keep_states=True)
+    series = np.array([0.5 * trace_norm(state) for state in trace.states])
     value = positive_increment_sum(series)
     meta = {"p": params.p, "mu": params.mu}
     return MeasureResult(value, series, steps, witness_only=True, meta=meta)

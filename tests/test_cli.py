@@ -1,10 +1,16 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from noisygrover import cli
 from noisygrover.cli import ConfigError, ResultTable, emit, load_config, main
+from noisygrover.markov import HISTORY_MAX_STEPS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -108,14 +114,68 @@ def test_load_config_syntax_error(tmp_path):
         ("noisy", "--n", "3", "--steps", "abc"),
         ("noisy",),                              # n missing
         ("thermal", "--n", "2", "--temps", "0"),  # temperature must be positive
-        ("oracle-check", "--n", "2", "--steps", "13"),
+        ("oracle-check", "--n", "2", "--steps", str(HISTORY_MAX_STEPS + 1)),
         ("nonsense",),
+        pytest.param(("noisy", "--n", "2", "--temperature", "nan"), id="temperature-nan"),
+        pytest.param(("noisy", "--n", "2", "--temperature", "inf"), id="temperature-inf"),
+        pytest.param(("blp", "--n", "2", "--temperature", "-0.5"), id="temperature-negative"),
+        pytest.param(("thermal", "--n", "2", "--temps", "1,inf"), id="temps-inf"),
+        pytest.param(("noisy", "--n", "2", "--jobs", "0"), id="jobs-zero"),
+        pytest.param(("noisy", "--n", "2", "--jobs", "-2"), id="jobs-negative"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_bad_temperature_rejected_before_any_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool created before validation")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, _, err = run_cli(
+        capsys, "noisy", "--n", "2", "--p", "0.2,0.8", "--temperature", "nan", "--jobs", "2",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "temperature" in err
+
+
+def test_main_reads_config_once(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nsteps = 3\n")
+    calls = []
+
+    def counting_load_config(path):
+        calls.append(path)
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", counting_load_config)
+    code, _, _ = run_cli(capsys, "ideal", "--config", str(cfg))
+    assert code == 0
+    assert calls == [str(cfg)]
+
+
+def _readme_cli_examples():
+    # Every "noisygrover ..." line of the fenced block under "## Command line".
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("noisygrover ")
+    ]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    examples = _readme_cli_examples()
+    assert examples
+    for i, argv in enumerate(examples):
+        target = tmp_path / f"example{i}.out"
+        code = main(argv + ["--output", str(target)])
+        assert code == 0, (argv, capsys.readouterr().err)
+        assert target.stat().st_size > 0
 
 
 def test_oracle_check_passes(capsys):

@@ -18,9 +18,15 @@ from noisygrover.collision import (
     verify_dilation,
 )
 from noisygrover.grover import GroverInstance, grover_operator
-from noisygrover.linalg import InvariantViolation, random_density
+from noisygrover.linalg import InvariantViolation, partial_trace, random_density
 from noisygrover.markov import MarkovNoiseParams, conditional_probs, initial_joint_state
-from noisygrover.noise import build_chi, noise_spec, noise_unitary
+from noisygrover.noise import (
+    build_chi,
+    noise_spec,
+    noise_unitary,
+    noisy_grover,
+    single_qubit_unitary,
+)
 
 INST = GroverInstance(2)
 G = grover_operator(INST)
@@ -258,3 +264,69 @@ def test_collision_evolve_validate_catches_broken_channel():
     r0 = initial_joint_state(INST)
     with pytest.raises(InvariantViolation):
         collision_evolve(first, broken, r0, 3, validate=True)
+
+
+def _haar_noise(rng):
+    # A Haar-random U(2) element in the custom:a,b,theta parametrization:
+    # |a|^2 uniform on [0, 1], independent uniform phases.
+    x = rng.uniform()
+    a = math.sqrt(x) * np.exp(2j * math.pi * rng.uniform())
+    b = math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform())
+    return single_qubit_unitary(a, b, 2.0 * math.pi * rng.uniform())
+
+
+def _dense_evolve(first, steady, r0, steps, marked):
+    # Reference: the full 2N x 2N joint state through the dense Kraus sum.
+    n_dim = r0.shape[0] // 2
+    r = np.array(r0, dtype=complex)
+    joints = [r]
+    for t in range(1, steps + 1):
+        r = apply_kraus(first if t == 1 else steady, r)
+        joints.append(r)
+    states = [partial_trace(j, (2, n_dim), keep=(1,)) for j in joints]
+    probs = np.array([rho[marked, marked].real for rho in states])
+    return probs, states, joints
+
+
+# n = 2..5, each with the pure and the thermal channel.
+@pytest.mark.parametrize("seed", range(8))
+def test_block_evolve_matches_dense_kraus(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed // 2
+    thermal = seed % 2 == 1
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    m = int(rng.integers(1, n + 1))
+    positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+    g = grover_operator(inst)
+    gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), m, n, positions)))
+    params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+    bath = thermal_weights(rng.uniform(0.2, 3.0)) if thermal else None
+    first, steady = channel_maps(params, g, gp, bath=bath)
+    # A full-rank start with walker coherences, which the blocks drop.
+    r0 = random_density(2 * inst.N, rng)
+    steps = 6
+    trace = collision_evolve(
+        first, steady, r0, steps, marked=inst.marked,
+        keep_states=True, keep_joint=True, validate=True,
+    )
+    probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
+    assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
+    for a, b in zip(trace.states, states):
+        assert np.max(np.abs(a - b)) < 1e-12
+    for a, b in zip(trace.joint_states, joints):
+        assert np.max(np.abs(a - b)) < 1e-12
+    assert np.array_equal(trace.joint_states[0], r0)
+
+
+def test_collision_evolve_rejects_two_block_operator():
+    first, steady = channel_maps(MarkovNoiseParams(0.3, 0.3), G, GP)
+    # Blocks (0, 0) and (0, 1) in one operator: the walker label is no
+    # longer classical, so the two-block state cannot carry the step.
+    merged = KrausSet(
+        (steady.ops[0] + steady.ops[1],) + steady.ops[2:], steady.labels[1:], steady.kind
+    )
+    r0 = initial_joint_state(INST)
+    with pytest.raises(ValueError, match="nonzero walker blocks"):
+        collision_evolve(first, merged, r0, 2)
+    with pytest.raises(ValueError, match="nonzero walker blocks"):
+        collision_evolve(merged, steady, r0, 2)

@@ -11,6 +11,7 @@ from noisygrover.grover import (
 )
 from noisygrover.linalg import assert_density, projector, tensor, trace_distance
 from noisygrover.markov import (
+    HISTORY_MAX_STEPS,
     MarkovNoiseParams,
     conditional_probs,
     history_oracle,
@@ -106,8 +107,9 @@ def test_matches_history_oracle_states():
 
 
 def test_history_oracle_refuses_large_horizons():
-    with pytest.raises(ValueError):
-        history_oracle(INST3, SPEC_X1, MarkovNoiseParams(0.5, 0.5), 17)
+    for steps in (HISTORY_MAX_STEPS + 1, 17):
+        with pytest.raises(ValueError, match="refused"):
+            history_oracle(INST3, SPEC_X1, MarkovNoiseParams(0.5, 0.5), steps)
 
 
 def test_trace_contents_follow_flags():

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from noisygrover.grover import GroverInstance, uniform_superposition
-from noisygrover.linalg import assert_density, trace_distance
+from noisygrover.collision import apply_kraus, channel_maps
+from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
+from noisygrover.linalg import (
+    assert_density,
+    partial_trace,
+    projector,
+    tensor,
+    trace_distance,
+    trace_norm,
+)
 from noisygrover.markov import MarkovNoiseParams
 from noisygrover.measures import (
     blp_pair,
@@ -11,7 +21,13 @@ from noisygrover.measures import (
     positive_increment_sum,
     temperature_sweep,
 )
-from noisygrover.noise import noise_spec, noise_unitary
+from noisygrover.noise import (
+    build_chi,
+    noise_spec,
+    noise_unitary,
+    noisy_grover,
+    single_qubit_unitary,
+)
 
 INST = GroverInstance(3)
 SPEC = noise_spec(noise_unitary("x"), 1, 3)
@@ -78,6 +94,41 @@ def test_cp_witness_initial_value_and_frozen_point():
 def test_cp_witness_vanishes_for_iid_noise():
     result = n_cp(INST, SPEC, MarkovNoiseParams(0.5, 0.0), 15)
     assert result.value <= 1e-12
+
+
+def _dense_cp_series(inst, spec, params, steps):
+    # Reference: |+><+| (x) (|s><s| - |w><w|) through the dense 2N x 2N
+    # Kraus sum, walker traced out, half trace norm.
+    g = grover_operator(inst)
+    first, steady = channel_maps(params, g, noisy_grover(g, build_chi(inst.n, spec)))
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    x = projector(uniform_superposition(inst)) - projector(marked_state(inst))
+    r = tensor(projector(plus), x)
+    series = []
+    for t in range(steps + 1):
+        if t:
+            r = apply_kraus(first if t == 1 else steady, r)
+        series.append(0.5 * trace_norm(partial_trace(r, (2, inst.N), keep=(1,))))
+    return np.array(series)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cp_witness_matches_dense_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 3 + seed % 2
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    x = rng.uniform()
+    u = single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+        2.0 * math.pi * rng.uniform(),
+    )
+    spec = noise_spec(u, int(rng.integers(1, n + 1)), n)
+    params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+    result = n_cp(inst, spec, params, 12)
+    reference = _dense_cp_series(inst, spec, params, 12)
+    assert np.max(np.abs(result.series - reference)) < 1e-12
+    assert result.series[0] == pytest.approx(math.sqrt(1.0 - 1.0 / inst.N), abs=1e-12)
 
 
 def test_temperature_sweep_matches_direct_calls():
