@@ -70,6 +70,7 @@ from .collision import (
     kraus_step,
     thermal_kraus,
     thermal_weights,
+    transfer_weights,
     verify_dilation,
 )
 from .measures import (

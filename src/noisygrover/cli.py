@@ -276,7 +276,7 @@ _SUBCOMMANDS: dict[str, dict] = {
             ("--m", "m", "noisy-qubit count (default 1)"),
             ("--p", "p", "comma list of fault probabilities"),
             ("--mu", "mu", "comma list of memory parameters"),
-            ("--trials", "trials", "random states per point (default 20)"),
+            ("--trials", "trials", "random states per point, at least 1 (default 20)"),
             ("--seed", "seed", "base RNG seed (default 1234)"),
         ),
         "defaults": {

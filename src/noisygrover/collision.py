@@ -14,6 +14,19 @@ signs in the lower half make the columns orthonormal for every parameter
 choice. Replacing the pure ancillas with thermal ones (Gibbs weights at
 temperature T) yields the finite-temperature channel via the same U.
 
+The simulator never builds those matrices. Every block of U sits in one
+walker row r and column c, so the step keeps the walker label classical
+and is carried by the two N x N label blocks sigma_0, sigma_1 alone:
+
+    sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger,  op in {G, G'}
+
+``transfer_weights`` reads the 2 x 2 x 2 tensor W off the same block
+table that ``dilation_unitary`` assembles U from, weighting each ancilla
+input by its population (|00> only for pure ancillas, Gibbs products for
+a thermal bath). The Kraus sets, the dilation and its factorization are
+the verification layer: the tests and ``dilation-check`` compare against
+them.
+
 U also factors as
 
     U = CX . (M (x) I_N) . (I_8 (x) G)
@@ -232,8 +245,11 @@ def verify_dilation(
     """Check Tr_anc[ U (anc (x) R) U^dagger ] against the Kraus map.
 
     Runs ``trials`` random full-rank states R on walker (x) system and
-    reports the largest trace distance between the two one-step images.
+    reports the largest trace distance between the two one-step images;
+    ``trials`` < 1 raises ``ValueError``, since no state would be checked.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     u = dil.matrix
     n2 = u.shape[0] // 4
     anc = np.zeros((4, 4), dtype=complex)
@@ -365,22 +381,38 @@ def channel_maps(
     )
 
 
-def _walker_blocks(kset: KrausSet, n_dim: int) -> list[tuple[int, int, ComplexMatrix]]:
-    # (row, col, B) for each operator's single nonzero N x N walker block B,
-    # a view into the operator; all-zero operators (zero weight) drop out.
+def transfer_weights(
+    params: MarkovNoiseParams, bath: Optional[ThermalBathParams] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first step, steady step) transfer tensors W[r, c, op], shape (2, 2, 2).
+
+    W[r, c, op] is the weight with which walker block c feeds walker block
+    r through op (0 = G, 1 = G'). Each ``_LAYOUT`` entry of U adds
+    pop[b] * w(key) at (walker out, walker in, op), with b its ancilla-in
+    index and pop the ancilla populations: (1, 0, 0, 0) for pure ancillas,
+    (z1^2, z1 z2, z1 z2, z2^2) for a thermal bath. The sign squares away.
+    Every column sums to one over (r, op), so the step is trace preserving.
+    """
+    if bath is None:
+        pop = (1.0, 0.0, 0.0, 0.0)
+    else:
+        mixed = bath.z1 * bath.z2
+        pop = (bath.z1**2, mixed, mixed, bath.z2**2)
     out = []
-    for op in kset.ops:
-        blocks = op.reshape(2, n_dim, 2, n_dim).swapaxes(1, 2)
-        nonzero = np.argwhere(blocks.any(axis=(2, 3)))
-        if len(nonzero) > 1:
-            raise ValueError(f"{kset.kind} Kraus operator has {len(nonzero)} nonzero walker blocks")
-        out += [(i, j, blocks[i, j]) for i, j in nonzero]
-    return out
+    for kind in KINDS:
+        w = _weights(kind, params)
+        tensor_w = np.zeros((2, 2, 2))
+        for row, col, _sign, key, which in _LAYOUT:
+            tensor_w[row % 2, col % 2, which] += pop[col // 2] * w[key]
+        out.append(tensor_w)
+    return out[0], out[1]
 
 
 def collision_evolve(
-    first: KrausSet,
-    steady: KrausSet,
+    g: ComplexMatrix,
+    gp: ComplexMatrix,
+    first: np.ndarray,
+    steady: np.ndarray,
     r0: ComplexMatrix,
     steps: int,
     marked: int = 0,
@@ -390,23 +422,31 @@ def collision_evolve(
 ) -> EvolutionTrace:
     """Iterate the collision map from joint state ``r0`` for ``steps`` steps.
 
-    The first collision uses ``first``, all later ones ``steady``. Each
-    Kraus operator has one nonzero walker block B at (r, c), so only the
-    label blocks of diag(sigma_0, sigma_1) are carried, with sigma'_r =
-    sum_k B_k sigma_{c_k} B_k^dagger (``ValueError`` otherwise). Success
-    probability is the marked diagonal element of sigma_0 + sigma_1.
-    ``validate`` re-checks the joint state each step (tolerance 1e-9) and
-    raises :class:`InvariantViolation` on failure.
+    ``first`` and ``steady`` are transfer tensors from
+    :func:`transfer_weights`; the first collision uses ``first``, all later
+    ones ``steady``. Only the label blocks of diag(sigma_0, sigma_1) are
+    carried (walker coherences of ``r0`` never feed back), with
+
+        sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
+
+    over op in (G, G'); (r, op) pairs whose weights are all zero are
+    skipped. Success probability is the marked diagonal element of
+    sigma_0 + sigma_1. ``validate`` re-checks the joint state each step
+    (tolerance 1e-9) and raises :class:`InvariantViolation` on failure.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     n_dim = r0.shape[0] // 2
     if r0.shape != (2 * n_dim, 2 * n_dim):
         raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
+    if g.shape != (n_dim, n_dim) or gp.shape != (n_dim, n_dim):
+        raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
+    for weights in (first, steady):
+        if np.shape(weights) != (2, 2, 2):
+            raise ValueError(f"transfer weights shape {np.shape(weights)} is not (2, 2, 2)")
     if not 0 <= marked < n_dim:
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
-    first_blocks = _walker_blocks(first, n_dim)
-    steady_blocks = _walker_blocks(steady, n_dim)
+    ops = ((g, dagger(g)), (gp, dagger(gp)))
     zero = np.zeros((n_dim, n_dim), dtype=complex)
     r0 = np.array(r0, dtype=complex)
     sigma = [r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]]
@@ -414,9 +454,12 @@ def collision_evolve(
     sys_states, joints = [], []
     for t in range(steps + 1):
         if t:
+            weights = first if t == 1 else steady
             nxt = [zero.copy(), zero.copy()]
-            for row, col, b in first_blocks if t == 1 else steady_blocks:
-                nxt[row] += b @ sigma[col] @ dagger(b)
+            for row in (0, 1):
+                for (op, op_dag), (w0, w1) in zip(ops, weights[row].T):
+                    if w0 or w1:
+                        nxt[row] += op @ (w0 * sigma[0] + w1 * sigma[1]) @ op_dag
             sigma = nxt
         marginal = sigma[0] + sigma[1]
         probs[t] = marginal[marked, marked].real
@@ -435,5 +478,5 @@ def collision_evolve(
         probs,
         states=tuple(sys_states) if keep_states else None,
         joint_states=tuple(joints) if keep_joint else None,
-        meta={"first": first.kind, "steady": steady.kind, "steps": steps},
+        meta={"steps": steps},
     )

@@ -116,12 +116,14 @@ def markov_evolve(
     ones; ``bath=None`` is the zero-temperature (pure) construction.
     ``validate`` re-checks state validity each step at tolerance 1e-9.
     """
-    from .collision import channel_maps, collision_evolve  # deferred, see collision.py
+    from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
 
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = channel_maps(params, g, gp, bath=bath)
+    first, steady = transfer_weights(params, bath)
     return collision_evolve(
+        g,
+        gp,
         first,
         steady,
         initial_joint_state(inst),

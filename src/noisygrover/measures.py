@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .collision import ThermalBathParams, channel_maps, collision_evolve, thermal_weights
+from .collision import ThermalBathParams, collision_evolve, thermal_weights, transfer_weights
 from .grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from .linalg import (
     ComplexMatrix,
@@ -99,10 +99,12 @@ def n_blp(
     pair = blp_pair(inst)
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = channel_maps(params, g, gp, bath=bath)
+    first, steady = transfer_weights(params, bath)
     walker = projector(_PLUS)
     traces = [
         collision_evolve(
+            g,
+            gp,
             first,
             steady,
             tensor(walker, rho),
@@ -157,10 +159,10 @@ def n_cp(
     """
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = channel_maps(params, g, gp)
+    first, steady = transfer_weights(params)
     witness = projector(uniform_superposition(inst)) - projector(marked_state(inst))
     r0 = tensor(projector(_PLUS), witness)
-    trace = collision_evolve(first, steady, r0, steps, keep_states=True)
+    trace = collision_evolve(g, gp, first, steady, r0, steps, keep_states=True)
     series = np.array([0.5 * trace_norm(state) for state in trace.states])
     value = positive_increment_sum(series)
     meta = {"p": params.p, "mu": params.mu}

@@ -411,19 +411,19 @@ def test_c15_state_validity_and_contractivity():
             assert report.passed, report
             worst_eig = min(worst_eig, report.min_eigenvalue)
     # joint trace distance between random initial pairs never grows after t=1
-    from noisygrover.collision import channel_maps, collision_evolve
+    from noisygrover.collision import collision_evolve, transfer_weights
     from noisygrover.linalg import projector
 
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(3, noise_spec(noise_unitary("x"), 1, 3)))
-    first, steady = channel_maps(MarkovNoiseParams(0.5, 0.7), g, gp)
+    first, steady = transfer_weights(MarkovNoiseParams(0.5, 0.7))
     plus = projector(np.array([1.0, 1.0]) / math.sqrt(2.0))
     rng = np.random.default_rng(2024)
     worst_growth = -math.inf
     for _ in range(5):
         joints = [
             collision_evolve(
-                first, steady, tensor(plus, random_density(8, rng)), 10,
+                g, gp, first, steady, tensor(plus, random_density(8, rng)), 10,
                 keep_joint=True,
             ).joint_states
             for _ in range(2)

@@ -122,6 +122,8 @@ def test_load_config_syntax_error(tmp_path):
         pytest.param(("thermal", "--n", "2", "--temps", "1,inf"), id="temps-inf"),
         pytest.param(("noisy", "--n", "2", "--jobs", "0"), id="jobs-zero"),
         pytest.param(("noisy", "--n", "2", "--jobs", "-2"), id="jobs-negative"),
+        pytest.param(("dilation-check", "--n", "2", "--trials", "0"), id="trials-zero"),
+        pytest.param(("dilation-check", "--n", "2", "--trials", "-3"), id="trials-negative"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):

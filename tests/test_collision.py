@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from noisygrover.collision import (
+    KINDS,
     KrausSet,
+    _weights,
     apply_kraus,
     channel_maps,
     collision_evolve,
@@ -15,6 +17,7 @@ from noisygrover.collision import (
     kraus_step,
     thermal_kraus,
     thermal_weights,
+    transfer_weights,
     verify_dilation,
 )
 from noisygrover.grover import GroverInstance, grover_operator
@@ -241,29 +244,54 @@ def test_channel_maps_dispatch():
 
 def test_collision_evolve_basics():
     params = MarkovNoiseParams(0.3, 0.3)
-    first, steady = channel_maps(params, G, GP)
+    first, steady = transfer_weights(params)
     r0 = initial_joint_state(INST)
-    trace = collision_evolve(first, steady, r0, 0)
+    trace = collision_evolve(G, GP, first, steady, r0, 0)
     assert trace.probabilities.shape == (1,)
     assert trace.probabilities[0] == pytest.approx(0.25)
-    trace = collision_evolve(first, steady, r0, 4, keep_joint=True, validate=True)
+    trace = collision_evolve(G, GP, first, steady, r0, 4, keep_joint=True, validate=True)
     assert len(trace.joint_states) == 5
     assert trace.meta["steps"] == 4
     with pytest.raises(ValueError):
-        collision_evolve(first, steady, r0, -1)
+        collision_evolve(G, GP, first, steady, r0, -1)
     with pytest.raises(ValueError):
-        collision_evolve(first, steady, r0, 2, marked=4)
+        collision_evolve(G, GP, first, steady, r0, 2, marked=4)
+    with pytest.raises(ValueError, match="transfer weights shape"):
+        collision_evolve(G, GP, first, steady[0], r0, 2)
+    with pytest.raises(ValueError, match="transfer weights shape"):
+        collision_evolve(G, GP, np.zeros((2, 2, 3)), steady, r0, 2)
+    with pytest.raises(ValueError, match="operator shapes"):
+        collision_evolve(G, GP[:2, :2], first, steady, r0, 2)
+    with pytest.raises(ValueError, match="operator shapes"):
+        collision_evolve(G, GP, first, steady, random_density(4, np.random.default_rng(0)), 2)
 
 
 def test_collision_evolve_validate_catches_broken_channel():
     params = MarkovNoiseParams(0.3, 0.3)
-    first, steady = channel_maps(params, G, GP)
-    broken = KrausSet(
-        tuple(1.05 * k for k in steady.ops), steady.labels, steady.kind
-    )
+    first, steady = transfer_weights(params)
     r0 = initial_joint_state(INST)
     with pytest.raises(InvariantViolation):
-        collision_evolve(first, broken, r0, 3, validate=True)
+        collision_evolve(G, GP, first, 1.05**2 * steady, r0, 3, validate=True)
+
+
+@pytest.mark.parametrize("temperature", [None, 0.1, 0.5, 1.0, 3.0, 100.0])
+def test_transfer_weights_columns_and_limits(temperature):
+    bath = None if temperature is None else thermal_weights(temperature)
+    # (weight key, operator, walker row, walker col) of the kraus_step blocks
+    blocks = (("g|g", 0, 0, 0), ("g|g'", 0, 0, 1), ("g'|g", 1, 1, 0), ("g'|g'", 1, 1, 1))
+    for params in GRID:
+        weights = transfer_weights(params, bath)
+        for kind, w in zip(KINDS, weights):
+            assert w.shape == (2, 2, 2)
+            assert np.max(np.abs(w.sum(axis=(0, 2)) - 1.0)) <= 1e-15, (params, kind)
+        if bath is None:
+            cold = transfer_weights(params, thermal_weights(0.01))
+            for kind, w, w_cold in zip(KINDS, weights, cold):
+                expected = np.zeros((2, 2, 2))
+                for key, which, row, col in blocks:
+                    expected[row, col, which] = _weights(kind, params)[key]
+                assert np.array_equal(w, expected), (params, kind)
+                assert np.max(np.abs(w_cold - w)) < 1e-12, (params, kind)
 
 
 def _haar_noise(rng):
@@ -288,25 +316,35 @@ def _dense_evolve(first, steady, r0, steps, marked):
     return probs, states, joints
 
 
-# n = 2..5, each with the pure and the thermal channel.
-@pytest.mark.parametrize("seed", range(8))
-def test_block_evolve_matches_dense_kraus(seed):
+# n = 2..5, each with the pure and the thermal channel, then the degenerate
+# chain points (zero weights skip whole conjugations) at n = 2..4.
+@pytest.mark.parametrize(
+    "seed,point",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(8)]
+    + [
+        pytest.param(8 + i, point, id=f"p{point[0]}-mu{point[1]}-{kind}")
+        for i, (point, kind) in enumerate(
+            itertools.product([(0.0, 0.0), (1.0, 1.0), (0.5, 1.0)], ["pure", "thermal"])
+        )
+    ],
+)
+def test_block_evolve_matches_dense_kraus(seed, point):
     rng = np.random.default_rng(seed)
-    n = 2 + seed // 2
+    n = 2 + (seed // 2) % 4
     thermal = seed % 2 == 1
     inst = GroverInstance(n, int(rng.integers(2**n)))
     m = int(rng.integers(1, n + 1))
     positions = sorted(rng.choice(n, size=m, replace=False).tolist())
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), m, n, positions)))
-    params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+    params = MarkovNoiseParams(*(point or (rng.uniform(), rng.uniform())))
     bath = thermal_weights(rng.uniform(0.2, 3.0)) if thermal else None
     first, steady = channel_maps(params, g, gp, bath=bath)
     # A full-rank start with walker coherences, which the blocks drop.
     r0 = random_density(2 * inst.N, rng)
     steps = 6
     trace = collision_evolve(
-        first, steady, r0, steps, marked=inst.marked,
+        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked,
         keep_states=True, keep_joint=True, validate=True,
     )
     probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
@@ -316,17 +354,3 @@ def test_block_evolve_matches_dense_kraus(seed):
     for a, b in zip(trace.joint_states, joints):
         assert np.max(np.abs(a - b)) < 1e-12
     assert np.array_equal(trace.joint_states[0], r0)
-
-
-def test_collision_evolve_rejects_two_block_operator():
-    first, steady = channel_maps(MarkovNoiseParams(0.3, 0.3), G, GP)
-    # Blocks (0, 0) and (0, 1) in one operator: the walker label is no
-    # longer classical, so the two-block state cannot carry the step.
-    merged = KrausSet(
-        (steady.ops[0] + steady.ops[1],) + steady.ops[2:], steady.labels[1:], steady.kind
-    )
-    r0 = initial_joint_state(INST)
-    with pytest.raises(ValueError, match="nonzero walker blocks"):
-        collision_evolve(first, merged, r0, 2)
-    with pytest.raises(ValueError, match="nonzero walker blocks"):
-        collision_evolve(merged, steady, r0, 2)
