@@ -592,6 +592,8 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
     ps = _parse_float_list(opts["p"], "p")
     mus = _parse_float_list(opts["mu"], "mu")
     trials = _parse_int(opts["trials"], "trials")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     seed = _parse_int(opts["seed"], "seed")
     points = [
         (n, marked, u, m, p, mu, trials, seed)

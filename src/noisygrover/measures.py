@@ -118,10 +118,17 @@ def n_blp(
     d_sys = np.array(
         [trace_distance(a, b) for a, b in zip(traces[0].states, traces[1].states)]
     )
+    # From t = 1 on both joints are diag(sigma_0, sigma_1), so their
+    # distance is the sum of the two label-block distances; r0 has walker
+    # coherences and takes the full one.
+    n_dim = inst.N
+    joints = list(zip(traces[0].joint_states, traces[1].joint_states))
     d_joint = np.array(
-        [
-            trace_distance(a, b)
-            for a, b in zip(traces[0].joint_states, traces[1].joint_states)
+        [trace_distance(*joints[0])]
+        + [
+            trace_distance(a[:n_dim, :n_dim], b[:n_dim, :n_dim])
+            + trace_distance(a[n_dim:, n_dim:], b[n_dim:, n_dim:])
+            for a, b in joints[1:]
         ]
     )
     for t in range(1, steps):

@@ -129,11 +129,15 @@ def build_chi(n: int, spec: NoiseSpec) -> ComplexMatrix:
     if any(p >= n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {n}")
     u = spec.u.matrix
-    eye = np.eye(2, dtype=complex)
     out = np.ones((1, 1), dtype=complex)
+    run = 0  # identity qubits not yet lifted, as one 2**run identity
     for q in range(n):
-        out = np.kron(out, u if q in spec.positions else eye)
-    return out
+        if q in spec.positions:
+            out = np.kron(np.kron(out, np.eye(2**run, dtype=complex)), u)
+            run = 0
+        else:
+            run += 1
+    return np.kron(out, np.eye(2**run, dtype=complex)) if run else out
 
 
 def noisy_grover(g: ComplexMatrix, chi: ComplexMatrix) -> ComplexMatrix:

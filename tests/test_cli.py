@@ -144,6 +144,18 @@ def test_bad_temperature_rejected_before_any_pool(capsys, monkeypatch):
     assert err.startswith("error:") and "temperature" in err
 
 
+def test_bad_trials_rejected_before_any_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool created before validation")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, _, err = run_cli(
+        capsys, "dilation-check", "--n", "2", "--trials", "0", "--jobs", "2", "--p", "0.1,0.2",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "trials" in err
+
+
 def test_main_reads_config_once(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nsteps = 3\n")

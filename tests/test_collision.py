@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisygrover.collision import (
     KINDS,
@@ -20,9 +22,15 @@ from noisygrover.collision import (
     transfer_weights,
     verify_dilation,
 )
-from noisygrover.grover import GroverInstance, grover_operator
-from noisygrover.linalg import InvariantViolation, partial_trace, random_density
-from noisygrover.markov import MarkovNoiseParams, conditional_probs, initial_joint_state
+from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
+from noisygrover.linalg import InvariantViolation, partial_trace, projector, random_density, tensor
+from noisygrover.markov import (
+    MarkovNoiseParams,
+    conditional_probs,
+    initial_joint_state,
+    markov_evolve,
+)
+from noisygrover.measures import blp_pair
 from noisygrover.noise import (
     build_chi,
     noise_spec,
@@ -354,3 +362,149 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     for a, b in zip(trace.joint_states, joints):
         assert np.max(np.abs(a - b)) < 1e-12
     assert np.array_equal(trace.joint_states[0], r0)
+
+
+PLUS = projector(np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+
+def _low_rank_start(name, inst):
+    # Joint starts whose reachable subspace is far smaller than 2N.
+    s, w = uniform_superposition(inst), marked_state(inst)
+    if name == "s":
+        return tensor(PLUS, projector(s))
+    if name == "witness":  # the n_cp start, traceless and indefinite
+        return tensor(PLUS, projector(s) - projector(w))
+    if name == "one-block":  # sigma_0 = 0
+        return tensor(projector(np.array([0.0, 1.0])), projector(s))
+    if name == "rank2":  # a mixture of two joint vectors, walker coherences included
+        a = (np.kron([1.0, 0.0], s) + np.kron([0.0, 1.0], w)) / math.sqrt(2.0)
+        b = np.kron([0.0, 1.0], s)
+        return 0.7 * projector(a) + 0.3 * projector(b)
+    raise ValueError(name)
+
+
+def _check_against_dense(inst, gp, params, bath, r0, steps, validate):
+    g = grover_operator(inst)
+    trace = collision_evolve(
+        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked,
+        keep_states=True, keep_joint=True, validate=validate,
+    )
+    probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
+    assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
+    for a, b in zip(trace.states, states):
+        assert np.max(np.abs(a - b)) < 1e-12
+    for a, b in zip(trace.joint_states, joints):
+        assert np.max(np.abs(a - b)) < 1e-12
+    return trace
+
+
+# The compressed path (d < N): low-rank starts, n = 2..6, pure and thermal.
+@pytest.mark.parametrize("start", ["s", "witness", "one-block", "rank2"])
+@pytest.mark.parametrize("kind", ["pure", "thermal"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_compressed_evolve_matches_dense_kraus(n, kind, start):
+    rng = np.random.default_rng(100 * n + (kind == "thermal"))
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    m = int(rng.integers(1, n + 1))
+    positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+    gp = noisy_grover(grover_operator(inst), build_chi(n, noise_spec(_haar_noise(rng), m, n, positions)))
+    params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+    bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
+    r0 = _low_rank_start(start, inst)
+    trace = _check_against_dense(inst, gp, params, bath, r0, 6, validate=start != "witness")
+    assert trace.meta["dim"] < inst.N or n == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 4),
+    noise=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+    order=st.permutations(range(4)),
+    m_frac=st.floats(0.0, 1.0),
+    marked_frac=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    mu=st.floats(0.0, 1.0),
+    temperature=st.one_of(st.none(), st.floats(0.05, 10.0)),
+    start=st.sampled_from(["s", "witness", "one-block", "rank2"]),
+)
+def test_compressed_evolve_property(n, noise, order, m_frac, marked_frac, p, mu, temperature, start):
+    x, phase_a, phase_b, theta = noise
+    u = single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * phase_a),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * phase_b),
+        2.0 * math.pi * theta,
+    )
+    m = 1 + min(int(m_frac * n), n - 1)
+    positions = sorted([q for q in order if q < n][:m])
+    inst = GroverInstance(n, min(int(marked_frac * 2**n), 2**n - 1))
+    gp = noisy_grover(grover_operator(inst), build_chi(n, noise_spec(u, m, n, positions)))
+    bath = None if temperature is None else thermal_weights(temperature)
+    r0 = _low_rank_start(start, inst)
+    _check_against_dense(inst, gp, MarkovNoiseParams(p, mu), bath, r0, 5, validate=False)
+
+
+def _q(inst, positions):
+    # Noisy positions holding a 1 bit of the marked index (qubit 0 leftmost).
+    return sum((inst.marked >> (inst.n - 1 - pos)) & 1 for pos in positions)
+
+
+def test_dim_is_full_for_full_rank_and_blp_partner_starts():
+    rng = np.random.default_rng(7)
+    params = MarkovNoiseParams(0.3, 0.4)
+    for n in range(2, 7):
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        g = grover_operator(inst)
+        gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), 2, n)))
+        weights = transfer_weights(params)
+        full = collision_evolve(g, gp, *weights, random_density(2 * inst.N, rng), 2)
+        assert full.meta["dim"] == inst.N
+        partner = tensor(PLUS, blp_pair(inst).rho2)
+        assert collision_evolve(g, gp, *weights, partner, 2).meta["dim"] == inst.N
+
+
+def test_dim_bounded_on_markov_starts():
+    # The orbit of |s> stays in Sym^(m-q) (x) Sym^q on the noisy qubits times
+    # span{|+...+>, |w_rest>} on the others (one vector if m = n). From n = 6
+    # on, rounding in G' can tilt a nearly dependent Krylov chain by more
+    # than the drop threshold; the closure then keeps the leak as a new
+    # direction, so the evolve stays exact but d exceeds the bound.
+    rng = np.random.default_rng(8)
+    params = MarkovNoiseParams(0.3, 0.4)
+    for n, _ in itertools.product(range(2, 6), range(4)):
+        u = _haar_noise(rng)
+        for m in range(1, n + 1):
+            inst = GroverInstance(n, int(rng.integers(2**n)))
+            positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+            q = _q(inst, positions)
+            bound = (q + 1) * (m - q + 1) * (1 if m == n else 2)
+            dim = markov_evolve(inst, noise_spec(u, m, n, positions), params, 2).meta["dim"]
+            assert dim <= bound, (n, m, positions, inst.marked)
+
+
+def test_dim_is_four_for_hadamard_noise():
+    params = MarkovNoiseParams(0.3, 0.4)
+    hadamard = noise_unitary("hadamard")
+    for n in range(2, 8):
+        for m in range(1, n + 1):
+            dim = markov_evolve(GroverInstance(n), noise_spec(hadamard, m, n), params, 2).meta["dim"]
+            # H on every qubit swaps |s> and |0> = |w|, so span{|s>, |w>} is closed.
+            assert dim == (2 if m == n else 4), (n, m)
+
+
+def test_zero_start_evolves_to_zero():
+    first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
+    zero = np.zeros((8, 8), dtype=complex)
+    trace = collision_evolve(G, GP, first, steady, zero, 3, keep_states=True, keep_joint=True)
+    assert trace.meta["dim"] == 0
+    assert np.array_equal(trace.probabilities, np.zeros(4))
+    for state in trace.states + trace.joint_states:
+        assert not state.any()
+
+
+def test_collision_evolve_rejects_non_hermitian_blocks():
+    # |s><w| on the walker's g branch: its row space is not its range.
+    first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
+    s, w = uniform_superposition(INST), marked_state(INST)
+    r0 = tensor(projector(np.array([1.0, 0.0])), np.outer(s, w))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        collision_evolve(G, GP, first, steady, r0, 2)

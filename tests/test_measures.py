@@ -131,6 +131,37 @@ def test_cp_witness_matches_dense_reference(seed):
     assert result.series[0] == pytest.approx(math.sqrt(1.0 - 1.0 / inst.N), abs=1e-12)
 
 
+@pytest.mark.parametrize("temperature", [None, 0.7])
+def test_blp_joint_series_matches_full_trace_distance(temperature):
+    # Reference: both pair members through the dense 2N x 2N Kraus sum, and
+    # one trace distance of the full joints per step.
+    from noisygrover.collision import thermal_weights
+
+    rng = np.random.default_rng(17)
+    inst = GroverInstance(4, int(rng.integers(16)))
+    x = rng.uniform()
+    u = single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+        2.0 * math.pi * rng.uniform(),
+    )
+    spec = noise_spec(u, 2, 4, positions=(1, 3))
+    params = MarkovNoiseParams(0.35, 0.8)
+    bath = None if temperature is None else thermal_weights(temperature)
+    steps = 10
+    result = n_blp(inst, spec, params, steps, bath=bath)
+    g = grover_operator(inst)
+    first, steady = channel_maps(params, g, noisy_grover(g, build_chi(4, spec)), bath)
+    plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
+    pair = blp_pair(inst)
+    joints = [tensor(plus, pair.rho1), tensor(plus, pair.rho2)]
+    reference = [trace_distance(*joints)]
+    for t in range(1, steps + 1):
+        joints = [apply_kraus(first if t == 1 else steady, r) for r in joints]
+        reference.append(trace_distance(*joints))
+    assert np.max(np.abs(result.meta["joint_series"] - np.array(reference))) < 1e-12
+
+
 def test_temperature_sweep_matches_direct_calls():
     from noisygrover.collision import thermal_weights
 

@@ -74,6 +74,25 @@ def test_build_chi_layouts():
     assert np.array_equal(build_chi(2, noise_spec(u, 0, 2)), np.eye(4))
 
 
+def _chi_per_qubit(n, spec):
+    # One 2 x 2 factor per qubit, the lift build_chi shortens.
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        out = np.kron(out, spec.u.matrix if q in spec.positions else np.eye(2, dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA) + ["random"])
+def test_build_chi_equals_per_qubit_kron(name):
+    rng = np.random.default_rng(3)
+    u = _random_unitary(rng) if name == "random" else noise_unitary(name)
+    for n in range(1, 8):
+        for m in range(n + 1):
+            for positions in (None, sorted(rng.choice(n, size=m, replace=False).tolist())):
+                spec = noise_spec(u, m, n, positions)
+                assert np.array_equal(build_chi(n, spec), _chi_per_qubit(n, spec)), (n, spec)
+
+
 def test_noise_spec_validation():
     u = noise_unitary("x")
     with pytest.raises(ValueError):
