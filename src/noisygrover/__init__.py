@@ -50,6 +50,7 @@ from .noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
+    orbit_basis,
     sigma_x_reduced,
     sigma_y_p2,
     single_qubit_unitary,
@@ -76,12 +77,10 @@ from .collision import (
 from .measures import (
     MeasureResult,
     StatePair,
-    SweepPoint,
     blp_pair,
     n_blp,
     n_cp,
     positive_increment_sum,
-    temperature_sweep,
 )
 
 __version__ = "0.1.0"

@@ -27,15 +27,12 @@ a thermal bath). The Kraus sets, the dilation and its factorization are
 the verification layer: the tests and ``dilation-check`` compare against
 them.
 
-The blocks never leave the smallest subspace that contains their start
-ranges and is invariant under G and G'. ``collision_evolve`` builds an
-orthonormal basis V of it first (a Krylov closure by pivoted Gram-Schmidt,
-no dense factorization) and runs the step on d x d compressions; for the
-|s>-like starts of the success and witness series d does not grow with n
-(rounding can add directions from n = 6 on, see ``_SPAN_TOL``). A
-full-rank start fills the whole space, and then V is the
-identity and nothing is compressed. The dimension is reported as
-``meta["dim"]``.
+The step loop (``collision_evolve``) is dense at whatever size it is
+given. For the |s>-like starts of the success and witness series the
+callers hand it G and G' compressed to the orbit basis of
+:func:`~noisygrover.noise.orbit_basis`, whose dimension does not grow
+with n. blp's rank-N/2 partner state and any other start run on the full
+N x N operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -419,76 +416,6 @@ def transfer_weights(
     return out[0], out[1]
 
 
-# A candidate direction whose residual after projection onto the basis is
-# at most this, relative to the largest start column norm (images of unit
-# basis vectors under the unitaries G, G' have norm 1), is already spanned.
-# Exactly invariant directions leave residuals of about 1e-15 at small n;
-# genuine new ones were never below 1e-3 for Haar noise at n <= 8. From
-# n = 6 on, rounding can tilt a nearly dependent chain of directions by
-# more than this; such a leak is kept as a direction, which costs dimension
-# but not accuracy.
-_SPAN_TOL = 1e-12
-
-
-def _grow_basis(vecs: ComplexMatrix, dim: int, cand: ComplexMatrix, tol: float) -> int:
-    """Append to the orthonormal rows ``vecs[:dim]`` the directions of the
-    span of the columns of ``cand`` outside them; returns the new count.
-
-    Column-pivoted Gram-Schmidt, overwriting ``cand``: the candidates are
-    projected off the rows, then the one with the largest residual is
-    re-orthogonalized against every accepted row once more, normalized and
-    projected off the rest, until no residual exceeds ``tol`` or the space
-    is full. Rows, not columns, so an N x N buffer is touched only as far
-    as it is filled.
-    """
-    n_dim = vecs.shape[1]
-    if dim:
-        cand -= vecs[:dim].T @ (np.conj(vecs[:dim]) @ cand)
-    while dim < n_dim:
-        norms = np.linalg.norm(cand, axis=0)
-        live = norms > tol
-        if not live.any():
-            break
-        if not live.all():
-            cand, norms = cand[:, live], norms[live]
-        q = cand[:, int(np.argmax(norms))]
-        # a copy, not a view: cand is deflated in place below
-        q = q - vecs[:dim].T @ (np.conj(vecs[:dim]) @ q)
-        q /= np.linalg.norm(q)
-        cand -= np.outer(q, np.conj(q) @ cand)
-        vecs[dim] = q
-        dim += 1
-    return dim
-
-
-def _reachable_basis(
-    g: ComplexMatrix, gp: ComplexMatrix, blocks: list[ComplexMatrix]
-) -> Optional[ComplexMatrix]:
-    """Orthonormal N x d basis of the smallest G, G'-invariant subspace
-    holding the ranges of the (Hermitian) label ``blocks``, or None when
-    that subspace is the whole space.
-
-    A Krylov closure at O(N^2 d): the block columns seed the basis, then
-    the G- and G'-images of each batch of new vectors are added, until a
-    batch brings nothing new or d = N. A zero start gives d = 0.
-    """
-    n_dim = g.shape[0]
-    vecs = np.empty((n_dim, n_dim), dtype=complex)
-    cand = np.hstack(blocks)
-    tol = _SPAN_TOL * float(np.max(np.linalg.norm(cand, axis=0)))
-    closed = dim = 0  # vecs[:closed] already have their images in the span
-    while True:
-        dim = _grow_basis(vecs, dim, cand, tol)
-        if dim == n_dim:
-            return None
-        if dim == closed:
-            return vecs[:dim].T.copy()
-        fresh = vecs[closed:dim].T
-        cand = np.hstack((g @ fresh, gp @ fresh))
-        tol = _SPAN_TOL
-        closed = dim
-
-
 def collision_evolve(
     g: ComplexMatrix,
     gp: ComplexMatrix,
@@ -511,23 +438,15 @@ def collision_evolve(
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
     over op in (G, G'); (r, op) pairs whose weights are all zero are
-    skipped.
-
-    The blocks never leave the smallest subspace that holds their ranges
-    and is invariant under G and G'. Its orthonormal N x d basis V is
-    built first (a Krylov closure, see :func:`_reachable_basis`), and the
-    loop runs on V^dagger G V, V^dagger G' V and V^dagger sigma_r V, all
-    d x d. d depends on the number m of noisy qubits, not on n: at most
-    2(q+1)(m-q+1) for the |s> start, q as in ``closed_form_overlaps``.
-    Success probability is Re(v_w s v_w^dagger), with v_w the marked row
-    of V and s the compressed sigma_0 + sigma_1; system and joint states
-    are lifted back as V s V^dagger only when ``keep_states``,
-    ``keep_joint`` or ``validate`` asks for them. When the subspace is the
-    whole space (a full-rank start) V is the identity and nothing is
-    compressed or lifted. ``meta["dim"]`` is d. The label blocks of ``r0``
-    must be Hermitian, as those of any joint state are. ``validate``
-    re-checks the joint state each step (tolerance 1e-9) and raises
-    :class:`InvariantViolation` on failure.
+    skipped. The loop is dense at whatever size it is given: N x N G, G'
+    for the full register, or their compressions to an invariant subspace
+    (``markov_evolve`` and ``n_cp`` pass d x d ones, see
+    :func:`~noisygrover.noise.orbit_basis`). ``meta["dim"]`` is that size.
+    Success probability is the ``marked`` diagonal entry of
+    sigma_0 + sigma_1. The label blocks of ``r0`` must be Hermitian, as
+    those of any joint state are. ``validate`` re-checks the joint state
+    each step (tolerance 1e-9) and raises :class:`InvariantViolation` on
+    failure.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -543,33 +462,11 @@ def collision_evolve(
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
     r0 = np.asarray(r0, dtype=complex)
     sigma = [r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]]
-    # The basis holds the column ranges only, which is the whole support
-    # of a Hermitian block.
+    # Input check: the label blocks of a joint state are Hermitian, and the
+    # success probability reads only the real part of a diagonal entry, so
+    # a non-Hermitian block would otherwise pass unnoticed.
     if any(np.max(np.abs(s - dagger(s))) > HERMITICITY_TOL for s in sigma):
         raise ValueError("label blocks of the joint state are not Hermitian")
-    basis = _reachable_basis(g, gp, sigma)
-    if basis is None:
-        dim = n_dim
-
-        def success(s):
-            return s[marked, marked].real
-
-        def lift(s):
-            return s
-
-    else:
-        dim = basis.shape[1]
-        basis_dag = dagger(basis)
-        g, gp = basis_dag @ (g @ basis), basis_dag @ (gp @ basis)
-        sigma = [basis_dag @ s @ basis for s in sigma]
-        probe = np.outer(np.conj(basis[marked]), basis[marked])
-
-        def success(s):
-            return np.vdot(probe, s).real
-
-        def lift(s):
-            return basis @ s @ basis_dag
-
     ops = ((g, dagger(g)), (gp, dagger(gp)))
     # (row, op, op^dagger, w0, w1) of each (r, op) pair with a nonzero weight
     terms = [
@@ -581,7 +478,7 @@ def collision_evolve(
         ]
         for weights in (first, steady)
     ]
-    zero = np.zeros((dim, dim), dtype=complex)
+    zero = np.zeros((n_dim, n_dim), dtype=complex)
     probs = np.empty(steps + 1, dtype=float)
     sys_states, joints = [], []
     for t in range(steps + 1):
@@ -591,13 +488,13 @@ def collision_evolve(
                 nxt[r] += op @ (w0 * sigma[0] + w1 * sigma[1]) @ op_dag
             sigma = nxt
         marginal = sigma[0] + sigma[1]
-        probs[t] = success(marginal)
+        probs[t] = marginal[marked, marked].real
         if keep_states:
-            sys_states.append(lift(marginal))
+            sys_states.append(marginal)
         if keep_joint or validate:
             if t:
                 joint = np.zeros_like(r0)
-                joint[:n_dim, :n_dim], joint[n_dim:, n_dim:] = map(lift, sigma)
+                joint[:n_dim, :n_dim], joint[n_dim:, n_dim:] = sigma
             else:
                 joint = r0.copy()
             if validate:
@@ -608,5 +505,5 @@ def collision_evolve(
         probs,
         states=tuple(sys_states) if keep_states else None,
         joint_states=tuple(joints) if keep_joint else None,
-        meta={"steps": steps, "dim": dim},
+        meta={"steps": steps, "dim": n_dim},
     )

@@ -12,24 +12,28 @@ walker qubit (index 0 = g, 1 = g') is adjoined to the system, the joint
 state starts as |+><+| (x) |s><s|, and every step is the exact completely
 positive map that applies G on the g branch, G' on the g' branch, and
 mixes branch populations with the conditional probabilities. The success
-probability is read off the system marginal at the marked index.
+probability is read off the system marginal at the marked index. All of
+this runs in the span of the orbit basis (:func:`~noisygrover.noise.orbit_basis`),
+whose dimension depends on the noisy qubits, not on n.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .grover import GroverInstance, grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, projector, tensor
-from .noise import NoiseSpec, build_chi, noisy_grover
+from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
 
 # Largest horizon the explicit history sum accepts; its cost is 2**steps.
 HISTORY_MAX_STEPS = 12
+
+_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,7 @@ def conditional_probs(params: MarkovNoiseParams) -> ConditionalProbs:
 
 def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
     """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N)."""
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    return tensor(projector(plus), projector(uniform_superposition(inst)))
+    return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,28 @@ class EvolutionTrace:
     states: Optional[tuple[ComplexMatrix, ...]] = None
     joint_states: Optional[tuple[ComplexMatrix, ...]] = None
     meta: dict = field(default_factory=dict)
+
+
+def _orbit_operators(
+    inst: GroverInstance, spec: NoiseSpec
+) -> tuple[np.ndarray, ComplexMatrix, ComplexMatrix]:
+    """(V, V^dagger G V, V^dagger G' V) for V = ``orbit_basis(inst, spec)``.
+
+    Nothing N x N is formed. G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|
+    compresses term by term, with V^dagger |w> = e_0. chi is applied to V
+    one noisy qubit at a time, and since V spans a G-invariant subspace,
+    V^dagger chi G V = (V^dagger chi V)(V^dagger G V).
+    """
+    v = orbit_basis(inst, spec)
+    dim = v.shape[1]
+    s = v.T @ uniform_superposition(inst)
+    g = 2.0 * np.outer(s, np.conj(s)) - np.eye(dim)
+    g[:, 0] -= (4.0 / math.sqrt(inst.N)) * s
+    g[0, 0] += 2.0
+    chi_v = v.reshape((2,) * inst.n + (dim,))
+    for pos in spec.positions:
+        chi_v = np.moveaxis(np.tensordot(spec.u.matrix, chi_v, axes=(1, pos)), 0, pos)
+    return v, g, (v.T @ chi_v.reshape(v.shape)) @ g
 
 
 def markov_evolve(
@@ -115,24 +140,35 @@ def markov_evolve(
     refreshed each step from thermal two-qubit ancillas instead of pure
     ones; ``bath=None`` is the zero-temperature (pure) construction.
     ``validate`` re-checks state validity each step at tolerance 1e-9.
+
+    The run stays in the span of the orbit basis V (:func:`orbit_basis`):
+    G, G' and |s><s| are compressed to d x d once and the collision step
+    runs at that size, where d = (q + 1)(m - q + 1), doubled when m < n,
+    is ``meta["dim"]``. An isometry keeps trace, hermiticity and the
+    nonzero spectrum, so ``validate`` checks the compressed joints. Only the kept
+    states and joints are lifted back, as V s V^dagger, to N x N and
+    2N x 2N.
     """
     from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
 
-    g = grover_operator(inst)
-    gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = transfer_weights(params, bath)
-    return collision_evolve(
+    v, g, gp = _orbit_operators(inst, spec)
+    r0 = tensor(projector(_PLUS), projector(v.T @ uniform_superposition(inst)))
+    trace = collision_evolve(
         g,
         gp,
-        first,
-        steady,
-        initial_joint_state(inst),
+        *transfer_weights(params, bath),
+        r0,
         steps,
-        marked=inst.marked,
         keep_states=keep_states,
         keep_joint=keep_joint,
         validate=validate,
     )
+    if keep_states:
+        trace = replace(trace, states=tuple(v @ s @ v.T for s in trace.states))
+    if keep_joint:
+        lift = np.kron(np.eye(2), v)
+        trace = replace(trace, joint_states=tuple(lift @ j @ lift.T for j in trace.joint_states))
+    return trace
 
 
 def history_oracle(

@@ -11,13 +11,12 @@ absence (no optimization over inputs is performed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .collision import ThermalBathParams, collision_evolve, thermal_weights, transfer_weights
+from .collision import ThermalBathParams, collision_evolve, transfer_weights
 from .grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from .linalg import (
     ComplexMatrix,
@@ -27,7 +26,7 @@ from .linalg import (
     trace_distance,
     trace_norm,
 )
-from .markov import MarkovNoiseParams
+from .markov import _PLUS, MarkovNoiseParams, _orbit_operators, markov_evolve
 from .noise import NoiseSpec, build_chi, noisy_grover
 
 # Increments below this threshold count as numerical noise, not backflow.
@@ -35,8 +34,6 @@ INCREMENT_TOL = 1e-12
 
 # Slack allowed on the joint-state contraction sanity check.
 _MONOTONE_SLACK = 1e-10
-
-_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,26 +91,24 @@ def n_blp(
     As a sanity invariant the *joint* walker+system trace distance must be
     non-increasing from t = 1 on (each later step is one fixed completely
     positive map); violation beyond slack raises
-    :class:`~noisygrover.linalg.InvariantViolation`.
+    :class:`~noisygrover.linalg.InvariantViolation`. The |s><s| member is
+    ``markov_evolve``'s run, lifted to N x N; the rank-N/2 partner runs on
+    the full N x N G, G'.
     """
-    pair = blp_pair(inst)
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = transfer_weights(params, bath)
-    walker = projector(_PLUS)
     traces = [
+        markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True, keep_joint=True),
         collision_evolve(
             g,
             gp,
-            first,
-            steady,
-            tensor(walker, rho),
+            *transfer_weights(params, bath),
+            tensor(projector(_PLUS), blp_pair(inst).rho2),
             steps,
             marked=inst.marked,
             keep_states=True,
             keep_joint=True,
-        )
-        for rho in (pair.rho1, pair.rho2)
+        ),
     ]
     d_sys = np.array(
         [trace_distance(a, b) for a, b in zip(traces[0].states, traces[1].states)]
@@ -162,40 +157,15 @@ def n_cp(
     trace norm of a traceless operator, so any increase shows that the
     intermediate map from t to t + 1 is not positive: the dynamics is
     neither P- nor CP-divisible (the criterion of Rivas, Huelga and Plenio
-    on this one operator). Pure-ancilla channel only.
+    on this one operator). Pure-ancilla channel only. X lies in the span
+    of the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), so the
+    run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1.
     """
-    g = grover_operator(inst)
-    gp = noisy_grover(g, build_chi(inst.n, spec))
-    first, steady = transfer_weights(params)
-    witness = projector(uniform_superposition(inst)) - projector(marked_state(inst))
-    r0 = tensor(projector(_PLUS), witness)
-    trace = collision_evolve(g, gp, first, steady, r0, steps, keep_states=True)
+    v, g, gp = _orbit_operators(inst, spec)
+    s, w = (v.T @ vec for vec in (uniform_superposition(inst), marked_state(inst)))
+    r0 = tensor(projector(_PLUS), projector(s) - projector(w))
+    trace = collision_evolve(g, gp, *transfer_weights(params), r0, steps, keep_states=True)
     series = np.array([0.5 * trace_norm(state) for state in trace.states])
     value = positive_increment_sum(series)
     meta = {"p": params.p, "mu": params.mu}
     return MeasureResult(value, series, steps, witness_only=True, meta=meta)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    temperature: float
-    p: float
-    mu: float
-    value: float
-
-
-def temperature_sweep(
-    inst: GroverInstance,
-    spec: NoiseSpec,
-    params_grid: Iterable[MarkovNoiseParams],
-    steps: int,
-    temperatures: Iterable[float],
-) -> tuple[SweepPoint, ...]:
-    """Backflow witness on a (temperature x parameter) grid."""
-    out = []
-    for temp in temperatures:
-        bath = thermal_weights(temp)
-        for params in params_grid:
-            result = n_blp(inst, spec, params, steps, bath=bath)
-            out.append(SweepPoint(temp, params.p, params.mu, result.value))
-    return tuple(out)

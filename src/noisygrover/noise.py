@@ -147,6 +147,40 @@ def noisy_grover(g: ComplexMatrix, chi: ComplexMatrix) -> ComplexMatrix:
     return chi @ g
 
 
+def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
+    """Orthonormal N x d basis of a subspace that holds |s> and |w> and is
+    invariant under G and G' = chi G; column 0 is |w>.
+
+    Split the qubits into the noisy ones where the marked index has a 0
+    bit (m - q of them), the noisy ones where it has a 1 bit (q, as in
+    :func:`closed_form_overlaps`) and the clean ones C. A basis state is in
+    class (j, k, c) when it differs from the marked index in j bits of the
+    first set and k of the second, and c = 1 when it differs anywhere on C.
+    Column (j (q + 1) + k) nc + c is the indicator of that class over the
+    square root of its size, C(m-q, j) C(q, k) times 2^(n-m) - 1 when c = 1;
+    nc = 2, or 1 when m = n (there is no C). The span is
+    Sym^(m-q) (x) Sym^q (x) span{|w_C>, |+..+>_C}: u^(x m) maps each
+    symmetric factor into itself, chi leaves C alone, and G is -I plus a
+    rank-2 term on span{|s>, |w>}, which lies inside. So
+    d = (q + 1)(m - q + 1) nc whatever n is, and no threshold is involved.
+    """
+    n = inst.n
+    if any(p >= n for p in spec.positions):
+        raise ValueError(f"positions {spec.positions} exceed qubit count {n}")
+    bits = (np.arange(inst.N)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 first
+    diff = bits != bits[inst.marked]
+    noisy = np.isin(np.arange(n), spec.positions)
+    one = bits[inst.marked] == 1
+    q = int(np.sum(noisy & one))
+    nc = 1 if spec.m == n else 2
+    j = diff[:, noisy & ~one].sum(axis=1)
+    k = diff[:, noisy & one].sum(axis=1)
+    label = (j * (q + 1) + k) * nc + diff[:, ~noisy].any(axis=1)
+    basis = np.zeros((inst.N, (q + 1) * (spec.m - q + 1) * nc))
+    basis[np.arange(inst.N), label] = 1.0 / np.sqrt(np.bincount(label)[label])
+    return basis
+
+
 @dataclass(frozen=True)
 class ClosedFormOverlaps:
     """Analytic one-step quantities for noise on m qubits, q of them bit-flipped.

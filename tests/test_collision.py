@@ -383,12 +383,18 @@ def _low_rank_start(name, inst):
     raise ValueError(name)
 
 
-def _check_against_dense(inst, gp, params, bath, r0, steps, validate):
+def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit=False):
+    # orbit=True runs the |s> start through markov_evolve's orbit basis
+    # instead of collision_evolve on the full N x N operators.
     g = grover_operator(inst)
-    trace = collision_evolve(
-        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked,
-        keep_states=True, keep_joint=True, validate=validate,
-    )
+    gp = noisy_grover(g, build_chi(inst.n, spec))
+    r0 = _low_rank_start(start, inst)
+    flags = dict(keep_states=True, keep_joint=True, validate=validate)
+    if orbit:
+        trace = markov_evolve(inst, spec, params, steps, bath=bath, **flags)
+    else:
+        weights = transfer_weights(params, bath)
+        trace = collision_evolve(g, gp, *weights, r0, steps, marked=inst.marked, **flags)
     probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
     for a, b in zip(trace.states, states):
@@ -398,7 +404,7 @@ def _check_against_dense(inst, gp, params, bath, r0, steps, validate):
     return trace
 
 
-# The compressed path (d < N): low-rank starts, n = 2..6, pure and thermal.
+# Low-rank starts, n = 2..6, pure and thermal, on the full N x N operators.
 @pytest.mark.parametrize("start", ["s", "witness", "one-block", "rank2"])
 @pytest.mark.parametrize("kind", ["pure", "thermal"])
 @pytest.mark.parametrize("n", range(2, 7))
@@ -407,12 +413,47 @@ def test_compressed_evolve_matches_dense_kraus(n, kind, start):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     m = int(rng.integers(1, n + 1))
     positions = sorted(rng.choice(n, size=m, replace=False).tolist())
-    gp = noisy_grover(grover_operator(inst), build_chi(n, noise_spec(_haar_noise(rng), m, n, positions)))
+    spec = noise_spec(_haar_noise(rng), m, n, positions)
     params = MarkovNoiseParams(rng.uniform(), rng.uniform())
     bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
-    r0 = _low_rank_start(start, inst)
-    trace = _check_against_dense(inst, gp, params, bath, r0, 6, validate=start != "witness")
-    assert trace.meta["dim"] < inst.N or n == 2
+    _check_against_dense(inst, spec, params, bath, start, 6, validate=start != "witness")
+
+
+# markov_evolve through the orbit basis, n = 2..6, every m.
+@pytest.mark.parametrize("kind", ["pure", "thermal"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_markov_evolve_matches_dense_kraus(n, kind):
+    rng = np.random.default_rng(200 * n + (kind == "thermal"))
+    for m in range(n + 1):
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+        spec = noise_spec(_haar_noise(rng), m, n, positions)
+        params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+        bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
+        _check_against_dense(inst, spec, params, bath, "s", 6, validate=True, orbit=True)
+
+
+# Beyond the dense Kraus reference: the full N x N step loop at n = 7, 8,
+# every other m, pure and thermal in turn.
+@pytest.mark.parametrize("n", [7, 8])
+def test_markov_evolve_matches_full_collision_evolve(n):
+    rng = np.random.default_rng(300 + n)
+    for i, m in enumerate(range(0, n + 1, 2)):
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+        spec = noise_spec(_haar_noise(rng), m, n, positions)
+        params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+        bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
+        g = grover_operator(inst)
+        gp = noisy_grover(g, build_chi(n, spec))
+        full = collision_evolve(
+            g, gp, *transfer_weights(params, bath), initial_joint_state(inst), 5,
+            marked=inst.marked, keep_states=True, keep_joint=True,
+        )
+        orbit = markov_evolve(inst, spec, params, 5, bath=bath, keep_states=True, keep_joint=True)
+        assert np.max(np.abs(orbit.probabilities - full.probabilities)) < 1e-12
+        for a, b in zip(orbit.states + orbit.joint_states, full.states + full.joint_states):
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -437,10 +478,10 @@ def test_compressed_evolve_property(n, noise, order, m_frac, marked_frac, p, mu,
     m = 1 + min(int(m_frac * n), n - 1)
     positions = sorted([q for q in order if q < n][:m])
     inst = GroverInstance(n, min(int(marked_frac * 2**n), 2**n - 1))
-    gp = noisy_grover(grover_operator(inst), build_chi(n, noise_spec(u, m, n, positions)))
+    spec = noise_spec(u, m, n, positions)
     bath = None if temperature is None else thermal_weights(temperature)
-    r0 = _low_rank_start(start, inst)
-    _check_against_dense(inst, gp, MarkovNoiseParams(p, mu), bath, r0, 5, validate=False)
+    params = MarkovNoiseParams(p, mu)
+    _check_against_dense(inst, spec, params, bath, start, 5, validate=False, orbit=start == "s")
 
 
 def _q(inst, positions):
@@ -463,39 +504,26 @@ def test_dim_is_full_for_full_rank_and_blp_partner_starts():
 
 
 def test_dim_bounded_on_markov_starts():
-    # The orbit of |s> stays in Sym^(m-q) (x) Sym^q on the noisy qubits times
-    # span{|+...+>, |w_rest>} on the others (one vector if m = n). From n = 6
-    # on, rounding in G' can tilt a nearly dependent Krylov chain by more
-    # than the drop threshold; the closure then keeps the leak as a new
-    # direction, so the evolve stays exact but d exceeds the bound.
+    # The orbit basis spans Sym^(m-q) (x) Sym^q on the noisy qubits times
+    # span{|+...+>, |w_rest>} on the others (one vector if m = n), for any
+    # noise: a Haar draw and Hadamard per n.
     rng = np.random.default_rng(8)
     params = MarkovNoiseParams(0.3, 0.4)
-    for n, _ in itertools.product(range(2, 6), range(4)):
-        u = _haar_noise(rng)
-        for m in range(1, n + 1):
+    for n in range(2, 11):
+        for u, m in itertools.product((_haar_noise(rng), noise_unitary("hadamard")), range(n + 1)):
             inst = GroverInstance(n, int(rng.integers(2**n)))
             positions = sorted(rng.choice(n, size=m, replace=False).tolist())
             q = _q(inst, positions)
-            bound = (q + 1) * (m - q + 1) * (1 if m == n else 2)
+            expected = (q + 1) * (m - q + 1) * (1 if m == n else 2)
             dim = markov_evolve(inst, noise_spec(u, m, n, positions), params, 2).meta["dim"]
-            assert dim <= bound, (n, m, positions, inst.marked)
-
-
-def test_dim_is_four_for_hadamard_noise():
-    params = MarkovNoiseParams(0.3, 0.4)
-    hadamard = noise_unitary("hadamard")
-    for n in range(2, 8):
-        for m in range(1, n + 1):
-            dim = markov_evolve(GroverInstance(n), noise_spec(hadamard, m, n), params, 2).meta["dim"]
-            # H on every qubit swaps |s> and |0> = |w|, so span{|s>, |w>} is closed.
-            assert dim == (2 if m == n else 4), (n, m)
+            assert dim == expected, (n, m, positions, inst.marked)
 
 
 def test_zero_start_evolves_to_zero():
     first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
     zero = np.zeros((8, 8), dtype=complex)
     trace = collision_evolve(G, GP, first, steady, zero, 3, keep_states=True, keep_joint=True)
-    assert trace.meta["dim"] == 0
+    assert trace.meta["dim"] == 4
     assert np.array_equal(trace.probabilities, np.zeros(4))
     for state in trace.states + trace.joint_states:
         assert not state.any()

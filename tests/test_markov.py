@@ -6,6 +6,7 @@ import pytest
 from noisygrover.grover import (
     GroverInstance,
     grover_operator,
+    ideal_success_closed_form,
     ideal_success_series,
     uniform_superposition,
 )
@@ -20,7 +21,13 @@ from noisygrover.markov import (
     perfect_memory_analytic,
     perfect_memory_first_max,
 )
-from noisygrover.noise import build_chi, noise_spec, noise_unitary
+from noisygrover.noise import (
+    build_chi,
+    closed_form_overlaps,
+    noise_spec,
+    noise_unitary,
+    single_qubit_unitary,
+)
 
 INST3 = GroverInstance(3)
 SPEC_X1 = noise_spec(noise_unitary("x"), 1, 3)
@@ -136,13 +143,36 @@ def test_perfect_memory_analytic_values():
     assert perfect_memory_analytic(8, 1) == pytest.approx(1.0 / 32.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 2), (9, 4), (10, 10)])
 def test_perfect_memory_matches_simulation(n, m):
     inst = GroverInstance(n)
     spec = noise_spec(noise_unitary("x"), m, n)
     trace = markov_evolve(inst, spec, MarkovNoiseParams(1.0, 1.0), 20)
     expected = [perfect_memory_analytic(inst.N, t) for t in range(21)]
     assert np.max(np.abs(trace.probabilities - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_large_n_matches_closed_forms(n):
+    # Haar u, random positions and marked index: one faulty step from |s>
+    # at p = 1, and the ideal series at p = 0.
+    rng = np.random.default_rng(500 + n)
+    for m in range(n + 1):
+        x = rng.uniform()
+        u = single_qubit_unitary(
+            math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+            math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+            2.0 * math.pi * rng.uniform(),
+        )
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+        spec = noise_spec(u, m, n, positions)
+        q = sum((inst.marked >> (n - 1 - pos)) & 1 for pos in positions)
+        faulty = markov_evolve(inst, spec, MarkovNoiseParams(1.0, rng.uniform()), 1)
+        assert abs(faulty.probabilities[1] - closed_form_overlaps(u, n, m, q).p1) < 1e-12
+        clean = markov_evolve(inst, spec, MarkovNoiseParams(0.0, rng.uniform()), 30)
+        ideal = [ideal_success_closed_form(inst.N, t) for t in range(31)]
+        assert np.max(np.abs(clean.probabilities - ideal)) < 1e-12
 
 
 def test_perfect_memory_first_max():

@@ -19,7 +19,6 @@ from noisygrover.measures import (
     n_blp,
     n_cp,
     positive_increment_sum,
-    temperature_sweep,
 )
 from noisygrover.noise import (
     build_chi,
@@ -161,23 +160,3 @@ def test_blp_joint_series_matches_full_trace_distance(temperature):
         reference.append(trace_distance(*joints))
     assert np.max(np.abs(result.meta["joint_series"] - np.array(reference))) < 1e-12
 
-
-def test_temperature_sweep_matches_direct_calls():
-    from noisygrover.collision import thermal_weights
-
-    inst = GroverInstance(2)
-    spec = noise_spec(noise_unitary("x"), 1, 2)
-    grid = (MarkovNoiseParams(0.3, 0.9), MarkovNoiseParams(0.7, 0.9))
-    points = temperature_sweep(inst, spec, grid, 20, (0.5, 2.0))
-    assert [(pt.temperature, pt.p) for pt in points] == [
-        (0.5, 0.3), (0.5, 0.7), (2.0, 0.3), (2.0, 0.7),
-    ]
-    for pt in points:
-        direct = n_blp(
-            inst,
-            spec,
-            MarkovNoiseParams(pt.p, pt.mu),
-            20,
-            bath=thermal_weights(pt.temperature),
-        )
-        assert pt.value == direct.value

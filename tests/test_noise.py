@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from noisygrover.grover import GroverInstance, grover_operator, uniform_superposition
+from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from noisygrover.noise import (
     NoiseClassTag,
+    NoiseSpec,
     build_chi,
     classify_noise,
     closed_form_overlaps,
     noise_spec,
     noise_unitary,
     noisy_grover,
+    orbit_basis,
     sigma_x_reduced,
     sigma_y_p2,
     single_qubit_unitary,
@@ -103,6 +105,28 @@ def test_noise_spec_validation():
         noise_spec(u, 2, 3, positions=(1, 1))
     with pytest.raises(ValueError):
         noise_spec(u, 1, 3, positions=(3,))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_orbit_basis_is_orthonormal_invariant_and_starts_at_w(n):
+    rng = np.random.default_rng(400 + n)
+    x = rng.uniform()  # Haar on U(2): |a|^2 uniform, independent phases
+    u = single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+        2.0 * math.pi * rng.uniform(),
+    )
+    for m in range(n + 1):
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        spec = noise_spec(u, m, n, sorted(rng.choice(n, size=m, replace=False).tolist()))
+        v = orbit_basis(inst, spec)
+        assert np.array_equal(v[:, 0], marked_state(inst))
+        assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-13
+        gv = grover_operator(inst) @ v
+        for image in (gv, build_chi(n, spec) @ gv):  # G V and G' V
+            assert np.max(np.abs(image - v @ (v.T @ image))) < 1e-13, (m, spec)
+    with pytest.raises(ValueError, match="exceed qubit count"):
+        orbit_basis(GroverInstance(n), NoiseSpec(u, (n,)))
 
 
 def test_noisy_grover_is_chi_g():
