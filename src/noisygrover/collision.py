@@ -28,10 +28,10 @@ the verification layer: the tests and ``dilation-check`` compare against
 them.
 
 The step loop (``collision_evolve``) is dense at whatever size it is
-given. For the |s>-like starts of the success and witness series the
-callers hand it G and G' compressed to the orbit basis of
-:func:`~noisygrover.noise.orbit_basis`, whose dimension does not grow
-with n. blp's rank-N/2 partner state and any other start run on the full
+given. The success and witness series hand it G and G' compressed to an
+invariant subspace whose dimension does not grow with n: the orbit basis
+of :func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0
+times that of the other n - 1 qubits. Any other start runs on the full
 N x N operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
@@ -440,7 +440,7 @@ def collision_evolve(
     over op in (G, G'); (r, op) pairs whose weights are all zero are
     skipped. The loop is dense at whatever size it is given: N x N G, G'
     for the full register, or their compressions to an invariant subspace
-    (``markov_evolve`` and ``n_cp`` pass d x d ones, see
+    (``markov_evolve``, ``n_cp`` and ``n_blp`` pass d x d ones, see
     :func:`~noisygrover.noise.orbit_basis`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1. The label blocks of ``r0`` must be Hermitian, as

@@ -102,25 +102,26 @@ class EvolutionTrace:
 
 
 def _orbit_operators(
-    inst: GroverInstance, spec: NoiseSpec
-) -> tuple[np.ndarray, ComplexMatrix, ComplexMatrix]:
-    """(V, V^dagger G V, V^dagger G' V) for V = ``orbit_basis(inst, spec)``.
+    inst: GroverInstance, spec: NoiseSpec, v: np.ndarray
+) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """(V^dagger G V, V^dagger G' V) for a real N x d isometry V whose span
+    holds |s> and |w> and is invariant under G and chi.
 
     Nothing N x N is formed. G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|
-    compresses term by term, with V^dagger |w> = e_0. chi is applied to V
-    one noisy qubit at a time, and since V spans a G-invariant subspace,
-    V^dagger chi G V = (V^dagger chi V)(V^dagger G V).
+    compresses term by term, with V^dagger |w> the marked row of V. chi is
+    applied to V one noisy qubit at a time, and since V spans a
+    G-invariant subspace, V^dagger chi G V = (V^dagger chi V)(V^dagger G V).
     """
-    v = orbit_basis(inst, spec)
     dim = v.shape[1]
     s = v.T @ uniform_superposition(inst)
+    w = v[inst.marked]
     g = 2.0 * np.outer(s, np.conj(s)) - np.eye(dim)
-    g[:, 0] -= (4.0 / math.sqrt(inst.N)) * s
-    g[0, 0] += 2.0
+    g -= (4.0 / math.sqrt(inst.N)) * np.outer(s, w)
+    g += 2.0 * np.outer(w, w)
     chi_v = v.reshape((2,) * inst.n + (dim,))
     for pos in spec.positions:
         chi_v = np.moveaxis(np.tensordot(spec.u.matrix, chi_v, axes=(1, pos)), 0, pos)
-    return v, g, (v.T @ chi_v.reshape(v.shape)) @ g
+    return g, (v.T @ chi_v.reshape(v.shape)) @ g
 
 
 def markov_evolve(
@@ -151,7 +152,8 @@ def markov_evolve(
     """
     from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
 
-    v, g, gp = _orbit_operators(inst, spec)
+    v = orbit_basis(inst, spec)
+    g, gp = _orbit_operators(inst, spec, v)
     r0 = tensor(projector(_PLUS), projector(v.T @ uniform_superposition(inst)))
     trace = collision_evolve(
         g,

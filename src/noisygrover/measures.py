@@ -6,18 +6,23 @@ trace-norm divisibility witness on the traceless operator |s><s| - |w><w|
 of the system alone (no spectator register). Both sum the positive
 increments of their monitored series, so both are lower-bound witnesses: a
 positive value certifies memory effects, a zero does not certify their
-absence (no optimization over inputs is performed).
+absence (no optimization over inputs is performed). Neither builds an
+N x N matrix: the divisibility witness runs in the orbit basis of
+:func:`~noisygrover.noise.orbit_basis`, the backflow pair in qubit 0 times
+that of the other n - 1 qubits, and the partner's weight outside that
+space enters its trace distances through a trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .collision import ThermalBathParams, collision_evolve, transfer_weights
-from .grover import GroverInstance, grover_operator, marked_state, uniform_superposition
+from .grover import GroverInstance, marked_state, uniform_superposition
 from .linalg import (
     ComplexMatrix,
     InvariantViolation,
@@ -26,8 +31,8 @@ from .linalg import (
     trace_distance,
     trace_norm,
 )
-from .markov import _PLUS, MarkovNoiseParams, _orbit_operators, markov_evolve
-from .noise import NoiseSpec, build_chi, noisy_grover
+from .markov import _PLUS, MarkovNoiseParams, _orbit_operators
+from .noise import NoiseSpec, orbit_basis
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -47,9 +52,11 @@ class StatePair:
 def blp_pair(inst: GroverInstance) -> StatePair:
     """The fixed pair: |s><s| and an orthogonal-support rank-N/2 state.
 
-    rho2 = (1/N) [[I, -I], [-I, I]] (blocks of size N/2) has eigenvalue
-    2/N on the span of |i> - |i + N/2>, which is orthogonal to |s>, so the
-    pair starts at trace distance exactly 1.
+    rho2 = (1/N) [[I, -I], [-I, I]] (blocks of size N/2), that is
+    (I - X_0)/N (x) I_rest with X on qubit 0, has eigenvalue 2/N on the
+    span of |i> - |i + N/2>, which is orthogonal to |s>, so the pair starts
+    at trace distance exactly 1. These are the dense N x N forms;
+    :func:`n_blp` runs the same pair without building them.
     """
     N = inst.N
     rho2 = np.kron(
@@ -77,6 +84,23 @@ def positive_increment_sum(series: Sequence[float], threshold: float = INCREMENT
     return float(np.sum(steps[steps > threshold]))
 
 
+def _split_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
+    """V_W = I_2 (x) V_rest: the N x 2 d_rest isometry onto W = C^2 (x) W_rest.
+
+    W_rest is the span of the orbit basis of the other n - 1 qubits (marked
+    index ``marked % (N/2)``, noisy positions p - 1 for p != 0), one vector
+    when n = 1. W holds |s> and |w>, is invariant under G and G', and is
+    closed under every operator on qubit 0; G is -I on its complement.
+    """
+    if any(p >= inst.n for p in spec.positions):
+        raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
+    if inst.n == 1:
+        return np.eye(2)
+    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
+    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
+    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
+
+
 def n_blp(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -91,41 +115,50 @@ def n_blp(
     As a sanity invariant the *joint* walker+system trace distance must be
     non-increasing from t = 1 on (each later step is one fixed completely
     positive map); violation beyond slack raises
-    :class:`~noisygrover.linalg.InvariantViolation`. The |s><s| member is
-    ``markov_evolve``'s run, lifted to N x N; the rank-N/2 partner runs on
-    the full N x N G, G'.
+    :class:`~noisygrover.linalg.InvariantViolation`.
+
+    Nothing of size N x N is formed. G and G' are block diagonal on
+    W (+) W_perp (:func:`_split_basis`), and so is rho2 = (I - X_0)/N (x)
+    I_rest, with W_perp = C^2 (x) W_rest_perp. |s><s| lies in W. So both
+    members run compressed to W, and each label block of the partner is
+    V b V^dagger plus a positive part on W_perp, whose trace norm is its
+    trace. Unitaries keep the trace of each label block and both members
+    start with the walker in |+><+|, so that trace is tr(a) - tr(b), with a
+    the |s> member's block, and every distance is
+    1/2 (||a - b||_1 + tr(a) - tr(b)). ``meta["dim"]`` is dim W, which
+    depends on m and not on n; ``meta["joint_slack"]`` is the smallest drop
+    of the joint series from t = 1 on (infinite when ``steps`` < 2).
     """
-    g = grover_operator(inst)
-    gp = noisy_grover(g, build_chi(inst.n, spec))
-    traces = [
-        markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True, keep_joint=True),
+    v = _split_basis(inst, spec)
+    dim = v.shape[1]
+    g, gp = _orbit_operators(inst, spec, v)
+    i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
+    starts = (projector(v.T @ uniform_superposition(inst)), np.kron(i_minus_x, np.eye(dim // 2)))
+    runs = [
         collision_evolve(
-            g,
-            gp,
-            *transfer_weights(params, bath),
-            tensor(projector(_PLUS), blp_pair(inst).rho2),
-            steps,
-            marked=inst.marked,
-            keep_states=True,
-            keep_joint=True,
-        ),
+            g, gp, *transfer_weights(params, bath), tensor(projector(_PLUS), rho), steps,
+            keep_states=True, keep_joint=True,
+        )
+        for rho in starts
     ]
-    d_sys = np.array(
-        [trace_distance(a, b) for a, b in zip(traces[0].states, traces[1].states)]
-    )
-    # From t = 1 on both joints are diag(sigma_0, sigma_1), so their
-    # distance is the sum of the two label-block distances; r0 has walker
-    # coherences and takes the full one.
-    n_dim = inst.N
-    joints = list(zip(traces[0].joint_states, traces[1].joint_states))
+
+    def distance(a, b):
+        return trace_distance(a, b) + 0.5 * float(np.trace(a - b).real)
+
+    def label_blocks(joint):
+        h = joint.shape[0] // 2
+        return joint[:h, :h], joint[h:, h:]
+
+    d_sys = np.array([distance(a, b) for a, b in zip(*(r.states for r in runs))])
+    # From t = 1 on the joints are diag(sigma_0, sigma_1), so their distance
+    # is the sum of the two label-block distances; r0 has walker coherences
+    # and takes the full one.
+    joints = list(zip(*(r.joint_states for r in runs)))
     d_joint = np.array(
-        [trace_distance(*joints[0])]
-        + [
-            trace_distance(a[:n_dim, :n_dim], b[:n_dim, :n_dim])
-            + trace_distance(a[n_dim:, n_dim:], b[n_dim:, n_dim:])
-            for a, b in joints[1:]
-        ]
+        [distance(*joints[0])]
+        + [sum(map(distance, *map(label_blocks, pair))) for pair in joints[1:]]
     )
+    drops = d_joint[1:-1] - d_joint[2:]
     for t in range(1, steps):
         if d_joint[t + 1] > d_joint[t] + _MONOTONE_SLACK:
             raise InvariantViolation(
@@ -138,6 +171,8 @@ def n_blp(
         "mu": params.mu,
         "temperature": bath.temperature if bath is not None else 0.0,
         "joint_series": d_joint,
+        "dim": dim,
+        "joint_slack": float(drops.min()) if drops.size else math.inf,
     }
     return MeasureResult(value, d_sys, steps, witness_only=True, meta=meta)
 
@@ -161,7 +196,8 @@ def n_cp(
     of the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), so the
     run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1.
     """
-    v, g, gp = _orbit_operators(inst, spec)
+    v = orbit_basis(inst, spec)
+    g, gp = _orbit_operators(inst, spec, v)
     s, w = (v.T @ vec for vec in (uniform_superposition(inst), marked_state(inst)))
     r0 = tensor(projector(_PLUS), projector(s) - projector(w))
     trace = collision_evolve(g, gp, *transfer_weights(params), r0, steps, keep_states=True)

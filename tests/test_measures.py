@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noisygrover.collision import apply_kraus, channel_maps
+from noisygrover.collision import (
+    apply_kraus,
+    channel_maps,
+    collision_evolve,
+    thermal_weights,
+    transfer_weights,
+)
 from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from noisygrover.linalg import (
     assert_density,
@@ -13,18 +20,21 @@ from noisygrover.linalg import (
     trace_distance,
     trace_norm,
 )
-from noisygrover.markov import MarkovNoiseParams
+from noisygrover.markov import MarkovNoiseParams, markov_evolve
 from noisygrover.measures import (
+    _split_basis,
     blp_pair,
     n_blp,
     n_cp,
     positive_increment_sum,
 )
 from noisygrover.noise import (
+    NoiseSpec,
     build_chi,
     noise_spec,
     noise_unitary,
     noisy_grover,
+    orbit_basis,
     single_qubit_unitary,
 )
 
@@ -130,33 +140,145 @@ def test_cp_witness_matches_dense_reference(seed):
     assert result.series[0] == pytest.approx(math.sqrt(1.0 - 1.0 / inst.N), abs=1e-12)
 
 
-@pytest.mark.parametrize("temperature", [None, 0.7])
-def test_blp_joint_series_matches_full_trace_distance(temperature):
-    # Reference: both pair members through the dense 2N x 2N Kraus sum, and
-    # one trace distance of the full joints per step.
-    from noisygrover.collision import thermal_weights
-
-    rng = np.random.default_rng(17)
-    inst = GroverInstance(4, int(rng.integers(16)))
-    x = rng.uniform()
-    u = single_qubit_unitary(
+def _haar(rng):
+    x = rng.uniform()  # Haar on U(2): |a|^2 uniform, independent phases
+    return single_qubit_unitary(
         math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
         math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
         2.0 * math.pi * rng.uniform(),
     )
-    spec = noise_spec(u, 2, 4, positions=(1, 3))
+
+
+@pytest.mark.parametrize("temperature", [None, 0.7])
+def test_blp_joint_series_matches_full_trace_distance(temperature):
+    # Reference: both pair members through the dense 2N x 2N Kraus sum, and
+    # one trace distance of the full joints per step; qubit 0 clean, then noisy.
+    rng = np.random.default_rng(17)
+    inst = GroverInstance(4, int(rng.integers(16)))
+    u = _haar(rng)
     params = MarkovNoiseParams(0.35, 0.8)
     bath = None if temperature is None else thermal_weights(temperature)
     steps = 10
-    result = n_blp(inst, spec, params, steps, bath=bath)
-    g = grover_operator(inst)
-    first, steady = channel_maps(params, g, noisy_grover(g, build_chi(4, spec)), bath)
     plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     pair = blp_pair(inst)
-    joints = [tensor(plus, pair.rho1), tensor(plus, pair.rho2)]
-    reference = [trace_distance(*joints)]
-    for t in range(1, steps + 1):
-        joints = [apply_kraus(first if t == 1 else steady, r) for r in joints]
-        reference.append(trace_distance(*joints))
-    assert np.max(np.abs(result.meta["joint_series"] - np.array(reference))) < 1e-12
+    g = grover_operator(inst)
+    for positions in ((1, 3), (0, 2)):
+        spec = noise_spec(u, 2, 4, positions=positions)
+        result = n_blp(inst, spec, params, steps, bath=bath)
+        first, steady = channel_maps(params, g, noisy_grover(g, build_chi(4, spec)), bath)
+        joints = [tensor(plus, pair.rho1), tensor(plus, pair.rho2)]
+        reference = [trace_distance(*joints)]
+        for t in range(1, steps + 1):
+            joints = [apply_kraus(first if t == 1 else steady, r) for r in joints]
+            reference.append(trace_distance(*joints))
+        assert np.max(np.abs(result.meta["joint_series"] - np.array(reference))) < 1e-12, positions
 
+
+def _positions(rng, n, m, with_zero):
+    # m random positions that include qubit 0 exactly when with_zero holds.
+    others = rng.choice(np.arange(1, n), size=m - with_zero, replace=False).tolist()
+    return sorted([0] * with_zero + others)
+
+
+def _cases(n, seed):
+    # Every m with a random marked index; qubit 0 is noisy for even m > 0
+    # and for m = n, so every n has cases with and without it.
+    rng = np.random.default_rng(seed)
+    for m in range(n + 1):
+        with_zero = m == n or (m > 0 and m % 2 == 0)
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        yield rng, inst, noise_spec(_haar(rng), m, n, _positions(rng, n, m, with_zero))
+
+
+def _dense_blp(inst, spec, params, steps, bath):
+    # Reference: the |s> member from markov_evolve lifted to N x N, the
+    # partner on the full N x N G, G' through the step loop, and dense trace
+    # distances of the system marginals and of the label blocks (of the
+    # whole joint at t = 0).
+    g = grover_operator(inst)
+    gp = noisy_grover(g, build_chi(inst.n, spec))
+    plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
+    flags = dict(keep_states=True, keep_joint=True)
+    runs = [
+        markov_evolve(inst, spec, params, steps, bath=bath, **flags),
+        collision_evolve(
+            g, gp, *transfer_weights(params, bath), tensor(plus, blp_pair(inst).rho2), steps, **flags
+        ),
+    ]
+    d_sys = np.array([trace_distance(a, b) for a, b in zip(runs[0].states, runs[1].states)])
+    h = inst.N
+    joints = list(zip(runs[0].joint_states, runs[1].joint_states))
+    d_joint = [trace_distance(*joints[0])] + [
+        trace_distance(a[:h, :h], b[:h, :h]) + trace_distance(a[h:, h:], b[h:, h:])
+        for a, b in joints[1:]
+    ]
+    return positive_increment_sum(d_sys), d_sys, np.array(d_joint)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blp_matches_dense_reference(n):
+    for i, (rng, inst, spec) in enumerate(_cases(n, 500 + n)):
+        params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+        bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
+        result = n_blp(inst, spec, params, 5, bath=bath)
+        value, series, joint = _dense_blp(inst, spec, params, 5, bath)
+        assert abs(result.value - value) < 1e-12, (n, spec.positions)
+        assert np.max(np.abs(result.series - series)) < 1e-12, (n, spec.positions)
+        assert np.max(np.abs(result.meta["joint_series"] - joint)) < 1e-12, (n, spec.positions)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blp_partner_splits_over_the_qubit0_basis(n):
+    # rho2 = V (B_0 (x) I) V^T + B_0 (x) P_perp with B_0 = (I - X)/N, so its
+    # W part is n_blp's compressed start and the rest is positive; V is
+    # orthonormal, invariant under G and G' and closed under the Paulis on
+    # qubit 0, all against dense operators.
+    paulis = [np.array(p, dtype=complex) for p in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+    for _rng, inst, spec in _cases(n, 600 + n):
+        half = inst.N // 2
+        v = _split_basis(inst, spec)
+        d_rest = v.shape[1] // 2
+        v_rest = v[:half, :d_rest]
+        assert np.array_equal(v, np.kron(np.eye(2), v_rest))
+        assert np.max(np.abs(v.T @ v - np.eye(2 * d_rest))) < 1e-13
+        b0 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N
+        lift = v @ np.kron(b0, np.eye(d_rest)) @ v.T + np.kron(b0, np.eye(half) - v_rest @ v_rest.T)
+        assert np.max(np.abs(lift - blp_pair(inst).rho2)) < 1e-15, spec.positions
+        g = grover_operator(inst)
+        ops = [g, build_chi(n, spec) @ g] + [np.kron(p, np.eye(half)) for p in paulis]
+        for op in ops:
+            image = op @ v
+            assert np.max(np.abs(image - v @ (v.T @ image))) < 1e-13, spec.positions
+    with pytest.raises(ValueError, match="exceed qubit count"):
+        _split_basis(GroverInstance(n), NoiseSpec(noise_unitary("x"), (n,)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9])
+def test_blp_reports_dim_and_joint_slack(n):
+    for i, (rng, inst, spec) in enumerate(_cases(n, 700 + n)):
+        bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
+        result = n_blp(inst, spec, MarkovNoiseParams(rng.uniform(), rng.uniform()), 20, bath=bath)
+        joint = result.meta["joint_series"]
+        assert result.meta["joint_slack"] >= -1e-10
+        assert result.meta["joint_slack"] == np.min(joint[1:-1] - joint[2:])
+        if n == 1:
+            d_rest = 1  # the rest register is empty
+        else:
+            rest = GroverInstance(n - 1, inst.marked % (inst.N // 2))
+            rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
+            d_rest = orbit_basis(rest, rest_spec).shape[1]
+        assert result.meta["dim"] == 2 * d_rest
+    assert n_blp(INST, SPEC, MarkovNoiseParams(0.3, 0.5), 1).meta["joint_slack"] == math.inf
+
+
+def test_blp_memory_stays_below_one_dense_matrix():
+    # One N x N complex matrix is 64 MiB at n = 11; this is not a time gate.
+    inst = GroverInstance(11, 1234)
+    spec = noise_spec(noise_unitary("hadamard"), 3, 11)
+    tracemalloc.start()
+    try:
+        n_blp(inst, spec, MarkovNoiseParams(0.4, 0.8), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
