@@ -19,7 +19,6 @@ whose dimension depends on the noisy qubits, not on n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -27,10 +26,11 @@ from typing import Optional
 import numpy as np
 
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, projector, tensor
+from .linalg import ComplexMatrix, dagger, projector, tensor
 from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
 
-# Largest horizon the explicit history sum accepts; its cost is 2**steps.
+# Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
+# conjugations.
 HISTORY_MAX_STEPS = 12
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -179,12 +179,22 @@ def history_oracle(
     params: MarkovNoiseParams,
     steps: int,
 ) -> EvolutionTrace:
-    """Success probabilities by explicit sum over all 2**steps label histories.
+    """Success probabilities by explicit sum over all 2**t label histories.
 
     Exponential-cost reference implementation: each history (k_1 .. k_t)
     contributes its chain probability times the corresponding pure
-    evolution. Used to validate the collision construction; refuses
-    steps > ``HISTORY_MAX_STEPS``.
+    evolution, for every t <= ``steps``. Used to validate the collision
+    construction; refuses steps > ``HISTORY_MAX_STEPS``.
+
+    The histories form a binary tree walked depth first: a node conjugates
+    its parent's state by G or G' and multiplies its parent's weight by one
+    chain probability, so each prefix is evaluated once. The tree has
+    2**(steps + 1) - 1 nodes and every node but the root |s><s| costs one
+    conjugation; besides the ``steps`` + 1 sums, only the ``steps`` + 1
+    states on the current path are alive at any time. A subtree whose
+    prefix weight is 0 is skipped. Preorder meets the histories of each
+    length in lexicographic order, so every state is summed in the same
+    order and from the same products as one history at a time would give.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -192,7 +202,7 @@ def history_oracle(
         raise ValueError(f"history sum over 2^{steps} branches refused (cap {HISTORY_MAX_STEPS})")
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
-    ops = (g, gp)
+    ops = tuple((op, dagger(op)) for op in (g, gp))
     cond = conditional_probs(params)
     trans = {
         (0, 0): cond.g_given_g,
@@ -202,24 +212,25 @@ def history_oracle(
     }
     first = (params.p_g, params.p_gp)
     rho0 = projector(uniform_superposition(inst))
-    probs = np.empty(steps + 1, dtype=float)
-    probs[0] = rho0[inst.marked, inst.marked].real
-    states = [rho0]
-    for t in range(1, steps + 1):
-        acc = np.zeros_like(rho0)
-        for hist in itertools.product((0, 1), repeat=t):
-            weight = first[hist[0]]
-            for prev, cur in zip(hist, hist[1:]):
-                weight *= trans[(cur, prev)]
-            if weight == 0.0:
-                continue
-            v = rho0
-            for k in hist:
-                v = ops[k] @ v @ np.conj(ops[k]).T
-            acc += weight * v
-        states.append(acc)
-        probs[t] = acc[inst.marked, inst.marked].real
-    return EvolutionTrace(probs, states=tuple(states), meta={"method": "history"})
+    acc = np.zeros((steps + 1,) + rho0.shape, dtype=complex)
+    acc[0] = rho0
+
+    def visit(t: int, k: int, weight: float, parent: ComplexMatrix) -> None:
+        # node k_t of a history whose prefix has weight ``weight`` and state ``parent``
+        if weight == 0.0:
+            return
+        op, op_dag = ops[k]
+        state = op @ parent @ op_dag
+        acc[t] += weight * state
+        if t < steps:
+            for nxt in (0, 1):
+                visit(t + 1, nxt, weight * trans[(nxt, k)], state)
+
+    if steps:
+        for k in (0, 1):
+            visit(1, k, first[k], rho0)
+    probs = np.array([a[inst.marked, inst.marked].real for a in acc])
+    return EvolutionTrace(probs, states=tuple(acc), meta={"method": "history"})
 
 
 def perfect_memory_analytic(N: int, t: float) -> float:

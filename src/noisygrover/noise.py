@@ -53,13 +53,19 @@ class SingleQubitUnitary:
 
 
 def single_qubit_unitary(a: complex, b: complex, theta: float) -> SingleQubitUnitary:
-    """Validated constructor; wraps theta into [0, 2*pi)."""
+    """Validated constructor; wraps theta into [0, 2*pi).
+
+    A NaN or infinite ``a``, ``b`` or ``theta`` raises ``ValueError``.
+    """
     a = complex(a)
     b = complex(b)
+    theta = float(theta)
+    if not all(cmath.isfinite(x) for x in (a, b, theta)):
+        raise ValueError(f"noise parameters must be finite, got a={a!r}, b={b!r}, theta={theta!r}")
     norm = abs(a) ** 2 + abs(b) ** 2
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"|a|^2 + |b|^2 = {norm!r} is not 1 within {NORM_TOL:.1e}")
-    return SingleQubitUnitary(a, b, float(theta) % (2.0 * math.pi))
+    return SingleQubitUnitary(a, b, theta % (2.0 * math.pi))
 
 
 # Named parameter points. x, y, z are the Paulis, up to the convention's

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from noisygrover import cli
+from noisygrover import cli, collision
 from noisygrover.cli import ConfigError, ResultTable, emit, load_config, main
 from noisygrover.markov import HISTORY_MAX_STEPS
 
@@ -132,6 +132,20 @@ def test_invalid_inputs_exit_one(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", ["a", "b", "theta"])
+def test_non_finite_custom_noise_exits_one(capsys, slot, bad):
+    values = {"a": "1", "b": "0", "theta": "0"}
+    values[slot] = bad
+    noise = "custom:" + ",".join(values[k] for k in ("a", "b", "theta"))
+    code, out, err = run_cli(
+        capsys, "noisy", "--n", "3", "--steps", "3", "--noise", noise,
+        "--m", "1", "--p", "0.3", "--mu", "0.5",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_temperature_rejected_before_any_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool created before validation")
@@ -213,6 +227,36 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
     assert meta["all_within_tolerance"] == "true"
     assert "m_residual" in columns
     assert len(rows) == 9
+
+
+def _nan_on_call(real, which):
+    # trace_distance that returns NaN on its ``which``-th call (0-based)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 == which else real(*args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize("which", [0, 3, 4])
+def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
+    # 5 trials per kind: calls 0-4 check the initial step, 5-9 the steady one
+    monkeypatch.setattr(collision, "trace_distance", _nan_on_call(collision.trace_distance, which))
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
+    )
+    assert code == 2 and out == ""
+    assert "dilation_dev_initial=nan" in err
+
+
+@pytest.mark.parametrize("which", [0, 3, 6])
+def test_oracle_check_fails_on_a_nan_distance(capsys, monkeypatch, which):
+    monkeypatch.setattr(cli, "trace_distance", _nan_on_call(cli.trace_distance, which))
+    code, out, err = run_cli(capsys, "oracle-check", "--n", "2", "--steps", "6")
+    assert code == 2 and out == ""
+    assert "by nan" in err
 
 
 def test_invariance_command(capsys):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from noisygrover import collision
 from noisygrover.collision import (
     KINDS,
+    DilationUnitary,
     KrausSet,
     _weights,
     apply_kraus,
@@ -23,7 +25,14 @@ from noisygrover.collision import (
     verify_dilation,
 )
 from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
-from noisygrover.linalg import InvariantViolation, partial_trace, projector, random_density, tensor
+from noisygrover.linalg import (
+    InvariantViolation,
+    partial_trace,
+    projector,
+    random_density,
+    tensor,
+    trace_distance,
+)
 from noisygrover.markov import (
     MarkovNoiseParams,
     conditional_probs,
@@ -138,6 +147,82 @@ def test_verify_dilation_catches_mismatch():
         (1.001 * kset.ops[0],) + kset.ops[1:], kset.labels, kset.kind
     )
     assert not verify_dilation(dil, broken, trials=3).passed
+
+
+def _haar_operators(n, seed):
+    rng = np.random.default_rng(seed)
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    g = grover_operator(inst)
+    m = int(rng.integers(1, n + 1))
+    return g, noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), m, n)))
+
+
+def _full_product_dilation(dil, kset, trials, seed):
+    # Reference: the whole 8N x 8N product U (|00><00| (x) R) U^dagger.
+    u = dil.matrix
+    n2 = u.shape[0] // 4
+    anc = np.zeros((4, 4), dtype=complex)
+    anc[0, 0] = 1.0
+    rng = np.random.default_rng(seed)
+    reduced, worst = [], 0.0
+    for _ in range(trials):
+        r = random_density(n2, rng)
+        reduced.append(partial_trace(u @ tensor(anc, r) @ u.conj().T, (4, n2), keep=(1,)))
+        worst = max(worst, trace_distance(reduced[-1], apply_kraus(kset, r)))
+    return reduced, worst
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
+    g, gp = _haar_operators(n, 40 + n)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary(kind, params, g, gp)
+    kset = kraus_step(kind, params, g, gp)
+    shapes, traced = [], []
+
+    def spy(rho, dims, keep):
+        shapes.append(rho.shape)
+        traced.append(partial_trace(rho, dims, keep))
+        return traced[-1]
+
+    monkeypatch.setattr(collision, "partial_trace", spy)
+    rep = verify_dilation(dil, kset, trials=6, seed=17)
+    reduced, worst = _full_product_dilation(dil, kset, trials=6, seed=17)
+    # every trial still traces the full 8N x 8N joint state
+    assert shapes == [(8 * 2**n, 8 * 2**n)] * 6
+    for ours, ref in zip(traced, reduced, strict=True):
+        assert np.max(np.abs(ours - ref)) < 1e-12
+    assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
+
+
+@pytest.mark.parametrize("block", [(0, 0), (2, 1), (5, 0), (7, 1)])
+def test_verify_dilation_sees_a_scaled_ancilla_zero_column_block(block):
+    g, gp = _haar_operators(3, 50)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary("steady", params, g, gp)
+    kset = kraus_step("steady", params, g, gp)
+    n_dim = g.shape[0]
+    broken = dil.matrix.copy()
+    row, col = block
+    broken[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] *= 1.001
+    rep = verify_dilation(DilationUnitary(broken, "steady"), kset, trials=3)
+    assert not rep.passed and rep.max_deviation > 1e-6
+
+
+def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
+    params = MarkovNoiseParams(0.2, 0.4)
+    dil = dilation_unitary("steady", params, G, GP)
+    kset = kraus_step("steady", params, G, GP)
+    real, calls = collision.trace_distance, []
+
+    def nan_on_second(*args):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(collision, "trace_distance", nan_on_second)
+    rep = verify_dilation(dil, kset, trials=4)
+    assert math.isnan(rep.max_deviation) and not rep.passed
 
 
 def test_extract_m_recovers_unitary_grid():

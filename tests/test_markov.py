@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +112,64 @@ def test_matches_history_oracle_states():
     for a, b in zip(evolved.states, reference.states):
         assert trace_distance(a, b) < 1e-12
     assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
+
+
+def _enumerated_histories(inst, spec, params, steps):
+    # Reference: every history (k_1 .. k_t) evaluated on its own, in
+    # itertools.product order, as the sum was first written.
+    g = grover_operator(inst)
+    ops = (g, build_chi(inst.n, spec) @ g)
+    cond = conditional_probs(params)
+    trans = {
+        (0, 0): cond.g_given_g,
+        (1, 0): cond.gp_given_g,
+        (0, 1): cond.g_given_gp,
+        (1, 1): cond.gp_given_gp,
+    }
+    first = (params.p_g, params.p_gp)
+    rho0 = projector(uniform_superposition(inst))
+    states = [rho0]
+    for t in range(1, steps + 1):
+        acc = np.zeros_like(rho0)
+        for hist in itertools.product((0, 1), repeat=t):
+            weight = first[hist[0]]
+            for prev, cur in zip(hist, hist[1:]):
+                weight *= trans[(cur, prev)]
+            if weight == 0.0:
+                continue
+            v = rho0
+            for k in hist:
+                v = ops[k] @ v @ np.conj(ops[k]).T
+            acc += weight * v
+        states.append(acc)
+    probs = np.array([s[inst.marked, inst.marked].real for s in states])
+    return probs, states
+
+
+@pytest.mark.parametrize(
+    "p, mu", [(0.3, 0.7), (0.0, 0.4), (1.0, 0.2), (0.6, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0)]
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_history_oracle_equals_enumeration(n, p, mu):
+    # The depth-first walk performs the same products in the same order, so
+    # the states agree bitwise (no tolerance), zero-weight chains included.
+    rng = np.random.default_rng(600 + n)
+    x = rng.uniform()
+    u = single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+        2.0 * math.pi * rng.uniform(),
+    )
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
+    params = MarkovNoiseParams(p, mu)
+    for steps in range(9):
+        trace = history_oracle(inst, spec, params, steps)
+        probs, states = _enumerated_histories(inst, spec, params, steps)
+        assert np.array_equal(trace.probabilities, probs), steps
+        assert len(trace.states) == steps + 1
+        for ours, ref in zip(trace.states, states):
+            assert np.array_equal(ours, ref), steps
 
 
 def test_history_oracle_refuses_large_horizons():
