@@ -36,6 +36,7 @@ from .markov import (
     history_oracle,
     initial_joint_state,
     markov_evolve,
+    markov_series,
     perfect_memory_analytic,
     perfect_memory_first_max,
 )

@@ -6,7 +6,10 @@ table, as CSV (meta in ``# key=value`` header lines) or JSON
 ``key = value`` config file (``--config``); explicit flags win over the
 file, built-in defaults fill the rest. List-valued options take comma
 separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
-over grid points without changing results or row order.
+over groups of grid points without changing results or row order: the
+success grids run every (p, mu) pair that shares its operators as one
+batched evolve, so a group is one set of noisy positions (``noisy``) or one
+n (``firstmax``), and ``invariance`` runs one group per (m, q) class.
 
 Exit codes: 0 success, 1 invalid configuration or inputs, 2 a numeric
 invariant failed mid-run.
@@ -36,13 +39,27 @@ from .collision import (
 )
 from .grover import GroverInstance, ideal_success_series, grover_operator, optimal_iterations
 from .linalg import InvariantViolation, trace_distance
-from .markov import HISTORY_MAX_STEPS, MarkovNoiseParams, history_oracle, markov_evolve
+from .markov import (
+    HISTORY_MAX_STEPS,
+    MarkovNoiseParams,
+    history_oracle,
+    markov_evolve,
+    markov_series,
+)
 from .measures import n_blp, n_cp
 from .noise import SingleQubitUnitary, build_chi, noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
 
 
 class ConfigError(ValueError):
     """Bad command line, config file, or option value."""
+
+
+# Largest n of the subcommands that check against dense N x N references:
+# dilation-check builds 8N x 8N unitaries (64 MiB each at n = 8), and
+# oracle-check holds steps + 1 dense N x N history sums (16 MiB each at
+# n = 10). Every other subcommand runs at a size set by the noisy qubits.
+DILATION_MAX_N = 8
+ORACLE_MAX_N = 10
 
 
 @dataclass
@@ -270,7 +287,7 @@ _SUBCOMMANDS: dict[str, dict] = {
     "dilation-check": {
         "help": "verify the collision unitaries against the Kraus step on a grid",
         "options": (
-            ("--n", "n", "qubit count"),
+            ("--n", "n", f"qubit count, at most {DILATION_MAX_N}"),
             ("--marked", "marked", "marked basis index (default 0)"),
             ("--noise", "noise", "noise unitary (default x)"),
             ("--m", "m", "noisy-qubit count (default 1)"),
@@ -287,7 +304,7 @@ _SUBCOMMANDS: dict[str, dict] = {
     "oracle-check": {
         "help": "compare the collision evolution to the explicit history sum",
         "options": (
-            ("--n", "n", "qubit count"),
+            ("--n", "n", f"qubit count, at most {ORACLE_MAX_N}"),
             ("--marked", "marked", "marked basis index (default 0)"),
             ("--noise", "noise", "noise unitary (default x)"),
             ("--m", "m", "noisy-qubit count (default 1)"),
@@ -359,17 +376,18 @@ def _require(opts: dict, key: str, command: str) -> str:
 # one plain-data tuple and returns plain data; row order is the point
 # order, independent of --jobs.
 
-def _series_point(point) -> np.ndarray:
-    n, marked, u, m, positions, p, mu, temperature, steps = point
+def _series_group(group) -> np.ndarray:
+    """Success series, (len(pairs), steps + 1), of the (p, mu) pairs of one
+    group of points that share n, the noisy positions, T and steps."""
+    n, marked, u, m, positions, pairs, temperature, steps = group
     inst = GroverInstance(n, marked)
     spec = noise_spec(u, m, n, positions)
     bath = thermal_weights(temperature) if temperature > 0.0 else None
-    params = MarkovNoiseParams(p, mu)
-    return markov_evolve(inst, spec, params, steps, bath=bath).probabilities
+    params = [MarkovNoiseParams(p, mu) for p, mu in pairs]
+    return markov_series(inst, spec, params, steps, bath=bath)
 
 
-def _firstmax_point(point):
-    series = _series_point(point)
+def _first_max(series: np.ndarray) -> tuple[int, float]:
     for t in range(1, len(series) - 1):
         if series[t] >= series[t - 1] and series[t] >= series[t + 1]:
             return t, float(series[t])
@@ -455,6 +473,7 @@ def _noisy_grid(opts: dict, command: str):
     ps = _parse_float_list(opts["p"], "p")
     mus = _parse_float_list(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
+    GroverInstance(n, marked)  # n and the marked index fail here, before any pool
     return n, marked, u, ps, mus, steps
 
 
@@ -467,16 +486,14 @@ def _handle_noisy(opts: dict) -> ResultTable:
     else:
         ms = list(_parse_int_list(opts["m"], "m"))
         position_sets = [None] * len(ms)
-    points, labels = [], []
-    for (m, positions), p, mu in itertools.product(
-        zip(ms, position_sets), ps, mus
-    ):
-        points.append((n, marked, u, m, positions, p, mu, temperature, steps))
-        labels.append(_label(m=m, p=p, mu=mu))
-    all_series = _run_grid(_series_point, points, int(opts["jobs"]))
-    rows = [
-        [t] + [float(series[t]) for series in all_series] for t in range(steps + 1)
+    pairs = list(itertools.product(ps, mus))
+    groups = [
+        (n, marked, u, m, positions, pairs, temperature, steps)
+        for m, positions in zip(ms, position_sets)
     ]
+    all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
+    labels = [_label(m=m, p=p, mu=mu) for m in ms for p, mu in pairs]
+    rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(steps + 1)]
     return ResultTable(_meta("noisy", opts), ["t"] + labels, rows)
 
 
@@ -487,17 +504,26 @@ def _handle_invariance(opts: dict) -> ResultTable:
     p = _parse_float(opts["p"], "p")
     mu = _parse_float(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
-    points = []
-    for m in range(1, n + 1):
-        for positions in itertools.combinations(range(n), m):
-            points.append((n, marked, u, m, positions, p, mu, 0.0, steps))
-    all_series = _run_grid(_series_point, points, int(opts["jobs"]))
-    reference = all_series[0]  # m=1, position (0,)
-    deviations = np.max(
-        np.abs(np.stack(all_series) - reference[None, :]), axis=0
-    )
+    GroverInstance(n, marked)  # n and the marked index fail here, before any pool
+    # A position set enters the evolve only through its size m and the
+    # number q of its positions where the marked index has a 1 bit
+    # (markov._orbit_chi), so every nonempty subset shares its series with
+    # one representative of its (m, q) class: the first q one-bit and the
+    # first m - q zero-bit positions. The class of (0,) is represented by
+    # (0,) itself, since position 0 comes first in its own list.
+    ones = [i for i in range(n) if marked >> (n - 1 - i) & 1]
+    zeros = [i for i in range(n) if not marked >> (n - 1 - i) & 1]
+    classes = [
+        tuple(sorted(ones[:q] + zeros[: m - q]))
+        for m in range(1, n + 1)
+        for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
+    ]
+    groups = [(n, marked, u, len(c), c, [(p, mu)], 0.0, steps) for c in classes]
+    all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
+    reference = all_series[classes.index((0,))]
+    deviations = np.max(np.abs(all_series - reference[None, :]), axis=0)
     meta = _meta("invariance", opts)
-    meta["subsets"] = len(points)
+    meta["subsets"] = 2**n - 1
     rows = [
         [t, float(reference[t]), float(deviations[t])] for t in range(steps + 1)
     ]
@@ -512,14 +538,15 @@ def _handle_firstmax(opts: dict) -> ResultTable:
     ps = _parse_float_list(opts["p"], "p")
     mus = _parse_float_list(opts["mu"], "mu")
     steps = _parse_int(opts["steps"], "steps")
-    points = [
-        (n, marked, u, m, None, p, mu, 0.0, steps)
-        for n, p, mu in itertools.product(ns_list, ps, mus)
-    ]
-    results = _run_grid(_firstmax_point, points, int(opts["jobs"]))
+    for n in ns_list:
+        GroverInstance(n, marked)  # n and the marked index fail here, before any pool
+    pairs = list(itertools.product(ps, mus))
+    groups = [(n, marked, u, m, None, pairs, 0.0, steps) for n in ns_list]
+    results = _run_grid(_series_group, groups, int(opts["jobs"]))
     rows = [
-        [pt[0], pt[5], pt[6], t_star, p_star]
-        for pt, (t_star, p_star) in zip(points, results)
+        [n, p, mu, *_first_max(series)]
+        for n, block in zip(ns_list, results)
+        for (p, mu), series in zip(pairs, block)
     ]
     return ResultTable(_meta("firstmax", opts), ["n", "p", "mu", "t_star", "P_star"], rows)
 
@@ -586,6 +613,10 @@ _DILATION_TOLS = {
 
 def _handle_dilation_check(opts: dict) -> ResultTable:
     n = _parse_int(_require(opts, "n", "dilation-check"), "n")
+    if n > DILATION_MAX_N:
+        raise ConfigError(
+            f"dilation-check builds dense 8N x 8N unitaries; n={n} > {DILATION_MAX_N}"
+        )
     marked = _parse_int(opts["marked"], "marked")
     u = _parse_noise(opts["noise"])
     m = _parse_int(opts["m"], "m")
@@ -615,6 +646,8 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
 
 def _handle_oracle_check(opts: dict) -> ResultTable:
     n = _parse_int(_require(opts, "n", "oracle-check"), "n")
+    if n > ORACLE_MAX_N:
+        raise ConfigError(f"oracle-check sums dense N x N histories; n={n} > {ORACLE_MAX_N}")
     marked = _parse_int(opts["marked"], "marked")
     u = _parse_noise(opts["noise"])
     m = _parse_int(opts["m"], "m")

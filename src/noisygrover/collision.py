@@ -28,11 +28,13 @@ the verification layer: the tests and ``dilation-check`` compare against
 them.
 
 The step loop (``collision_evolve``) is dense at whatever size it is
-given. The success and witness series hand it G and G' compressed to an
-invariant subspace whose dimension does not grow with n: the orbit basis
-of :func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0
-times that of the other n - 1 qubits. Any other start runs on the full
-N x N operators. The size is reported as ``meta["dim"]``.
+given, and runs a batch of transfer tensors at once: the label blocks of
+every member form one (B, 2, d, d) stack. The success and witness series
+hand it G and G' on an invariant subspace whose dimension does not grow
+with n, built from closed forms without any N-sized array: the span of
+the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for blp's
+pair qubit 0 times that of the other n - 1 qubits. Any other start runs
+on the full N x N operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -58,7 +60,6 @@ from .linalg import (
     partial_trace,
     random_density,
     require_density,
-    tensor,
     trace_distance,
 )
 from .markov import (
@@ -301,25 +302,29 @@ def extract_m(
     factorization residual wins (it is |1> for this layout). The residual
     is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_N| with M the
     blockwise normalized trace; ``unitary_defect`` is max |M^dagger M - I|.
+
+    CX is block diagonal on U's 8 x 8 grid of N x N blocks (chi on the
+    blocks whose first ancilla is the control value, I elsewhere), so every
+    one of the 64 blocks of the product is C_i^dagger U_ij G^dagger, taken
+    one at a time: no 8N x 8N matrix besides U is formed. A NaN block
+    residual is kept as the maximum.
     """
     u = dil.matrix
     n_dim = g.shape[0]
-    eye_n = np.eye(n_dim, dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
-    ug_inv = tensor(np.eye(8, dtype=complex), dagger(g))
+    g_dag, chi_dag = dagger(g), dagger(chi)
+    eye_n = np.eye(n_dim)
     best: Optional[FactorizationReport] = None
     for control in (1, 0):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[control, control] = 1.0
-        other = np.eye(2, dtype=complex) - proj
-        cx = tensor(proj, eye4, chi) + tensor(other, eye4, eye_n)
-        m_full = dagger(cx) @ u @ ug_inv
         m_grid = np.empty((8, 8), dtype=complex)
+        residuals = np.empty((8, 8))
         for i in range(8):
             for j in range(8):
-                block = m_full[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim]
+                block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
+                if i >> 2 == control:
+                    block = chi_dag @ block
                 m_grid[i, j] = np.trace(block) / n_dim
-        residual = float(np.max(np.abs(m_full - tensor(m_grid, eye_n))))
+                residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
+        residual = float(np.max(residuals))
         defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
         report = FactorizationReport(m_grid, residual, control, defect, residual <= tol)
         if report.passed:
@@ -420,6 +425,26 @@ def transfer_weights(
     return out[0], out[1]
 
 
+def _step_terms(weights: np.ndarray, ops: np.ndarray, ops_dag: np.ndarray):
+    """The (r, op) terms of one step kind, laid out as k slots per output
+    block r.
+
+    ``weights`` is the (B, 2, 2, 2) stack of transfer tensors. A term is
+    active when its weight is nonzero for some member and some input block
+    c, and k is the most active terms of one block. Each block lists its
+    active ops first; a block with fewer than k fills up with its inactive
+    ops, whose weights are zero for every member. Returns the mixing
+    weights (B, 2k, 2) over c, and the operators and adjoints (2k, d, d).
+    """
+    active = weights.any(axis=(0, 2))  # [r, op]
+    k = int(active.sum(axis=1).max())
+    rows = np.repeat([0, 1], k)
+    which = np.argsort(~active, axis=1, kind="stable")[:, :k].ravel()
+    # Complex up front, so the product in the loop needs no cast.
+    mix = np.moveaxis(weights[:, rows, :, which], 0, 1).astype(complex)
+    return mix, ops[which], ops_dag[which]
+
+
 def collision_evolve(
     g: ComplexMatrix,
     gp: ComplexMatrix,
@@ -435,22 +460,31 @@ def collision_evolve(
     """Iterate the collision map from joint state ``r0`` for ``steps`` steps.
 
     ``first`` and ``steady`` are transfer tensors from
-    :func:`transfer_weights`; the first collision uses ``first``, all later
-    ones ``steady``. Only the label blocks of diag(sigma_0, sigma_1) are
-    carried (walker coherences of ``r0`` never feed back), with
+    :func:`transfer_weights`, shape (2, 2, 2), or stacks of them with
+    leading batch axes (..., 2, 2, 2); the first collision uses ``first``,
+    all later ones ``steady``. Every member of the (broadcast) batch starts
+    from ``r0`` with the same G and G', and every result gains the batch
+    shape in front: probabilities (..., steps + 1), kept states (..., n, n)
+    and joints (..., 2n, 2n) for n x n operators. Only the label blocks of
+    diag(sigma_0, sigma_1) are carried (walker coherences of ``r0`` never
+    feed back), as one (B, 2, n, n) stack, with
 
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
-    over op in (G, G'); (r, op) pairs whose weights are all zero are
-    skipped. The loop is dense at whatever size it is given: N x N G, G'
-    for the full register, or their compressions to an invariant subspace
-    (``markov_evolve``, ``n_cp`` and ``n_blp`` pass d x d ones, see
-    :func:`~noisygrover.noise.orbit_basis`). ``meta["dim"]`` is that size.
+    over op in (G, G'). A step is one mixing product over c, one batched
+    conjugation and one sum of each block's terms. (r, op) terms whose
+    weights are zero for every member are skipped, unless one fills a slot
+    so that both blocks have as many terms: a pure step costs 2
+    conjugations per member and a thermal one 4. The loop is dense at
+    whatever size it is given: N x N G, G' for the full register, or
+    d x d forms on an invariant subspace (``markov_evolve``,
+    ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
+    :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1. The label blocks of ``r0`` must be Hermitian, as
-    those of any joint state are. ``validate`` re-checks the joint state
-    each step (tolerance 1e-9) and raises :class:`InvariantViolation` on
-    failure.
+    those of any joint state are. ``validate`` re-checks every member's
+    joint state each step (tolerance 1e-9) and raises
+    :class:`InvariantViolation` on failure.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -459,54 +493,51 @@ def collision_evolve(
         raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
     if g.shape != (n_dim, n_dim) or gp.shape != (n_dim, n_dim):
         raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
+    first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
     for weights in (first, steady):
-        if np.shape(weights) != (2, 2, 2):
-            raise ValueError(f"transfer weights shape {np.shape(weights)} is not (2, 2, 2)")
+        if weights.shape[-3:] != (2, 2, 2):
+            raise ValueError(f"transfer weights shape {weights.shape} is not (..., 2, 2, 2)")
     if not 0 <= marked < n_dim:
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
+    batch = np.broadcast_shapes(first.shape[:-3], steady.shape[:-3])
+    members = math.prod(batch)
     r0 = np.asarray(r0, dtype=complex)
-    sigma = [r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]]
+    blocks = np.stack([r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]])
     # Input check: the label blocks of a joint state are Hermitian, and the
     # success probability reads only the real part of a diagonal entry, so
     # a non-Hermitian block would otherwise pass unnoticed.
-    if any(np.max(np.abs(s - dagger(s))) > HERMITICITY_TOL for s in sigma):
+    if np.max(np.abs(blocks - np.conj(blocks).swapaxes(1, 2))) > HERMITICITY_TOL:
         raise ValueError("label blocks of the joint state are not Hermitian")
-    ops = ((g, dagger(g)), (gp, dagger(gp)))
-    # (row, op, op^dagger, w0, w1) of each (r, op) pair with a nonzero weight
-    terms = [
-        [
-            (r, op, op_dag, w0, w1)
-            for r in (0, 1)
-            for (op, op_dag), (w0, w1) in zip(ops, weights[r].T.tolist())
-            if w0 or w1
-        ]
-        for weights in (first, steady)
+    ops = np.stack([g, gp]).astype(complex)
+    ops_dag = np.conj(ops).swapaxes(1, 2)
+    plans = [
+        _step_terms(np.broadcast_to(w, batch + (2, 2, 2)).reshape(-1, 2, 2, 2), ops, ops_dag)
+        for w in (first, steady)
     ]
-    zero = np.zeros((n_dim, n_dim), dtype=complex)
-    probs = np.empty(steps + 1, dtype=float)
+    sigma = np.broadcast_to(blocks, (members, 2, n_dim, n_dim))
+    probs = np.empty((members, steps + 1), dtype=float)
     sys_states, joints = [], []
     for t in range(steps + 1):
         if t:
-            nxt = [zero.copy(), zero.copy()]
-            for r, op, op_dag, w0, w1 in terms[t > 1]:
-                nxt[r] += op @ (w0 * sigma[0] + w1 * sigma[1]) @ op_dag
-            sigma = nxt
-        marginal = sigma[0] + sigma[1]
-        probs[t] = marginal[marked, marked].real
+            mix, op, op_dag = plans[t > 1]
+            mixed = (mix @ sigma.reshape(members, 2, -1)).reshape((members, len(op)) + g.shape)
+            sigma = (op @ mixed @ op_dag).reshape((members, 2, len(op) // 2) + g.shape).sum(axis=2)
+        probs[:, t] = sigma[:, 0, marked, marked].real + sigma[:, 1, marked, marked].real
         if keep_states:
-            sys_states.append(marginal)
+            sys_states.append((sigma[:, 0] + sigma[:, 1]).reshape(batch + (n_dim, n_dim)))
         if keep_joint or validate:
             if t:
-                joint = np.zeros_like(r0)
-                joint[:n_dim, :n_dim], joint[n_dim:, n_dim:] = sigma
+                joint = np.zeros((members, 2 * n_dim, 2 * n_dim), dtype=complex)
+                joint[:, :n_dim, :n_dim], joint[:, n_dim:, n_dim:] = sigma[:, 0], sigma[:, 1]
             else:
-                joint = r0.copy()
+                joint = np.broadcast_to(r0, (members,) + r0.shape).copy()
             if validate:
-                require_density(joint, 1e-9, what=f"joint state t={t}")
+                for member in joint:
+                    require_density(member, 1e-9, what=f"joint state t={t}")
             if keep_joint:
-                joints.append(joint)
+                joints.append(joint.reshape(batch + r0.shape))
     return EvolutionTrace(
-        probs,
+        probs.reshape(batch + (steps + 1,)),
         states=tuple(sys_states) if keep_states else None,
         joint_states=tuple(joints) if keep_joint else None,
         meta={"steps": steps, "dim": n_dim},

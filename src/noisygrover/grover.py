@@ -13,6 +13,7 @@ sin^2((2t + 1) asin(1/sqrt(N))), used throughout the tests as an oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ class GroverInstance:
     """A search instance: ``n`` qubits, one marked basis index.
 
     ``n >= 2`` for anything search-like; ``n = 1`` is accepted because all
-    operators below remain well defined there.
+    operators below remain well defined there. N = 2**n must be a finite
+    float (n <= 1023), since 1/sqrt(N) enters every amplitude.
     """
 
     n: int
@@ -34,6 +36,10 @@ class GroverInstance:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
+        if self.n >= sys.float_info.max_exp:
+            raise ValueError(
+                f"N = 2^{self.n} is not a finite float; n must be below {sys.float_info.max_exp}"
+            )
         if not 0 <= self.marked < self.N:
             raise ValueError(f"marked index {self.marked} outside [0, {self.N})")
 
@@ -69,16 +75,22 @@ def grover_operator(inst: GroverInstance) -> np.ndarray:
 
 
 def ideal_success_series(inst: GroverInstance, steps: int) -> np.ndarray:
-    """P(t) = |<w| G^t |s>|^2 for t = 0..steps, by repeated multiplication."""
+    """P(t) = |<w| G^t |s>|^2 for t = 0..steps, by repeated multiplication.
+
+    G acts on span{|w>, |s>}, so the walk runs there as 2 x 2 (the orbit
+    basis with no noisy positions, :func:`~noisygrover.markov._dicke_operators`)
+    and costs the same at any n; |w> is coordinate 0.
+    """
+    from .markov import _dicke_operators  # deferred: markov imports this module
+
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    g = grover_operator(inst)
-    v = uniform_superposition(inst)
+    g, _, v = _dicke_operators(inst.n, inst.marked, np.eye(2), ())
     out = np.empty(steps + 1, dtype=float)
-    out[0] = abs(v[inst.marked]) ** 2
+    out[0] = abs(v[0]) ** 2
     for t in range(1, steps + 1):
         v = g @ v
-        out[t] = abs(v[inst.marked]) ** 2
+        out[t] = abs(v[0]) ** 2
     return out
 
 

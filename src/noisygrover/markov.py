@@ -14,14 +14,18 @@ positive map that applies G on the g branch, G' on the g' branch, and
 mixes branch populations with the conditional probabilities. The success
 probability is read off the system marginal at the marked index. All of
 this runs in the span of the orbit basis (:func:`~noisygrover.noise.orbit_basis`),
-whose dimension depends on the noisy qubits, not on n.
+whose dimension depends on the noisy qubits, not on n. G, G' and |s> are
+built there at d x d from Dicke-basis closed forms (:func:`_orbit_chi`), in
+which n enters only through scalars, so nothing of size 2^n is formed unless
+states are kept. :func:`markov_series` runs many (p, mu) points that share
+those operators as one batched step loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,27 +105,122 @@ class EvolutionTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _orbit_operators(
-    inst: GroverInstance, spec: NoiseSpec, v: np.ndarray
-) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """(V^dagger G V, V^dagger G' V) for a real N x d isometry V whose span
-    holds |s> and |w> and is invariant under G and chi.
+def _dicke_power(a: np.ndarray, k: int) -> ComplexMatrix:
+    """D^(k)(a): the 2 x 2 matrix ``a`` on k qubits, a^(x k), restricted to
+    the symmetric subspace Sym^k in the Dicke basis |D_0> .. |D_k>, where
+    |D_x> is the normalized sum of the basis states of Hamming weight x.
 
-    Nothing N x N is formed. G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|
-    compresses term by term, with V^dagger |w> the marked row of V. chi is
-    applied to V one noisy qubit at a time, and since V spans a
-    G-invariant subspace, V^dagger chi G V = (V^dagger chi V)(V^dagger G V).
+    The entries are the binomial sums
+
+        D[x, y] = sqrt(C(k,y)/C(k,x)) sum_i C(y,i) C(k-y,x-i)
+                  a11^i a01^(y-i) a10^(x-i) a00^(k-y-x+i),
+
+    but those cancel: at k = 40 they lose up to 2e-11 to rounding. So
+    D^(k) is built one qubit at a time through the isometry
+    |D^(k+1)_x> = sqrt((k+1-x)/(k+1)) |D^(k)_x>|0> + sqrt(x/(k+1)) |D^(k)_(x-1)>|1>,
+    which only ever forms contractions and stays at rounding level.
     """
-    dim = v.shape[1]
-    s = v.T @ uniform_superposition(inst)
-    w = v[inst.marked]
-    g = 2.0 * np.outer(s, np.conj(s)) - np.eye(dim)
-    g -= (4.0 / math.sqrt(inst.N)) * np.outer(s, w)
-    g += 2.0 * np.outer(w, w)
-    chi_v = v.reshape((2,) * inst.n + (dim,))
-    for pos in spec.positions:
-        chi_v = np.moveaxis(np.tensordot(spec.u.matrix, chi_v, axes=(1, pos)), 0, pos)
-    return g, (v.T @ chi_v.reshape(v.shape)) @ g
+    d = np.ones((1, 1), dtype=complex)
+    for size in range(1, k + 1):
+        x = np.arange(size + 1)
+        stay = np.sqrt((size - x) / size)[:, None]  # weight of |D_x>|0>
+        move = np.sqrt(x / size)[:, None]  # weight of |D_(x-1)>|1>
+        pad = np.zeros((size + 1, size + 1), dtype=complex)
+        pad[:-1, :-1] = d
+        low = np.roll(pad, 1, axis=0)  # D[x - 1, y]
+        d = (
+            stay * stay.T * a[0, 0] * pad
+            + stay * move.T * a[0, 1] * np.roll(pad, 1, axis=1)
+            + move * stay.T * a[1, 0] * low
+            + move * move.T * a[1, 1] * np.roll(low, 1, axis=1)
+        )
+    return d
+
+
+def _orbit_chi(
+    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
+) -> tuple[ComplexMatrix, np.ndarray]:
+    """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
+    the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
+    nothing of size 2^n is formed, and n = 0 gives the 1 x 1 case.
+
+    Flipping the q noisy qubits where the marked index has a 1 bit maps the
+    class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
+    on the other m - q noisy qubits, times that of weight k on the q
+    flipped ones, times |0_C> (c = 0) or the normalized sum of the nonzero
+    basis states of the clean qubits C (c = 1). In that frame chi is u on
+    the first set and X u X on the second, and the identity on C, so
+
+        chi = D^(m-q)(u) (x) D^(q)(X u X) (x) I_nc,
+        s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
+
+    with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
+    order of :func:`orbit_basis`; nc = 1 when m = n.
+    """
+    if any(not 0 <= p < n for p in positions):
+        raise ValueError(f"positions {positions} outside [0, {n})")
+    q = sum(marked >> (n - 1 - p) & 1 for p in positions)
+    m = len(positions)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    chi = np.kron(_dicke_power(u, m - q), _dicke_power(flip @ u @ flip, q))
+    clean = (1,)  # class sizes on C
+    if m < n:
+        chi = np.kron(chi, np.eye(2))
+        clean = (1, 2 ** (n - m) - 1)
+    N = 2**n
+    s = np.sqrt([
+        math.comb(m - q, j) * math.comb(q, k) * size / N
+        for j in range(m - q + 1)
+        for k in range(q + 1)
+        for size in clean
+    ])
+    return chi, s
+
+
+def _grover_pair(
+    s: np.ndarray, w: int, chi: ComplexMatrix, N: int
+) -> tuple[np.ndarray, ComplexMatrix]:
+    """(G, G' = chi G) at the size of ``chi``, on a space that holds the real
+    vector |s> and the basis vector |w> = e_w and is invariant under G and chi:
+    G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|.
+    """
+    g = 2.0 * np.outer(s, s) - np.eye(s.size)
+    g[:, w] -= (4.0 / math.sqrt(N)) * s
+    g[w, w] += 2.0
+    return g, chi @ g
+
+
+def _dicke_operators(
+    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
+) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
+    """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d,
+    from scalars only (:func:`_orbit_chi`); |w> is column 0."""
+    chi, s = _orbit_chi(n, marked, u, positions)
+    return (*_grover_pair(s, 0, chi, 2**n), s)
+
+
+def markov_series(
+    inst: GroverInstance,
+    spec: NoiseSpec,
+    params_seq: Sequence[MarkovNoiseParams],
+    steps: int,
+    bath=None,
+) -> np.ndarray:
+    """Success probabilities for every (p, mu) point of ``params_seq`` at
+    once, shape (len(params_seq), steps + 1); row b equals
+    ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``.
+
+    The points share G, G' and the start, so they run as one batched step
+    loop over their transfer tensors (:func:`collision_evolve`).
+    """
+    from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
+
+    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    first, steady = (
+        np.stack(w) for w in zip(*(transfer_weights(params, bath) for params in params_seq))
+    )
+    r0 = tensor(projector(_PLUS), projector(s))
+    return collision_evolve(g, gp, first, steady, r0, steps).probabilities
 
 
 def markov_evolve(
@@ -143,30 +242,31 @@ def markov_evolve(
     ``validate`` re-checks state validity each step at tolerance 1e-9.
 
     The run stays in the span of the orbit basis V (:func:`orbit_basis`):
-    G, G' and |s><s| are compressed to d x d once and the collision step
-    runs at that size, where d = (q + 1)(m - q + 1), doubled when m < n,
-    is ``meta["dim"]``. An isometry keeps trace, hermiticity and the
-    nonzero spectrum, so ``validate`` checks the compressed joints. Only the kept
-    states and joints are lifted back, as V s V^dagger, to N x N and
-    2N x 2N.
+    G, G' and |s> are built at d x d from the Dicke-basis closed forms
+    (:func:`_orbit_chi`), so n enters only through scalars, and the
+    collision step runs at that size, where d = (q + 1)(m - q + 1), doubled
+    when m < n, is ``meta["dim"]``. An isometry keeps trace, hermiticity
+    and the nonzero spectrum, so ``validate`` checks the compressed joints.
+    V itself, N x d, is built only to lift the kept states and joints back,
+    as V s V^dagger, to N x N and 2N x 2N.
     """
     from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
 
-    v = orbit_basis(inst, spec)
-    g, gp = _orbit_operators(inst, spec, v)
-    r0 = tensor(projector(_PLUS), projector(v.T @ uniform_superposition(inst)))
+    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     trace = collision_evolve(
         g,
         gp,
         *transfer_weights(params, bath),
-        r0,
+        tensor(projector(_PLUS), projector(s)),
         steps,
         keep_states=keep_states,
         keep_joint=keep_joint,
         validate=validate,
     )
+    if keep_states or keep_joint:
+        v = orbit_basis(inst, spec)
     if keep_states:
-        trace = replace(trace, states=tuple(v @ s @ v.T for s in trace.states))
+        trace = replace(trace, states=tuple(v @ rho @ v.T for rho in trace.states))
     if keep_joint:
         lift = np.kron(np.eye(2), v)
         trace = replace(trace, joint_states=tuple(lift @ j @ lift.T for j in trace.joint_states))

@@ -6,11 +6,14 @@ trace-norm divisibility witness on the traceless operator |s><s| - |w><w|
 of the system alone (no spectator register). Both sum the positive
 increments of their monitored series, so both are lower-bound witnesses: a
 positive value certifies memory effects, a zero does not certify their
-absence (no optimization over inputs is performed). Neither builds an
-N x N matrix: the divisibility witness runs in the orbit basis of
-:func:`~noisygrover.noise.orbit_basis`, the backflow pair in qubit 0 times
-that of the other n - 1 qubits, and the partner's weight outside that
-space enters its trace distances through a trace.
+absence (no optimization over inputs is performed). Neither builds
+anything of size N: the divisibility witness runs in the span of the orbit
+basis of :func:`~noisygrover.noise.orbit_basis`, the backflow pair in
+qubit 0 times that of the other n - 1 qubits, both with G, G' and |s>
+built there from the Dicke-basis closed forms of
+:func:`~noisygrover.markov._orbit_chi`; the partner's weight outside that
+space enters its trace distances through a trace. The N x d bases
+themselves (:func:`_split_basis`) serve only as test references.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collision import ThermalBathParams, collision_evolve, transfer_weights
-from .grover import GroverInstance, marked_state, uniform_superposition
+from .grover import GroverInstance, uniform_superposition
 from .linalg import (
     ComplexMatrix,
     InvariantViolation,
@@ -31,7 +34,7 @@ from .linalg import (
     trace_distance,
     trace_norm,
 )
-from .markov import _PLUS, MarkovNoiseParams, _orbit_operators
+from .markov import _PLUS, MarkovNoiseParams, _dicke_operators, _grover_pair, _orbit_chi
 from .noise import NoiseSpec, orbit_basis
 
 # Increments below this threshold count as numerical noise, not backflow.
@@ -101,6 +104,25 @@ def _split_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
     return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
 
 
+def _split_operators(
+    inst: GroverInstance, spec: NoiseSpec
+) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
+    """(G, G', |s>) on W = C^2 (x) W_rest in the basis of :func:`_split_basis`,
+    from scalars only: chi is u on qubit 0 when it is noisy (else I_2)
+    times the Dicke-basis chi of the other n - 1 qubits
+    (:func:`~noisygrover.markov._orbit_chi`), |s> = |+> (x) |s_rest>, and
+    |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
+    """
+    half = inst.N // 2
+    u = spec.u.matrix
+    chi, s = _orbit_chi(
+        inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
+    )
+    chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
+    s = np.kron(_PLUS.real, s)
+    return (*_grover_pair(s, (inst.marked // half) * (s.size // 2), chi, inst.N), s)
+
+
 def n_blp(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -117,10 +139,11 @@ def n_blp(
     positive map); violation beyond slack raises
     :class:`~noisygrover.linalg.InvariantViolation`.
 
-    Nothing of size N x N is formed. G and G' are block diagonal on
+    Nothing of size N is formed. G and G' are block diagonal on
     W (+) W_perp (:func:`_split_basis`), and so is rho2 = (I - X_0)/N (x)
     I_rest, with W_perp = C^2 (x) W_rest_perp. |s><s| lies in W. So both
-    members run compressed to W, and each label block of the partner is
+    members run on W, with G, G' and |s> from :func:`_split_operators`,
+    and each label block of the partner is
     V b V^dagger plus a positive part on W_perp, whose trace norm is its
     trace. Unitaries keep the trace of each label block and both members
     start with the walker in |+><+|, so that trace is tr(a) - tr(b), with a
@@ -129,11 +152,12 @@ def n_blp(
     depends on m and not on n; ``meta["joint_slack"]`` is the smallest drop
     of the joint series from t = 1 on (infinite when ``steps`` < 2).
     """
-    v = _split_basis(inst, spec)
-    dim = v.shape[1]
-    g, gp = _orbit_operators(inst, spec, v)
+    if any(p >= inst.n for p in spec.positions):
+        raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
+    g, gp, s = _split_operators(inst, spec)
+    dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
-    starts = (projector(v.T @ uniform_superposition(inst)), np.kron(i_minus_x, np.eye(dim // 2)))
+    starts = (projector(s), np.kron(i_minus_x, np.eye(dim // 2)))
     runs = [
         collision_evolve(
             g, gp, *transfer_weights(params, bath), tensor(projector(_PLUS), rho), steps,
@@ -194,11 +218,11 @@ def n_cp(
     neither P- nor CP-divisible (the criterion of Rivas, Huelga and Plenio
     on this one operator). Pure-ancilla channel only. X lies in the span
     of the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), so the
-    run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1.
+    run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1;
+    G, G' and |s> come from the closed forms, and V is never built.
     """
-    v = orbit_basis(inst, spec)
-    g, gp = _orbit_operators(inst, spec, v)
-    s, w = (v.T @ vec for vec in (uniform_superposition(inst), marked_state(inst)))
+    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    w = np.eye(s.size)[0]
     r0 = tensor(projector(_PLUS), projector(s) - projector(w))
     trace = collision_evolve(g, gp, *transfer_weights(params), r0, steps, keep_states=True)
     series = np.array([0.5 * trace_norm(state) for state in trace.states])

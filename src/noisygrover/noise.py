@@ -169,6 +169,9 @@ def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
     symmetric factor into itself, chi leaves C alone, and G is -I plus a
     rank-2 term on span{|s>, |w>}, which lies inside. So
     d = (q + 1)(m - q + 1) nc whatever n is, and no threshold is involved.
+    The simulator builds G, G' and |s> in this basis from closed forms
+    (:func:`~noisygrover.markov._orbit_chi`); V itself only lifts kept
+    states back to N x N and serves the tests as a reference.
     """
     n = inst.n
     if any(p >= n for p in spec.positions):

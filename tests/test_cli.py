@@ -1,14 +1,18 @@
+import itertools
 import json
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisygrover import cli, collision
 from noisygrover.cli import ConfigError, ResultTable, emit, load_config, main
-from noisygrover.markov import HISTORY_MAX_STEPS
+from noisygrover.grover import GroverInstance, ideal_success_closed_form
+from noisygrover.markov import HISTORY_MAX_STEPS, MarkovNoiseParams, markov_evolve
+from noisygrover.noise import noise_spec, noise_unitary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -270,6 +274,48 @@ def test_invariance_command(capsys):
     assert max(float(row[2]) for row in rows) < 1e-9
 
 
+@pytest.mark.parametrize("marked", [0, 6, 15])
+def test_invariance_equals_the_subset_enumeration(capsys, marked):
+    # Reference: one evolve per nonempty position subset, as the table is
+    # defined; the command runs one per (m, q) class.
+    n, noise = 4, "custom:0.6,0.8j,0.7"
+    code, out, _ = run_cli(
+        capsys, "invariance", "--n", str(n), "--marked", str(marked), "--noise", noise,
+        "--p", "0.4", "--mu", "0.7", "--steps", "10",
+    )
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    inst = GroverInstance(n, marked)
+    u = cli._parse_noise(noise)
+    params = MarkovNoiseParams(0.4, 0.7)
+    series = np.array([
+        markov_evolve(inst, noise_spec(u, m, n, positions), params, 10).probabilities
+        for m in range(1, n + 1)
+        for positions in itertools.combinations(range(n), m)
+    ])
+    assert meta["subsets"] == str(len(series))
+    deviation = np.max(np.abs(series - series[0]), axis=0)
+    assert np.max(np.abs([float(r[1]) for r in rows] - series[0])) < 1e-12
+    assert np.max(np.abs([float(r[2]) for r in rows] - deviation)) < 1e-12
+    assert deviation.max() > 1e-3  # this noise is not position independent
+
+
+def test_noisy_columns_equal_single_evolves(capsys):
+    code, out, _ = run_cli(
+        capsys, "noisy", "--n", "4", "--marked", "9", "--noise", "hadamard", "--m", "1,3",
+        "--p", "0.2,1", "--mu", "0,0.6", "--temperature", "0.8", "--steps", "7",
+    )
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    inst = GroverInstance(4, 9)
+    bath = collision.thermal_weights(0.8)
+    for i, (m, p, mu) in enumerate(itertools.product((1, 3), (0.2, 1.0), (0.0, 0.6)), start=1):
+        assert columns[i] == f"P[m={m};p={p:.15g};mu={mu:.15g}]"
+        spec = noise_spec(noise_unitary("hadamard"), m, 4)
+        want = markov_evolve(inst, spec, MarkovNoiseParams(p, mu), 7, bath=bath).probabilities
+        assert np.max(np.abs([float(r[i]) for r in rows] - want)) < 1e-13
+
+
 def test_firstmax_row_shape(capsys):
     code, out, _ = run_cli(
         capsys, "firstmax", "--n", "3", "--p", "0.2,0.8", "--mu", "0,1",
@@ -292,6 +338,98 @@ def test_jobs_do_not_change_output(capsys):
     code2, out2, _ = run_cli(capsys, *argv, "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("noisy", "--n", "4", "--marked", "5", "--noise", "hadamard", "--m", "1,2,4",
+         "--p", "0,0.3,1", "--mu", "0.5,1", "--steps", "6"),
+        ("noisy", "--n", "4", "--marked", "5", "--noise", "hadamard", "--positions", "1,3",
+         "--p", "0.2,0.8", "--mu", "0,0.5", "--temperature", "0.7", "--steps", "6"),
+        ("firstmax", "--n", "2,3,4", "--marked", "1", "--noise", "y", "--m", "2",
+         "--p", "0.3,1", "--mu", "0,0.9", "--steps", "8"),
+        ("invariance", "--n", "4", "--marked", "6", "--noise", "hadamard", "--p", "0.4",
+         "--mu", "0.7", "--steps", "6"),
+        ("blp", "--n", "3", "--marked", "3", "--noise", "hadamard", "--m", "2",
+         "--p", "0.3,0.6", "--mu", "0.2,0.9", "--steps", "8"),
+        ("thermal", "--n", "3", "--noise", "hadamard", "--m", "2", "--p", "0.3,0.6",
+         "--mu", "0.9", "--temps", "0.5,2", "--steps", "8"),
+        ("cpdiv", "--n", "3", "--marked", "2", "--noise", "hadamard", "--m", "2",
+         "--p", "0.3,0.6", "--mu", "0.2,0.9", "--steps", "8"),
+    ],
+    ids=["noisy-m", "noisy-positions", "firstmax", "invariance", "blp", "thermal", "cpdiv"],
+)
+def test_grid_tables_do_not_depend_on_jobs(capsys, argv):
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code3, out3, _ = run_cli(capsys, *argv, "--jobs", "3")
+    assert code1 == code3 == 0
+    assert out1 == out3
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("dilation-check", "--n", str(cli.DILATION_MAX_N + 1)), "dilation-check"),
+        (("dilation-check", "--n", "30", "--p", "0.1,0.2"), "dilation-check"),
+        (("oracle-check", "--n", str(cli.ORACLE_MAX_N + 1)), "oracle-check"),
+        (("oracle-check", "--n", "40"), "oracle-check"),
+        (("ideal", "--n", "1024"), "finite"),
+        (("noisy", "--n", "1100", "--p", "0.1,0.2"), "finite"),
+        (("firstmax", "--n", "3,1024", "--p", "0.1,0.2"), "finite"),
+        (("invariance", "--n", "1024"), "finite"),
+        (("cpdiv", "--n", "1024", "--p", "0.1,0.2"), "finite"),
+        (("blp", "--n", "1024", "--p", "0.1,0.2"), "finite"),
+    ],
+)
+def test_unrunnable_n_exits_one_before_any_pool(capsys, monkeypatch, argv, what):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool created before validation")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and what in err
+
+
+def test_dense_subcommands_run_at_their_caps(capsys):
+    code, _, err = run_cli(capsys, "oracle-check", "--n", "5", "--steps", "3")
+    assert code == 0, err
+    code, _, err = run_cli(
+        capsys, "dilation-check", "--n", "4", "--trials", "1", "--p", "0.3", "--mu", "0.5"
+    )
+    assert code == 0, err
+
+
+def test_grids_run_at_forty_qubits(capsys):
+    N = 2**40
+    code, out, err = run_cli(capsys, "ideal", "--n", "40", "--steps", "3")
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert [float(r[1]) for r in rows] == pytest.approx(
+        [ideal_success_closed_form(N, t) for t in range(4)], abs=1e-15
+    )
+    code, out, err = run_cli(
+        capsys, "noisy", "--n", "40", "--m", "1,5,40", "--p", "0,0.5", "--mu", "0.5", "--steps", "4"
+    )
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert len(columns) == 7 and len(rows) == 5
+    for col in (1, 3, 5):  # p = 0 is the noiseless walk for every m
+        assert [float(r[col]) for r in rows] == pytest.approx(
+            [ideal_success_closed_form(N, t) for t in range(5)], abs=1e-15
+        )
+    code, out, err = run_cli(
+        capsys, "firstmax", "--n", "30,40", "--p", "1", "--mu", "1", "--m", "1", "--steps", "5"
+    )
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "cpdiv", "--n", "40", "--p", "0.5", "--mu", "0.9")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "invariance", "--n", "40", "--steps", "5")
+    assert code == 0, err
+    meta, _, rows = parse_csv(out)
+    assert meta["subsets"] == str(N - 1)
+    assert max(float(r[2]) for r in rows) < 1e-12  # sigma_x noise is position independent
 
 
 def test_output_file(tmp_path, capsys):

@@ -239,6 +239,59 @@ def test_extract_m_recovers_unitary_grid():
         assert abs(report.m_grid[5, 5] + math.sqrt(c.g_given_g)) < 1e-12
 
 
+def _full_product_factorization(dil, chi, g):
+    # Reference: CX^dagger U (I_8 (x) G^dagger) as whole 8N x 8N products,
+    # for control 1 and then 0: (control, M, residual, unitary defect).
+    u = dil.matrix
+    n_dim = g.shape[0]
+    out = []
+    for control in (1, 0):
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[control, control] = 1.0
+        cx = tensor(proj, np.eye(4), chi) + tensor(np.eye(2) - proj, np.eye(4), np.eye(n_dim))
+        m_full = cx.conj().T @ u @ tensor(np.eye(8), g.conj().T)
+        m_grid = np.array([
+            [np.trace(m_full[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim]) / n_dim
+             for j in range(8)]
+            for i in range(8)
+        ])
+        residual = float(np.max(np.abs(m_full - tensor(m_grid, np.eye(n_dim)))))
+        defect = float(np.max(np.abs(m_grid.conj().T @ m_grid - np.eye(8))))
+        out.append((control, m_grid, residual, defect))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extract_m_matches_full_product(n, kind):
+    rng = np.random.default_rng(80 + n)
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    g = grover_operator(inst)
+    chi = build_chi(n, noise_spec(_haar_noise(rng), int(rng.integers(1, n + 1)), n))
+    other = build_chi(n, noise_spec(_haar_noise(rng), n, n))
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary(kind, params, g, noisy_grover(g, chi))
+    # With the dilation's own chi control 1 passes; with another chi both
+    # conventions fail and the smaller residual is reported.
+    for cx_chi, passes in ((chi, True), (other, False)):
+        report = extract_m(dil, cx_chi, g)
+        refs = _full_product_factorization(dil, cx_chi, g)
+        control, m_grid, residual, defect = refs[0] if passes else min(refs, key=lambda r: r[2])
+        assert report.passed is passes
+        assert report.control_value == control
+        assert abs(report.residual - residual) < 1e-12
+        assert abs(report.unitary_defect - defect) < 1e-12
+        assert np.max(np.abs(report.m_grid - m_grid)) < 1e-12
+
+
+def test_extract_m_keeps_a_nan_residual():
+    params = MarkovNoiseParams(0.2, 0.4)
+    broken = dilation_unitary("steady", params, G, GP).matrix.copy()
+    broken[5, 9] = np.nan
+    report = extract_m(DilationUnitary(broken, "steady"), CHI, G)
+    assert math.isnan(report.residual) and not report.passed
+
+
 def _transition_roots(params):
     c = conditional_probs(params)
     return {

@@ -1,0 +1,261 @@
+"""The closed-form Dicke-basis operators against the N x d orbit bases they
+replace, the closed forms at n = 20..40, and the batched series."""
+
+import math
+
+import numpy as np
+import pytest
+
+from noisygrover import collision, grover, markov, measures, noise
+from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
+from noisygrover.grover import GroverInstance, ideal_success_closed_form, uniform_superposition
+from noisygrover.linalg import dagger, projector, tensor
+from noisygrover.markov import (
+    MarkovNoiseParams,
+    _dicke_operators,
+    _dicke_power,
+    markov_evolve,
+    markov_series,
+    perfect_memory_analytic,
+)
+from noisygrover.measures import _split_basis, _split_operators, n_blp, n_cp
+from noisygrover.noise import (
+    closed_form_overlaps,
+    noise_spec,
+    noise_unitary,
+    orbit_basis,
+    sigma_x_reduced,
+    sigma_y_p2,
+    single_qubit_unitary,
+)
+
+
+def _haar(rng):
+    x = rng.uniform()
+    return single_qubit_unitary(
+        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+        2.0 * math.pi * rng.uniform(),
+    )
+
+
+def _compressed(inst, spec, v):
+    # Reference: G, G' and |s> compressed through a real N x d isometry V
+    # whose span holds |s> and |w> and is invariant under G and chi. chi is
+    # applied to V one noisy qubit at a time, and V^dagger chi G V =
+    # (V^dagger chi V)(V^dagger G V) on a G-invariant span.
+    dim = v.shape[1]
+    s = v.T @ uniform_superposition(inst)
+    w = v[inst.marked]
+    g = 2.0 * np.outer(s, np.conj(s)) - np.eye(dim)
+    g -= (4.0 / math.sqrt(inst.N)) * np.outer(s, w)
+    g += 2.0 * np.outer(w, w)
+    chi_v = v.reshape((2,) * inst.n + (dim,))
+    for pos in spec.positions:
+        chi_v = np.moveaxis(np.tensordot(spec.u.matrix, chi_v, axes=(1, pos)), 0, pos)
+    return g, (v.T @ chi_v.reshape(v.shape)) @ g, s
+
+
+def _cases(n, seed, ones=None):
+    # Every m, with random positions and Haar noise. The marked index is
+    # random, or has ``ones`` random 1 bits, which caps q and so d at large n.
+    rng = np.random.default_rng(seed)
+    for m in range(n + 1):
+        positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+        if ones is None:
+            marked = int(rng.integers(2**n))
+        else:
+            marked = sum(1 << int(b) for b in rng.choice(n, size=ones, replace=False))
+        yield GroverInstance(n, marked), noise_spec(_haar(rng), m, n, positions)
+
+
+def _q(inst, spec):
+    return sum((inst.marked >> (inst.n - 1 - p)) & 1 for p in spec.positions)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dicke_operators_equal_the_orbit_basis_compressions(n):
+    for inst, spec in _cases(n, 100 + n):
+        got = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+        want = _compressed(inst, spec, orbit_basis(inst, spec))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
+        got = _split_operators(inst, spec)
+        want = _compressed(inst, spec, _split_basis(inst, spec))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
+
+
+@pytest.mark.parametrize("k", range(0, 13))
+def test_dicke_power_is_the_binomial_sum(k):
+    # The binomial sums cancel at large k, so they serve as the reference
+    # only where rounding keeps them exact to well below the tolerance.
+    rng = np.random.default_rng(k)
+    a = _haar(rng).matrix
+    (a00, a01), (a10, a11) = a
+    want = np.empty((k + 1, k + 1), dtype=complex)
+    for x in range(k + 1):
+        for y in range(k + 1):
+            want[x, y] = math.sqrt(math.comb(k, y) / math.comb(k, x)) * sum(
+                math.comb(y, i) * math.comb(k - y, x - i)
+                * a11**i * a01 ** (y - i) * a10 ** (x - i) * a00 ** (k - y - x + i)
+                for i in range(max(0, x + y - k), min(x, y) + 1)
+            )
+    assert np.max(np.abs(_dicke_power(a, k) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_dicke_power_is_the_restricted_tensor_power(k):
+    # D^(k)(a) = E^dagger a^(x k) E with E the Dicke states as columns.
+    a = _haar(np.random.default_rng(50 + k)).matrix
+    weight = np.array([bin(i).count("1") for i in range(2**k)])
+    e = np.stack([(weight == x) / math.sqrt(math.comb(k, x)) for x in range(k + 1)], axis=1)
+    power = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        power = np.kron(power, a)
+    assert np.max(np.abs(_dicke_power(a, k) - e.T @ power @ e)) < 1e-13
+
+
+def test_dicke_power_stays_unitary_at_forty_qubits():
+    a = _haar(np.random.default_rng(7)).matrix
+    d = _dicke_power(a, 40)
+    assert np.max(np.abs(dagger(d) @ d - np.eye(41))) < 1e-13
+
+
+def _reduced_walks(n, p, steps):
+    # Success series of sigma_x noise from the 3-level forms: frozen labels
+    # (mu = 1) mix the pure G and G' walks, memoryless ones (mu = 0) apply
+    # the averaged map at every step.
+    N = 2**n
+    g3, g3p = sigma_x_reduced(GroverInstance(n))
+    v3 = np.array([math.sqrt((N - 2.0) / N), 1.0 / math.sqrt(N), 1.0 / math.sqrt(N)], dtype=complex)
+    clean, faulty, rho = v3, v3, np.outer(v3, v3)
+    frozen, iid = [], []
+    for _ in range(steps + 1):
+        frozen.append((1.0 - p) * abs(clean[1]) ** 2 + p * abs(faulty[1]) ** 2)
+        iid.append(rho[1, 1].real)
+        clean, faulty = g3 @ clean, g3p @ faulty
+        rho = (1.0 - p) * g3 @ rho @ dagger(g3) + p * g3p @ rho @ dagger(g3p)
+    return np.array(frozen), np.array(iid)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_closed_forms_at_large_n(n):
+    # Marked indices with two 1 bits keep q <= 2, so d <= 6(m + 1) here.
+    rng = np.random.default_rng(900 + n)
+    N = 2**n
+    ideal = [ideal_success_closed_form(N, t) for t in range(31)]
+    assert np.max(np.abs(grover.ideal_success_series(GroverInstance(n), 30) - ideal)) < 1e-12
+    # One faulty step from |s> under Haar noise: closed_form_overlaps.p1;
+    # and the noiseless series at p = 0.
+    for inst, spec in _cases(n, 900 + n, ones=2):
+        faulty = markov_evolve(inst, spec, MarkovNoiseParams(1.0, rng.uniform()), 1)
+        p1 = closed_form_overlaps(spec.u, n, spec.m, _q(inst, spec)).p1
+        assert abs(faulty.probabilities[1] - p1) < 1e-12, spec.positions
+        if spec.m in (1, n // 2, n):
+            clean = markov_evolve(inst, spec, MarkovNoiseParams(0.0, rng.uniform()), 30)
+            assert np.max(np.abs(clean.probabilities - ideal)) < 1e-12, spec.positions
+    # Two faulty sigma_y steps: parity of m only.
+    for m in (1, 2, n - 1, n):
+        positions = sorted(rng.choice(n, size=m, replace=False).tolist())
+        spec = noise_spec(noise_unitary("y"), m, n, positions)
+        trace = markov_evolve(GroverInstance(n), spec, MarkovNoiseParams(1.0, 0.5), 2)
+        assert abs(trace.probabilities[2] - sigma_y_p2(N, m)) < 1e-12
+    # sigma_x on any nonempty set, any marked index: the 3-level walks.
+    frozen, iid = _reduced_walks(n, 0.3, 25)
+    for inst, spec in list(_cases(n, 950 + n, ones=2))[1 :: n // 4]:
+        x_spec = noise_spec(noise_unitary("x"), spec.m, n, spec.positions)
+        for mu, want in ((1.0, frozen), (0.0, iid)):
+            got = markov_evolve(inst, x_spec, MarkovNoiseParams(0.3, mu), 25).probabilities
+            assert np.max(np.abs(got - want)) < 1e-12, (spec.positions, mu)
+    # Always faulty, sigma_x on every qubit: the perfect-memory curve.
+    all_x = noise_spec(noise_unitary("x"), n, n)
+    trace = markov_evolve(GroverInstance(n), all_x, MarkovNoiseParams(1.0, 1.0), 25)
+    curve = [perfect_memory_analytic(N, t) for t in range(26)]
+    assert np.max(np.abs(trace.probabilities - curve)) < 1e-12
+
+
+@pytest.mark.parametrize("n,ones", [(2, None), (5, None), (11, None), (40, 3)])
+def test_meta_dim_is_the_formula(n, ones):
+    for inst, spec in _cases(n, 300 + n, ones):
+        q, m = _q(inst, spec), spec.m
+        dim = (q + 1) * (m - q + 1) * (1 if m == n else 2)
+        assert markov_evolve(inst, spec, MarkovNoiseParams(0.4, 0.5), 1).meta["dim"] == dim
+
+
+def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (grover, noise, markov, measures, collision):
+        for name in ("orbit_basis", "grover_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    inst = GroverInstance(6, 45)
+    spec = noise_spec(_haar(np.random.default_rng(3)), 3, 6, (0, 2, 5))
+    params = MarkovNoiseParams(0.4, 0.7)
+    markov_evolve(inst, spec, params, 5)
+    markov_evolve(inst, spec, params, 5, bath=thermal_weights(1.0), validate=True)
+    markov_series(inst, spec, [params, MarkovNoiseParams(0.1, 0.2)], 5)
+    n_cp(inst, spec, params, 5)
+    n_blp(inst, spec, params, 5)
+    n_blp(inst, spec, params, 5, bath=thermal_weights(1.0))
+    grover.ideal_success_series(inst, 5)
+    assert calls == []
+    # The spies do see the lift that the keep flags ask for.
+    markov_evolve(inst, spec, params, 2, keep_states=True, keep_joint=True)
+    assert calls == ["orbit_basis"]
+
+
+_EDGES = [0.0, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_series_rows_equal_single_evolves(temperature):
+    # Every (p, mu) of {0, 0.3, 1}^2, so that some transfer weights vanish
+    # for some members and not for others.
+    bath = thermal_weights(temperature) if temperature else None
+    params = [MarkovNoiseParams(p, mu) for p in _EDGES for mu in _EDGES]
+    for inst, spec in _cases(5, 700):
+        rows = markov_series(inst, spec, params, 12, bath=bath)
+        assert rows.shape == (len(params), 13)
+        for row, point in zip(rows, params):
+            single = markov_evolve(inst, spec, point, 12, bath=bath).probabilities
+            assert np.max(np.abs(row - single)) < 1e-13, (spec.positions, point)
+
+
+def test_batched_collision_evolve_keeps_each_members_states():
+    inst = GroverInstance(4, 9)
+    spec = noise_spec(_haar(np.random.default_rng(11)), 2, 4, (1, 3))
+    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    r0 = tensor(projector(markov._PLUS), projector(s))
+    points = [(MarkovNoiseParams(p, mu), bath) for p in (0.0, 0.6) for mu in (0.2, 1.0)
+              for bath in (None, thermal_weights(0.5))]
+    weights = [transfer_weights(params, bath) for params, bath in points]
+    first = np.stack([w[0] for w in weights]).reshape(2, 4, 2, 2, 2)
+    steady = np.stack([w[1] for w in weights]).reshape(2, 4, 2, 2, 2)
+    flags = {"keep_states": True, "keep_joint": True}
+    batched = collision_evolve(g, gp, first, steady, r0, 6, validate=True, **flags)
+    assert batched.probabilities.shape == (2, 4, 7)
+    assert batched.states[3].shape == (2, 4) + g.shape
+    assert batched.joint_states[3].shape == (2, 4) + r0.shape
+    for b, (w_first, w_steady) in enumerate(weights):
+        i, j = divmod(b, 4)
+        single = collision_evolve(g, gp, w_first, w_steady, r0, 6, **flags)
+        assert np.max(np.abs(batched.probabilities[i, j] - single.probabilities)) < 1e-13
+        for many, one in zip(batched.states, single.states):
+            assert np.max(np.abs(many[i, j] - one)) < 1e-13
+        for many, one in zip(batched.joint_states, single.joint_states):
+            assert np.max(np.abs(many[i, j] - one)) < 1e-13
+    # A single steady tensor broadcasts against a stack of first ones.
+    shared = collision_evolve(g, gp, first[0], weights[0][1], r0, 6)
+    assert shared.probabilities.shape == (4, 7)
+    assert np.max(np.abs(shared.probabilities[0] - batched.probabilities[0, 0])) < 1e-13

@@ -89,3 +89,15 @@ def test_instance_validation():
 def test_uniform_superposition_single_qubit():
     v = uniform_superposition(GroverInstance(1))
     assert np.allclose(v, [1.0 / math.sqrt(2.0)] * 2)
+
+
+def test_instance_needs_a_finite_float_N():
+    # 2^1023 is the largest power of two a float holds. The series runs in
+    # the 2 x 2 span of |w> and |s>, so it costs the same at any such n.
+    with pytest.raises(ValueError, match="finite"):
+        GroverInstance(1024)
+    assert GroverInstance(1023).N == 2**1023
+    inst = GroverInstance(1000, marked=2**1000 - 1)
+    series = ideal_success_series(inst, 3)
+    expected = [ideal_success_closed_form(inst.N, t) for t in range(4)]
+    assert np.max(np.abs(series - expected) / np.array(expected)) < 1e-12
