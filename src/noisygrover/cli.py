@@ -116,6 +116,13 @@ def _parse_float(text: str, name: str) -> float:
         raise ConfigError(f"{name}: {text!r} is not a number") from None
 
 
+def _parse_steps(text: str) -> int:
+    steps = _parse_int(text, "steps")
+    if steps < 0:
+        raise ConfigError("steps must be non-negative")
+    return steps
+
+
 def _parse_temperature(text: str) -> float:
     value = _parse_float(text, "temperature")
     if not (math.isfinite(value) and value >= 0.0):  # 0 selects pure ancillas
@@ -373,17 +380,14 @@ def _require(opts: dict, key: str, command: str) -> str:
 
 # ------------------------------------------------------- grid workers
 # Top-level functions so ProcessPoolExecutor can pickle them. Each takes
-# one plain-data tuple and returns plain data; row order is the point
-# order, independent of --jobs.
+# one tuple of inputs the handler has already built, so every bad input
+# fails before any pool starts, and returns plain data; row order is the
+# point order, independent of --jobs.
 
 def _series_group(group) -> np.ndarray:
-    """Success series, (len(pairs), steps + 1), of the (p, mu) pairs of one
-    group of points that share n, the noisy positions, T and steps."""
-    n, marked, u, m, positions, pairs, temperature, steps = group
-    inst = GroverInstance(n, marked)
-    spec = noise_spec(u, m, n, positions)
-    bath = thermal_weights(temperature) if temperature > 0.0 else None
-    params = [MarkovNoiseParams(p, mu) for p, mu in pairs]
+    """Success series, (len(params), steps + 1), of the (p, mu) points of
+    one group that shares n, the noisy positions, the bath and steps."""
+    inst, spec, params, bath, steps = group
     return markov_series(inst, spec, params, steps, bath=bath)
 
 
@@ -396,28 +400,21 @@ def _first_max(series: np.ndarray) -> tuple[int, float]:
 
 
 def _blp_point(point) -> float:
-    n, marked, u, m, p, mu, temperature, steps = point
-    inst = GroverInstance(n, marked)
-    spec = noise_spec(u, m, n)
-    bath = thermal_weights(temperature) if temperature > 0.0 else None
-    return n_blp(inst, spec, MarkovNoiseParams(p, mu), steps, bath=bath).value
+    inst, spec, params, bath, steps = point
+    return n_blp(inst, spec, params, steps, bath=bath).value
 
 
 def _cpdiv_point(point) -> float:
-    n, marked, u, m, p, mu, steps = point
-    inst = GroverInstance(n, marked)
-    spec = noise_spec(u, m, n)
-    return n_cp(inst, spec, MarkovNoiseParams(p, mu), steps).value
+    inst, spec, params, _, steps = point
+    return n_cp(inst, spec, params, steps).value
 
 
 def _dilation_point(point):
-    n, marked, u, m, p, mu, trials, seed = point
-    inst = GroverInstance(n, marked)
+    inst, spec, params, trials, seed = point
     g = grover_operator(inst)
-    chi = build_chi(n, noise_spec(u, m, n))
+    chi = build_chi(inst.n, spec)
     gp = noisy_grover(g, chi)
-    params = MarkovNoiseParams(p, mu)
-    row = [p, mu]
+    row = [params.p, params.mu]
     for kind in ("initial", "steady"):
         dil = dilation_unitary(kind, params, g, gp)
         ks = kraus_step(kind, params, g, gp)
@@ -454,10 +451,18 @@ def _label(**kv) -> str:
     return "P[" + ";".join(f"{k}={_fmt(v)}" for k, v in kv.items()) + "]"
 
 
+def _bath(temperature: float):
+    return thermal_weights(temperature) if temperature > 0.0 else None
+
+
+def _params(ps, mus) -> list[MarkovNoiseParams]:
+    return [MarkovNoiseParams(p, mu) for p, mu in itertools.product(ps, mus)]
+
+
 def _handle_ideal(opts: dict) -> ResultTable:
     n = _parse_int(_require(opts, "n", "ideal"), "n")
     marked = _parse_int(opts["marked"], "marked")
-    steps = _parse_int(opts["steps"], "steps")
+    steps = _parse_steps(opts["steps"])
     inst = GroverInstance(n, marked)
     series = ideal_success_series(inst, steps)
     meta = _meta("ideal", opts)
@@ -468,31 +473,23 @@ def _handle_ideal(opts: dict) -> ResultTable:
 
 def _noisy_grid(opts: dict, command: str):
     n = _parse_int(_require(opts, "n", command), "n")
-    marked = _parse_int(opts["marked"], "marked")
+    inst = GroverInstance(n, _parse_int(opts["marked"], "marked"))
     u = _parse_noise(opts["noise"])
-    ps = _parse_float_list(opts["p"], "p")
-    mus = _parse_float_list(opts["mu"], "mu")
-    steps = _parse_int(opts["steps"], "steps")
-    GroverInstance(n, marked)  # n and the marked index fail here, before any pool
-    return n, marked, u, ps, mus, steps
+    params = _params(_parse_float_list(opts["p"], "p"), _parse_float_list(opts["mu"], "mu"))
+    return inst, u, params, _parse_steps(opts["steps"])
 
 
 def _handle_noisy(opts: dict) -> ResultTable:
-    n, marked, u, ps, mus, steps = _noisy_grid(opts, "noisy")
-    temperature = _parse_temperature(opts["temperature"])
+    inst, u, params, steps = _noisy_grid(opts, "noisy")
+    bath = _bath(_parse_temperature(opts["temperature"]))
     if "positions" in opts:
-        position_sets = [_parse_int_list(opts["positions"], "positions")]
-        ms = [len(position_sets[0])]
+        positions = _parse_int_list(opts["positions"], "positions")
+        specs = [noise_spec(u, len(positions), inst.n, positions)]
     else:
-        ms = list(_parse_int_list(opts["m"], "m"))
-        position_sets = [None] * len(ms)
-    pairs = list(itertools.product(ps, mus))
-    groups = [
-        (n, marked, u, m, positions, pairs, temperature, steps)
-        for m, positions in zip(ms, position_sets)
-    ]
+        specs = [noise_spec(u, m, inst.n) for m in _parse_int_list(opts["m"], "m")]
+    groups = [(inst, spec, params, bath, steps) for spec in specs]
     all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
-    labels = [_label(m=m, p=p, mu=mu) for m in ms for p, mu in pairs]
+    labels = [_label(m=len(spec.positions), p=par.p, mu=par.mu) for spec in specs for par in params]
     rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(steps + 1)]
     return ResultTable(_meta("noisy", opts), ["t"] + labels, rows)
 
@@ -500,11 +497,10 @@ def _handle_noisy(opts: dict) -> ResultTable:
 def _handle_invariance(opts: dict) -> ResultTable:
     n = _parse_int(_require(opts, "n", "invariance"), "n")
     marked = _parse_int(opts["marked"], "marked")
+    inst = GroverInstance(n, marked)
     u = _parse_noise(opts["noise"])
-    p = _parse_float(opts["p"], "p")
-    mu = _parse_float(opts["mu"], "mu")
-    steps = _parse_int(opts["steps"], "steps")
-    GroverInstance(n, marked)  # n and the marked index fail here, before any pool
+    params = [MarkovNoiseParams(_parse_float(opts["p"], "p"), _parse_float(opts["mu"], "mu"))]
+    steps = _parse_steps(opts["steps"])
     # A position set enters the evolve only through its size m and the
     # number q of its positions where the marked index has a 1 bit
     # (markov._orbit_chi), so every nonempty subset shares its series with
@@ -518,7 +514,7 @@ def _handle_invariance(opts: dict) -> ResultTable:
         for m in range(1, n + 1)
         for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
     ]
-    groups = [(n, marked, u, len(c), c, [(p, mu)], 0.0, steps) for c in classes]
+    groups = [(inst, noise_spec(u, len(c), n, c), params, None, steps) for c in classes]
     all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
     reference = all_series[classes.index((0,))]
     deviations = np.max(np.abs(all_series - reference[None, :]), axis=0)
@@ -535,65 +531,50 @@ def _handle_firstmax(opts: dict) -> ResultTable:
     marked = _parse_int(opts["marked"], "marked")
     u = _parse_noise(opts["noise"])
     m = _parse_int(opts["m"], "m")
-    ps = _parse_float_list(opts["p"], "p")
-    mus = _parse_float_list(opts["mu"], "mu")
-    steps = _parse_int(opts["steps"], "steps")
-    for n in ns_list:
-        GroverInstance(n, marked)  # n and the marked index fail here, before any pool
-    pairs = list(itertools.product(ps, mus))
-    groups = [(n, marked, u, m, None, pairs, 0.0, steps) for n in ns_list]
+    params = _params(_parse_float_list(opts["p"], "p"), _parse_float_list(opts["mu"], "mu"))
+    steps = _parse_steps(opts["steps"])
+    groups = [
+        (GroverInstance(n, marked), noise_spec(u, m, n), params, None, steps) for n in ns_list
+    ]
     results = _run_grid(_series_group, groups, int(opts["jobs"]))
     rows = [
-        [n, p, mu, *_first_max(series)]
+        [n, par.p, par.mu, *_first_max(series)]
         for n, block in zip(ns_list, results)
-        for (p, mu), series in zip(pairs, block)
+        for par, series in zip(params, block)
     ]
     return ResultTable(_meta("firstmax", opts), ["n", "p", "mu", "t_star", "P_star"], rows)
 
 
-def _handle_blp(opts: dict) -> ResultTable:
-    n, marked, u, ps, mus, steps = _noisy_grid(opts, "blp")
-    temperature = _parse_temperature(opts["temperature"])
-    m = _parse_int(opts["m"], "m")
-    points = [
-        (n, marked, u, m, p, mu, temperature, steps)
-        for p, mu in itertools.product(ps, mus)
-    ]
-    values = _run_grid(_blp_point, points, int(opts["jobs"]))
-    meta = _meta("blp", opts)
+def _witness_table(opts: dict, command: str, worker, columns, temps=(0.0,)) -> ResultTable:
+    """One witness value per (temperature, p, mu) point. Rows are
+    (temperature, p, mu, value) cut to their last len(columns) entries, so
+    blp and cpdiv leave the temperature out."""
+    inst, u, params, steps = _noisy_grid(opts, command)
+    spec = noise_spec(u, _parse_int(opts["m"], "m"), inst.n)
+    keys = list(itertools.product(temps, params))
+    points = [(inst, spec, par, _bath(temp), steps) for temp, par in keys]
+    values = _run_grid(worker, points, int(opts["jobs"]))
+    rows = [[temp, par.p, par.mu, float(v)] for (temp, par), v in zip(keys, values)]
+    meta = _meta(command, opts)
     meta["witness_only"] = "true"
-    rows = [[pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
-    return ResultTable(meta, ["p", "mu", "N_backflow"], rows)
+    return ResultTable(meta, columns, [row[-len(columns):] for row in rows])
+
+
+def _handle_blp(opts: dict) -> ResultTable:
+    temps = (_parse_temperature(opts["temperature"]),)
+    return _witness_table(opts, "blp", _blp_point, ["p", "mu", "N_backflow"], temps)
 
 
 def _handle_cpdiv(opts: dict) -> ResultTable:
-    n, marked, u, ps, mus, steps = _noisy_grid(opts, "cpdiv")
-    m = _parse_int(opts["m"], "m")
-    points = [
-        (n, marked, u, m, p, mu, steps) for p, mu in itertools.product(ps, mus)
-    ]
-    values = _run_grid(_cpdiv_point, points, int(opts["jobs"]))
-    meta = _meta("cpdiv", opts)
-    meta["witness_only"] = "true"
-    rows = [[pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
-    return ResultTable(meta, ["p", "mu", "N_cpdiv"], rows)
+    return _witness_table(opts, "cpdiv", _cpdiv_point, ["p", "mu", "N_cpdiv"])
 
 
 def _handle_thermal(opts: dict) -> ResultTable:
-    n, marked, u, ps, mus, steps = _noisy_grid(opts, "thermal")
-    m = _parse_int(opts["m"], "m")
     temps = _parse_float_list(opts["temps"], "temps")
     if not all(math.isfinite(t) and t > 0.0 for t in temps):
         raise ConfigError(f"temps must be finite and positive, got {opts['temps']!r}")
-    points = [
-        (n, marked, u, m, p, mu, temp, steps)
-        for temp, p, mu in itertools.product(temps, ps, mus)
-    ]
-    values = _run_grid(_blp_point, points, int(opts["jobs"]))
-    meta = _meta("thermal", opts)
-    meta["witness_only"] = "true"
-    rows = [[pt[6], pt[4], pt[5], float(v)] for pt, v in zip(points, values)]
-    return ResultTable(meta, ["temperature", "p", "mu", "N_backflow"], rows)
+    columns = ["temperature", "p", "mu", "N_backflow"]
+    return _witness_table(opts, "thermal", _blp_point, columns, temps)
 
 
 _DILATION_COLUMNS = [
@@ -626,10 +607,9 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     seed = _parse_int(opts["seed"], "seed")
-    points = [
-        (n, marked, u, m, p, mu, trials, seed)
-        for p, mu in itertools.product(ps, mus)
-    ]
+    inst = GroverInstance(n, marked)
+    spec = noise_spec(u, m, n)
+    points = [(inst, spec, params, trials, seed) for params in _params(ps, mus)]
     rows = _run_grid(_dilation_point, points, int(opts["jobs"]))
     for row in rows:
         for name, tol in _DILATION_TOLS.items():
@@ -653,7 +633,7 @@ def _handle_oracle_check(opts: dict) -> ResultTable:
     m = _parse_int(opts["m"], "m")
     p = _parse_float(opts["p"], "p")
     mu = _parse_float(opts["mu"], "mu")
-    steps = _parse_int(opts["steps"], "steps")
+    steps = _parse_steps(opts["steps"])
     if steps > HISTORY_MAX_STEPS:
         raise ConfigError(f"oracle-check is exponential in steps; {steps} > {HISTORY_MAX_STEPS}")
     inst = GroverInstance(n, marked)

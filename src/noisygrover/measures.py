@@ -11,9 +11,11 @@ anything of size N: the divisibility witness runs in the span of the orbit
 basis of :func:`~noisygrover.noise.orbit_basis`, the backflow pair in
 qubit 0 times that of the other n - 1 qubits, both with G, G' and |s>
 built there from the Dicke-basis closed forms of
-:func:`~noisygrover.markov._orbit_chi`; the partner's weight outside that
-space enters its trace distances through a trace. The N x d bases
-themselves (:func:`_split_basis`) serve only as test references.
+:func:`~noisygrover.markov._orbit_chi`. The channel is linear and a trace
+distance depends only on the difference of its two states, so the
+backflow pair runs once, as that difference; its part outside the space
+is fixed by a trace (:func:`n_blp`). The N x d bases themselves
+(:func:`_split_basis`) serve only as test references.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import (
     InvariantViolation,
     projector,
     tensor,
-    trace_distance,
     trace_norm,
 )
 from .markov import _PLUS, MarkovNoiseParams, _dicke_operators, _grover_pair, _orbit_chi
@@ -123,6 +124,11 @@ def _split_operators(
     return (*_grover_pair(s, (inst.marked // half) * (s.size // 2), chi, inst.N), s)
 
 
+def _half_norm(x: ComplexMatrix) -> float:
+    """1/2 (||x||_1 + tr x) of a Hermitian matrix x."""
+    return 0.5 * (trace_norm(x) + float(np.trace(x).real))
+
+
 def n_blp(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -139,48 +145,34 @@ def n_blp(
     positive map); violation beyond slack raises
     :class:`~noisygrover.linalg.InvariantViolation`.
 
-    Nothing of size N is formed. G and G' are block diagonal on
-    W (+) W_perp (:func:`_split_basis`), and so is rho2 = (I - X_0)/N (x)
-    I_rest, with W_perp = C^2 (x) W_rest_perp. |s><s| lies in W. So both
-    members run on W, with G, G' and |s> from :func:`_split_operators`,
-    and each label block of the partner is
-    V b V^dagger plus a positive part on W_perp, whose trace norm is its
-    trace. Unitaries keep the trace of each label block and both members
-    start with the walker in |+><+|, so that trace is tr(a) - tr(b), with a
-    the |s> member's block, and every distance is
-    1/2 (||a - b||_1 + tr(a) - tr(b)). ``meta["dim"]`` is dim W, which
-    depends on m and not on n; ``meta["joint_slack"]`` is the smallest drop
-    of the joint series from t = 1 on (infinite when ``steps`` < 2).
+    The channel is linear and D(a, b) depends only on a - b, so one run
+    carries |+><+| (x) delta, delta = rho1 - rho2. G and G' are block
+    diagonal on W (+) W_perp (:func:`_split_basis`), and so is rho2 =
+    (I - X_0)/N (x) I_rest, with W_perp = C^2 (x) W_rest_perp; |s><s| lies
+    in W. So the run stays on W, with G, G' and |s> from
+    :func:`_split_operators`, and nothing of size N is formed. On W_perp
+    each label block delta_r is minus the partner's positive part there;
+    both members share their label populations, so delta_r is traceless
+    and ||delta_r||_1 = ||delta_r,W||_1 + tr delta_r,W. Every distance is
+    thus 1/2 (||x||_1 + tr x) of an x on W: the system state for the
+    witness series, the two label blocks summed for the joint series (at
+    t = 0 both are delta / 2). ``meta["dim"]`` is dim W, which depends on m
+    and not on n; ``meta["joint_slack"]`` is the smallest drop of the
+    joint series from t = 1 on (infinite when ``steps`` < 2).
     """
     if any(p >= inst.n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
     g, gp, s = _split_operators(inst, spec)
     dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
-    starts = (projector(s), np.kron(i_minus_x, np.eye(dim // 2)))
-    runs = [
-        collision_evolve(
-            g, gp, *transfer_weights(params, bath), tensor(projector(_PLUS), rho), steps,
-            keep_states=True, keep_joint=True,
-        )
-        for rho in starts
-    ]
-
-    def distance(a, b):
-        return trace_distance(a, b) + 0.5 * float(np.trace(a - b).real)
-
-    def label_blocks(joint):
-        h = joint.shape[0] // 2
-        return joint[:h, :h], joint[h:, h:]
-
-    d_sys = np.array([distance(a, b) for a, b in zip(*(r.states for r in runs))])
-    # From t = 1 on the joints are diag(sigma_0, sigma_1), so their distance
-    # is the sum of the two label-block distances; r0 has walker coherences
-    # and takes the full one.
-    joints = list(zip(*(r.joint_states for r in runs)))
+    delta = projector(s) - np.kron(i_minus_x, np.eye(dim // 2))
+    run = collision_evolve(
+        g, gp, *transfer_weights(params, bath), tensor(projector(_PLUS), delta), steps,
+        keep_states=True, keep_joint=True,
+    )
+    d_sys = np.array([_half_norm(x) for x in run.states])
     d_joint = np.array(
-        [distance(*joints[0])]
-        + [sum(map(distance, *map(label_blocks, pair))) for pair in joints[1:]]
+        [_half_norm(j[:dim, :dim]) + _half_norm(j[dim:, dim:]) for j in run.joint_states]
     )
     drops = d_joint[1:-1] - d_joint[2:]
     for t in range(1, steps):
@@ -225,7 +217,7 @@ def n_cp(
     w = np.eye(s.size)[0]
     r0 = tensor(projector(_PLUS), projector(s) - projector(w))
     trace = collision_evolve(g, gp, *transfer_weights(params), r0, steps, keep_states=True)
-    series = np.array([0.5 * trace_norm(state) for state in trace.states])
+    series = np.array([_half_norm(state) for state in trace.states])
     value = positive_increment_sum(series)
     meta = {"p": params.p, "mu": params.mu}
     return MeasureResult(value, series, steps, witness_only=True, meta=meta)

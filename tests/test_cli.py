@@ -380,6 +380,21 @@ def test_grid_tables_do_not_depend_on_jobs(capsys, argv):
         (("invariance", "--n", "1024"), "finite"),
         (("cpdiv", "--n", "1024", "--p", "0.1,0.2"), "finite"),
         (("blp", "--n", "1024", "--p", "0.1,0.2"), "finite"),
+        # Any other bad grid input fails the same way.
+        (("blp", "--n", "3", "--m", "4", "--p", "0.1,0.2"), "m=4"),
+        (("cpdiv", "--n", "3", "--m", "4", "--p", "0.1,0.2"), "m=4"),
+        (("thermal", "--n", "3", "--m", "4"), "m=4"),
+        (("dilation-check", "--n", "3", "--m", "4"), "m=4"),
+        (("noisy", "--n", "3", "--m", "1,4"), "m=4"),
+        (("firstmax", "--n", "2,3", "--m", "3"), "m=3"),
+        (("blp", "--n", "3", "--p", "0.1,1.5"), "p=1.5"),
+        (("cpdiv", "--n", "3", "--mu", "0.1,2"), "mu=2.0"),
+        (("dilation-check", "--n", "3", "--p", "0.1,7"), "p=7.0"),
+        (("invariance", "--n", "3", "--p", "1.5"), "p=1.5"),
+        (("cpdiv", "--n", "3", "--p", "0.1,0.2", "--steps", "-1"), "steps"),
+        (("firstmax", "--n", "2,3", "--steps", "-1"), "steps"),
+        (("thermal", "--n", "3", "--steps", "-1"), "steps"),
+        (("invariance", "--n", "3", "--steps", "-1"), "steps"),
     ],
 )
 def test_unrunnable_n_exits_one_before_any_pool(capsys, monkeypatch, argv, what):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from noisygrover import measures
 from noisygrover.collision import (
     apply_kraus,
     channel_maps,
@@ -225,6 +226,22 @@ def test_blp_matches_dense_reference(n):
         assert abs(result.value - value) < 1e-12, (n, spec.positions)
         assert np.max(np.abs(result.series - series)) < 1e-12, (n, spec.positions)
         assert np.max(np.abs(result.meta["joint_series"] - joint)) < 1e-12, (n, spec.positions)
+
+
+@pytest.mark.parametrize("temperature", [None, 0.7])
+def test_blp_is_one_run_of_the_pair_difference(monkeypatch, temperature):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return collision_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "collision_evolve", spy)
+    bath = None if temperature is None else thermal_weights(temperature)
+    spec = noise_spec(noise_unitary("hadamard"), 2, 5, positions=(0, 3))
+    result = n_blp(GroverInstance(5, 9), spec, MarkovNoiseParams(0.4, 0.8), 12, bath=bath)
+    assert len(calls) == 1
+    assert result.series[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
