@@ -9,7 +9,10 @@ separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
 over groups of grid points without changing results or row order: the
 success grids run every (p, mu) pair that shares its operators as one
 batched evolve, so a group is one set of noisy positions (``noisy``) or one
-n (``firstmax``), and ``invariance`` runs one group per (m, q) class.
+n (``firstmax``), and ``invariance`` runs one group per (m, q) class. The
+witness grids run every (p, mu) pair that shares its bath as one batched
+witness call whose trace norms are one stacked pass, so ``blp`` and
+``cpdiv`` are one group each and ``thermal`` one group per temperature.
 
 Exit codes: 0 success, 1 invalid configuration or inputs, 2 a numeric
 invariant failed mid-run.
@@ -399,13 +402,16 @@ def _first_max(series: np.ndarray) -> tuple[int, float]:
     return t, float(series[t])
 
 
-def _blp_point(point) -> float:
-    inst, spec, params, bath, steps = point
+def _blp_group(group) -> np.ndarray:
+    """Backflow witness values, (len(params),), of the (p, mu) points of one
+    group that shares n, the noisy positions, the bath and steps."""
+    inst, spec, params, bath, steps = group
     return n_blp(inst, spec, params, steps, bath=bath).value
 
 
-def _cpdiv_point(point) -> float:
-    inst, spec, params, _, steps = point
+def _cpdiv_group(group) -> np.ndarray:
+    """CP-divisibility witness values, (len(params),), of one group."""
+    inst, spec, params, _, steps = group
     return n_cp(inst, spec, params, steps).value
 
 
@@ -546,15 +552,20 @@ def _handle_firstmax(opts: dict) -> ResultTable:
 
 
 def _witness_table(opts: dict, command: str, worker, columns, temps=(0.0,)) -> ResultTable:
-    """One witness value per (temperature, p, mu) point. Rows are
-    (temperature, p, mu, value) cut to their last len(columns) entries, so
-    blp and cpdiv leave the temperature out."""
+    """One witness value per (temperature, p, mu) point. The (p, mu) points
+    of one temperature share operators and bath, so each temperature is one
+    group and one batched witness call. Rows are (temperature, p, mu, value)
+    cut to their last len(columns) entries, so blp and cpdiv leave the
+    temperature out."""
     inst, u, params, steps = _noisy_grid(opts, command)
     spec = noise_spec(u, _parse_int(opts["m"], "m"), inst.n)
-    keys = list(itertools.product(temps, params))
-    points = [(inst, spec, par, _bath(temp), steps) for temp, par in keys]
-    values = _run_grid(worker, points, int(opts["jobs"]))
-    rows = [[temp, par.p, par.mu, float(v)] for (temp, par), v in zip(keys, values)]
+    groups = [(inst, spec, params, _bath(temp), steps) for temp in temps]
+    values = _run_grid(worker, groups, int(opts["jobs"]))
+    rows = [
+        [temp, par.p, par.mu, float(v)]
+        for temp, block in zip(temps, values)
+        for par, v in zip(params, block)
+    ]
     meta = _meta(command, opts)
     meta["witness_only"] = "true"
     return ResultTable(meta, columns, [row[-len(columns):] for row in rows])
@@ -562,11 +573,11 @@ def _witness_table(opts: dict, command: str, worker, columns, temps=(0.0,)) -> R
 
 def _handle_blp(opts: dict) -> ResultTable:
     temps = (_parse_temperature(opts["temperature"]),)
-    return _witness_table(opts, "blp", _blp_point, ["p", "mu", "N_backflow"], temps)
+    return _witness_table(opts, "blp", _blp_group, ["p", "mu", "N_backflow"], temps)
 
 
 def _handle_cpdiv(opts: dict) -> ResultTable:
-    return _witness_table(opts, "cpdiv", _cpdiv_point, ["p", "mu", "N_cpdiv"])
+    return _witness_table(opts, "cpdiv", _cpdiv_group, ["p", "mu", "N_cpdiv"])
 
 
 def _handle_thermal(opts: dict) -> ResultTable:
@@ -574,7 +585,7 @@ def _handle_thermal(opts: dict) -> ResultTable:
     if not all(math.isfinite(t) and t > 0.0 for t in temps):
         raise ConfigError(f"temps must be finite and positive, got {opts['temps']!r}")
     columns = ["temperature", "p", "mu", "N_backflow"]
-    return _witness_table(opts, "thermal", _blp_point, columns, temps)
+    return _witness_table(opts, "thermal", _blp_group, columns, temps)
 
 
 _DILATION_COLUMNS = [

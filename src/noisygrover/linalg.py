@@ -26,8 +26,9 @@ class InvariantViolation(RuntimeError):
 
 
 def dagger(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose over the last two axes, so each member of a
+    stack ``(..., m, n)`` is taken on its own."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def tensor(*factors: ComplexMatrix) -> ComplexMatrix:
@@ -99,26 +100,40 @@ def partial_trace(
 
 
 def hermiticity_defect(a: ComplexMatrix) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
+    """Largest entrywise deviation of ``a`` from its conjugate transpose,
+    over every member of a stack ``(..., d, d)``; NaN or inf if an entry
+    is not finite."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported
+        return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
-def trace_norm(h: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix.
+def trace_norm(h: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+    """Sum of absolute eigenvalues of a Hermitian matrix, or of each member
+    of a stack ``(..., d, d)``.
 
     Parameters
     ----------
     h
-        Matrix that must be Hermitian within ``tol``; the skew part is
-        discarded by ``eigh``, so feeding a genuinely non-Hermitian matrix
-        would silently compute the wrong norm. Hence the check.
+        Matrix or stack that must be Hermitian within ``tol``; the skew
+        part is discarded by ``eigh``, so feeding a genuinely non-Hermitian
+        matrix would silently compute the wrong norm. Hence the check: one
+        pass over the whole stack, which also rejects non-finite entries.
+
+    Returns
+    -------
+    float or numpy.ndarray
+        A float for one matrix, an array of shape ``h.shape[:-2]`` for a
+        stack, all from one ``eigvalsh`` call.
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
-    if defect > tol:
+    if not np.isfinite(defect):  # a NaN or inf entry makes the defect NaN or inf
+        raise ValueError(f"matrix is not finite: hermiticity defect {defect}")
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return float(norms) if h.ndim == 2 else norms
 
 
 def trace_distance(

@@ -16,6 +16,13 @@ distance depends only on the difference of its two states, so the
 backflow pair runs once, as that difference; its part outside the space
 is fixed by a trace (:func:`n_blp`). The N x d bases themselves
 (:func:`_split_basis`) serve only as test references.
+
+Both witnesses take one (p, mu) point or a sequence of them. A sequence
+shares G, G' and the bath, so it runs as one batched
+:func:`~noisygrover.collision.collision_evolve`, and every result gets the
+batch axis in front. Each call reads all of its distances, for every step
+and member, through one stacked :func:`~noisygrover.linalg.trace_norm`:
+one hermiticity pass and one ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -72,9 +79,10 @@ def blp_pair(inst: GroverInstance) -> StatePair:
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """A witness value plus the monitored series it was summed from."""
+    """A witness value plus the monitored series it was summed from; for a
+    batch of B points, ``value`` is (B,) and ``series`` (B, steps + 1)."""
 
-    value: float
+    value: float | np.ndarray
     series: np.ndarray
     horizon: int
     witness_only: bool = True
@@ -82,8 +90,12 @@ class MeasureResult:
 
 
 def positive_increment_sum(series: Sequence[float], threshold: float = INCREMENT_TOL) -> float:
-    """Sum of forward increments exceeding ``threshold``."""
+    """Sum of forward increments exceeding ``threshold``. A non-finite entry
+    raises ``ValueError``: a NaN increment would otherwise drop out of the
+    sum unseen."""
     arr = np.asarray(series, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"series is not finite: {arr}")
     steps = np.diff(arr)
     return float(np.sum(steps[steps > threshold]))
 
@@ -124,15 +136,70 @@ def _split_operators(
     return (*_grover_pair(s, (inst.marked // half) * (s.size // 2), chi, inst.N), s)
 
 
-def _half_norm(x: ComplexMatrix) -> float:
-    """1/2 (||x||_1 + tr x) of a Hermitian matrix x."""
-    return 0.5 * (trace_norm(x) + float(np.trace(x).real))
+def _half_norm(x: ComplexMatrix) -> float | np.ndarray:
+    """1/2 (||x||_1 + tr x) of a Hermitian matrix x, or of each member of a
+    stack (..., d, d): a float or an array, as :func:`trace_norm` gives."""
+    return 0.5 * (trace_norm(x) + np.trace(x, axis1=-2, axis2=-1).real)
+
+
+def _batch(
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
+    bath: Optional[ThermalBathParams] = None,
+) -> tuple[list[MarkovNoiseParams], np.ndarray, np.ndarray]:
+    """The (p, mu) points of ``params``, one point or a sequence, and their
+    first and steady transfer tensors stacked (B, 2, 2, 2): one point runs
+    as a batch of one, which is the same arithmetic as an unbatched run."""
+    points = [params] if isinstance(params, MarkovNoiseParams) else list(params)
+    if not points:
+        raise ValueError("no (p, mu) points given")
+    first, steady = zip(*(transfer_weights(point, bath) for point in points))
+    return points, np.stack(first), np.stack(steady)
+
+
+def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None:
+    """Raise :class:`InvariantViolation` at the first member and step whose
+    kept blocks, a stack (..., B, steps + 1, d, d), are not all finite."""
+    bad = ~np.isfinite(blocks).all(axis=(-2, -1))
+    bad = bad.reshape((-1,) + bad.shape[-2:]).any(axis=0)
+    if bad.any():
+        member, t = np.argwhere(bad)[0]
+        point = points[member]
+        raise InvariantViolation(
+            f"state is not finite at p={point.p:.15g} mu={point.mu:.15g}, step {t}"
+        )
+
+
+def _measure(
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
+    points: list[MarkovNoiseParams],
+    series: np.ndarray,
+    steps: int,
+    **meta,
+) -> MeasureResult:
+    """The witness of a batched run over ``points``: the positive increment
+    sum of each row of ``series``, batch axis in front, with p and mu put
+    first in ``meta``. For one MarkovNoiseParams it is the batch's one
+    member, with floats where the batch has a (B,) array."""
+    values = np.array([positive_increment_sum(row) for row in series])
+    meta = {
+        "p": np.array([point.p for point in points]),
+        "mu": np.array([point.mu for point in points]),
+        **meta,
+    }
+    if isinstance(params, MarkovNoiseParams):
+
+        def member(x):
+            return float(x[0]) if x.ndim == 1 else x[0]
+
+        values, series = member(values), member(series)
+        meta = {k: member(v) if isinstance(v, np.ndarray) else v for k, v in meta.items()}
+    return MeasureResult(values, series, steps, witness_only=True, meta=meta)
 
 
 def n_blp(
     inst: GroverInstance,
     spec: NoiseSpec,
-    params: MarkovNoiseParams,
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
     steps: int,
     bath: Optional[ThermalBathParams] = None,
 ) -> MeasureResult:
@@ -143,7 +210,8 @@ def n_blp(
     As a sanity invariant the *joint* walker+system trace distance must be
     non-increasing from t = 1 on (each later step is one fixed completely
     positive map); violation beyond slack raises
-    :class:`~noisygrover.linalg.InvariantViolation`.
+    :class:`~noisygrover.linalg.InvariantViolation`, as does a run whose
+    states are not finite. Both messages name the (p, mu) point and step.
 
     The channel is linear and D(a, b) depends only on a - b, so one run
     carries |+><+| (x) delta, delta = rho1 - rho2. G and G' are block
@@ -156,47 +224,58 @@ def n_blp(
     and ||delta_r||_1 = ||delta_r,W||_1 + tr delta_r,W. Every distance is
     thus 1/2 (||x||_1 + tr x) of an x on W: the system state for the
     witness series, the two label blocks summed for the joint series (at
-    t = 0 both are delta / 2). ``meta["dim"]`` is dim W, which depends on m
-    and not on n; ``meta["joint_slack"]`` is the smallest drop of the
-    joint series from t = 1 on (infinite when ``steps`` < 2).
+    t = 0 both are delta / 2). All of them, for every step and member, go
+    through one stacked :func:`~noisygrover.linalg.trace_norm`.
+
+    ``params`` is one (p, mu) point or a sequence of them. A sequence runs
+    as one batched :func:`collision_evolve` over the stacked transfer
+    tensors, and the batch axis B comes first: ``value`` (B,), ``series``
+    and ``meta["joint_series"]`` (B, steps + 1), ``meta["p"]``,
+    ``meta["mu"]`` and ``meta["joint_slack"]`` (B,); one point gives
+    floats and (steps + 1,) series. ``meta["dim"]`` is dim W, which
+    depends on m and not on n; ``meta["joint_slack"]`` is the smallest drop
+    of the joint series from t = 1 on (infinite when ``steps`` < 2).
     """
     if any(p >= inst.n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
+    points, first, steady = _batch(params, bath)
     g, gp, s = _split_operators(inst, spec)
     dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
     delta = projector(s) - np.kron(i_minus_x, np.eye(dim // 2))
     run = collision_evolve(
-        g, gp, *transfer_weights(params, bath), tensor(projector(_PLUS), delta), steps,
+        g, gp, first, steady, tensor(projector(_PLUS), delta), steps,
         keep_states=True, keep_joint=True,
     )
-    d_sys = np.array([_half_norm(x) for x in run.states])
-    d_joint = np.array(
-        [_half_norm(j[:dim, :dim]) + _half_norm(j[dim:, dim:]) for j in run.joint_states]
+    # (3, B, steps + 1, dim, dim): system states, then both label blocks.
+    blocks = np.stack(
+        [(x, j[:, :dim, :dim], j[:, dim:, dim:]) for x, j in zip(run.states, run.joint_states)],
+        axis=-3,
     )
-    drops = d_joint[1:-1] - d_joint[2:]
-    for t in range(1, steps):
-        if d_joint[t + 1] > d_joint[t] + _MONOTONE_SLACK:
-            raise InvariantViolation(
-                f"joint trace distance grew at step {t} -> {t + 1}: "
-                f"{d_joint[t]:.12e} -> {d_joint[t + 1]:.12e}"
-            )
-    value = positive_increment_sum(d_sys)
-    meta = {
-        "p": params.p,
-        "mu": params.mu,
-        "temperature": bath.temperature if bath is not None else 0.0,
-        "joint_series": d_joint,
-        "dim": dim,
-        "joint_slack": float(drops.min()) if drops.size else math.inf,
-    }
-    return MeasureResult(value, d_sys, steps, witness_only=True, meta=meta)
+    _require_finite(blocks, points)
+    d_sys, upper, lower = _half_norm(blocks)
+    d_joint = upper + lower
+    grew = d_joint[:, 2:] > d_joint[:, 1:-1] + _MONOTONE_SLACK
+    if grew.any():
+        member, t = np.argwhere(grew)[0] + (0, 1)
+        point = points[member]
+        raise InvariantViolation(
+            f"joint trace distance grew at p={point.p:.15g} mu={point.mu:.15g}, "
+            f"step {t} -> {t + 1}: {d_joint[member, t]:.12e} -> {d_joint[member, t + 1]:.12e}"
+        )
+    return _measure(
+        params, points, d_sys, steps,
+        temperature=bath.temperature if bath is not None else 0.0,
+        joint_series=d_joint,
+        dim=dim,
+        joint_slack=np.min(d_joint[:, 1:-1] - d_joint[:, 2:], axis=-1, initial=math.inf),
+    )
 
 
 def n_cp(
     inst: GroverInstance,
     spec: NoiseSpec,
-    params: MarkovNoiseParams,
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
     steps: int,
 ) -> MeasureResult:
     """Trace-norm witness on the pair (|s>, |w>).
@@ -212,12 +291,20 @@ def n_cp(
     of the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), so the
     run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1;
     G, G' and |s> come from the closed forms, and V is never built.
+
+    ``params`` is one (p, mu) point or a sequence of them; a sequence runs
+    as one batched :func:`collision_evolve`, and ``value`` (B,),
+    ``series`` (B, steps + 1), ``meta["p"]`` and ``meta["mu"]`` (B,) get
+    the batch axis in front. Every state of every member goes through one
+    stacked :func:`~noisygrover.linalg.trace_norm`. A run whose states are
+    not finite raises :class:`~noisygrover.linalg.InvariantViolation`
+    naming the (p, mu) point and step.
     """
+    points, first, steady = _batch(params)
     g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     w = np.eye(s.size)[0]
     r0 = tensor(projector(_PLUS), projector(s) - projector(w))
-    trace = collision_evolve(g, gp, *transfer_weights(params), r0, steps, keep_states=True)
-    series = np.array([_half_norm(state) for state in trace.states])
-    value = positive_increment_sum(series)
-    meta = {"p": params.p, "mu": params.mu}
-    return MeasureResult(value, series, steps, witness_only=True, meta=meta)
+    trace = collision_evolve(g, gp, first, steady, r0, steps, keep_states=True)
+    states = np.stack(trace.states, axis=1)  # (B, steps + 1, d, d)
+    _require_finite(states, points)
+    return _measure(params, points, _half_norm(states), steps)

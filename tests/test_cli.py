@@ -3,12 +3,13 @@ import json
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisygrover import cli, collision
+from noisygrover import cli, collision, measures
 from noisygrover.cli import ConfigError, ResultTable, emit, load_config, main
 from noisygrover.grover import GroverInstance, ideal_success_closed_form
 from noisygrover.markov import HISTORY_MAX_STEPS, MarkovNoiseParams, markov_evolve
@@ -365,6 +366,49 @@ def test_grid_tables_do_not_depend_on_jobs(capsys, argv):
     code3, out3, _ = run_cli(capsys, *argv, "--jobs", "3")
     assert code1 == code3 == 0
     assert out1 == out3
+
+
+_WITNESS_GRIDS = {
+    "blp": ("blp", "--n", "4", "--marked", "5", "--noise", "hadamard", "--m", "2",
+            "--p", "0.3,0.6", "--mu", "0.2,0.9", "--steps", "8"),
+    "thermal": ("thermal", "--n", "4", "--noise", "hadamard", "--m", "2", "--p", "0.3,0.6",
+                "--mu", "0.9", "--temps", "0.5,1,2", "--steps", "8"),
+    "cpdiv": ("cpdiv", "--n", "4", "--marked", "2", "--noise", "hadamard", "--m", "2",
+              "--p", "0.3,0.6", "--mu", "0.2,0.9", "--steps", "8"),
+}
+
+
+@pytest.mark.parametrize("command,groups,rows", [("blp", 1, 4), ("thermal", 3, 6), ("cpdiv", 1, 4)])
+def test_witness_group_is_one_run_and_one_eigvalsh(capsys, monkeypatch, command, groups, rows):
+    calls = {"evolve": 0, "eigvalsh": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(measures, "collision_evolve", counted("evolve", measures.collision_evolve))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    code, out, err = run_cli(capsys, *_WITNESS_GRIDS[command])
+    assert code == 0, err
+    assert len(parse_csv(out)[2]) == rows
+    assert calls == {"evolve": groups, "eigvalsh": groups}
+
+
+@pytest.mark.parametrize("command", sorted(_WITNESS_GRIDS))
+def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
+    # One kept state of the last member turns NaN halfway through the run.
+    def poisoned(*args, **kwargs):
+        trace = collision.collision_evolve(*args, **kwargs)
+        states = [x.copy() for x in trace.states]
+        states[4][-1, 0, 0] = np.nan
+        return replace(trace, states=tuple(states))
+
+    monkeypatch.setattr(measures, "collision_evolve", poisoned)
+    code, out, err = run_cli(capsys, *_WITNESS_GRIDS[command])
+    assert code == 2 and out == ""
+    assert err.startswith("invariant violation:") and "not finite" in err and "step 4" in err
 
 
 @pytest.mark.parametrize(

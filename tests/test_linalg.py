@@ -126,3 +126,35 @@ def test_require_density_raises():
 def test_dagger():
     a = np.array([[1.0, 2.0j], [3.0, 4.0]])
     assert np.array_equal(dagger(a), np.conj(a).T)
+
+
+def test_dagger_and_hermiticity_defect_act_per_member_of_a_stack():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    stack = np.stack([random_density(3, rng) for _ in range(4)])
+    assert np.array_equal(dagger(stack), np.stack([dagger(a) for a in stack]))
+    assert hermiticity_defect(stack) < 1e-15
+    stack[2, 0, 1] += 0.25  # one non-Hermitian member
+    assert hermiticity_defect(stack) == hermiticity_defect(stack[2]) == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(stack)
+
+
+def test_stacked_trace_norm_equals_the_per_matrix_loop():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    stack = np.stack([
+        [random_density(5, rng) - random_density(5, rng) for _ in range(3)] for _ in range(2)
+    ])
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 3)
+    assert np.array_equal(norms, [[trace_norm(h) for h in row] for row in stack])
+    assert isinstance(trace_norm(stack[0, 0]), float)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_norm_rejects_non_finite_input(bad):
+    stack = np.stack([np.eye(2) / 2.0] * 3).astype(complex)
+    stack[1, 1, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        trace_norm(stack)
+    with pytest.raises(ValueError, match="not finite"):
+        trace_norm(stack[1])

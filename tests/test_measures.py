@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from noisygrover.collision import (
 )
 from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from noisygrover.linalg import (
+    InvariantViolation,
     assert_density,
     partial_trace,
     projector,
@@ -62,6 +64,13 @@ def test_positive_increment_sum():
     assert positive_increment_sum([1.0, 0.5, 0.1]) == 0.0
     # sub-threshold wiggles are noise, not backflow
     assert positive_increment_sum([0.1, 0.1 + 5e-13, 0.1]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_positive_increment_sum_rejects_a_non_finite_series(bad):
+    # A NaN increment fails every comparison, so it would drop out of the sum.
+    with pytest.raises(ValueError, match="not finite"):
+        positive_increment_sum([0.1, bad, 0.5, 0.7])
 
 
 def test_backflow_vanishes_in_memoryless_limits():
@@ -299,3 +308,62 @@ def test_blp_memory_stays_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+_GRID = [MarkovNoiseParams(p, mu) for p in (0.0, 0.3, 1.0) for mu in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_witnesses_equal_single_calls(n):
+    steps = 8
+    for _rng, inst, spec in _cases(n, 800 + n):
+        cp = n_cp(inst, spec, _GRID, steps)
+        assert cp.value.shape == (len(_GRID),) and cp.series.shape == (len(_GRID), steps + 1)
+        for i, params in enumerate(_GRID):
+            single = n_cp(inst, spec, params, steps)
+            assert abs(cp.value[i] - single.value) < 1e-13, (n, spec.positions, params)
+            assert np.max(np.abs(cp.series[i] - single.series)) < 1e-13
+            assert (cp.meta["p"][i], cp.meta["mu"][i]) == (params.p, params.mu)
+        for bath in (None, thermal_weights(0.7)):
+            blp = n_blp(inst, spec, _GRID, steps, bath=bath)
+            assert blp.meta["joint_series"].shape == (len(_GRID), steps + 1)
+            assert blp.meta["joint_slack"].shape == (len(_GRID),)
+            for i, params in enumerate(_GRID):
+                single = n_blp(inst, spec, params, steps, bath=bath)
+                assert abs(blp.value[i] - single.value) < 1e-13, (n, spec.positions, params)
+                assert np.max(np.abs(blp.series[i] - single.series)) < 1e-13
+                joint = blp.meta["joint_series"][i] - single.meta["joint_series"]
+                assert np.max(np.abs(joint)) < 1e-13
+                assert abs(blp.meta["joint_slack"][i] - single.meta["joint_slack"]) < 1e-13
+                assert blp.meta["dim"] == single.meta["dim"]
+
+
+def _poisoned(monkeypatch, kept, member, t, scale):
+    # collision_evolve whose kept ``kept`` ("states" or "joint_states") of
+    # one member at step t is multiplied by ``scale``.
+    def run(*args, **kwargs):
+        trace = collision_evolve(*args, **kwargs)
+        states = list(getattr(trace, kept))
+        states[t] = states[t].copy()
+        states[t][member] *= scale
+        return replace(trace, **{kept: tuple(states)})
+
+    monkeypatch.setattr(measures, "collision_evolve", run)
+
+
+def test_joint_growth_names_the_member_and_step(monkeypatch):
+    points = [MarkovNoiseParams(0.3, 0.5), MarkovNoiseParams(0.6, 0.9)]
+    _poisoned(monkeypatch, "joint_states", 1, 3, 2.0)
+    with pytest.raises(InvariantViolation, match=r"grew at p=0.6 mu=0.9, step 2 -> 3"):
+        n_blp(INST, SPEC, points, 6)
+
+
+@pytest.mark.parametrize("kept", ["states", "joint_states"])
+def test_a_non_finite_run_is_an_invariant_violation(monkeypatch, kept):
+    points = [MarkovNoiseParams(0.3, 0.5), MarkovNoiseParams(0.6, 0.9)]
+    _poisoned(monkeypatch, kept, 1, 4, math.nan)
+    with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
+        n_blp(INST, SPEC, points, 6)
+    if kept == "states":
+        with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
+            n_cp(INST, SPEC, points, 6)
