@@ -304,7 +304,7 @@ _SUBCOMMANDS: dict[str, dict] = {
             ("--p", "p", "comma list of fault probabilities"),
             ("--mu", "mu", "comma list of memory parameters"),
             ("--trials", "trials", "random states per point, at least 1 (default 20)"),
-            ("--seed", "seed", "base RNG seed (default 1234)"),
+            ("--seed", "seed", "base RNG seed, non-negative (default 1234)"),
         ),
         "defaults": {
             "marked": "0", "noise": "x", "m": "1", "p": "0.1,0.5,0.9",
@@ -618,6 +618,8 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     seed = _parse_int(opts["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     inst = GroverInstance(n, marked)
     spec = noise_spec(u, m, n)
     points = [(inst, spec, params, trials, seed) for params in _params(ps, mus)]

@@ -57,7 +57,6 @@ from .linalg import (
     HERMITICITY_TOL,
     ComplexMatrix,
     dagger,
-    partial_trace,
     random_density,
     require_density,
     trace_distance,
@@ -259,20 +258,22 @@ def verify_dilation(
     A NaN deviation is kept as the maximum and fails the check.
 
     The ancilla input |00><00| (x) R is zero outside its first 2N rows and
-    columns, so only U's |00> columns C = U[:, :2N] are reached: the full
-    8N x 8N joint state is C R C^dagger, which is then traced over the
-    ancillas as it stands.
+    columns, so only U's |00> columns C = U[:, :2N] are reached and the
+    joint state is C R C^dagger. Tracing out the leading 4-dim ancilla
+    factor sums its four 2N x 2N diagonal blocks, so with C_a the a-th
+    2N-row block of C the reduced state is sum_a C_a R C_a^dagger; the
+    off-diagonal blocks are never formed. Each C_a is read in full from U,
+    so an entry anywhere in the |00> columns reaches the check.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n2 = dil.matrix.shape[0] // 4
-    cols = dil.matrix[:, :n2]
-    cols_dag = dagger(cols)
+    blocks = [dil.matrix[a * n2 : (a + 1) * n2, :n2] for a in range(4)]
     rng = np.random.default_rng(seed)
     deviations = []
     for _ in range(trials):
         r = random_density(n2, rng)
-        reduced = partial_trace(cols @ r @ cols_dag, (4, n2), keep=(1,))
+        reduced = sum(c @ r @ dagger(c) for c in blocks)
         deviations.append(trace_distance(reduced, apply_kraus(kset, r)))
     worst = float(np.max(deviations))
     return DilationReport(trials, worst, tol, worst <= tol)

@@ -439,6 +439,7 @@ def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
         (("firstmax", "--n", "2,3", "--steps", "-1"), "steps"),
         (("thermal", "--n", "3", "--steps", "-1"), "steps"),
         (("invariance", "--n", "3", "--steps", "-1"), "steps"),
+        (("dilation-check", "--n", "2", "--seed", "-1", "--p", "0.1,0.2"), "seed"),
     ],
 )
 def test_unrunnable_n_exits_one_before_any_pool(capsys, monkeypatch, argv, what):

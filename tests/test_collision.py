@@ -179,21 +179,36 @@ def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(kind, params, g, gp)
     kset = kraus_step(kind, params, g, gp)
-    shapes, traced = [], []
+    real, seen = collision.trace_distance, []
 
-    def spy(rho, dims, keep):
-        shapes.append(rho.shape)
-        traced.append(partial_trace(rho, dims, keep))
-        return traced[-1]
+    def spy(rho, sigma):
+        seen.append(rho)
+        return real(rho, sigma)
 
-    monkeypatch.setattr(collision, "partial_trace", spy)
+    monkeypatch.setattr(collision, "trace_distance", spy)
     rep = verify_dilation(dil, kset, trials=6, seed=17)
     reduced, worst = _full_product_dilation(dil, kset, trials=6, seed=17)
-    # every trial still traces the full 8N x 8N joint state
-    assert shapes == [(8 * 2**n, 8 * 2**n)] * 6
-    for ours, ref in zip(traced, reduced, strict=True):
+    # one distance per trial, each on a 2N x 2N reduced state
+    assert [r.shape for r in seen] == [(2 * 2**n, 2 * 2**n)] * 6
+    for ours, ref in zip(seen, reduced, strict=True):
         assert np.max(np.abs(ours - ref)) < 1e-12
     assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
+
+
+@pytest.mark.parametrize("block", [(1, 0), (3, 1), (4, 0), (6, 1)])
+def test_verify_dilation_sees_an_entry_off_the_layout(block):
+    g, gp = _haar_operators(3, 50)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary("steady", params, g, gp)
+    kset = kraus_step("steady", params, g, gp)
+    n_dim = g.shape[0]
+    row, col = block
+    rows, cols = slice(row * n_dim, (row + 1) * n_dim), slice(col * n_dim, (col + 1) * n_dim)
+    broken = dil.matrix.copy()
+    assert not np.any(broken[rows, cols])  # the layout leaves this |00>-column block zero
+    broken[rows, cols] = 1e-3 * g
+    rep = verify_dilation(DilationUnitary(broken, "steady"), kset, trials=3)
+    assert not rep.passed and rep.max_deviation > 1e-6
 
 
 @pytest.mark.parametrize("block", [(0, 0), (2, 1), (5, 0), (7, 1)])
