@@ -36,6 +36,7 @@ from .markov import (
     history_oracle,
     initial_joint_state,
     markov_evolve,
+    markov_first_max,
     markov_series,
     perfect_memory_analytic,
     perfect_memory_first_max,
@@ -66,6 +67,7 @@ from .collision import (
     apply_kraus,
     channel_maps,
     collision_evolve,
+    collision_first_max,
     dilation_unitary,
     extract_m,
     kraus_from_dilation,

@@ -9,10 +9,12 @@ separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
 over groups of grid points without changing results or row order: the
 success grids run every (p, mu) pair that shares its operators as one
 batched evolve, so a group is one set of noisy positions (``noisy``) or one
-n (``firstmax``), and ``invariance`` runs one group per (m, q) class. The
-witness grids run every (p, mu) pair that shares its bath as one batched
-witness call whose trace norms are one stacked pass, so ``blp`` and
-``cpdiv`` are one group each and ``thermal`` one group per temperature.
+n (``firstmax``, whose evolve stops once every point of the group has
+passed its first maximum), and ``invariance`` runs one group per (m, q)
+class. The witness grids run every (p, mu) pair that shares its bath as
+one batched witness call whose trace norms are one stacked pass, so
+``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
+temperature.
 
 Exit codes: 0 success, 1 invalid configuration or inputs, 2 a numeric
 invariant failed mid-run.
@@ -47,6 +49,7 @@ from .markov import (
     MarkovNoiseParams,
     history_oracle,
     markov_evolve,
+    markov_first_max,
     markov_series,
 )
 from .measures import n_blp, n_cp
@@ -243,7 +246,8 @@ _SUBCOMMANDS: dict[str, dict] = {
             ("--m", "m", "noisy-qubit count (default 1)"),
             ("--p", "p", "comma list of fault probabilities"),
             ("--mu", "mu", "comma list of memory parameters"),
-            ("--steps", "steps", "search horizon (default 25)"),
+            ("--steps", "steps",
+             "search horizon; a group's run stops at its last first maximum (default 25)"),
         ),
         "defaults": {"marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0", "steps": "25"},
     },
@@ -394,12 +398,11 @@ def _series_group(group) -> np.ndarray:
     return markov_series(inst, spec, params, steps, bath=bath)
 
 
-def _first_max(series: np.ndarray) -> tuple[int, float]:
-    for t in range(1, len(series) - 1):
-        if series[t] >= series[t - 1] and series[t] >= series[t + 1]:
-            return t, float(series[t])
-    t = int(np.argmax(series))
-    return t, float(series[t])
+def _first_max_group(group) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*), each (len(params),), of the (p, mu) points of one group
+    that shares n, the noisy positions, the bath and steps."""
+    inst, spec, params, bath, steps = group
+    return markov_first_max(inst, spec, params, steps, bath=bath)
 
 
 def _blp_group(group) -> np.ndarray:
@@ -542,11 +545,11 @@ def _handle_firstmax(opts: dict) -> ResultTable:
     groups = [
         (GroverInstance(n, marked), noise_spec(u, m, n), params, None, steps) for n in ns_list
     ]
-    results = _run_grid(_series_group, groups, int(opts["jobs"]))
+    results = _run_grid(_first_max_group, groups, int(opts["jobs"]))
     rows = [
-        [n, par.p, par.mu, *_first_max(series)]
-        for n, block in zip(ns_list, results)
-        for par, series in zip(params, block)
+        [n, par.p, par.mu, int(t), float(height)]
+        for n, (t_star, p_star) in zip(ns_list, results)
+        for par, t, height in zip(params, t_star, p_star)
     ]
     return ResultTable(_meta("firstmax", opts), ["n", "p", "mu", "t_star", "P_star"], rows)
 

@@ -23,18 +23,24 @@ and is carried by the two N x N label blocks sigma_0, sigma_1 alone:
 ``transfer_weights`` reads the 2 x 2 x 2 tensor W off the same block
 table that ``dilation_unitary`` assembles U from, weighting each ancilla
 input by its population (|00> only for pure ancillas, Gibbs products for
-a thermal bath). The Kraus sets, the dilation and its factorization are
-the verification layer: the tests and ``dilation-check`` compare against
-them.
+a thermal bath). It takes one (p, mu) point or a sequence, whose tensors
+it stacks from one incidence table of that block layout. The Kraus sets,
+the dilation and its factorization are the verification layer: the tests
+and ``dilation-check`` compare against them.
 
-The step loop (``collision_evolve``) is dense at whatever size it is
-given, and runs a batch of transfer tensors at once: the label blocks of
-every member form one (B, 2, d, d) stack. The success and witness series
-hand it G and G' on an invariant subspace whose dimension does not grow
-with n, built from closed forms without any N-sized array: the span of
-the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for blp's
-pair qubit 0 times that of the other n - 1 qubits. Any other start runs
-on the full N x N operators. The size is reported as ``meta["dim"]``.
+The step loop is one generator, dense at whatever size it is given, that
+runs a batch of transfer tensors at once: the label blocks of every
+member form one (B, 2, d, d) stack, yielded for t = 0, 1, 2, ... Two
+readers draw from it: ``collision_evolve`` takes the first steps + 1
+stacks and keeps the success series (and states on request), and
+``collision_first_max`` stops once every member has passed its first
+success maximum, so its cost follows the first maxima and not the
+horizon. The success and witness series hand the loop G and G' on an
+invariant subspace whose dimension does not grow with n, built from
+closed forms without any N-sized array: the span of the orbit basis of
+:func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0 times
+that of the other n - 1 qubits. Any other start runs on the full N x N
+operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -47,9 +53,10 @@ checks it is unitary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +76,9 @@ from .markov import (
 )
 
 KINDS = ("initial", "steady")
+
+# Weight keys "next|previous" of the label chain, in Kraus-operator order.
+_KEYS = ("g|g", "g|g'", "g'|g", "g'|g'")
 
 
 @dataclass(frozen=True)
@@ -96,10 +106,22 @@ class KrausSet:
         return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-def _weights(kind: str, params: MarkovNoiseParams) -> dict[str, float]:
+class _PointStack(NamedTuple):
+    """The (p, mu) points of a batch as (B,) arrays, with the fields of
+    MarkovNoiseParams that the chain's weights read, so :func:`_weights`
+    gives each weight for every point at once."""
+
+    p_g: np.ndarray
+    p_gp: np.ndarray
+    mu: np.ndarray
+
+
+def _weights(
+    kind: str, params: MarkovNoiseParams | _PointStack
+) -> dict[str, float | np.ndarray]:
     # Branch weights keyed by the conditional label "next|previous". The
     # first collision has no previous label, so both columns carry the
-    # stationary distribution.
+    # stationary distribution. A _PointStack gives (B,) arrays.
     if kind == "initial":
         return {
             "g|g": params.p_g,
@@ -399,30 +421,57 @@ def channel_maps(
     )
 
 
+def _incidence() -> np.ndarray:
+    """T[b, key, r, c, op]: how many ``_LAYOUT`` blocks of weight ``key``
+    sit in ancilla-in column b and feed walker block c into walker block r
+    through op (0 = G, 1 = G'). Keys are in ``_KEYS`` order."""
+    table = np.zeros((4, 4, 2, 2, 2))
+    for row, col, _sign, key, which in _LAYOUT:
+        table[col // 2, _KEYS.index(key), row % 2, col % 2, which] += 1.0
+    return table
+
+
+_INCIDENCE = _incidence()
+
+
 def transfer_weights(
-    params: MarkovNoiseParams, bath: Optional[ThermalBathParams] = None
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
+    bath: Optional[ThermalBathParams] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(first step, steady step) transfer tensors W[r, c, op], shape (2, 2, 2).
+    """(first step, steady step) transfer tensors W[r, c, op], shape
+    (2, 2, 2) for one point, or stacks (B, 2, 2, 2) for a sequence of B
+    points (an empty one raises ``ValueError``).
 
     W[r, c, op] is the weight with which walker block c feeds walker block
     r through op (0 = G, 1 = G'). Each ``_LAYOUT`` entry of U adds
     pop[b] * w(key) at (walker out, walker in, op), with b its ancilla-in
     index and pop the ancilla populations: (1, 0, 0, 0) for pure ancillas,
     (z1^2, z1 z2, z1 z2, z2^2) for a thermal bath. The sign squares away.
-    Every column sums to one over (r, op), so the step is trace preserving.
+    So W is the chain weights of every point contracted with pop and the
+    incidence table ``_INCIDENCE``, read off ``_LAYOUT`` once. Pure
+    ancillas leave one weight per entry, exactly; a thermal bath sums the
+    populations first. Every column sums to one over (r, op), so the step
+    is trace preserving.
     """
+    single = isinstance(params, MarkovNoiseParams)
+    points = [params] if single else list(params)
+    if not points:
+        raise ValueError("no (p, mu) points given")
+    p = np.array([point.p for point in points], dtype=float)
+    stack = _PointStack(1.0 - p, p, np.array([point.mu for point in points], dtype=float))
     if bath is None:
-        pop = (1.0, 0.0, 0.0, 0.0)
+        pop = np.array([1.0, 0.0, 0.0, 0.0])
     else:
         mixed = bath.z1 * bath.z2
-        pop = (bath.z1**2, mixed, mixed, bath.z2**2)
+        pop = np.array([bath.z1**2, mixed, mixed, bath.z2**2])
+    table = np.tensordot(pop, _INCIDENCE, axes=1)  # [key, r, c, op]
     out = []
     for kind in KINDS:
-        w = _weights(kind, params)
-        tensor_w = np.zeros((2, 2, 2))
-        for row, col, _sign, key, which in _LAYOUT:
-            tensor_w[row % 2, col % 2, which] += pop[col // 2] * w[key]
-        out.append(tensor_w)
+        w = _weights(kind, stack)
+        keyed = np.stack([w[key] for key in _KEYS], axis=-1)
+        out.append(np.einsum("bk,krco->brco", keyed, table))
+    if single:
+        return out[0][0], out[1][0]
     return out[0], out[1]
 
 
@@ -444,6 +493,71 @@ def _step_terms(weights: np.ndarray, ops: np.ndarray, ops_dag: np.ndarray):
     # Complex up front, so the product in the loop needs no cast.
     mix = np.moveaxis(weights[:, rows, :, which], 0, 1).astype(complex)
     return mix, ops[which], ops_dag[which]
+
+
+def _label_steps(
+    g: ComplexMatrix,
+    gp: ComplexMatrix,
+    first: np.ndarray,
+    steady: np.ndarray,
+    r0: ComplexMatrix,
+    marked: int,
+) -> tuple[tuple[int, ...], Iterator[np.ndarray]]:
+    """Check the inputs of a step loop and set it up: returns the batch
+    shape and the generator :func:`_step_stream` of its label-block stacks.
+    The checks run here, at the call, not at the generator's first item."""
+    n_dim = r0.shape[0] // 2
+    if r0.shape != (2 * n_dim, 2 * n_dim):
+        raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
+    if g.shape != (n_dim, n_dim) or gp.shape != (n_dim, n_dim):
+        raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
+    first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
+    for weights in (first, steady):
+        if weights.shape[-3:] != (2, 2, 2):
+            raise ValueError(f"transfer weights shape {weights.shape} is not (..., 2, 2, 2)")
+    if not 0 <= marked < n_dim:
+        raise ValueError(f"marked index {marked} outside [0, {n_dim})")
+    batch = np.broadcast_shapes(first.shape[:-3], steady.shape[:-3])
+    r0 = np.asarray(r0, dtype=complex)
+    blocks = np.stack([r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]])
+    # Input check: the label blocks of a joint state are Hermitian, and the
+    # success probability reads only the real part of a diagonal entry, so
+    # a non-Hermitian block would otherwise pass unnoticed.
+    if np.max(np.abs(blocks - np.conj(blocks).swapaxes(1, 2))) > HERMITICITY_TOL:
+        raise ValueError("label blocks of the joint state are not Hermitian")
+    ops = np.stack([g, gp]).astype(complex)
+    ops_dag = np.conj(ops).swapaxes(1, 2)
+    plans = [
+        _step_terms(np.broadcast_to(w, batch + (2, 2, 2)).reshape(-1, 2, 2, 2), ops, ops_dag)
+        for w in (first, steady)
+    ]
+    members = math.prod(batch)
+    return batch, _step_stream(np.broadcast_to(blocks, (members,) + blocks.shape), *plans)
+
+
+def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> Iterator[np.ndarray]:
+    """The step loop: yields the (B, 2, d, d) label-block stack after
+    t = 0, 1, 2, ... collisions, without end; the consumer stops it.
+
+    A step is one mixing product over the input blocks c, one batched
+    conjugation and, where a block has more than one term (a thermal bath),
+    one sum of each output block's terms (the plans of :func:`_step_terms`);
+    the first collision uses ``first_plan``, all later ones ``steady_plan``.
+    """
+    members, _, n_dim, _ = sigma.shape
+    yield sigma
+    for mix, op, op_dag in itertools.chain([first_plan], itertools.repeat(steady_plan)):
+        mixed = (mix @ sigma.reshape(members, 2, -1)).reshape((members, len(op), n_dim, n_dim))
+        terms = (op @ mixed @ op_dag).reshape((members, 2, len(op) // 2, n_dim, n_dim))
+        # A pure step has one term per block, which needs no sum.
+        sigma = terms[:, :, 0] if len(op) == 2 else terms.sum(axis=2)
+        yield sigma
+
+
+def _success(sigma: np.ndarray, marked: int) -> np.ndarray:
+    """Success probability of every member of a label-block stack: the
+    ``marked`` diagonal entry of sigma_0 + sigma_1."""
+    return sigma[:, 0, marked, marked].real + sigma[:, 1, marked, marked].real
 
 
 def collision_evolve(
@@ -472,13 +586,15 @@ def collision_evolve(
 
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
-    over op in (G, G'). A step is one mixing product over c, one batched
-    conjugation and one sum of each block's terms. (r, op) terms whose
-    weights are zero for every member are skipped, unless one fills a slot
-    so that both blocks have as many terms: a pure step costs 2
-    conjugations per member and a thermal one 4. The loop is dense at
-    whatever size it is given: N x N G, G' for the full register, or
-    d x d forms on an invariant subspace (``markov_evolve``,
+    over op in (G, G'). The stacks come from the one step loop
+    :func:`_step_stream`, which :func:`collision_first_max` shares; this
+    function takes its first ``steps`` + 1. A step is one mixing product
+    over c, one batched conjugation and one sum of each block's terms.
+    (r, op) terms whose weights are zero for every member are skipped,
+    unless one fills a slot so that both blocks have as many terms: a pure
+    step costs 2 conjugations per member and a thermal one 4. The loop is
+    dense at whatever size it is given: N x N G, G' for the full register,
+    or d x d forms on an invariant subspace (``markov_evolve``,
     ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
     :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
@@ -489,41 +605,13 @@ def collision_evolve(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    n_dim = r0.shape[0] // 2
-    if r0.shape != (2 * n_dim, 2 * n_dim):
-        raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
-    if g.shape != (n_dim, n_dim) or gp.shape != (n_dim, n_dim):
-        raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
-    first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
-    for weights in (first, steady):
-        if weights.shape[-3:] != (2, 2, 2):
-            raise ValueError(f"transfer weights shape {weights.shape} is not (..., 2, 2, 2)")
-    if not 0 <= marked < n_dim:
-        raise ValueError(f"marked index {marked} outside [0, {n_dim})")
-    batch = np.broadcast_shapes(first.shape[:-3], steady.shape[:-3])
-    members = math.prod(batch)
+    batch, stream = _label_steps(g, gp, first, steady, r0, marked)
+    members, n_dim = math.prod(batch), g.shape[0]
     r0 = np.asarray(r0, dtype=complex)
-    blocks = np.stack([r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]])
-    # Input check: the label blocks of a joint state are Hermitian, and the
-    # success probability reads only the real part of a diagonal entry, so
-    # a non-Hermitian block would otherwise pass unnoticed.
-    if np.max(np.abs(blocks - np.conj(blocks).swapaxes(1, 2))) > HERMITICITY_TOL:
-        raise ValueError("label blocks of the joint state are not Hermitian")
-    ops = np.stack([g, gp]).astype(complex)
-    ops_dag = np.conj(ops).swapaxes(1, 2)
-    plans = [
-        _step_terms(np.broadcast_to(w, batch + (2, 2, 2)).reshape(-1, 2, 2, 2), ops, ops_dag)
-        for w in (first, steady)
-    ]
-    sigma = np.broadcast_to(blocks, (members, 2, n_dim, n_dim))
     probs = np.empty((members, steps + 1), dtype=float)
     sys_states, joints = [], []
-    for t in range(steps + 1):
-        if t:
-            mix, op, op_dag = plans[t > 1]
-            mixed = (mix @ sigma.reshape(members, 2, -1)).reshape((members, len(op)) + g.shape)
-            sigma = (op @ mixed @ op_dag).reshape((members, 2, len(op) // 2) + g.shape).sum(axis=2)
-        probs[:, t] = sigma[:, 0, marked, marked].real + sigma[:, 1, marked, marked].real
+    for t, sigma in zip(range(steps + 1), stream):
+        probs[:, t] = _success(sigma, marked)
         if keep_states:
             sys_states.append((sigma[:, 0] + sigma[:, 1]).reshape(batch + (n_dim, n_dim)))
         if keep_joint or validate:
@@ -543,3 +631,61 @@ def collision_evolve(
         joint_states=tuple(joints) if keep_joint else None,
         meta={"steps": steps, "dim": n_dim},
     )
+
+
+def _first_max(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*) of every row of ``series``, (B, T): t* is the first t in
+    1..T - 2 with P(t) >= P(t - 1) and P(t) >= P(t + 1), else the argmax of
+    the row (a NaN counts as the maximum, as in ``np.argmax``); P* = P(t*)."""
+    t_star = series.argmax(axis=1)
+    if series.shape[1] > 2:
+        mid = series[:, 1:-1]
+        peaks = (mid >= series[:, :-2]) & (mid >= series[:, 2:])
+        found = peaks.any(axis=1)
+        t_star[found] = peaks[found].argmax(axis=1) + 1
+    return t_star, series[np.arange(len(series)), t_star]
+
+
+def collision_first_max(
+    g: ComplexMatrix,
+    gp: ComplexMatrix,
+    first: np.ndarray,
+    steady: np.ndarray,
+    r0: ComplexMatrix,
+    steps: int,
+    marked: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*) of every member's success series within ``steps`` steps:
+    where its first maximum falls and how high it is, each of the batch
+    shape of :func:`collision_evolve`, t* as integers.
+
+    t* is the first t >= 1 with P(t) >= P(t - 1) and P(t) >= P(t + 1), so
+    it lies in 1..``steps`` - 1; a member with no such t takes the argmax
+    of P over the whole horizon 0..``steps``, where a NaN counts as the
+    maximum, as in ``np.argmax``. P* = P(t*). The inputs and the series
+    are those of :func:`collision_evolve` with the same arguments, from
+    the same step loop (:func:`_step_stream`), so (t*, P*) equal the rule
+    applied to its rows exactly.
+
+    The loop stops as soon as every member has passed its first maximum,
+    after max t* + 1 steps, so the cost follows t* and not ``steps``; only
+    a member with no interior maximum runs it to the horizon. Each step
+    adds a few array operations over the batch, which is never shrunk.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    batch, stream = _label_steps(g, gp, first, steady, r0, marked)
+    members = math.prod(batch)
+    probs = np.empty((members, steps + 1), dtype=float)
+    open_ = np.ones(members, dtype=bool)  # no first maximum seen yet
+    for t, sigma in zip(range(steps + 1), stream):
+        probs[:, t] = _success(sigma, marked)
+        if t >= 2:  # stop once every member has passed its first maximum
+            prev = probs[:, t - 1]
+            open_[(prev >= probs[:, t - 2]) & (prev >= probs[:, t])] = False
+            if not np.count_nonzero(open_):
+                break
+    # The rule reads only the part of the series up to where the loop stopped.
+    t_star, p_star = _first_max(probs[:, : t + 1])
+    return t_star.reshape(batch), p_star.reshape(batch)
+

@@ -18,7 +18,9 @@ whose dimension depends on the noisy qubits, not on n. G, G' and |s> are
 built there at d x d from Dicke-basis closed forms (:func:`_orbit_chi`), in
 which n enters only through scalars, so nothing of size 2^n is formed unless
 states are kept. :func:`markov_series` runs many (p, mu) points that share
-those operators as one batched step loop.
+those operators as one batched step loop, and :func:`markov_first_max`
+reads where each point's first maximum falls from the same loop, stopped
+once every point has passed it.
 """
 
 from __future__ import annotations
@@ -199,6 +201,19 @@ def _dicke_operators(
     return (*_grover_pair(s, 0, chi, 2**n), s)
 
 
+def _batch_inputs(
+    inst: GroverInstance, spec: NoiseSpec, params_seq: Sequence[MarkovNoiseParams], bath
+) -> tuple:
+    """(G, G', first, steady, R_0) of a batched run over ``params_seq``: the
+    d x d operators of :func:`_dicke_operators`, the (B, 2, 2, 2) transfer
+    tensors of one ``transfer_weights`` call, and |+><+| (x) |s><s|."""
+    from .collision import transfer_weights  # deferred, see collision.py
+
+    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    first, steady = transfer_weights(params_seq, bath)
+    return g, gp, first, steady, tensor(projector(_PLUS), projector(s))
+
+
 def markov_series(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -211,16 +226,36 @@ def markov_series(
     ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``.
 
     The points share G, G' and the start, so they run as one batched step
-    loop over their transfer tensors (:func:`collision_evolve`).
+    loop over their transfer tensors (:func:`collision_evolve`). An empty
+    ``params_seq`` raises ``ValueError``.
     """
-    from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
+    from .collision import collision_evolve  # deferred, see collision.py
 
-    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    first, steady = (
-        np.stack(w) for w in zip(*(transfer_weights(params, bath) for params in params_seq))
-    )
-    r0 = tensor(projector(_PLUS), projector(s))
-    return collision_evolve(g, gp, first, steady, r0, steps).probabilities
+    return collision_evolve(*_batch_inputs(inst, spec, params_seq, bath), steps).probabilities
+
+
+def markov_first_max(
+    inst: GroverInstance,
+    spec: NoiseSpec,
+    params_seq: Sequence[MarkovNoiseParams],
+    steps: int,
+    bath=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*), each of shape (len(params_seq),), of the first success
+    maximum of every (p, mu) point of ``params_seq`` within ``steps`` steps.
+
+    t* is the first t >= 1 with P(t) >= P(t - 1) and P(t) >= P(t + 1); a
+    point with none takes the argmax over 0..``steps`` (NaN as in
+    ``np.argmax``), and P* = P(t*), where P is the row of
+    :func:`markov_series` with the same arguments. The batch is the same
+    one step loop, stopped once every point has passed its first maximum
+    (:func:`~noisygrover.collision.collision_first_max`), so its cost
+    follows the largest t* and not ``steps``. An empty ``params_seq``
+    raises ``ValueError``.
+    """
+    from .collision import collision_first_max  # deferred, see collision.py
+
+    return collision_first_max(*_batch_inputs(inst, spec, params_seq, bath), steps)
 
 
 def markov_evolve(

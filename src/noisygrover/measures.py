@@ -147,13 +147,12 @@ def _batch(
     bath: Optional[ThermalBathParams] = None,
 ) -> tuple[list[MarkovNoiseParams], np.ndarray, np.ndarray]:
     """The (p, mu) points of ``params``, one point or a sequence, and their
-    first and steady transfer tensors stacked (B, 2, 2, 2): one point runs
-    as a batch of one, which is the same arithmetic as an unbatched run."""
+    first and steady transfer tensors stacked (B, 2, 2, 2) by one
+    :func:`transfer_weights` call, which rejects an empty sequence: one
+    point runs as a batch of one, which is the same arithmetic as an
+    unbatched run."""
     points = [params] if isinstance(params, MarkovNoiseParams) else list(params)
-    if not points:
-        raise ValueError("no (p, mu) points given")
-    first, steady = zip(*(transfer_weights(point, bath) for point in points))
-    return points, np.stack(first), np.stack(steady)
+    return points, *transfer_weights(points, bath)
 
 
 def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None:

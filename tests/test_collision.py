@@ -455,6 +455,41 @@ def test_transfer_weights_columns_and_limits(temperature):
                 assert np.max(np.abs(w_cold - w)) < 1e-12, (params, kind)
 
 
+def _transfer_weights_loop(params, bath):
+    # The per-point loop over _LAYOUT that the incidence table replaced.
+    if bath is None:
+        pop = (1.0, 0.0, 0.0, 0.0)
+    else:
+        mixed = bath.z1 * bath.z2
+        pop = (bath.z1**2, mixed, mixed, bath.z2**2)
+    out = []
+    for kind in KINDS:
+        w = _weights(kind, params)
+        tensor_w = np.zeros((2, 2, 2))
+        for row, col, _sign, key, which in collision._LAYOUT:
+            tensor_w[row % 2, col % 2, which] += pop[col // 2] * w[key]
+        out.append(tensor_w)
+    return out
+
+
+@pytest.mark.parametrize("temperature", [None, 0.1, 0.5, 1.0, 3.0, 100.0])
+def test_transfer_weights_sequence_stacks_single_points(temperature):
+    bath = None if temperature is None else thermal_weights(temperature)
+    points = GRID + [MarkovNoiseParams(0.37, 0.61), MarkovNoiseParams(1e-9, 1.0 - 1e-9)]
+    stacks = transfer_weights(tuple(points), bath)
+    for stack in stacks:
+        assert stack.shape == (len(points), 2, 2, 2)
+    for b, params in enumerate(points):
+        singles = transfer_weights(params, bath)
+        for stack, one, loop in zip(stacks, singles, _transfer_weights_loop(params, bath)):
+            assert one.shape == (2, 2, 2)
+            if bath is None:  # one weight per entry: exact
+                assert np.array_equal(stack[b], one) and np.array_equal(one, loop), params
+            else:  # the populations are summed before the weights
+                assert np.max(np.abs(stack[b] - one)) <= 1e-15, params
+                assert np.max(np.abs(one - loop)) <= 1e-15, params
+
+
 def _haar_noise(rng):
     # A Haar-random U(2) element in the custom:a,b,theta parametrization:
     # |a|^2 uniform on [0, 1], independent uniform phases.
