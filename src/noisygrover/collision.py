@@ -32,15 +32,16 @@ The step loop is one generator, dense at whatever size it is given, that
 runs a batch of transfer tensors at once: the label blocks of every
 member form one (B, 2, d, d) stack, yielded for t = 0, 1, 2, ... Two
 readers draw from it: ``collision_evolve`` takes the first steps + 1
-stacks and keeps the success series (and states on request), and
-``collision_first_max`` stops once every member has passed its first
-success maximum, so its cost follows the first maxima and not the
-horizon. The success and witness series hand the loop G and G' on an
-invariant subspace whose dimension does not grow with n, built from
-closed forms without any N-sized array: the span of the orbit basis of
-:func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0 times
-that of the other n - 1 qubits. Any other start runs on the full N x N
-operators. The size is reported as ``meta["dim"]``.
+stacks and keeps the success series (and, on request, the label blocks
+themselves), and ``collision_first_max`` stops once every member has
+passed its first success maximum, so its cost follows the first maxima
+and not the horizon. Nothing here forms a 2d x 2d joint; one exists only
+as ``markov_evolve``'s lifted output. The success and witness series
+hand the loop G and G' on an invariant subspace whose dimension does not
+grow with n, built from closed forms without any N-sized array: the span
+of the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for
+blp's pair qubit 0 times that of the other n - 1 qubits. Any other start
+runs on the full N x N operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -64,8 +65,8 @@ from .linalg import (
     HERMITICITY_TOL,
     ComplexMatrix,
     dagger,
+    hermiticity_defect,
     random_density,
-    require_density,
     trace_distance,
 )
 from .markov import (
@@ -515,6 +516,8 @@ def _label_steps(
     for weights in (first, steady):
         if weights.shape[-3:] != (2, 2, 2):
             raise ValueError(f"transfer weights shape {weights.shape} is not (..., 2, 2, 2)")
+        if not np.isfinite(weights).all():
+            raise ValueError("transfer weights are not finite")
     if not 0 <= marked < n_dim:
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
     batch = np.broadcast_shapes(first.shape[:-3], steady.shape[:-3])
@@ -522,9 +525,11 @@ def _label_steps(
     blocks = np.stack([r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]])
     # Input check: the label blocks of a joint state are Hermitian, and the
     # success probability reads only the real part of a diagonal entry, so
-    # a non-Hermitian block would otherwise pass unnoticed.
-    if np.max(np.abs(blocks - np.conj(blocks).swapaxes(1, 2))) > HERMITICITY_TOL:
-        raise ValueError("label blocks of the joint state are not Hermitian")
+    # a non-Hermitian block would otherwise pass unnoticed. A NaN or inf
+    # entry makes the defect NaN or inf, which fails the check too.
+    defect = hermiticity_defect(blocks)
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"label blocks of the joint state are not Hermitian: defect {defect:.3e}")
     ops = np.stack([g, gp]).astype(complex)
     ops_dag = np.conj(ops).swapaxes(1, 2)
     plans = [
@@ -568,9 +573,7 @@ def collision_evolve(
     r0: ComplexMatrix,
     steps: int,
     marked: int = 0,
-    keep_states: bool = False,
-    keep_joint: bool = False,
-    validate: bool = False,
+    keep_blocks: bool = False,
 ) -> EvolutionTrace:
     """Iterate the collision map from joint state ``r0`` for ``steps`` steps.
 
@@ -579,57 +582,42 @@ def collision_evolve(
     leading batch axes (..., 2, 2, 2); the first collision uses ``first``,
     all later ones ``steady``. Every member of the (broadcast) batch starts
     from ``r0`` with the same G and G', and every result gains the batch
-    shape in front: probabilities (..., steps + 1), kept states (..., n, n)
-    and joints (..., 2n, 2n) for n x n operators. Only the label blocks of
-    diag(sigma_0, sigma_1) are carried (walker coherences of ``r0`` never
-    feed back), as one (B, 2, n, n) stack, with
+    shape in front. Only the label blocks of diag(sigma_0, sigma_1) are
+    carried (walker coherences of ``r0`` never feed back), as one
+    (B, 2, n, n) stack for n x n operators, with
 
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
     over op in (G, G'). The stacks come from the one step loop
     :func:`_step_stream`, which :func:`collision_first_max` shares; this
-    function takes its first ``steps`` + 1. A step is one mixing product
-    over c, one batched conjugation and one sum of each block's terms.
-    (r, op) terms whose weights are zero for every member are skipped,
-    unless one fills a slot so that both blocks have as many terms: a pure
+    function takes its first ``steps`` + 1. (r, op) terms whose weights
+    are zero for every member are skipped (:func:`_step_terms`): a pure
     step costs 2 conjugations per member and a thermal one 4. The loop is
     dense at whatever size it is given: N x N G, G' for the full register,
     or d x d forms on an invariant subspace (``markov_evolve``,
     ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
     :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
-    sigma_0 + sigma_1. The label blocks of ``r0`` must be Hermitian, as
-    those of any joint state are. ``validate`` re-checks every member's
-    joint state each step (tolerance 1e-9) and raises
-    :class:`InvariantViolation` on failure.
+    sigma_0 + sigma_1. A start whose label blocks are not finite and
+    Hermitian, or transfer tensors that are not finite, raise ``ValueError``.
+    ``keep_blocks`` keeps the stacks as ``blocks``, shape
+    batch + (steps + 1, 2, n, n), with r0's two diagonal blocks at t = 0.
+    No joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     batch, stream = _label_steps(g, gp, first, steady, r0, marked)
     members, n_dim = math.prod(batch), g.shape[0]
-    r0 = np.asarray(r0, dtype=complex)
     probs = np.empty((members, steps + 1), dtype=float)
-    sys_states, joints = [], []
+    blocks = np.empty((members, steps + 1, 2, n_dim, n_dim), dtype=complex) if keep_blocks else None
     for t, sigma in zip(range(steps + 1), stream):
         probs[:, t] = _success(sigma, marked)
-        if keep_states:
-            sys_states.append((sigma[:, 0] + sigma[:, 1]).reshape(batch + (n_dim, n_dim)))
-        if keep_joint or validate:
-            if t:
-                joint = np.zeros((members, 2 * n_dim, 2 * n_dim), dtype=complex)
-                joint[:, :n_dim, :n_dim], joint[:, n_dim:, n_dim:] = sigma[:, 0], sigma[:, 1]
-            else:
-                joint = np.broadcast_to(r0, (members,) + r0.shape).copy()
-            if validate:
-                for member in joint:
-                    require_density(member, 1e-9, what=f"joint state t={t}")
-            if keep_joint:
-                joints.append(joint.reshape(batch + r0.shape))
+        if keep_blocks:
+            blocks[:, t] = sigma
     return EvolutionTrace(
         probs.reshape(batch + (steps + 1,)),
-        states=tuple(sys_states) if keep_states else None,
-        joint_states=tuple(joints) if keep_joint else None,
         meta={"steps": steps, "dim": n_dim},
+        blocks=None if blocks is None else blocks.reshape(batch + blocks.shape[1:]),
     )
 
 

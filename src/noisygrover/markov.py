@@ -26,13 +26,13 @@ once every point has passed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, dagger, projector, tensor
+from .linalg import ComplexMatrix, InvariantViolation, dagger, projector, require_density, tensor
 from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
@@ -98,13 +98,15 @@ class EvolutionTrace:
 
     ``probabilities[t]`` is the success probability after t steps,
     t = 0..steps. ``states`` (system marginals) and ``joint_states``
-    (walker (x) system) are kept only on request; both include t = 0.
+    (walker (x) system) are kept only on request; both include t = 0, as
+    does ``blocks``, the label blocks that ``collision_evolve`` keeps.
     """
 
     probabilities: np.ndarray
     states: Optional[tuple[ComplexMatrix, ...]] = None
     joint_states: Optional[tuple[ComplexMatrix, ...]] = None
     meta: dict = field(default_factory=dict)
+    blocks: Optional[np.ndarray] = None
 
 
 def _dicke_power(a: np.ndarray, k: int) -> ComplexMatrix:
@@ -258,6 +260,31 @@ def markov_first_max(
     return collision_first_max(*_batch_inputs(inst, spec, params_seq, bath), steps)
 
 
+def _require_label_blocks(blocks: np.ndarray, r0: ComplexMatrix, tol: float = 1e-9) -> None:
+    """:func:`require_density` on each joint of a run, from its start ``r0``
+    (t = 0) and label blocks ``blocks`` (steps + 1, 2, d, d), raising at the
+    first failing step. From t = 1 on the joint is diag(sigma_0, sigma_1),
+    so its hermiticity defect, trace and spectrum are read off the blocks,
+    every step's eigenvalues from one ``eigvalsh``; a step that is not
+    finite fails on its hermiticity and reports a NaN eigenvalue."""
+    require_density(r0, tol, what="joint state t=0")
+    later = blocks[1:]
+    finite = np.isfinite(later).all(axis=(1, 2, 3))
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported
+        herm = np.abs(later - dagger(later)).max(axis=(1, 2, 3))
+        total = np.trace(later.sum(axis=1), axis1=-2, axis2=-1)
+    defect = np.abs(total.real - 1.0) + np.abs(total.imag)
+    sym = np.where(finite[:, None, None, None], later, 0.0)
+    low = np.where(finite, np.linalg.eigvalsh(0.5 * (sym + dagger(sym))).min(axis=(1, 2)), np.nan)
+    bad = np.flatnonzero(~((herm <= tol) & (defect <= tol) & (low >= -tol)))
+    if bad.size:
+        t = bad[0]
+        raise InvariantViolation(
+            f"joint state t={t + 1} is not a density matrix within {tol:.1e}: hermiticity "
+            f"{herm[t]:.3e}, trace defect {defect[t]:.3e}, min eigenvalue {low[t]:.3e}"
+        )
+
+
 def markov_evolve(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -274,38 +301,36 @@ def markov_evolve(
     conditional one. With ``bath`` (a ``ThermalBathParams``) the walker is
     refreshed each step from thermal two-qubit ancillas instead of pure
     ones; ``bath=None`` is the zero-temperature (pure) construction.
-    ``validate`` re-checks state validity each step at tolerance 1e-9.
 
-    The run stays in the span of the orbit basis V (:func:`orbit_basis`):
-    G, G' and |s> are built at d x d from the Dicke-basis closed forms
-    (:func:`_orbit_chi`), so n enters only through scalars, and the
-    collision step runs at that size, where d = (q + 1)(m - q + 1), doubled
-    when m < n, is ``meta["dim"]``. An isometry keeps trace, hermiticity
-    and the nonzero spectrum, so ``validate`` checks the compressed joints.
-    V itself, N x d, is built only to lift the kept states and joints back,
-    as V s V^dagger, to N x N and 2N x 2N.
+    This is :func:`markov_series` for the one point ``params``, at d x d in
+    the span of the orbit basis V (:func:`orbit_basis`), where
+    d = (q + 1)(m - q + 1), doubled when m < n, is ``meta["dim"]``. The
+    flags have the loop keep its label blocks sigma_0, sigma_1.
+    ``keep_states`` lifts V (sigma_0 + sigma_1) V^dagger to N x N and
+    ``keep_joint`` diag(sigma_0, sigma_1) through I_2 (x) V to 2N x 2N (the
+    start, walker coherences included, at t = 0); V is built only for these
+    lifts. ``validate`` checks every joint, once after the run, at 1e-9 on
+    the blocks (an isometry keeps trace, hermiticity and the nonzero
+    spectrum) and raises :class:`InvariantViolation` at the first bad step.
     """
-    from .collision import collision_evolve, transfer_weights  # deferred, see collision.py
+    from .collision import collision_evolve  # deferred, see collision.py
 
-    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    trace = collision_evolve(
-        g,
-        gp,
-        *transfer_weights(params, bath),
-        tensor(projector(_PLUS), projector(s)),
-        steps,
-        keep_states=keep_states,
-        keep_joint=keep_joint,
-        validate=validate,
-    )
+    g, gp, first, steady, r0 = _batch_inputs(inst, spec, [params], bath)
+    keep = keep_states or keep_joint or validate
+    run = collision_evolve(g, gp, first, steady, r0, steps, keep_blocks=keep)
+    states = joints = None
+    if validate:
+        _require_label_blocks(run.blocks[0], r0)
     if keep_states or keep_joint:
         v = orbit_basis(inst, spec)
     if keep_states:
-        trace = replace(trace, states=tuple(v @ rho @ v.T for rho in trace.states))
+        states = tuple(v @ rho @ v.T for rho in run.blocks[0].sum(axis=1))
     if keep_joint:
-        lift = np.kron(np.eye(2), v)
-        trace = replace(trace, joint_states=tuple(lift @ j @ lift.T for j in trace.joint_states))
-    return trace
+        d, lift = v.shape[1], np.kron(np.eye(2), v)
+        pad = np.zeros((steps + 1, 2 * d, 2 * d), dtype=complex)
+        pad[:, :d, :d], pad[:, d:, d:], pad[0] = run.blocks[0, :, 0], run.blocks[0, :, 1], r0
+        joints = tuple(lift @ j @ lift.T for j in pad)
+    return EvolutionTrace(run.probabilities[0], states, joints, run.meta)
 
 
 def history_oracle(

@@ -14,8 +14,8 @@ built there from the Dicke-basis closed forms of
 :func:`~noisygrover.markov._orbit_chi`. The channel is linear and a trace
 distance depends only on the difference of its two states, so the
 backflow pair runs once, as that difference; its part outside the space
-is fixed by a trace (:func:`n_blp`). The N x d bases themselves
-(:func:`_split_basis`) serve only as test references.
+is fixed by a trace (:func:`n_blp`). The step loop keeps label blocks
+only, at d x d, and each witness reads its states off them.
 
 Both witnesses take one (p, mu) point or a sequence of them. A sequence
 shares G, G' and the bath, so it runs as one batched
@@ -43,7 +43,7 @@ from .linalg import (
     trace_norm,
 )
 from .markov import _PLUS, MarkovNoiseParams, _dicke_operators, _grover_pair, _orbit_chi
-from .noise import NoiseSpec, orbit_basis
+from .noise import NoiseSpec
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -100,28 +100,13 @@ def positive_increment_sum(series: Sequence[float], threshold: float = INCREMENT
     return float(np.sum(steps[steps > threshold]))
 
 
-def _split_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
-    """V_W = I_2 (x) V_rest: the N x 2 d_rest isometry onto W = C^2 (x) W_rest.
-
-    W_rest is the span of the orbit basis of the other n - 1 qubits (marked
-    index ``marked % (N/2)``, noisy positions p - 1 for p != 0), one vector
-    when n = 1. W holds |s> and |w>, is invariant under G and G', and is
-    closed under every operator on qubit 0; G is -I on its complement.
-    """
-    if any(p >= inst.n for p in spec.positions):
-        raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
-    if inst.n == 1:
-        return np.eye(2)
-    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
-    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
-    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
-
-
 def _split_operators(
     inst: GroverInstance, spec: NoiseSpec
 ) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
-    """(G, G', |s>) on W = C^2 (x) W_rest in the basis of :func:`_split_basis`,
-    from scalars only: chi is u on qubit 0 when it is noisy (else I_2)
+    """(G, G', |s>) on W = C^2 (x) W_rest in the basis I_2 (x) V_rest, V_rest
+    the orbit basis of the other n - 1 qubits. W holds |s> and |w>, is
+    invariant under G and G' and closed under every operator on qubit 0.
+    From scalars only: chi is u on qubit 0 when it is noisy (else I_2)
     times the Dicke-basis chi of the other n - 1 qubits
     (:func:`~noisygrover.markov._orbit_chi`), |s> = |+> (x) |s_rest>, and
     |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
@@ -157,9 +142,8 @@ def _batch(
 
 def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None:
     """Raise :class:`InvariantViolation` at the first member and step whose
-    kept blocks, a stack (..., B, steps + 1, d, d), are not all finite."""
-    bad = ~np.isfinite(blocks).all(axis=(-2, -1))
-    bad = bad.reshape((-1,) + bad.shape[-2:]).any(axis=0)
+    label blocks, a stack (B, steps + 1, 2, d, d), are not all finite."""
+    bad = ~np.isfinite(blocks).all(axis=(-3, -2, -1))
     if bad.any():
         member, t = np.argwhere(bad)[0]
         point = points[member]
@@ -214,17 +198,19 @@ def n_blp(
 
     The channel is linear and D(a, b) depends only on a - b, so one run
     carries |+><+| (x) delta, delta = rho1 - rho2. G and G' are block
-    diagonal on W (+) W_perp (:func:`_split_basis`), and so is rho2 =
+    diagonal on W (+) W_perp (:func:`_split_operators`), and so is rho2 =
     (I - X_0)/N (x) I_rest, with W_perp = C^2 (x) W_rest_perp; |s><s| lies
     in W. So the run stays on W, with G, G' and |s> from
     :func:`_split_operators`, and nothing of size N is formed. On W_perp
     each label block delta_r is minus the partner's positive part there;
     both members share their label populations, so delta_r is traceless
     and ||delta_r||_1 = ||delta_r,W||_1 + tr delta_r,W. Every distance is
-    thus 1/2 (||x||_1 + tr x) of an x on W: the system state for the
-    witness series, the two label blocks summed for the joint series (at
-    t = 0 both are delta / 2). All of them, for every step and member, go
-    through one stacked :func:`~noisygrover.linalg.trace_norm`.
+    thus 1/2 (||x||_1 + tr x) of an x on W, read off the label blocks
+    that :func:`collision_evolve` keeps: their sum, the system state, for
+    the witness series, and each block on its own for the joint series,
+    whose joint is diag(delta_0, delta_1) (at t = 0 both blocks are
+    delta / 2). All of them, for every step and member, go through one
+    stacked :func:`~noisygrover.linalg.trace_norm`.
 
     ``params`` is one (p, mu) point or a sequence of them. A sequence runs
     as one batched :func:`collision_evolve` over the stacked transfer
@@ -242,17 +228,14 @@ def n_blp(
     dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
     delta = projector(s) - np.kron(i_minus_x, np.eye(dim // 2))
-    run = collision_evolve(
-        g, gp, first, steady, tensor(projector(_PLUS), delta), steps,
-        keep_states=True, keep_joint=True,
-    )
-    # (3, B, steps + 1, dim, dim): system states, then both label blocks.
-    blocks = np.stack(
-        [(x, j[:, :dim, :dim], j[:, dim:, dim:]) for x, j in zip(run.states, run.joint_states)],
-        axis=-3,
-    )
+    blocks = collision_evolve(
+        g, gp, first, steady, tensor(projector(_PLUS), delta), steps, keep_blocks=True
+    ).blocks
     _require_finite(blocks, points)
-    d_sys, upper, lower = _half_norm(blocks)
+    # (3, B, steps + 1, dim, dim): system states, then both label blocks.
+    d_sys, upper, lower = _half_norm(
+        np.stack((blocks.sum(axis=-3), blocks[..., 0, :, :], blocks[..., 1, :, :]))
+    )
     d_joint = upper + lower
     grew = d_joint[:, 2:] > d_joint[:, 1:-1] + _MONOTONE_SLACK
     if grew.any():
@@ -294,8 +277,10 @@ def n_cp(
     ``params`` is one (p, mu) point or a sequence of them; a sequence runs
     as one batched :func:`collision_evolve`, and ``value`` (B,),
     ``series`` (B, steps + 1), ``meta["p"]`` and ``meta["mu"]`` (B,) get
-    the batch axis in front. Every state of every member goes through one
-    stacked :func:`~noisygrover.linalg.trace_norm`. A run whose states are
+    the batch axis in front. The system states are the sums
+    sigma_0 + sigma_1 of the label blocks that :func:`collision_evolve`
+    keeps, and every one of every member goes through one stacked
+    :func:`~noisygrover.linalg.trace_norm`. A run whose states are
     not finite raises :class:`~noisygrover.linalg.InvariantViolation`
     naming the (p, mu) point and step.
     """
@@ -303,7 +288,6 @@ def n_cp(
     g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     w = np.eye(s.size)[0]
     r0 = tensor(projector(_PLUS), projector(s) - projector(w))
-    trace = collision_evolve(g, gp, first, steady, r0, steps, keep_states=True)
-    states = np.stack(trace.states, axis=1)  # (B, steps + 1, d, d)
-    _require_finite(states, points)
-    return _measure(params, points, _half_norm(states), steps)
+    blocks = collision_evolve(g, gp, first, steady, r0, steps, keep_blocks=True).blocks
+    _require_finite(blocks, points)
+    return _measure(params, points, _half_norm(blocks.sum(axis=-3)), steps)

@@ -398,12 +398,12 @@ def test_witness_group_is_one_run_and_one_eigvalsh(capsys, monkeypatch, command,
 
 @pytest.mark.parametrize("command", sorted(_WITNESS_GRIDS))
 def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
-    # One kept state of the last member turns NaN halfway through the run.
+    # One kept label block of the last member turns NaN halfway through the run.
     def poisoned(*args, **kwargs):
         trace = collision.collision_evolve(*args, **kwargs)
-        states = [x.copy() for x in trace.states]
-        states[4][-1, 0, 0] = np.nan
-        return replace(trace, states=tuple(states))
+        blocks = trace.blocks.copy()
+        blocks[-1, 4, 0, 0, 0] = np.nan
+        return replace(trace, blocks=blocks)
 
     monkeypatch.setattr(measures, "collision_evolve", poisoned)
     code, out, err = run_cli(capsys, *_WITNESS_GRIDS[command])

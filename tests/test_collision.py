@@ -15,6 +15,7 @@ from noisygrover.collision import (
     apply_kraus,
     channel_maps,
     collision_evolve,
+    collision_first_max,
     dilation_unitary,
     extract_m,
     kraus_from_dilation,
@@ -35,6 +36,7 @@ from noisygrover.linalg import (
 )
 from noisygrover.markov import (
     MarkovNoiseParams,
+    _require_label_blocks,
     conditional_probs,
     initial_joint_state,
     markov_evolve,
@@ -410,8 +412,10 @@ def test_collision_evolve_basics():
     trace = collision_evolve(G, GP, first, steady, r0, 0)
     assert trace.probabilities.shape == (1,)
     assert trace.probabilities[0] == pytest.approx(0.25)
-    trace = collision_evolve(G, GP, first, steady, r0, 4, keep_joint=True, validate=True)
-    assert len(trace.joint_states) == 5
+    assert trace.blocks is None
+    trace = collision_evolve(G, GP, first, steady, r0, 4, keep_blocks=True)
+    assert trace.blocks.shape == (5, 2, 4, 4)
+    _require_label_blocks(trace.blocks, r0)
     assert trace.meta["steps"] == 4
     with pytest.raises(ValueError):
         collision_evolve(G, GP, first, steady, r0, -1)
@@ -431,8 +435,9 @@ def test_collision_evolve_validate_catches_broken_channel():
     params = MarkovNoiseParams(0.3, 0.3)
     first, steady = transfer_weights(params)
     r0 = initial_joint_state(INST)
-    with pytest.raises(InvariantViolation):
-        collision_evolve(G, GP, first, 1.05**2 * steady, r0, 3, validate=True)
+    trace = collision_evolve(G, GP, first, 1.05**2 * steady, r0, 3, keep_blocks=True)
+    with pytest.raises(InvariantViolation, match="t=2 is not a density matrix"):
+        _require_label_blocks(trace.blocks, r0)
 
 
 @pytest.mark.parametrize("temperature", [None, 0.1, 0.5, 1.0, 3.0, 100.0])
@@ -512,6 +517,22 @@ def _dense_evolve(first, steady, r0, steps, marked):
     return probs, states, joints
 
 
+def _assert_blocks_match(blocks, states, joints):
+    # The kept label blocks against the dense run: their sum is the system
+    # state, they are the joint's two diagonal walker blocks, and from t = 1
+    # on the joint's off-diagonal walker blocks are zero, so
+    # diag(sigma_0, sigma_1) is the whole joint.
+    h = blocks.shape[-1]
+    assert len(blocks) == len(states) == len(joints)
+    for t, (sigma, rho, joint) in enumerate(zip(blocks, states, joints)):
+        assert np.max(np.abs(sigma.sum(axis=0) - rho)) < 1e-12, t
+        assert np.max(np.abs(sigma[0] - joint[:h, :h])) < 1e-12, t
+        assert np.max(np.abs(sigma[1] - joint[h:, h:])) < 1e-12, t
+        if t:
+            assert np.max(np.abs(joint[:h, h:])) < 1e-12, t
+            assert np.max(np.abs(joint[h:, :h])) < 1e-12, t
+
+
 # n = 2..5, each with the pure and the thermal channel, then the degenerate
 # chain points (zero weights skip whole conjugations) at n = 2..4.
 @pytest.mark.parametrize(
@@ -540,16 +561,14 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     r0 = random_density(2 * inst.N, rng)
     steps = 6
     trace = collision_evolve(
-        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked,
-        keep_states=True, keep_joint=True, validate=True,
+        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked, keep_blocks=True
     )
+    _require_label_blocks(trace.blocks, r0)
     probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
-    for a, b in zip(trace.states, states):
-        assert np.max(np.abs(a - b)) < 1e-12
-    for a, b in zip(trace.joint_states, joints):
-        assert np.max(np.abs(a - b)) < 1e-12
-    assert np.array_equal(trace.joint_states[0], r0)
+    _assert_blocks_match(trace.blocks, states, joints)
+    h = inst.N
+    assert np.array_equal(trace.blocks[0], np.stack([r0[:h, :h], r0[h:, h:]]))
 
 
 PLUS = projector(np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -577,18 +596,19 @@ def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     r0 = _low_rank_start(start, inst)
-    flags = dict(keep_states=True, keep_joint=True, validate=validate)
+    probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
     if orbit:
+        flags = dict(keep_states=True, keep_joint=True, validate=validate)
         trace = markov_evolve(inst, spec, params, steps, bath=bath, **flags)
+        for a, b in zip(trace.states + trace.joint_states, states + joints):
+            assert np.max(np.abs(a - b)) < 1e-12
     else:
         weights = transfer_weights(params, bath)
-        trace = collision_evolve(g, gp, *weights, r0, steps, marked=inst.marked, **flags)
-    probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
+        trace = collision_evolve(g, gp, *weights, r0, steps, marked=inst.marked, keep_blocks=True)
+        if validate:
+            _require_label_blocks(trace.blocks, r0)
+        _assert_blocks_match(trace.blocks, states, joints)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
-    for a, b in zip(trace.states, states):
-        assert np.max(np.abs(a - b)) < 1e-12
-    for a, b in zip(trace.joint_states, joints):
-        assert np.max(np.abs(a - b)) < 1e-12
     return trace
 
 
@@ -634,14 +654,14 @@ def test_markov_evolve_matches_full_collision_evolve(n):
         bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
         g = grover_operator(inst)
         gp = noisy_grover(g, build_chi(n, spec))
+        r0 = initial_joint_state(inst)
         full = collision_evolve(
-            g, gp, *transfer_weights(params, bath), initial_joint_state(inst), 5,
-            marked=inst.marked, keep_states=True, keep_joint=True,
+            g, gp, *transfer_weights(params, bath), r0, 5, marked=inst.marked, keep_blocks=True
         )
         orbit = markov_evolve(inst, spec, params, 5, bath=bath, keep_states=True, keep_joint=True)
         assert np.max(np.abs(orbit.probabilities - full.probabilities)) < 1e-12
-        for a, b in zip(orbit.states + orbit.joint_states, full.states + full.joint_states):
-            assert np.max(np.abs(a - b)) < 1e-12
+        _assert_blocks_match(full.blocks, orbit.states, orbit.joint_states)
+        assert np.max(np.abs(orbit.joint_states[0] - r0)) < 1e-12
 
 
 # No shrink phase: shrinking a failure reruns the dense 2N x 2N reference
@@ -715,11 +735,10 @@ def test_dim_bounded_on_markov_starts():
 def test_zero_start_evolves_to_zero():
     first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
     zero = np.zeros((8, 8), dtype=complex)
-    trace = collision_evolve(G, GP, first, steady, zero, 3, keep_states=True, keep_joint=True)
+    trace = collision_evolve(G, GP, first, steady, zero, 3, keep_blocks=True)
     assert trace.meta["dim"] == 4
     assert np.array_equal(trace.probabilities, np.zeros(4))
-    for state in trace.states + trace.joint_states:
-        assert not state.any()
+    assert trace.blocks.shape == (4, 2, 4, 4) and not trace.blocks.any()
 
 
 def test_collision_evolve_rejects_non_hermitian_blocks():
@@ -729,3 +748,22 @@ def test_collision_evolve_rejects_non_hermitian_blocks():
     r0 = tensor(projector(np.array([1.0, 0.0])), np.outer(s, w))
     with pytest.raises(ValueError, match="not Hermitian"):
         collision_evolve(G, GP, first, steady, r0, 2)
+
+
+@pytest.mark.parametrize("reader", [collision_evolve, collision_first_max])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["r0", "first", "steady"])
+def test_step_loop_rejects_a_non_finite_start_or_weight(where, value, reader):
+    # A NaN compares False with every tolerance, so each check must fail
+    # on it rather than pass; an inf diagonal entry gives inf - inf = NaN.
+    inputs = dict(zip(("first", "steady"), transfer_weights(MarkovNoiseParams(0.3, 0.3))))
+    inputs["r0"] = initial_joint_state(INST)
+    inputs[where] = inputs[where].copy()
+    if where == "r0":
+        inputs["r0"][1, 1] = value  # a diagonal entry of sigma_0
+        match = "not Hermitian"
+    else:
+        inputs[where][1, 0, 1] = value
+        match = "transfer weights are not finite"
+    with pytest.raises(ValueError, match=match):
+        reader(G, GP, inputs["first"], inputs["steady"], inputs["r0"], 3)

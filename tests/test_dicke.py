@@ -14,12 +14,14 @@ from noisygrover.markov import (
     MarkovNoiseParams,
     _dicke_operators,
     _dicke_power,
+    _require_label_blocks,
     markov_evolve,
     markov_series,
     perfect_memory_analytic,
 )
-from noisygrover.measures import _split_basis, _split_operators, n_blp, n_cp
+from noisygrover.measures import _split_operators, n_blp, n_cp
 from noisygrover.noise import (
+    NoiseSpec,
     closed_form_overlaps,
     noise_spec,
     noise_unitary,
@@ -54,6 +56,17 @@ def _compressed(inst, spec, v):
     for pos in spec.positions:
         chi_v = np.moveaxis(np.tensordot(spec.u.matrix, chi_v, axes=(1, pos)), 0, pos)
     return g, (v.T @ chi_v.reshape(v.shape)) @ g, s
+
+
+def _split_basis(inst, spec):
+    # I_2 (x) V_rest: the N x 2 d_rest isometry onto n_blp's space
+    # W = C^2 (x) W_rest, with V_rest the orbit basis of the other n - 1
+    # qubits (one vector when n = 1).
+    if inst.n == 1:
+        return np.eye(2)
+    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
+    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
+    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
 
 
 def _cases(n, seed, ones=None):
@@ -242,19 +255,15 @@ def test_batched_collision_evolve_keeps_each_members_states():
     weights = [transfer_weights(params, bath) for params, bath in points]
     first = np.stack([w[0] for w in weights]).reshape(2, 4, 2, 2, 2)
     steady = np.stack([w[1] for w in weights]).reshape(2, 4, 2, 2, 2)
-    flags = {"keep_states": True, "keep_joint": True}
-    batched = collision_evolve(g, gp, first, steady, r0, 6, validate=True, **flags)
+    batched = collision_evolve(g, gp, first, steady, r0, 6, keep_blocks=True)
     assert batched.probabilities.shape == (2, 4, 7)
-    assert batched.states[3].shape == (2, 4) + g.shape
-    assert batched.joint_states[3].shape == (2, 4) + r0.shape
+    assert batched.blocks.shape == (2, 4, 7, 2) + g.shape
     for b, (w_first, w_steady) in enumerate(weights):
         i, j = divmod(b, 4)
-        single = collision_evolve(g, gp, w_first, w_steady, r0, 6, **flags)
+        _require_label_blocks(batched.blocks[i, j], r0)
+        single = collision_evolve(g, gp, w_first, w_steady, r0, 6, keep_blocks=True)
         assert np.max(np.abs(batched.probabilities[i, j] - single.probabilities)) < 1e-13
-        for many, one in zip(batched.states, single.states):
-            assert np.max(np.abs(many[i, j] - one)) < 1e-13
-        for many, one in zip(batched.joint_states, single.joint_states):
-            assert np.max(np.abs(many[i, j] - one)) < 1e-13
+        assert np.max(np.abs(batched.blocks[i, j] - single.blocks)) < 1e-13
     # A single steady tensor broadcasts against a stack of first ones.
     shared = collision_evolve(g, gp, first[0], weights[0][1], r0, 6)
     assert shared.probabilities.shape == (4, 7)

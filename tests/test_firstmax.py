@@ -111,14 +111,23 @@ def test_first_max_rule_on_ties_and_nan():
             assert _same((int(t), float(height)), _rule(row)), row
 
 
-def test_reader_reads_nan_series_as_np_argmax():
+def test_reader_reads_nan_series_as_np_argmax(monkeypatch):
     # A NaN on the marked diagonal keeps every P NaN: no t passes the
-    # comparisons, and the argmax is the first NaN, t = 0.
+    # comparisons, and the argmax is the first NaN, t = 0. The input check
+    # rejects a NaN start, so the NaN enters the step loop's first stack,
+    # past that check.
+    real = collision._step_stream
+
+    def poisoned(sigma, *plans):
+        sigma = sigma.copy()
+        sigma[:, 0, 0, 0] = math.nan
+        return real(sigma, *plans)
+
+    monkeypatch.setattr(collision, "_step_stream", poisoned)
     inst = GroverInstance(2)
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(2, noise_spec(noise_unitary("x"), 1, 2)))
     r0 = initial_joint_state(inst)
-    r0[0, 0] = math.nan
     first, steady = transfer_weights(POINTS[:3])
     series = collision_evolve(g, gp, first, steady, r0, 6).probabilities
     t_star, p_star = collision_first_max(g, gp, first, steady, r0, 6)

@@ -1,9 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from noisygrover import collision
+from noisygrover.collision import thermal_weights
 from noisygrover.grover import (
     GroverInstance,
     grover_operator,
@@ -11,7 +14,13 @@ from noisygrover.grover import (
     ideal_success_series,
     uniform_superposition,
 )
-from noisygrover.linalg import assert_density, projector, tensor, trace_distance
+from noisygrover.linalg import (
+    InvariantViolation,
+    assert_density,
+    projector,
+    tensor,
+    trace_distance,
+)
 from noisygrover.markov import (
     HISTORY_MAX_STEPS,
     MarkovNoiseParams,
@@ -181,7 +190,7 @@ def test_history_oracle_refuses_large_horizons():
 def test_trace_contents_follow_flags():
     params = MarkovNoiseParams(0.4, 0.2)
     bare = markov_evolve(INST3, SPEC_X1, params, 5)
-    assert bare.states is None and bare.joint_states is None
+    assert bare.states is None and bare.joint_states is None and bare.blocks is None
     assert bare.probabilities.shape == (6,)
     full = markov_evolve(
         INST3, SPEC_X1, params, 5, keep_states=True, keep_joint=True, validate=True
@@ -194,6 +203,75 @@ def test_trace_contents_follow_flags():
     # probabilities are the marked diagonal of the kept marginals
     for t, rho in enumerate(full.states):
         assert abs(full.probabilities[t] - rho[0, 0].real) < 1e-12
+
+
+def _poison(kind, block):
+    # Break one property of a d x d label block in place, d >= 2.
+    if kind == "nan":
+        block[0, 0] = math.nan
+    elif kind == "skew":  # a non-Hermitian part
+        block[0, -1] += 1e-6
+    elif kind == "trace":
+        block *= 1.01
+    elif kind == "negative":  # same trace, an eigenvalue 1e-6 below the smallest
+        _, vecs = np.linalg.eigh(block)
+        block += 1e-6 * (projector(vecs[:, -1]) - projector(vecs[:, 0]))
+
+
+@pytest.mark.parametrize("temperature", [None, 1.0])
+@pytest.mark.parametrize("kind", ["nan", "skew", "trace", "negative"])
+def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
+    # markov_evolve imports collision_evolve at the call, so the patched
+    # one runs. Label block 1 is poisoned at steps 3 and 5; the check names
+    # step 3, and the padded joint of each step fails require_density's
+    # test (or is not finite, which eigvalsh cannot take) exactly at those
+    # steps.
+    kept = []
+
+    def poisoned(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        blocks = trace.blocks.copy()
+        for t in (3, 5):
+            _poison(kind, blocks[0, t, 1])
+        kept.append(blocks[0])
+        return replace(trace, blocks=blocks)
+
+    real = collision.collision_evolve
+    monkeypatch.setattr(collision, "collision_evolve", poisoned)
+    bath = None if temperature is None else thermal_weights(temperature)
+    params = MarkovNoiseParams(0.4, 0.6)
+    with pytest.raises(InvariantViolation, match=r"joint state t=3 is not a density matrix"):
+        markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, validate=True)
+    blocks = kept[0]
+    d = blocks.shape[-1]
+    for t, (upper, lower) in enumerate(blocks[1:], start=1):
+        joint = np.zeros((2 * d, 2 * d), dtype=complex)
+        joint[:d, :d], joint[d:, d:] = upper, lower
+        ok = np.isfinite(joint).all() and assert_density(joint, tol=1e-9).passed
+        assert ok == (t not in (3, 5)), t
+    # Without validate the poisoned blocks pass through to the lifts unchecked.
+    markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, keep_states=True)
+
+
+@pytest.mark.parametrize("temperature", [None, 1.0])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_validate_passes_clean_runs(n, temperature):
+    rng = np.random.default_rng(900 + n)
+    bath = None if temperature is None else thermal_weights(temperature)
+    for m in range(n + 1):
+        inst = GroverInstance(n, int(rng.integers(2**n)))
+        x = rng.uniform()
+        u = single_qubit_unitary(
+            math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
+            math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
+            2.0 * math.pi * rng.uniform(),
+        )
+        spec = noise_spec(u, m, n, sorted(rng.choice(n, size=m, replace=False).tolist()))
+        params = MarkovNoiseParams(rng.uniform(), rng.uniform())
+        checked = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
+        plain = markov_evolve(inst, spec, params, 12, bath=bath)
+        assert np.array_equal(checked.probabilities, plain.probabilities)
+        assert checked.states is None and checked.joint_states is None
 
 
 def test_perfect_memory_analytic_values():

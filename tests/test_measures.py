@@ -25,7 +25,6 @@ from noisygrover.linalg import (
 )
 from noisygrover.markov import MarkovNoiseParams, markov_evolve
 from noisygrover.measures import (
-    _split_basis,
     blp_pair,
     n_blp,
     n_cp,
@@ -200,28 +199,41 @@ def _cases(n, seed):
         yield rng, inst, noise_spec(_haar(rng), m, n, _positions(rng, n, m, with_zero))
 
 
+def _split_basis(inst, spec):
+    # V_W = I_2 (x) V_rest: the N x 2 d_rest isometry onto n_blp's space
+    # W = C^2 (x) W_rest, with V_rest the orbit basis of the other n - 1
+    # qubits (marked index marked % (N/2), noisy positions p - 1 for
+    # p != 0), one vector when n = 1.
+    if any(p >= inst.n for p in spec.positions):
+        raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
+    if inst.n == 1:
+        return np.eye(2)
+    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
+    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
+    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
+
+
 def _dense_blp(inst, spec, params, steps, bath):
     # Reference: the |s> member from markov_evolve lifted to N x N, the
     # partner on the full N x N G, G' through the step loop, and dense trace
     # distances of the system marginals and of the label blocks (of the
-    # whole joint at t = 0).
+    # whole joint at t = 0). The lifted joint's two diagonal walker blocks
+    # meet the partner's label blocks, and from t = 1 on its off-diagonal
+    # walker blocks are zero, so the block distances are the joint's.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-    flags = dict(keep_states=True, keep_joint=True)
-    runs = [
-        markov_evolve(inst, spec, params, steps, bath=bath, **flags),
-        collision_evolve(
-            g, gp, *transfer_weights(params, bath), tensor(plus, blp_pair(inst).rho2), steps, **flags
-        ),
-    ]
-    d_sys = np.array([trace_distance(a, b) for a, b in zip(runs[0].states, runs[1].states)])
+    partner = tensor(plus, blp_pair(inst).rho2)
+    run = markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True, keep_joint=True)
+    blocks = collision_evolve(
+        g, gp, *transfer_weights(params, bath), partner, steps, keep_blocks=True
+    ).blocks
+    d_sys = np.array([trace_distance(a, b) for a, b in zip(run.states, blocks.sum(axis=1))])
     h = inst.N
-    joints = list(zip(runs[0].joint_states, runs[1].joint_states))
-    d_joint = [trace_distance(*joints[0])] + [
-        trace_distance(a[:h, :h], b[:h, :h]) + trace_distance(a[h:, h:], b[h:, h:])
-        for a, b in joints[1:]
-    ]
+    d_joint = [trace_distance(run.joint_states[0], partner)]
+    for a, b in zip(run.joint_states[1:], blocks[1:]):
+        assert np.max(np.abs(a[:h, h:])) < 1e-12 and np.max(np.abs(a[h:, :h])) < 1e-12
+        d_joint.append(trace_distance(a[:h, :h], b[0]) + trace_distance(a[h:, h:], b[1]))
     return positive_increment_sum(d_sys), d_sys, np.array(d_joint)
 
 
@@ -339,21 +351,22 @@ def test_batched_witnesses_equal_single_calls(n):
 
 
 def _poisoned(monkeypatch, kept, member, t, scale):
-    # collision_evolve whose kept ``kept`` ("states" or "joint_states") of
-    # one member at step t is multiplied by ``scale``.
+    # collision_evolve whose kept label blocks of one member at step t are
+    # multiplied by ``scale``: both of them, the whole state, for
+    # ``kept`` = "states", and label block 1 of the joint alone for
+    # "joint_states".
     def run(*args, **kwargs):
         trace = collision_evolve(*args, **kwargs)
-        states = list(getattr(trace, kept))
-        states[t] = states[t].copy()
-        states[t][member] *= scale
-        return replace(trace, **{kept: tuple(states)})
+        blocks = trace.blocks.copy()
+        blocks[(member, t) if kept == "states" else (member, t, 1)] *= scale
+        return replace(trace, blocks=blocks)
 
     monkeypatch.setattr(measures, "collision_evolve", run)
 
 
 def test_joint_growth_names_the_member_and_step(monkeypatch):
     points = [MarkovNoiseParams(0.3, 0.5), MarkovNoiseParams(0.6, 0.9)]
-    _poisoned(monkeypatch, "joint_states", 1, 3, 2.0)
+    _poisoned(monkeypatch, "states", 1, 3, 2.0)
     with pytest.raises(InvariantViolation, match=r"grew at p=0.6 mu=0.9, step 2 -> 3"):
         n_blp(INST, SPEC, points, 6)
 
@@ -364,6 +377,5 @@ def test_a_non_finite_run_is_an_invariant_violation(monkeypatch, kept):
     _poisoned(monkeypatch, kept, 1, 4, math.nan)
     with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
         n_blp(INST, SPEC, points, 6)
-    if kept == "states":
-        with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
-            n_cp(INST, SPEC, points, 6)
+    with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
+        n_cp(INST, SPEC, points, 6)
