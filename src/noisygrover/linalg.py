@@ -99,13 +99,14 @@ def partial_trace(
     return arr.reshape(d_out, d_out)
 
 
-def hermiticity_defect(a: ComplexMatrix) -> float:
+def hermiticity_defect(a: ComplexMatrix, axis=None) -> float | np.ndarray:
     """Largest entrywise deviation of ``a`` from its conjugate transpose,
-    over every member of a stack ``(..., d, d)``; NaN or inf if an entry
-    is not finite."""
+    over every member of a stack ``(..., d, d)``, or per member with
+    ``axis=(-2, -1)``; NaN or inf if an entry is not finite."""
     a = np.asarray(a)
     with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported
-        return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
+        defect = np.max(np.abs(a - dagger(a)), axis=axis, initial=0.0)
+    return float(defect) if axis is None else defect
 
 
 def trace_norm(h: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
@@ -149,43 +150,62 @@ def trace_distance(
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Validation summary for a candidate density matrix."""
+    """Validation summary for a candidate density matrix, or for each member
+    of a stack (array fields of the stack's shape)."""
 
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
+    hermiticity_defect: float | np.ndarray
+    trace_defect: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
     tol: float
-    passed: bool
+    passed: bool | np.ndarray
 
 
-def assert_density(rho: ComplexMatrix, tol: float = 1e-10) -> DensityReport:
-    """Check Hermiticity, unit trace, and positivity of ``rho``.
+def assert_density(rho: ComplexMatrix, tol: float = 1e-10, blocks: bool = False) -> DensityReport:
+    """Check Hermiticity, unit trace, and positivity of ``rho``, or of each
+    member of a stack ``(..., d, d)``.
 
     Returns a :class:`DensityReport`; ``passed`` is true iff the hermiticity
     defect and trace defect are at most ``tol`` and the smallest eigenvalue
-    is at least ``-tol``. Nothing is raised here so callers can decide how
+    (NaN for a member that is not finite) is at least ``-tol``. With
+    ``blocks`` the last stack axis holds the diagonal blocks of one
+    block-diagonal matrix, whose spectrum is the union of theirs, so they
+    are checked as one. Nothing is raised here so callers can decide how
     strict to be; see :func:`require_density` for the raising variant.
     """
     rho = np.asarray(rho, dtype=complex)
-    herm = hermiticity_defect(rho)
-    tr = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    herm = hermiticity_defect(rho, axis=(-2, -1))
+    tr = np.trace(rho, axis1=-2, axis2=-1)
     # Positivity is judged on the Hermitian part; for near-Hermitian input
     # this perturbs eigenvalues by at most the hermiticity defect.
-    sym = 0.5 * (rho + dagger(rho))
-    lo = float(np.min(np.linalg.eigvalsh(sym))) if rho.size else 0.0
-    ok = herm <= tol and tr <= tol and lo >= -tol
+    safe = np.where(finite[..., None, None], rho, 0.0)
+    lo = np.linalg.eigvalsh(0.5 * (safe + dagger(safe))).min(axis=-1, initial=np.inf)
+    lo = np.where(finite, lo, np.nan)
+    if blocks:
+        herm, tr, lo = herm.max(axis=-1), tr.sum(axis=-1), lo.min(axis=-1)
+    tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    ok = (herm <= tol) & (tr <= tol) & (lo >= -tol)
+    if ok.ndim == 0:
+        return DensityReport(float(herm), float(tr), float(lo), tol, bool(ok))
     return DensityReport(herm, tr, lo, tol, ok)
 
 
-def require_density(rho: ComplexMatrix, tol: float = 1e-10, what: str = "state") -> None:
-    """Raise :class:`InvariantViolation` unless ``rho`` passes :func:`assert_density`."""
-    report = assert_density(rho, tol=tol)
-    if not report.passed:
+def require_density(
+    rho: ComplexMatrix, tol: float = 1e-10, what: str = "state", blocks: bool = False
+) -> None:
+    """Raise :class:`InvariantViolation` unless ``rho`` passes
+    :func:`assert_density`. ``what`` names the matrix in the message; for a
+    stack it is formatted (``str.format``) with the index of the first
+    member that fails."""
+    report = assert_density(rho, tol=tol, blocks=blocks)
+    bad = np.argwhere(~np.asarray(report.passed))
+    if len(bad):  # one row per failing member; a row of no indices for one matrix
+        i = tuple(bad[0])
+        fields = (report.hermiticity_defect, report.trace_defect, report.min_eigenvalue)
+        herm, tr, lo = (np.asarray(f)[i] for f in fields)
         raise InvariantViolation(
-            f"{what} is not a density matrix within {tol:.1e}: "
-            f"hermiticity {report.hermiticity_defect:.3e}, "
-            f"trace defect {report.trace_defect:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e}"
+            f"{what.format(*i) if i else what} is not a density matrix within {tol:.1e}: "
+            f"hermiticity {herm:.3e}, trace defect {tr:.3e}, min eigenvalue {lo:.3e}"
         )
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, InvariantViolation, dagger, projector, require_density, tensor
+from .linalg import ComplexMatrix, dagger, projector, require_density, tensor
 from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
@@ -260,31 +260,6 @@ def markov_first_max(
     return collision_first_max(*_batch_inputs(inst, spec, params_seq, bath), steps)
 
 
-def _require_label_blocks(blocks: np.ndarray, r0: ComplexMatrix, tol: float = 1e-9) -> None:
-    """:func:`require_density` on each joint of a run, from its start ``r0``
-    (t = 0) and label blocks ``blocks`` (steps + 1, 2, d, d), raising at the
-    first failing step. From t = 1 on the joint is diag(sigma_0, sigma_1),
-    so its hermiticity defect, trace and spectrum are read off the blocks,
-    every step's eigenvalues from one ``eigvalsh``; a step that is not
-    finite fails on its hermiticity and reports a NaN eigenvalue."""
-    require_density(r0, tol, what="joint state t=0")
-    later = blocks[1:]
-    finite = np.isfinite(later).all(axis=(1, 2, 3))
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported
-        herm = np.abs(later - dagger(later)).max(axis=(1, 2, 3))
-        total = np.trace(later.sum(axis=1), axis1=-2, axis2=-1)
-    defect = np.abs(total.real - 1.0) + np.abs(total.imag)
-    sym = np.where(finite[:, None, None, None], later, 0.0)
-    low = np.where(finite, np.linalg.eigvalsh(0.5 * (sym + dagger(sym))).min(axis=(1, 2)), np.nan)
-    bad = np.flatnonzero(~((herm <= tol) & (defect <= tol) & (low >= -tol)))
-    if bad.size:
-        t = bad[0]
-        raise InvariantViolation(
-            f"joint state t={t + 1} is not a density matrix within {tol:.1e}: hermiticity "
-            f"{herm[t]:.3e}, trace defect {defect[t]:.3e}, min eigenvalue {low[t]:.3e}"
-        )
-
-
 def markov_evolve(
     inst: GroverInstance,
     spec: NoiseSpec,
@@ -309,9 +284,10 @@ def markov_evolve(
     ``keep_states`` lifts V (sigma_0 + sigma_1) V^dagger to N x N and
     ``keep_joint`` diag(sigma_0, sigma_1) through I_2 (x) V to 2N x 2N (the
     start, walker coherences included, at t = 0); V is built only for these
-    lifts. ``validate`` checks every joint, once after the run, at 1e-9 on
-    the blocks (an isometry keeps trace, hermiticity and the nonzero
-    spectrum) and raises :class:`InvariantViolation` at the first bad step.
+    lifts. ``validate`` checks ``r0`` and, once after the run, every step's
+    blocks at 1e-9 (an isometry keeps trace, hermiticity and the nonzero
+    spectrum; at t = 0 they are r0's diagonal blocks, which pass whenever it
+    does) and raises :class:`InvariantViolation` at the first bad step.
     """
     from .collision import collision_evolve  # deferred, see collision.py
 
@@ -319,8 +295,9 @@ def markov_evolve(
     keep = keep_states or keep_joint or validate
     run = collision_evolve(g, gp, first, steady, r0, steps, keep_blocks=keep)
     states = joints = None
-    if validate:
-        _require_label_blocks(run.blocks[0], r0)
+    if validate:  # from t = 1 on the joint is diag(sigma_0, sigma_1)
+        require_density(r0, 1e-9, what="joint state t=0")
+        require_density(run.blocks[0], 1e-9, what="joint state t={}", blocks=True)
     if keep_states or keep_joint:
         v = orbit_basis(inst, spec)
     if keep_states:

@@ -31,12 +31,12 @@ from noisygrover.linalg import (
     partial_trace,
     projector,
     random_density,
+    require_density,
     tensor,
     trace_distance,
 )
 from noisygrover.markov import (
     MarkovNoiseParams,
-    _require_label_blocks,
     conditional_probs,
     initial_joint_state,
     markov_evolve,
@@ -415,7 +415,7 @@ def test_collision_evolve_basics():
     assert trace.blocks is None
     trace = collision_evolve(G, GP, first, steady, r0, 4, keep_blocks=True)
     assert trace.blocks.shape == (5, 2, 4, 4)
-    _require_label_blocks(trace.blocks, r0)
+    require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     assert trace.meta["steps"] == 4
     with pytest.raises(ValueError):
         collision_evolve(G, GP, first, steady, r0, -1)
@@ -437,7 +437,7 @@ def test_collision_evolve_validate_catches_broken_channel():
     r0 = initial_joint_state(INST)
     trace = collision_evolve(G, GP, first, 1.05**2 * steady, r0, 3, keep_blocks=True)
     with pytest.raises(InvariantViolation, match="t=2 is not a density matrix"):
-        _require_label_blocks(trace.blocks, r0)
+        require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
 
 
 @pytest.mark.parametrize("temperature", [None, 0.1, 0.5, 1.0, 3.0, 100.0])
@@ -563,7 +563,7 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     trace = collision_evolve(
         g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked, keep_blocks=True
     )
-    _require_label_blocks(trace.blocks, r0)
+    require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
     _assert_blocks_match(trace.blocks, states, joints)
@@ -606,7 +606,7 @@ def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit
         weights = transfer_weights(params, bath)
         trace = collision_evolve(g, gp, *weights, r0, steps, marked=inst.marked, keep_blocks=True)
         if validate:
-            _require_label_blocks(trace.blocks, r0)
+            require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
         _assert_blocks_match(trace.blocks, states, joints)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
     return trace

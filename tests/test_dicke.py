@@ -9,12 +9,11 @@ import pytest
 from noisygrover import collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
 from noisygrover.grover import GroverInstance, ideal_success_closed_form, uniform_superposition
-from noisygrover.linalg import dagger, projector, tensor
+from noisygrover.linalg import dagger, projector, require_density, tensor
 from noisygrover.markov import (
     MarkovNoiseParams,
     _dicke_operators,
     _dicke_power,
-    _require_label_blocks,
     markov_evolve,
     markov_series,
     perfect_memory_analytic,
@@ -260,7 +259,7 @@ def test_batched_collision_evolve_keeps_each_members_states():
     assert batched.blocks.shape == (2, 4, 7, 2) + g.shape
     for b, (w_first, w_steady) in enumerate(weights):
         i, j = divmod(b, 4)
-        _require_label_blocks(batched.blocks[i, j], r0)
+        require_density(batched.blocks[i, j], 1e-9, what="joint state t={}", blocks=True)
         single = collision_evolve(g, gp, w_first, w_steady, r0, 6, keep_blocks=True)
         assert np.max(np.abs(batched.probabilities[i, j] - single.probabilities)) < 1e-13
         assert np.max(np.abs(batched.blocks[i, j] - single.blocks)) < 1e-13

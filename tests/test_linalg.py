@@ -123,6 +123,56 @@ def test_require_density_raises():
         require_density(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_matrix_fails_without_linalg_error(bad):
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[1, 2] = bad
+    report = assert_density(rho)
+    assert report.passed is False and np.isnan(report.min_eigenvalue)
+    with pytest.raises(InvariantViolation, match="min eigenvalue nan"):
+        require_density(rho)
+
+
+def test_stacked_density_check_matches_each_member():
+    rng = np.random.default_rng(RNG_SEED)
+    stack = np.stack([random_density(4, rng) for _ in range(6)])
+    stack[2] = np.diag([1.5, -0.5, 0.0, 0.0])   # negative eigenvalue
+    stack[3] *= 1.01                            # trace 1.01
+    stack[4, 0, 1] += 1e-3                      # not Hermitian
+    stack[5, 3, 3] = np.nan
+    report = assert_density(stack)
+    for i, rho in enumerate(stack):
+        one = assert_density(rho)
+        assert report.passed[i] == one.passed == (i < 2)
+        for field in ("hermiticity_defect", "trace_defect", "min_eigenvalue"):
+            assert np.array_equal(getattr(report, field)[i], getattr(one, field), equal_nan=True)
+    with pytest.raises(InvariantViolation, match=r"^member 2 is not a density matrix"):
+        require_density(stack, what="member {}")
+    require_density(stack[:2], what="member {}")
+
+
+def test_block_check_pools_the_blocks_of_a_block_diagonal_matrix():
+    # Each (2, d, d) member is diag(a, b) with trace a + trace b = 1; a block
+    # on its own has the wrong trace, and one negative block fails the whole.
+    rng = np.random.default_rng(RNG_SEED + 1)
+    members = []
+    for shift in (0.0, 0.0, 0.3):
+        a, b = 0.4 * random_density(3, rng), 0.6 * random_density(3, rng)
+        members.append([a, b - shift * np.eye(3) + shift * np.diag([3.0, 0.0, 0.0])])
+    stack = np.array(members)
+    report = assert_density(stack, blocks=True)
+    assert report.passed.tolist() == [True, True, False]
+    assert not assert_density(stack).passed.any()
+    for i, (a, b) in enumerate(stack):
+        joint = assert_density(np.block([[a, np.zeros((3, 3))], [np.zeros((3, 3)), b]]))
+        assert report.passed[i] == joint.passed
+        assert report.hermiticity_defect[i] == joint.hermiticity_defect
+        assert report.trace_defect[i] == pytest.approx(joint.trace_defect, abs=1e-15)
+        assert report.min_eigenvalue[i] == pytest.approx(joint.min_eigenvalue, abs=1e-14)
+    with pytest.raises(InvariantViolation, match=r"^t=2 is not a density matrix"):
+        require_density(stack, what="t={}", blocks=True)
+
+
 def test_dagger():
     a = np.array([[1.0, 2.0j], [3.0, 4.0]])
     assert np.array_equal(dagger(a), np.conj(a).T)

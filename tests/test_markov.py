@@ -223,9 +223,8 @@ def _poison(kind, block):
 def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
     # markov_evolve imports collision_evolve at the call, so the patched
     # one runs. Label block 1 is poisoned at steps 3 and 5; the check names
-    # step 3, and the padded joint of each step fails require_density's
-    # test (or is not finite, which eigvalsh cannot take) exactly at those
-    # steps.
+    # step 3, and the padded joint of each step fails assert_density
+    # exactly at those steps.
     kept = []
 
     def poisoned(*args, **kwargs):
@@ -247,8 +246,7 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
     for t, (upper, lower) in enumerate(blocks[1:], start=1):
         joint = np.zeros((2 * d, 2 * d), dtype=complex)
         joint[:d, :d], joint[d:, d:] = upper, lower
-        ok = np.isfinite(joint).all() and assert_density(joint, tol=1e-9).passed
-        assert ok == (t not in (3, 5)), t
+        assert assert_density(joint, tol=1e-9).passed == (t not in (3, 5)), t
     # Without validate the poisoned blocks pass through to the lifts unchecked.
     markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, keep_states=True)
 

@@ -204,8 +204,6 @@ def _split_basis(inst, spec):
     # W = C^2 (x) W_rest, with V_rest the orbit basis of the other n - 1
     # qubits (marked index marked % (N/2), noisy positions p - 1 for
     # p != 0), one vector when n = 1.
-    if any(p >= inst.n for p in spec.positions):
-        raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
     if inst.n == 1:
         return np.eye(2)
     rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
@@ -288,7 +286,7 @@ def test_blp_partner_splits_over_the_qubit0_basis(n):
             image = op @ v
             assert np.max(np.abs(image - v @ (v.T @ image))) < 1e-13, spec.positions
     with pytest.raises(ValueError, match="exceed qubit count"):
-        _split_basis(GroverInstance(n), NoiseSpec(noise_unitary("x"), (n,)))
+        n_blp(GroverInstance(n), NoiseSpec(noise_unitary("x"), (n,)), MarkovNoiseParams(0.3, 0.5), 1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 9])
