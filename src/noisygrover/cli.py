@@ -7,11 +7,12 @@ table, as CSV (meta in ``# key=value`` header lines) or JSON
 file, built-in defaults fill the rest. List-valued options take comma
 separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
 over groups of grid points without changing results or row order: the
-success grids run every (p, mu) pair that shares its operators as one
-batched evolve, so a group is one set of noisy positions (``noisy``) or one
-n (``firstmax``, whose evolve stops once every point of the group has
-passed its first maximum), and ``invariance`` runs one group per (m, q)
-class. The witness grids run every (p, mu) pair that shares its bath as
+success grids hand their systems (the noisy position sets of ``noisy``,
+the n list of ``firstmax``, the (m, q) classes of ``invariance``) to one
+step loop per distinct orbit dimension d, which runs every system of that
+d against every (p, mu) pair at once, so a group is one d (in
+``firstmax``, each n leaves its loop once its points have passed their
+first maximum). The witness grids run every (p, mu) pair that shares its bath as
 one batched witness call whose trace norms are one stacked pass, so
 ``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
 temperature.
@@ -23,6 +24,7 @@ invariant failed mid-run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -47,10 +49,11 @@ from .linalg import InvariantViolation, trace_distance
 from .markov import (
     HISTORY_MAX_STEPS,
     MarkovNoiseParams,
+    _group_first_max,
+    _group_series,
+    _table,
     history_oracle,
     markov_evolve,
-    markov_first_max,
-    markov_series,
 )
 from .measures import n_blp, n_cp
 from .noise import SingleQubitUnitary, build_chi, noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
@@ -389,21 +392,8 @@ def _require(opts: dict, key: str, command: str) -> str:
 # Top-level functions so ProcessPoolExecutor can pickle them. Each takes
 # one tuple of inputs the handler has already built, so every bad input
 # fails before any pool starts, and returns plain data; row order is the
-# point order, independent of --jobs.
-
-def _series_group(group) -> np.ndarray:
-    """Success series, (len(params), steps + 1), of the (p, mu) points of
-    one group that shares n, the noisy positions, the bath and steps."""
-    inst, spec, params, bath, steps = group
-    return markov_series(inst, spec, params, steps, bath=bath)
-
-
-def _first_max_group(group) -> tuple[np.ndarray, np.ndarray]:
-    """(t*, P*), each (len(params),), of the (p, mu) points of one group
-    that shares n, the noisy positions, the bath and steps."""
-    inst, spec, params, bath, steps = group
-    return markov_first_max(inst, spec, params, steps, bath=bath)
-
+# point order, independent of --jobs. The success grids hand out the
+# d-groups of markov._table through its own top-level readers.
 
 def _blp_group(group) -> np.ndarray:
     """Backflow witness values, (len(params),), of the (p, mu) points of one
@@ -443,6 +433,13 @@ def _run_grid(worker, points, jobs: int) -> list:
         return [worker(pt) for pt in points]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, points))
+
+
+def _success_table(read, systems, params, steps, opts: dict, bath=None) -> tuple:
+    """``markov._table`` over ``systems``: one step loop per distinct d,
+    and ``--jobs`` hands out those groups."""
+    mapper = functools.partial(_run_grid, jobs=int(opts["jobs"]))
+    return _table(read, systems, params, steps, bath, mapper)
 
 
 # ----------------------------------------------------------- handlers
@@ -496,8 +493,10 @@ def _handle_noisy(opts: dict) -> ResultTable:
         specs = [noise_spec(u, len(positions), inst.n, positions)]
     else:
         specs = [noise_spec(u, m, inst.n) for m in _parse_int_list(opts["m"], "m")]
-    groups = [(inst, spec, params, bath, steps) for spec in specs]
-    all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
+    (all_series,) = _success_table(
+        _group_series, [(inst, spec) for spec in specs], params, steps, opts, bath
+    )
+    all_series = all_series.reshape(-1, steps + 1)
     labels = [_label(m=len(spec.positions), p=par.p, mu=par.mu) for spec in specs for par in params]
     rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(steps + 1)]
     return ResultTable(_meta("noisy", opts), ["t"] + labels, rows)
@@ -512,7 +511,7 @@ def _handle_invariance(opts: dict) -> ResultTable:
     steps = _parse_steps(opts["steps"])
     # A position set enters the evolve only through its size m and the
     # number q of its positions where the marked index has a 1 bit
-    # (markov._orbit_chi), so every nonempty subset shares its series with
+    # (markov._orbit_class), so every nonempty subset shares its series with
     # one representative of its (m, q) class: the first q one-bit and the
     # first m - q zero-bit positions. The class of (0,) is represented by
     # (0,) itself, since position 0 comes first in its own list.
@@ -523,8 +522,8 @@ def _handle_invariance(opts: dict) -> ResultTable:
         for m in range(1, n + 1)
         for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
     ]
-    groups = [(inst, noise_spec(u, len(c), n, c), params, None, steps) for c in classes]
-    all_series = np.concatenate(_run_grid(_series_group, groups, int(opts["jobs"])))
+    systems = [(inst, noise_spec(u, len(c), n, c)) for c in classes]
+    all_series = _success_table(_group_series, systems, params, steps, opts)[0][:, 0]
     reference = all_series[classes.index((0,))]
     deviations = np.max(np.abs(all_series - reference[None, :]), axis=0)
     meta = _meta("invariance", opts)
@@ -542,14 +541,12 @@ def _handle_firstmax(opts: dict) -> ResultTable:
     m = _parse_int(opts["m"], "m")
     params = _params(_parse_float_list(opts["p"], "p"), _parse_float_list(opts["mu"], "mu"))
     steps = _parse_steps(opts["steps"])
-    groups = [
-        (GroverInstance(n, marked), noise_spec(u, m, n), params, None, steps) for n in ns_list
-    ]
-    results = _run_grid(_first_max_group, groups, int(opts["jobs"]))
+    systems = [(GroverInstance(n, marked), noise_spec(u, m, n)) for n in ns_list]
+    t_star, p_star = _success_table(_group_first_max, systems, params, steps, opts)
     rows = [
         [n, par.p, par.mu, int(t), float(height)]
-        for n, (t_star, p_star) in zip(ns_list, results)
-        for par, t, height in zip(params, t_star, p_star)
+        for n, t_row, p_row in zip(ns_list, t_star, p_star)
+        for par, t, height in zip(params, t_row, p_row)
     ]
     return ResultTable(_meta("firstmax", opts), ["n", "p", "mu", "t_star", "P_star"], rows)
 

@@ -29,19 +29,23 @@ the dilation and its factorization are the verification layer: the tests
 and ``dilation-check`` compare against them.
 
 The step loop is one generator, dense at whatever size it is given, that
-runs a batch of transfer tensors at once: the label blocks of every
-member form one (B, 2, d, d) stack, yielded for t = 0, 1, 2, ... Two
-readers draw from it: ``collision_evolve`` takes the first steps + 1
-stacks and keeps the success series (and, on request, the label blocks
-themselves), and ``collision_first_max`` stops once every member has
-passed its first success maximum, so its cost follows the first maxima
-and not the horizon. Nothing here forms a 2d x 2d joint; one exists only
-as ``markov_evolve``'s lifted output. The success and witness series
-hand the loop G and G' on an invariant subspace whose dimension does not
-grow with n, built from closed forms without any N-sized array: the span
-of the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for
-blp's pair qubit 0 times that of the other n - 1 qubits. Any other start
-runs on the full N x N operators. The size is reported as ``meta["dim"]``.
+runs a batch at once: transfer tensors, G, G' and the start each may carry
+leading batch axes (the (p, mu) points, or the systems of one d), which
+broadcast against each other, so a shared operator is never copied per
+member. The label blocks of every member form one batch + (2, d, d)
+stack, yielded for t = 0, 1, 2, ... Two readers draw from it:
+``collision_evolve`` takes the first steps + 1 stacks and keeps the
+success series (and, on request, the label blocks themselves), and
+``collision_first_max`` drops each slice of the first batch axis once its
+members have passed their first success maximum and stops when none is
+left, so its cost follows the first maxima and not the horizon. Nothing
+here forms a 2d x 2d joint; one exists only as ``markov_evolve``'s lifted
+output. The success and witness series hand the loop G and G' on an
+invariant subspace whose dimension does not grow with n, built from closed
+forms without any N-sized array: the span of the orbit basis of
+:func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0 times
+that of the other n - 1 qubits. Any other start runs on the full N x N
+operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -54,10 +58,9 @@ checks it is unitary.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -476,24 +479,31 @@ def transfer_weights(
     return out[0], out[1]
 
 
+# The step loop's generator: it yields label-block stacks and takes the
+# indices of the first-axis slices to keep (or None) in return.
+_Stream = Generator[np.ndarray, Optional[np.ndarray], None]
+
+
 def _step_terms(weights: np.ndarray, ops: np.ndarray, ops_dag: np.ndarray):
     """The (r, op) terms of one step kind, laid out as k slots per output
     block r.
 
-    ``weights`` is the (B, 2, 2, 2) stack of transfer tensors. A term is
-    active when its weight is nonzero for some member and some input block
-    c, and k is the most active terms of one block. Each block lists its
-    active ops first; a block with fewer than k fills up with its inactive
-    ops, whose weights are zero for every member. Returns the mixing
-    weights (B, 2k, 2) over c, and the operators and adjoints (2k, d, d).
+    ``weights`` is the stack (..., 2, 2, 2) of transfer tensors and ``ops``,
+    ``ops_dag`` are G, G' and their adjoints, (..., 2, d, d), each with its
+    own batch axes. A term is active when its weight is nonzero for some
+    member and some input block c, and k is the most active terms of one
+    block. Each block lists its active ops first; a block with fewer than k
+    fills up with its inactive ops, whose weights are zero for every member.
+    Returns the mixing weights (..., 2k, 2) over c, and the operators and
+    adjoints (..., 2k, d, d), each keeping the batch axes it came with.
     """
-    active = weights.any(axis=(0, 2))  # [r, op]
+    active = weights.reshape(-1, 2, 2, 2).any(axis=(0, 2))  # [r, op]
     k = int(active.sum(axis=1).max())
     rows = np.repeat([0, 1], k)
     which = np.argsort(~active, axis=1, kind="stable")[:, :k].ravel()
     # Complex up front, so the product in the loop needs no cast.
-    mix = np.moveaxis(weights[:, rows, :, which], 0, 1).astype(complex)
-    return mix, ops[which], ops_dag[which]
+    mix = np.moveaxis(weights[..., rows, :, which], 0, -2).astype(complex)
+    return mix, ops[..., which, :, :], ops_dag[..., which, :, :]
 
 
 def _label_steps(
@@ -503,14 +513,20 @@ def _label_steps(
     steady: np.ndarray,
     r0: ComplexMatrix,
     marked: int,
-) -> tuple[tuple[int, ...], Iterator[np.ndarray]]:
+) -> tuple[tuple[int, ...], _Stream]:
     """Check the inputs of a step loop and set it up: returns the batch
     shape and the generator :func:`_step_stream` of its label-block stacks.
-    The checks run here, at the call, not at the generator's first item."""
-    n_dim = r0.shape[0] // 2
-    if r0.shape != (2 * n_dim, 2 * n_dim):
+    The checks run here, at the call, not at the generator's first item.
+
+    The batch shape broadcasts the leading axes of G, G' and r0 (before
+    their last two) and of the transfer tensors (before their last three).
+    Each input keeps its own axes: matmul broadcasts a shared operator or
+    weight over the members, so none is copied per member."""
+    g, gp, r0 = (np.asarray(a, dtype=complex) for a in (g, gp, r0))
+    if r0.ndim < 2 or r0.shape[-2] != r0.shape[-1] or r0.shape[-1] % 2:
         raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
-    if g.shape != (n_dim, n_dim) or gp.shape != (n_dim, n_dim):
+    n_dim = r0.shape[-1] // 2
+    if g.shape[-2:] != (n_dim, n_dim) or gp.shape[-2:] != (n_dim, n_dim):
         raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
     first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
     for weights in (first, steady):
@@ -520,9 +536,16 @@ def _label_steps(
             raise ValueError("transfer weights are not finite")
     if not 0 <= marked < n_dim:
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
-    batch = np.broadcast_shapes(first.shape[:-3], steady.shape[:-3])
-    r0 = np.asarray(r0, dtype=complex)
-    blocks = np.stack([r0[:n_dim, :n_dim], r0[n_dim:, n_dim:]])
+    try:
+        batch = np.broadcast_shapes(
+            g.shape[:-2], gp.shape[:-2], r0.shape[:-2], first.shape[:-3], steady.shape[:-3]
+        )
+    except ValueError:
+        raise ValueError(
+            f"batch axes of operator shapes {g.shape}, {gp.shape}, state {r0.shape} and "
+            f"transfer weights {first.shape}, {steady.shape} do not broadcast"
+        ) from None
+    blocks = np.stack([r0[..., :n_dim, :n_dim], r0[..., n_dim:, n_dim:]], axis=-3)
     # Input check: the label blocks of a joint state are Hermitian, and the
     # success probability reads only the real part of a diagonal entry, so
     # a non-Hermitian block would otherwise pass unnoticed. A NaN or inf
@@ -530,39 +553,52 @@ def _label_steps(
     defect = hermiticity_defect(blocks)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"label blocks of the joint state are not Hermitian: defect {defect:.3e}")
-    ops = np.stack([g, gp]).astype(complex)
-    ops_dag = np.conj(ops).swapaxes(1, 2)
-    plans = [
-        _step_terms(np.broadcast_to(w, batch + (2, 2, 2)).reshape(-1, 2, 2, 2), ops, ops_dag)
-        for w in (first, steady)
-    ]
-    members = math.prod(batch)
-    return batch, _step_stream(np.broadcast_to(blocks, (members,) + blocks.shape), *plans)
+    ops = np.stack(np.broadcast_arrays(g, gp), axis=-3)
+    ops_dag = np.conj(ops).swapaxes(-1, -2)
+    plans = [_step_terms(w, ops, ops_dag) for w in (first, steady)]
+    return batch, _step_stream(np.broadcast_to(blocks, batch + blocks.shape[-3:]), *plans)
 
 
-def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> Iterator[np.ndarray]:
-    """The step loop: yields the (B, 2, d, d) label-block stack after
+def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
+    """A plan of :func:`_step_terms` cut to the slices ``keep`` of the first
+    of ``ndim`` batch axes; an array that broadcasts along it stays whole."""
+    return tuple(
+        a[keep] if a.ndim - core == ndim and a.shape[0] > 1 else a
+        for a, core in zip(plan, (2, 3, 3))
+    )
+
+
+def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
+    """The step loop: yields the label-block stack, batch + (2, d, d), after
     t = 0, 1, 2, ... collisions, without end; the consumer stops it.
 
     A step is one mixing product over the input blocks c, one batched
     conjugation and, where a block has more than one term (a thermal bath),
     one sum of each output block's terms (the plans of :func:`_step_terms`);
     the first collision uses ``first_plan``, all later ones ``steady_plan``.
+    A consumer that is done with some slices of the first batch axis sends
+    the indices of the others: from the next step on, the loop carries only
+    those, and yields stacks cut to them.
     """
-    members, _, n_dim, _ = sigma.shape
-    yield sigma
-    for mix, op, op_dag in itertools.chain([first_plan], itertools.repeat(steady_plan)):
-        mixed = (mix @ sigma.reshape(members, 2, -1)).reshape((members, len(op), n_dim, n_dim))
-        terms = (op @ mixed @ op_dag).reshape((members, 2, len(op) // 2, n_dim, n_dim))
+    n_dim, ndim, plan = sigma.shape[-1], sigma.ndim - 3, first_plan
+    while True:
+        keep = yield sigma
+        if keep is not None:
+            sigma = sigma[keep]
+            plan, steady_plan = _take(plan, keep, ndim), _take(steady_plan, keep, ndim)
+        batch, (mix, op, op_dag) = sigma.shape[:-3], plan
+        slots = op.shape[-3]
+        mixed = (mix @ sigma.reshape(batch + (2, -1))).reshape(batch + (slots, n_dim, n_dim))
+        terms = (op @ mixed @ op_dag).reshape(batch + (2, slots // 2, n_dim, n_dim))
         # A pure step has one term per block, which needs no sum.
-        sigma = terms[:, :, 0] if len(op) == 2 else terms.sum(axis=2)
-        yield sigma
+        sigma = terms[..., 0, :, :] if slots == 2 else terms.sum(axis=-3)
+        plan = steady_plan
 
 
 def _success(sigma: np.ndarray, marked: int) -> np.ndarray:
     """Success probability of every member of a label-block stack: the
     ``marked`` diagonal entry of sigma_0 + sigma_1."""
-    return sigma[:, 0, marked, marked].real + sigma[:, 1, marked, marked].real
+    return sigma[..., 0, marked, marked].real + sigma[..., 1, marked, marked].real
 
 
 def collision_evolve(
@@ -580,11 +616,14 @@ def collision_evolve(
     ``first`` and ``steady`` are transfer tensors from
     :func:`transfer_weights`, shape (2, 2, 2), or stacks of them with
     leading batch axes (..., 2, 2, 2); the first collision uses ``first``,
-    all later ones ``steady``. Every member of the (broadcast) batch starts
-    from ``r0`` with the same G and G', and every result gains the batch
-    shape in front. Only the label blocks of diag(sigma_0, sigma_1) are
+    all later ones ``steady``. G and G' (n x n) and ``r0`` (2n x 2n) may
+    carry leading batch axes too, such as one system per member. All these
+    batch axes broadcast against each other; every member runs with its
+    own weights, operators and start, and every result gains the batch
+    shape in front. A shared operator is broadcast by matmul, not copied
+    per member. Only the label blocks of diag(sigma_0, sigma_1) are
     carried (walker coherences of ``r0`` never feed back), as one
-    (B, 2, n, n) stack for n x n operators, with
+    batch + (2, n, n) stack, with
 
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
@@ -599,26 +638,23 @@ def collision_evolve(
     :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1. A start whose label blocks are not finite and
-    Hermitian, or transfer tensors that are not finite, raise ``ValueError``.
-    ``keep_blocks`` keeps the stacks as ``blocks``, shape
+    Hermitian, transfer tensors that are not finite, operators and start
+    of mismatched size, or batch axes that do not broadcast raise
+    ``ValueError``. ``keep_blocks`` keeps the stacks as ``blocks``, shape
     batch + (steps + 1, 2, n, n), with r0's two diagonal blocks at t = 0.
     No joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     batch, stream = _label_steps(g, gp, first, steady, r0, marked)
-    members, n_dim = math.prod(batch), g.shape[0]
-    probs = np.empty((members, steps + 1), dtype=float)
-    blocks = np.empty((members, steps + 1, 2, n_dim, n_dim), dtype=complex) if keep_blocks else None
+    n_dim = np.shape(r0)[-1] // 2
+    probs = np.empty(batch + (steps + 1,), dtype=float)
+    blocks = np.empty(batch + (steps + 1, 2, n_dim, n_dim), dtype=complex) if keep_blocks else None
     for t, sigma in zip(range(steps + 1), stream):
-        probs[:, t] = _success(sigma, marked)
+        probs[..., t] = _success(sigma, marked)
         if keep_blocks:
-            blocks[:, t] = sigma
-    return EvolutionTrace(
-        probs.reshape(batch + (steps + 1,)),
-        meta={"steps": steps, "dim": n_dim},
-        blocks=None if blocks is None else blocks.reshape(batch + blocks.shape[1:]),
-    )
+            blocks[..., t, :, :, :] = sigma
+    return EvolutionTrace(probs, meta={"steps": steps, "dim": n_dim}, blocks=blocks)
 
 
 def _first_max(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -657,23 +693,36 @@ def collision_first_max(
 
     The loop stops as soon as every member has passed its first maximum,
     after max t* + 1 steps, so the cost follows t* and not ``steps``; only
-    a member with no interior maximum runs it to the horizon. Each step
-    adds a few array operations over the batch, which is never shrunk.
+    a member with no interior maximum runs it to the horizon. A slice of
+    the first batch axis (one system of a stack, or one member of a flat
+    batch) leaves the loop once all its members have passed theirs, so a
+    stack of systems whose t* differ costs what separate runs would.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     batch, stream = _label_steps(g, gp, first, steady, r0, marked)
-    members = math.prod(batch)
-    probs = np.empty((members, steps + 1), dtype=float)
-    open_ = np.ones(members, dtype=bool)  # no first maximum seen yet
-    for t, sigma in zip(range(steps + 1), stream):
-        probs[:, t] = _success(sigma, marked)
+    # A lone member runs as a batch (1,): the loop works on first-axis slices.
+    shape = batch or (1,)
+    probs = np.zeros(shape + (steps + 1,), dtype=float)
+    open_ = np.ones(shape, dtype=bool)  # no first maximum seen yet
+    # The slices the loop still carries; open_, older and last cover only those.
+    live, keep, older, last = slice(None), None, None, None
+    for t in range(steps + 1):
+        sigma = stream.send(keep) if t else next(stream)
+        now, keep = _success(sigma, marked).reshape((-1,) + shape[1:]), None
+        probs[live, ..., t] = now
         if t >= 2:  # stop once every member has passed its first maximum
-            prev = probs[:, t - 1]
-            open_[(prev >= probs[:, t - 2]) & (prev >= probs[:, t])] = False
-            if not np.count_nonzero(open_):
+            open_ &= ~((last >= older) & (last >= now))
+            going = open_.reshape(len(open_), -1).any(axis=1)
+            if not going.any():
                 break
-    # The rule reads only the part of the series up to where the loop stopped.
-    t_star, p_star = _first_max(probs[:, : t + 1])
+            if not going.all():  # drop the slices whose members are all past it
+                keep = np.flatnonzero(going)
+                live = keep if isinstance(live, slice) else live[keep]
+                open_, last, now = open_[keep], last[keep], now[keep]
+        older, last = last, now
+    # The rule reads only the part of each series up to where its slice left
+    # the loop: the first maximum lies before that, and the zeros after it
+    # are never reached.
+    t_star, p_star = _first_max(probs[..., : t + 1].reshape(-1, t + 1))
     return t_star.reshape(batch), p_star.reshape(batch)
-

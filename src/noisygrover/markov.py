@@ -17,14 +17,20 @@ this runs in the span of the orbit basis (:func:`~noisygrover.noise.orbit_basis`
 whose dimension depends on the noisy qubits, not on n. G, G' and |s> are
 built there at d x d from Dicke-basis closed forms (:func:`_orbit_chi`), in
 which n enters only through scalars, so nothing of size 2^n is formed unless
-states are kept. :func:`markov_series` runs many (p, mu) points that share
-those operators as one batched step loop, and :func:`markov_first_max`
-reads where each point's first maximum falls from the same loop, stopped
-once every point has passed it.
+states are kept. :func:`markov_series` runs many (p, mu) points of one
+system as one batched step loop, and :func:`markov_first_max` reads where
+each point's first maximum falls from the same loop, stopped once every
+point has passed it. Both are the one-system case of :func:`_table`,
+which takes the systems of a table (the position classes of
+``invariance``, the n list of ``firstmax``, the m list of ``noisy``),
+shares their Dicke recursions and transfer weights, and runs one step loop
+per distinct d over the systems of that d, each with its own G, G' and
+start, stacked against the points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -40,6 +46,7 @@ from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
 HISTORY_MAX_STEPS = 12
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -109,40 +116,65 @@ class EvolutionTrace:
     blocks: Optional[np.ndarray] = None
 
 
-def _dicke_power(a: np.ndarray, k: int) -> ComplexMatrix:
-    """D^(k)(a): the 2 x 2 matrix ``a`` on k qubits, a^(x k), restricted to
-    the symmetric subspace Sym^k in the Dicke basis |D_0> .. |D_k>, where
-    |D_x> is the normalized sum of the basis states of Hamming weight x.
+def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
+    """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
+    j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
+    Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
+    basis states of Hamming weight x.
 
     The entries are the binomial sums
 
-        D[x, y] = sqrt(C(k,y)/C(k,x)) sum_i C(y,i) C(k-y,x-i)
-                  a11^i a01^(y-i) a10^(x-i) a00^(k-y-x+i),
+        D[x, y] = sqrt(C(j,y)/C(j,x)) sum_i C(y,i) C(j-y,x-i)
+                  a11^i a01^(y-i) a10^(x-i) a00^(j-y-x+i),
 
-    but those cancel: at k = 40 they lose up to 2e-11 to rounding. So
-    D^(k) is built one qubit at a time through the isometry
-    |D^(k+1)_x> = sqrt((k+1-x)/(k+1)) |D^(k)_x>|0> + sqrt(x/(k+1)) |D^(k)_(x-1)>|1>,
-    which only ever forms contractions and stays at rounding level.
+    but those cancel: at j = 40 they lose up to 2e-11 to rounding. So the
+    powers are built one qubit at a time through the isometry
+    |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
+    which only ever forms contractions and stays at rounding level. Each
+    step adds the four shifted copies of the last power, one per entry of
+    ``a``, into the slices of a zero matrix where they land.
     """
-    d = np.ones((1, 1), dtype=complex)
+    powers = [np.ones((1, 1), dtype=complex)]
     for size in range(1, k + 1):
         x = np.arange(size + 1)
-        stay = np.sqrt((size - x) / size)[:, None]  # weight of |D_x>|0>
-        move = np.sqrt(x / size)[:, None]  # weight of |D_(x-1)>|1>
-        pad = np.zeros((size + 1, size + 1), dtype=complex)
-        pad[:-1, :-1] = d
-        low = np.roll(pad, 1, axis=0)  # D[x - 1, y]
-        d = (
-            stay * stay.T * a[0, 0] * pad
-            + stay * move.T * a[0, 1] * np.roll(pad, 1, axis=1)
-            + move * stay.T * a[1, 0] * low
-            + move * move.T * a[1, 1] * np.roll(low, 1, axis=1)
-        )
-    return d
+        stay = np.sqrt((size - x[:-1]) / size)[:, None]  # weight of |D_x>|0>, x < size
+        move = np.sqrt(x[1:] / size)[:, None]  # weight of |D_(x-1)>|1>, x > 0
+        last = powers[-1]
+        d = np.zeros((size + 1, size + 1), dtype=complex)
+        d[:-1, :-1] = stay * stay.T * a[0, 0] * last  # from D[x, y]
+        d[:-1, 1:] += stay * move.T * a[0, 1] * last  # from D[x, y - 1]
+        d[1:, :-1] += move * stay.T * a[1, 0] * last  # from D[x - 1, y]
+        d[1:, 1:] += move * move.T * a[1, 1] * last  # from D[x - 1, y - 1]
+        powers.append(d)
+    return powers
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last two axes, with any leading axes broadcast: the
+    products of ``np.kron``, without its per-call set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
+    """(m, q, d) of a set of noisy positions: its size m, the number q of
+    them where the marked index has a 1 bit, and the dimension
+    d = (q + 1)(m - q + 1) nc of the span of :func:`orbit_basis`, with
+    nc = 2 when m < n and 1 when m = n. A position outside [0, n) raises
+    ``ValueError``."""
+    if any(not 0 <= p < n for p in positions):
+        raise ValueError(f"positions {positions} outside [0, {n})")
+    m = len(positions)
+    q = sum(marked >> (n - 1 - p) & 1 for p in positions)
+    return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
 
 
 def _orbit_chi(
-    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
+    n: int,
+    marked: int,
+    u: np.ndarray,
+    positions: tuple[int, ...],
+    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
 ) -> tuple[ComplexMatrix, np.ndarray]:
     """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
     the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
@@ -159,17 +191,17 @@ def _orbit_chi(
         s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
 
     with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n.
+    order of :func:`orbit_basis`; nc = 1 when m = n. ``dicke`` is the pair
+    (D^(m-q)(u), D^(q)(X u X)) when the caller has it from recursions that
+    systems share (:func:`_table_groups`); by default both run here.
     """
-    if any(not 0 <= p < n for p in positions):
-        raise ValueError(f"positions {positions} outside [0, {n})")
-    q = sum(marked >> (n - 1 - p) & 1 for p in positions)
-    m = len(positions)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    chi = np.kron(_dicke_power(u, m - q), _dicke_power(flip @ u @ flip, q))
+    m, q, _ = _orbit_class(n, marked, positions)
+    if dicke is None:
+        dicke = (_dicke_powers(u, m - q)[-1], _dicke_powers(_FLIP @ u @ _FLIP, q)[-1])
+    chi = _kron(*dicke)
     clean = (1,)  # class sizes on C
     if m < n:
-        chi = np.kron(chi, np.eye(2))
+        chi = _kron(chi, np.eye(2))
         clean = (1, 2 ** (n - m) - 1)
     N = 2**n
     s = np.sqrt([
@@ -195,25 +227,106 @@ def _grover_pair(
 
 
 def _dicke_operators(
-    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
+    n: int,
+    marked: int,
+    u: np.ndarray,
+    positions: tuple[int, ...],
+    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
 ) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
     """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d,
-    from scalars only (:func:`_orbit_chi`); |w> is column 0."""
-    chi, s = _orbit_chi(n, marked, u, positions)
+    from scalars only (:func:`_orbit_chi`, which ``dicke`` is passed to);
+    |w> is column 0."""
+    chi, s = _orbit_chi(n, marked, u, positions, dicke)
     return (*_grover_pair(s, 0, chi, 2**n), s)
 
 
-def _batch_inputs(
-    inst: GroverInstance, spec: NoiseSpec, params_seq: Sequence[MarkovNoiseParams], bath
-) -> tuple:
-    """(G, G', first, steady, R_0) of a batched run over ``params_seq``: the
-    d x d operators of :func:`_dicke_operators`, the (B, 2, 2, 2) transfer
-    tensors of one ``transfer_weights`` call, and |+><+| (x) |s><s|."""
+def _table_groups(
+    systems: Sequence[tuple[GroverInstance, NoiseSpec]],
+    params_seq: Sequence[MarkovNoiseParams],
+    bath,
+) -> tuple[list[list[int]], list[tuple]]:
+    """Set up one table of ``systems``, (inst, spec) pairs that share the
+    (p, mu) points ``params_seq`` and ``bath``, as one step loop per
+    distinct d.
+
+    The set-up that systems share runs once per table: one
+    ``transfer_weights`` call, and for each distinct noise unitary u one
+    Dicke recursion (:func:`_dicke_powers`) of u and one of X u X, up to
+    the largest m of the table. Every position set is checked here
+    (:func:`_orbit_class`), before any step runs. The systems are grouped
+    by their exact d, in order of first appearance, never padded. Returns
+    each group's system indices and its work item for :func:`_group_inputs`:
+    the group's systems with their two Dicke powers, and the weights.
+    """
     from .collision import transfer_weights  # deferred, see collision.py
 
-    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     first, steady = transfer_weights(params_seq, bath)
-    return g, gp, first, steady, tensor(projector(_PLUS), projector(s))
+    classes = [_orbit_class(inst.n, inst.marked, spec.positions) for inst, spec in systems]
+    top = max((m for m, _, _ in classes), default=0)
+    powers = {}
+    groups: dict[int, list] = {}
+    for i, ((inst, spec), (m, q, d)) in enumerate(zip(systems, classes)):
+        if spec.u not in powers:
+            u = spec.u.matrix
+            powers[spec.u] = (_dicke_powers(u, top), _dicke_powers(_FLIP @ u @ _FLIP, top))
+        of_u, of_xux = powers[spec.u]
+        groups.setdefault(d, []).append((i, (inst, spec, (of_u[m - q], of_xux[q]))))
+    members = [[i for i, _ in group] for group in groups.values()]
+    return members, [([item for _, item in group], first, steady) for group in groups.values()]
+
+
+def _group_inputs(group) -> tuple:
+    """(G, G', first, steady, R_0) of one d-group of :func:`_table_groups`
+    for the step loop: G and G' stacked (S, 1, d, d) and R_0 =
+    |+><+| (x) |s><s| stacked (S, 1, 2d, 2d) over the group's S systems,
+    and the (P, 2, 2, 2) transfer tensors of the table's P points, so the
+    batch is (S, P) and neither side is copied along the other's axis."""
+    systems, first, steady = group
+    g, gp, s = zip(*(
+        _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions, dicke)
+        for inst, spec, dicke in systems
+    ))
+    s = np.stack(s).astype(complex)  # |s><s| below is what projector() forms
+    r0 = _kron(projector(_PLUS), s[:, :, None] * s.conj()[:, None, :])
+    return (*(np.stack(part)[:, None] for part in (g, gp)), first, steady, r0[:, None])
+
+
+def _group_series(group, steps: int) -> tuple[np.ndarray]:
+    """(success series (S, P, steps + 1),) of one d-group."""
+    from .collision import collision_evolve  # deferred, see collision.py
+
+    return (collision_evolve(*_group_inputs(group), steps).probabilities,)
+
+
+def _group_first_max(group, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t*, P*), each (S, P), of one d-group."""
+    from .collision import collision_first_max  # deferred, see collision.py
+
+    return collision_first_max(*_group_inputs(group), steps)
+
+
+def _table(
+    read,
+    systems: Sequence[tuple[GroverInstance, NoiseSpec]],
+    params_seq: Sequence[MarkovNoiseParams],
+    steps: int,
+    bath=None,
+    mapper=map,
+) -> tuple[np.ndarray, ...]:
+    """Run ``read`` (:func:`_group_series` or :func:`_group_first_max`) over
+    the d-groups of :func:`_table_groups`, one step loop each, and give its
+    arrays with the systems axis in ``systems`` order in front: (S, P,
+    steps + 1) series, or (S, P) t* and P*. ``mapper(worker, items)``
+    hands the groups out, ``map`` by default; every check of
+    :func:`_table_groups` has run before it is called."""
+    members, groups = _table_groups(systems, params_seq, bath)
+    out = None
+    for index, result in zip(members, mapper(functools.partial(read, steps=steps), groups)):
+        if out is None:
+            out = tuple(np.empty((len(systems),) + part.shape[1:], part.dtype) for part in result)
+        for whole, part in zip(out, result):
+            whole[index] = part
+    return out
 
 
 def markov_series(
@@ -228,12 +341,12 @@ def markov_series(
     ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``.
 
     The points share G, G' and the start, so they run as one batched step
-    loop over their transfer tensors (:func:`collision_evolve`). An empty
-    ``params_seq`` raises ``ValueError``.
+    loop over their transfer tensors (:func:`collision_evolve`). This is
+    the one-system case of the tables that run many systems, one step loop
+    per distinct d (:func:`_table`). An empty ``params_seq`` raises
+    ``ValueError``.
     """
-    from .collision import collision_evolve  # deferred, see collision.py
-
-    return collision_evolve(*_batch_inputs(inst, spec, params_seq, bath), steps).probabilities
+    return _table(_group_series, [(inst, spec)], params_seq, steps, bath)[0][0]
 
 
 def markov_first_max(
@@ -252,12 +365,11 @@ def markov_first_max(
     :func:`markov_series` with the same arguments. The batch is the same
     one step loop, stopped once every point has passed its first maximum
     (:func:`~noisygrover.collision.collision_first_max`), so its cost
-    follows the largest t* and not ``steps``. An empty ``params_seq``
-    raises ``ValueError``.
+    follows the largest t* and not ``steps``. It is the one-system case of
+    :func:`_table`. An empty ``params_seq`` raises ``ValueError``.
     """
-    from .collision import collision_first_max  # deferred, see collision.py
-
-    return collision_first_max(*_batch_inputs(inst, spec, params_seq, bath), steps)
+    t_star, p_star = _table(_group_first_max, [(inst, spec)], params_seq, steps, bath)
+    return t_star[0], p_star[0]
 
 
 def markov_evolve(
@@ -291,9 +403,12 @@ def markov_evolve(
     """
     from .collision import collision_evolve  # deferred, see collision.py
 
-    g, gp, first, steady, r0 = _batch_inputs(inst, spec, [params], bath)
+    _, (group,) = _table_groups([(inst, spec)], [params], bath)
+    g, gp, first, steady, r0 = _group_inputs(group)
     keep = keep_states or keep_joint or validate
-    run = collision_evolve(g, gp, first, steady, r0, steps, keep_blocks=keep)
+    # The group's one system: a batch (1,) of the one point.
+    run = collision_evolve(g[0], gp[0], first, steady, r0[0], steps, keep_blocks=keep)
+    r0 = r0[0, 0]
     states = joints = None
     if validate:  # from t = 1 on the joint is diag(sigma_0, sigma_1)
         require_density(r0, 1e-9, what="joint state t=0")

@@ -13,7 +13,7 @@ from noisygrover.linalg import dagger, projector, require_density, tensor
 from noisygrover.markov import (
     MarkovNoiseParams,
     _dicke_operators,
-    _dicke_power,
+    _dicke_powers,
     markov_evolve,
     markov_series,
     perfect_memory_analytic,
@@ -115,7 +115,7 @@ def test_dicke_power_is_the_binomial_sum(k):
                 * a11**i * a01 ** (y - i) * a10 ** (x - i) * a00 ** (k - y - x + i)
                 for i in range(max(0, x + y - k), min(x, y) + 1)
             )
-    assert np.max(np.abs(_dicke_power(a, k) - want)) < 1e-13
+    assert np.max(np.abs(_dicke_powers(a, k)[k] - want)) < 1e-13
 
 
 @pytest.mark.parametrize("k", range(0, 7))
@@ -127,13 +127,47 @@ def test_dicke_power_is_the_restricted_tensor_power(k):
     power = np.ones((1, 1), dtype=complex)
     for _ in range(k):
         power = np.kron(power, a)
-    assert np.max(np.abs(_dicke_power(a, k) - e.T @ power @ e)) < 1e-13
+    assert np.max(np.abs(_dicke_powers(a, k)[k] - e.T @ power @ e)) < 1e-13
 
 
 def test_dicke_power_stays_unitary_at_forty_qubits():
     a = _haar(np.random.default_rng(7)).matrix
-    d = _dicke_power(a, 40)
+    d = _dicke_powers(a, 40)[40]
     assert np.max(np.abs(dagger(d) @ d - np.eye(41))) < 1e-13
+
+
+def _rolled_dicke_power(a, k):
+    # The recursion of _dicke_powers as it was first written: each shifted
+    # copy of the last power is a full-size np.roll of it, zero-padded.
+    d = np.ones((1, 1), dtype=complex)
+    for size in range(1, k + 1):
+        x = np.arange(size + 1)
+        stay = np.sqrt((size - x) / size)[:, None]
+        move = np.sqrt(x / size)[:, None]
+        pad = np.zeros((size + 1, size + 1), dtype=complex)
+        pad[:-1, :-1] = d
+        low = np.roll(pad, 1, axis=0)
+        d = (
+            stay * stay.T * a[0, 0] * pad
+            + stay * move.T * a[0, 1] * np.roll(pad, 1, axis=1)
+            + move * stay.T * a[1, 0] * low
+            + move * move.T * a[1, 1] * np.roll(low, 1, axis=1)
+        )
+    return d
+
+
+def test_dicke_powers_are_bit_identical_to_the_rolled_recursion():
+    # Slicing into zeros adds the same nonzero terms in the same order as
+    # the rolled copies, so every power is the same floating-point matrix.
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    haar = _haar(np.random.default_rng(3)).matrix
+    for u in [noise_unitary(name).matrix for name in ("x", "y", "z", "hadamard")] + [haar]:
+        for a in (u, flip @ u @ flip):
+            powers = _dicke_powers(a, 40)
+            assert len(powers) == 41
+            for k in (0, 1, 2, 3, 7, 40):
+                assert np.array_equal(_dicke_powers(a, k)[k], _rolled_dicke_power(a, k)), k
+                assert np.array_equal(powers[k], _rolled_dicke_power(a, k)), k
 
 
 def _reduced_walks(n, p, steps):

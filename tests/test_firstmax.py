@@ -188,9 +188,10 @@ def test_reader_stops_after_the_last_first_maximum(monkeypatch):
     # A zero start gives P = 0 exactly throughout: a tie is a maximum, so
     # every member stops at t* = 1, after 2 steps.
     drawn.clear()
-    g, gp, first, steady, r0 = markov._batch_inputs(inst, spec, POINTS, None)
+    _, (group,) = markov._table_groups([(inst, spec)], POINTS, None)
+    g, gp, first, steady, r0 = markov._group_inputs(group)
     t_star, p_star = collision_first_max(g, gp, first, steady, np.zeros_like(r0), 50)
-    assert t_star.tolist() == [1] * len(POINTS) and not p_star.any()
+    assert t_star.tolist() == [[1] * len(POINTS)] and not p_star.any()
     assert drawn == [0, 1, 2]
 
 
