@@ -12,9 +12,9 @@ the n list of ``firstmax``, the (m, q) classes of ``invariance``) to one
 step loop per distinct orbit dimension d, which runs every system of that
 d against every (p, mu) pair at once, so a group is one d (in
 ``firstmax``, each n leaves its loop once its points have passed their
-first maximum). The witness grids run every (p, mu) pair that shares its bath as
-one batched witness call whose trace norms are one stacked pass, so
-``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
+first maximum). The witness grids run every (p, mu) pair that shares its
+bath as one batched witness call whose trace norms are one stacked pass,
+so ``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
 temperature.
 
 Exit codes: 0 success, 1 invalid configuration or inputs, 2 a numeric
