@@ -431,7 +431,8 @@ def _dilation_point(point):
 def _run_grid(worker, points, jobs: int) -> list:
     if jobs <= 1 or len(points) <= 1:
         return [worker(pt) for pt in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Under fork the pool starts all its workers at once: none beyond the points.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
         return list(pool.map(worker, points))
 
 
@@ -704,9 +705,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         table = _tabulate(command, opts)
         if opts["output"] == "-":
             emit(table, opts["format"], sys.stdout)
-        else:
-            with open(opts["output"], "w", encoding="utf-8", newline="\n") as fh:
-                emit(table, opts["format"], fh)
+        else:  # opened only now, so a failed run leaves an existing file alone
+            try:
+                with open(opts["output"], "w", encoding="utf-8", newline="\n") as fh:
+                    emit(table, opts["format"], fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {opts['output']}: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,19 +33,18 @@ runs a batch at once: transfer tensors, G, G' and the start each may carry
 leading batch axes (the (p, mu) points, or the systems of one d), which
 broadcast against each other, so a shared operator is never copied per
 member. The label blocks of every member form one batch + (2, d, d)
-stack, yielded for t = 0, 1, 2, ... Two readers draw from it:
-``collision_evolve`` takes the first steps + 1 stacks and keeps the
-success series (and, on request, the label blocks themselves), and
-``collision_first_max`` drops each slice of the first batch axis once its
-members have passed their first success maximum and stops when none is
-left, so its cost follows the first maxima and not the horizon. Nothing
-here forms a 2d x 2d joint; one exists only as ``markov_evolve``'s lifted
-output. The success and witness series hand the loop G and G' on an
-invariant subspace whose dimension does not grow with n, built from closed
-forms without any N-sized array: the span of the orbit basis of
-:func:`~noisygrover.noise.orbit_basis`, or for blp's pair qubit 0 times
-that of the other n - 1 qubits. Any other start runs on the full N x N
-operators. The size is reported as ``meta["dim"]``.
+stack, taken at the start and yielded for t = 0, 1, 2, ... Two readers
+draw from it: ``collision_evolve`` takes the first steps + 1 stacks and
+keeps the success series (and, on request, the label blocks themselves),
+and ``collision_first_max`` drops each slice of the first batch axis once
+its members have passed their first success maximum and stops when none
+is left, so its cost follows the first maxima and not the horizon. No
+2d x 2d joint is taken or formed. The success and witness series hand
+the loop G and G' on an invariant subspace whose dimension does not grow
+with n, built from closed forms without any N-sized array: the span of
+the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for blp's
+pair qubit 0 times that of the other n - 1 qubits. Any other start runs
+on the full N x N operators. The size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -511,23 +510,24 @@ def _label_steps(
     gp: ComplexMatrix,
     first: np.ndarray,
     steady: np.ndarray,
-    r0: ComplexMatrix,
+    sigma0: np.ndarray,
     marked: int,
 ) -> tuple[tuple[int, ...], _Stream]:
     """Check the inputs of a step loop and set it up: returns the batch
     shape and the generator :func:`_step_stream` of its label-block stacks.
     The checks run here, at the call, not at the generator's first item.
 
-    The batch shape broadcasts the leading axes of G, G' and r0 (before
-    their last two) and of the transfer tensors (before their last three).
-    Each input keeps its own axes: matmul broadcasts a shared operator or
-    weight over the members, so none is copied per member."""
-    g, gp, r0 = (np.asarray(a, dtype=complex) for a in (g, gp, r0))
-    if r0.ndim < 2 or r0.shape[-2] != r0.shape[-1] or r0.shape[-1] % 2:
-        raise ValueError(f"joint state shape {r0.shape} is not even-dimensional")
-    n_dim = r0.shape[-1] // 2
+    The batch shape broadcasts the leading axes of G and G' (before their
+    last two) and of ``sigma0`` and the transfer tensors (before their last
+    three). Each input keeps its own axes: matmul broadcasts a shared
+    operator or weight over the members, so none is copied per member."""
+    g, gp, sigma0 = (np.asarray(a, dtype=complex) for a in (g, gp, sigma0))
+    shape = sigma0.shape
+    if len(shape) < 3 or shape[-3] != 2 or shape[-2] != shape[-1]:
+        raise ValueError(f"label blocks shape {shape} is not (..., 2, d, d)")
+    n_dim = shape[-1]
     if g.shape[-2:] != (n_dim, n_dim) or gp.shape[-2:] != (n_dim, n_dim):
-        raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match state {r0.shape}")
+        raise ValueError(f"operator shapes {g.shape}, {gp.shape} do not match label blocks {shape}")
     first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
     for weights in (first, steady):
         if weights.shape[-3:] != (2, 2, 2):
@@ -538,25 +538,24 @@ def _label_steps(
         raise ValueError(f"marked index {marked} outside [0, {n_dim})")
     try:
         batch = np.broadcast_shapes(
-            g.shape[:-2], gp.shape[:-2], r0.shape[:-2], first.shape[:-3], steady.shape[:-3]
+            g.shape[:-2], gp.shape[:-2], shape[:-3], first.shape[:-3], steady.shape[:-3]
         )
     except ValueError:
         raise ValueError(
-            f"batch axes of operator shapes {g.shape}, {gp.shape}, state {r0.shape} and "
-            f"transfer weights {first.shape}, {steady.shape} do not broadcast"
+            f"batch axes of operator shapes {g.shape}, {gp.shape}, label blocks {shape} "
+            f"and transfer weights {first.shape}, {steady.shape} do not broadcast"
         ) from None
-    blocks = np.stack([r0[..., :n_dim, :n_dim], r0[..., n_dim:, n_dim:]], axis=-3)
-    # Input check: the label blocks of a joint state are Hermitian, and the
-    # success probability reads only the real part of a diagonal entry, so
-    # a non-Hermitian block would otherwise pass unnoticed. A NaN or inf
-    # entry makes the defect NaN or inf, which fails the check too.
-    defect = hermiticity_defect(blocks)
+    # Input check: label blocks are Hermitian, and the success probability
+    # reads only the real part of a diagonal entry, so a non-Hermitian block
+    # would otherwise pass unnoticed. A NaN or inf entry makes the defect
+    # NaN or inf, which fails the check too.
+    defect = hermiticity_defect(sigma0)
     if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"label blocks of the joint state are not Hermitian: defect {defect:.3e}")
+        raise ValueError(f"label blocks are not Hermitian: defect {defect:.3e}")
     ops = np.stack(np.broadcast_arrays(g, gp), axis=-3)
     ops_dag = np.conj(ops).swapaxes(-1, -2)
     plans = [_step_terms(w, ops, ops_dag) for w in (first, steady)]
-    return batch, _step_stream(np.broadcast_to(blocks, batch + blocks.shape[-3:]), *plans)
+    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans)
 
 
 def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
@@ -606,24 +605,24 @@ def collision_evolve(
     gp: ComplexMatrix,
     first: np.ndarray,
     steady: np.ndarray,
-    r0: ComplexMatrix,
+    sigma0: np.ndarray,
     steps: int,
     marked: int = 0,
     keep_blocks: bool = False,
 ) -> EvolutionTrace:
-    """Iterate the collision map from joint state ``r0`` for ``steps`` steps.
+    """Iterate the collision map for ``steps`` steps from label blocks ``sigma0``.
 
     ``first`` and ``steady`` are transfer tensors from
     :func:`transfer_weights`, shape (2, 2, 2), or stacks of them with
     leading batch axes (..., 2, 2, 2); the first collision uses ``first``,
-    all later ones ``steady``. G and G' (n x n) and ``r0`` (2n x 2n) may
-    carry leading batch axes too, such as one system per member. All these
-    batch axes broadcast against each other; every member runs with its
-    own weights, operators and start, and every result gains the batch
-    shape in front. A shared operator is broadcast by matmul, not copied
-    per member. Only the label blocks of diag(sigma_0, sigma_1) are
-    carried (walker coherences of ``r0`` never feed back), as one
-    batch + (2, n, n) stack, with
+    all later ones ``steady``. G and G' (n x n) and the start ``sigma0``,
+    the label blocks (sigma_0, sigma_1) as (2, n, n), may carry leading
+    batch axes too, such as one system per member. All these batch axes
+    broadcast against each other; every member runs with its own weights,
+    operators and start, and every result gains the batch shape in front.
+    A shared operator is broadcast by matmul, not copied per member. The
+    walker label stays classical, so the loop carries only these blocks
+    (walker coherences never feed back), as one batch + (2, n, n) stack, with
 
         sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger
 
@@ -637,17 +636,17 @@ def collision_evolve(
     ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
     :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
-    sigma_0 + sigma_1. A start whose label blocks are not finite and
-    Hermitian, transfer tensors that are not finite, operators and start
-    of mismatched size, or batch axes that do not broadcast raise
-    ``ValueError``. ``keep_blocks`` keeps the stacks as ``blocks``, shape
-    batch + (steps + 1, 2, n, n), with r0's two diagonal blocks at t = 0.
-    No joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
+    sigma_0 + sigma_1. A start that is not (..., 2, n, n), blocks that are
+    not finite and Hermitian, transfer tensors that are not finite,
+    operators and start of mismatched size, or batch axes that do not
+    broadcast raise ``ValueError``. ``keep_blocks`` keeps the stacks as
+    ``blocks``, shape batch + (steps + 1, 2, n, n), with ``sigma0`` at
+    t = 0. No joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, r0, marked)
-    n_dim = np.shape(r0)[-1] // 2
+    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
+    n_dim = np.shape(sigma0)[-1]
     probs = np.empty(batch + (steps + 1,), dtype=float)
     blocks = np.empty(batch + (steps + 1, 2, n_dim, n_dim), dtype=complex) if keep_blocks else None
     for t, sigma in zip(range(steps + 1), stream):
@@ -675,7 +674,7 @@ def collision_first_max(
     gp: ComplexMatrix,
     first: np.ndarray,
     steady: np.ndarray,
-    r0: ComplexMatrix,
+    sigma0: np.ndarray,
     steps: int,
     marked: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -700,7 +699,7 @@ def collision_first_max(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, r0, marked)
+    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
     # A lone member runs as a batch (1,): the loop works on first-axis slices.
     shape = batch or (1,)
     probs = np.zeros(shape + (steps + 1,), dtype=float)

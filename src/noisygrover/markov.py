@@ -95,8 +95,17 @@ def conditional_probs(params: MarkovNoiseParams) -> ConditionalProbs:
 
 
 def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
-    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N)."""
+    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N), the
+    dense start of the Kraus verification layer; the step loop takes its
+    label blocks (:func:`_label_start`)."""
     return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
+
+
+def _label_start(rho: ComplexMatrix) -> np.ndarray:
+    """The label blocks (..., 2, d, d) of |+><+| (x) rho, for rho (..., d, d):
+    each walker population of projector(_PLUS), 0.4999999999999999 and not
+    0.5, times rho, the products that the Kronecker product forms."""
+    return np.diagonal(projector(_PLUS))[:, None, None] * rho[..., None, :, :]
 
 
 @dataclass(frozen=True)
@@ -104,14 +113,13 @@ class EvolutionTrace:
     """Result of an evolution run.
 
     ``probabilities[t]`` is the success probability after t steps,
-    t = 0..steps. ``states`` (system marginals) and ``joint_states``
-    (walker (x) system) are kept only on request; both include t = 0, as
-    does ``blocks``, the label blocks that ``collision_evolve`` keeps.
+    t = 0..steps. ``states`` (system marginals) and ``blocks`` (the label
+    blocks that ``collision_evolve`` keeps) are kept only on request; both
+    include t = 0.
     """
 
     probabilities: np.ndarray
     states: Optional[tuple[ComplexMatrix, ...]] = None
-    joint_states: Optional[tuple[ComplexMatrix, ...]] = None
     meta: dict = field(default_factory=dict)
     blocks: Optional[np.ndarray] = None
 
@@ -276,10 +284,10 @@ def _table_groups(
 
 
 def _group_inputs(group) -> tuple:
-    """(G, G', first, steady, R_0) of one d-group of :func:`_table_groups`
-    for the step loop: G and G' stacked (S, 1, d, d) and R_0 =
-    |+><+| (x) |s><s| stacked (S, 1, 2d, 2d) over the group's S systems,
-    and the (P, 2, 2, 2) transfer tensors of the table's P points, so the
+    """(G, G', first, steady, sigma0) of one d-group of :func:`_table_groups`
+    for the step loop: G and G' stacked (S, 1, d, d) and the label blocks
+    of |+><+| (x) |s><s| (S, 1, 2, d, d) over the group's S systems, and
+    the (P, 2, 2, 2) transfer tensors of the table's P points, so the
     batch is (S, P) and neither side is copied along the other's axis."""
     systems, first, steady = group
     g, gp, s = zip(*(
@@ -287,8 +295,8 @@ def _group_inputs(group) -> tuple:
         for inst, spec, dicke in systems
     ))
     s = np.stack(s).astype(complex)  # |s><s| below is what projector() forms
-    r0 = _kron(projector(_PLUS), s[:, :, None] * s.conj()[:, None, :])
-    return (*(np.stack(part)[:, None] for part in (g, gp)), first, steady, r0[:, None])
+    sigma0 = _label_start(s[:, :, None] * s.conj()[:, None, :])
+    return (*(np.stack(part)[:, None] for part in (g, gp)), first, steady, sigma0[:, None])
 
 
 def _group_series(group, steps: int) -> tuple[np.ndarray]:
@@ -379,7 +387,6 @@ def markov_evolve(
     steps: int,
     bath=None,
     keep_states: bool = False,
-    keep_joint: bool = False,
     validate: bool = False,
 ) -> EvolutionTrace:
     """Evolve the joint walker+system state for ``steps`` collisions.
@@ -392,37 +399,28 @@ def markov_evolve(
     This is :func:`markov_series` for the one point ``params``, at d x d in
     the span of the orbit basis V (:func:`orbit_basis`), where
     d = (q + 1)(m - q + 1), doubled when m < n, is ``meta["dim"]``. The
-    flags have the loop keep its label blocks sigma_0, sigma_1.
-    ``keep_states`` lifts V (sigma_0 + sigma_1) V^dagger to N x N and
-    ``keep_joint`` diag(sigma_0, sigma_1) through I_2 (x) V to 2N x 2N (the
-    start, walker coherences included, at t = 0); V is built only for these
-    lifts. ``validate`` checks ``r0`` and, once after the run, every step's
-    blocks at 1e-9 (an isometry keeps trace, hermiticity and the nonzero
-    spectrum; at t = 0 they are r0's diagonal blocks, which pass whenever it
-    does) and raises :class:`InvariantViolation` at the first bad step.
+    loop starts from the label blocks of |+><+| (x) |s><s|, and the flags
+    have it keep its blocks sigma_0, sigma_1. ``keep_states`` lifts
+    V (sigma_0 + sigma_1) V^dagger to N x N; V is built only for this lift.
+    ``validate`` checks, once after the run, every step's blocks from t = 0
+    on at 1e-9 (an isometry keeps trace, hermiticity and the nonzero
+    spectrum; at t = 0 that is all the loop reads of the start) and raises
+    :class:`InvariantViolation` at the first bad step.
     """
     from .collision import collision_evolve  # deferred, see collision.py
 
     _, (group,) = _table_groups([(inst, spec)], [params], bath)
-    g, gp, first, steady, r0 = _group_inputs(group)
-    keep = keep_states or keep_joint or validate
+    g, gp, first, steady, sigma0 = _group_inputs(group)
+    keep = keep_states or validate
     # The group's one system: a batch (1,) of the one point.
-    run = collision_evolve(g[0], gp[0], first, steady, r0[0], steps, keep_blocks=keep)
-    r0 = r0[0, 0]
-    states = joints = None
-    if validate:  # from t = 1 on the joint is diag(sigma_0, sigma_1)
-        require_density(r0, 1e-9, what="joint state t=0")
+    run = collision_evolve(g[0], gp[0], first, steady, sigma0[0], steps, keep_blocks=keep)
+    states = None
+    if validate:
         require_density(run.blocks[0], 1e-9, what="joint state t={}", blocks=True)
-    if keep_states or keep_joint:
-        v = orbit_basis(inst, spec)
     if keep_states:
+        v = orbit_basis(inst, spec)
         states = tuple(v @ rho @ v.T for rho in run.blocks[0].sum(axis=1))
-    if keep_joint:
-        d, lift = v.shape[1], np.kron(np.eye(2), v)
-        pad = np.zeros((steps + 1, 2 * d, 2 * d), dtype=complex)
-        pad[:, :d, :d], pad[:, d:, d:], pad[0] = run.blocks[0, :, 0], run.blocks[0, :, 1], r0
-        joints = tuple(lift @ j @ lift.T for j in pad)
-    return EvolutionTrace(run.probabilities[0], states, joints, run.meta)
+    return EvolutionTrace(run.probabilities[0], states, run.meta)
 
 
 def history_oracle(

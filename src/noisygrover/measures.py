@@ -35,14 +35,9 @@ import numpy as np
 
 from .collision import ThermalBathParams, collision_evolve, transfer_weights
 from .grover import GroverInstance, uniform_superposition
-from .linalg import (
-    ComplexMatrix,
-    InvariantViolation,
-    projector,
-    tensor,
-    trace_norm,
-)
+from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
 from .markov import _PLUS, MarkovNoiseParams, _dicke_operators, _grover_pair, _orbit_chi
+from .markov import _label_start
 from .noise import NoiseSpec
 
 # Increments below this threshold count as numerical noise, not backflow.
@@ -197,7 +192,8 @@ def n_blp(
     states are not finite. Both messages name the (p, mu) point and step.
 
     The channel is linear and D(a, b) depends only on a - b, so one run
-    carries |+><+| (x) delta, delta = rho1 - rho2. G and G' are block
+    carries |+><+| (x) delta, delta = rho1 - rho2, as the label blocks
+    (delta / 2, delta / 2) it starts with. G and G' are block
     diagonal on W (+) W_perp (:func:`_split_operators`), and so is rho2 =
     (I - X_0)/N (x) I_rest, with W_perp = C^2 (x) W_rest_perp; |s><s| lies
     in W. So the run stays on W, with G, G' and |s> from
@@ -208,9 +204,10 @@ def n_blp(
     thus 1/2 (||x||_1 + tr x) of an x on W, read off the label blocks
     that :func:`collision_evolve` keeps: their sum, the system state, for
     the witness series, and each block on its own for the joint series,
-    whose joint is diag(delta_0, delta_1) (at t = 0 both blocks are
-    delta / 2). All of them, for every step and member, go through one
-    stacked :func:`~noisygrover.linalg.trace_norm`.
+    the sum of the two block distances (at t = 0 that is D(rho1, rho2),
+    the distance of the two joint starts; from t = 1 on the joint is
+    diag(delta_0, delta_1)). All of them, for every step and member, go
+    through one stacked :func:`~noisygrover.linalg.trace_norm`.
 
     ``params`` is one (p, mu) point or a sequence of them. A sequence runs
     as one batched :func:`collision_evolve` over the stacked transfer
@@ -228,9 +225,8 @@ def n_blp(
     dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
     delta = projector(s) - np.kron(i_minus_x, np.eye(dim // 2))
-    blocks = collision_evolve(
-        g, gp, first, steady, tensor(projector(_PLUS), delta), steps, keep_blocks=True
-    ).blocks
+    sigma0 = _label_start(delta)
+    blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
     _require_finite(blocks, points)
     # (3, B, steps + 1, dim, dim): system states, then both label blocks.
     d_sys, upper, lower = _half_norm(
@@ -263,7 +259,8 @@ def n_cp(
     """Trace-norm witness on the pair (|s>, |w>).
 
     X = |s><s| - |w><w| (uniform superposition minus marked state) rides
-    the collision channel with the walker in |+><+|; monitored is half the
+    the collision channel with the walker in |+><+|, that is from the label
+    blocks (X / 2, X / 2); monitored is half the
     trace norm of its system image, sqrt(1 - 1/N) at t = 0. No spectator
     register appears. A positive trace preserving map cannot raise the
     trace norm of a traceless operator, so any increase shows that the
@@ -287,7 +284,7 @@ def n_cp(
     points, first, steady = _batch(params)
     g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     w = np.eye(s.size)[0]
-    r0 = tensor(projector(_PLUS), projector(s) - projector(w))
-    blocks = collision_evolve(g, gp, first, steady, r0, steps, keep_blocks=True).blocks
+    sigma0 = _label_start(projector(s) - projector(w))
+    blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
     _require_finite(blocks, points)
     return _measure(params, points, _half_norm(blocks.sum(axis=-3)), steps)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from support import label_blocks
 
 from noisygrover.collision import (
     apply_kraus,
@@ -425,7 +426,7 @@ def test_c15_state_validity_and_contractivity():
     for _ in range(5):
         blocks = [
             collision_evolve(
-                g, gp, first, steady, tensor(plus, random_density(8, rng)), 10,
+                g, gp, first, steady, label_blocks(tensor(plus, random_density(8, rng))), 10,
                 keep_blocks=True,
             ).blocks
             for _ in range(2)

@@ -503,6 +503,55 @@ def test_output_file(tmp_path, capsys):
     assert data.decode().splitlines()[-1].startswith("3,")
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_one(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "ideal", "--n", "3", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write output {target}:")
+
+
+def test_failed_run_leaves_an_existing_output_alone(tmp_path, capsys):
+    target = tmp_path / "kept.csv"
+    target.write_text("kept\n")
+    code, out, err = run_cli(capsys, "noisy", "--n", "2", "--p", "2", "--output", str(target))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thermal", "--n", "3", "--temps", "1,2", "--steps", "5"),
+        ("noisy", "--n", "3", "--m", "1,2", "--p", "0.3", "--mu", "0.5", "--steps", "5"),
+    ],
+    ids=["thermal", "noisy"],
+)
+def test_jobs_start_at_most_one_worker_per_group(capsys, monkeypatch, argv):
+    # A stand-in pool that records its size and maps in this process, so no
+    # worker starts, however many --jobs asks for. Both tables have 2 groups.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, err = run_cli(capsys, *argv, "--jobs", "64")
+    assert code == 0, err
+    assert sizes == [2]
+    assert run_cli(capsys, *argv, "--jobs", "1")[1] == out
+
+
 def test_emit_rejects_unknown_format(tmp_path):
     table = ResultTable({"command": "x"}, ["a"], [[1.0]])
     with pytest.raises(ConfigError):

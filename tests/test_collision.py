@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from support import label_blocks, orbit_blocks
 
 from noisygrover import collision
 from noisygrover.collision import (
@@ -408,34 +410,36 @@ def test_channel_maps_dispatch():
 def test_collision_evolve_basics():
     params = MarkovNoiseParams(0.3, 0.3)
     first, steady = transfer_weights(params)
-    r0 = initial_joint_state(INST)
-    trace = collision_evolve(G, GP, first, steady, r0, 0)
+    sigma0 = label_blocks(initial_joint_state(INST))
+    trace = collision_evolve(G, GP, first, steady, sigma0, 0)
     assert trace.probabilities.shape == (1,)
     assert trace.probabilities[0] == pytest.approx(0.25)
     assert trace.blocks is None
-    trace = collision_evolve(G, GP, first, steady, r0, 4, keep_blocks=True)
+    trace = collision_evolve(G, GP, first, steady, sigma0, 4, keep_blocks=True)
     assert trace.blocks.shape == (5, 2, 4, 4)
+    assert np.array_equal(trace.blocks[0], sigma0)
     require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     assert trace.meta["steps"] == 4
     with pytest.raises(ValueError):
-        collision_evolve(G, GP, first, steady, r0, -1)
+        collision_evolve(G, GP, first, steady, sigma0, -1)
     with pytest.raises(ValueError):
-        collision_evolve(G, GP, first, steady, r0, 2, marked=4)
+        collision_evolve(G, GP, first, steady, sigma0, 2, marked=4)
     with pytest.raises(ValueError, match="transfer weights shape"):
-        collision_evolve(G, GP, first, steady[0], r0, 2)
+        collision_evolve(G, GP, first, steady[0], sigma0, 2)
     with pytest.raises(ValueError, match="transfer weights shape"):
-        collision_evolve(G, GP, np.zeros((2, 2, 3)), steady, r0, 2)
+        collision_evolve(G, GP, np.zeros((2, 2, 3)), steady, sigma0, 2)
     with pytest.raises(ValueError, match="operator shapes"):
-        collision_evolve(G, GP[:2, :2], first, steady, r0, 2)
+        collision_evolve(G, GP[:2, :2], first, steady, sigma0, 2)
+    small = label_blocks(random_density(4, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="operator shapes"):
-        collision_evolve(G, GP, first, steady, random_density(4, np.random.default_rng(0)), 2)
+        collision_evolve(G, GP, first, steady, small, 2)
 
 
 def test_collision_evolve_validate_catches_broken_channel():
     params = MarkovNoiseParams(0.3, 0.3)
     first, steady = transfer_weights(params)
-    r0 = initial_joint_state(INST)
-    trace = collision_evolve(G, GP, first, 1.05**2 * steady, r0, 3, keep_blocks=True)
+    sigma0 = label_blocks(initial_joint_state(INST))
+    trace = collision_evolve(G, GP, first, 1.05**2 * steady, sigma0, 3, keep_blocks=True)
     with pytest.raises(InvariantViolation, match="t=2 is not a density matrix"):
         require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
 
@@ -557,18 +561,19 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     params = MarkovNoiseParams(*(point or (rng.uniform(), rng.uniform())))
     bath = thermal_weights(rng.uniform(0.2, 3.0)) if thermal else None
     first, steady = channel_maps(params, g, gp, bath=bath)
-    # A full-rank start with walker coherences, which the blocks drop.
+    # A full-rank start with walker coherences: the dense reference evolves
+    # all of it, the step loop only its label blocks.
     r0 = random_density(2 * inst.N, rng)
     steps = 6
     trace = collision_evolve(
-        g, gp, *transfer_weights(params, bath), r0, steps, marked=inst.marked, keep_blocks=True
+        g, gp, *transfer_weights(params, bath), label_blocks(r0), steps,
+        marked=inst.marked, keep_blocks=True,
     )
     require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
     _assert_blocks_match(trace.blocks, states, joints)
-    h = inst.N
-    assert np.array_equal(trace.blocks[0], np.stack([r0[:h, :h], r0[h:, h:]]))
+    assert np.array_equal(trace.blocks[0], label_blocks(r0))
 
 
 PLUS = projector(np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -592,19 +597,24 @@ def _low_rank_start(name, inst):
 
 def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit=False):
     # orbit=True runs the |s> start through markov_evolve's orbit basis
-    # instead of collision_evolve on the full N x N operators.
+    # instead of collision_evolve on the full N x N operators; its label
+    # blocks, lifted through the orbit basis, meet the dense joint.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     r0 = _low_rank_start(start, inst)
     probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
     if orbit:
-        flags = dict(keep_states=True, keep_joint=True, validate=validate)
-        trace = markov_evolve(inst, spec, params, steps, bath=bath, **flags)
-        for a, b in zip(trace.states + trace.joint_states, states + joints):
+        trace = markov_evolve(
+            inst, spec, params, steps, bath=bath, keep_states=True, validate=validate
+        )
+        for a, b in zip(trace.states, states):
             assert np.max(np.abs(a - b)) < 1e-12
+        _assert_blocks_match(orbit_blocks(inst, spec, params, steps, bath), states, joints)
     else:
         weights = transfer_weights(params, bath)
-        trace = collision_evolve(g, gp, *weights, r0, steps, marked=inst.marked, keep_blocks=True)
+        trace = collision_evolve(
+            g, gp, *weights, label_blocks(r0), steps, marked=inst.marked, keep_blocks=True
+        )
         if validate:
             require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
         _assert_blocks_match(trace.blocks, states, joints)
@@ -654,14 +664,17 @@ def test_markov_evolve_matches_full_collision_evolve(n):
         bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
         g = grover_operator(inst)
         gp = noisy_grover(g, build_chi(n, spec))
-        r0 = initial_joint_state(inst)
+        sigma0 = label_blocks(initial_joint_state(inst))
         full = collision_evolve(
-            g, gp, *transfer_weights(params, bath), r0, 5, marked=inst.marked, keep_blocks=True
+            g, gp, *transfer_weights(params, bath), sigma0, 5, marked=inst.marked,
+            keep_blocks=True,
         )
-        orbit = markov_evolve(inst, spec, params, 5, bath=bath, keep_states=True, keep_joint=True)
+        orbit = markov_evolve(inst, spec, params, 5, bath=bath, keep_states=True)
         assert np.max(np.abs(orbit.probabilities - full.probabilities)) < 1e-12
-        _assert_blocks_match(full.blocks, orbit.states, orbit.joint_states)
-        assert np.max(np.abs(orbit.joint_states[0] - r0)) < 1e-12
+        for sigma, rho in zip(full.blocks, orbit.states):
+            assert np.max(np.abs(sigma.sum(axis=0) - rho)) < 1e-12
+        lifted = orbit_blocks(inst, spec, params, 5, bath)
+        assert np.max(np.abs(lifted - full.blocks)) < 1e-12
 
 
 # No shrink phase: shrinking a failure reruns the dense 2N x 2N reference
@@ -710,9 +723,9 @@ def test_dim_is_full_for_full_rank_and_blp_partner_starts():
         g = grover_operator(inst)
         gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), 2, n)))
         weights = transfer_weights(params)
-        full = collision_evolve(g, gp, *weights, random_density(2 * inst.N, rng), 2)
+        full = collision_evolve(g, gp, *weights, label_blocks(random_density(2 * inst.N, rng)), 2)
         assert full.meta["dim"] == inst.N
-        partner = tensor(PLUS, blp_pair(inst).rho2)
+        partner = label_blocks(tensor(PLUS, blp_pair(inst).rho2))
         assert collision_evolve(g, gp, *weights, partner, 2).meta["dim"] == inst.N
 
 
@@ -734,7 +747,7 @@ def test_dim_bounded_on_markov_starts():
 
 def test_zero_start_evolves_to_zero():
     first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
-    zero = np.zeros((8, 8), dtype=complex)
+    zero = np.zeros((2, 4, 4), dtype=complex)
     trace = collision_evolve(G, GP, first, steady, zero, 3, keep_blocks=True)
     assert trace.meta["dim"] == 4
     assert np.array_equal(trace.probabilities, np.zeros(4))
@@ -742,12 +755,12 @@ def test_zero_start_evolves_to_zero():
 
 
 def test_collision_evolve_rejects_non_hermitian_blocks():
-    # |s><w| on the walker's g branch: its row space is not its range.
+    # |s><w| as the walker's g block sigma_0: its row space is not its range.
     first, steady = transfer_weights(MarkovNoiseParams(0.3, 0.3))
     s, w = uniform_superposition(INST), marked_state(INST)
-    r0 = tensor(projector(np.array([1.0, 0.0])), np.outer(s, w))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        collision_evolve(G, GP, first, steady, r0, 2)
+    sigma0 = np.stack([np.outer(s, w), np.zeros((4, 4))])
+    with pytest.raises(ValueError, match="label blocks are not Hermitian"):
+        collision_evolve(G, GP, first, steady, sigma0, 2)
 
 
 @pytest.mark.parametrize("reader", [collision_evolve, collision_first_max])
@@ -756,14 +769,36 @@ def test_collision_evolve_rejects_non_hermitian_blocks():
 def test_step_loop_rejects_a_non_finite_start_or_weight(where, value, reader):
     # A NaN compares False with every tolerance, so each check must fail
     # on it rather than pass; an inf diagonal entry gives inf - inf = NaN.
+    # "r0" is the start, given as its label blocks.
     inputs = dict(zip(("first", "steady"), transfer_weights(MarkovNoiseParams(0.3, 0.3))))
-    inputs["r0"] = initial_joint_state(INST)
+    inputs["r0"] = label_blocks(initial_joint_state(INST))
     inputs[where] = inputs[where].copy()
     if where == "r0":
-        inputs["r0"][1, 1] = value  # a diagonal entry of sigma_0
-        match = "not Hermitian"
+        inputs["r0"][0, 1, 1] = value  # a diagonal entry of sigma_0
+        match = "label blocks are not Hermitian"
     else:
         inputs[where][1, 0, 1] = value
         match = "transfer weights are not finite"
     with pytest.raises(ValueError, match=match):
         reader(G, GP, inputs["first"], inputs["steady"], inputs["r0"], 3)
+
+
+# Each start the step loop must refuse, with the shape its message names.
+_MISSHAPEN = {
+    "joint": (np.zeros((8, 8)), "(8, 8)"),  # a 2d x 2d joint, not its blocks
+    "label-axis": (np.zeros((3, 4, 4)), "(3, 4, 4)"),
+    "non-square": (np.zeros((2, 4, 3)), "(2, 4, 3)"),
+    "other-d": (np.zeros((2, 2, 2)), "(2, 2, 2)"),
+    "batch": (np.zeros((3, 2, 4, 4)), "(3, 2, 4, 4)"),  # against 2 weight stacks
+}
+
+
+@pytest.mark.parametrize("reader", [collision_evolve, collision_first_max])
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_step_loop_rejects_a_misshapen_start(case, reader):
+    first, steady = transfer_weights([MarkovNoiseParams(0.3, 0.3), MarkovNoiseParams(0.6, 0.1)])
+    sigma0, shape = _MISSHAPEN[case]
+    with pytest.raises(ValueError, match=re.escape(shape)) as info:
+        reader(G, GP, first, steady, sigma0, 3)
+    want = {"other-d": "do not match label blocks", "batch": "do not broadcast"}
+    assert want.get(case, "is not (..., 2, d, d)") in str(info.value)

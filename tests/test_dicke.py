@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from support import label_blocks, split_basis
 
 from noisygrover import collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
@@ -20,7 +21,6 @@ from noisygrover.markov import (
 )
 from noisygrover.measures import _split_operators, n_blp, n_cp
 from noisygrover.noise import (
-    NoiseSpec,
     closed_form_overlaps,
     noise_spec,
     noise_unitary,
@@ -57,17 +57,6 @@ def _compressed(inst, spec, v):
     return g, (v.T @ chi_v.reshape(v.shape)) @ g, s
 
 
-def _split_basis(inst, spec):
-    # I_2 (x) V_rest: the N x 2 d_rest isometry onto n_blp's space
-    # W = C^2 (x) W_rest, with V_rest the orbit basis of the other n - 1
-    # qubits (one vector when n = 1).
-    if inst.n == 1:
-        return np.eye(2)
-    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
-    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
-    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
-
-
 def _cases(n, seed, ones=None):
     # Every m, with random positions and Haar noise. The marked index is
     # random, or has ``ones`` random 1 bits, which caps q and so d at large n.
@@ -94,7 +83,7 @@ def test_dicke_operators_equal_the_orbit_basis_compressions(n):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
         got = _split_operators(inst, spec)
-        want = _compressed(inst, spec, _split_basis(inst, spec))
+        want = _compressed(inst, spec, split_basis(inst, spec))
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
@@ -256,8 +245,8 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     n_blp(inst, spec, params, 5, bath=thermal_weights(1.0))
     grover.ideal_success_series(inst, 5)
     assert calls == []
-    # The spies do see the lift that the keep flags ask for.
-    markov_evolve(inst, spec, params, 2, keep_states=True, keep_joint=True)
+    # The spies do see the lift that the keep flag asks for.
+    markov_evolve(inst, spec, params, 2, keep_states=True)
     assert calls == ["orbit_basis"]
 
 
@@ -282,22 +271,22 @@ def test_batched_collision_evolve_keeps_each_members_states():
     inst = GroverInstance(4, 9)
     spec = noise_spec(_haar(np.random.default_rng(11)), 2, 4, (1, 3))
     g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    r0 = tensor(projector(markov._PLUS), projector(s))
+    sigma0 = label_blocks(tensor(projector(markov._PLUS), projector(s)))
     points = [(MarkovNoiseParams(p, mu), bath) for p in (0.0, 0.6) for mu in (0.2, 1.0)
               for bath in (None, thermal_weights(0.5))]
     weights = [transfer_weights(params, bath) for params, bath in points]
     first = np.stack([w[0] for w in weights]).reshape(2, 4, 2, 2, 2)
     steady = np.stack([w[1] for w in weights]).reshape(2, 4, 2, 2, 2)
-    batched = collision_evolve(g, gp, first, steady, r0, 6, keep_blocks=True)
+    batched = collision_evolve(g, gp, first, steady, sigma0, 6, keep_blocks=True)
     assert batched.probabilities.shape == (2, 4, 7)
     assert batched.blocks.shape == (2, 4, 7, 2) + g.shape
     for b, (w_first, w_steady) in enumerate(weights):
         i, j = divmod(b, 4)
         require_density(batched.blocks[i, j], 1e-9, what="joint state t={}", blocks=True)
-        single = collision_evolve(g, gp, w_first, w_steady, r0, 6, keep_blocks=True)
+        single = collision_evolve(g, gp, w_first, w_steady, sigma0, 6, keep_blocks=True)
         assert np.max(np.abs(batched.probabilities[i, j] - single.probabilities)) < 1e-13
         assert np.max(np.abs(batched.blocks[i, j] - single.blocks)) < 1e-13
     # A single steady tensor broadcasts against a stack of first ones.
-    shared = collision_evolve(g, gp, first[0], weights[0][1], r0, 6)
+    shared = collision_evolve(g, gp, first[0], weights[0][1], sigma0, 6)
     assert shared.probabilities.shape == (4, 7)
     assert np.max(np.abs(shared.probabilities[0] - batched.probabilities[0, 0])) < 1e-13

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from support import label_blocks
 
 from noisygrover import collision, markov
 from noisygrover.cli import main
@@ -127,10 +128,10 @@ def test_reader_reads_nan_series_as_np_argmax(monkeypatch):
     inst = GroverInstance(2)
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(2, noise_spec(noise_unitary("x"), 1, 2)))
-    r0 = initial_joint_state(inst)
+    sigma0 = label_blocks(initial_joint_state(inst))
     first, steady = transfer_weights(POINTS[:3])
-    series = collision_evolve(g, gp, first, steady, r0, 6).probabilities
-    t_star, p_star = collision_first_max(g, gp, first, steady, r0, 6)
+    series = collision_evolve(g, gp, first, steady, sigma0, 6).probabilities
+    t_star, p_star = collision_first_max(g, gp, first, steady, sigma0, 6)
     for row, t, height in zip(series, t_star, p_star):
         assert _same((int(t), float(height)), _rule(row))
     assert t_star.tolist() == [0, 0, 0]
@@ -140,24 +141,24 @@ def test_reader_keeps_batch_shape_and_validates_eagerly():
     inst = GroverInstance(3)
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(3, noise_spec(noise_unitary("x"), 1, 3)))
-    r0 = initial_joint_state(inst)
+    sigma0 = label_blocks(initial_joint_state(inst))
     first, steady = transfer_weights(POINTS)
     t_star, p_star = collision_first_max(
-        g, gp, first.reshape(3, 3, 2, 2, 2), steady.reshape(3, 3, 2, 2, 2), r0, 10
+        g, gp, first.reshape(3, 3, 2, 2, 2), steady.reshape(3, 3, 2, 2, 2), sigma0, 10
     )
     assert t_star.shape == p_star.shape == (3, 3)
-    flat = collision_first_max(g, gp, first, steady, r0, 10)
+    flat = collision_first_max(g, gp, first, steady, sigma0, 10)
     assert np.array_equal(t_star.ravel(), flat[0]) and np.array_equal(p_star.ravel(), flat[1])
-    t_one, p_one = collision_first_max(g, gp, first[4], steady[4], r0, 10)
+    t_one, p_one = collision_first_max(g, gp, first[4], steady[4], sigma0, 10)
     assert t_one.shape == p_one.shape == ()
     assert (int(t_one), float(p_one)) == (int(flat[0][4]), float(flat[1][4]))
     # The checks run at the call, before any step is taken.
     with pytest.raises(ValueError, match="non-negative"):
-        collision_first_max(g, gp, first, steady, r0, -1)
+        collision_first_max(g, gp, first, steady, sigma0, -1)
     with pytest.raises(ValueError, match="marked index"):
-        collision_first_max(g, gp, first, steady, r0, 5, marked=8)
+        collision_first_max(g, gp, first, steady, sigma0, 5, marked=8)
     with pytest.raises(ValueError, match="transfer weights shape"):
-        collision_first_max(g, gp, first[..., :1], steady, r0, 5)
+        collision_first_max(g, gp, first[..., :1], steady, sigma0, 5)
 
 
 def _spy_on_steps(monkeypatch):
@@ -189,8 +190,8 @@ def test_reader_stops_after_the_last_first_maximum(monkeypatch):
     # every member stops at t* = 1, after 2 steps.
     drawn.clear()
     _, (group,) = markov._table_groups([(inst, spec)], POINTS, None)
-    g, gp, first, steady, r0 = markov._group_inputs(group)
-    t_star, p_star = collision_first_max(g, gp, first, steady, np.zeros_like(r0), 50)
+    g, gp, first, steady, sigma0 = markov._group_inputs(group)
+    t_star, p_star = collision_first_max(g, gp, first, steady, np.zeros_like(sigma0), 50)
     assert t_star.tolist() == [[1] * len(POINTS)] and not p_star.any()
     assert drawn == [0, 1, 2]
 

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from support import label_blocks
 
-from noisygrover import collision
+from noisygrover import collision, markov
 from noisygrover.collision import thermal_weights
 from noisygrover.grover import (
     GroverInstance,
@@ -18,6 +19,7 @@ from noisygrover.linalg import (
     InvariantViolation,
     assert_density,
     projector,
+    random_density,
     tensor,
     trace_distance,
 )
@@ -83,6 +85,25 @@ def test_initial_joint_state():
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     expected = tensor(projector(plus), projector(uniform_superposition(INST3)))
     assert np.array_equal(r0, expected)
+
+
+def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
+    # The step loop's start is the two diagonal blocks of |+><+| (x) rho,
+    # with the walker populations 0.4999999999999999 that projector() gives.
+    half = float.fromhex("0x1.ffffffffffffep-2")
+    assert np.diagonal(projector(markov._PLUS)).tolist() == [half, half]
+    rng = np.random.default_rng(4)
+    for rho in (projector(uniform_superposition(INST3)), random_density(5, rng)):
+        joint = tensor(projector(markov._PLUS), rho)
+        assert np.array_equal(markov._label_start(rho), label_blocks(joint))
+    for n, m in ((3, 1), (4, 4), (5, 2)):
+        inst, spec = GroverInstance(n, 2**n - 2), noise_spec(noise_unitary("hadamard"), m, n)
+        _, (group,) = markov._table_groups([(inst, spec)], [MarkovNoiseParams(0.3, 0.6)], None)
+        sigma0 = markov._group_inputs(group)[4]
+        s = markov._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[2]
+        joint = tensor(projector(markov._PLUS), projector(s))
+        assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
+        assert np.array_equal(sigma0[0, 0], label_blocks(joint))
 
 
 def test_noiseless_limit_recovers_ideal_series():
@@ -190,14 +211,11 @@ def test_history_oracle_refuses_large_horizons():
 def test_trace_contents_follow_flags():
     params = MarkovNoiseParams(0.4, 0.2)
     bare = markov_evolve(INST3, SPEC_X1, params, 5)
-    assert bare.states is None and bare.joint_states is None and bare.blocks is None
+    assert bare.states is None and bare.blocks is None
     assert bare.probabilities.shape == (6,)
-    full = markov_evolve(
-        INST3, SPEC_X1, params, 5, keep_states=True, keep_joint=True, validate=True
-    )
-    assert len(full.states) == 6 and len(full.joint_states) == 6
+    full = markov_evolve(INST3, SPEC_X1, params, 5, keep_states=True, validate=True)
+    assert len(full.states) == 6
     assert full.states[0].shape == (8, 8)
-    assert full.joint_states[0].shape == (16, 16)
     for rho in full.states:
         assert assert_density(rho, tol=1e-9).passed
     # probabilities are the marked diagonal of the kept marginals
@@ -243,12 +261,28 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
         markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, validate=True)
     blocks = kept[0]
     d = blocks.shape[-1]
-    for t, (upper, lower) in enumerate(blocks[1:], start=1):
+    for t, (upper, lower) in enumerate(blocks):
         joint = np.zeros((2 * d, 2 * d), dtype=complex)
         joint[:d, :d], joint[d:, d:] = upper, lower
         assert assert_density(joint, tol=1e-9).passed == (t not in (3, 5)), t
     # Without validate the poisoned blocks pass through to the lifts unchecked.
     markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, keep_states=True)
+
+
+@pytest.mark.parametrize("kind", ["nan", "skew", "trace", "negative"])
+def test_validate_checks_the_start_blocks(monkeypatch, kind):
+    # The blocks at t = 0 are all the loop reads of the start, and validate
+    # checks them as it checks every later step.
+    def poisoned(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        blocks = trace.blocks.copy()
+        _poison(kind, blocks[0, 0, 0])
+        return replace(trace, blocks=blocks)
+
+    real = collision.collision_evolve
+    monkeypatch.setattr(collision, "collision_evolve", poisoned)
+    with pytest.raises(InvariantViolation, match=r"joint state t=0 is not a density matrix"):
+        markov_evolve(INST3, SPEC_X1, MarkovNoiseParams(0.4, 0.6), 4, validate=True)
 
 
 @pytest.mark.parametrize("temperature", [None, 1.0])
@@ -269,7 +303,7 @@ def test_validate_passes_clean_runs(n, temperature):
         checked = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
         plain = markov_evolve(inst, spec, params, 12, bath=bath)
         assert np.array_equal(checked.probabilities, plain.probabilities)
-        assert checked.states is None and checked.joint_states is None
+        assert checked.states is None
 
 
 def test_perfect_memory_analytic_values():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from support import label_blocks, orbit_blocks, split_basis
 
 from noisygrover import measures
 from noisygrover.collision import (
@@ -199,39 +200,26 @@ def _cases(n, seed):
         yield rng, inst, noise_spec(_haar(rng), m, n, _positions(rng, n, m, with_zero))
 
 
-def _split_basis(inst, spec):
-    # V_W = I_2 (x) V_rest: the N x 2 d_rest isometry onto n_blp's space
-    # W = C^2 (x) W_rest, with V_rest the orbit basis of the other n - 1
-    # qubits (marked index marked % (N/2), noisy positions p - 1 for
-    # p != 0), one vector when n = 1.
-    if inst.n == 1:
-        return np.eye(2)
-    rest = GroverInstance(inst.n - 1, inst.marked % (inst.N // 2))
-    rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
-    return np.kron(np.eye(2), orbit_basis(rest, rest_spec))
-
-
 def _dense_blp(inst, spec, params, steps, bath):
     # Reference: the |s> member from markov_evolve lifted to N x N, the
     # partner on the full N x N G, G' through the step loop, and dense trace
-    # distances of the system marginals and of the label blocks (of the
-    # whole joint at t = 0). The lifted joint's two diagonal walker blocks
-    # meet the partner's label blocks, and from t = 1 on its off-diagonal
-    # walker blocks are zero, so the block distances are the joint's.
+    # distances of the system marginals and of the label blocks, the |s>
+    # member's lifted through the orbit basis. At t = 0 the joint distance
+    # is that of the two whole joint starts; from t = 1 on each joint is
+    # diag(sigma_0, sigma_1), so the block distances are the joint's.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     partner = tensor(plus, blp_pair(inst).rho2)
-    run = markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True, keep_joint=True)
+    run = markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True)
+    lifted = orbit_blocks(inst, spec, params, steps, bath)
     blocks = collision_evolve(
-        g, gp, *transfer_weights(params, bath), partner, steps, keep_blocks=True
+        g, gp, *transfer_weights(params, bath), label_blocks(partner), steps, keep_blocks=True
     ).blocks
     d_sys = np.array([trace_distance(a, b) for a, b in zip(run.states, blocks.sum(axis=1))])
-    h = inst.N
-    d_joint = [trace_distance(run.joint_states[0], partner)]
-    for a, b in zip(run.joint_states[1:], blocks[1:]):
-        assert np.max(np.abs(a[:h, h:])) < 1e-12 and np.max(np.abs(a[h:, :h])) < 1e-12
-        d_joint.append(trace_distance(a[:h, :h], b[0]) + trace_distance(a[h:, h:], b[1]))
+    d_joint = [trace_distance(tensor(plus, run.states[0]), partner)]
+    for a, b in zip(lifted[1:], blocks[1:]):
+        d_joint.append(trace_distance(a[0], b[0]) + trace_distance(a[1], b[1]))
     return positive_increment_sum(d_sys), d_sys, np.array(d_joint)
 
 
@@ -272,7 +260,7 @@ def test_blp_partner_splits_over_the_qubit0_basis(n):
     paulis = [np.array(p, dtype=complex) for p in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
     for _rng, inst, spec in _cases(n, 600 + n):
         half = inst.N // 2
-        v = _split_basis(inst, spec)
+        v = split_basis(inst, spec)
         d_rest = v.shape[1] // 2
         v_rest = v[:half, :d_rest]
         assert np.array_equal(v, np.kron(np.eye(2), v_rest))

@@ -1,5 +1,5 @@
 """The step loop over stacked systems and the tables that group systems by d:
-stacked G, G' and R_0 against one call per member, the first-maximum
+stacked G, G' and start blocks against one call per member, the first-maximum
 reader's shrinking batch, the grouped series against per-class
 ``markov_series``, and the input checks of both."""
 
@@ -45,21 +45,21 @@ SPREAD = [(GroverInstance(n, 2**n - 1 - n), noise_spec(U, 1, n, (n // 2,))) for 
 @pytest.mark.parametrize("temperature", [None, 0.7])
 def test_stacked_evolve_equals_one_call_per_member(temperature):
     bath = thermal_weights(temperature) if temperature else None
-    g, gp, first, steady, r0 = _stack(SPREAD, POINTS, bath)
-    assert g.shape == gp.shape == (4, 1, 4, 4) and r0.shape == (4, 1, 8, 8)
-    stacked = collision_evolve(g, gp, first, steady, r0, 12, keep_blocks=True)
+    g, gp, first, steady, sigma0 = _stack(SPREAD, POINTS, bath)
+    assert g.shape == gp.shape == (4, 1, 4, 4) and sigma0.shape == (4, 1, 2, 4, 4)
+    stacked = collision_evolve(g, gp, first, steady, sigma0, 12, keep_blocks=True)
     assert stacked.probabilities.shape == (4, len(POINTS), 13)
     assert stacked.blocks.shape == (4, len(POINTS), 13, 2, 4, 4)
     for i in range(4):
         for b in range(len(POINTS)):
             single = collision_evolve(
-                g[i, 0], gp[i, 0], first[b], steady[b], r0[i, 0], 12, keep_blocks=True
+                g[i, 0], gp[i, 0], first[b], steady[b], sigma0[i, 0], 12, keep_blocks=True
             )
             assert np.max(np.abs(stacked.probabilities[i, b] - single.probabilities)) < 1e-13
             assert np.max(np.abs(stacked.blocks[i, b] - single.blocks)) < 1e-13
-    # One member per system on a flat batch: G, G', R_0 and the weights all
-    # carry the same axis.
-    flat = collision_evolve(g[:, 0], gp[:, 0], first[:4], steady[:4], r0[:, 0], 12)
+    # One member per system on a flat batch: G, G', the start and the
+    # weights all carry the same axis.
+    flat = collision_evolve(g[:, 0], gp[:, 0], first[:4], steady[:4], sigma0[:, 0], 12)
     for i in range(4):
         assert np.max(np.abs(flat.probabilities[i] - stacked.probabilities[i, i])) < 1e-13
 
@@ -68,15 +68,17 @@ def test_stacked_evolve_equals_one_call_per_member(temperature):
 def test_stacked_first_max_equals_one_call_per_member(temperature):
     bath = thermal_weights(temperature) if temperature else None
     params = [MarkovNoiseParams(p, mu) for p in (0.0, 0.2, 0.6) for mu in (0.0, 0.9)]
-    g, gp, first, steady, r0 = _stack(SPREAD, params, bath)
-    t_star, p_star = collision_first_max(g, gp, first, steady, r0, 60)
+    g, gp, first, steady, sigma0 = _stack(SPREAD, params, bath)
+    t_star, p_star = collision_first_max(g, gp, first, steady, sigma0, 60)
     assert t_star.shape == p_star.shape == (4, len(params))
     for i in range(4):
-        t_one, p_one = collision_first_max(g[i, 0], gp[i, 0], first, steady, r0[i, 0], 60)
+        t_one, p_one = collision_first_max(g[i, 0], gp[i, 0], first, steady, sigma0[i, 0], 60)
         assert np.array_equal(t_star[i], t_one)
         assert np.max(np.abs(p_star[i] - p_one)) < 1e-13
         for b in range(len(params)):
-            t_b, p_b = collision_first_max(g[i, 0], gp[i, 0], first[b], steady[b], r0[i, 0], 60)
+            t_b, p_b = collision_first_max(
+                g[i, 0], gp[i, 0], first[b], steady[b], sigma0[i, 0], 60
+            )
             assert int(t_b) == t_star[i, b] and abs(float(p_b) - p_star[i, b]) < 1e-13
     # The systems peak at different steps, so the early stop covers members
     # that leave the loop at different times.
@@ -98,8 +100,8 @@ def test_first_max_drops_each_system_once_it_is_past(monkeypatch):
             sigma = stream.send((yield sigma))
 
     monkeypatch.setattr(collision, "_step_stream", spy)
-    g, gp, first, steady, r0 = _stack(SPREAD, POINTS)
-    t_star, _ = collision_first_max(g, gp, first, steady, r0, 200)
+    g, gp, first, steady, sigma0 = _stack(SPREAD, POINTS)
+    t_star, _ = collision_first_max(g, gp, first, steady, sigma0, 200)
     stepped = np.minimum(t_star.max(axis=1) + 1, 200)
     assert len(set(stepped.tolist())) == 4
     assert [shape[0] for shape in shapes[1:]] == [
@@ -156,20 +158,20 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
 
 
 def test_stack_inputs_are_checked():
-    g, gp, first, steady, r0 = _stack(SPREAD, POINTS)
+    g, gp, first, steady, sigma0 = _stack(SPREAD, POINTS)
     other = markov._group_inputs(
         markov._table_groups([(GroverInstance(3), noise_spec(U, 2, 3))], POINTS, None)[1][0]
     )
     for call in (collision_evolve, collision_first_max):
         with pytest.raises(ValueError, match=r"operator shapes \(4, 1, 4, 4\), \(1, 1, 6, 6\)"):
-            call(g, other[1], first, steady, r0, 5)
-        with pytest.raises(ValueError, match=r"\(4, 1, 4, 4\).*\(1, 1, 12, 12\)"):
+            call(g, other[1], first, steady, sigma0, 5)
+        with pytest.raises(ValueError, match=r"\(4, 1, 4, 4\).*label blocks \(1, 1, 2, 6, 6\)"):
             call(g, gp, first, steady, other[4], 5)
         with pytest.raises(ValueError, match=r"do not broadcast") as info:
-            call(g, gp, first[:3], steady[:3], r0[:, 0], 5)
-        assert "(4, 8, 8)" in str(info.value) and "(3, 2, 2, 2)" in str(info.value)
+            call(g, gp, first[:3], steady[:3], sigma0[:, 0], 5)
+        assert "(4, 2, 4, 4)" in str(info.value) and "(3, 2, 2, 2)" in str(info.value)
         with pytest.raises(ValueError, match=r"do not broadcast"):
-            call(g[:2], gp, first, steady, r0, 5)
+            call(g[:2], gp, first, steady, sigma0, 5)
 
 
 def test_out_of_range_position_raises_the_orbit_error():
@@ -207,14 +209,14 @@ def test_bad_stacks_exit_one(capsys, monkeypatch, bad):
     real = markov._group_inputs
 
     def broken(group):
-        g, gp, first, steady, r0 = real(group)
+        g, gp, first, steady, sigma0 = real(group)
         if bad == "d":
-            return g, gp[..., :-1, :-1], first, steady, r0
-        return g, gp, np.broadcast_to(first, (len(g) + 2,) + first.shape), steady, r0
+            return g, gp[..., :-1, :-1], first, steady, sigma0
+        return g, gp, np.broadcast_to(first, (len(g) + 2,) + first.shape), steady, sigma0
 
     monkeypatch.setattr(markov, "_group_inputs", broken)
     code = main(["invariance", "--n", "3", "--marked", "5", "--steps", "4"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    want = "do not match state" if bad == "d" else "do not broadcast"
+    want = "do not match label blocks" if bad == "d" else "do not broadcast"
     assert captured.err.startswith("error:") and want in captured.err
