@@ -7,15 +7,6 @@ collision step with pure or thermal ancillas, and discrete-time
 non-Markovianity witnesses.
 """
 
-from .grover import (
-    GroverInstance,
-    grover_operator,
-    ideal_success_closed_form,
-    ideal_success_series,
-    marked_state,
-    optimal_iterations,
-    uniform_superposition,
-)
 from .linalg import (
     DensityReport,
     InvariantViolation,
@@ -28,20 +19,18 @@ from .linalg import (
     trace_distance,
     trace_norm,
 )
-from .markov import (
-    ConditionalProbs,
-    EvolutionTrace,
-    MarkovNoiseParams,
-    conditional_probs,
-    history_oracle,
-    initial_joint_state,
-    markov_evolve,
-    markov_first_max,
-    markov_series,
-    perfect_memory_analytic,
-    perfect_memory_first_max,
+from .grover import (
+    GroverInstance,
+    grover_operator,
+    ideal_success_closed_form,
+    ideal_success_series,
+    marked_state,
+    optimal_iterations,
+    uniform_superposition,
 )
 from .noise import (
+    ConditionalProbs,
+    MarkovNoiseParams,
     NoiseClass,
     NoiseClassTag,
     NoiseSpec,
@@ -49,6 +38,7 @@ from .noise import (
     build_chi,
     classify_noise,
     closed_form_overlaps,
+    conditional_probs,
     noise_spec,
     noise_unitary,
     noisy_grover,
@@ -61,6 +51,7 @@ from .noise import (
 from .collision import (
     DilationReport,
     DilationUnitary,
+    EvolutionTrace,
     FactorizationReport,
     KrausSet,
     ThermalBathParams,
@@ -76,6 +67,15 @@ from .collision import (
     thermal_weights,
     transfer_weights,
     verify_dilation,
+)
+from .markov import (
+    history_oracle,
+    initial_joint_state,
+    markov_evolve,
+    markov_first_max,
+    markov_series,
+    perfect_memory_analytic,
+    perfect_memory_first_max,
 )
 from .measures import (
     MeasureResult,

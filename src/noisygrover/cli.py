@@ -8,7 +8,7 @@ file, built-in defaults fill the rest. List-valued options take comma
 separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
 over groups of grid points without changing results or row order: the
 success grids hand their systems (the noisy position sets of ``noisy``,
-the n list of ``firstmax``, the (m, q) classes of ``invariance``) to one
+the n list of ``firstmax``, the position classes of ``invariance``) to one
 step loop per distinct orbit dimension d, which runs every system of that
 d against every (p, mu) pair at once, so a group is one d (in
 ``firstmax``, each n leaves its loop once its points have passed their
@@ -48,7 +48,6 @@ from .grover import GroverInstance, ideal_success_series, grover_operator, optim
 from .linalg import InvariantViolation, trace_distance
 from .markov import (
     HISTORY_MAX_STEPS,
-    MarkovNoiseParams,
     _group_first_max,
     _group_series,
     _table,
@@ -56,7 +55,8 @@ from .markov import (
     markov_evolve,
 )
 from .measures import n_blp, n_cp
-from .noise import SingleQubitUnitary, build_chi, noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
+from .noise import MarkovNoiseParams, SingleQubitUnitary, _orbit_representatives, build_chi
+from .noise import noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
 
 
 class ConfigError(ValueError):
@@ -510,19 +510,9 @@ def _handle_invariance(opts: dict) -> ResultTable:
     u = _parse_noise(opts["noise"])
     params = [MarkovNoiseParams(_parse_float(opts["p"], "p"), _parse_float(opts["mu"], "mu"))]
     steps = _parse_steps(opts["steps"])
-    # A position set enters the evolve only through its size m and the
-    # number q of its positions where the marked index has a 1 bit
-    # (markov._orbit_class), so every nonempty subset shares its series with
-    # one representative of its (m, q) class: the first q one-bit and the
-    # first m - q zero-bit positions. The class of (0,) is represented by
-    # (0,) itself, since position 0 comes first in its own list.
-    ones = [i for i in range(n) if marked >> (n - 1 - i) & 1]
-    zeros = [i for i in range(n) if not marked >> (n - 1 - i) & 1]
-    classes = [
-        tuple(sorted(ones[:q] + zeros[: m - q]))
-        for m in range(1, n + 1)
-        for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
-    ]
+    # Every nonempty subset shares its series with one of these position
+    # sets, and (0,) is one of them.
+    classes = _orbit_representatives(n, marked)
     systems = [(inst, noise_spec(u, len(c), n, c)) for c in classes]
     all_series = _success_table(_group_series, systems, params, steps, opts)[0][:, 0]
     reference = all_series[classes.index((0,))]

@@ -5,14 +5,15 @@ One time step of the walker+system state R is the completely positive map
     R -> sum_k K_k R K_k^dagger
 
 with four Kraus operators built from G, G' and the label-chain
-probabilities (stationary ones for the first collision, conditional ones
-afterwards). The same step is also realized as a unitary collision: two
-fresh ancilla qubits in |00> interact with walker+system through an
-8N x 8N unitary U, after which the ancillas are traced out. U is stored
-as an 8 x 8 grid of N x N blocks, each a multiple of G or G'; the minus
-signs in the lower half make the columns orthonormal for every parameter
-choice. Replacing the pure ancillas with thermal ones (Gibbs weights at
-temperature T) yields the finite-temperature channel via the same U.
+probabilities of :mod:`~noisygrover.noise` (stationary ones for the first
+collision, conditional ones afterwards). The same step is also realized
+as a unitary collision: two fresh ancilla qubits in |00> interact with
+walker+system through an 8N x 8N unitary U, after which the ancillas are
+traced out. U is stored as an 8 x 8 grid of N x N blocks, each a multiple
+of G or G'; the minus signs in the lower half make the columns
+orthonormal for every parameter choice. Replacing the pure ancillas with
+thermal ones (Gibbs weights at temperature T) yields the
+finite-temperature channel via the same U.
 
 The simulator never builds those matrices. Every block of U sits in one
 walker row r and column c, so the step keeps the walker label classical
@@ -35,16 +36,15 @@ broadcast against each other, so a shared operator is never copied per
 member. The label blocks of every member form one batch + (2, d, d)
 stack, taken at the start and yielded for t = 0, 1, 2, ... Two readers
 draw from it: ``collision_evolve`` takes the first steps + 1 stacks and
-keeps the success series (and, on request, the label blocks themselves),
+keeps the success series (and, on request, the label blocks themselves)
+in an :class:`EvolutionTrace`, the result type of every evolution run,
 and ``collision_first_max`` drops each slice of the first batch axis once
 its members have passed their first success maximum and stops when none
 is left, so its cost follows the first maxima and not the horizon. No
 2d x 2d joint is taken or formed. The success and witness series hand
-the loop G and G' on an invariant subspace whose dimension does not grow
-with n, built from closed forms without any N-sized array: the span of
-the orbit basis of :func:`~noisygrover.noise.orbit_basis`, or for blp's
-pair qubit 0 times that of the other n - 1 qubits. Any other start runs
-on the full N x N operators. The size is reported as ``meta["dim"]``.
+the loop G and G' at d x d on the orbit space of
+:mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that of the
+other n - 1 qubits); the size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -58,7 +58,7 @@ checks it is unitary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,12 +71,7 @@ from .linalg import (
     random_density,
     trace_distance,
 )
-from .markov import (
-    ConditionalProbs,
-    EvolutionTrace,
-    MarkovNoiseParams,
-    conditional_probs,
-)
+from .noise import ConditionalProbs, MarkovNoiseParams, conditional_probs
 
 KINDS = ("initial", "steady")
 
@@ -323,42 +318,31 @@ def extract_m(
 ) -> FactorizationReport:
     """Recover M from U = CX . (M (x) I_N) . (I_8 (x) G).
 
-    CX applies ``chi`` to the system conditioned on the first ancilla;
-    both control conventions are tried and the one with the smaller
-    factorization residual wins (it is |1> for this layout). The residual
-    is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_N| with M the
-    blockwise normalized trace; ``unitary_defect`` is max |M^dagger M - I|.
-
-    CX is block diagonal on U's 8 x 8 grid of N x N blocks (chi on the
-    blocks whose first ancilla is the control value, I elsewhere), so every
-    one of the 64 blocks of the product is C_i^dagger U_ij G^dagger, taken
-    one at a time: no 8N x 8N matrix besides U is formed. A NaN block
-    residual is kept as the maximum.
+    CX applies ``chi`` to the system when the first ancilla is |1>, since
+    the layout puts every G' block in grid rows 4-7; ``control_value`` is
+    that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_N|
+    with M the blockwise normalized trace; ``unitary_defect`` is
+    max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of N x N
+    blocks, so every one of the 64 blocks of the product is
+    C_i^dagger U_ij G^dagger, taken one at a time: no 8N x 8N matrix
+    besides U is formed. A NaN block residual is kept as the maximum.
     """
     u = dil.matrix
     n_dim = g.shape[0]
     g_dag, chi_dag = dagger(g), dagger(chi)
     eye_n = np.eye(n_dim)
-    best: Optional[FactorizationReport] = None
-    for control in (1, 0):
-        m_grid = np.empty((8, 8), dtype=complex)
-        residuals = np.empty((8, 8))
-        for i in range(8):
-            for j in range(8):
-                block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
-                if i >> 2 == control:
-                    block = chi_dag @ block
-                m_grid[i, j] = np.trace(block) / n_dim
-                residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
-        residual = float(np.max(residuals))
-        defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
-        report = FactorizationReport(m_grid, residual, control, defect, residual <= tol)
-        if report.passed:
-            return report
-        if best is None or report.residual < best.residual:
-            best = report
-    assert best is not None
-    return best
+    m_grid = np.empty((8, 8), dtype=complex)
+    residuals = np.empty((8, 8))
+    for i in range(8):
+        for j in range(8):
+            block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
+            if i >= 4:
+                block = chi_dag @ block
+            m_grid[i, j] = np.trace(block) / n_dim
+            residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
+    residual = float(np.max(residuals))
+    defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
+    return FactorizationReport(m_grid, residual, 1, defect, residual <= tol)
 
 
 @dataclass(frozen=True)
@@ -594,6 +578,22 @@ def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
         plan = steady_plan
 
 
+@dataclass(frozen=True)
+class EvolutionTrace:
+    """Result of an evolution run.
+
+    ``probabilities[t]`` is the success probability after t steps,
+    t = 0..steps. ``states`` (system marginals) and ``blocks`` (the label
+    blocks that ``collision_evolve`` keeps) are kept only on request; both
+    include t = 0.
+    """
+
+    probabilities: np.ndarray
+    states: Optional[tuple[ComplexMatrix, ...]] = None
+    meta: dict = field(default_factory=dict)
+    blocks: Optional[np.ndarray] = None
+
+
 def _success(sigma: np.ndarray, marked: int) -> np.ndarray:
     """Success probability of every member of a label-block stack: the
     ``marked`` diagonal entry of sigma_0 + sigma_1."""
@@ -634,7 +634,7 @@ def collision_evolve(
     dense at whatever size it is given: N x N G, G' for the full register,
     or d x d forms on an invariant subspace (``markov_evolve``,
     ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
-    :func:`~noisygrover.markov._orbit_chi`). ``meta["dim"]`` is that size.
+    :func:`~noisygrover.noise._orbit_chi`). ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1. A start that is not (..., 2, n, n), blocks that are
     not finite and Hermitian, transfer tensors that are not finite,

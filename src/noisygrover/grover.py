@@ -6,7 +6,9 @@ superposition |s> and the marked state |w>:
     G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|
 
 which equals the usual diffusion-times-oracle product (2|s><s| - I)(I - 2|w><w|).
-The ideal success probability after t iterations has the closed form
+The same formula gives G on any smaller space that holds |s> and |w>
+(:func:`reduced_grover_operator`), which is where the simulator runs. The
+ideal success probability after t iterations has the closed form
 sin^2((2t + 1) asin(1/sqrt(N))), used throughout the tests as an oracle.
 """
 
@@ -74,18 +76,28 @@ def grover_operator(inst: GroverInstance) -> np.ndarray:
     return g
 
 
+def reduced_grover_operator(s: np.ndarray, w: int, N: int) -> np.ndarray:
+    """G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w| at the size of the
+    real vector ``s``, on a space that holds |s> and |w> = e_w and is
+    invariant under G; the faulty iteration there is chi G."""
+    g = 2.0 * np.outer(s, s) - np.eye(s.size)
+    g[:, w] -= (4.0 / math.sqrt(N)) * s
+    g[w, w] += 2.0
+    return g
+
+
 def ideal_success_series(inst: GroverInstance, steps: int) -> np.ndarray:
     """P(t) = |<w| G^t |s>|^2 for t = 0..steps, by repeated multiplication.
 
-    G acts on span{|w>, |s>}, so the walk runs there as 2 x 2 (the orbit
-    basis with no noisy positions, :func:`~noisygrover.markov._dicke_operators`)
-    and costs the same at any n; |w> is coordinate 0.
+    G acts on span{|w>, |s>}, so the walk runs there as 2 x 2
+    (:func:`reduced_grover_operator` in the basis |w>, the normalized rest
+    of |s>) and costs the same at any n; |w> is coordinate 0.
     """
-    from .markov import _dicke_operators  # deferred: markov imports this module
-
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    g, _, v = _dicke_operators(inst.n, inst.marked, np.eye(2), ())
+    N = inst.N
+    v = np.sqrt([1 / N, (N - 1) / N])
+    g = reduced_grover_operator(v, 0, N)
     out = np.empty(steps + 1, dtype=float)
     out[0] = abs(v[0]) ** 2
     for t in range(1, steps + 1):

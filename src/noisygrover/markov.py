@@ -1,97 +1,50 @@
 """Time-correlated (Markovian) switching between clean and faulty iterations.
 
 Each time step applies either the clean operator G or the faulty one
-G' = chi G. The choice is a two-state Markov chain over labels {g, g'}
-with stationary distribution (1 - p, p) and memory mu:
-
-    P(k at t+1 | l at t) = (1 - mu) p_k + mu * delta_{k,l}
-
-mu = 0 is i.i.d. noise, mu = 1 freezes the first draw forever ("perfect
+G' = chi G, chosen by the label chain of :class:`MarkovNoiseParams`:
+stationary distribution (1 - p, p) over {g, g'} and memory mu, so mu = 0
+is i.i.d. noise and mu = 1 freezes the first draw forever ("perfect
 memory"). Instead of sampling, the chain is carried exactly: a classical
 walker qubit (index 0 = g, 1 = g') is adjoined to the system, the joint
 state starts as |+><+| (x) |s><s|, and every step is the exact completely
 positive map that applies G on the g branch, G' on the g' branch, and
 mixes branch populations with the conditional probabilities. The success
 probability is read off the system marginal at the marked index. All of
-this runs in the span of the orbit basis (:func:`~noisygrover.noise.orbit_basis`),
-whose dimension depends on the noisy qubits, not on n. G, G' and |s> are
-built there at d x d from Dicke-basis closed forms (:func:`_orbit_chi`), in
-which n enters only through scalars, so nothing of size 2^n is formed unless
-states are kept. :func:`markov_series` runs many (p, mu) points of one
-system as one batched step loop, and :func:`markov_first_max` reads where
-each point's first maximum falls from the same loop, stopped once every
-point has passed it. Both are the one-system case of :func:`_table`,
-which takes the systems of a table (the position classes of
-``invariance``, the n list of ``firstmax``, the m list of ``noisy``),
-shares their Dicke recursions and transfer weights, and runs one step loop
-per distinct d over the systems of that d, each with its own G, G' and
-start, stacked against the points.
+this runs at d x d in the orbit space of :mod:`~noisygrover.noise`, with
+the G, G' and |s> that ``noise`` builds there, so nothing of size 2^n is
+formed unless states are kept. :func:`markov_series` runs many (p, mu)
+points of one system as one batched step loop, and
+:func:`markov_first_max` reads where each point's first maximum falls
+from the same loop, stopped once every point has passed it. Both are the
+one-system case of :func:`_table`, which takes the systems of a table
+(the position classes of ``invariance``, the n list of ``firstmax``, the
+m list of ``noisy``), groups them by the d that ``noise`` gives each,
+shares their transfer weights, and runs one step loop per distinct d
+over the systems of that d, each with its own G, G' and start, stacked
+against the points.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .collision import EvolutionTrace, collision_evolve, collision_first_max, transfer_weights
 from .grover import GroverInstance, grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, dagger, projector, require_density, tensor
-from .noise import NoiseSpec, build_chi, noisy_grover, orbit_basis
+from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound here)
+    ConditionalProbs, MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi,
+    conditional_probs, noisy_grover, orbit_basis,
+)
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # conjugations.
 HISTORY_MAX_STEPS = 12
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class MarkovNoiseParams:
-    """Stationary fault probability ``p`` and memory ``mu``, both in [0, 1]."""
-
-    p: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu={self.mu} outside [0, 1]")
-
-    @property
-    def p_g(self) -> float:
-        """Stationary probability of a clean step."""
-        return 1.0 - self.p
-
-    @property
-    def p_gp(self) -> float:
-        """Stationary probability of a faulty step."""
-        return self.p
-
-
-@dataclass(frozen=True)
-class ConditionalProbs:
-    """One-step transition probabilities of the label chain."""
-
-    g_given_g: float
-    gp_given_g: float
-    g_given_gp: float
-    gp_given_gp: float
-
-
-def conditional_probs(params: MarkovNoiseParams) -> ConditionalProbs:
-    """P(k | l) = (1 - mu) p_k + mu delta_{k,l}; each column sums to 1."""
-    p_g, p_gp, mu = params.p_g, params.p_gp, params.mu
-    return ConditionalProbs(
-        g_given_g=(1.0 - mu) * p_g + mu,
-        gp_given_g=(1.0 - mu) * p_gp,
-        g_given_gp=(1.0 - mu) * p_g,
-        gp_given_gp=(1.0 - mu) * p_gp + mu,
-    )
 
 
 def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
@@ -108,146 +61,6 @@ def _label_start(rho: ComplexMatrix) -> np.ndarray:
     return np.diagonal(projector(_PLUS))[:, None, None] * rho[..., None, :, :]
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """Result of an evolution run.
-
-    ``probabilities[t]`` is the success probability after t steps,
-    t = 0..steps. ``states`` (system marginals) and ``blocks`` (the label
-    blocks that ``collision_evolve`` keeps) are kept only on request; both
-    include t = 0.
-    """
-
-    probabilities: np.ndarray
-    states: Optional[tuple[ComplexMatrix, ...]] = None
-    meta: dict = field(default_factory=dict)
-    blocks: Optional[np.ndarray] = None
-
-
-def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
-    """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
-    j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
-    Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
-    basis states of Hamming weight x.
-
-    The entries are the binomial sums
-
-        D[x, y] = sqrt(C(j,y)/C(j,x)) sum_i C(y,i) C(j-y,x-i)
-                  a11^i a01^(y-i) a10^(x-i) a00^(j-y-x+i),
-
-    but those cancel: at j = 40 they lose up to 2e-11 to rounding. So the
-    powers are built one qubit at a time through the isometry
-    |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
-    which only ever forms contractions and stays at rounding level. Each
-    step adds the four shifted copies of the last power, one per entry of
-    ``a``, into the slices of a zero matrix where they land.
-    """
-    powers = [np.ones((1, 1), dtype=complex)]
-    for size in range(1, k + 1):
-        x = np.arange(size + 1)
-        stay = np.sqrt((size - x[:-1]) / size)[:, None]  # weight of |D_x>|0>, x < size
-        move = np.sqrt(x[1:] / size)[:, None]  # weight of |D_(x-1)>|1>, x > 0
-        last = powers[-1]
-        d = np.zeros((size + 1, size + 1), dtype=complex)
-        d[:-1, :-1] = stay * stay.T * a[0, 0] * last  # from D[x, y]
-        d[:-1, 1:] += stay * move.T * a[0, 1] * last  # from D[x, y - 1]
-        d[1:, :-1] += move * stay.T * a[1, 0] * last  # from D[x - 1, y]
-        d[1:, 1:] += move * move.T * a[1, 1] * last  # from D[x - 1, y - 1]
-        powers.append(d)
-    return powers
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b over the last two axes, with any leading axes broadcast: the
-    products of ``np.kron``, without its per-call set-up."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
-    """(m, q, d) of a set of noisy positions: its size m, the number q of
-    them where the marked index has a 1 bit, and the dimension
-    d = (q + 1)(m - q + 1) nc of the span of :func:`orbit_basis`, with
-    nc = 2 when m < n and 1 when m = n. A position outside [0, n) raises
-    ``ValueError``."""
-    if any(not 0 <= p < n for p in positions):
-        raise ValueError(f"positions {positions} outside [0, {n})")
-    m = len(positions)
-    q = sum(marked >> (n - 1 - p) & 1 for p in positions)
-    return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
-
-
-def _orbit_chi(
-    n: int,
-    marked: int,
-    u: np.ndarray,
-    positions: tuple[int, ...],
-    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
-) -> tuple[ComplexMatrix, np.ndarray]:
-    """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
-    the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
-    nothing of size 2^n is formed, and n = 0 gives the 1 x 1 case.
-
-    Flipping the q noisy qubits where the marked index has a 1 bit maps the
-    class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
-    on the other m - q noisy qubits, times that of weight k on the q
-    flipped ones, times |0_C> (c = 0) or the normalized sum of the nonzero
-    basis states of the clean qubits C (c = 1). In that frame chi is u on
-    the first set and X u X on the second, and the identity on C, so
-
-        chi = D^(m-q)(u) (x) D^(q)(X u X) (x) I_nc,
-        s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
-
-    with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n. ``dicke`` is the pair
-    (D^(m-q)(u), D^(q)(X u X)) when the caller has it from recursions that
-    systems share (:func:`_table_groups`); by default both run here.
-    """
-    m, q, _ = _orbit_class(n, marked, positions)
-    if dicke is None:
-        dicke = (_dicke_powers(u, m - q)[-1], _dicke_powers(_FLIP @ u @ _FLIP, q)[-1])
-    chi = _kron(*dicke)
-    clean = (1,)  # class sizes on C
-    if m < n:
-        chi = _kron(chi, np.eye(2))
-        clean = (1, 2 ** (n - m) - 1)
-    N = 2**n
-    s = np.sqrt([
-        math.comb(m - q, j) * math.comb(q, k) * size / N
-        for j in range(m - q + 1)
-        for k in range(q + 1)
-        for size in clean
-    ])
-    return chi, s
-
-
-def _grover_pair(
-    s: np.ndarray, w: int, chi: ComplexMatrix, N: int
-) -> tuple[np.ndarray, ComplexMatrix]:
-    """(G, G' = chi G) at the size of ``chi``, on a space that holds the real
-    vector |s> and the basis vector |w> = e_w and is invariant under G and chi:
-    G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|.
-    """
-    g = 2.0 * np.outer(s, s) - np.eye(s.size)
-    g[:, w] -= (4.0 / math.sqrt(N)) * s
-    g[w, w] += 2.0
-    return g, chi @ g
-
-
-def _dicke_operators(
-    n: int,
-    marked: int,
-    u: np.ndarray,
-    positions: tuple[int, ...],
-    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
-) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
-    """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d,
-    from scalars only (:func:`_orbit_chi`, which ``dicke`` is passed to);
-    |w> is column 0."""
-    chi, s = _orbit_chi(n, marked, u, positions, dicke)
-    return (*_grover_pair(s, 0, chi, 2**n), s)
-
-
 def _table_groups(
     systems: Sequence[tuple[GroverInstance, NoiseSpec]],
     params_seq: Sequence[MarkovNoiseParams],
@@ -255,30 +68,17 @@ def _table_groups(
 ) -> tuple[list[list[int]], list[tuple]]:
     """Set up one table of ``systems``, (inst, spec) pairs that share the
     (p, mu) points ``params_seq`` and ``bath``, as one step loop per
-    distinct d.
-
-    The set-up that systems share runs once per table: one
-    ``transfer_weights`` call, and for each distinct noise unitary u one
-    Dicke recursion (:func:`_dicke_powers`) of u and one of X u X, up to
-    the largest m of the table. Every position set is checked here
-    (:func:`_orbit_class`), before any step runs. The systems are grouped
-    by their exact d, in order of first appearance, never padded. Returns
-    each group's system indices and its work item for :func:`_group_inputs`:
-    the group's systems with their two Dicke powers, and the weights.
-    """
-    from .collision import transfer_weights  # deferred, see collision.py
-
+    distinct d. One ``transfer_weights`` call and one
+    :func:`~noisygrover.noise._orbit_dicke` call, which checks every
+    position set before any step runs, serve the whole table. The systems
+    are grouped by the d it gives, in order of first appearance, never
+    padded. Returns each group's system indices and its work item for
+    :func:`_group_inputs`: the group's systems with their Dicke pairs, and
+    the weights."""
     first, steady = transfer_weights(params_seq, bath)
-    classes = [_orbit_class(inst.n, inst.marked, spec.positions) for inst, spec in systems]
-    top = max((m for m, _, _ in classes), default=0)
-    powers = {}
     groups: dict[int, list] = {}
-    for i, ((inst, spec), (m, q, d)) in enumerate(zip(systems, classes)):
-        if spec.u not in powers:
-            u = spec.u.matrix
-            powers[spec.u] = (_dicke_powers(u, top), _dicke_powers(_FLIP @ u @ _FLIP, top))
-        of_u, of_xux = powers[spec.u]
-        groups.setdefault(d, []).append((i, (inst, spec, (of_u[m - q], of_xux[q]))))
+    for i, ((inst, spec), (d, dicke)) in enumerate(zip(systems, _orbit_dicke(systems))):
+        groups.setdefault(d, []).append((i, (inst, spec, dicke)))
     members = [[i for i, _ in group] for group in groups.values()]
     return members, [([item for _, item in group], first, steady) for group in groups.values()]
 
@@ -301,15 +101,11 @@ def _group_inputs(group) -> tuple:
 
 def _group_series(group, steps: int) -> tuple[np.ndarray]:
     """(success series (S, P, steps + 1),) of one d-group."""
-    from .collision import collision_evolve  # deferred, see collision.py
-
     return (collision_evolve(*_group_inputs(group), steps).probabilities,)
 
 
 def _group_first_max(group, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(t*, P*), each (S, P), of one d-group."""
-    from .collision import collision_first_max  # deferred, see collision.py
-
     return collision_first_max(*_group_inputs(group), steps)
 
 
@@ -397,9 +193,9 @@ def markov_evolve(
     ones; ``bath=None`` is the zero-temperature (pure) construction.
 
     This is :func:`markov_series` for the one point ``params``, at d x d in
-    the span of the orbit basis V (:func:`orbit_basis`), where
-    d = (q + 1)(m - q + 1), doubled when m < n, is ``meta["dim"]``. The
-    loop starts from the label blocks of |+><+| (x) |s><s|, and the flags
+    the span of the orbit basis V (:func:`orbit_basis`), where d, the
+    dimension that :mod:`~noisygrover.noise` gives the system, is
+    ``meta["dim"]``. The loop starts from the label blocks of |+><+| (x) |s><s|, and the flags
     have it keep its blocks sigma_0, sigma_1. ``keep_states`` lifts
     V (sigma_0 + sigma_1) V^dagger to N x N; V is built only for this lift.
     ``validate`` checks, once after the run, every step's blocks from t = 0
@@ -407,8 +203,6 @@ def markov_evolve(
     spectrum; at t = 0 that is all the loop reads of the start) and raises
     :class:`InvariantViolation` at the first bad step.
     """
-    from .collision import collision_evolve  # deferred, see collision.py
-
     _, (group,) = _table_groups([(inst, spec)], [params], bath)
     g, gp, first, steady, sigma0 = _group_inputs(group)
     keep = keep_states or validate

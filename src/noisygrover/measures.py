@@ -11,7 +11,7 @@ anything of size N: the divisibility witness runs in the span of the orbit
 basis of :func:`~noisygrover.noise.orbit_basis`, the backflow pair in
 qubit 0 times that of the other n - 1 qubits, both with G, G' and |s>
 built there from the Dicke-basis closed forms of
-:func:`~noisygrover.markov._orbit_chi`. The channel is linear and a trace
+:func:`~noisygrover.noise._orbit_chi`. The channel is linear and a trace
 distance depends only on the difference of its two states, so the
 backflow pair runs once, as that difference; its part outside the space
 is fixed by a trace (:func:`n_blp`). The step loop keeps label blocks
@@ -34,11 +34,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collision import ThermalBathParams, collision_evolve, transfer_weights
-from .grover import GroverInstance, uniform_superposition
+from .grover import GroverInstance, reduced_grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
-from .markov import _PLUS, MarkovNoiseParams, _dicke_operators, _grover_pair, _orbit_chi
-from .markov import _label_start
-from .noise import NoiseSpec
+from .markov import _PLUS, _label_start
+from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_chi
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -103,7 +102,7 @@ def _split_operators(
     invariant under G and G' and closed under every operator on qubit 0.
     From scalars only: chi is u on qubit 0 when it is noisy (else I_2)
     times the Dicke-basis chi of the other n - 1 qubits
-    (:func:`~noisygrover.markov._orbit_chi`), |s> = |+> (x) |s_rest>, and
+    (:func:`~noisygrover.noise._orbit_chi`), |s> = |+> (x) |s_rest>, and
     |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
     """
     half = inst.N // 2
@@ -113,7 +112,8 @@ def _split_operators(
     )
     chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
     s = np.kron(_PLUS.real, s)
-    return (*_grover_pair(s, (inst.marked // half) * (s.size // 2), chi, inst.N), s)
+    g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
+    return g, chi @ g, s
 
 
 def _half_norm(x: ComplexMatrix) -> float | np.ndarray:

@@ -1,4 +1,4 @@
-"""Local unitary noise applied between Grover iterations.
+"""The noise model: which unitary hits which qubits, and when.
 
 A noise event applies the same single-qubit unitary
 
@@ -6,13 +6,19 @@ A noise event applies the same single-qubit unitary
          [ -conj(b) e^{i th},  conj(a) e^{i th} ]]
 
 to m of the n qubits (a chosen position set; default is the first m), i.e.
-the faulty iteration is G' = chi_m G with chi_m the tensor lift of U.
+the faulty iteration is G' = chi_m G with chi_m the tensor lift of U. A
+two-state Markov chain with fault probability p and memory mu picks G or
+G' at each step (:class:`MarkovNoiseParams`, :func:`conditional_probs`).
 
 For U proportional to a Pauli or the identity the success probability
 admits closed forms in the overlaps <w| chi G |s>, and is independent of
 which qubits are hit (identity, sigma_x, sigma_z up to phase) or depends
 only on the parity of m (sigma_y up to phase). Those overlaps and the
-classifier for this "good noise" family live here.
+classifier for this "good noise" family live here, and so does the orbit
+space the simulator runs in: the span of :func:`orbit_basis`, its (m, q)
+classes of position sets (:func:`_orbit_class`), and G, G' and |s> there
+from Dicke-basis closed forms in which n enters only through scalars
+(:func:`_dicke_operators`, with recursions shared by :func:`_orbit_dicke`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grover import GroverInstance
+from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix
 
 NORM_TOL = 1e-10
@@ -130,6 +136,51 @@ def noise_spec(
     return NoiseSpec(u, positions)
 
 
+@dataclass(frozen=True)
+class MarkovNoiseParams:
+    """Stationary fault probability ``p`` and memory ``mu``, both in [0, 1]."""
+
+    p: float
+    mu: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p={self.p} outside [0, 1]")
+        if not 0.0 <= self.mu <= 1.0:
+            raise ValueError(f"mu={self.mu} outside [0, 1]")
+
+    @property
+    def p_g(self) -> float:
+        """Stationary probability of a clean step."""
+        return 1.0 - self.p
+
+    @property
+    def p_gp(self) -> float:
+        """Stationary probability of a faulty step."""
+        return self.p
+
+
+@dataclass(frozen=True)
+class ConditionalProbs:
+    """One-step transition probabilities of the label chain."""
+
+    g_given_g: float
+    gp_given_g: float
+    g_given_gp: float
+    gp_given_gp: float
+
+
+def conditional_probs(params: MarkovNoiseParams) -> ConditionalProbs:
+    """P(k | l) = (1 - mu) p_k + mu delta_{k,l}; each column sums to 1."""
+    p_g, p_gp, mu = params.p_g, params.p_gp, params.mu
+    return ConditionalProbs(
+        g_given_g=(1.0 - mu) * p_g + mu,
+        gp_given_g=(1.0 - mu) * p_gp,
+        g_given_gp=(1.0 - mu) * p_g,
+        gp_given_gp=(1.0 - mu) * p_gp + mu,
+    )
+
+
 def build_chi(n: int, spec: NoiseSpec) -> ComplexMatrix:
     """Tensor lift of ``spec.u`` onto its positions, identity elsewhere."""
     if any(p >= n for p in spec.positions):
@@ -167,27 +218,179 @@ def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
     nc = 2, or 1 when m = n (there is no C). The span is
     Sym^(m-q) (x) Sym^q (x) span{|w_C>, |+..+>_C}: u^(x m) maps each
     symmetric factor into itself, chi leaves C alone, and G is -I plus a
-    rank-2 term on span{|s>, |w>}, which lies inside. So
-    d = (q + 1)(m - q + 1) nc whatever n is, and no threshold is involved.
+    rank-2 term on span{|s>, |w>}, which lies inside. So d = (q + 1)(m - q + 1)
+    nc whatever n is (:func:`_orbit_class`), and no threshold is involved.
     The simulator builds G, G' and |s> in this basis from closed forms
-    (:func:`~noisygrover.markov._orbit_chi`); V itself only lifts kept
-    states back to N x N and serves the tests as a reference.
+    (:func:`_dicke_operators`); V itself only lifts kept states back to
+    N x N and serves the tests as a reference.
     """
     n = inst.n
     if any(p >= n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {n}")
+    m, q, d = _orbit_class(n, inst.marked, spec.positions)
     bits = (np.arange(inst.N)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 first
     diff = bits != bits[inst.marked]
     noisy = np.isin(np.arange(n), spec.positions)
     one = bits[inst.marked] == 1
-    q = int(np.sum(noisy & one))
-    nc = 1 if spec.m == n else 2
+    nc = 1 if m == n else 2
     j = diff[:, noisy & ~one].sum(axis=1)
     k = diff[:, noisy & one].sum(axis=1)
     label = (j * (q + 1) + k) * nc + diff[:, ~noisy].any(axis=1)
-    basis = np.zeros((inst.N, (q + 1) * (spec.m - q + 1) * nc))
+    basis = np.zeros((inst.N, d))
     basis[np.arange(inst.N), label] = 1.0 / np.sqrt(np.bincount(label)[label])
     return basis
+
+
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
+    """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
+    j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
+    Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
+    basis states of Hamming weight x.
+
+    The entries are the binomial sums
+
+        D[x, y] = sqrt(C(j,y)/C(j,x)) sum_i C(y,i) C(j-y,x-i)
+                  a11^i a01^(y-i) a10^(x-i) a00^(j-y-x+i),
+
+    but those cancel: at j = 40 they lose up to 2e-11 to rounding. So the
+    powers are built one qubit at a time through the isometry
+    |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
+    which only ever forms contractions and stays at rounding level. Each
+    step adds the four shifted copies of the last power, one per entry of
+    ``a``, into the slices of a zero matrix where they land.
+    """
+    powers = [np.ones((1, 1), dtype=complex)]
+    for size in range(1, k + 1):
+        x = np.arange(size + 1)
+        stay = np.sqrt((size - x[:-1]) / size)[:, None]  # weight of |D_x>|0>, x < size
+        move = np.sqrt(x[1:] / size)[:, None]  # weight of |D_(x-1)>|1>, x > 0
+        last = powers[-1]
+        d = np.zeros((size + 1, size + 1), dtype=complex)
+        d[:-1, :-1] = stay * stay.T * a[0, 0] * last  # from D[x, y]
+        d[:-1, 1:] += stay * move.T * a[0, 1] * last  # from D[x, y - 1]
+        d[1:, :-1] += move * stay.T * a[1, 0] * last  # from D[x - 1, y]
+        d[1:, 1:] += move * move.T * a[1, 1] * last  # from D[x - 1, y - 1]
+        powers.append(d)
+    return powers
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last two axes, with any leading axes broadcast: the
+    products of ``np.kron``, without its per-call set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
+    """(m, q, d) of a set of noisy positions: its size m, the number q of
+    them where the marked index has a 1 bit, and the dimension
+    d = (q + 1)(m - q + 1) nc of the span of :func:`orbit_basis`, with
+    nc = 2 when m < n and 1 when m = n. A position outside [0, n) raises
+    ``ValueError``."""
+    if any(not 0 <= p < n for p in positions):
+        raise ValueError(f"positions {positions} outside [0, {n})")
+    m = len(positions)
+    q = sum(marked >> (n - 1 - p) & 1 for p in positions)
+    return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
+
+
+def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
+    """One position set per class (m, q) of :func:`_orbit_class` with
+    m >= 1, in order of m and then q: the first q positions where the
+    marked index has a 1 bit and the first m - q where it has a 0 bit.
+    G, G' and |s> depend on a position set only through its class, so every
+    nonempty subset shares its success series with one of these; (0,)
+    represents itself, since position 0 comes first in its own list."""
+    ones = [i for i in range(n) if marked >> (n - 1 - i) & 1]
+    zeros = [i for i in range(n) if not marked >> (n - 1 - i) & 1]
+    return [
+        tuple(sorted(ones[:q] + zeros[: m - q]))
+        for m in range(1, n + 1)
+        for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
+    ]
+
+
+def _orbit_chi(
+    n: int,
+    marked: int,
+    u: np.ndarray,
+    positions: tuple[int, ...],
+    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
+) -> tuple[ComplexMatrix, np.ndarray]:
+    """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
+    the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
+    nothing of size 2^n is formed, and n = 0 gives the 1 x 1 case.
+
+    Flipping the q noisy qubits where the marked index has a 1 bit maps the
+    class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
+    on the other m - q noisy qubits, times that of weight k on the q
+    flipped ones, times |0_C> (c = 0) or the normalized sum of the nonzero
+    basis states of the clean qubits C (c = 1). In that frame chi is u on
+    the first set and X u X on the second, and the identity on C, so
+
+        chi = D^(m-q)(u) (x) D^(q)(X u X) (x) I_nc,
+        s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
+
+    with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
+    order of :func:`orbit_basis`; nc = 1 when m = n. ``dicke`` is the pair
+    (D^(m-q)(u), D^(q)(X u X)) when the caller has it from recursions that
+    systems share (:func:`_orbit_dicke`); by default both run here.
+    """
+    m, q, _ = _orbit_class(n, marked, positions)
+    if dicke is None:
+        dicke = (_dicke_powers(u, m - q)[-1], _dicke_powers(_FLIP @ u @ _FLIP, q)[-1])
+    chi = _kron(*dicke)
+    clean = (1,)  # class sizes on C
+    if m < n:
+        chi = _kron(chi, np.eye(2))
+        clean = (1, 2 ** (n - m) - 1)
+    N = 2**n
+    s = np.sqrt([
+        math.comb(m - q, j) * math.comb(q, k) * size / N
+        for j in range(m - q + 1)
+        for k in range(q + 1)
+        for size in clean
+    ])
+    return chi, s
+
+
+def _dicke_operators(
+    n: int,
+    marked: int,
+    u: np.ndarray,
+    positions: tuple[int, ...],
+    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
+) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
+    """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d;
+    |w> is column 0. They are built from scalars only (:func:`_orbit_chi`,
+    which ``dicke`` is passed to)."""
+    chi, s = _orbit_chi(n, marked, u, positions, dicke)
+    g = reduced_grover_operator(s, 0, 2**n)
+    return g, chi @ g, s
+
+
+def _orbit_dicke(
+    systems: Sequence[tuple[GroverInstance, NoiseSpec]],
+) -> list[tuple[int, tuple[ComplexMatrix, ComplexMatrix]]]:
+    """(d, (D^(m-q)(u), D^(q)(X u X))) of every (inst, spec) system of a
+    table, in order: its orbit dimension and the Dicke pair that
+    :func:`_dicke_operators` takes. Every position set is checked first
+    (:func:`_orbit_class`); then one recursion (:func:`_dicke_powers`) runs
+    per distinct u and one per X u X, each up to the table's largest m."""
+    classes = [_orbit_class(inst.n, inst.marked, spec.positions) for inst, spec in systems]
+    top = max((m for m, _, _ in classes), default=0)
+    powers = {}
+    out = []
+    for (_, spec), (m, q, d) in zip(systems, classes):
+        if spec.u not in powers:
+            u = spec.u.matrix
+            powers[spec.u] = (_dicke_powers(u, top), _dicke_powers(_FLIP @ u @ _FLIP, top))
+        of_u, of_xux = powers[spec.u]
+        out.append((d, (of_u[m - q], of_xux[q])))
+    return out
 
 
 @dataclass(frozen=True)

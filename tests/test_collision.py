@@ -260,24 +260,21 @@ def test_extract_m_recovers_unitary_grid():
 
 def _full_product_factorization(dil, chi, g):
     # Reference: CX^dagger U (I_8 (x) G^dagger) as whole 8N x 8N products,
-    # for control 1 and then 0: (control, M, residual, unitary defect).
+    # with CX controlled on the first ancilla's |1>: (M, residual, unitary
+    # defect).
     u = dil.matrix
     n_dim = g.shape[0]
-    out = []
-    for control in (1, 0):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[control, control] = 1.0
-        cx = tensor(proj, np.eye(4), chi) + tensor(np.eye(2) - proj, np.eye(4), np.eye(n_dim))
-        m_full = cx.conj().T @ u @ tensor(np.eye(8), g.conj().T)
-        m_grid = np.array([
-            [np.trace(m_full[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim]) / n_dim
-             for j in range(8)]
-            for i in range(8)
-        ])
-        residual = float(np.max(np.abs(m_full - tensor(m_grid, np.eye(n_dim)))))
-        defect = float(np.max(np.abs(m_grid.conj().T @ m_grid - np.eye(8))))
-        out.append((control, m_grid, residual, defect))
-    return out
+    proj = np.diag([0.0, 1.0])
+    cx = tensor(proj, np.eye(4), chi) + tensor(np.eye(2) - proj, np.eye(4), np.eye(n_dim))
+    m_full = cx.conj().T @ u @ tensor(np.eye(8), g.conj().T)
+    m_grid = np.array([
+        [np.trace(m_full[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim]) / n_dim
+         for j in range(8)]
+        for i in range(8)
+    ])
+    residual = float(np.max(np.abs(m_full - tensor(m_grid, np.eye(n_dim)))))
+    defect = float(np.max(np.abs(m_grid.conj().T @ m_grid - np.eye(8))))
+    return m_grid, residual, defect
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -290,17 +287,32 @@ def test_extract_m_matches_full_product(n, kind):
     other = build_chi(n, noise_spec(_haar_noise(rng), n, n))
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(kind, params, g, noisy_grover(g, chi))
-    # With the dilation's own chi control 1 passes; with another chi both
-    # conventions fail and the smaller residual is reported.
+    # With the dilation's own chi the factorization passes; with another chi
+    # it fails, and the residual is that of the same control |1>.
     for cx_chi, passes in ((chi, True), (other, False)):
         report = extract_m(dil, cx_chi, g)
-        refs = _full_product_factorization(dil, cx_chi, g)
-        control, m_grid, residual, defect = refs[0] if passes else min(refs, key=lambda r: r[2])
+        m_grid, residual, defect = _full_product_factorization(dil, cx_chi, g)
         assert report.passed is passes
-        assert report.control_value == control
+        assert report.control_value == 1
         assert abs(report.residual - residual) < 1e-12
         assert abs(report.unitary_defect - defect) < 1e-12
         assert np.max(np.abs(report.m_grid - m_grid)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_extract_m_rejects_a_dilation_controlled_on_zero(kind):
+    # (X (x) I) U (X (x) I), X on the first ancilla, swaps U's halves, so it
+    # factors with CX controlled on |0>. The layout puts every G' block where
+    # the first ancilla is |1>, so only that control counts, and this U fails.
+    params = MarkovNoiseParams(0.35, 0.6)
+    u = dilation_unitary(kind, params, G, GP).matrix
+    half = u.shape[0] // 2
+    swapped = np.roll(np.roll(u, half, axis=0), half, axis=1)
+    report = extract_m(DilationUnitary(swapped, kind), CHI, G)
+    assert not report.passed and report.control_value == 1
+    assert report.residual > 0.1
+    assert abs(report.residual - _full_product_factorization(
+        DilationUnitary(swapped, kind), CHI, G)[1]) < 1e-12
 
 
 def test_extract_m_keeps_a_nan_residual():

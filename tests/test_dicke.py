@@ -13,14 +13,14 @@ from noisygrover.grover import GroverInstance, ideal_success_closed_form, unifor
 from noisygrover.linalg import dagger, projector, require_density, tensor
 from noisygrover.markov import (
     MarkovNoiseParams,
-    _dicke_operators,
-    _dicke_powers,
     markov_evolve,
     markov_series,
     perfect_memory_analytic,
 )
 from noisygrover.measures import _split_operators, n_blp, n_cp
 from noisygrover.noise import (
+    _dicke_operators,
+    _dicke_powers,
     closed_form_overlaps,
     noise_spec,
     noise_unitary,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from support import label_blocks
 
-from noisygrover import collision, markov
+from noisygrover import markov
 from noisygrover.collision import thermal_weights
 from noisygrover.grover import (
     GroverInstance,
@@ -239,8 +239,8 @@ def _poison(kind, block):
 @pytest.mark.parametrize("temperature", [None, 1.0])
 @pytest.mark.parametrize("kind", ["nan", "skew", "trace", "negative"])
 def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
-    # markov_evolve imports collision_evolve at the call, so the patched
-    # one runs. Label block 1 is poisoned at steps 3 and 5; the check names
+    # markov_evolve looks collision_evolve up in markov's namespace, so the
+    # one patched there runs. Label block 1 is poisoned at steps 3 and 5; the check names
     # step 3, and the padded joint of each step fails assert_density
     # exactly at those steps.
     kept = []
@@ -253,8 +253,8 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
         kept.append(blocks[0])
         return replace(trace, blocks=blocks)
 
-    real = collision.collision_evolve
-    monkeypatch.setattr(collision, "collision_evolve", poisoned)
+    real = markov.collision_evolve
+    monkeypatch.setattr(markov, "collision_evolve", poisoned)
     bath = None if temperature is None else thermal_weights(temperature)
     params = MarkovNoiseParams(0.4, 0.6)
     with pytest.raises(InvariantViolation, match=r"joint state t=3 is not a density matrix"):
@@ -279,8 +279,8 @@ def test_validate_checks_the_start_blocks(monkeypatch, kind):
         _poison(kind, blocks[0, 0, 0])
         return replace(trace, blocks=blocks)
 
-    real = collision.collision_evolve
-    monkeypatch.setattr(collision, "collision_evolve", poisoned)
+    real = markov.collision_evolve
+    monkeypatch.setattr(markov, "collision_evolve", poisoned)
     with pytest.raises(InvariantViolation, match=r"joint state t=0 is not a density matrix"):
         markov_evolve(INST3, SPEC_X1, MarkovNoiseParams(0.4, 0.6), 4, validate=True)
 

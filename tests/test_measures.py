@@ -339,8 +339,7 @@ def test_batched_witnesses_equal_single_calls(n):
 def _poisoned(monkeypatch, kept, member, t, scale):
     # collision_evolve whose kept label blocks of one member at step t are
     # multiplied by ``scale``: both of them, the whole state, for
-    # ``kept`` = "states", and label block 1 of the joint alone for
-    # "joint_states".
+    # ``kept`` = "states", and label block 1 alone for "label_block_1".
     def run(*args, **kwargs):
         trace = collision_evolve(*args, **kwargs)
         blocks = trace.blocks.copy()
@@ -357,7 +356,7 @@ def test_joint_growth_names_the_member_and_step(monkeypatch):
         n_blp(INST, SPEC, points, 6)
 
 
-@pytest.mark.parametrize("kept", ["states", "joint_states"])
+@pytest.mark.parametrize("kept", ["states", "label_block_1"])
 def test_a_non_finite_run_is_an_invariant_violation(monkeypatch, kept):
     points = [MarkovNoiseParams(0.3, 0.5), MarkovNoiseParams(0.6, 0.9)]
     _poisoned(monkeypatch, kept, 1, 4, math.nan)

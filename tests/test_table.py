@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from noisygrover import cli, collision, markov
+from noisygrover import cli, collision, markov, noise
 from noisygrover.cli import main
 from noisygrover.collision import collision_evolve, collision_first_max, thermal_weights
 from noisygrover.grover import GroverInstance
@@ -135,7 +135,7 @@ def test_grouped_series_equal_per_class_markov_series(n):
 
 def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
     calls = {"powers": 0, "weights": 0}
-    real_powers, real_weights = markov._dicke_powers, collision.transfer_weights
+    real_powers, real_weights = noise._dicke_powers, markov.transfer_weights
 
     def count(name, real):
         def wrapper(*args, **kwargs):
@@ -143,8 +143,8 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(markov, "_dicke_powers", count("powers", real_powers))
-    monkeypatch.setattr(collision, "transfer_weights", count("weights", real_weights))
+    monkeypatch.setattr(noise, "_dicke_powers", count("powers", real_powers))
+    monkeypatch.setattr(markov, "transfer_weights", count("weights", real_weights))
     inst = GroverInstance(5, 6)  # 00110
     systems = [(inst, noise_spec(U, len(c), 5, c)) for c in ((0,), (2,), (0, 1), (0, 2), (2, 3))]
     members, groups = markov._table_groups(systems, POINTS, None)
