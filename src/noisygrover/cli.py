@@ -310,8 +310,9 @@ _SUBCOMMANDS: dict[str, dict] = {
             ("--m", "m", "noisy-qubit count (default 1)"),
             ("--p", "p", "comma list of fault probabilities"),
             ("--mu", "mu", "comma list of memory parameters"),
-            ("--trials", "trials", "random states per point, at least 1 (default 20)"),
-            ("--seed", "seed", "base RNG seed, non-negative (default 1234)"),
+            ("--trials", "trials", "random pure states per point, at least 1 (default 20)"),
+            ("--seed", "seed", "RNG seed of the trial states, the same at every point "
+             "and for both step kinds, non-negative (default 1234)"),
         ),
         "defaults": {
             "marked": "0", "noise": "x", "m": "1", "p": "0.1,0.5,0.9",

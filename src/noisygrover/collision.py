@@ -68,7 +68,7 @@ from .linalg import (
     ComplexMatrix,
     dagger,
     hermiticity_defect,
-    random_density,
+    random_pure_state,
     trace_distance,
 )
 from .noise import ConditionalProbs, MarkovNoiseParams, conditional_probs
@@ -272,29 +272,34 @@ def verify_dilation(
 ) -> DilationReport:
     """Check Tr_anc[ U (|00><00| (x) R) U^dagger ] against the Kraus map.
 
-    Runs ``trials`` random full-rank states R on walker (x) system and
-    reports the largest trace distance between the two one-step images;
-    ``trials`` < 1 raises ``ValueError``, since no state would be checked.
-    A NaN deviation is kept as the maximum and fails the check.
+    Runs ``trials`` seeded Haar-random pure states psi on walker (x) system
+    and reports the largest trace distance between the two one-step images
+    of R = |psi><psi|; ``trials`` < 1 raises ``ValueError``, since no state
+    would be checked. A NaN deviation is kept as the maximum and fails the
+    check.
 
-    The ancilla input |00><00| (x) R is zero outside its first 2N rows and
-    columns, so only U's |00> columns C = U[:, :2N] are reached and the
-    joint state is C R C^dagger. Tracing out the leading 4-dim ancilla
-    factor sums its four 2N x 2N diagonal blocks, so with C_a the a-th
-    2N-row block of C the reduced state is sum_a C_a R C_a^dagger; the
-    off-diagonal blocks are never formed. Each C_a is read in full from U,
-    so an entry anywhere in the |00> columns reaches the check.
+    Pure probes lose nothing: ||(E - F)(R)||_1 is convex in R and every
+    state is a mixture of pure states, so the difference of two channels E
+    and F is largest on a pure input, and a pure probe is at least as
+    sensitive as a mixed one.
+
+    The joint state U (|00> (x) psi) = U[:, :2N] psi is pure, one product
+    that reads every entry of U's |00> columns. Its four 2N-entry ancilla
+    rows phi_a give the reduced state sum_a phi_a phi_a^dagger. The Kraus
+    side is the dense map ``apply_kraus`` on |psi><psi|, so the two sides
+    share no arithmetic.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n2 = dil.matrix.shape[0] // 4
-    blocks = [dil.matrix[a * n2 : (a + 1) * n2, :n2] for a in range(4)]
+    columns = dil.matrix[:, :n2]
     rng = np.random.default_rng(seed)
     deviations = []
     for _ in range(trials):
-        r = random_density(n2, rng)
-        reduced = sum(c @ r @ dagger(c) for c in blocks)
-        deviations.append(trace_distance(reduced, apply_kraus(kset, r)))
+        psi = random_pure_state(n2, rng)
+        phi = (columns @ psi).reshape(4, n2)
+        image = apply_kraus(kset, np.outer(psi, psi.conj()))
+        deviations.append(trace_distance(phi.T @ phi.conj(), image))
     worst = float(np.max(deviations))
     return DilationReport(trials, worst, tol, worst <= tol)
 

@@ -214,3 +214,9 @@ def random_density(dim: int, rng: np.random.Generator) -> ComplexMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit state vector (normalized complex Gaussian)."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)

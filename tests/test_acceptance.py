@@ -200,7 +200,7 @@ def test_c07_dilation_suite():
         "07", ok,
         f"9x11 grid, both kinds: unitarity {worst_unitarity:.2e} (tol 1e-10), "
         f"Kraus columns exact: {columns_exact}, "
-        f"max evolution deviation {worst_dev:.2e} (tol 1e-12, 20 states each)",
+        f"max evolution deviation {worst_dev:.2e} (tol 1e-12, 20 pure states each)",
     )
 
 

@@ -33,6 +33,7 @@ from noisygrover.linalg import (
     partial_trace,
     projector,
     random_density,
+    random_pure_state,
     require_density,
     tensor,
     trace_distance,
@@ -162,7 +163,8 @@ def _haar_operators(n, seed):
 
 
 def _full_product_dilation(dil, kset, trials, seed):
-    # Reference: the whole 8N x 8N product U (|00><00| (x) R) U^dagger.
+    # Reference: the whole 8N x 8N product U (|00><00| (x) |psi><psi|) U^dagger,
+    # on the seeded pure states verify_dilation draws, in the same order.
     u = dil.matrix
     n2 = u.shape[0] // 4
     anc = np.zeros((4, 4), dtype=complex)
@@ -170,7 +172,8 @@ def _full_product_dilation(dil, kset, trials, seed):
     rng = np.random.default_rng(seed)
     reduced, worst = [], 0.0
     for _ in range(trials):
-        r = random_density(n2, rng)
+        psi = random_pure_state(n2, rng)
+        r = np.outer(psi, psi.conj())
         reduced.append(partial_trace(u @ tensor(anc, r) @ u.conj().T, (4, n2), keep=(1,)))
         worst = max(worst, trace_distance(reduced[-1], apply_kraus(kset, r)))
     return reduced, worst
@@ -197,6 +200,47 @@ def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
     for ours, ref in zip(seen, reduced, strict=True):
         assert np.max(np.abs(ours - ref)) < 1e-12
     assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
+
+
+def _remixed(kset, seed):
+    # K'_k = sum_j V_kj K_j with V a seeded random 4 x 4 unitary: the same
+    # channel written with other operators.
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    ops = tuple(sum(v[k, j] * kset.ops[j] for j in range(4)) for k in range(4))
+    return KrausSet(ops, kset.labels, kset.kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_dilation_passes_a_unitarily_remixed_kraus_set(n, kind):
+    g, gp = _haar_operators(n, 60 + n)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary(kind, params, g, gp)
+    kset = kraus_step(kind, params, g, gp)
+    remixed = _remixed(kset, 70 + n)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(remixed.ops, kset.ops)) > 1e-2
+    rep = verify_dilation(dil, remixed, trials=6, seed=17)
+    assert rep.passed and rep.max_deviation < 1e-12
+
+
+def test_verify_dilation_does_not_compare_a_map_with_itself(monkeypatch):
+    g, gp = _haar_operators(3, 80)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary("steady", params, g, gp)
+    kset = kraus_step("steady", params, g, gp)
+    real, pairs = collision.trace_distance, []
+
+    def spy(rho, sigma):
+        pairs.append((rho, sigma))
+        return real(rho, sigma)
+
+    monkeypatch.setattr(collision, "trace_distance", spy)
+    assert verify_dilation(dil, kset, trials=10, seed=5).passed
+    assert len(pairs) == 10
+    assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in pairs)
+    # the two sides are computed differently, so rounding tells them apart
+    assert any(not np.array_equal(a, b) for a, b in pairs)
 
 
 @pytest.mark.parametrize("block", [(1, 0), (3, 1), (4, 0), (6, 1)])

@@ -9,6 +9,7 @@ from noisygrover.linalg import (
     partial_trace,
     projector,
     random_density,
+    random_pure_state,
     require_density,
     tensor,
     trace_distance,
@@ -105,6 +106,14 @@ def test_random_density_is_valid_and_seeded(dim):
     assert np.array_equal(rho1, rho2)
     report = assert_density(rho1)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_random_pure_state_is_a_seeded_unit_vector(dim):
+    psi1 = random_pure_state(dim, np.random.default_rng(5))
+    psi2 = random_pure_state(dim, np.random.default_rng(5))
+    assert psi1.shape == (dim,) and np.array_equal(psi1, psi2)
+    assert abs(np.vdot(psi1, psi1) - 1.0) < 1e-14
 
 
 def test_assert_density_catches_defects():
