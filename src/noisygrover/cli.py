@@ -367,17 +367,11 @@ def _resolve_options(ns) -> tuple[str, dict[str, str]]:
                 )
             if resolved[key] is None:
                 resolved[key] = value
-    for key, value in info["defaults"].items():
+    for key, value in {**info["defaults"], "format": "csv", "output": "-", "jobs": "1"}.items():
         if resolved[key] is None:
             resolved[key] = value
-    resolved.setdefault("format", None)
-    if resolved["format"] is None:
-        resolved["format"] = "csv"
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {resolved['format']!r}")
-    if resolved.get("output") is None:
-        resolved["output"] = "-"
-    resolved["jobs"] = resolved.get("jobs") or "1"
     if _parse_int(resolved["jobs"], "jobs") < 1:
         raise ConfigError(f"jobs must be at least 1, got {resolved['jobs']!r}")
     return ns.command, {k: v for k, v in resolved.items() if v is not None}

@@ -40,11 +40,11 @@ keeps the success series (and, on request, the label blocks themselves)
 in an :class:`EvolutionTrace`, the result type of every evolution run,
 and ``collision_first_max`` drops each slice of the first batch axis once
 its members have passed their first success maximum and stops when none
-is left, so its cost follows the first maxima and not the horizon. No
-2d x 2d joint is taken or formed. The success and witness series hand
-the loop G and G' at d x d on the orbit space of
-:mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that of the
-other n - 1 qubits); the size is reported as ``meta["dim"]``.
+is left, so its cost follows the first maxima and its memory the
+members, not the horizon. No 2d x 2d joint is taken or formed. The
+success and witness series hand the loop G and G' at d x d on the orbit
+space of :mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that
+of the other n - 1 qubits); the size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -473,25 +473,24 @@ _Stream = Generator[np.ndarray, Optional[np.ndarray], None]
 
 
 def _step_terms(weights: np.ndarray, ops: np.ndarray, ops_dag: np.ndarray):
-    """The (r, op) terms of one step kind, laid out as k slots per output
-    block r.
+    """The (r, op) terms of one step kind, k per output block r.
 
     ``weights`` is the stack (..., 2, 2, 2) of transfer tensors and ``ops``,
     ``ops_dag`` are G, G' and their adjoints, (..., 2, d, d), each with its
-    own batch axes. A term is active when its weight is nonzero for some
-    member and some input block c, and k is the most active terms of one
-    block. Each block lists its active ops first; a block with fewer than k
-    fills up with its inactive ops, whose weights are zero for every member.
-    Returns the mixing weights (..., 2k, 2) over c, and the operators and
-    adjoints (..., 2k, d, d), each keeping the batch axes it came with.
+    own batch axes. ``transfer_weights`` gives two shapes: pure ancillas
+    (and a bath whose excited weight rounds to 0) feed block r through op r
+    alone, so k = 1; any other bath weighs G' into block 0 or G into block
+    1 for some member, and then every block takes both ops, k = 2.
+    Returns the mixing weights (..., 2k, 2) over c, slot r k + j, and the
+    operators and adjoints as views (..., 2, 1, d, d) for k = 1 or
+    (..., 1, 2, d, d) for k = 2, each keeping the batch axes it came with.
     """
-    active = weights.reshape(-1, 2, 2, 2).any(axis=(0, 2))  # [r, op]
-    k = int(active.sum(axis=1).max())
-    rows = np.repeat([0, 1], k)
-    which = np.argsort(~active, axis=1, kind="stable")[:, :k].ravel()
     # Complex up front, so the product in the loop needs no cast.
-    mix = np.moveaxis(weights[..., rows, :, which], 0, -2).astype(complex)
-    return mix, ops[..., which, :, :], ops_dag[..., which, :, :]
+    if weights[..., 0, :, 1].any() or weights[..., 1, :, 0].any():
+        mix = weights.swapaxes(-1, -2).reshape(weights.shape[:-3] + (4, 2))
+        return mix.astype(complex), ops[..., None, :, :, :], ops_dag[..., None, :, :, :]
+    mix = np.diagonal(weights, axis1=-3, axis2=-1).swapaxes(-1, -2)
+    return mix.astype(complex), ops[..., None, :, :], ops_dag[..., None, :, :]
 
 
 def _label_steps(
@@ -552,7 +551,7 @@ def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
     of ``ndim`` batch axes; an array that broadcasts along it stays whole."""
     return tuple(
         a[keep] if a.ndim - core == ndim and a.shape[0] > 1 else a
-        for a, core in zip(plan, (2, 3, 3))
+        for a, core in zip(plan, (2, 4, 4))
     )
 
 
@@ -561,12 +560,12 @@ def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
     t = 0, 1, 2, ... collisions, without end; the consumer stops it.
 
     A step is one mixing product over the input blocks c, one batched
-    conjugation and, where a block has more than one term (a thermal bath),
-    one sum of each output block's terms (the plans of :func:`_step_terms`);
-    the first collision uses ``first_plan``, all later ones ``steady_plan``.
-    A consumer that is done with some slices of the first batch axis sends
-    the indices of the others: from the next step on, the loop carries only
-    those, and yields stacks cut to them.
+    conjugation of the k mixed blocks per output block and, for k = 2 (a
+    thermal bath), one sum of each block's two terms; the plans of
+    :func:`_step_terms` fix k. The first collision uses ``first_plan``, all
+    later ones ``steady_plan``. A consumer that is done with some slices of
+    the first batch axis sends the indices of the others: from the next
+    step on, the loop carries only those, and yields stacks cut to them.
     """
     n_dim, ndim, plan = sigma.shape[-1], sigma.ndim - 3, first_plan
     while True:
@@ -575,11 +574,10 @@ def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
             sigma = sigma[keep]
             plan, steady_plan = _take(plan, keep, ndim), _take(steady_plan, keep, ndim)
         batch, (mix, op, op_dag) = sigma.shape[:-3], plan
-        slots = op.shape[-3]
-        mixed = (mix @ sigma.reshape(batch + (2, -1))).reshape(batch + (slots, n_dim, n_dim))
-        terms = (op @ mixed @ op_dag).reshape(batch + (2, slots // 2, n_dim, n_dim))
+        mixed = (mix @ sigma.reshape(batch + (2, -1))).reshape(batch + (2, -1, n_dim, n_dim))
+        terms = op @ mixed @ op_dag
         # A pure step has one term per block, which needs no sum.
-        sigma = terms[..., 0, :, :] if slots == 2 else terms.sum(axis=-3)
+        sigma = terms[..., 0, :, :] if terms.shape[-3] == 1 else terms.sum(axis=-3)
         plan = steady_plan
 
 
@@ -633,13 +631,15 @@ def collision_evolve(
 
     over op in (G, G'). The stacks come from the one step loop
     :func:`_step_stream`, which :func:`collision_first_max` shares; this
-    function takes its first ``steps`` + 1. (r, op) terms whose weights
-    are zero for every member are skipped (:func:`_step_terms`): a pure
-    step costs 2 conjugations per member and a thermal one 4. The loop is
-    dense at whatever size it is given: N x N G, G' for the full register,
-    or d x d forms on an invariant subspace (``markov_evolve``,
-    ``markov_series``, ``n_cp`` and ``n_blp`` pass those, see
-    :func:`~noisygrover.noise._orbit_chi`). ``meta["dim"]`` is that size.
+    function takes its first ``steps`` + 1. The weights fix the step's
+    shape (:func:`_step_terms`): pure ancillas feed block r through op r
+    alone, 2 conjugations per member; a thermal bath feeds every block
+    through both ops, 4 conjugations (a bath whose excited weight rounds
+    to 0 runs the pure step). The loop is dense at whatever size it is
+    given: N x N G, G' for the full register, or d x d forms on an
+    invariant subspace (``markov_evolve``, ``markov_series``, ``n_cp`` and
+    ``n_blp`` pass those, see :func:`~noisygrover.noise._orbit_chi`).
+    ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1. A start that is not (..., 2, n, n), blocks that are
     not finite and Hermitian, transfer tensors that are not finite,
@@ -659,19 +659,6 @@ def collision_evolve(
         if keep_blocks:
             blocks[..., t, :, :, :] = sigma
     return EvolutionTrace(probs, meta={"steps": steps, "dim": n_dim}, blocks=blocks)
-
-
-def _first_max(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t*, P*) of every row of ``series``, (B, T): t* is the first t in
-    1..T - 2 with P(t) >= P(t - 1) and P(t) >= P(t + 1), else the argmax of
-    the row (a NaN counts as the maximum, as in ``np.argmax``); P* = P(t*)."""
-    t_star = series.argmax(axis=1)
-    if series.shape[1] > 2:
-        mid = series[:, 1:-1]
-        peaks = (mid >= series[:, :-2]) & (mid >= series[:, 2:])
-        found = peaks.any(axis=1)
-        t_star[found] = peaks[found].argmax(axis=1) + 1
-    return t_star, series[np.arange(len(series)), t_star]
 
 
 def collision_first_max(
@@ -695,38 +682,47 @@ def collision_first_max(
     the same step loop (:func:`_step_stream`), so (t*, P*) equal the rule
     applied to its rows exactly.
 
-    The loop stops as soon as every member has passed its first maximum,
-    after max t* + 1 steps, so the cost follows t* and not ``steps``; only
-    a member with no interior maximum runs it to the horizon. A slice of
-    the first batch axis (one system of a stack, or one member of a flat
-    batch) leaves the loop once all its members have passed theirs, so a
-    stack of systems whose t* differ costs what separate runs would.
+    The rule is read in the stream: the stop test that closes a member at
+    its first maximum records it, and until then each member keeps its
+    running argmax. No series is stored, so memory follows the members,
+    not ``steps``. The loop stops as soon as every member has passed its
+    first maximum, after max t* + 1 steps, so the cost follows t* and not
+    ``steps``; only a member with no interior maximum runs it to the
+    horizon. A slice of the first batch axis (one system of a stack, or
+    one member of a flat batch) leaves the loop once all its members have
+    passed theirs, so a stack of systems whose t* differ costs what
+    separate runs would.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
     # A lone member runs as a batch (1,): the loop works on first-axis slices.
     shape = batch or (1,)
-    probs = np.zeros(shape + (steps + 1,), dtype=float)
-    open_ = np.ones(shape, dtype=bool)  # no first maximum seen yet
-    # The slices the loop still carries; open_, older and last cover only those.
-    live, keep, older, last = slice(None), None, None, None
+    t_out, p_out = np.empty(shape, dtype=np.intp), np.empty(shape)
+    # For the members of the slices the loop still carries (live): no first
+    # maximum seen yet (open_), and the first maximum or, while open, the
+    # running argmax in np.argmax's order (the first maximum wins, and the
+    # first NaN beats every number).
+    live, keep, older, last = np.arange(shape[0]), None, None, None
+    open_ = np.ones(shape, dtype=bool)
+    t_star, p_star = np.zeros(shape, dtype=np.intp), np.full(shape, -np.inf)
     for t in range(steps + 1):
         sigma = stream.send(keep) if t else next(stream)
         now, keep = _success(sigma, marked).reshape((-1,) + shape[1:]), None
-        probs[live, ..., t] = now
-        if t >= 2:  # stop once every member has passed its first maximum
-            open_ &= ~((last >= older) & (last >= now))
+        if t >= 2:  # close the members whose P(t - 1) is their first maximum
+            peak = open_ & (last >= older) & (last >= now)
+            t_star[peak], p_star[peak] = t - 1, last[peak]
+            open_ &= ~peak
             going = open_.reshape(len(open_), -1).any(axis=1)
-            if not going.any():
-                break
-            if not going.all():  # drop the slices whose members are all past it
-                keep = np.flatnonzero(going)
-                live = keep if isinstance(live, slice) else live[keep]
-                open_, last, now = open_[keep], last[keep], now[keep]
+            if not going.all():  # hand out the slices whose members are all past it
+                done, keep = ~going, np.flatnonzero(going)
+                t_out[live[done]], p_out[live[done]] = t_star[done], p_star[done]
+                live, open_, t_star, p_star = live[keep], open_[keep], t_star[keep], p_star[keep]
+                if not keep.size:
+                    break
+                last, now = last[keep], now[keep]
+        ahead = open_ & ((now > p_star) | np.isnan(now) & ~np.isnan(p_star))
+        t_star[ahead], p_star[ahead] = t, now[ahead]
         older, last = last, now
-    # The rule reads only the part of each series up to where its slice left
-    # the loop: the first maximum lies before that, and the zeros after it
-    # are never reached.
-    t_star, p_star = _first_max(probs[..., : t + 1].reshape(-1, t + 1))
-    return t_star.reshape(batch), p_star.reshape(batch)
+    t_out[live], p_out[live] = t_star, p_star
+    return t_out.reshape(batch), p_out.reshape(batch)

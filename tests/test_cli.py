@@ -105,6 +105,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("key", ["jobs", "format"])
+def test_config_rejects_an_empty_value(tmp_path, capsys, key):
+    # An empty value is a bad value, not a request for the default.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 3\n{key} =\n")
+    code, out, err = run_cli(capsys, "ideal", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_load_config_syntax_error(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("n @@ 3\n")
@@ -127,6 +137,7 @@ def test_load_config_syntax_error(tmp_path):
         pytest.param(("thermal", "--n", "2", "--temps", "1,inf"), id="temps-inf"),
         pytest.param(("noisy", "--n", "2", "--jobs", "0"), id="jobs-zero"),
         pytest.param(("noisy", "--n", "2", "--jobs", "-2"), id="jobs-negative"),
+        pytest.param(("ideal", "--n", "3", "--jobs", ""), id="jobs-empty"),
         pytest.param(("dilation-check", "--n", "2", "--trials", "0"), id="trials-zero"),
         pytest.param(("dilation-check", "--n", "2", "--trials", "-3"), id="trials-negative"),
     ],

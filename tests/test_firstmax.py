@@ -101,15 +101,47 @@ def test_reader_without_interior_maximum_takes_the_argmax():
     _check_against_series(inst, spec, 20)
 
 
-def test_first_max_rule_on_ties_and_nan():
-    # Every row of length 1..5 over {0, 0.5, 1, NaN}: ties everywhere, and
-    # NaN wherever np.argmax and the comparisons meet it.
+def _series_stream(rows):
+    """A stand-in for the step loop whose members' success series are the
+    rows of ``rows``, (B, T): it yields (B, 2, 1, 1) label-block stacks
+    with P(t) in sigma_0, and cuts them to the slices the reader keeps."""
+
+    def stream(sigma, *plans):
+        live = rows
+        for t in range(rows.shape[1]):
+            stack = np.zeros((len(live), 2, 1, 1), dtype=complex)
+            stack[:, 0, 0, 0] = live[:, t]
+            keep = yield stack
+            if keep is not None:
+                live = live[keep]
+
+    return stream
+
+
+def test_first_max_rule_on_ties_and_nan(monkeypatch):
+    # Every row of length 1..5 over {0, 0.5, 1, NaN}, through the reader's
+    # own stream: ties everywhere, and NaN wherever np.argmax and the
+    # comparisons meet it, with slices leaving the loop at every step.
     values = (0.0, 0.5, 1.0, math.nan)
+    one = np.eye(1, dtype=complex)
+    first, steady = transfer_weights(MarkovNoiseParams(0.5, 0.5))
     for length in range(1, 6):
         rows = np.array(list(itertools.product(values, repeat=length)))
-        t_star, p_star = collision._first_max(rows)
+        monkeypatch.setattr(collision, "_step_stream", _series_stream(rows))
+        sigma0 = np.zeros((len(rows), 2, 1, 1))
+        t_star, p_star = collision_first_max(one, one, first, steady, sigma0, length - 1)
         for row, t, height in zip(rows, t_star, p_star):
             assert _same((int(t), float(height)), _rule(row)), row
+
+
+def test_reader_memory_follows_the_members_not_the_horizon():
+    # Every point peaks well inside 60 steps, so a horizon of 10^12 steps
+    # gives the same first maxima without storing any series.
+    inst, spec = GroverInstance(6, 19), noise_spec(noise_unitary("hadamard"), 2, 6)
+    t_star, p_star = markov_first_max(inst, spec, POINTS, 60)
+    assert t_star.max() < 59
+    t_far, p_far = markov_first_max(inst, spec, POINTS, 10**12)
+    assert np.array_equal(t_far, t_star) and np.array_equal(p_far, p_star)
 
 
 def test_reader_reads_nan_series_as_np_argmax(monkeypatch):
@@ -162,14 +194,17 @@ def test_reader_keeps_batch_shape_and_validates_eagerly():
 
 
 def _spy_on_steps(monkeypatch):
-    """Record t for every label-block stack the step loop hands out."""
+    """Record t for every label-block stack the step loop hands out; the
+    slices the reader keeps pass through to the loop."""
     drawn = []
     real = collision._step_stream
 
     def spy(*args):
-        for t, sigma in enumerate(real(*args)):
+        stream = real(*args)
+        sigma = next(stream)
+        for t in itertools.count():
             drawn.append(t)
-            yield sigma
+            sigma = stream.send((yield sigma))
 
     monkeypatch.setattr(collision, "_step_stream", spy)
     return drawn

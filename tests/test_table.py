@@ -1,7 +1,7 @@
 """The step loop over stacked systems and the tables that group systems by d:
-stacked G, G' and start blocks against one call per member, the first-maximum
-reader's shrinking batch, the grouped series against per-class
-``markov_series``, and the input checks of both."""
+stacked G, G' and start blocks against one call per member, the step's two
+shapes, the first-maximum reader's shrinking batch, the grouped series
+against per-class ``markov_series``, and the input checks of both."""
 
 import math
 
@@ -83,6 +83,62 @@ def test_stacked_first_max_equals_one_call_per_member(temperature):
     # The systems peak at different steps, so the early stop covers members
     # that leave the loop at different times.
     assert len(set(t_star.max(axis=1).tolist())) == 4
+
+
+@pytest.mark.parametrize("temperature", [None, 0.01, 0.7])
+def test_step_shape_follows_the_weights(temperature):
+    # Pure ancillas, and a bath whose excited weight rounds to 0, feed block
+    # r through op r alone (k = 1); a warmer bath feeds every block through
+    # both ops (k = 2). The operators are views of the G, G' stack.
+    bath = thermal_weights(temperature) if temperature else None
+    g, gp, first, steady, _ = _stack(SPREAD, POINTS, bath)
+    ops = np.stack([g, gp], axis=-3)
+    ops_dag = ops.conj().swapaxes(-1, -2)
+    k = 2 if temperature == 0.7 else 1
+    for weights in (first, steady):
+        mix, op, op_dag = collision._step_terms(weights, ops, ops_dag)
+        assert mix.shape == weights.shape[:-3] + (2 * k, 2)
+        assert op.shape == op_dag.shape == (4, 1) + ((2, 1) if k == 1 else (1, 2)) + (4, 4)
+        assert np.shares_memory(op, ops) and np.shares_memory(op_dag, ops_dag)
+        # Slot (r, j) conjugates the blocks it mixes by op r (k = 1) or j.
+        op = np.broadcast_to(op, (4, 1, 2, k, 4, 4))
+        for r in range(2):
+            for j in range(k):
+                which = r if k == 1 else j
+                assert np.array_equal(mix[..., r * k + j, :], weights[..., r, :, which])
+                assert np.array_equal(op[..., r, j, :, :], ops[..., which, :, :])
+
+
+def test_cold_bath_runs_the_pure_step_bitwise():
+    pure, cold = _stack(SPREAD, POINTS), _stack(SPREAD, POINTS, thermal_weights(0.01))
+    assert np.array_equal(
+        collision_evolve(*cold, 30, keep_blocks=True).blocks,
+        collision_evolve(*pure, 30, keep_blocks=True).blocks,
+    )
+    for got, want in zip(collision_first_max(*cold, 60), collision_first_max(*pure, 60)):
+        assert np.array_equal(got, want)
+
+
+def test_stack_of_pure_and_thermal_points_equals_separate_runs():
+    # One thermal member gives every member the two-op step; the pure ones
+    # then carry zero-weight terms and must still give their own numbers.
+    g, gp, pure_first, pure_steady, sigma0 = _stack(SPREAD, POINTS)
+    hot_first, hot_steady = _stack(SPREAD, POINTS, thermal_weights(0.7))[2:4]
+    first = np.concatenate([pure_first, hot_first])
+    steady = np.concatenate([pure_steady, hot_steady])
+    both = collision_evolve(g, gp, first, steady, sigma0, 30, keep_blocks=True)
+    alone = [
+        collision_evolve(g, gp, f, s, sigma0, 30, keep_blocks=True)
+        for f, s in ((pure_first, pure_steady), (hot_first, hot_steady))
+    ]
+    for name in ("probabilities", "blocks"):
+        apart = np.concatenate([getattr(run, name) for run in alone], axis=1)
+        assert np.max(np.abs(getattr(both, name) - apart)) < 1e-14
+    t_both, p_both = collision_first_max(g, gp, first, steady, sigma0, 60)
+    t_pure, p_pure = collision_first_max(g, gp, pure_first, pure_steady, sigma0, 60)
+    t_hot, p_hot = collision_first_max(g, gp, hot_first, hot_steady, sigma0, 60)
+    assert np.array_equal(t_both, np.concatenate([t_pure, t_hot], axis=1))
+    assert np.max(np.abs(p_both - np.concatenate([p_pure, p_hot], axis=1))) < 1e-14
 
 
 def test_first_max_drops_each_system_once_it_is_past(monkeypatch):
