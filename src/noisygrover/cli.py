@@ -31,7 +31,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -103,6 +103,8 @@ def emit(table: ResultTable, fmt: str, stream: TextIO) -> None:
 
 
 # ---------------------------------------------------------------- parsing
+# A parser turns one option string into its value or raises ConfigError;
+# _resolve_options puts the option's name in front of the message.
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through ConfigError
@@ -111,45 +113,65 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_int(text: str, name: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{name}: {text!r} is not an integer") from None
+        raise ConfigError(f"{text!r} is not an integer") from None
 
 
-def _parse_float(text: str, name: str) -> float:
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"{name}: {text!r} is not a number") from None
+        raise ConfigError(f"{text!r} is not a number") from None
 
 
-def _parse_steps(text: str) -> int:
-    steps = _parse_int(text, "steps")
-    if steps < 0:
-        raise ConfigError("steps must be non-negative")
-    return steps
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(_parse_int(part) for part in text.split(","))
 
 
-def _parse_temperature(text: str) -> float:
-    value = _parse_float(text, "temperature")
-    if not (math.isfinite(value) and value >= 0.0):  # 0 selects pure ancillas
-        raise ConfigError(f"temperature must be finite and non-negative, got {text!r}")
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_float(part) for part in text.split(","))
+
+
+def _parse_natural(text: str) -> int:
+    value = _parse_int(text)
+    if value < 0:
+        raise ConfigError(f"{value} is negative")
     return value
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
-    return tuple(_parse_int(part.strip(), name) for part in str(text).split(","))
+def _parse_positive(text: str) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise ConfigError(f"{value} is not positive")
+    return value
 
 
-def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip(), name) for part in str(text).split(","))
+def _parse_temperature(text: str) -> float:
+    value = _parse_float(text)
+    if not (math.isfinite(value) and value >= 0.0):  # 0 selects pure ancillas
+        raise ConfigError(f"{text!r} is not finite and non-negative")
+    return value
+
+
+def _parse_temps(text: str) -> tuple[float, ...]:
+    temps = _parse_float_list(text)
+    if not all(math.isfinite(t) and t > 0.0 for t in temps):
+        raise ConfigError(f"{text!r} has a temperature that is not finite and positive")
+    return temps
+
+
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ConfigError(f"{text!r} is not csv or json")
+    return text
 
 
 def _parse_noise(text: str) -> SingleQubitUnitary:
     """Preset name, or ``custom:A,B,THETA`` with complex literals A and B."""
-    text = str(text).strip()
+    text = text.strip()
     if text.startswith("custom:"):
         parts = text[len("custom:"):].split(",")
         if len(parts) != 3:
@@ -171,7 +193,8 @@ def _parse_noise(text: str) -> SingleQubitUnitary:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Read a ``key = value`` file; ``#`` starts a comment, blanks ignored."""
+    """Read a ``key = value`` file; ``#`` starts a comment, blanks ignored.
+    A key may appear once, and a config file cannot name another."""
     entries: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -182,205 +205,127 @@ def load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
                 if not key:
                     raise ConfigError(f"{path}:{lineno}: empty key")
-                entries[key.replace("-", "_")] = value
+                if key == "config":
+                    raise ConfigError(f"{path}:{lineno}: a config file cannot name another")
+                if key in entries:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeats an earlier line")
+                entries[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return entries
 
 
-# Option inventory. Each entry: (flag, dest, help). Values stay strings
-# until the handlers convert them, so config-file and flag inputs take the
-# same path.
-_COMMON = (
-    ("--config", "config", "key = value option file; explicit flags override it"),
-    ("--format", "format", "output format: csv or json (default csv)"),
-    ("--output", "output", "output path, - for stdout (default -)"),
-    ("--jobs", "jobs", "worker processes for grid points (default 1)"),
-)
+class _Option(NamedTuple):
+    dest: str  # the flag is --dest
+    parse: Callable[[str], object]
+    help: str
 
-_SUBCOMMANDS: dict[str, dict] = {
-    "ideal": {
-        "help": "noiseless success probability series",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--steps", "steps", "iterations to evolve (default 25)"),
-        ),
-        "defaults": {"marked": "0", "steps": "25"},
-    },
-    "noisy": {
-        "help": "success series under correlated noise, over a parameter grid",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "preset (identity,x,y,z,hadamard) or custom:a,b,theta"),
-            ("--m", "m", "comma list of noisy-qubit counts (default 1)"),
-            ("--positions", "positions", "explicit comma list of noisy positions (overrides --m)"),
-            ("--p", "p", "comma list of fault probabilities (default 0.5)"),
-            ("--mu", "mu", "comma list of memory parameters (default 0)"),
-            ("--temperature", "temperature", "ancilla temperature, 0 for pure (default 0)"),
-            ("--steps", "steps", "collisions to evolve (default 25)"),
-        ),
-        "defaults": {
-            "marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0",
-            "temperature": "0", "steps": "25",
-        },
-    },
-    "invariance": {
-        "help": "position-independence deviation over every position subset",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--p", "p", "fault probability (default 0.5)"),
-            ("--mu", "mu", "memory parameter (default 0)"),
-            ("--steps", "steps", "collisions to evolve (default 25)"),
-        ),
-        "defaults": {"marked": "0", "noise": "x", "p": "0.5", "mu": "0", "steps": "25"},
-    },
-    "firstmax": {
-        "help": "location and height of the first success maximum on a grid",
-        "options": (
-            ("--n", "n", "comma list of qubit counts"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "comma list of fault probabilities"),
-            ("--mu", "mu", "comma list of memory parameters"),
-            ("--steps", "steps",
-             "search horizon; a group's run stops at its last first maximum (default 25)"),
-        ),
-        "defaults": {"marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0", "steps": "25"},
-    },
-    "blp": {
-        "help": "trace-distance backflow witness over a (p, mu) grid",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "comma list of fault probabilities"),
-            ("--mu", "mu", "comma list of memory parameters"),
-            ("--temperature", "temperature", "ancilla temperature, 0 for pure (default 0)"),
-            ("--steps", "steps", "horizon (default 45)"),
-        ),
-        "defaults": {
-            "marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0.9",
-            "temperature": "0", "steps": "45",
-        },
-    },
-    "cpdiv": {
-        "help": "CP-divisibility witness over a (p, mu) grid",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "comma list of fault probabilities"),
-            ("--mu", "mu", "comma list of memory parameters"),
-            ("--steps", "steps", "horizon (default 20)"),
-        ),
-        "defaults": {"marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0.9", "steps": "20"},
-    },
-    "thermal": {
-        "help": "backflow witness over a (temperature, p, mu) grid",
-        "options": (
-            ("--n", "n", "qubit count"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "comma list of fault probabilities"),
-            ("--mu", "mu", "comma list of memory parameters"),
-            ("--temps", "temps", "comma list of temperatures (default 0.5,1,2)"),
-            ("--steps", "steps", "horizon (default 45)"),
-        ),
-        "defaults": {
-            "marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0.9",
-            "temps": "0.5,1,2", "steps": "45",
-        },
-    },
-    "dilation-check": {
-        "help": "verify the collision unitaries against the Kraus step on a grid",
-        "options": (
-            ("--n", "n", f"qubit count, at most {DILATION_MAX_N}"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "comma list of fault probabilities"),
-            ("--mu", "mu", "comma list of memory parameters"),
-            ("--trials", "trials", "random pure states per point, at least 1 (default 20)"),
-            ("--seed", "seed", "RNG seed of the trial states, the same at every point "
-             "and for both step kinds, non-negative (default 1234)"),
-        ),
-        "defaults": {
-            "marked": "0", "noise": "x", "m": "1", "p": "0.1,0.5,0.9",
-            "mu": "0,0.5,1", "trials": "20", "seed": "1234",
-        },
-    },
-    "oracle-check": {
-        "help": "compare the collision evolution to the explicit history sum",
-        "options": (
-            ("--n", "n", f"qubit count, at most {ORACLE_MAX_N}"),
-            ("--marked", "marked", "marked basis index (default 0)"),
-            ("--noise", "noise", "noise unitary (default x)"),
-            ("--m", "m", "noisy-qubit count (default 1)"),
-            ("--p", "p", "fault probability (default 0.5)"),
-            ("--mu", "mu", "memory parameter (default 0.5)"),
-            ("--steps", "steps", f"horizon, at most {HISTORY_MAX_STEPS} (default 8)"),
-        ),
-        "defaults": {"marked": "0", "noise": "x", "m": "1", "p": "0.5", "mu": "0.5", "steps": "8"},
-    },
+
+# Every option, declared once. A dest that takes one value on some
+# subcommands and a comma list on others has one entry per shape.
+_OPTIONS = {
+    "n": _Option("n", _parse_int, "qubit count"),
+    "n-list": _Option("n", _parse_int_list, "comma list of qubit counts"),
+    "marked": _Option("marked", _parse_int, "marked basis index"),
+    "noise": _Option("noise", _parse_noise, "preset (identity,x,y,z,hadamard) or custom:a,b,theta"),
+    "m": _Option("m", _parse_int, "noisy-qubit count"),
+    "m-list": _Option("m", _parse_int_list, "comma list of noisy-qubit counts"),
+    "positions": _Option(
+        "positions", _parse_int_list,
+        "comma list of noisy positions, which fix m; a given --m must equal their number",
+    ),
+    "p": _Option("p", _parse_float, "fault probability"),
+    "p-list": _Option("p", _parse_float_list, "comma list of fault probabilities"),
+    "mu": _Option("mu", _parse_float, "memory parameter"),
+    "mu-list": _Option("mu", _parse_float_list, "comma list of memory parameters"),
+    "temperature": _Option("temperature", _parse_temperature, "ancilla temperature, 0 for pure"),
+    "temps": _Option("temps", _parse_temps, "comma list of positive temperatures"),
+    "steps": _Option("steps", _parse_natural, "Grover iterations (collisions) to evolve"),
+    "trials": _Option("trials", _parse_positive, "random pure states per point"),
+    "seed": _Option(
+        "seed", _parse_natural,
+        "RNG seed of the trial states, the same at every point and for both step kinds",
+    ),
+    "format": _Option("format", _parse_format, "output format: csv or json"),
+    "output": _Option("output", str, "output path, - for stdout"),
+    "jobs": _Option("jobs", _parse_positive, "worker processes for grid points"),
 }
+
+# The options every subcommand takes besides its own and --config, and
+# the defaults they share. An option with no default is required; a
+# default of None leaves it unset.
+_COMMON = ("format", "output", "jobs")
+_DEFAULTS = {"marked": "0", "noise": "x", "m": "1", "format": "csv", "output": "-", "jobs": "1"}
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, dict], ResultTable]
+    options: tuple[str, ...]  # keys of _OPTIONS
+    defaults: dict[str, Optional[str]]  # by dest, over _DEFAULTS
+
+
+def _help(option: _Option, defaults: dict) -> str:
+    if option.dest not in defaults:
+        return f"{option.help} (required)"
+    default = defaults[option.dest]
+    return option.help if default is None else f"{option.help} (default {default})"
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="noisygrover", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
-    for name, info in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=info["help"])
-        for flag, dest, help_text in info["options"] + _COMMON:
-            sub.add_argument(flag, dest=dest, default=None, help=help_text)
+    for name, sub in _SUBCOMMANDS.items():
+        sub_parser = subs.add_parser(name, help=sub.help, description=sub.help)
+        defaults = {**_DEFAULTS, **sub.defaults}
+        for key in sub.options + _COMMON:
+            option = _OPTIONS[key]
+            sub_parser.add_argument("--" + option.dest, help=_help(option, defaults))
+        sub_parser.add_argument(
+            "--config", help="key = value option file; explicit flags override it"
+        )
     return parser
 
 
-def _resolve_options(ns) -> tuple[str, dict[str, str]]:
-    """Check the command; merge flags > config file > defaults into strings."""
-    if isinstance(ns, dict):
-        ns = argparse.Namespace(**ns)
-    if not getattr(ns, "command", None):
+def _resolve_options(ns: argparse.Namespace) -> tuple[str, dict[str, str], argparse.Namespace]:
+    """Merge flags > config file > defaults, then parse each value once.
+
+    Returns the command, the merged strings of the options that are set
+    (the table's meta) and their parsed values, with ``given``: the dests
+    a flag or the config file set."""
+    command = getattr(ns, "command", None)
+    if not command:
         raise ConfigError("no command given; see --help")
-    if ns.command not in _SUBCOMMANDS:
-        raise ConfigError(f"unknown command {ns.command!r}")
-    info = _SUBCOMMANDS[ns.command]
-    known = {dest for _, dest, _ in info["options"] + _COMMON}
-    resolved: dict[str, Optional[str]] = {
-        dest: getattr(ns, dest, None) for dest in known
-    }
-    if resolved.get("config"):
-        for key, value in load_config(resolved["config"]).items():
-            if key not in known:
-                raise ConfigError(
-                    f"config key {key!r} is not an option of {ns.command!r}"
-                )
-            if resolved[key] is None:
-                resolved[key] = value
-    for key, value in {**info["defaults"], "format": "csv", "output": "-", "jobs": "1"}.items():
-        if resolved[key] is None:
-            resolved[key] = value
-    if resolved["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {resolved['format']!r}")
-    if _parse_int(resolved["jobs"], "jobs") < 1:
-        raise ConfigError(f"jobs must be at least 1, got {resolved['jobs']!r}")
-    return ns.command, {k: v for k, v in resolved.items() if v is not None}
-
-
-def _require(opts: dict, key: str, command: str) -> str:
-    if key not in opts:
-        raise ConfigError(f"{command}: --{key} is required")
-    return opts[key]
+    if command not in _SUBCOMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    sub = _SUBCOMMANDS[command]
+    options = [_OPTIONS[key] for key in sub.options + _COMMON]
+    texts = {option.dest: getattr(ns, option.dest, None) for option in options}
+    if getattr(ns, "config", None):
+        for key, value in load_config(ns.config).items():
+            if key not in texts:
+                raise ConfigError(f"config key {key!r} is not an option of {command!r}")
+            if texts[key] is None:
+                texts[key] = value
+    given = {dest for dest, text in texts.items() if text is not None}
+    defaults = {**_DEFAULTS, **sub.defaults}
+    values = {}
+    for option in options:
+        if option.dest not in given:
+            if option.dest not in defaults:
+                raise ConfigError(f"{command}: --{option.dest} is required")
+            texts[option.dest] = defaults[option.dest]
+        text = texts[option.dest]
+        try:
+            values[option.dest] = None if text is None else option.parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{option.dest}: {exc}") from None
+    texts = {dest: text for dest, text in texts.items() if text is not None}
+    return command, texts, argparse.Namespace(given=given, **values)
 
 
 # ------------------------------------------------------- grid workers
@@ -431,20 +376,19 @@ def _run_grid(worker, points, jobs: int) -> list:
         return list(pool.map(worker, points))
 
 
-def _success_table(read, systems, params, steps, opts: dict, bath=None) -> tuple:
+def _success_table(read, systems, params, steps, jobs: int, bath=None) -> tuple:
     """``markov._table`` over ``systems``: one step loop per distinct d,
     and ``--jobs`` hands out those groups."""
-    mapper = functools.partial(_run_grid, jobs=int(opts["jobs"]))
-    return _table(read, systems, params, steps, bath, mapper)
+    return _table(read, systems, params, steps, bath, functools.partial(_run_grid, jobs=jobs))
 
 
 # ----------------------------------------------------------- handlers
+# A handler takes the parsed options ``a`` and the table's meta, the
+# options' strings, which it may add to.
 
-def _meta(command: str, opts: dict, skip=("config", "format", "output", "jobs")) -> dict:
+def _meta(command: str, texts: dict) -> dict:
     meta = {"command": command, "version": __version__}
-    for key in sorted(opts):
-        if key not in skip:
-            meta[key] = opts[key]
+    meta.update((key, texts[key]) for key in sorted(texts) if key not in _COMMON)
     return meta
 
 
@@ -461,117 +405,95 @@ def _params(ps, mus) -> list[MarkovNoiseParams]:
     return [MarkovNoiseParams(p, mu) for p, mu in itertools.product(ps, mus)]
 
 
-def _handle_ideal(opts: dict) -> ResultTable:
-    n = _parse_int(_require(opts, "n", "ideal"), "n")
-    marked = _parse_int(opts["marked"], "marked")
-    steps = _parse_steps(opts["steps"])
-    inst = GroverInstance(n, marked)
-    series = ideal_success_series(inst, steps)
-    meta = _meta("ideal", opts)
+def _handle_ideal(a, meta: dict) -> ResultTable:
+    inst = GroverInstance(a.n, a.marked)
+    series = ideal_success_series(inst, a.steps)
     meta["optimal_iterations"] = optimal_iterations(inst.N) if inst.N >= 4 else 0
     rows = [[t, float(p)] for t, p in enumerate(series)]
     return ResultTable(meta, ["t", "P"], rows)
 
 
-def _noisy_grid(opts: dict, command: str):
-    n = _parse_int(_require(opts, "n", command), "n")
-    inst = GroverInstance(n, _parse_int(opts["marked"], "marked"))
-    u = _parse_noise(opts["noise"])
-    params = _params(_parse_float_list(opts["p"], "p"), _parse_float_list(opts["mu"], "mu"))
-    return inst, u, params, _parse_steps(opts["steps"])
-
-
-def _handle_noisy(opts: dict) -> ResultTable:
-    inst, u, params, steps = _noisy_grid(opts, "noisy")
-    bath = _bath(_parse_temperature(opts["temperature"]))
-    if "positions" in opts:
-        positions = _parse_int_list(opts["positions"], "positions")
-        specs = [noise_spec(u, len(positions), inst.n, positions)]
+def _handle_noisy(a, meta: dict) -> ResultTable:
+    inst = GroverInstance(a.n, a.marked)
+    params = _params(a.p, a.mu)
+    if a.positions is None:
+        specs = [noise_spec(a.noise, m, a.n) for m in a.m]
     else:
-        specs = [noise_spec(u, m, inst.n) for m in _parse_int_list(opts["m"], "m")]
+        m = len(a.positions)
+        if "m" in a.given and a.m != (m,):
+            raise ConfigError(f"--m {meta['m']} is not the number of --positions, {m}")
+        meta["m"] = str(m)
+        specs = [noise_spec(a.noise, m, a.n, a.positions)]
+    systems = [(inst, spec) for spec in specs]
     (all_series,) = _success_table(
-        _group_series, [(inst, spec) for spec in specs], params, steps, opts, bath
+        _group_series, systems, params, a.steps, a.jobs, _bath(a.temperature)
     )
-    all_series = all_series.reshape(-1, steps + 1)
+    all_series = all_series.reshape(-1, a.steps + 1)
     labels = [_label(m=len(spec.positions), p=par.p, mu=par.mu) for spec in specs for par in params]
-    rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(steps + 1)]
-    return ResultTable(_meta("noisy", opts), ["t"] + labels, rows)
+    rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(a.steps + 1)]
+    return ResultTable(meta, ["t"] + labels, rows)
 
 
-def _handle_invariance(opts: dict) -> ResultTable:
-    n = _parse_int(_require(opts, "n", "invariance"), "n")
-    marked = _parse_int(opts["marked"], "marked")
-    inst = GroverInstance(n, marked)
-    u = _parse_noise(opts["noise"])
-    params = [MarkovNoiseParams(_parse_float(opts["p"], "p"), _parse_float(opts["mu"], "mu"))]
-    steps = _parse_steps(opts["steps"])
+def _handle_invariance(a, meta: dict) -> ResultTable:
+    inst = GroverInstance(a.n, a.marked)
+    params = [MarkovNoiseParams(a.p, a.mu)]
     # Every nonempty subset shares its series with one of these position
     # sets, and (0,) is one of them.
-    classes = _orbit_representatives(n, marked)
-    systems = [(inst, noise_spec(u, len(c), n, c)) for c in classes]
-    all_series = _success_table(_group_series, systems, params, steps, opts)[0][:, 0]
+    classes = _orbit_representatives(a.n, a.marked)
+    systems = [(inst, noise_spec(a.noise, len(c), a.n, c)) for c in classes]
+    all_series = _success_table(_group_series, systems, params, a.steps, a.jobs)[0][:, 0]
     reference = all_series[classes.index((0,))]
     deviations = np.max(np.abs(all_series - reference[None, :]), axis=0)
-    meta = _meta("invariance", opts)
-    meta["subsets"] = 2**n - 1
+    meta["subsets"] = 2**a.n - 1
     rows = [
-        [t, float(reference[t]), float(deviations[t])] for t in range(steps + 1)
+        [t, float(reference[t]), float(deviations[t])] for t in range(a.steps + 1)
     ]
     return ResultTable(meta, ["t", "P", "max_dev"], rows)
 
 
-def _handle_firstmax(opts: dict) -> ResultTable:
-    ns_list = _parse_int_list(_require(opts, "n", "firstmax"), "n")
-    marked = _parse_int(opts["marked"], "marked")
-    u = _parse_noise(opts["noise"])
-    m = _parse_int(opts["m"], "m")
-    params = _params(_parse_float_list(opts["p"], "p"), _parse_float_list(opts["mu"], "mu"))
-    steps = _parse_steps(opts["steps"])
-    systems = [(GroverInstance(n, marked), noise_spec(u, m, n)) for n in ns_list]
-    t_star, p_star = _success_table(_group_first_max, systems, params, steps, opts)
+def _handle_firstmax(a, meta: dict) -> ResultTable:
+    params = _params(a.p, a.mu)
+    systems = [(GroverInstance(n, a.marked), noise_spec(a.noise, a.m, n)) for n in a.n]
+    t_star, p_star = _success_table(_group_first_max, systems, params, a.steps, a.jobs)
     rows = [
         [n, par.p, par.mu, int(t), float(height)]
-        for n, t_row, p_row in zip(ns_list, t_star, p_star)
+        for n, t_row, p_row in zip(a.n, t_star, p_star)
         for par, t, height in zip(params, t_row, p_row)
     ]
-    return ResultTable(_meta("firstmax", opts), ["n", "p", "mu", "t_star", "P_star"], rows)
+    return ResultTable(meta, ["n", "p", "mu", "t_star", "P_star"], rows)
 
 
-def _witness_table(opts: dict, command: str, worker, columns, temps=(0.0,)) -> ResultTable:
+def _witness_table(a, meta: dict, worker, columns, temps=(0.0,)) -> ResultTable:
     """One witness value per (temperature, p, mu) point. The (p, mu) points
     of one temperature share operators and bath, so each temperature is one
     group and one batched witness call. Rows are (temperature, p, mu, value)
     cut to their last len(columns) entries, so blp and cpdiv leave the
     temperature out."""
-    inst, u, params, steps = _noisy_grid(opts, command)
-    spec = noise_spec(u, _parse_int(opts["m"], "m"), inst.n)
-    groups = [(inst, spec, params, _bath(temp), steps) for temp in temps]
-    values = _run_grid(worker, groups, int(opts["jobs"]))
+    inst = GroverInstance(a.n, a.marked)
+    params = _params(a.p, a.mu)
+    spec = noise_spec(a.noise, a.m, a.n)
+    groups = [(inst, spec, params, _bath(temp), a.steps) for temp in temps]
+    values = _run_grid(worker, groups, a.jobs)
     rows = [
         [temp, par.p, par.mu, float(v)]
         for temp, block in zip(temps, values)
         for par, v in zip(params, block)
     ]
-    meta = _meta(command, opts)
     meta["witness_only"] = "true"
     return ResultTable(meta, columns, [row[-len(columns):] for row in rows])
 
 
-def _handle_blp(opts: dict) -> ResultTable:
-    temps = (_parse_temperature(opts["temperature"]),)
-    return _witness_table(opts, "blp", _blp_group, ["p", "mu", "N_backflow"], temps)
+def _handle_blp(a, meta: dict) -> ResultTable:
+    return _witness_table(a, meta, _blp_group, ["p", "mu", "N_backflow"], (a.temperature,))
 
 
-def _handle_cpdiv(opts: dict) -> ResultTable:
-    return _witness_table(opts, "cpdiv", _cpdiv_group, ["p", "mu", "N_cpdiv"])
+def _handle_cpdiv(a, meta: dict) -> ResultTable:
+    return _witness_table(a, meta, _cpdiv_group, ["p", "mu", "N_cpdiv"])
 
 
-def _handle_thermal(opts: dict) -> ResultTable:
-    temps = _parse_float_list(opts["temps"], "temps")
-    if not all(math.isfinite(t) and t > 0.0 for t in temps):
-        raise ConfigError(f"temps must be finite and positive, got {opts['temps']!r}")
+def _handle_thermal(a, meta: dict) -> ResultTable:
     columns = ["temperature", "p", "mu", "N_backflow"]
-    return _witness_table(opts, "thermal", _blp_group, columns, temps)
+    return _witness_table(a, meta, _blp_group, columns, a.temps)
 
 
 _DILATION_COLUMNS = [
@@ -589,27 +511,15 @@ _DILATION_TOLS = {
 }
 
 
-def _handle_dilation_check(opts: dict) -> ResultTable:
-    n = _parse_int(_require(opts, "n", "dilation-check"), "n")
-    if n > DILATION_MAX_N:
+def _handle_dilation_check(a, meta: dict) -> ResultTable:
+    if a.n > DILATION_MAX_N:
         raise ConfigError(
-            f"dilation-check builds dense 8N x 8N unitaries; n={n} > {DILATION_MAX_N}"
+            f"dilation-check builds dense 8N x 8N unitaries; n={a.n} > {DILATION_MAX_N}"
         )
-    marked = _parse_int(opts["marked"], "marked")
-    u = _parse_noise(opts["noise"])
-    m = _parse_int(opts["m"], "m")
-    ps = _parse_float_list(opts["p"], "p")
-    mus = _parse_float_list(opts["mu"], "mu")
-    trials = _parse_int(opts["trials"], "trials")
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    seed = _parse_int(opts["seed"], "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    inst = GroverInstance(n, marked)
-    spec = noise_spec(u, m, n)
-    points = [(inst, spec, params, trials, seed) for params in _params(ps, mus)]
-    rows = _run_grid(_dilation_point, points, int(opts["jobs"]))
+    inst = GroverInstance(a.n, a.marked)
+    spec = noise_spec(a.noise, a.m, a.n)
+    points = [(inst, spec, params, a.trials, a.seed) for params in _params(a.p, a.mu)]
+    rows = _run_grid(_dilation_point, points, a.jobs)
     for row in rows:
         for name, tol in _DILATION_TOLS.items():
             value = row[_DILATION_COLUMNS.index(name)]
@@ -618,30 +528,22 @@ def _handle_dilation_check(opts: dict) -> ResultTable:
                     f"dilation check failed at p={row[0]} mu={row[1]}: "
                     f"{name}={value:.3e} exceeds {tol:.1e}"
                 )
-    meta = _meta("dilation-check", opts)
     meta["all_within_tolerance"] = "true"
     return ResultTable(meta, list(_DILATION_COLUMNS), rows)
 
 
-def _handle_oracle_check(opts: dict) -> ResultTable:
-    n = _parse_int(_require(opts, "n", "oracle-check"), "n")
-    if n > ORACLE_MAX_N:
-        raise ConfigError(f"oracle-check sums dense N x N histories; n={n} > {ORACLE_MAX_N}")
-    marked = _parse_int(opts["marked"], "marked")
-    u = _parse_noise(opts["noise"])
-    m = _parse_int(opts["m"], "m")
-    p = _parse_float(opts["p"], "p")
-    mu = _parse_float(opts["mu"], "mu")
-    steps = _parse_steps(opts["steps"])
-    if steps > HISTORY_MAX_STEPS:
-        raise ConfigError(f"oracle-check is exponential in steps; {steps} > {HISTORY_MAX_STEPS}")
-    inst = GroverInstance(n, marked)
-    spec = noise_spec(u, m, n)
-    params = MarkovNoiseParams(p, mu)
-    evolved = markov_evolve(inst, spec, params, steps, keep_states=True)
-    reference = history_oracle(inst, spec, params, steps)
+def _handle_oracle_check(a, meta: dict) -> ResultTable:
+    if a.n > ORACLE_MAX_N:
+        raise ConfigError(f"oracle-check sums dense N x N histories; n={a.n} > {ORACLE_MAX_N}")
+    if a.steps > HISTORY_MAX_STEPS:
+        raise ConfigError(f"oracle-check is exponential in steps; {a.steps} > {HISTORY_MAX_STEPS}")
+    inst = GroverInstance(a.n, a.marked)
+    spec = noise_spec(a.noise, a.m, a.n)
+    params = MarkovNoiseParams(a.p, a.mu)
+    evolved = markov_evolve(inst, spec, params, a.steps, keep_states=True)
+    reference = history_oracle(inst, spec, params, a.steps)
     rows = []
-    for t in range(steps + 1):
+    for t in range(a.steps + 1):
         dist = trace_distance(evolved.states[t], reference.states[t])
         prob_dev = abs(evolved.probabilities[t] - reference.probabilities[t])
         rows.append([t, float(dist), float(prob_dev)])
@@ -650,27 +552,63 @@ def _handle_oracle_check(opts: dict) -> ResultTable:
         raise InvariantViolation(
             f"collision evolution deviates from the history sum by {worst:.3e}"
         )
-    meta = _meta("oracle-check", opts)
     meta["max_trace_distance"] = worst
     return ResultTable(meta, ["t", "trace_distance", "prob_deviation"], rows)
 
 
-_HANDLERS = {
-    "ideal": _handle_ideal,
-    "noisy": _handle_noisy,
-    "invariance": _handle_invariance,
-    "firstmax": _handle_firstmax,
-    "blp": _handle_blp,
-    "cpdiv": _handle_cpdiv,
-    "thermal": _handle_thermal,
-    "dilation-check": _handle_dilation_check,
-    "oracle-check": _handle_oracle_check,
+_SUBCOMMANDS = {
+    "ideal": _Subcommand(
+        "noiseless success probability series", _handle_ideal,
+        ("n", "marked", "steps"), {"steps": "25"},
+    ),
+    "noisy": _Subcommand(
+        "success series under correlated noise, over a parameter grid", _handle_noisy,
+        ("n", "marked", "noise", "m-list", "positions", "p-list", "mu-list", "temperature",
+         "steps"),
+        {"positions": None, "p": "0.5", "mu": "0", "temperature": "0", "steps": "25"},
+    ),
+    "invariance": _Subcommand(
+        "position-independence deviation over every position subset", _handle_invariance,
+        ("n", "marked", "noise", "p", "mu", "steps"), {"p": "0.5", "mu": "0", "steps": "25"},
+    ),
+    "firstmax": _Subcommand(
+        "location and height of the first success maximum on a grid; each n's run "
+        "stops once its points have passed their first maximum", _handle_firstmax,
+        ("n-list", "marked", "noise", "m", "p-list", "mu-list", "steps"),
+        {"p": "0.5", "mu": "0", "steps": "25"},
+    ),
+    "blp": _Subcommand(
+        "trace-distance backflow witness over a (p, mu) grid", _handle_blp,
+        ("n", "marked", "noise", "m", "p-list", "mu-list", "temperature", "steps"),
+        {"p": "0.5", "mu": "0.9", "temperature": "0", "steps": "45"},
+    ),
+    "cpdiv": _Subcommand(
+        "CP-divisibility witness over a (p, mu) grid", _handle_cpdiv,
+        ("n", "marked", "noise", "m", "p-list", "mu-list", "steps"),
+        {"p": "0.5", "mu": "0.9", "steps": "20"},
+    ),
+    "thermal": _Subcommand(
+        "backflow witness over a (temperature, p, mu) grid", _handle_thermal,
+        ("n", "marked", "noise", "m", "p-list", "mu-list", "temps", "steps"),
+        {"p": "0.5", "mu": "0.9", "temps": "0.5,1,2", "steps": "45"},
+    ),
+    "dilation-check": _Subcommand(
+        f"verify the collision unitaries against the Kraus step on a grid; n <= {DILATION_MAX_N}",
+        _handle_dilation_check,
+        ("n", "marked", "noise", "m", "p-list", "mu-list", "trials", "seed"),
+        {"p": "0.1,0.5,0.9", "mu": "0,0.5,1", "trials": "20", "seed": "1234"},
+    ),
+    "oracle-check": _Subcommand(
+        "compare the collision evolution to the explicit history sum; "
+        f"n <= {ORACLE_MAX_N}, steps <= {HISTORY_MAX_STEPS}", _handle_oracle_check,
+        ("n", "marked", "noise", "m", "p", "mu", "steps"), {"p": "0.5", "mu": "0.5", "steps": "8"},
+    ),
 }
 
 
-def _tabulate(command: str, opts: dict[str, str]) -> ResultTable:
+def _tabulate(command: str, texts: dict[str, str], args: argparse.Namespace) -> ResultTable:
     try:
-        return _HANDLERS[command](opts)
+        return _SUBCOMMANDS[command].handler(args, _meta(command, texts))
     except ValueError as exc:
         # Domain validation (bad ranges etc.) is a configuration problem.
         if isinstance(exc, ConfigError):
@@ -678,24 +616,23 @@ def _tabulate(command: str, opts: dict[str, str]) -> ResultTable:
         raise ConfigError(str(exc)) from exc
 
 
-def run(options) -> ResultTable:
-    """Programmatic entry point: a parsed namespace (or dict) to a table."""
-    return _tabulate(*_resolve_options(options))
+def run(ns: argparse.Namespace) -> ResultTable:
+    """Programmatic entry point: a namespace from ``build_parser`` to a table."""
+    return _tabulate(*_resolve_options(ns))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()
-        command, opts = _resolve_options(parser.parse_args(argv))
-        table = _tabulate(command, opts)
-        if opts["output"] == "-":
-            emit(table, opts["format"], sys.stdout)
+        command, texts, args = _resolve_options(build_parser().parse_args(argv))
+        table = _tabulate(command, texts, args)
+        if args.output == "-":
+            emit(table, args.format, sys.stdout)
         else:  # opened only now, so a failed run leaves an existing file alone
             try:
-                with open(opts["output"], "w", encoding="utf-8", newline="\n") as fh:
-                    emit(table, opts["format"], fh)
+                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                    emit(table, args.format, fh)
             except OSError as exc:
-                raise ConfigError(f"cannot write output {opts['output']}: {exc}") from None
+                raise ConfigError(f"cannot write output {args.output}: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,8 +69,25 @@ def test_noisy_explicit_positions(capsys):
         capsys, "noisy", "--n", "3", "--positions", "1,2", "--steps", "3",
     )
     assert code == 0
-    _, columns, _ = parse_csv(out)
+    meta, columns, _ = parse_csv(out)
     assert columns[1].startswith("P[m=2")
+    assert meta["m"] == "2"  # the m that ran, not the default
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_noisy_m_must_match_the_positions(tmp_path, capsys, source):
+    argv = ["noisy", "--n", "3", "--positions", "0", "--steps", "2"]
+    if source == "flag":
+        argv += ["--m", "3"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 3\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "positions" in err
+    code, out, _ = run_cli(capsys, *argv[:-2], "--m", "1")
+    assert code == 0 and parse_csv(out)[0]["m"] == "1"
 
 
 def test_json_output_round_trip(capsys):
@@ -115,6 +132,19 @@ def test_config_rejects_an_empty_value(tmp_path, capsys, key):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text,what",
+    [("n = 3\nn = 4\n", "repeats"), ("n = 3\nconfig = nowhere.cfg\n", "cannot name another")],
+    ids=["repeated-key", "nested-config"],
+)
+def test_config_file_fails_loudly(tmp_path, capsys, text, what):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "ideal", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and what in err
+
+
 def test_load_config_syntax_error(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("n @@ 3\n")
@@ -140,6 +170,9 @@ def test_load_config_syntax_error(tmp_path):
         pytest.param(("ideal", "--n", "3", "--jobs", ""), id="jobs-empty"),
         pytest.param(("dilation-check", "--n", "2", "--trials", "0"), id="trials-zero"),
         pytest.param(("dilation-check", "--n", "2", "--trials", "-3"), id="trials-negative"),
+        pytest.param(
+            ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
+        ),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
@@ -213,13 +246,48 @@ def _readme_cli_examples():
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):
+    # Each example gives the same bytes from its flags, through --output
+    # and from a config file that holds its flags.
     examples = _readme_cli_examples()
     assert examples
     for i, argv in enumerate(examples):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (argv, err)
         target = tmp_path / f"example{i}.out"
-        code = main(argv + ["--output", str(target)])
-        assert code == 0, (argv, capsys.readouterr().err)
-        assert target.stat().st_size > 0
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode(), argv
+        cfg = tmp_path / f"example{i}.cfg"
+        pairs = zip(argv[1::2], argv[2::2])
+        cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in pairs))
+        assert run_cli(capsys, argv[0], "--config", str(cfg)) == (0, out, ""), argv
+
+
+def _option_lines(help_text):
+    # The option lines of a subcommand's --help, each joined onto one line.
+    lines = []
+    for line in help_text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            lines.append(line)
+        elif line.strip():
+            lines[-1] += line
+    return {line.split()[0]: " ".join(line.split()) for line in lines}
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_subcommand_help_shows_the_defaults_in_use(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    lines = _option_lines(capsys.readouterr().out)
+    # The strings a run with only the required --n fills in.
+    _, texts, _ = cli._resolve_options(cli.build_parser().parse_args([command, "--n", "3"]))
+    assert lines["--n"].endswith("(required)")
+    assert set(lines) == {"-h,", "--config"} | {f"--{dest}" for dest in texts} | (
+        {"--positions"} if command == "noisy" else set()
+    )
+    for dest, text in texts.items():
+        if dest != "n":
+            assert lines[f"--{dest}"].endswith(f"(default {text})"), lines[f"--{dest}"]
 
 
 def test_oracle_check_passes(capsys):
