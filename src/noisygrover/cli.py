@@ -17,19 +17,24 @@ bath as one batched witness call whose trace norms are one stacked pass,
 so ``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
 temperature.
 
-Exit codes: 0 success, 1 invalid configuration or inputs, 2 a numeric
-invariant failed mid-run.
+Flags are spelled in full, as config keys are: argparse's prefix matching
+is off.
+
+Exit codes: 0 success, 1 invalid configuration or inputs, or a standard
+output that was closed before the table was written, 2 a numeric invariant
+failed mid-run.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import functools
 import itertools
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
@@ -276,11 +281,16 @@ def _help(option: _Option, defaults: dict) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="noisygrover", description=__doc__.split("\n\n")[0])
+    # No prefix matching: a flag is spelled in full, as a config key is.
+    parser = _Parser(
+        prog="noisygrover", description=__doc__.split("\n\n")[0], allow_abbrev=False
+    )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
     for name, sub in _SUBCOMMANDS.items():
-        sub_parser = subs.add_parser(name, help=sub.help, description=sub.help)
+        sub_parser = subs.add_parser(
+            name, help=sub.help, description=sub.help, allow_abbrev=False
+        )
         defaults = {**_DEFAULTS, **sub.defaults}
         for key in sub.options + _COMMON:
             option = _OPTIONS[key]
@@ -329,7 +339,7 @@ def _resolve_options(ns: argparse.Namespace) -> tuple[str, dict[str, str], argpa
 
 
 # ------------------------------------------------------- grid workers
-# Top-level functions so ProcessPoolExecutor can pickle them. Each takes
+# Top-level functions so a process pool can pickle them. Each takes
 # one tuple of inputs the handler has already built, so every bad input
 # fails before any pool starts, and returns plain data; row order is the
 # point order, independent of --jobs. The success grids hand out the
@@ -371,8 +381,10 @@ def _dilation_point(point):
 def _run_grid(worker, points, jobs: int) -> list:
     if jobs <= 1 or len(points) <= 1:
         return [worker(pt) for pt in points]
-    # Under fork the pool starts all its workers at once: none beyond the points.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+    # Under fork the pool starts all its workers at once: none beyond the
+    # points. concurrent.futures loads the pool class, and multiprocessing
+    # with it, on first use, so a --jobs 1 run never imports them.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
         return list(pool.map(worker, points))
 
 
@@ -626,7 +638,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command, texts, args = _resolve_options(build_parser().parse_args(argv))
         table = _tabulate(command, texts, args)
         if args.output == "-":
-            emit(table, args.format, sys.stdout)
+            try:
+                emit(table, args.format, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader closed the pipe (``... | head -1``). What is
+                # still buffered goes to devnull, so the flush at exit
+                # cannot fail a second time.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise ConfigError("cannot write output: standard output was closed") from None
         else:  # opened only now, so a failed run leaves an existing file alone
             try:
                 with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

@@ -57,8 +57,10 @@ checks it is unitary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -81,11 +83,30 @@ _KEYS = ("g|g", "g|g'", "g'|g", "g'|g'")
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of one collision step, with human-readable labels."""
+    """Kraus operators of one collision step, with human-readable labels.
+
+    The set is read-only: :func:`apply_kraus` cuts the operators to their
+    nonzero boxes once per set and keeps the cuts.
+    """
 
     ops: tuple[ComplexMatrix, ...]
     labels: tuple[str, ...]
     kind: str
+
+    @cached_property
+    def _boxes(self) -> tuple[tuple[slice, slice, ComplexMatrix], ...]:
+        """(rows, cols, box) per operator that is not all zero:
+        the bounding box of its nonzero rows and columns, found with ``any``
+        on the matrix itself (a NaN counts as nonzero), and the operator cut
+        to it, a view."""
+        boxes = []
+        for k in self.ops:
+            rows = np.flatnonzero(k.any(axis=1))
+            if rows.size:
+                cols = np.flatnonzero(k.any(axis=0))
+                rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+                boxes.append((rows, cols, k[rows, cols]))
+        return tuple(boxes)
 
     def completeness_defect(self) -> float:
         """max | sum_k K_k^dagger K_k  -  I |."""
@@ -180,10 +201,19 @@ def kraus_step(
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
-    """sum_k K_k R K_k^dagger."""
+    """sum_k K_k R K_k^dagger, each term on its operator's nonzero box.
+
+    With K_k's nonzero rows in the range a and columns in the range b, the
+    term is K_k[a, b] R[b, b] K_k[a, b]^dagger, added into out[a, a]; every
+    entry outside those ranges is an exact zero of the dense product. A
+    ``kraus_step`` operator is one N x N block, so each term costs an
+    eighth of the dense one; an all-zero operator (a zero weight) adds
+    nothing and is skipped, and a dense operator keeps its whole box. The
+    boxes are cut once per set.
+    """
     out = np.zeros_like(r)
-    for k in kset.ops:
-        out += k @ r @ dagger(k)
+    for rows, cols, box in kset._boxes:
+        out[rows, rows] += box @ r[cols, cols] @ dagger(box)
     return out
 
 
@@ -218,8 +248,25 @@ class DilationUnitary:
     kind: str
 
     def unitarity_defect(self) -> float:
-        u = self.matrix
-        return float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
+        """max |U^dagger U - I|, one N x N block of U^dagger U at a time.
+
+        Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8
+        block rows i. Each row is taken on the column blocks where it is
+        nonzero (``any`` on U itself, so a NaN counts), and every term left
+        out is an exact zero: the layout's 2 blocks per row give 32 N x N
+        products in place of the dense 8N x 8N one, and no 8N x 8N matrix
+        besides U is formed. A NaN entry makes the defect NaN.
+        """
+        n_dim = self.matrix.shape[0] // 8
+        grid = self.matrix.reshape(8, n_dim, 8, n_dim)
+        nonzero = grid.any(axis=(1, 3))
+        eye = np.eye(n_dim)
+        defects = np.empty((8, 8))
+        for j, k in itertools.product(range(8), repeat=2):
+            rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
+            block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
+            defects[j, k] = np.max(np.abs(block - eye if j == k else block))
+        return float(np.max(defects))
 
 
 def dilation_unitary(
@@ -286,8 +333,10 @@ def verify_dilation(
     The joint state U (|00> (x) psi) = U[:, :2N] psi is pure, one product
     that reads every entry of U's |00> columns. Its four 2N-entry ancilla
     rows phi_a give the reduced state sum_a phi_a phi_a^dagger. The Kraus
-    side is the dense map ``apply_kraus`` on |psi><psi|, so the two sides
-    share no arithmetic.
+    side is ``apply_kraus`` on the matrix |psi><psi|, never K psi, so the
+    two sides share no arithmetic. It takes each operator on its nonzero
+    box, which ``kset`` cuts once, at the first trial. The trials run one
+    at a time, with one ``trace_distance`` call each.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -328,23 +377,25 @@ def extract_m(
     that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_N|
     with M the blockwise normalized trace; ``unitary_defect`` is
     max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of N x N
-    blocks, so every one of the 64 blocks of the product is
-    C_i^dagger U_ij G^dagger, taken one at a time: no 8N x 8N matrix
-    besides U is formed. A NaN block residual is kept as the maximum.
+    blocks, so block (i, j) of the product is C_i^dagger U_ij G^dagger,
+    taken one at a time: no 8N x 8N matrix besides U is formed. Only the
+    blocks of U that are not all zero are multiplied (``any`` on U itself,
+    so a NaN counts); the others give M_ij = 0 and residual 0, as the
+    product does. A NaN block residual is kept as the maximum.
     """
     u = dil.matrix
     n_dim = g.shape[0]
     g_dag, chi_dag = dagger(g), dagger(chi)
     eye_n = np.eye(n_dim)
-    m_grid = np.empty((8, 8), dtype=complex)
-    residuals = np.empty((8, 8))
-    for i in range(8):
-        for j in range(8):
-            block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
-            if i >= 4:
-                block = chi_dag @ block
-            m_grid[i, j] = np.trace(block) / n_dim
-            residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
+    m_grid = np.zeros((8, 8), dtype=complex)
+    residuals = np.zeros((8, 8))
+    nonzero = u.reshape(8, n_dim, 8, n_dim).any(axis=(1, 3))
+    for i, j in zip(*np.nonzero(nonzero)):
+        block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
+        if i >= 4:
+            block = chi_dag @ block
+        m_grid[i, j] = np.trace(block) / n_dim
+        residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
     residual = float(np.max(residuals))
     defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
     return FactorizationReport(m_grid, residual, 1, defect, residual <= tol)

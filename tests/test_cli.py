@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import shlex
@@ -173,6 +174,7 @@ def test_load_config_syntax_error(tmp_path):
         pytest.param(
             ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
         ),
+        pytest.param(("noisy", "--n", "3", "--temp", "0.5", "--st", "1"), id="abbreviated-flags"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
@@ -199,7 +201,7 @@ def test_bad_temperature_rejected_before_any_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool created before validation")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, _, err = run_cli(
         capsys, "noisy", "--n", "2", "--p", "0.2,0.8", "--temperature", "nan", "--jobs", "2",
     )
@@ -211,7 +213,7 @@ def test_bad_trials_rejected_before_any_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool created before validation")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, _, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--trials", "0", "--jobs", "2", "--p", "0.1,0.2",
     )
@@ -525,7 +527,7 @@ def test_unrunnable_n_exits_one_before_any_pool(capsys, monkeypatch, argv, what)
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool created before validation")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, *argv, "--jobs", "2")
     assert code == 1 and out == ""
     assert err.startswith("error:") and what in err
@@ -624,7 +626,7 @@ def test_jobs_start_at_most_one_worker_per_group(capsys, monkeypatch, argv):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, out, err = run_cli(capsys, *argv, "--jobs", "64")
     assert code == 0, err
     assert sizes == [2]
@@ -636,6 +638,36 @@ def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ConfigError):
         with open(tmp_path / "t.txt", "w") as fh:
             emit(table, "yaml", fh)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_closed_stdout_exits_one_with_one_error_line(fmt):
+    # Far more output than a pipe holds, so the writer is still writing
+    # when its reader closes after one line, as ``| head -1`` does.
+    with subprocess.Popen(
+        [sys.executable, "-m", "noisygrover.cli", "noisy", "--n", "6", "--steps", "20000",
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert first == ("# command=noisy\n" if fmt == "csv" else "{\n")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_cli_does_not_import_the_process_pool():
+    # concurrent.futures loads ProcessPoolExecutor, and multiprocessing with
+    # it, on first use; a --jobs 1 run never needs them.
+    code = (
+        "import sys, noisygrover.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+        "'concurrent.futures.process'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_help_and_version():

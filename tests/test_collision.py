@@ -367,6 +367,104 @@ def test_extract_m_keeps_a_nan_residual():
     assert math.isnan(report.residual) and not report.passed
 
 
+def _dense_kraus_sum(kset, r):
+    # Reference: sum_k K_k R K_k^dagger on the whole 2N x 2N operators.
+    return sum(k @ r @ k.conj().T for k in kset.ops)
+
+
+def _scattered_set(n_dim, seed):
+    # One operator whose nonzero rows (1, 3, N + 2) and columns (0, N + 1,
+    # 2N - 1) are not contiguous and straddle the walker blocks, next to an
+    # operator with one nonzero entry and an all-zero one.
+    rng = np.random.default_rng(seed)
+    scattered = np.zeros((2 * n_dim, 2 * n_dim), dtype=complex)
+    rows, cols = [1, 3, n_dim + 2], [0, n_dim + 1, 2 * n_dim - 1]
+    scattered[np.ix_(rows, cols)] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    single = np.zeros_like(scattered)
+    single[n_dim - 1, n_dim] = 0.5 - 0.25j
+    zero = np.zeros_like(scattered)
+    return KrausSet((scattered, single, zero), ("a", "b", "c"), "steady")
+
+
+def _kraus_case(case):
+    g, gp = _haar_operators(3, 90)
+    if case == "scattered":
+        return _scattered_set(g.shape[0], 91)
+    kind, params = {
+        "initial": ("initial", MarkovNoiseParams(0.35, 0.6)),
+        "steady": ("steady", MarkovNoiseParams(0.35, 0.6)),
+        "remixed": ("steady", MarkovNoiseParams(0.35, 0.6)),
+        "zero-weight": ("initial", MarkovNoiseParams(0.0, 0.6)),
+    }[case]
+    kset = kraus_step(kind, params, g, gp)
+    return _remixed(kset, 92) if case == "remixed" else kset
+
+
+@pytest.mark.parametrize("case", ["initial", "steady", "remixed", "zero-weight", "scattered"])
+def test_apply_kraus_matches_the_dense_sum(case):
+    kset = _kraus_case(case)
+    if case == "zero-weight":  # p = 0 gives G' zero weight at the first step
+        assert sum(not k.any() for k in kset.ops) == 2
+    rng = np.random.default_rng(93)
+    dim = kset.ops[0].shape[0]
+    for r in (
+        random_density(dim, rng),
+        np.outer(*(random_pure_state(dim, rng) for _ in range(2))),  # not Hermitian
+    ):
+        got = apply_kraus(kset, r)
+        assert np.max(np.abs(got - _dense_kraus_sum(kset, r))) < 1e-14
+
+
+def _variant(u, variant, gp):
+    # U as built; with 1e-3 G' planted in grid block (0, 1), which the
+    # layout leaves zero; or with a NaN entry in block (1, 7), which it fills.
+    u, n_dim = u.copy(), gp.shape[0]
+    if variant == "planted":
+        assert not u[:n_dim, n_dim : 2 * n_dim].any()
+        u[:n_dim, n_dim : 2 * n_dim] = 1e-3 * gp
+    elif variant == "nan":
+        u[n_dim + 2, 7 * n_dim + 1] = np.nan
+    return u
+
+
+@pytest.mark.parametrize("variant", ["built", "planted", "nan"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_unitarity_defect_matches_the_dense_product(kind, variant):
+    g, gp = _haar_operators(3, 94)
+    u = _variant(dilation_unitary(kind, MarkovNoiseParams(0.35, 0.6), g, gp).matrix, variant, gp)
+    got = DilationUnitary(u, kind).unitarity_defect()
+    dense = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if variant == "nan":
+        assert math.isnan(got) and math.isnan(dense)
+        return
+    assert abs(got - dense) < 1e-14
+    assert (got > 1e-6) is (variant == "planted")
+
+
+@pytest.mark.parametrize("variant", ["built", "planted", "nan"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_extract_m_matches_the_dense_product_off_the_layout(kind, variant):
+    rng = np.random.default_rng(95)
+    g = grover_operator(GroverInstance(3, 5))
+    chi = build_chi(3, noise_spec(_haar_noise(rng), 2, 3))
+    gp = noisy_grover(g, chi)
+    u = _variant(dilation_unitary(kind, MarkovNoiseParams(0.35, 0.6), g, gp).matrix, variant, gp)
+    report = extract_m(DilationUnitary(u, kind), chi, g)
+    m_grid, residual, defect = _full_product_factorization(DilationUnitary(u, kind), chi, g)
+    if variant == "nan":
+        assert math.isnan(report.residual) and math.isnan(residual)
+        assert math.isnan(report.unitary_defect) and math.isnan(defect)
+        assert not report.passed
+        return
+    assert np.max(np.abs(report.m_grid - m_grid)) < 1e-14
+    assert abs(report.residual - residual) < 1e-14
+    assert abs(report.unitary_defect - defect) < 1e-14
+    # 1e-3 G' G^dagger = 1e-3 chi is no multiple of I, so the plant leaves
+    # a residual.
+    assert (report.residual > 1e-6) is (variant == "planted")
+    assert (report.unitary_defect > 1e-6) is (variant == "planted")
+
+
 def _transition_roots(params):
     c = conditional_probs(params)
     return {

@@ -3,6 +3,7 @@ stacked G, G' and start blocks against one call per member, the step's two
 shapes, the first-maximum reader's shrinking batch, the grouped series
 against per-class ``markov_series``, and the input checks of both."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -250,7 +251,7 @@ def test_out_of_range_position_exits_one_before_any_pool(capsys, monkeypatch, co
         return NoiseSpec(u, tuple(p + n for p in (range(m) if positions is None else positions)))
 
     monkeypatch.setattr(cli, "noise_spec", unchecked)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     argv = {"noisy": ["--m", "1,2"], "invariance": [], "firstmax": ["--n", "3,4"]}[command]
     if command != "firstmax":
         argv = argv + ["--n", "3"]
