@@ -358,24 +358,30 @@ def _cpdiv_group(group) -> np.ndarray:
     return n_cp(inst, spec, params, steps).value
 
 
+def _dilation_kind(kind, params, g, gp, trials, seed):
+    """(U, [unitarity, Kraus and dilation defects]) of one step kind; the
+    Kraus sets built here die with the call."""
+    dil = dilation_unitary(kind, params, g, gp)
+    ks = kraus_step(kind, params, g, gp)
+    extracted = kraus_from_dilation(dil)
+    kraus_defect = max(
+        float(np.max(np.abs(a - b))) for a, b in zip(ks.ops, extracted.ops)
+    )
+    rep = verify_dilation(dil, ks, trials=trials, seed=seed)
+    return dil, [dil.unitarity_defect(), kraus_defect, rep.max_deviation]
+
+
 def _dilation_point(point):
     inst, spec, params, trials, seed = point
     g = grover_operator(inst)
     chi = build_chi(inst.n, spec)
     gp = noisy_grover(g, chi)
-    row = [params.p, params.mu]
-    for kind in ("initial", "steady"):
-        dil = dilation_unitary(kind, params, g, gp)
-        ks = kraus_step(kind, params, g, gp)
-        extracted = kraus_from_dilation(dil)
-        kraus_defect = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(ks.ops, extracted.ops)
-        )
-        rep = verify_dilation(dil, ks, trials=trials, seed=seed)
-        row += [dil.unitarity_defect(), kraus_defect, rep.max_deviation]
+    # The initial kind's U is dropped before the steady one is built, so
+    # one 8N x 8N unitary is alive at a time.
+    row = [params.p, params.mu] + _dilation_kind("initial", params, g, gp, trials, seed)[1]
+    dil, defects = _dilation_kind("steady", params, g, gp, trials, seed)
     fact = extract_m(dil, chi, g)  # steady-kind factorization
-    row += [fact.residual, fact.unitary_defect, fact.control_value]
-    return row
+    return row + defects + [fact.residual, fact.unitary_defect, fact.control_value]
 
 
 def _run_grid(worker, points, jobs: int) -> list:

@@ -43,6 +43,9 @@ from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # conjugations.
 HISTORY_MAX_STEPS = 12
+# Most matrix entries one batch of same-depth history states holds: 64 states
+# at n = 4, one from n = 7 on.
+_HISTORY_BATCH_ENTRIES = 2**14
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -230,15 +233,21 @@ def history_oracle(
     evolution, for every t <= ``steps``. Used to validate the collision
     construction; refuses steps > ``HISTORY_MAX_STEPS``.
 
-    The histories form a binary tree walked depth first: a node conjugates
-    its parent's state by G or G' and multiplies its parent's weight by one
-    chain probability, so each prefix is evaluated once. The tree has
-    2**(steps + 1) - 1 nodes and every node but the root |s><s| costs one
-    conjugation; besides the ``steps`` + 1 sums, only the ``steps`` + 1
-    states on the current path are alive at any time. A subtree whose
-    prefix weight is 0 is skipped. Preorder meets the histories of each
-    length in lexicographic order, so every state is summed in the same
-    order and from the same products as one history at a time would give.
+    The histories form a binary tree: a node conjugates its parent's state
+    by G or G' and multiplies its parent's weight by one chain probability,
+    so each prefix is evaluated once. The tree has 2**(steps + 1) - 1 nodes
+    and every node but the root |s><s| costs one conjugation. It is walked
+    depth first in batches of same-depth nodes: the children of a batch
+    whose weight is not 0 form one lexicographic range of the next depth,
+    conjugated as one stack, and a range of more than
+    ``_HISTORY_BATCH_ENTRIES`` matrix entries is halved, left half first,
+    down to one state. A zero weight drops the node and its subtree. Each
+    depth thus meets its histories in lexicographic order, and each range
+    is folded into that depth's sum from the left, so every state is
+    summed in the same order and from the same products as one history at
+    a time would give. Besides the ``steps`` + 1 sums, one batch per depth
+    is alive at a time: at most ``steps`` states where one state fills a
+    batch (N * N >= ``_HISTORY_BATCH_ENTRIES``, n >= 7).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -248,31 +257,42 @@ def history_oracle(
     gp = noisy_grover(g, build_chi(inst.n, spec))
     ops = tuple((op, dagger(op)) for op in (g, gp))
     cond = conditional_probs(params)
-    trans = {
-        (0, 0): cond.g_given_g,
-        (1, 0): cond.gp_given_g,
-        (0, 1): cond.g_given_gp,
-        (1, 1): cond.gp_given_gp,
-    }
-    first = (params.p_g, params.p_gp)
+    # trans[k_next, k]: the chain probability of label k_next after k
+    trans = np.array([[cond.g_given_g, cond.g_given_gp], [cond.gp_given_g, cond.gp_given_gp]])
     rho0 = projector(uniform_superposition(inst))
     acc = np.zeros((steps + 1,) + rho0.shape, dtype=complex)
     acc[0] = rho0
 
-    def visit(t: int, k: int, weight: float, parent: ComplexMatrix) -> None:
-        # node k_t of a history whose prefix has weight ``weight`` and state ``parent``
-        if weight == 0.0:
+    def expand(t: int, parents: np.ndarray, child_weights: np.ndarray) -> None:
+        # the children at depth t of the stack ``parents``; child_weights[i, k]
+        # is the weight of parent i's child k, and the nonzero ones are walked
+        rows, labels = np.nonzero(child_weights)  # row-major: lexicographic order
+        if len(rows):
+            walk(t, parents, rows, labels, child_weights[rows, labels])
+
+    def walk(t: int, parents, rows, labels, weights) -> None:
+        if len(rows) > 1 and len(rows) * rho0.size > _HISTORY_BATCH_ENTRIES:
+            half = len(rows) // 2
+            walk(t, parents, rows[:half], labels[:half], weights[:half])
+            walk(t, parents, rows[half:], labels[half:], weights[half:])
             return
-        op, op_dag = ops[k]
-        state = op @ parent @ op_dag
-        acc[t] += weight * state
+        if np.all(labels == labels[0]):  # the product is the batch: no buffer beside it
+            op, op_dag = ops[labels[0]]
+            states = op @ parents[rows] @ op_dag
+        else:
+            states = np.empty((len(rows),) + rho0.shape, dtype=complex)
+            for k, (op, op_dag) in enumerate(ops):
+                chosen = labels == k
+                states[chosen] = op @ parents[rows[chosen]] @ op_dag
+        terms = weights[:, None, None] * states
+        terms[0] += acc[t]
+        np.add.reduce(terms, axis=0, out=acc[t])  # a left fold over the range
+        del terms  # not kept alive while the subtree is walked
         if t < steps:
-            for nxt in (0, 1):
-                visit(t + 1, nxt, weight * trans[(nxt, k)], state)
+            expand(t + 1, states, weights[:, None] * trans[:, labels].T)
 
     if steps:
-        for k in (0, 1):
-            visit(1, k, first[k], rho0)
+        expand(1, rho0[None], np.array([[params.p_g, params.p_gp]]))
     probs = np.array([a[inst.marked, inst.marked].real for a in acc])
     return EvolutionTrace(probs, states=tuple(acc), meta={"method": "history"})
 

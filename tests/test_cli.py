@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -335,6 +336,25 @@ def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
     )
     assert code == 2 and out == ""
     assert "dilation_dev_initial=nan" in err
+
+
+def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, monkeypatch):
+    # One 8N x 8N unitary alive at a time: when the steady kind's U is
+    # built, nothing holds the initial kind's any more.
+    real, built, alive_at_build = cli.dilation_unitary, [], []
+
+    def tracked(kind, *args):
+        alive_at_build.append([ref() is not None for ref in built])
+        dil = real(kind, *args)
+        built.append(weakref.ref(dil))
+        return dil
+
+    monkeypatch.setattr(cli, "dilation_unitary", tracked)
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "2",
+    )
+    assert code == 0, err
+    assert alive_at_build == [[], [False]]
 
 
 @pytest.mark.parametrize("which", [0, 3, 6])

@@ -217,3 +217,85 @@ def test_trace_norm_rejects_non_finite_input(bad):
         trace_norm(stack)
     with pytest.raises(ValueError, match="not finite"):
         trace_norm(stack[1])
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    # the input shape of every np.linalg.eigvalsh call, which linalg makes
+    shapes, real = [], np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def _hermitian(d, rng):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a + dagger(a)
+
+
+def _block_diagonal(sizes, rng, lead=()):
+    h = np.zeros(lead + (sum(sizes),) * 2, dtype=complex)
+    for index in np.ndindex(*lead):
+        lo = 0
+        for s in sizes:
+            h[index + (slice(lo, lo + s),) * 2] = _hermitian(s, rng)
+            lo += s
+    return h
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("sizes", [(1, 1), (3, 1, 4), (5, 2, 2, 1, 6), (32, 32)])
+def test_block_diagonal_trace_norm_equals_one_dense_eigvalsh(sizes, lead):
+    rng = np.random.default_rng(RNG_SEED + 4)
+    h = _block_diagonal(sizes, rng, lead)
+    dense = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    assert np.max(np.abs(trace_norm(h) - dense)) < 1e-13 * np.max(dense)
+
+
+def test_trace_norm_blocks_are_the_finest_split_common_to_a_stack(eigvalsh_shapes):
+    # Member 0 splits after index 1, member 1 after indices 1 and 2; the
+    # stack splits only where both are zero.
+    rng = np.random.default_rng(RNG_SEED + 5)
+    stack = np.stack([_block_diagonal((2, 3), rng), _block_diagonal((2, 1, 2), rng)])
+    dense = np.sum(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+    eigvalsh_shapes.clear()
+    norms = trace_norm(stack)
+    assert eigvalsh_shapes == [(2, 2, 2), (2, 3, 3)]
+    assert np.max(np.abs(norms - dense)) < 1e-13 * np.max(dense)
+
+
+@pytest.mark.parametrize("entry", [(2, 3), (3, 2)])
+def test_a_tiny_entry_between_blocks_prevents_the_split(eigvalsh_shapes, entry):
+    # one entry, above or below the diagonal: Hermitian within tol, not zero
+    rng = np.random.default_rng(RNG_SEED + 6)
+    h = _block_diagonal((3, 3), rng)
+    h[entry] = 1e-300
+    trace_norm(h)
+    assert eigvalsh_shapes == [(6, 6)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_diagonal_non_finite_input_raises(bad):
+    rng = np.random.default_rng(RNG_SEED + 7)
+    h = _block_diagonal((2, 2), rng)
+    h[3, 3] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        trace_norm(h)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_dense_trace_norm_is_one_eigvalsh_on_the_full_shape(eigvalsh_shapes, lead):
+    rng = np.random.default_rng(RNG_SEED + 8)
+    members = int(np.prod(lead))
+    h = np.stack([random_density(6, rng) - random_density(6, rng) for _ in range(members)])
+    h = h.reshape(lead + (6, 6))
+    h[..., 0, -1] = h[..., -1, 0] = 0.0  # a zero corner still leaves no cut
+    expected = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    eigvalsh_shapes.clear()
+    norms = trace_norm(h)
+    assert eigvalsh_shapes == [h.shape]
+    assert np.array_equal(norms, expected)

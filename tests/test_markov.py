@@ -202,6 +202,36 @@ def test_history_oracle_equals_enumeration(n, p, mu):
             assert np.array_equal(ours, ref), steps
 
 
+@pytest.mark.parametrize(
+    "n, p, mu, steps",
+    [
+        (2, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 1024 states a batch
+        (4, 0.6, 0.2, HISTORY_MAX_STEPS),  # 64 states a batch
+        (4, 0.0, 1.0, 9),
+        (4, 1.0, 1.0, 10),
+        (3, 0.0, 0.4, 11),
+        (4, 0.7, 1.0, 11),
+    ],
+)
+def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
+    # At the horizon cap the same-depth ranges outgrow a batch and are
+    # halved; zero-weight chains drop whole ranges. The sum stays bitwise.
+    rng = np.random.default_rng(700 + n)
+    u = single_qubit_unitary(
+        np.exp(2j * math.pi * rng.uniform()) * 0.6,
+        np.exp(2j * math.pi * rng.uniform()) * 0.8,
+        2.0 * math.pi * rng.uniform(),
+    )
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
+    params = MarkovNoiseParams(p, mu)
+    trace = history_oracle(inst, spec, params, steps)
+    probs, states = _enumerated_histories(inst, spec, params, steps)
+    assert np.array_equal(trace.probabilities, probs)
+    for ours, ref in zip(trace.states, states, strict=True):
+        assert np.array_equal(ours, ref)
+
+
 def test_history_oracle_refuses_large_horizons():
     for steps in (HISTORY_MAX_STEPS + 1, 17):
         with pytest.raises(ValueError, match="refused"):
