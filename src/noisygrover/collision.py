@@ -57,7 +57,6 @@ checks it is unitary.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,6 +75,13 @@ from .linalg import (
 from .noise import ConditionalProbs, MarkovNoiseParams, conditional_probs
 
 KINDS = ("initial", "steady")
+
+# Most matrix entries one stack of states holds where the verification
+# layer batches its dense work: the same-depth history states of
+# ``markov.history_oracle`` (64 states at n = 4, one from n = 7 on) and the
+# 2N x 2N trial images of ``verify_dilation`` (4 trials at n = 5, one from
+# n = 6 on).
+_BATCH_ENTRIES = 2**14
 
 # Weight keys "next|previous" of the label chain, in Kraus-operator order.
 _KEYS = ("g|g", "g|g'", "g'|g", "g'|g'")
@@ -201,19 +207,20 @@ def kraus_step(
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
-    """sum_k K_k R K_k^dagger, each term on its operator's nonzero box.
+    """sum_k K_k R K_k^dagger, each term on its operator's nonzero box, for
+    one matrix R or each member of a stack ``(..., 2N, 2N)``.
 
     With K_k's nonzero rows in the range a and columns in the range b, the
-    term is K_k[a, b] R[b, b] K_k[a, b]^dagger, added into out[a, a]; every
-    entry outside those ranges is an exact zero of the dense product. A
-    ``kraus_step`` operator is one N x N block, so each term costs an
-    eighth of the dense one; an all-zero operator (a zero weight) adds
-    nothing and is skipped, and a dense operator keeps its whole box. The
-    boxes are cut once per set.
+    term is K_k[a, b] R[..., b, b] K_k[a, b]^dagger, added into
+    out[..., a, a]; every entry outside those ranges is an exact zero of
+    the dense product. A ``kraus_step`` operator is one N x N block, so each
+    term costs an eighth of the dense one; an all-zero operator (a zero
+    weight) adds nothing and is skipped, and a dense operator keeps its
+    whole box. The boxes are cut once per set.
     """
     out = np.zeros_like(r)
     for rows, cols, box in kset._boxes:
-        out[rows, rows] += box @ r[cols, cols] @ dagger(box)
+        out[..., rows, rows] += box @ r[..., cols, cols] @ dagger(box)
     return out
 
 
@@ -253,16 +260,19 @@ class DilationUnitary:
         Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8
         block rows i. Each row is taken on the column blocks where it is
         nonzero (``any`` on U itself, so a NaN counts), and every term left
-        out is an exact zero: the layout's 2 blocks per row give 32 N x N
-        products in place of the dense 8N x 8N one, and no 8N x 8N matrix
-        besides U is formed. A NaN entry makes the defect NaN.
+        out is an exact zero: only the block pairs (j, k) that share a
+        nonzero block row are summed, 16 of the 64 for the layout, with 32
+        N x N products in place of the dense 8N x 8N one, and no 8N x 8N
+        matrix besides U is formed. Every other block is an exact zero, so
+        its defect is 1 on the diagonal and 0 off it. A NaN entry makes the
+        defect NaN.
         """
         n_dim = self.matrix.shape[0] // 8
         grid = self.matrix.reshape(8, n_dim, 8, n_dim)
         nonzero = grid.any(axis=(1, 3))
         eye = np.eye(n_dim)
-        defects = np.empty((8, 8))
-        for j, k in itertools.product(range(8), repeat=2):
+        defects = np.eye(8)
+        for j, k in zip(*np.nonzero(nonzero.T @ nonzero)):
             rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
             block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
             defects[j, k] = np.max(np.abs(block - eye if j == k else block))
@@ -330,26 +340,32 @@ def verify_dilation(
     and F is largest on a pure input, and a pure probe is at least as
     sensitive as a mixed one.
 
-    The joint state U (|00> (x) psi) = U[:, :2N] psi is pure, one product
-    that reads every entry of U's |00> columns. Its four 2N-entry ancilla
-    rows phi_a give the reduced state sum_a phi_a phi_a^dagger. The Kraus
-    side is ``apply_kraus`` on the matrix |psi><psi|, never K psi, so the
-    two sides share no arithmetic. It takes each operator on its nonzero
-    box, which ``kset`` cuts once, at the first trial. The trials run one
-    at a time, with one ``trace_distance`` call each.
+    The trials run in stacks of at most ``_BATCH_ENTRIES // (2N)**2`` (at
+    least one) members, in the order the states are drawn, one
+    ``random_pure_state`` call per trial, so every trial sees the state it
+    would see alone. The joint states U (|00> (x) psi) = U[:, :2N] psi of a
+    stack are pure, one product that reads every entry of U's |00>
+    columns. Each member's four 2N-entry ancilla rows phi_a give its
+    reduced state sum_a phi_a phi_a^dagger. The Kraus side is
+    ``apply_kraus`` on the stack of matrices |psi><psi|, never K psi, so
+    the two sides share no arithmetic. It takes each operator on its
+    nonzero box, which ``kset`` cuts once, at the first stack. Each stack
+    takes one ``trace_distance`` call, which returns one distance per
+    member.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n2 = dil.matrix.shape[0] // 4
     columns = dil.matrix[:, :n2]
+    stack = max(1, _BATCH_ENTRIES // n2**2)
     rng = np.random.default_rng(seed)
     deviations = []
-    for _ in range(trials):
-        psi = random_pure_state(n2, rng)
-        phi = (columns @ psi).reshape(4, n2)
-        image = apply_kraus(kset, np.outer(psi, psi.conj()))
-        deviations.append(trace_distance(phi.T @ phi.conj(), image))
-    worst = float(np.max(deviations))
+    for start in range(0, trials, stack):
+        psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
+        phi = (psi @ columns.T).reshape(-1, 4, n2)
+        image = apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
+        deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
+    worst = float(np.max(np.concatenate(deviations)))
     return DilationReport(trials, worst, tol, worst <= tol)
 
 

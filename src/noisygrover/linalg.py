@@ -163,8 +163,11 @@ def _diagonal_blocks(h: np.ndarray) -> list[tuple[int, int]]:
 
 def trace_distance(
     rho1: ComplexMatrix, rho2: ComplexMatrix, tol: float = HERMITICITY_TOL
-) -> float:
-    """Half the trace norm of the difference of two Hermitian matrices."""
+) -> float | np.ndarray:
+    """Half the trace norm of the difference of two Hermitian matrices, or
+    of each pair of members of two stacks ``(..., d, d)`` of one shape: a
+    float for one pair, an array of shape ``rho1.shape[:-2]`` for stacks,
+    by :func:`trace_norm`."""
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:

@@ -32,7 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .collision import EvolutionTrace, collision_evolve, collision_first_max, transfer_weights
+from .collision import (
+    _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
+)
 from .grover import GroverInstance, grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, dagger, projector, require_density, tensor
 from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound here)
@@ -43,9 +45,6 @@ from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # conjugations.
 HISTORY_MAX_STEPS = 12
-# Most matrix entries one batch of same-depth history states holds: 64 states
-# at n = 4, one from n = 7 on.
-_HISTORY_BATCH_ENTRIES = 2**14
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -239,15 +238,14 @@ def history_oracle(
     and every node but the root |s><s| costs one conjugation. It is walked
     depth first in batches of same-depth nodes: the children of a batch
     whose weight is not 0 form one lexicographic range of the next depth,
-    conjugated as one stack, and a range of more than
-    ``_HISTORY_BATCH_ENTRIES`` matrix entries is halved, left half first,
-    down to one state. A zero weight drops the node and its subtree. Each
-    depth thus meets its histories in lexicographic order, and each range
-    is folded into that depth's sum from the left, so every state is
-    summed in the same order and from the same products as one history at
-    a time would give. Besides the ``steps`` + 1 sums, one batch per depth
+    conjugated as one stack, and a range of more than ``_BATCH_ENTRIES``
+    matrix entries is halved, left half first, down to one state. A zero
+    weight drops the node and its subtree. Each depth thus meets its
+    histories in lexicographic order, and each range is folded into that
+    depth's sum from the left, so every state is summed in the same order
+    and from the same products as one history at a time would give. Besides the ``steps`` + 1 sums, one batch per depth
     is alive at a time: at most ``steps`` states where one state fills a
-    batch (N * N >= ``_HISTORY_BATCH_ENTRIES``, n >= 7).
+    batch (N * N >= ``_BATCH_ENTRIES``, n >= 7).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -271,7 +269,7 @@ def history_oracle(
             walk(t, parents, rows, labels, child_weights[rows, labels])
 
     def walk(t: int, parents, rows, labels, weights) -> None:
-        if len(rows) > 1 and len(rows) * rho0.size > _HISTORY_BATCH_ENTRIES:
+        if len(rows) > 1 and len(rows) * rho0.size > _BATCH_ENTRIES:
             half = len(rows) // 2
             walk(t, parents, rows[:half], labels[:half], weights[:half])
             walk(t, parents, rows[half:], labels[half:], weights[half:])

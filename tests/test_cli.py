@@ -176,12 +176,39 @@ def test_load_config_syntax_error(tmp_path):
             ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
         ),
         pytest.param(("noisy", "--n", "3", "--temp", "0.5", "--st", "1"), id="abbreviated-flags"),
+        # N^3 2^steps above its value at n = 7, 12 steps
+        pytest.param(("oracle-check", "--n", "8", "--steps", "12"), id="oracle-work-n8-steps12"),
+        pytest.param(("oracle-check", "--n", "10", "--steps", "4"), id="oracle-work-n10-steps4"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+class _Accepted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n,steps,accepted", [(7, 12, True), (10, 3, True), (8, 12, False), (10, 4, False)]
+)
+def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
+    # The evolution is stubbed, so nothing runs: reaching it means the
+    # inputs were accepted.
+    def stub(*args, **kwargs):
+        raise _Accepted
+
+    monkeypatch.setattr(cli, "markov_evolve", stub)
+    argv = ("oracle-check", "--n", str(n), "--steps", str(steps))
+    if accepted:
+        with pytest.raises(_Accepted):
+            main(list(argv))
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"work N^3 2^steps = 2^{3 * n + steps}" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -327,10 +354,26 @@ def _nan_on_call(real, which):
     return patched
 
 
+def _nan_on_member(real, which):
+    # trace_distance on stacks that gives NaN for the ``which``-th member
+    # (0-based) over all its calls
+    seen = [0]
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        first, seen[0] = seen[0], seen[0] + len(out)
+        if first <= which < seen[0]:
+            out[which - first] = np.nan
+        return out
+
+    return patched
+
+
 @pytest.mark.parametrize("which", [0, 3, 4])
 def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
-    # 5 trials per kind: calls 0-4 check the initial step, 5-9 the steady one
-    monkeypatch.setattr(collision, "trace_distance", _nan_on_call(collision.trace_distance, which))
+    # 5 trials per kind, one stack each at n = 2: members 0-4 check the
+    # initial step, 5-9 the steady one
+    monkeypatch.setattr(collision, "trace_distance", _nan_on_member(collision.trace_distance, which))
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
     )

@@ -179,6 +179,38 @@ def _full_product_dilation(dil, kset, trials, seed):
     return reduced, worst
 
 
+def _spy_stacks(monkeypatch):
+    # Records the (dilation side, Kraus side) stacks of every trace_distance
+    # call verify_dilation makes; each call is one stack of trials.
+    real, stacks = collision.trace_distance, []
+
+    def spy(rho, sigma):
+        stacks.append((rho, sigma))
+        return real(rho, sigma)
+
+    monkeypatch.setattr(collision, "trace_distance", spy)
+    return stacks
+
+
+def _stack_sizes(trials, n2):
+    # the members of each stack: full stacks of the entry budget, then the rest
+    full = max(1, collision._BATCH_ENTRIES // n2**2)
+    return [full] * (trials // full) + ([trials % full] if trials % full else [])
+
+
+def _check_against_full_product(monkeypatch, dil, kset, trials, seed):
+    stacks = _spy_stacks(monkeypatch)
+    rep = verify_dilation(dil, kset, trials=trials, seed=seed)
+    reduced, worst = _full_product_dilation(dil, kset, trials=trials, seed=seed)
+    n2 = dil.matrix.shape[0] // 4
+    # one distance per stack of trials, each member a 2N x 2N reduced state
+    assert [rho.shape for rho, _ in stacks] == [(k, n2, n2) for k in _stack_sizes(trials, n2)]
+    members = np.concatenate([rho for rho, _ in stacks])
+    for ours, ref in zip(members, reduced, strict=True):
+        assert np.max(np.abs(ours - ref)) < 1e-12
+    assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
@@ -186,20 +218,35 @@ def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(kind, params, g, gp)
     kset = kraus_step(kind, params, g, gp)
-    real, seen = collision.trace_distance, []
+    _check_against_full_product(monkeypatch, dil, kset, trials=6, seed=17)
 
-    def spy(rho, sigma):
-        seen.append(rho)
-        return real(rho, sigma)
 
-    monkeypatch.setattr(collision, "trace_distance", spy)
-    rep = verify_dilation(dil, kset, trials=6, seed=17)
-    reduced, worst = _full_product_dilation(dil, kset, trials=6, seed=17)
-    # one distance per trial, each on a 2N x 2N reduced state
-    assert [r.shape for r in seen] == [(2 * 2**n, 2 * 2**n)] * 6
-    for ours, ref in zip(seen, reduced, strict=True):
-        assert np.max(np.abs(ours - ref)) < 1e-12
-    assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_dilation_matches_full_product_with_a_remainder_stack(monkeypatch, kind):
+    # n = 4: 2N = 32, so a stack holds 16 trials and 37 split 16 + 16 + 5
+    g, gp = _haar_operators(4, 44)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary(kind, params, g, gp)
+    kset = kraus_step(kind, params, g, gp)
+    assert _stack_sizes(37, 32) == [16, 16, 5]
+    _check_against_full_product(monkeypatch, dil, kset, trials=37, seed=18)
+
+
+@pytest.mark.parametrize("n,trials", [(2, 3), (4, 17), (5, 9), (6, 3)])
+def test_verify_dilation_keeps_each_stack_within_the_entry_budget(monkeypatch, n, trials):
+    g, gp = _haar_operators(n, 45)
+    params = MarkovNoiseParams(0.35, 0.6)
+    dil = dilation_unitary("steady", params, g, gp)
+    kset = kraus_step("steady", params, g, gp)
+    stacks = _spy_stacks(monkeypatch)
+    assert verify_dilation(dil, kset, trials=trials, seed=19).passed
+    sizes = [rho.shape[0] for rho, _ in stacks]
+    for rho, sigma in stacks:
+        assert rho.shape == sigma.shape
+        assert rho.shape[0] == 1 or rho.size <= collision._BATCH_ENTRIES
+    # full stacks first: 4 trials at n = 5, one from n = 6 on
+    assert sizes == _stack_sizes(trials, 2 * 2**n)
+    assert sizes[0] == {2: 3, 4: 16, 5: 4, 6: 1}[n]
 
 
 def _remixed(kset, seed):
@@ -229,14 +276,9 @@ def test_verify_dilation_does_not_compare_a_map_with_itself(monkeypatch):
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary("steady", params, g, gp)
     kset = kraus_step("steady", params, g, gp)
-    real, pairs = collision.trace_distance, []
-
-    def spy(rho, sigma):
-        pairs.append((rho, sigma))
-        return real(rho, sigma)
-
-    monkeypatch.setattr(collision, "trace_distance", spy)
+    stacks = _spy_stacks(monkeypatch)
     assert verify_dilation(dil, kset, trials=10, seed=5).passed
+    pairs = [pair for rho, sigma in stacks for pair in zip(rho, sigma, strict=True)]
     assert len(pairs) == 10
     assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in pairs)
     # the two sides are computed differently, so rounding tells them apart
@@ -274,17 +316,24 @@ def test_verify_dilation_sees_a_scaled_ancilla_zero_column_block(block):
 
 
 def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
+    # n = 4: 20 trials run as stacks of 16 and 4; one member of the second
+    # stack reads NaN
+    g, gp = _haar_operators(4, 46)
     params = MarkovNoiseParams(0.2, 0.4)
-    dil = dilation_unitary("steady", params, G, GP)
-    kset = kraus_step("steady", params, G, GP)
+    dil = dilation_unitary("steady", params, g, gp)
+    kset = kraus_step("steady", params, g, gp)
     real, calls = collision.trace_distance, []
 
-    def nan_on_second(*args):
+    def nan_in_second(*args):
         calls.append(None)
-        return float("nan") if len(calls) == 2 else real(*args)
+        out = real(*args)
+        if len(calls) == 2:
+            out[1] = np.nan
+        return out
 
-    monkeypatch.setattr(collision, "trace_distance", nan_on_second)
-    rep = verify_dilation(dil, kset, trials=4)
+    monkeypatch.setattr(collision, "trace_distance", nan_in_second)
+    rep = verify_dilation(dil, kset, trials=20)
+    assert len(calls) == 2
     assert math.isnan(rep.max_deviation) and not rep.passed
 
 
@@ -415,19 +464,39 @@ def test_apply_kraus_matches_the_dense_sum(case):
         assert np.max(np.abs(got - _dense_kraus_sum(kset, r))) < 1e-14
 
 
+@pytest.mark.parametrize("case", ["initial", "steady", "remixed", "zero-weight", "scattered"])
+def test_apply_kraus_on_a_stack_equals_each_member(case):
+    kset = _kraus_case(case)
+    rng = np.random.default_rng(96)
+    dim = kset.ops[0].shape[0]
+    stack = np.array([random_density(dim, rng) for _ in range(3)] + [
+        np.outer(*(random_pure_state(dim, rng) for _ in range(2)))  # not Hermitian
+    ])
+    got = apply_kraus(kset, stack)
+    assert got.shape == stack.shape
+    for member, r in zip(got, stack, strict=True):
+        assert np.max(np.abs(member - apply_kraus(kset, r))) < 1e-15
+    # a (2, 2) stack of stacks too
+    nested = apply_kraus(kset, stack.reshape((2, 2) + stack.shape[1:]))
+    assert np.max(np.abs(nested.reshape(got.shape) - got)) < 1e-15
+
+
 def _variant(u, variant, gp):
     # U as built; with 1e-3 G' planted in grid block (0, 1), which the
-    # layout leaves zero; or with a NaN entry in block (1, 7), which it fills.
+    # layout leaves zero; with a NaN entry in block (1, 7), which it fills;
+    # or with block column 3 all zero.
     u, n_dim = u.copy(), gp.shape[0]
     if variant == "planted":
         assert not u[:n_dim, n_dim : 2 * n_dim].any()
         u[:n_dim, n_dim : 2 * n_dim] = 1e-3 * gp
     elif variant == "nan":
         u[n_dim + 2, 7 * n_dim + 1] = np.nan
+    elif variant == "zero-column":
+        u[:, 3 * n_dim : 4 * n_dim] = 0.0
     return u
 
 
-@pytest.mark.parametrize("variant", ["built", "planted", "nan"])
+@pytest.mark.parametrize("variant", ["built", "planted", "nan", "zero-column"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_unitarity_defect_matches_the_dense_product(kind, variant):
     g, gp = _haar_operators(3, 94)
@@ -438,6 +507,9 @@ def test_unitarity_defect_matches_the_dense_product(kind, variant):
         assert math.isnan(got) and math.isnan(dense)
         return
     assert abs(got - dense) < 1e-14
+    if variant == "zero-column":  # block (3, 3) of U^dagger U is an exact zero
+        assert got == dense == 1.0
+        return
     assert (got > 1e-6) is (variant == "planted")
 
 
