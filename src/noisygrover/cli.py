@@ -74,10 +74,12 @@ class ConfigError(ValueError):
 # n = 10). Every other subcommand runs at a size set by the noisy qubits.
 DILATION_MAX_N = 8
 ORACLE_MAX_N = 10
-# Most work oracle-check accepts, as log2 of N^3 2^steps (it makes
-# 2^(steps + 1) - 2 N x N conjugations): the value at n = 7 and 12 steps,
-# about 7 s on one core.
-ORACLE_MAX_WORK_LOG2 = 3 * 7 + 12
+# Most work oracle-check accepts, as log2 of N^2 2^steps (its history walk
+# makes 2^(steps + 1) - 2 matrix-vector products and as many rank-one
+# terms): the value at n = 10 and 11 steps, whose walk takes about 5 s on
+# one core (n = 9 at 12 steps about 1.4 s; n = 10 at 12 steps, refused,
+# about 9 s).
+ORACLE_MAX_WORK_LOG2 = 2 * 10 + 11
 
 
 @dataclass
@@ -559,10 +561,10 @@ def _handle_oracle_check(a, meta: dict) -> ResultTable:
         raise ConfigError(f"oracle-check sums dense N x N histories; n={a.n} > {ORACLE_MAX_N}")
     if a.steps > HISTORY_MAX_STEPS:
         raise ConfigError(f"oracle-check is exponential in steps; {a.steps} > {HISTORY_MAX_STEPS}")
-    if 3 * a.n + a.steps > ORACLE_MAX_WORK_LOG2:
+    if 2 * a.n + a.steps > ORACLE_MAX_WORK_LOG2:
         raise ConfigError(
-            f"oracle-check work N^3 2^steps = 2^{3 * a.n + a.steps} at n={a.n}, "
-            f"steps={a.steps} exceeds 2^{ORACLE_MAX_WORK_LOG2} (n = 7 at 12 steps)"
+            f"oracle-check work N^2 2^steps = 2^{2 * a.n + a.steps} at n={a.n}, "
+            f"steps={a.steps} exceeds 2^{ORACLE_MAX_WORK_LOG2} (n = 10 at 11 steps)"
         )
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
@@ -627,8 +629,8 @@ _SUBCOMMANDS = {
     ),
     "oracle-check": _Subcommand(
         "compare the collision evolution to the explicit history sum; "
-        f"n <= {ORACLE_MAX_N}, steps <= {HISTORY_MAX_STEPS} and N^3 2^steps <= "
-        f"2^{ORACLE_MAX_WORK_LOG2} (n = 7 at 12 steps, n = 10 at 3)", _handle_oracle_check,
+        f"n <= {ORACLE_MAX_N}, steps <= {HISTORY_MAX_STEPS} and N^2 2^steps <= "
+        f"2^{ORACLE_MAX_WORK_LOG2} (n = 10 at 11 steps)", _handle_oracle_check,
         ("n", "marked", "noise", "m", "p", "mu", "steps"), {"p": "0.5", "mu": "0.5", "steps": "8"},
     ),
 }

@@ -76,9 +76,9 @@ from .noise import ConditionalProbs, MarkovNoiseParams, conditional_probs
 
 KINDS = ("initial", "steady")
 
-# Most matrix entries one stack of states holds where the verification
-# layer batches its dense work: the same-depth history states of
-# ``markov.history_oracle`` (64 states at n = 4, one from n = 7 on) and the
+# Most entries one stack of states holds where the verification layer
+# batches its dense work: the same-depth amplitude vectors of
+# ``markov.history_oracle`` (1024 states at n = 4, 16 at n = 10) and the
 # 2N x 2N trial images of ``verify_dilation`` (4 trials at n = 5, one from
 # n = 6 on).
 _BATCH_ENTRIES = 2**14

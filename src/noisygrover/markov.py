@@ -36,14 +36,14 @@ from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, dagger, projector, require_density, tensor
+from .linalg import ComplexMatrix, projector, require_density, tensor
 from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound here)
     ConditionalProbs, MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi,
     conditional_probs, noisy_grover, orbit_basis,
 )
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
-# conjugations.
+# matrix-vector products and as many rank-one terms.
 HISTORY_MAX_STEPS = 12
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -227,70 +227,68 @@ def history_oracle(
 ) -> EvolutionTrace:
     """Success probabilities by explicit sum over all 2**t label histories.
 
-    Exponential-cost reference implementation: each history (k_1 .. k_t)
-    contributes its chain probability times the corresponding pure
-    evolution, for every t <= ``steps``. Used to validate the collision
-    construction; refuses steps > ``HISTORY_MAX_STEPS``.
+    Exponential-cost reference implementation: each history h = (k_1 .. k_t)
+    contributes its chain probability w_h times the pure state
+    psi_h psi_h^dagger, psi_h = O_{k_t} .. O_{k_1} |s>, for every t <=
+    ``steps``. Used to validate the collision construction; refuses
+    steps > ``HISTORY_MAX_STEPS``. It builds the dense G and G' and nothing
+    of the orbit space or the label blocks.
 
-    The histories form a binary tree: a node conjugates its parent's state
-    by G or G' and multiplies its parent's weight by one chain probability,
-    so each prefix is evaluated once. The tree has 2**(steps + 1) - 1 nodes
-    and every node but the root |s><s| costs one conjugation. It is walked
-    depth first in batches of same-depth nodes: the children of a batch
-    whose weight is not 0 form one lexicographic range of the next depth,
-    conjugated as one stack, and a range of more than ``_BATCH_ENTRIES``
-    matrix entries is halved, left half first, down to one state. A zero
-    weight drops the node and its subtree. Each depth thus meets its
-    histories in lexicographic order, and each range is folded into that
-    depth's sum from the left, so every state is summed in the same order
-    and from the same products as one history at a time would give. Besides the ``steps`` + 1 sums, one batch per depth
-    is alive at a time: at most ``steps`` states where one state fills a
-    batch (N * N >= ``_BATCH_ENTRIES``, n >= 7).
+    The histories form a binary tree: a node applies G or G' to its
+    parent's amplitudes and multiplies its parent's weight by one chain
+    probability, so each prefix is evaluated once. The tree has
+    2**(steps + 1) - 1 nodes, and every node but the root |s> costs one
+    matrix-vector product and one rank-one term of its depth's sum, about
+    2 N^2 complex multiply-adds: N^2 2^steps work over the tree. It is
+    walked depth first in batches of same-depth nodes: the children of a
+    batch whose weight is not 0 form one lexicographic range of the next
+    depth, and a range of more than ``_BATCH_ENTRIES`` vector entries is
+    halved, left half first, down to one state (1024 states at n = 4, 16 at
+    n = 10). A zero weight drops the node and its subtree. Each batch costs
+    one (B, N) @ (N, N) product per label and one (N, B) @ (B, N) product,
+    sum_b w_b psi_b psi_b^dagger, added to its depth's sum. Besides the
+    ``steps`` + 1 dense N x N sums and that product, one batch of at most
+    ``_BATCH_ENTRIES`` entries per depth is alive at a time. The sums agree
+    with one history at a time to rounding, not bitwise, and each is
+    Hermitian to rounding.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps > HISTORY_MAX_STEPS:
         raise ValueError(f"history sum over 2^{steps} branches refused (cap {HISTORY_MAX_STEPS})")
     g = grover_operator(inst)
-    gp = noisy_grover(g, build_chi(inst.n, spec))
-    ops = tuple((op, dagger(op)) for op in (g, gp))
+    # rows of amplitudes: psi @ O^T is O psi for each row psi
+    ops_t = tuple(op.T for op in (g, noisy_grover(g, build_chi(inst.n, spec))))
     cond = conditional_probs(params)
     # trans[k_next, k]: the chain probability of label k_next after k
     trans = np.array([[cond.g_given_g, cond.g_given_gp], [cond.gp_given_g, cond.gp_given_gp]])
-    rho0 = projector(uniform_superposition(inst))
-    acc = np.zeros((steps + 1,) + rho0.shape, dtype=complex)
-    acc[0] = rho0
+    s = uniform_superposition(inst)
+    acc = np.zeros((steps + 1, s.size, s.size), dtype=complex)
+    acc[0] = projector(s)
 
     def expand(t: int, parents: np.ndarray, child_weights: np.ndarray) -> None:
-        # the children at depth t of the stack ``parents``; child_weights[i, k]
+        # the children at depth t of the rows ``parents``; child_weights[i, k]
         # is the weight of parent i's child k, and the nonzero ones are walked
         rows, labels = np.nonzero(child_weights)  # row-major: lexicographic order
         if len(rows):
             walk(t, parents, rows, labels, child_weights[rows, labels])
 
     def walk(t: int, parents, rows, labels, weights) -> None:
-        if len(rows) > 1 and len(rows) * rho0.size > _BATCH_ENTRIES:
+        if len(rows) > 1 and len(rows) * s.size > _BATCH_ENTRIES:
             half = len(rows) // 2
             walk(t, parents, rows[:half], labels[:half], weights[:half])
             walk(t, parents, rows[half:], labels[half:], weights[half:])
             return
-        if np.all(labels == labels[0]):  # the product is the batch: no buffer beside it
-            op, op_dag = ops[labels[0]]
-            states = op @ parents[rows] @ op_dag
-        else:
-            states = np.empty((len(rows),) + rho0.shape, dtype=complex)
-            for k, (op, op_dag) in enumerate(ops):
-                chosen = labels == k
-                states[chosen] = op @ parents[rows[chosen]] @ op_dag
-        terms = weights[:, None, None] * states
-        terms[0] += acc[t]
-        np.add.reduce(terms, axis=0, out=acc[t])  # a left fold over the range
-        del terms  # not kept alive while the subtree is walked
+        states = np.empty((len(rows), s.size), dtype=complex)
+        for k, op_t in enumerate(ops_t):
+            chosen = labels == k
+            states[chosen] = parents[rows[chosen]] @ op_t
+        acc[t] += (weights * states.T) @ states.conj()
         if t < steps:
             expand(t + 1, states, weights[:, None] * trans[:, labels].T)
 
     if steps:
-        expand(1, rho0[None], np.array([[params.p_g, params.p_gp]]))
+        expand(1, s[None], np.array([[params.p_g, params.p_gp]]))
     probs = np.array([a[inst.marked, inst.marked].real for a in acc])
     return EvolutionTrace(probs, states=tuple(acc), meta={"method": "history"})
 

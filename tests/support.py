@@ -1,11 +1,22 @@
 """Helpers that several test modules share."""
 
+import math
+
 import numpy as np
 
 from noisygrover import markov
 from noisygrover.collision import collision_evolve
 from noisygrover.grover import GroverInstance
-from noisygrover.noise import NoiseSpec, orbit_basis
+from noisygrover.noise import NoiseSpec, orbit_basis, single_qubit_unitary
+
+
+def haar_noise(rng):
+    """A Haar-random U(2) element in the custom:a,b,theta parametrization:
+    |a|^2 uniform on [0, 1], independent uniform phases."""
+    x = rng.uniform()
+    a = math.sqrt(x) * np.exp(2j * math.pi * rng.uniform())
+    b = math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform())
+    return single_qubit_unitary(a, b, 2.0 * math.pi * rng.uniform())
 
 
 def split_basis(inst, spec):

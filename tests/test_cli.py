@@ -176,9 +176,8 @@ def test_load_config_syntax_error(tmp_path):
             ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
         ),
         pytest.param(("noisy", "--n", "3", "--temp", "0.5", "--st", "1"), id="abbreviated-flags"),
-        # N^3 2^steps above its value at n = 7, 12 steps
-        pytest.param(("oracle-check", "--n", "8", "--steps", "12"), id="oracle-work-n8-steps12"),
-        pytest.param(("oracle-check", "--n", "10", "--steps", "4"), id="oracle-work-n10-steps4"),
+        # N^2 2^steps above its value at n = 10, 11 steps
+        pytest.param(("oracle-check", "--n", "10", "--steps", "12"), id="oracle-work-n10-steps12"),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
@@ -192,7 +191,8 @@ class _Accepted(Exception):
 
 
 @pytest.mark.parametrize(
-    "n,steps,accepted", [(7, 12, True), (10, 3, True), (8, 12, False), (10, 4, False)]
+    "n,steps,accepted",
+    [(7, 12, True), (10, 3, True), (8, 12, True), (9, 12, True), (10, 11, True), (10, 12, False)],
 )
 def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
     # The evolution is stubbed, so nothing runs: reaching it means the
@@ -208,7 +208,7 @@ def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
         return
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and f"work N^3 2^steps = 2^{3 * n + steps}" in err
+    assert err.startswith("error:") and f"work N^2 2^steps = 2^{2 * n + steps}" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from support import label_blocks, orbit_blocks
+from support import haar_noise, label_blocks, orbit_blocks
 
 from noisygrover import collision
 from noisygrover.collision import (
@@ -159,7 +159,7 @@ def _haar_operators(n, seed):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     g = grover_operator(inst)
     m = int(rng.integers(1, n + 1))
-    return g, noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), m, n)))
+    return g, noisy_grover(g, build_chi(n, noise_spec(haar_noise(rng), m, n)))
 
 
 def _full_product_dilation(dil, kset, trials, seed):
@@ -376,8 +376,8 @@ def test_extract_m_matches_full_product(n, kind):
     rng = np.random.default_rng(80 + n)
     inst = GroverInstance(n, int(rng.integers(2**n)))
     g = grover_operator(inst)
-    chi = build_chi(n, noise_spec(_haar_noise(rng), int(rng.integers(1, n + 1)), n))
-    other = build_chi(n, noise_spec(_haar_noise(rng), n, n))
+    chi = build_chi(n, noise_spec(haar_noise(rng), int(rng.integers(1, n + 1)), n))
+    other = build_chi(n, noise_spec(haar_noise(rng), n, n))
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(kind, params, g, noisy_grover(g, chi))
     # With the dilation's own chi the factorization passes; with another chi
@@ -518,7 +518,7 @@ def test_unitarity_defect_matches_the_dense_product(kind, variant):
 def test_extract_m_matches_the_dense_product_off_the_layout(kind, variant):
     rng = np.random.default_rng(95)
     g = grover_operator(GroverInstance(3, 5))
-    chi = build_chi(3, noise_spec(_haar_noise(rng), 2, 3))
+    chi = build_chi(3, noise_spec(haar_noise(rng), 2, 3))
     gp = noisy_grover(g, chi)
     u = _variant(dilation_unitary(kind, MarkovNoiseParams(0.35, 0.6), g, gp).matrix, variant, gp)
     report = extract_m(DilationUnitary(u, kind), chi, g)
@@ -725,15 +725,6 @@ def test_transfer_weights_sequence_stacks_single_points(temperature):
                 assert np.max(np.abs(one - loop)) <= 1e-15, params
 
 
-def _haar_noise(rng):
-    # A Haar-random U(2) element in the custom:a,b,theta parametrization:
-    # |a|^2 uniform on [0, 1], independent uniform phases.
-    x = rng.uniform()
-    a = math.sqrt(x) * np.exp(2j * math.pi * rng.uniform())
-    b = math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform())
-    return single_qubit_unitary(a, b, 2.0 * math.pi * rng.uniform())
-
-
 def _dense_evolve(first, steady, r0, steps, marked):
     # Reference: the full 2N x 2N joint state through the dense Kraus sum.
     n_dim = r0.shape[0] // 2
@@ -783,7 +774,7 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     m = int(rng.integers(1, n + 1))
     positions = sorted(rng.choice(n, size=m, replace=False).tolist())
     g = grover_operator(inst)
-    gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), m, n, positions)))
+    gp = noisy_grover(g, build_chi(n, noise_spec(haar_noise(rng), m, n, positions)))
     params = MarkovNoiseParams(*(point or (rng.uniform(), rng.uniform())))
     bath = thermal_weights(rng.uniform(0.2, 3.0)) if thermal else None
     first, steady = channel_maps(params, g, gp, bath=bath)
@@ -857,7 +848,7 @@ def test_compressed_evolve_matches_dense_kraus(n, kind, start):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     m = int(rng.integers(1, n + 1))
     positions = sorted(rng.choice(n, size=m, replace=False).tolist())
-    spec = noise_spec(_haar_noise(rng), m, n, positions)
+    spec = noise_spec(haar_noise(rng), m, n, positions)
     params = MarkovNoiseParams(rng.uniform(), rng.uniform())
     bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
     _check_against_dense(inst, spec, params, bath, start, 6, validate=start != "witness")
@@ -871,7 +862,7 @@ def test_markov_evolve_matches_dense_kraus(n, kind):
     for m in range(n + 1):
         inst = GroverInstance(n, int(rng.integers(2**n)))
         positions = sorted(rng.choice(n, size=m, replace=False).tolist())
-        spec = noise_spec(_haar_noise(rng), m, n, positions)
+        spec = noise_spec(haar_noise(rng), m, n, positions)
         params = MarkovNoiseParams(rng.uniform(), rng.uniform())
         bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
         _check_against_dense(inst, spec, params, bath, "s", 6, validate=True, orbit=True)
@@ -885,7 +876,7 @@ def test_markov_evolve_matches_full_collision_evolve(n):
     for i, m in enumerate(range(0, n + 1, 2)):
         inst = GroverInstance(n, int(rng.integers(2**n)))
         positions = sorted(rng.choice(n, size=m, replace=False).tolist())
-        spec = noise_spec(_haar_noise(rng), m, n, positions)
+        spec = noise_spec(haar_noise(rng), m, n, positions)
         params = MarkovNoiseParams(rng.uniform(), rng.uniform())
         bath = thermal_weights(rng.uniform(0.2, 3.0)) if i % 2 else None
         g = grover_operator(inst)
@@ -947,7 +938,7 @@ def test_dim_is_full_for_full_rank_and_blp_partner_starts():
     for n in range(2, 7):
         inst = GroverInstance(n, int(rng.integers(2**n)))
         g = grover_operator(inst)
-        gp = noisy_grover(g, build_chi(n, noise_spec(_haar_noise(rng), 2, n)))
+        gp = noisy_grover(g, build_chi(n, noise_spec(haar_noise(rng), 2, n)))
         weights = transfer_weights(params)
         full = collision_evolve(g, gp, *weights, label_blocks(random_density(2 * inst.N, rng)), 2)
         assert full.meta["dim"] == inst.N
@@ -962,7 +953,7 @@ def test_dim_bounded_on_markov_starts():
     rng = np.random.default_rng(8)
     params = MarkovNoiseParams(0.3, 0.4)
     for n in range(2, 11):
-        for u, m in itertools.product((_haar_noise(rng), noise_unitary("hadamard")), range(n + 1)):
+        for u, m in itertools.product((haar_noise(rng), noise_unitary("hadamard")), range(n + 1)):
             inst = GroverInstance(n, int(rng.integers(2**n)))
             positions = sorted(rng.choice(n, size=m, replace=False).tolist())
             q = _q(inst, positions)

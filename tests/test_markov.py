@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import label_blocks
+from support import haar_noise, label_blocks
 
 from noisygrover import markov
 from noisygrover.collision import thermal_weights
@@ -176,37 +176,39 @@ def _enumerated_histories(inst, spec, params, steps):
     return probs, states
 
 
+def _assert_close_to_enumeration(trace, inst, spec, params, steps):
+    # The tree walk forms its sums from other products than one history at
+    # a time, so they agree to rounding: at most 8.9e-16 on the n = 3, 4
+    # grid and 1.2e-15 on the split cases.
+    probs, states = _enumerated_histories(inst, spec, params, steps)
+    assert len(trace.states) == steps + 1
+    assert np.max(np.abs(trace.probabilities - probs)) <= 1e-14, steps
+    for ours, ref in zip(trace.states, states, strict=True):
+        assert np.max(np.abs(ours - ref)) <= 1e-14, steps
+
+
 @pytest.mark.parametrize(
     "p, mu", [(0.3, 0.7), (0.0, 0.4), (1.0, 0.2), (0.6, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0)]
 )
 @pytest.mark.parametrize("n", [3, 4])
 def test_history_oracle_equals_enumeration(n, p, mu):
-    # The depth-first walk performs the same products in the same order, so
-    # the states agree bitwise (no tolerance), zero-weight chains included.
+    # Zero-weight chains included: they drop out of both sums.
     rng = np.random.default_rng(600 + n)
-    x = rng.uniform()
-    u = single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
+    u = haar_noise(rng)
     inst = GroverInstance(n, int(rng.integers(2**n)))
     spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
     params = MarkovNoiseParams(p, mu)
     for steps in range(9):
         trace = history_oracle(inst, spec, params, steps)
-        probs, states = _enumerated_histories(inst, spec, params, steps)
-        assert np.array_equal(trace.probabilities, probs), steps
-        assert len(trace.states) == steps + 1
-        for ours, ref in zip(trace.states, states):
-            assert np.array_equal(ours, ref), steps
+        _assert_close_to_enumeration(trace, inst, spec, params, steps)
 
 
 @pytest.mark.parametrize(
     "n, p, mu, steps",
     [
-        (2, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 1024 states a batch
-        (4, 0.6, 0.2, HISTORY_MAX_STEPS),  # 64 states a batch
+        (2, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 4096 states a batch: no split
+        (3, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 2048 states a batch
+        (4, 0.6, 0.2, HISTORY_MAX_STEPS),  # 4096 leaves, 1024 states a batch
         (4, 0.0, 1.0, 9),
         (4, 1.0, 1.0, 10),
         (3, 0.0, 0.4, 11),
@@ -214,8 +216,9 @@ def test_history_oracle_equals_enumeration(n, p, mu):
     ],
 )
 def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
-    # At the horizon cap the same-depth ranges outgrow a batch and are
-    # halved; zero-weight chains drop whole ranges. The sum stays bitwise.
+    # A batch holds _BATCH_ENTRIES // N states, 2^14 / 2^n. At the horizon
+    # cap the deepest same-depth ranges of n = 3 and 4 outgrow a batch and
+    # are halved; zero-weight chains drop whole ranges.
     rng = np.random.default_rng(700 + n)
     u = single_qubit_unitary(
         np.exp(2j * math.pi * rng.uniform()) * 0.6,
@@ -226,10 +229,37 @@ def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
     spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
     params = MarkovNoiseParams(p, mu)
     trace = history_oracle(inst, spec, params, steps)
-    probs, states = _enumerated_histories(inst, spec, params, steps)
-    assert np.array_equal(trace.probabilities, probs)
-    for ours, ref in zip(trace.states, states, strict=True):
-        assert np.array_equal(ours, ref)
+    _assert_close_to_enumeration(trace, inst, spec, params, steps)
+
+
+@pytest.mark.parametrize("p, mu", [(0.3, 0.7), (0.0, 0.5), (1.0, 0.2), (0.6, 1.0), (0.5, 0.0)])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_history_oracle_states_are_density_matrices(n, p, mu):
+    # Each sum adds rank-one terms from one matrix product, not exact
+    # conjugations, so Hermiticity holds to rounding and is checked too.
+    rng = np.random.default_rng(800 + n)
+    u = haar_noise(rng)
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
+    trace = history_oracle(inst, spec, MarkovNoiseParams(p, mu), 10)
+    report = assert_density(np.array(trace.states), tol=1e-13)
+    assert np.all(report.passed), report
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_matches_history_oracle_states_at_the_step_cap(n):
+    # The hot path against the dense history sum at the step cap, where the
+    # oracle's batches hold 128 (n = 7) and 64 (n = 8) states.
+    rng = np.random.default_rng(1000 + n)
+    u = haar_noise(rng)
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    spec = noise_spec(u, 3, n, sorted(rng.choice(n, size=3, replace=False).tolist()))
+    params = MarkovNoiseParams(0.35, 0.6)
+    evolved = markov_evolve(inst, spec, params, HISTORY_MAX_STEPS, keep_states=True)
+    reference = history_oracle(inst, spec, params, HISTORY_MAX_STEPS)
+    for a, b in zip(evolved.states, reference.states, strict=True):
+        assert trace_distance(a, b) < 1e-12
+    assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
 
 
 def test_history_oracle_refuses_large_horizons():
@@ -322,12 +352,7 @@ def test_validate_passes_clean_runs(n, temperature):
     bath = None if temperature is None else thermal_weights(temperature)
     for m in range(n + 1):
         inst = GroverInstance(n, int(rng.integers(2**n)))
-        x = rng.uniform()
-        u = single_qubit_unitary(
-            math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-            math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-            2.0 * math.pi * rng.uniform(),
-        )
+        u = haar_noise(rng)
         spec = noise_spec(u, m, n, sorted(rng.choice(n, size=m, replace=False).tolist()))
         params = MarkovNoiseParams(rng.uniform(), rng.uniform())
         checked = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
@@ -357,12 +382,7 @@ def test_large_n_matches_closed_forms(n):
     # at p = 1, and the ideal series at p = 0.
     rng = np.random.default_rng(500 + n)
     for m in range(n + 1):
-        x = rng.uniform()
-        u = single_qubit_unitary(
-            math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-            math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-            2.0 * math.pi * rng.uniform(),
-        )
+        u = haar_noise(rng)
         inst = GroverInstance(n, int(rng.integers(2**n)))
         positions = sorted(rng.choice(n, size=m, replace=False).tolist())
         spec = noise_spec(u, m, n, positions)
