@@ -61,7 +61,7 @@ from .markov import (
 )
 from .measures import n_blp, n_cp
 from .noise import MarkovNoiseParams, SingleQubitUnitary, _orbit_representatives, build_chi
-from .noise import noise_spec, noise_unitary, noisy_grover, single_qubit_unitary
+from .noise import noise_spec, noise_unitary, noisy_grover, orbit_basis, single_qubit_unitary
 
 
 class ConfigError(ValueError):
@@ -569,11 +569,13 @@ def _handle_oracle_check(a, meta: dict) -> ResultTable:
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
     params = MarkovNoiseParams(a.p, a.mu)
-    evolved = markov_evolve(inst, spec, params, a.steps, keep_states=True)
+    evolved = markov_evolve(inst, spec, params, a.steps)
     reference = history_oracle(inst, spec, params, a.steps)
+    v = orbit_basis(inst, spec)
     rows = []
     for t in range(a.steps + 1):
-        dist = trace_distance(evolved.states[t], reference.states[t])
+        # the register state V (sigma_0 + sigma_1) V^T, lifted one step at a time
+        dist = trace_distance(v @ evolved.blocks[t].sum(axis=0) @ v.T, reference.states[t])
         prob_dev = abs(evolved.probabilities[t] - reference.probabilities[t])
         rows.append([t, float(dist), float(prob_dev)])
     worst = float(np.max([row[1] for row in rows]))  # a NaN distance stays the maximum

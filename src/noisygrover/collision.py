@@ -653,8 +653,9 @@ class EvolutionTrace:
     """Result of an evolution run.
 
     ``probabilities[t]`` is the success probability after t steps,
-    t = 0..steps. ``states`` (system marginals) and ``blocks`` (the label
-    blocks that ``collision_evolve`` keeps) are kept only on request; both
+    t = 0..steps. ``blocks`` are the label blocks that ``collision_evolve``
+    keeps on request and ``markov_evolve`` always keeps; ``states``, the
+    dense N x N system states, are filled only by ``history_oracle``. Both
     include t = 0.
     """
 

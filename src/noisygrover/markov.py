@@ -12,16 +12,16 @@ mixes branch populations with the conditional probabilities. The success
 probability is read off the system marginal at the marked index. All of
 this runs at d x d in the orbit space of :mod:`~noisygrover.noise`, with
 the G, G' and |s> that ``noise`` builds there, so nothing of size 2^n is
-formed unless states are kept. :func:`markov_series` runs many (p, mu)
-points of one system as one batched step loop, and
-:func:`markov_first_max` reads where each point's first maximum falls
-from the same loop, stopped once every point has passed it. Both are the
-one-system case of :func:`_table`, which takes the systems of a table
-(the position classes of ``invariance``, the n list of ``firstmax``, the
-m list of ``noisy``), groups them by the d that ``noise`` gives each,
-shares their transfer weights, and runs one step loop per distinct d
-over the systems of that d, each with its own G, G' and start, stacked
-against the points.
+formed outside the dense reference :func:`history_oracle`.
+:func:`markov_series` runs many (p, mu) points of one system as one
+batched step loop, and :func:`markov_first_max` reads where each point's
+first maximum falls from the same loop, stopped once every point has
+passed it. Both are the one-system case of :func:`_table`, which takes the
+systems of a table (the position classes of ``invariance``, the n list of
+``firstmax``, the m list of ``noisy``), groups them by the d that
+``noise`` gives each, shares their transfer weights, and runs one step
+loop per distinct d over the systems of that d, each with its own G, G'
+and start, stacked against the points.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .grover import GroverInstance, grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, projector, require_density, tensor
 from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound here)
     ConditionalProbs, MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi,
-    conditional_probs, noisy_grover, orbit_basis,
+    conditional_probs, noisy_grover,
 )
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
@@ -184,7 +184,6 @@ def markov_evolve(
     params: MarkovNoiseParams,
     steps: int,
     bath=None,
-    keep_states: bool = False,
     validate: bool = False,
 ) -> EvolutionTrace:
     """Evolve the joint walker+system state for ``steps`` collisions.
@@ -194,29 +193,26 @@ def markov_evolve(
     refreshed each step from thermal two-qubit ancillas instead of pure
     ones; ``bath=None`` is the zero-temperature (pure) construction.
 
-    This is :func:`markov_series` for the one point ``params``, at d x d in
-    the span of the orbit basis V (:func:`orbit_basis`), where d, the
-    dimension that :mod:`~noisygrover.noise` gives the system, is
-    ``meta["dim"]``. The loop starts from the label blocks of |+><+| (x) |s><s|, and the flags
-    have it keep its blocks sigma_0, sigma_1. ``keep_states`` lifts
-    V (sigma_0 + sigma_1) V^dagger to N x N; V is built only for this lift.
-    ``validate`` checks, once after the run, every step's blocks from t = 0
-    on at 1e-9 (an isometry keeps trace, hermiticity and the nonzero
-    spectrum; at t = 0 that is all the loop reads of the start) and raises
-    :class:`InvariantViolation` at the first bad step.
+    This is one point of :func:`markov_series`, ``params``, with its label
+    blocks kept: the loop runs at d x d, where d, the dimension that
+    :mod:`~noisygrover.noise` gives the system, is ``meta["dim"]``, from
+    the label blocks of |+><+| (x) |s><s|, and returns every step's blocks
+    sigma_0, sigma_1 as ``blocks``, shape (steps + 1, 2, d, d), t = 0
+    included; ``states`` is None. The blocks live in the span of the orbit
+    basis V (:func:`~noisygrover.noise.orbit_basis`), whose lift
+    V (sigma_0 + sigma_1) V^T is the N x N register state; nothing here
+    builds V. ``validate`` checks, once after the run, every step's blocks
+    from t = 0 on at 1e-9 (an isometry keeps trace, hermiticity and the
+    nonzero spectrum; at t = 0 that is all the loop reads of the start) and
+    raises :class:`InvariantViolation` at the first bad step.
     """
     _, (group,) = _table_groups([(inst, spec)], [params], bath)
     g, gp, first, steady, sigma0 = _group_inputs(group)
-    keep = keep_states or validate
     # The group's one system: a batch (1,) of the one point.
-    run = collision_evolve(g[0], gp[0], first, steady, sigma0[0], steps, keep_blocks=keep)
-    states = None
+    run = collision_evolve(g[0], gp[0], first, steady, sigma0[0], steps, keep_blocks=True)
     if validate:
         require_density(run.blocks[0], 1e-9, what="joint state t={}", blocks=True)
-    if keep_states:
-        v = orbit_basis(inst, spec)
-        states = tuple(v @ rho @ v.T for rho in run.blocks[0].sum(axis=1))
-    return EvolutionTrace(run.probabilities[0], states, run.meta)
+    return EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])
 
 
 def history_oracle(

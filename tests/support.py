@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 
-from noisygrover import markov
-from noisygrover.collision import collision_evolve
 from noisygrover.grover import GroverInstance
-from noisygrover.noise import NoiseSpec, orbit_basis, single_qubit_unitary
+from noisygrover.linalg import dagger
+from noisygrover.markov import markov_evolve
+from noisygrover.noise import NoiseSpec, orbit_basis, sigma_x_reduced, single_qubit_unitary
 
 
 def haar_noise(rng):
@@ -38,13 +38,34 @@ def label_blocks(joint):
     return np.stack([joint[..., :h, :h], joint[..., h:, h:]], axis=-3)
 
 
-def orbit_blocks(inst, spec, params, steps, bath=None):
-    """The label blocks of ``markov_evolve``'s run, (steps + 1, 2, N, N):
-    the step loop on markov's own d x d inputs, each block lifted to N x N
-    through the orbit basis V as V sigma V^T."""
-    _, (group,) = markov._table_groups([(inst, spec)], [params], bath)
-    g, gp, first, steady, sigma0 = markov._group_inputs(group)
-    run = collision_evolve(g[0, 0], gp[0, 0], first[0], steady[0], sigma0[0, 0], steps,
-                           keep_blocks=True)
+def lift(inst, spec, blocks):
+    """d x d matrices (..., d, d) in the orbit basis V of (inst, spec),
+    lifted to N x N as V sigma V^T: a ``markov_evolve`` run's register
+    states are ``lift(inst, spec, trace.blocks.sum(axis=1))``."""
     v = orbit_basis(inst, spec)
-    return v @ run.blocks @ v.T
+    return v @ blocks @ v.T
+
+
+def orbit_blocks(inst, spec, params, steps, bath=None):
+    """The label blocks of ``markov_evolve``'s run, (steps + 1, 2, N, N),
+    each lifted to N x N through the orbit basis."""
+    return lift(inst, spec, markov_evolve(inst, spec, params, steps, bath).blocks)
+
+
+def reduced_sigma_x_walks(n, p, steps):
+    """Success series of sigma_x noise from the 3-level forms of G and G'
+    (:func:`~noisygrover.noise.sigma_x_reduced`): frozen labels (mu = 1)
+    are a (1 - p, p) mixture of the pure G and G' walks; memoryless labels
+    (mu = 0) apply the averaged map rho -> (1 - p) G rho G^dagger +
+    p G' rho G'^dagger at every step. Returns (frozen, iid)."""
+    N = 2**n
+    g3, g3p = sigma_x_reduced(GroverInstance(n))
+    v3 = np.array([math.sqrt((N - 2.0) / N), 1.0 / math.sqrt(N), 1.0 / math.sqrt(N)], dtype=complex)
+    clean, faulty, rho = v3, v3, np.outer(v3, v3.conj())
+    frozen, iid = [], []
+    for _ in range(steps + 1):
+        frozen.append((1.0 - p) * abs(clean[1]) ** 2 + p * abs(faulty[1]) ** 2)
+        iid.append(rho[1, 1].real)
+        clean, faulty = g3 @ clean, g3p @ faulty
+        rho = (1.0 - p) * g3 @ rho @ dagger(g3) + p * g3p @ rho @ dagger(g3p)
+    return np.array(frozen), np.array(iid)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from support import label_blocks
+from support import label_blocks, lift, reduced_sigma_x_walks
 
 from noisygrover.collision import (
     apply_kraus,
@@ -29,7 +29,6 @@ from noisygrover.collision import (
 from noisygrover.grover import GroverInstance, grover_operator, ideal_success_series
 from noisygrover.linalg import (
     assert_density,
-    dagger,
     random_density,
     tensor,
     trace_distance,
@@ -47,7 +46,6 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
-    sigma_x_reduced,
 )
 
 
@@ -158,10 +156,11 @@ def test_c06_collision_matches_history_sum():
     inst = GroverInstance(3)
     spec = noise_spec(noise_unitary("x"), 1, 3)
     params = MarkovNoiseParams(0.5, 0.5)
-    evolved = markov_evolve(inst, spec, params, 8, keep_states=True)
+    evolved = markov_evolve(inst, spec, params, 8)
     reference = history_oracle(inst, spec, params, 8)
     worst = max(
-        trace_distance(a, b) for a, b in zip(evolved.states, reference.states)
+        trace_distance(a, b)
+        for a, b in zip(lift(inst, spec, evolved.blocks.sum(axis=1)), reference.states)
     )
     _report(
         "06", worst <= 1e-10,
@@ -323,16 +322,10 @@ def test_c13_thermal_channel_consistency():
         for kind in ("initial", "steady"):
             kset = thermal_kraus(dilation_unitary(kind, params, g, gp), bath)
             worst_completeness = max(worst_completeness, kset.completeness_defect())
-    cold = markov_evolve(
-        inst, spec, MarkovNoiseParams(0.5, 0.9), 20,
-        bath=thermal_weights(0.01), keep_states=True,
-    )
-    pure = markov_evolve(
-        inst, spec, MarkovNoiseParams(0.5, 0.9), 20, keep_states=True
-    )
-    cold_dev = max(
-        trace_distance(a, b) for a, b in zip(cold.states, pure.states)
-    )
+    cold = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20, bath=thermal_weights(0.01))
+    pure = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20)
+    cold_states, pure_states = (lift(inst, spec, run.blocks.sum(axis=1)) for run in (cold, pure))
+    cold_dev = max(trace_distance(a, b) for a, b in zip(cold_states, pure_states))
     hot = n_blp(inst, spec, MarkovNoiseParams(0.5, 0.9), 45, bath=thermal_weights(2.0))
     warm = n_blp(inst, spec, MarkovNoiseParams(0.5, 0.9), 45, bath=thermal_weights(0.5))
     ok = worst_completeness <= 1e-12 and cold_dev <= 1e-5 and hot.value <= warm.value
@@ -344,34 +337,11 @@ def test_c13_thermal_channel_consistency():
     )
 
 
-def _reduced_references(n, p, steps):
-    # Success series of sigma_x noise on one qubit from the 3-level forms
-    # of G and G': frozen labels (mu = 1) are a (1-p, p) mixture of the
-    # pure G and G' walks; memoryless labels (mu = 0) apply the averaged
-    # map rho -> (1-p) G rho G^dagger + p G' rho G'^dagger at every step.
-    inst = GroverInstance(n)
-    N = inst.N
-    g3, g3p = sigma_x_reduced(inst)
-    v3 = np.array(
-        [math.sqrt((N - 2.0) / N), 1.0 / math.sqrt(N), 1.0 / math.sqrt(N)],
-        dtype=complex,
-    )
-    clean, faulty = v3.copy(), v3.copy()
-    rho = np.outer(v3, v3.conj())
-    frozen, iid = [], []
-    for _ in range(steps + 1):
-        frozen.append((1.0 - p) * abs(clean[1]) ** 2 + p * abs(faulty[1]) ** 2)
-        iid.append(rho[1, 1].real)
-        clean, faulty = g3 @ clean, g3p @ faulty
-        rho = (1.0 - p) * g3 @ rho @ dagger(g3) + p * g3p @ rho @ dagger(g3p)
-    return np.array(frozen), np.array(iid)
-
-
 def test_c14_memory_advantage():
     n, p, steps = 6, 0.7, 25
     frozen = _series(n, "x", 1, None, p, 1.0, steps).probabilities
     iid = _series(n, "x", 1, None, p, 0.0, steps).probabilities
-    ref_frozen, ref_iid = _reduced_references(n, p, steps)
+    ref_frozen, ref_iid = reduced_sigma_x_walks(n, p, steps)
     dev = max(
         float(np.max(np.abs(frozen - ref_frozen))),
         float(np.max(np.abs(iid - ref_iid))),
@@ -404,10 +374,8 @@ def test_c15_state_validity_and_contractivity():
     worst_eig = 0.0
     for name, m, params, bath in configs:
         spec = noise_spec(noise_unitary(name), m, 3)
-        trace = markov_evolve(
-            inst, spec, params, 12, bath=bath, keep_states=True, validate=True
-        )
-        for rho in trace.states:
+        trace = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
+        for rho in lift(inst, spec, trace.blocks.sum(axis=1)):
             report = assert_density(rho, tol=1e-9)
             assert report.passed, report
             worst_eig = min(worst_eig, report.min_eigenvalue)

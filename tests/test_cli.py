@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -326,6 +327,25 @@ def test_oracle_check_passes(capsys):
     meta, _, rows = parse_csv(out)
     assert float(meta["max_trace_distance"]) < 1e-10
     assert len(rows) == 7
+
+
+def test_oracle_check_lifts_one_step_at_a_time():
+    # The table holds the 13 dense history sums (13 N^2 complex entries at
+    # 12 steps) and, beside them, a few N x N temporaries: one lifted state,
+    # the history walk's rank-one product, trace_distance's difference and
+    # its eigvalsh work. Holding all 13 lifted states at once as well peaks
+    # at 31.5 N^2; lifting one step at a time peaks at 19.2 N^2.
+    ns = cli.build_parser().parse_args(
+        ["oracle-check", "--n", "8", "--m", "3", "--noise", "hadamard", "--steps", "12"]
+    )
+    tracemalloc.start()
+    try:
+        table = cli.run(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.meta["max_trace_distance"] < 1e-10
+    assert peak < 23 * 16 * 256**2, peak / (16 * 256**2)
 
 
 def test_dilation_check_passes_and_is_reproducible(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from support import haar_noise, label_blocks, orbit_blocks
+from support import haar_noise, label_blocks, lift
 
 from noisygrover import collision
 from noisygrover.collision import (
@@ -813,20 +813,18 @@ def _low_rank_start(name, inst):
 
 
 def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit=False):
-    # orbit=True runs the |s> start through markov_evolve's orbit basis
-    # instead of collision_evolve on the full N x N operators; its label
-    # blocks, lifted through the orbit basis, meet the dense joint.
+    # orbit=True runs the |s> start through markov_evolve at d x d instead
+    # of collision_evolve on the full N x N operators; its label blocks and
+    # their sums, lifted through the orbit basis, meet the dense run.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     r0 = _low_rank_start(start, inst)
     probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
     if orbit:
-        trace = markov_evolve(
-            inst, spec, params, steps, bath=bath, keep_states=True, validate=validate
-        )
-        for a, b in zip(trace.states, states):
+        trace = markov_evolve(inst, spec, params, steps, bath=bath, validate=validate)
+        for a, b in zip(lift(inst, spec, trace.blocks.sum(axis=1)), states):
             assert np.max(np.abs(a - b)) < 1e-12
-        _assert_blocks_match(orbit_blocks(inst, spec, params, steps, bath), states, joints)
+        _assert_blocks_match(lift(inst, spec, trace.blocks), states, joints)
     else:
         weights = transfer_weights(params, bath)
         trace = collision_evolve(
@@ -886,11 +884,12 @@ def test_markov_evolve_matches_full_collision_evolve(n):
             g, gp, *transfer_weights(params, bath), sigma0, 5, marked=inst.marked,
             keep_blocks=True,
         )
-        orbit = markov_evolve(inst, spec, params, 5, bath=bath, keep_states=True)
+        orbit = markov_evolve(inst, spec, params, 5, bath=bath)
         assert np.max(np.abs(orbit.probabilities - full.probabilities)) < 1e-12
-        for sigma, rho in zip(full.blocks, orbit.states):
+        states = lift(inst, spec, orbit.blocks.sum(axis=1))
+        for sigma, rho in zip(full.blocks, states, strict=True):
             assert np.max(np.abs(sigma.sum(axis=0) - rho)) < 1e-12
-        lifted = orbit_blocks(inst, spec, params, 5, bath)
+        lifted = lift(inst, spec, orbit.blocks)
         assert np.max(np.abs(lifted - full.blocks)) < 1e-12
 
 

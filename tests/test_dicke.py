@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from support import label_blocks, split_basis
+from support import haar_noise, label_blocks, reduced_sigma_x_walks, split_basis
 
 from noisygrover import collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
@@ -25,19 +25,8 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     orbit_basis,
-    sigma_x_reduced,
     sigma_y_p2,
-    single_qubit_unitary,
 )
-
-
-def _haar(rng):
-    x = rng.uniform()
-    return single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
 
 
 def _compressed(inst, spec, v):
@@ -67,7 +56,7 @@ def _cases(n, seed, ones=None):
             marked = int(rng.integers(2**n))
         else:
             marked = sum(1 << int(b) for b in rng.choice(n, size=ones, replace=False))
-        yield GroverInstance(n, marked), noise_spec(_haar(rng), m, n, positions)
+        yield GroverInstance(n, marked), noise_spec(haar_noise(rng), m, n, positions)
 
 
 def _q(inst, spec):
@@ -94,7 +83,7 @@ def test_dicke_power_is_the_binomial_sum(k):
     # The binomial sums cancel at large k, so they serve as the reference
     # only where rounding keeps them exact to well below the tolerance.
     rng = np.random.default_rng(k)
-    a = _haar(rng).matrix
+    a = haar_noise(rng).matrix
     (a00, a01), (a10, a11) = a
     want = np.empty((k + 1, k + 1), dtype=complex)
     for x in range(k + 1):
@@ -110,7 +99,7 @@ def test_dicke_power_is_the_binomial_sum(k):
 @pytest.mark.parametrize("k", range(0, 7))
 def test_dicke_power_is_the_restricted_tensor_power(k):
     # D^(k)(a) = E^dagger a^(x k) E with E the Dicke states as columns.
-    a = _haar(np.random.default_rng(50 + k)).matrix
+    a = haar_noise(np.random.default_rng(50 + k)).matrix
     weight = np.array([bin(i).count("1") for i in range(2**k)])
     e = np.stack([(weight == x) / math.sqrt(math.comb(k, x)) for x in range(k + 1)], axis=1)
     power = np.ones((1, 1), dtype=complex)
@@ -120,7 +109,7 @@ def test_dicke_power_is_the_restricted_tensor_power(k):
 
 
 def test_dicke_power_stays_unitary_at_forty_qubits():
-    a = _haar(np.random.default_rng(7)).matrix
+    a = haar_noise(np.random.default_rng(7)).matrix
     d = _dicke_powers(a, 40)[40]
     assert np.max(np.abs(dagger(d) @ d - np.eye(41))) < 1e-13
 
@@ -149,7 +138,7 @@ def test_dicke_powers_are_bit_identical_to_the_rolled_recursion():
     # Slicing into zeros adds the same nonzero terms in the same order as
     # the rolled copies, so every power is the same floating-point matrix.
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    haar = _haar(np.random.default_rng(3)).matrix
+    haar = haar_noise(np.random.default_rng(3)).matrix
     for u in [noise_unitary(name).matrix for name in ("x", "y", "z", "hadamard")] + [haar]:
         for a in (u, flip @ u @ flip):
             powers = _dicke_powers(a, 40)
@@ -157,23 +146,6 @@ def test_dicke_powers_are_bit_identical_to_the_rolled_recursion():
             for k in (0, 1, 2, 3, 7, 40):
                 assert np.array_equal(_dicke_powers(a, k)[k], _rolled_dicke_power(a, k)), k
                 assert np.array_equal(powers[k], _rolled_dicke_power(a, k)), k
-
-
-def _reduced_walks(n, p, steps):
-    # Success series of sigma_x noise from the 3-level forms: frozen labels
-    # (mu = 1) mix the pure G and G' walks, memoryless ones (mu = 0) apply
-    # the averaged map at every step.
-    N = 2**n
-    g3, g3p = sigma_x_reduced(GroverInstance(n))
-    v3 = np.array([math.sqrt((N - 2.0) / N), 1.0 / math.sqrt(N), 1.0 / math.sqrt(N)], dtype=complex)
-    clean, faulty, rho = v3, v3, np.outer(v3, v3)
-    frozen, iid = [], []
-    for _ in range(steps + 1):
-        frozen.append((1.0 - p) * abs(clean[1]) ** 2 + p * abs(faulty[1]) ** 2)
-        iid.append(rho[1, 1].real)
-        clean, faulty = g3 @ clean, g3p @ faulty
-        rho = (1.0 - p) * g3 @ rho @ dagger(g3) + p * g3p @ rho @ dagger(g3p)
-    return np.array(frozen), np.array(iid)
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
@@ -199,7 +171,7 @@ def test_closed_forms_at_large_n(n):
         trace = markov_evolve(GroverInstance(n), spec, MarkovNoiseParams(1.0, 0.5), 2)
         assert abs(trace.probabilities[2] - sigma_y_p2(N, m)) < 1e-12
     # sigma_x on any nonempty set, any marked index: the 3-level walks.
-    frozen, iid = _reduced_walks(n, 0.3, 25)
+    frozen, iid = reduced_sigma_x_walks(n, 0.3, 25)
     for inst, spec in list(_cases(n, 950 + n, ones=2))[1 :: n // 4]:
         x_spec = noise_spec(noise_unitary("x"), spec.m, n, spec.positions)
         for mu, want in ((1.0, frozen), (0.0, iid)):
@@ -235,7 +207,7 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     inst = GroverInstance(6, 45)
-    spec = noise_spec(_haar(np.random.default_rng(3)), 3, 6, (0, 2, 5))
+    spec = noise_spec(haar_noise(np.random.default_rng(3)), 3, 6, (0, 2, 5))
     params = MarkovNoiseParams(0.4, 0.7)
     markov_evolve(inst, spec, params, 5)
     markov_evolve(inst, spec, params, 5, bath=thermal_weights(1.0), validate=True)
@@ -245,9 +217,11 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     n_blp(inst, spec, params, 5, bath=thermal_weights(1.0))
     grover.ideal_success_series(inst, 5)
     assert calls == []
-    # The spies do see the lift that the keep flag asks for.
-    markov_evolve(inst, spec, params, 2, keep_states=True)
-    assert calls == ["orbit_basis"]
+    # markov_evolve never builds orbit_basis: markov does not import it,
+    # and the blocks it keeps stay d x d.
+    assert not hasattr(markov, "orbit_basis")
+    assert markov_evolve(inst, spec, params, 2).blocks.shape == (3, 2, 8, 8)  # d = 8, N = 64
+    assert calls == []
 
 
 _EDGES = [0.0, 0.3, 1.0]
@@ -269,7 +243,7 @@ def test_series_rows_equal_single_evolves(temperature):
 
 def test_batched_collision_evolve_keeps_each_members_states():
     inst = GroverInstance(4, 9)
-    spec = noise_spec(_haar(np.random.default_rng(11)), 2, 4, (1, 3))
+    spec = noise_spec(haar_noise(np.random.default_rng(11)), 2, 4, (1, 3))
     g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     sigma0 = label_blocks(tensor(projector(markov._PLUS), projector(s)))
     points = [(MarkovNoiseParams(p, mu), bath) for p in (0.0, 0.6) for mu in (0.2, 1.0)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from support import label_blocks
+from support import haar_noise, label_blocks
 
 from noisygrover import collision, markov
 from noisygrover.cli import main
@@ -30,7 +30,6 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
-    single_qubit_unitary,
 )
 
 POINTS = [MarkovNoiseParams(p, mu) for p in (0.0, 0.37, 1.0) for mu in (0.0, 0.6, 1.0)]
@@ -51,15 +50,6 @@ def _same(got, want):
     return got[0] == want[0] and (got[1] == want[1] or math.isnan(got[1]) and math.isnan(want[1]))
 
 
-def _haar(rng):
-    x = rng.uniform()
-    return single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
-
-
 def _check_against_series(inst, spec, steps, bath=None):
     series = markov_series(inst, spec, POINTS, steps, bath=bath)
     t_star, p_star = markov_first_max(inst, spec, POINTS, steps, bath=bath)
@@ -73,7 +63,7 @@ def _check_against_series(inst, spec, steps, bath=None):
 def test_reader_equals_rule_on_haar_noise(steps):
     rng = np.random.default_rng(1300 + steps)
     for n in range(3, 7):
-        u = _haar(rng)
+        u = haar_noise(rng)
         for m in range(n + 1):
             inst = GroverInstance(n, int(rng.integers(2**n)))
             positions = sorted(rng.choice(n, size=m, replace=False).tolist())

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks
+from support import haar_noise, label_blocks, lift
 
 from noisygrover import markov
 from noisygrover.collision import thermal_weights
@@ -137,9 +137,9 @@ def test_first_step_uses_stationary_mixture():
 
 def test_matches_history_oracle_states():
     params = MarkovNoiseParams(0.3, 0.7)
-    evolved = markov_evolve(INST3, SPEC_X1, params, 6, keep_states=True)
+    evolved = markov_evolve(INST3, SPEC_X1, params, 6)
     reference = history_oracle(INST3, SPEC_X1, params, 6)
-    for a, b in zip(evolved.states, reference.states):
+    for a, b in zip(lift(INST3, SPEC_X1, evolved.blocks.sum(axis=1)), reference.states):
         assert trace_distance(a, b) < 1e-12
     assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
 
@@ -255,9 +255,10 @@ def test_matches_history_oracle_states_at_the_step_cap(n):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     spec = noise_spec(u, 3, n, sorted(rng.choice(n, size=3, replace=False).tolist()))
     params = MarkovNoiseParams(0.35, 0.6)
-    evolved = markov_evolve(inst, spec, params, HISTORY_MAX_STEPS, keep_states=True)
+    evolved = markov_evolve(inst, spec, params, HISTORY_MAX_STEPS)
     reference = history_oracle(inst, spec, params, HISTORY_MAX_STEPS)
-    for a, b in zip(evolved.states, reference.states, strict=True):
+    states = lift(inst, spec, evolved.blocks.sum(axis=1))
+    for a, b in zip(states, reference.states, strict=True):
         assert trace_distance(a, b) < 1e-12
     assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
 
@@ -268,19 +269,25 @@ def test_history_oracle_refuses_large_horizons():
             history_oracle(INST3, SPEC_X1, MarkovNoiseParams(0.5, 0.5), steps)
 
 
-def test_trace_contents_follow_flags():
+def test_trace_keeps_the_label_blocks():
+    # With or without validate, a run keeps every step's label blocks at
+    # d x d, t = 0 included, and no dense state.
     params = MarkovNoiseParams(0.4, 0.2)
     bare = markov_evolve(INST3, SPEC_X1, params, 5)
-    assert bare.states is None and bare.blocks is None
+    checked = markov_evolve(INST3, SPEC_X1, params, 5, validate=True)
+    assert bare.states is None and checked.states is None
     assert bare.probabilities.shape == (6,)
-    full = markov_evolve(INST3, SPEC_X1, params, 5, keep_states=True, validate=True)
-    assert len(full.states) == 6
-    assert full.states[0].shape == (8, 8)
-    for rho in full.states:
+    d = bare.meta["dim"]
+    assert bare.blocks.shape == (6, 2, d, d)
+    assert np.array_equal(bare.blocks, checked.blocks)
+    assert np.array_equal(bare.probabilities, checked.probabilities)
+    # Lifted to N x N, the blocks' sums are density matrices whose marked
+    # diagonal is the success probability.
+    states = lift(INST3, SPEC_X1, bare.blocks.sum(axis=1))
+    assert states.shape == (6, 8, 8)
+    for t, rho in enumerate(states):
         assert assert_density(rho, tol=1e-9).passed
-    # probabilities are the marked diagonal of the kept marginals
-    for t, rho in enumerate(full.states):
-        assert abs(full.probabilities[t] - rho[0, 0].real) < 1e-12
+        assert abs(bare.probabilities[t] - rho[0, 0].real) < 1e-12
 
 
 def _poison(kind, block):
@@ -325,8 +332,9 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
         joint = np.zeros((2 * d, 2 * d), dtype=complex)
         joint[:d, :d], joint[d:, d:] = upper, lower
         assert assert_density(joint, tol=1e-9).passed == (t not in (3, 5)), t
-    # Without validate the poisoned blocks pass through to the lifts unchecked.
-    markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, keep_states=True)
+    # Without validate the poisoned blocks come back unchecked.
+    unchecked = markov_evolve(INST3, SPEC_X1, params, 6, bath=bath)
+    assert np.array_equal(unchecked.blocks, kept[1], equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["nan", "skew", "trace", "negative"])

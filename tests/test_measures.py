@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import label_blocks, orbit_blocks, split_basis
+from support import haar_noise, label_blocks, orbit_blocks, split_basis
 
 from noisygrover import measures
 from noisygrover.collision import (
@@ -24,7 +24,7 @@ from noisygrover.linalg import (
     trace_distance,
     trace_norm,
 )
-from noisygrover.markov import MarkovNoiseParams, markov_evolve
+from noisygrover.markov import MarkovNoiseParams
 from noisygrover.measures import (
     blp_pair,
     n_blp,
@@ -38,7 +38,6 @@ from noisygrover.noise import (
     noise_unitary,
     noisy_grover,
     orbit_basis,
-    single_qubit_unitary,
 )
 
 INST = GroverInstance(3)
@@ -136,27 +135,12 @@ def test_cp_witness_matches_dense_reference(seed):
     rng = np.random.default_rng(100 + seed)
     n = 3 + seed % 2
     inst = GroverInstance(n, int(rng.integers(2**n)))
-    x = rng.uniform()
-    u = single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
-    spec = noise_spec(u, int(rng.integers(1, n + 1)), n)
+    spec = noise_spec(haar_noise(rng), int(rng.integers(1, n + 1)), n)
     params = MarkovNoiseParams(rng.uniform(), rng.uniform())
     result = n_cp(inst, spec, params, 12)
     reference = _dense_cp_series(inst, spec, params, 12)
     assert np.max(np.abs(result.series - reference)) < 1e-12
     assert result.series[0] == pytest.approx(math.sqrt(1.0 - 1.0 / inst.N), abs=1e-12)
-
-
-def _haar(rng):
-    x = rng.uniform()  # Haar on U(2): |a|^2 uniform, independent phases
-    return single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
 
 
 @pytest.mark.parametrize("temperature", [None, 0.7])
@@ -165,7 +149,7 @@ def test_blp_joint_series_matches_full_trace_distance(temperature):
     # one trace distance of the full joints per step; qubit 0 clean, then noisy.
     rng = np.random.default_rng(17)
     inst = GroverInstance(4, int(rng.integers(16)))
-    u = _haar(rng)
+    u = haar_noise(rng)
     params = MarkovNoiseParams(0.35, 0.8)
     bath = None if temperature is None else thermal_weights(temperature)
     steps = 10
@@ -197,27 +181,27 @@ def _cases(n, seed):
     for m in range(n + 1):
         with_zero = m == n or (m > 0 and m % 2 == 0)
         inst = GroverInstance(n, int(rng.integers(2**n)))
-        yield rng, inst, noise_spec(_haar(rng), m, n, _positions(rng, n, m, with_zero))
+        yield rng, inst, noise_spec(haar_noise(rng), m, n, _positions(rng, n, m, with_zero))
 
 
 def _dense_blp(inst, spec, params, steps, bath):
-    # Reference: the |s> member from markov_evolve lifted to N x N, the
-    # partner on the full N x N G, G' through the step loop, and dense trace
-    # distances of the system marginals and of the label blocks, the |s>
-    # member's lifted through the orbit basis. At t = 0 the joint distance
+    # Reference: the |s> member's label blocks from markov_evolve lifted to
+    # N x N through the orbit basis, the partner on the full N x N G, G'
+    # through the step loop, and dense trace distances of the system
+    # marginals and of the label blocks. At t = 0 the joint distance
     # is that of the two whole joint starts; from t = 1 on each joint is
     # diag(sigma_0, sigma_1), so the block distances are the joint's.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     partner = tensor(plus, blp_pair(inst).rho2)
-    run = markov_evolve(inst, spec, params, steps, bath=bath, keep_states=True)
     lifted = orbit_blocks(inst, spec, params, steps, bath)
+    states = lifted.sum(axis=1)
     blocks = collision_evolve(
         g, gp, *transfer_weights(params, bath), label_blocks(partner), steps, keep_blocks=True
     ).blocks
-    d_sys = np.array([trace_distance(a, b) for a, b in zip(run.states, blocks.sum(axis=1))])
-    d_joint = [trace_distance(tensor(plus, run.states[0]), partner)]
+    d_sys = np.array([trace_distance(a, b) for a, b in zip(states, blocks.sum(axis=1))])
+    d_joint = [trace_distance(tensor(plus, states[0]), partner)]
     for a, b in zip(lifted[1:], blocks[1:]):
         d_joint.append(trace_distance(a[0], b[0]) + trace_distance(a[1], b[1]))
     return positive_increment_sum(d_sys), d_sys, np.array(d_joint)

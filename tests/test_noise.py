@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from support import haar_noise
 
 from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from noisygrover.noise import (
@@ -110,12 +111,7 @@ def test_noise_spec_validation():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_orbit_basis_is_orthonormal_invariant_and_starts_at_w(n):
     rng = np.random.default_rng(400 + n)
-    x = rng.uniform()  # Haar on U(2): |a|^2 uniform, independent phases
-    u = single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
+    u = haar_noise(rng)
     for m in range(n + 1):
         inst = GroverInstance(n, int(rng.integers(2**n)))
         spec = noise_spec(u, m, n, sorted(rng.choice(n, size=m, replace=False).tolist()))

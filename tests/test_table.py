@@ -4,30 +4,20 @@ shapes, the first-maximum reader's shrinking batch, the grouped series
 against per-class ``markov_series``, and the input checks of both."""
 
 import concurrent.futures
-import math
 
 import numpy as np
 import pytest
+from support import haar_noise
 
 from noisygrover import cli, collision, markov, noise
 from noisygrover.cli import main
 from noisygrover.collision import collision_evolve, collision_first_max, thermal_weights
 from noisygrover.grover import GroverInstance
 from noisygrover.markov import MarkovNoiseParams, markov_first_max, markov_series
-from noisygrover.noise import NoiseSpec, noise_spec, noise_unitary, single_qubit_unitary
+from noisygrover.noise import NoiseSpec, noise_spec, noise_unitary
 
 POINTS = [MarkovNoiseParams(p, mu) for p in (0.0, 0.37, 1.0) for mu in (0.0, 0.6, 1.0)]
 PRESETS = ("identity", "x", "y", "z", "hadamard")
-
-
-def _haar(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform()
-    return single_qubit_unitary(
-        math.sqrt(x) * np.exp(2j * math.pi * rng.uniform()),
-        math.sqrt(1.0 - x) * np.exp(2j * math.pi * rng.uniform()),
-        2.0 * math.pi * rng.uniform(),
-    )
 
 
 def _stack(systems, params, bath=None):
@@ -39,7 +29,7 @@ def _stack(systems, params, bath=None):
 
 # Systems of equal d = 4 (m = 1 < n, q = 0 or 1) whose first maxima fall at
 # very different steps: t* grows like sqrt(N).
-U = _haar(5)
+U = haar_noise(np.random.default_rng(5))
 SPREAD = [(GroverInstance(n, 2**n - 1 - n), noise_spec(U, 1, n, (n // 2,))) for n in (2, 4, 6, 9)]
 
 
@@ -173,7 +163,7 @@ def test_grouped_series_equal_per_class_markov_series(n):
     # of them for n <= 2); one system per (m, q) class of position sets, as
     # the invariance table runs them.
     params = [MarkovNoiseParams(0.3, 0.6), MarkovNoiseParams(0.8, 0.1)]
-    unitaries = [noise_unitary(name) for name in PRESETS] + [_haar(n)]
+    unitaries = [noise_unitary(name) for name in PRESETS] + [haar_noise(np.random.default_rng(n))]
     for marked in range(2**n):
         for u in unitaries if n <= 2 else [unitaries[marked % len(unitaries)]]:
             inst = GroverInstance(n, marked)
