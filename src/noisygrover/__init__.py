@@ -29,7 +29,6 @@ from .grover import (
     uniform_superposition,
 )
 from .noise import (
-    ConditionalProbs,
     MarkovNoiseParams,
     NoiseClass,
     NoiseClassTag,

@@ -20,9 +20,9 @@ temperature.
 Flags are spelled in full, as config keys are: argparse's prefix matching
 is off.
 
-Exit codes: 0 success, 1 invalid configuration or inputs, or a standard
-output that was closed before the table was written, 2 a numeric invariant
-failed mid-run.
+Exit codes: 0 success, 1 invalid configuration or inputs, a run that
+does not fit in memory, or a standard output that was closed before the
+table was written, 2 a numeric invariant failed mid-run.
 """
 
 from __future__ import annotations
@@ -258,7 +258,8 @@ _OPTIONS = {
     "trials": _Option("trials", _parse_positive, "random pure states per point"),
     "seed": _Option(
         "seed", _parse_natural,
-        "RNG seed of the trial states, the same at every point and for both step kinds",
+        "RNG seed of the trial states, the same at every point and for the first and "
+        "steady collisions",
     ),
     "format": _Option("format", _parse_format, "output format: csv or json"),
     "output": _Option("output", str, "output path, - for stdout"),
@@ -364,11 +365,11 @@ def _cpdiv_group(group) -> np.ndarray:
     return n_cp(inst, spec, params, steps).value
 
 
-def _dilation_kind(kind, params, g, gp, trials, seed):
-    """(U, [unitarity, Kraus and dilation defects]) of one step kind; the
-    Kraus sets built here die with the call."""
-    dil = dilation_unitary(kind, params, g, gp)
-    ks = kraus_step(kind, params, g, gp)
+def _dilation_step(params, g, gp, trials, seed):
+    """(U, [unitarity, Kraus and dilation defects]) of the step at
+    ``params``; the Kraus sets built here die with the call."""
+    dil = dilation_unitary(params, g, gp)
+    ks = kraus_step(params, g, gp)
     extracted = kraus_from_dilation(dil)
     kraus_defect = max(
         float(np.max(np.abs(a - b))) for a, b in zip(ks.ops, extracted.ops)
@@ -382,11 +383,12 @@ def _dilation_point(point):
     g = grover_operator(inst)
     chi = build_chi(inst.n, spec)
     gp = noisy_grover(g, chi)
-    # The initial kind's U is dropped before the steady one is built, so
-    # one 8N x 8N unitary is alive at a time.
-    row = [params.p, params.mu] + _dilation_kind("initial", params, g, gp, trials, seed)[1]
-    dil, defects = _dilation_kind("steady", params, g, gp, trials, seed)
-    fact = extract_m(dil, chi, g)  # steady-kind factorization
+    # The first collision is the step at mu = 0. Its U is dropped before
+    # the steady one is built, so one 8N x 8N unitary is alive at a time.
+    first = MarkovNoiseParams(params.p, 0.0)
+    row = [params.p, params.mu] + _dilation_step(first, g, gp, trials, seed)[1]
+    dil, defects = _dilation_step(params, g, gp, trials, seed)
+    fact = extract_m(dil, chi, g)  # the steady step's factorization
     return row + defects + [fact.residual, fact.unitary_defect, fact.control_value]
 
 
@@ -677,6 +679,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"cannot write output {args.output}: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation it refused, in one line
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

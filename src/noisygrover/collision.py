@@ -4,9 +4,10 @@ One time step of the walker+system state R is the completely positive map
 
     R -> sum_k K_k R K_k^dagger
 
-with four Kraus operators built from G, G' and the label-chain
-probabilities of :mod:`~noisygrover.noise` (stationary ones for the first
-collision, conditional ones afterwards). The same step is also realized
+with four Kraus operators built from G, G' and the label chain's
+transition matrix P of :mod:`~noisygrover.noise`. The first collision has
+no previous label: it is the same step at memory mu = 0, whose columns of
+P are both the stationary law (1 - p, p). The same step is also realized
 as a unitary collision: two fresh ancilla qubits in |00> interact with
 walker+system through an 8N x 8N unitary U, after which the ancillas are
 traced out. U is stored as an 8 x 8 grid of N x N blocks, each a multiple
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Generator, NamedTuple, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -72,9 +73,7 @@ from .linalg import (
     random_pure_state,
     trace_distance,
 )
-from .noise import ConditionalProbs, MarkovNoiseParams, conditional_probs
-
-KINDS = ("initial", "steady")
+from .noise import MarkovNoiseParams, _transition, conditional_probs
 
 # Most entries one stack of states holds where the verification layer
 # batches its dense work: the same-depth amplitude vectors of
@@ -83,7 +82,8 @@ KINDS = ("initial", "steady")
 # n = 6 on).
 _BATCH_ENTRIES = 2**14
 
-# Weight keys "next|previous" of the label chain, in Kraus-operator order.
+# Kraus-operator labels "next|previous": operator 2 next + previous carries
+# the chain's P[next, previous].
 _KEYS = ("g|g", "g|g'", "g'|g", "g'|g'")
 
 
@@ -97,7 +97,6 @@ class KrausSet:
 
     ops: tuple[ComplexMatrix, ...]
     labels: tuple[str, ...]
-    kind: str
 
     @cached_property
     def _boxes(self) -> tuple[tuple[slice, slice, ComplexMatrix], ...]:
@@ -131,79 +130,37 @@ class KrausSet:
         return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-class _PointStack(NamedTuple):
-    """The (p, mu) points of a batch as (B,) arrays, with the fields of
-    MarkovNoiseParams that the chain's weights read, so :func:`_weights`
-    gives each weight for every point at once."""
-
-    p_g: np.ndarray
-    p_gp: np.ndarray
-    mu: np.ndarray
-
-
-def _weights(
-    kind: str, params: MarkovNoiseParams | _PointStack
-) -> dict[str, float | np.ndarray]:
-    # Branch weights keyed by the conditional label "next|previous". The
-    # first collision has no previous label, so both columns carry the
-    # stationary distribution. A _PointStack gives (B,) arrays.
-    if kind == "initial":
-        return {
-            "g|g": params.p_g,
-            "g|g'": params.p_g,
-            "g'|g": params.p_gp,
-            "g'|g'": params.p_gp,
-        }
-    if kind == "steady":
-        c: ConditionalProbs = conditional_probs(params)
-        return {
-            "g|g": c.g_given_g,
-            "g|g'": c.g_given_gp,
-            "g'|g": c.gp_given_g,
-            "g'|g'": c.gp_given_gp,
-        }
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-def kraus_step(
-    kind: str, params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
-) -> KrausSet:
+def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -> KrausSet:
     """Four Kraus operators on walker (x) system (2N x 2N each).
 
     Walker index 0 is the clean branch (G fires), index 1 the faulty one
-    (G' fires). In block form, with w(key) the weight dict of the kind:
+    (G' fires). Operator 2 r + c puts sqrt(P[r, c]) times G (r = 0) or G'
+    (r = 1) in walker block (r, c), with P the chain's transition matrix
+    (:func:`~noisygrover.noise.conditional_probs`):
 
-        K_1 = sqrt(w(g|g))   [[G, 0], [0, 0]]
-        K_2 = sqrt(w(g|g'))  [[0, G], [0, 0]]
-        K_3 = sqrt(w(g'|g))  [[0, 0], [G', 0]]
-        K_4 = sqrt(w(g'|g')) [[0, 0], [0, G']]
+        K_1 = sqrt(P[0, 0]) [[G, 0], [0, 0]]
+        K_2 = sqrt(P[0, 1]) [[0, G], [0, 0]]
+        K_3 = sqrt(P[1, 0]) [[0, 0], [G', 0]]
+        K_4 = sqrt(P[1, 1]) [[0, 0], [0, G']]
 
-    The set is trace preserving for any parameters. It is unital only on
-    a thin set: sum K K^dagger = diag((1 + a) I, (1 - a) I), with
-    a = (1 - mu)(1 - 2p) for the steady step and a = 1 - 2p for the initial
-    one. So the steady step is unital iff p = 1/2 or mu = 1, the initial
-    step iff p = 1/2, and the steady step moves I/2N by 0.5 |a| in trace
-    distance (p=0.3, mu=0.5 gives a = 0.2).
+    The first collision is this step at mu = 0. The set is trace preserving
+    for any parameters. It is unital only on a thin set:
+    sum K K^dagger = diag((1 + a) I, (1 - a) I) with a = (1 - mu)(1 - 2p),
+    so it is unital iff p = 1/2 or mu = 1, and it moves I/2N by 0.5 |a| in
+    trace distance (p=0.3, mu=0.5 gives a = 0.2).
     """
     n_dim = g.shape[0]
     if g.shape != gp.shape or g.shape != (n_dim, n_dim):
         raise ValueError(f"operator shapes {g.shape} vs {gp.shape} invalid")
-    w = _weights(kind, params)
+    w = conditional_probs(params)
     ops = []
-    labels = []
-    for key, op, row, col in (
-        ("g|g", g, 0, 0),
-        ("g|g'", g, 0, 1),
-        ("g'|g", gp, 1, 0),
-        ("g'|g'", gp, 1, 1),
-    ):
+    for row, col in np.ndindex(2, 2):
         k = np.zeros((2 * n_dim, 2 * n_dim), dtype=complex)
         k[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
-            math.sqrt(w[key]) * op
+            math.sqrt(w[row, col]) * (g, gp)[row]
         )
         ops.append(k)
-        labels.append(key)
-    return KrausSet(tuple(ops), tuple(labels), kind)
+    return KrausSet(tuple(ops), _KEYS)
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
@@ -225,25 +182,26 @@ def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
 
 
 # Block layout of the collision unitary: (grid row, grid col, sign, weight
-# key, operator index) with operator 0 = G, 1 = G'. Grid index = binary
-# (ancilla1, ancilla2, walker); ancilla-in columns 0..1 are the |00> slice.
+# P[next, previous] as the pair (next, previous), operator index) with
+# operator 0 = G, 1 = G'. Grid index = binary (ancilla1, ancilla2, walker);
+# ancilla-in columns 0..1 are the |00> slice.
 _LAYOUT = (
-    (0, 0, 1.0, "g|g", 0),
-    (0, 5, 1.0, "g'|g", 0),
-    (1, 2, 1.0, "g|g'", 0),
-    (1, 7, 1.0, "g'|g'", 0),
-    (2, 1, 1.0, "g|g'", 0),
-    (2, 4, 1.0, "g'|g'", 0),
-    (3, 3, 1.0, "g'|g", 0),
-    (3, 6, 1.0, "g|g", 0),
-    (4, 2, 1.0, "g'|g'", 1),
-    (4, 7, -1.0, "g|g'", 1),
-    (5, 0, 1.0, "g'|g", 1),
-    (5, 5, -1.0, "g|g", 1),
-    (6, 3, 1.0, "g|g", 1),
-    (6, 6, -1.0, "g'|g", 1),
-    (7, 1, 1.0, "g'|g'", 1),
-    (7, 4, -1.0, "g|g'", 1),
+    (0, 0, 1.0, (0, 0), 0),
+    (0, 5, 1.0, (1, 0), 0),
+    (1, 2, 1.0, (0, 1), 0),
+    (1, 7, 1.0, (1, 1), 0),
+    (2, 1, 1.0, (0, 1), 0),
+    (2, 4, 1.0, (1, 1), 0),
+    (3, 3, 1.0, (1, 0), 0),
+    (3, 6, 1.0, (0, 0), 0),
+    (4, 2, 1.0, (1, 1), 1),
+    (4, 7, -1.0, (0, 1), 1),
+    (5, 0, 1.0, (1, 0), 1),
+    (5, 5, -1.0, (0, 0), 1),
+    (6, 3, 1.0, (0, 0), 1),
+    (6, 6, -1.0, (1, 0), 1),
+    (7, 1, 1.0, (1, 1), 1),
+    (7, 4, -1.0, (0, 1), 1),
 )
 
 
@@ -252,7 +210,6 @@ class DilationUnitary:
     """The 8N x 8N collision unitary on ancilla1 (x) ancilla2 (x) walker (x) system."""
 
     matrix: ComplexMatrix
-    kind: str
 
     def unitarity_defect(self) -> float:
         """max |U^dagger U - I|, one N x N block of U^dagger U at a time.
@@ -280,26 +237,27 @@ class DilationUnitary:
 
 
 def dilation_unitary(
-    kind: str, params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
+    params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
 ) -> DilationUnitary:
-    """Assemble the collision unitary for the given step kind.
+    """Assemble the collision unitary of the step at ``params`` (the first
+    collision is the step at mu = 0).
 
     Tracing the ancillas out of U (R (x) |00><00|-style input, ancillas
-    leftmost) reproduces exactly the Kraus step of the same kind; the
-    ancilla-in |00> block columns *are* the Kraus operators. Column
-    normalization holds because each weight column of the label chain sums
-    to one, so U is unitary for every p, mu in [0, 1].
+    leftmost) reproduces exactly :func:`kraus_step` at the same ``params``;
+    the ancilla-in |00> block columns *are* the Kraus operators. Column
+    normalization holds because each column of the chain's transition
+    matrix sums to one, so U is unitary for every p, mu in [0, 1].
     """
     n_dim = g.shape[0]
     if g.shape != gp.shape or g.shape != (n_dim, n_dim):
         raise ValueError(f"operator shapes {g.shape} vs {gp.shape} invalid")
-    w = _weights(kind, params)
+    w = conditional_probs(params)
     ops = (g, gp)
     u = np.zeros((8 * n_dim, 8 * n_dim), dtype=complex)
-    for row, col, sign, key, which in _LAYOUT:
-        block = sign * (math.sqrt(w[key]) * ops[which])
+    for row, col, sign, pair, which in _LAYOUT:
+        block = sign * (math.sqrt(w[pair]) * ops[which])
         u[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
-    return DilationUnitary(u, kind)
+    return DilationUnitary(u)
 
 
 def kraus_from_dilation(dil: DilationUnitary) -> KrausSet:
@@ -308,8 +266,7 @@ def kraus_from_dilation(dil: DilationUnitary) -> KrausSet:
     ops = []
     for alpha in range(4):
         ops.append(dil.matrix[alpha * n2 : (alpha + 1) * n2, 0:n2].copy())
-    labels = ("g|g", "g|g'", "g'|g", "g'|g'")
-    return KrausSet(tuple(ops), labels, dil.kind)
+    return KrausSet(tuple(ops), _KEYS)
 
 
 @dataclass(frozen=True)
@@ -459,7 +416,7 @@ def thermal_kraus(dil: DilationUnitary, bath: ThermalBathParams) -> KrausSet:
             block = u[alpha * n2 : (alpha + 1) * n2, beta * n2 : (beta + 1) * n2]
             ops.append(pi[beta] * block)
             labels.append(f"{alpha:02b}|{beta:02b}")
-    return KrausSet(tuple(ops), tuple(labels), dil.kind)
+    return KrausSet(tuple(ops), tuple(labels))
 
 
 def channel_maps(
@@ -468,25 +425,21 @@ def channel_maps(
     gp: ComplexMatrix,
     bath: Optional[ThermalBathParams] = None,
 ) -> tuple[KrausSet, KrausSet]:
-    """(first step, steady step) Kraus sets, pure-ancilla or thermal."""
+    """(first step, steady step) Kraus sets, pure-ancilla or thermal; the
+    first step is the steady one at mu = 0."""
+    steps = (MarkovNoiseParams(params.p, 0.0), params)
     if bath is None:
-        return (
-            kraus_step("initial", params, g, gp),
-            kraus_step("steady", params, g, gp),
-        )
-    return (
-        thermal_kraus(dilation_unitary("initial", params, g, gp), bath),
-        thermal_kraus(dilation_unitary("steady", params, g, gp), bath),
-    )
+        return tuple(kraus_step(step, g, gp) for step in steps)
+    return tuple(thermal_kraus(dilation_unitary(step, g, gp), bath) for step in steps)
 
 
 def _incidence() -> np.ndarray:
-    """T[b, key, r, c, op]: how many ``_LAYOUT`` blocks of weight ``key``
-    sit in ancilla-in column b and feed walker block c into walker block r
-    through op (0 = G, 1 = G'). Keys are in ``_KEYS`` order."""
+    """T[b, k, r, c, op]: how many ``_LAYOUT`` blocks of weight
+    P[next, previous], k = 2 next + previous, sit in ancilla-in column b
+    and feed walker block c into walker block r through op (0 = G, 1 = G')."""
     table = np.zeros((4, 4, 2, 2, 2))
-    for row, col, _sign, key, which in _LAYOUT:
-        table[col // 2, _KEYS.index(key), row % 2, col % 2, which] += 1.0
+    for row, col, _sign, (nxt, prev), which in _LAYOUT:
+        table[col // 2, 2 * nxt + prev, row % 2, col % 2, which] += 1.0
     return table
 
 
@@ -503,35 +456,33 @@ def transfer_weights(
 
     W[r, c, op] is the weight with which walker block c feeds walker block
     r through op (0 = G, 1 = G'). Each ``_LAYOUT`` entry of U adds
-    pop[b] * w(key) at (walker out, walker in, op), with b its ancilla-in
-    index and pop the ancilla populations: (1, 0, 0, 0) for pure ancillas,
-    (z1^2, z1 z2, z1 z2, z2^2) for a thermal bath. The sign squares away.
-    So W is the chain weights of every point contracted with pop and the
-    incidence table ``_INCIDENCE``, read off ``_LAYOUT`` once. Pure
-    ancillas leave one weight per entry, exactly; a thermal bath sums the
-    populations first. Every column sums to one over (r, op), so the step
-    is trace preserving.
+    pop[b] * P[next, previous] at (walker out, walker in, op), with b its
+    ancilla-in index, P the chain's transition matrix and pop the ancilla
+    populations: (1, 0, 0, 0) for pure ancillas, (z1^2, z1 z2, z1 z2,
+    z2^2) for a thermal bath. The sign squares away. So W is P of every
+    point contracted with pop and the incidence table ``_INCIDENCE``, read
+    off ``_LAYOUT`` once. The first collision is the step at mu = 0, so
+    both steps' P come from one call, stacked. Pure ancillas leave one
+    weight per entry, exactly; a thermal bath sums the populations first.
+    Every column sums to one over (r, op), so the step is trace preserving.
     """
     single = isinstance(params, MarkovNoiseParams)
     points = [params] if single else list(params)
     if not points:
         raise ValueError("no (p, mu) points given")
     p = np.array([point.p for point in points], dtype=float)
-    stack = _PointStack(1.0 - p, p, np.array([point.mu for point in points], dtype=float))
+    mu = np.array([[0.0] * len(points), [point.mu for point in points]])
+    chain = _transition(p, mu).reshape(2, len(points), 4)  # [step, point, 2 next + previous]
     if bath is None:
         pop = np.array([1.0, 0.0, 0.0, 0.0])
     else:
         mixed = bath.z1 * bath.z2
         pop = np.array([bath.z1**2, mixed, mixed, bath.z2**2])
-    table = np.tensordot(pop, _INCIDENCE, axes=1)  # [key, r, c, op]
-    out = []
-    for kind in KINDS:
-        w = _weights(kind, stack)
-        keyed = np.stack([w[key] for key in _KEYS], axis=-1)
-        out.append(np.einsum("bk,krco->brco", keyed, table))
+    table = np.tensordot(pop, _INCIDENCE, axes=1)  # [k, r, c, op]
+    first, steady = np.einsum("sbk,krco->sbrco", chain, table)
     if single:
-        return out[0][0], out[1][0]
-    return out[0], out[1]
+        return first[0], steady[0]
+    return first, steady
 
 
 # The step loop's generator: it yields label-block stacks and takes the
@@ -540,7 +491,7 @@ _Stream = Generator[np.ndarray, Optional[np.ndarray], None]
 
 
 def _step_terms(weights: np.ndarray, ops: np.ndarray, ops_dag: np.ndarray):
-    """The (r, op) terms of one step kind, k per output block r.
+    """The (r, op) terms of one step, k per output block r.
 
     ``weights`` is the stack (..., 2, 2, 2) of transfer tensors and ``ops``,
     ``ops_dag`` are G, G' and their adjoints, (..., 2, d, d), each with its

@@ -13,10 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Default numerical tolerances for state validation.
+# Default tolerance of the Hermiticity checks.
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 
 ComplexMatrix = np.ndarray
 

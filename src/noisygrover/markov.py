@@ -37,9 +37,9 @@ from .collision import (
 )
 from .grover import GroverInstance, grover_operator, uniform_superposition
 from .linalg import ComplexMatrix, projector, require_density, tensor
-from .noise import (  # noqa: F401 (ConditionalProbs: the chain law stays bound here)
-    ConditionalProbs, MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi,
-    conditional_probs, noisy_grover,
+from .noise import (
+    MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi, conditional_probs,
+    noisy_grover,
 )
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
@@ -188,10 +188,11 @@ def markov_evolve(
 ) -> EvolutionTrace:
     """Evolve the joint walker+system state for ``steps`` collisions.
 
-    The first step uses the stationary label distribution, later steps the
-    conditional one. With ``bath`` (a ``ThermalBathParams``) the walker is
-    refreshed each step from thermal two-qubit ancillas instead of pure
-    ones; ``bath=None`` is the zero-temperature (pure) construction.
+    The first step draws its label from the stationary law (1 - p, p), the
+    chain's step at mu = 0; later steps use the chain at ``params.mu``.
+    With ``bath`` (a ``ThermalBathParams``) the walker is refreshed each
+    step from thermal two-qubit ancillas instead of pure ones;
+    ``bath=None`` is the zero-temperature (pure) construction.
 
     This is one point of :func:`markov_series`, ``params``, with its label
     blocks kept: the loop runs at d x d, where d, the dimension that
@@ -255,9 +256,10 @@ def history_oracle(
     g = grover_operator(inst)
     # rows of amplitudes: psi @ O^T is O psi for each row psi
     ops_t = tuple(op.T for op in (g, noisy_grover(g, build_chi(inst.n, spec))))
-    cond = conditional_probs(params)
-    # trans[k_next, k]: the chain probability of label k_next after k
-    trans = np.array([[cond.g_given_g, cond.g_given_gp], [cond.gp_given_g, cond.gp_given_gp]])
+    # trans[k_next, k]: the chain probability of label k_next after k; the
+    # first label draws from the chain at mu = 0, whose columns are (1 - p, p)
+    trans = conditional_probs(params)
+    first = conditional_probs(MarkovNoiseParams(params.p, 0.0))
     s = uniform_superposition(inst)
     acc = np.zeros((steps + 1, s.size, s.size), dtype=complex)
     acc[0] = projector(s)
@@ -284,7 +286,7 @@ def history_oracle(
             expand(t + 1, states, weights[:, None] * trans[:, labels].T)
 
     if steps:
-        expand(1, s[None], np.array([[params.p_g, params.p_gp]]))
+        expand(1, s[None], first[None, :, 0])
     probs = np.array([a[inst.marked, inst.marked].real for a in acc])
     return EvolutionTrace(probs, states=tuple(acc), meta={"method": "history"})
 

@@ -8,7 +8,9 @@ A noise event applies the same single-qubit unitary
 to m of the n qubits (a chosen position set; default is the first m), i.e.
 the faulty iteration is G' = chi_m G with chi_m the tensor lift of U. A
 two-state Markov chain with fault probability p and memory mu picks G or
-G' at each step (:class:`MarkovNoiseParams`, :func:`conditional_probs`).
+G' at each step (:class:`MarkovNoiseParams`): its transition matrix
+(:func:`conditional_probs`) is written here once, and the first collision,
+which has no previous label, is its step at mu = 0.
 
 For U proportional to a Pauli or the identity the success probability
 admits closed forms in the overlaps <w| chi G |s>, and is independent of
@@ -160,25 +162,20 @@ class MarkovNoiseParams:
         return self.p
 
 
-@dataclass(frozen=True)
-class ConditionalProbs:
-    """One-step transition probabilities of the label chain."""
-
-    g_given_g: float
-    gp_given_g: float
-    g_given_gp: float
-    gp_given_gp: float
+def _transition(p, mu) -> np.ndarray:
+    """P[..., next, previous] = (1 - mu) pi[next] + mu delta(next, previous),
+    pi = (1 - p, p), for p and mu floats or arrays that broadcast."""
+    p, mu = np.asarray(p, dtype=float), np.asarray(mu, dtype=float)
+    pi = np.stack([1.0 - p, p], axis=-1)[..., :, None]
+    return (1.0 - mu)[..., None, None] * pi + mu[..., None, None] * np.eye(2)
 
 
-def conditional_probs(params: MarkovNoiseParams) -> ConditionalProbs:
-    """P(k | l) = (1 - mu) p_k + mu delta_{k,l}; each column sums to 1."""
-    p_g, p_gp, mu = params.p_g, params.p_gp, params.mu
-    return ConditionalProbs(
-        g_given_g=(1.0 - mu) * p_g + mu,
-        gp_given_g=(1.0 - mu) * p_gp,
-        g_given_gp=(1.0 - mu) * p_g,
-        gp_given_gp=(1.0 - mu) * p_gp + mu,
-    )
+def conditional_probs(params: MarkovNoiseParams) -> np.ndarray:
+    """The label chain's transition matrix P[next, previous], 2 x 2, label
+    0 = g and 1 = g'; each column sums to 1. The first collision has no
+    previous label and draws from pi = (1 - p, p): it is the step at
+    mu = 0, whose columns are both pi."""
+    return _transition(params.p, params.mu)
 
 
 def build_chi(n: int, spec: NoiseSpec) -> ComplexMatrix:

@@ -184,9 +184,9 @@ def test_c07_dilation_suite():
     columns_exact = True
     for p, mu in itertools.product(ps, mus):
         params = MarkovNoiseParams(p, mu)
-        for kind in ("initial", "steady"):
-            dil = dilation_unitary(kind, params, g, gp)
-            kset = kraus_step(kind, params, g, gp)
+        for step in (MarkovNoiseParams(p, 0.0), params):  # the first collision is mu = 0
+            dil = dilation_unitary(step, g, gp)
+            kset = kraus_step(step, g, gp)
             worst_unitarity = max(worst_unitarity, dil.unitarity_defect())
             columns_exact = columns_exact and all(
                 np.array_equal(a, b)
@@ -197,7 +197,7 @@ def test_c07_dilation_suite():
     ok = worst_unitarity <= 1e-10 and columns_exact and worst_dev <= 1e-12
     _report(
         "07", ok,
-        f"9x11 grid, both kinds: unitarity {worst_unitarity:.2e} (tol 1e-10), "
+        f"9x11 grid, first and steady steps: unitarity {worst_unitarity:.2e} (tol 1e-10), "
         f"Kraus columns exact: {columns_exact}, "
         f"max evolution deviation {worst_dev:.2e} (tol 1e-12, 20 pure states each)",
     )
@@ -212,7 +212,7 @@ def test_c08_factorization_on_interior_grid():
     worst_residual = 0.0
     worst_defect = 0.0
     for p, mu in itertools.product(ps, ps):  # interior in both directions
-        dil = dilation_unitary("steady", MarkovNoiseParams(p, mu), g, gp)
+        dil = dilation_unitary(MarkovNoiseParams(p, mu), g, gp)
         report = extract_m(dil, chi, g)
         worst_residual = max(worst_residual, report.residual)
         worst_defect = max(worst_defect, report.unitary_defect)
@@ -241,7 +241,7 @@ def test_c09_steady_step_non_unital_pure():
     worst_dev = 0.0
     weakest_move = math.inf
     for p, mu in itertools.product((0.1, 0.3, 0.5, 0.7), (0.0, 0.5, 0.9, 1.0)):
-        kset = kraus_step("steady", MarkovNoiseParams(p, mu), g, gp)
+        kset = kraus_step(MarkovNoiseParams(p, mu), g, gp)
         moved = _unitality_move(kset, 16)
         expected = 0.5 * (1.0 - mu) * abs(1.0 - 2.0 * p)
         worst_dev = max(worst_dev, abs(moved - expected))
@@ -262,7 +262,7 @@ def test_c09_steady_step_non_unital_thermal():
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(3, noise_spec(noise_unitary("x"), 1, 3)))
     params = MarkovNoiseParams(0.5, 0.5)
-    dil = dilation_unitary("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
     kset = thermal_kraus(dil, thermal_weights(1.0))
     moved = _unitality_move(kset, 16)
     _report(
@@ -319,8 +319,8 @@ def test_c13_thermal_channel_consistency():
     worst_completeness = 0.0
     for temperature in (0.1, 0.5, 1.0, 2.0, 10.0):
         bath = thermal_weights(temperature)
-        for kind in ("initial", "steady"):
-            kset = thermal_kraus(dilation_unitary(kind, params, g, gp), bath)
+        for step in (MarkovNoiseParams(params.p, 0.0), params):
+            kset = thermal_kraus(dilation_unitary(step, g, gp), bath)
             worst_completeness = max(worst_completeness, kset.completeness_defect())
     cold = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20, bath=thermal_weights(0.01))
     pure = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20)

@@ -293,6 +293,19 @@ def test_readme_cli_examples_run(tmp_path, capsys):
         assert run_cli(capsys, argv[0], "--config", str(cfg)) == (0, out, ""), argv
 
 
+def test_readme_quick_start_runs(capsys):
+    # The Python block under "## Quick start" runs as written against the
+    # public API and prints its two lines.
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    peak, at = lines[0].split()
+    assert 0.0 < float(peak) <= 1.0 and 0 <= int(at) <= 25
+    assert float(lines[1]) >= 0.0  # a sum of positive increments
+
+
 def _option_lines(help_text):
     # The option lines of a subcommand's --help, each joined onto one line.
     lines = []
@@ -391,8 +404,8 @@ def _nan_on_member(real, which):
 
 @pytest.mark.parametrize("which", [0, 3, 4])
 def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
-    # 5 trials per kind, one stack each at n = 2: members 0-4 check the
-    # initial step, 5-9 the steady one
+    # 5 trials per step, one stack each at n = 2: members 0-4 check the
+    # first collision, 5-9 the steady one
     monkeypatch.setattr(collision, "trace_distance", _nan_on_member(collision.trace_distance, which))
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
@@ -401,14 +414,31 @@ def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
     assert "dilation_dev_initial=nan" in err
 
 
+def test_dilation_check_without_memory_repeats_the_first_step(capsys):
+    # The first collision is the steady step at mu = 0, built from the same
+    # numbers and checked on the same seeded states, so at mu = 0 each
+    # *_initial cell has the bytes of its *_steady cell.
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "3", "--m", "2", "--noise", "hadamard",
+        "--p", "0,0.3,1", "--mu", "0", "--trials", "5",
+    )
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    pairs = [(columns.index(name), columns.index(name.replace("_initial", "_steady")))
+             for name in columns if name.endswith("_initial")]
+    assert len(pairs) == 3 and len(rows) == 3
+    for row in rows:
+        assert all(row[first] == row[steady] for first, steady in pairs), row
+
+
 def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, monkeypatch):
-    # One 8N x 8N unitary alive at a time: when the steady kind's U is
-    # built, nothing holds the initial kind's any more.
+    # One 8N x 8N unitary alive at a time: when the steady step's U is
+    # built, nothing holds the first collision's any more.
     real, built, alive_at_build = cli.dilation_unitary, [], []
 
-    def tracked(kind, *args):
+    def tracked(*args):
         alive_at_build.append([ref() is not None for ref in built])
-        dil = real(kind, *args)
+        dil = real(*args)
         built.append(weakref.ref(dil))
         return dil
 
@@ -738,6 +768,15 @@ def test_a_closed_stdout_exits_one_with_one_error_line(fmt):
         assert proc.wait(timeout=120) == 1
     assert first == ("# command=noisy\n" if fmt == "csv" else "{\n")
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["ideal", "noisy", "blp", "cpdiv"])
+def test_out_of_memory_exits_one_with_one_error_line(capsys, command):
+    # 10^15 steps ask numpy for 7.11 PiB, more than any address space
+    # holds, so the request fails before anything is allocated.
+    code, out, err = run_cli(capsys, command, "--n", "5", "--steps", "1000000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
 def test_cli_does_not_import_the_process_pool():

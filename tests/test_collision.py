@@ -10,10 +10,8 @@ from support import haar_noise, label_blocks, lift
 
 from noisygrover import collision
 from noisygrover.collision import (
-    KINDS,
     DilationUnitary,
     KrausSet,
-    _weights,
     apply_kraus,
     channel_maps,
     collision_evolve,
@@ -63,17 +61,71 @@ GRID = [
     for p, mu in itertools.product((0.0, 0.1, 0.5, 0.9, 1.0), (0.0, 0.5, 1.0))
 ]
 
+# The two collisions of a run, as test ids: the first has no previous
+# label, so it is the steady step at mu = 0.
+STEPS = ("initial", "steady")
 
-@pytest.mark.parametrize("kind", ["initial", "steady"])
-def test_kraus_completeness_everywhere(kind):
+
+def _step(which, params):
+    return MarkovNoiseParams(params.p, 0.0) if which == "initial" else params
+
+
+def _stationary(p):
+    # The first collision's chain weights [next, previous], by hand: it has
+    # no previous label, so every column is the stationary law (1 - p, p).
+    return np.array([[1.0 - p, 1.0 - p], [p, p]])
+
+
+def _stationary_kraus(p, g, gp):
+    # kraus_step's layout on those weights: sqrt(w[r, c]) G or G' in
+    # walker block (r, c).
+    n_dim, w = g.shape[0], _stationary(p)
+    ops = []
+    for row, col in itertools.product(range(2), range(2)):
+        k = np.zeros((2 * n_dim, 2 * n_dim), dtype=complex)
+        k[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
+            math.sqrt(w[row, col]) * (g, gp)[row]
+        )
+        ops.append(k)
+    return ops
+
+
+def _stationary_dilation(p, g, gp):
+    # The collision unitary's block layout on those weights.
+    n_dim, w = g.shape[0], _stationary(p)
+    u = np.zeros((8 * n_dim, 8 * n_dim), dtype=complex)
+    for row, col, sign, pair, which in collision._LAYOUT:
+        block = sign * (math.sqrt(w[pair]) * (g, gp)[which])
+        u[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
+    return u
+
+
+def _stationary_transfer(p, bath):
+    # W[r, c, op] on those weights: pure ancillas feed block c into block r
+    # through op r alone; a bath weighs the layout's incidence table with
+    # the ancilla populations.
+    w = _stationary(p)
+    if bath is None:
+        out = np.zeros((2, 2, 2))
+        for row, col in itertools.product(range(2), range(2)):
+            out[row, col, row] = w[row, col]
+        return out
+    mixed = bath.z1 * bath.z2
+    pop = np.array([bath.z1**2, mixed, mixed, bath.z2**2])
+    table = np.tensordot(pop, collision._INCIDENCE, axes=1)
+    return np.einsum("bk,krco->brco", w.reshape(1, 4), table)[0]
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_kraus_completeness_everywhere(step):
     for params in GRID:
-        kset = kraus_step(kind, params, G, GP)
+        kset = kraus_step(_step(step, params), G, GP)
         assert kset.completeness_defect() < 1e-12, params
 
 
 def test_kraus_block_structure():
     params = MarkovNoiseParams(0.3, 0.0)
-    kset = kraus_step("initial", params, G, GP)
+    kset = kraus_step(params, G, GP)
     n = G.shape[0]
     k1 = np.zeros((2 * n, 2 * n), dtype=complex)
     k1[:n, :n] = math.sqrt(0.7) * G
@@ -88,56 +140,61 @@ def test_unitality_defect_formula():
     # sum K K^dagger deviates from I by (1 - mu)|1 - 2p| on the steady step
     # and |1 - 2p| on the first, so p = 1/2 is exactly unital.
     for params in GRID:
-        steady = kraus_step("steady", params, G, GP)
+        steady = kraus_step(params, G, GP)
         expected = (1.0 - params.mu) * abs(1.0 - 2.0 * params.p)
         assert steady.unitality_defect() == pytest.approx(expected, abs=1e-12)
-        first = kraus_step("initial", params, G, GP)
+        first = kraus_step(_step("initial", params), G, GP)
         assert first.unitality_defect() == pytest.approx(
             abs(1.0 - 2.0 * params.p), abs=1e-12
         )
-    loud = kraus_step("steady", MarkovNoiseParams(0.3, 0.5), G, GP)
+    loud = kraus_step(MarkovNoiseParams(0.3, 0.5), G, GP)
     assert loud.unitality_defect() == pytest.approx(0.2, abs=1e-12)
 
 
 def test_apply_kraus_preserves_density():
     rng = np.random.default_rng(42)
     r = random_density(8, rng)
-    kset = kraus_step("steady", MarkovNoiseParams(0.25, 0.6), G, GP)
+    kset = kraus_step(MarkovNoiseParams(0.25, 0.6), G, GP)
     image = apply_kraus(kset, r)
     assert abs(np.trace(image).real - 1.0) < 1e-12
     assert np.max(np.abs(image - image.conj().T)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["initial", "steady"])
-def test_dilation_is_unitary_for_all_parameters(kind):
+@pytest.mark.parametrize("step", STEPS)
+def test_dilation_is_unitary_for_all_parameters(step):
     for params in GRID:
-        dil = dilation_unitary(kind, params, G, GP)
+        dil = dilation_unitary(_step(step, params), G, GP)
         assert dil.matrix.shape == (32, 32)
         assert dil.unitarity_defect() < 1e-12, params
 
 
 def test_dilation_kinds_agree_without_memory():
+    # Without memory every collision is the first: the two steps of a run
+    # have the same transfer tensors and the same Kraus sets, pure and
+    # thermal.
     params = MarkovNoiseParams(0.35, 0.0)
-    first = dilation_unitary("initial", params, G, GP)
-    steady = dilation_unitary("steady", params, G, GP)
-    assert np.array_equal(first.matrix, steady.matrix)
+    for bath in (None, thermal_weights(0.7)):
+        first, steady = transfer_weights(params, bath)
+        assert np.array_equal(first, steady)
+        first, steady = channel_maps(params, G, GP, bath)
+        assert all(np.array_equal(a, b) for a, b in zip(first.ops, steady.ops, strict=True))
 
 
-@pytest.mark.parametrize("kind", ["initial", "steady"])
-def test_kraus_sits_in_dilation_columns(kind):
-    params = MarkovNoiseParams(0.3, 0.7)
-    dil = dilation_unitary(kind, params, G, GP)
-    direct = kraus_step(kind, params, G, GP)
+@pytest.mark.parametrize("step", STEPS)
+def test_kraus_sits_in_dilation_columns(step):
+    params = _step(step, MarkovNoiseParams(0.3, 0.7))
+    dil = dilation_unitary(params, G, GP)
+    direct = kraus_step(params, G, GP)
     extracted = kraus_from_dilation(dil)
-    assert extracted.kind == kind
+    assert extracted.labels == direct.labels == ("g|g", "g|g'", "g'|g", "g'|g'")
     for a, b in zip(direct.ops, extracted.ops):
         assert np.array_equal(a, b)
 
 
 def test_verify_dilation_passes_and_is_deterministic():
     params = MarkovNoiseParams(0.2, 0.4)
-    dil = dilation_unitary("steady", params, G, GP)
-    kset = kraus_step("steady", params, G, GP)
+    dil = dilation_unitary(params, G, GP)
+    kset = kraus_step(params, G, GP)
     rep1 = verify_dilation(dil, kset, trials=10, seed=7)
     rep2 = verify_dilation(dil, kset, trials=10, seed=7)
     assert rep1.passed and rep1.max_deviation < 1e-12
@@ -146,11 +203,9 @@ def test_verify_dilation_passes_and_is_deterministic():
 
 def test_verify_dilation_catches_mismatch():
     params = MarkovNoiseParams(0.2, 0.4)
-    dil = dilation_unitary("steady", params, G, GP)
-    kset = kraus_step("steady", params, G, GP)
-    broken = KrausSet(
-        (1.001 * kset.ops[0],) + kset.ops[1:], kset.labels, kset.kind
-    )
+    dil = dilation_unitary(params, G, GP)
+    kset = kraus_step(params, G, GP)
+    broken = KrausSet((1.001 * kset.ops[0],) + kset.ops[1:], kset.labels)
     assert not verify_dilation(dil, broken, trials=3).passed
 
 
@@ -211,23 +266,23 @@ def _check_against_full_product(monkeypatch, dil, kset, trials, seed):
     assert rep.passed and abs(rep.max_deviation - worst) < 1e-12
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_verify_dilation_matches_full_product(monkeypatch, n, kind):
+def test_verify_dilation_matches_full_product(monkeypatch, n, step):
     g, gp = _haar_operators(n, 40 + n)
-    params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary(kind, params, g, gp)
-    kset = kraus_step(kind, params, g, gp)
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     _check_against_full_product(monkeypatch, dil, kset, trials=6, seed=17)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_verify_dilation_matches_full_product_with_a_remainder_stack(monkeypatch, kind):
+@pytest.mark.parametrize("step", STEPS)
+def test_verify_dilation_matches_full_product_with_a_remainder_stack(monkeypatch, step):
     # n = 4: 2N = 32, so a stack holds 16 trials and 37 split 16 + 16 + 5
     g, gp = _haar_operators(4, 44)
-    params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary(kind, params, g, gp)
-    kset = kraus_step(kind, params, g, gp)
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     assert _stack_sizes(37, 32) == [16, 16, 5]
     _check_against_full_product(monkeypatch, dil, kset, trials=37, seed=18)
 
@@ -236,8 +291,8 @@ def test_verify_dilation_matches_full_product_with_a_remainder_stack(monkeypatch
 def test_verify_dilation_keeps_each_stack_within_the_entry_budget(monkeypatch, n, trials):
     g, gp = _haar_operators(n, 45)
     params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary("steady", params, g, gp)
-    kset = kraus_step("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     stacks = _spy_stacks(monkeypatch)
     assert verify_dilation(dil, kset, trials=trials, seed=19).passed
     sizes = [rho.shape[0] for rho, _ in stacks]
@@ -255,16 +310,16 @@ def _remixed(kset, seed):
     rng = np.random.default_rng(seed)
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     ops = tuple(sum(v[k, j] * kset.ops[j] for j in range(4)) for k in range(4))
-    return KrausSet(ops, kset.labels, kset.kind)
+    return KrausSet(ops, kset.labels)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_verify_dilation_passes_a_unitarily_remixed_kraus_set(n, kind):
+def test_verify_dilation_passes_a_unitarily_remixed_kraus_set(n, step):
     g, gp = _haar_operators(n, 60 + n)
-    params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary(kind, params, g, gp)
-    kset = kraus_step(kind, params, g, gp)
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     remixed = _remixed(kset, 70 + n)
     assert max(np.max(np.abs(a - b)) for a, b in zip(remixed.ops, kset.ops)) > 1e-2
     rep = verify_dilation(dil, remixed, trials=6, seed=17)
@@ -274,8 +329,8 @@ def test_verify_dilation_passes_a_unitarily_remixed_kraus_set(n, kind):
 def test_verify_dilation_does_not_compare_a_map_with_itself(monkeypatch):
     g, gp = _haar_operators(3, 80)
     params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary("steady", params, g, gp)
-    kset = kraus_step("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     stacks = _spy_stacks(monkeypatch)
     assert verify_dilation(dil, kset, trials=10, seed=5).passed
     pairs = [pair for rho, sigma in stacks for pair in zip(rho, sigma, strict=True)]
@@ -289,15 +344,15 @@ def test_verify_dilation_does_not_compare_a_map_with_itself(monkeypatch):
 def test_verify_dilation_sees_an_entry_off_the_layout(block):
     g, gp = _haar_operators(3, 50)
     params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary("steady", params, g, gp)
-    kset = kraus_step("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     n_dim = g.shape[0]
     row, col = block
     rows, cols = slice(row * n_dim, (row + 1) * n_dim), slice(col * n_dim, (col + 1) * n_dim)
     broken = dil.matrix.copy()
     assert not np.any(broken[rows, cols])  # the layout leaves this |00>-column block zero
     broken[rows, cols] = 1e-3 * g
-    rep = verify_dilation(DilationUnitary(broken, "steady"), kset, trials=3)
+    rep = verify_dilation(DilationUnitary(broken), kset, trials=3)
     assert not rep.passed and rep.max_deviation > 1e-6
 
 
@@ -305,13 +360,13 @@ def test_verify_dilation_sees_an_entry_off_the_layout(block):
 def test_verify_dilation_sees_a_scaled_ancilla_zero_column_block(block):
     g, gp = _haar_operators(3, 50)
     params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary("steady", params, g, gp)
-    kset = kraus_step("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     n_dim = g.shape[0]
     broken = dil.matrix.copy()
     row, col = block
     broken[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] *= 1.001
-    rep = verify_dilation(DilationUnitary(broken, "steady"), kset, trials=3)
+    rep = verify_dilation(DilationUnitary(broken), kset, trials=3)
     assert not rep.passed and rep.max_deviation > 1e-6
 
 
@@ -320,8 +375,8 @@ def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
     # stack reads NaN
     g, gp = _haar_operators(4, 46)
     params = MarkovNoiseParams(0.2, 0.4)
-    dil = dilation_unitary("steady", params, g, gp)
-    kset = kraus_step("steady", params, g, gp)
+    dil = dilation_unitary(params, g, gp)
+    kset = kraus_step(params, g, gp)
     real, calls = collision.trace_distance, []
 
     def nan_in_second(*args):
@@ -339,16 +394,16 @@ def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
 
 def test_extract_m_recovers_unitary_grid():
     for params in GRID:
-        dil = dilation_unitary("steady", params, G, GP)
+        dil = dilation_unitary(params, G, GP)
         report = extract_m(dil, CHI, G)
         assert report.passed, params
         assert report.residual < 1e-10
         assert report.control_value == 1
         assert report.unitary_defect < 1e-10
         # the grid entries are the +-sqrt(prob) coefficients
-        c = conditional_probs(params)
-        assert abs(report.m_grid[0, 0] - math.sqrt(c.g_given_g)) < 1e-12
-        assert abs(report.m_grid[5, 5] + math.sqrt(c.g_given_g)) < 1e-12
+        stay = math.sqrt(conditional_probs(params)[0, 0])
+        assert abs(report.m_grid[0, 0] - stay) < 1e-12
+        assert abs(report.m_grid[5, 5] + stay) < 1e-12
 
 
 def _full_product_factorization(dil, chi, g):
@@ -370,16 +425,16 @@ def _full_product_factorization(dil, chi, g):
     return m_grid, residual, defect
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_extract_m_matches_full_product(n, kind):
+def test_extract_m_matches_full_product(n, step):
     rng = np.random.default_rng(80 + n)
     inst = GroverInstance(n, int(rng.integers(2**n)))
     g = grover_operator(inst)
     chi = build_chi(n, noise_spec(haar_noise(rng), int(rng.integers(1, n + 1)), n))
     other = build_chi(n, noise_spec(haar_noise(rng), n, n))
-    params = MarkovNoiseParams(0.35, 0.6)
-    dil = dilation_unitary(kind, params, g, noisy_grover(g, chi))
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    dil = dilation_unitary(params, g, noisy_grover(g, chi))
     # With the dilation's own chi the factorization passes; with another chi
     # it fails, and the residual is that of the same control |1>.
     for cx_chi, passes in ((chi, True), (other, False)):
@@ -392,27 +447,27 @@ def test_extract_m_matches_full_product(n, kind):
         assert np.max(np.abs(report.m_grid - m_grid)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_extract_m_rejects_a_dilation_controlled_on_zero(kind):
+@pytest.mark.parametrize("step", STEPS)
+def test_extract_m_rejects_a_dilation_controlled_on_zero(step):
     # (X (x) I) U (X (x) I), X on the first ancilla, swaps U's halves, so it
     # factors with CX controlled on |0>. The layout puts every G' block where
     # the first ancilla is |1>, so only that control counts, and this U fails.
-    params = MarkovNoiseParams(0.35, 0.6)
-    u = dilation_unitary(kind, params, G, GP).matrix
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    u = dilation_unitary(params, G, GP).matrix
     half = u.shape[0] // 2
     swapped = np.roll(np.roll(u, half, axis=0), half, axis=1)
-    report = extract_m(DilationUnitary(swapped, kind), CHI, G)
+    report = extract_m(DilationUnitary(swapped), CHI, G)
     assert not report.passed and report.control_value == 1
     assert report.residual > 0.1
     assert abs(report.residual - _full_product_factorization(
-        DilationUnitary(swapped, kind), CHI, G)[1]) < 1e-12
+        DilationUnitary(swapped), CHI, G)[1]) < 1e-12
 
 
 def test_extract_m_keeps_a_nan_residual():
     params = MarkovNoiseParams(0.2, 0.4)
-    broken = dilation_unitary("steady", params, G, GP).matrix.copy()
+    broken = dilation_unitary(params, G, GP).matrix.copy()
     broken[5, 9] = np.nan
-    report = extract_m(DilationUnitary(broken, "steady"), CHI, G)
+    report = extract_m(DilationUnitary(broken), CHI, G)
     assert math.isnan(report.residual) and not report.passed
 
 
@@ -432,20 +487,20 @@ def _scattered_set(n_dim, seed):
     single = np.zeros_like(scattered)
     single[n_dim - 1, n_dim] = 0.5 - 0.25j
     zero = np.zeros_like(scattered)
-    return KrausSet((scattered, single, zero), ("a", "b", "c"), "steady")
+    return KrausSet((scattered, single, zero), ("a", "b", "c"))
 
 
 def _kraus_case(case):
     g, gp = _haar_operators(3, 90)
     if case == "scattered":
         return _scattered_set(g.shape[0], 91)
-    kind, params = {
-        "initial": ("initial", MarkovNoiseParams(0.35, 0.6)),
-        "steady": ("steady", MarkovNoiseParams(0.35, 0.6)),
-        "remixed": ("steady", MarkovNoiseParams(0.35, 0.6)),
-        "zero-weight": ("initial", MarkovNoiseParams(0.0, 0.6)),
+    params = {
+        "initial": MarkovNoiseParams(0.35, 0.0),
+        "steady": MarkovNoiseParams(0.35, 0.6),
+        "remixed": MarkovNoiseParams(0.35, 0.6),
+        "zero-weight": MarkovNoiseParams(0.0, 0.0),
     }[case]
-    kset = kraus_step(kind, params, g, gp)
+    kset = kraus_step(params, g, gp)
     return _remixed(kset, 92) if case == "remixed" else kset
 
 
@@ -497,11 +552,12 @@ def _variant(u, variant, gp):
 
 
 @pytest.mark.parametrize("variant", ["built", "planted", "nan", "zero-column"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_unitarity_defect_matches_the_dense_product(kind, variant):
+@pytest.mark.parametrize("step", STEPS)
+def test_unitarity_defect_matches_the_dense_product(step, variant):
     g, gp = _haar_operators(3, 94)
-    u = _variant(dilation_unitary(kind, MarkovNoiseParams(0.35, 0.6), g, gp).matrix, variant, gp)
-    got = DilationUnitary(u, kind).unitarity_defect()
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    u = _variant(dilation_unitary(params, g, gp).matrix, variant, gp)
+    got = DilationUnitary(u).unitarity_defect()
     dense = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if variant == "nan":
         assert math.isnan(got) and math.isnan(dense)
@@ -514,15 +570,16 @@ def test_unitarity_defect_matches_the_dense_product(kind, variant):
 
 
 @pytest.mark.parametrize("variant", ["built", "planted", "nan"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_extract_m_matches_the_dense_product_off_the_layout(kind, variant):
+@pytest.mark.parametrize("step", STEPS)
+def test_extract_m_matches_the_dense_product_off_the_layout(step, variant):
     rng = np.random.default_rng(95)
     g = grover_operator(GroverInstance(3, 5))
     chi = build_chi(3, noise_spec(haar_noise(rng), 2, 3))
     gp = noisy_grover(g, chi)
-    u = _variant(dilation_unitary(kind, MarkovNoiseParams(0.35, 0.6), g, gp).matrix, variant, gp)
-    report = extract_m(DilationUnitary(u, kind), chi, g)
-    m_grid, residual, defect = _full_product_factorization(DilationUnitary(u, kind), chi, g)
+    params = _step(step, MarkovNoiseParams(0.35, 0.6))
+    u = _variant(dilation_unitary(params, g, gp).matrix, variant, gp)
+    report = extract_m(DilationUnitary(u), chi, g)
+    m_grid, residual, defect = _full_product_factorization(DilationUnitary(u), chi, g)
     if variant == "nan":
         assert math.isnan(report.residual) and math.isnan(residual)
         assert math.isnan(report.unitary_defect) and math.isnan(defect)
@@ -538,12 +595,12 @@ def test_extract_m_matches_the_dense_product_off_the_layout(kind, variant):
 
 
 def _transition_roots(params):
-    c = conditional_probs(params)
+    roots = np.sqrt(conditional_probs(params))
     return {
-        "g|g": math.sqrt(c.g_given_g),
-        "g|g'": math.sqrt(c.g_given_gp),
-        "g'|g": math.sqrt(c.gp_given_g),
-        "g'|g'": math.sqrt(c.gp_given_gp),
+        "g|g": roots[0, 0],
+        "g|g'": roots[0, 1],
+        "g'|g": roots[1, 0],
+        "g'|g'": roots[1, 1],
     }
 
 
@@ -569,7 +626,7 @@ def test_quarter_blocks_relate_to_m_columns():
             [0.0, 0.0, (r["g'|g"] + 1.0) / r["g|g"], 0.0],
         ]
     )
-    dil = dilation_unitary("steady", params, G, GP)
+    dil = dilation_unitary(params, G, GP)
     m_grid = extract_m(dil, CHI, G).m_grid
     candidates = []
     for col in range(8):
@@ -606,8 +663,8 @@ def test_thermal_weights_limits_and_validation():
 def test_thermal_kraus_completeness(temperature):
     params = MarkovNoiseParams(0.4, 0.6)
     bath = thermal_weights(temperature)
-    for kind in ("initial", "steady"):
-        kset = thermal_kraus(dilation_unitary(kind, params, G, GP), bath)
+    for step in STEPS:
+        kset = thermal_kraus(dilation_unitary(_step(step, params), G, GP), bath)
         assert len(kset.ops) == 16
         assert kset.completeness_defect() < 1e-12
 
@@ -615,9 +672,9 @@ def test_thermal_kraus_completeness(temperature):
 def test_thermal_cold_limit_reduces_to_pure_step():
     params = MarkovNoiseParams(0.4, 0.6)
     bath = thermal_weights(0.01)
-    dil = dilation_unitary("steady", params, G, GP)
+    dil = dilation_unitary(params, G, GP)
     thermal = thermal_kraus(dil, bath)
-    pure = kraus_step("steady", params, G, GP)
+    pure = kraus_step(params, G, GP)
     rng = np.random.default_rng(11)
     r = random_density(8, rng)
     assert np.max(np.abs(apply_kraus(thermal, r) - apply_kraus(pure, r))) < 1e-12
@@ -626,11 +683,40 @@ def test_thermal_cold_limit_reduces_to_pure_step():
 def test_channel_maps_dispatch():
     params = MarkovNoiseParams(0.3, 0.3)
     first, steady = channel_maps(params, G, GP)
-    assert first.kind == "initial" and steady.kind == "steady"
     assert len(first.ops) == 4
-    first_t, steady_t = channel_maps(params, G, GP, bath=thermal_weights(1.0))
+    for got, want in zip((first, steady), (MarkovNoiseParams(0.3, 0.0), params)):
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, kraus_step(want, G, GP).ops))
+    bath = thermal_weights(1.0)
+    first_t, steady_t = channel_maps(params, G, GP, bath=bath)
     assert len(first_t.ops) == 16 and len(steady_t.ops) == 16
-    assert first_t.kind == "initial" and steady_t.kind == "steady"
+    for got, want in zip((first_t, steady_t), (MarkovNoiseParams(0.3, 0.0), params)):
+        expected = thermal_kraus(dilation_unitary(want, G, GP), bath)
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, expected.ops))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1 / 3, 0.5, 1.0])
+@pytest.mark.parametrize("p", [0.0, 1 / 3, 0.5, 1.0])
+def test_first_collision_is_the_stationary_step(p, mu):
+    # Every first-collision construction equals the one built by hand from
+    # the stationary law, bitwise, whatever the memory of the later steps.
+    params = MarkovNoiseParams(p, mu)
+    others = [MarkovNoiseParams(0.2, 0.9), params, MarkovNoiseParams(1.0 - p, 1.0 - mu)]
+    bath = thermal_weights(0.7)
+    for ancillas in (None, bath):
+        expected = _stationary_transfer(p, ancillas)
+        assert np.array_equal(transfer_weights(params, ancillas)[0], expected)
+        assert np.array_equal(transfer_weights(others, ancillas)[0][1], expected)
+    kraus = _stationary_kraus(p, G, GP)
+    u = _stationary_dilation(p, G, GP)
+    thermal = thermal_kraus(DilationUnitary(u), bath).ops
+    for got, want in (
+        (channel_maps(params, G, GP)[0].ops, kraus),
+        (channel_maps(params, G, GP, bath)[0].ops, thermal),
+        (kraus_step(MarkovNoiseParams(p, 0.0), G, GP).ops, kraus),
+    ):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(dilation_unitary(MarkovNoiseParams(p, 0.0), G, GP).matrix, u)
 
 
 def test_collision_evolve_basics():
@@ -673,21 +759,22 @@ def test_collision_evolve_validate_catches_broken_channel():
 @pytest.mark.parametrize("temperature", [None, 0.1, 0.5, 1.0, 3.0, 100.0])
 def test_transfer_weights_columns_and_limits(temperature):
     bath = None if temperature is None else thermal_weights(temperature)
-    # (weight key, operator, walker row, walker col) of the kraus_step blocks
-    blocks = (("g|g", 0, 0, 0), ("g|g'", 0, 0, 1), ("g'|g", 1, 1, 0), ("g'|g'", 1, 1, 1))
     for params in GRID:
         weights = transfer_weights(params, bath)
-        for kind, w in zip(KINDS, weights):
+        for step, w in zip(STEPS, weights):
             assert w.shape == (2, 2, 2)
-            assert np.max(np.abs(w.sum(axis=(0, 2)) - 1.0)) <= 1e-15, (params, kind)
+            assert np.max(np.abs(w.sum(axis=(0, 2)) - 1.0)) <= 1e-15, (params, step)
         if bath is None:
+            # the kraus_step blocks: walker block c feeds block r through
+            # op r with weight P[r, c]
             cold = transfer_weights(params, thermal_weights(0.01))
-            for kind, w, w_cold in zip(KINDS, weights, cold):
+            for step, w, w_cold in zip(STEPS, weights, cold):
+                chain = conditional_probs(_step(step, params))
                 expected = np.zeros((2, 2, 2))
-                for key, which, row, col in blocks:
-                    expected[row, col, which] = _weights(kind, params)[key]
-                assert np.array_equal(w, expected), (params, kind)
-                assert np.max(np.abs(w_cold - w)) < 1e-12, (params, kind)
+                for row, col in itertools.product(range(2), range(2)):
+                    expected[row, col, row] = chain[row, col]
+                assert np.array_equal(w, expected), (params, step)
+                assert np.max(np.abs(w_cold - w)) < 1e-12, (params, step)
 
 
 def _transfer_weights_loop(params, bath):
@@ -698,11 +785,11 @@ def _transfer_weights_loop(params, bath):
         mixed = bath.z1 * bath.z2
         pop = (bath.z1**2, mixed, mixed, bath.z2**2)
     out = []
-    for kind in KINDS:
-        w = _weights(kind, params)
+    for step in STEPS:
+        chain = conditional_probs(_step(step, params))
         tensor_w = np.zeros((2, 2, 2))
-        for row, col, _sign, key, which in collision._LAYOUT:
-            tensor_w[row % 2, col % 2, which] += pop[col // 2] * w[key]
+        for row, col, _sign, pair, which in collision._LAYOUT:
+            tensor_w[row % 2, col % 2, which] += pop[col // 2] * chain[pair]
         out.append(tensor_w)
     return out
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from support import haar_noise, label_blocks, lift
 
-from noisygrover import markov
+from noisygrover import markov, noise
 from noisygrover.collision import thermal_weights
 from noisygrover.grover import (
     GroverInstance,
@@ -57,25 +57,37 @@ def test_params_validation():
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
 @pytest.mark.parametrize("mu", [0.0, 0.4, 1.0])
 def test_conditional_probs_columns_sum_to_one(p, mu):
+    # P[next, previous]: each column is a distribution over the next label
     c = conditional_probs(MarkovNoiseParams(p, mu))
-    assert c.g_given_g + c.gp_given_g == pytest.approx(1.0, abs=1e-15)
-    assert c.g_given_gp + c.gp_given_gp == pytest.approx(1.0, abs=1e-15)
-    for value in (c.g_given_g, c.gp_given_g, c.g_given_gp, c.gp_given_gp):
-        assert -1e-15 <= value <= 1.0 + 1e-15
+    assert c.shape == (2, 2)
+    assert np.max(np.abs(c.sum(axis=0) - 1.0)) <= 1e-15
+    assert np.all((-1e-15 <= c) & (c <= 1.0 + 1e-15))
 
 
 def test_conditional_probs_limits():
     # always-faulty chain: leaving g' is impossible
     c = conditional_probs(MarkovNoiseParams(1.0, 0.3))
-    assert c.g_given_gp == 0.0
-    assert c.gp_given_gp == 1.0
-    assert c.g_given_g == pytest.approx(0.3)  # mu survives only via the diagonal
+    assert c[0, 1] == 0.0
+    assert c[1, 1] == 1.0
+    assert c[0, 0] == pytest.approx(0.3)  # mu survives only via the diagonal
     # mu = 1 freezes the label regardless of p
     c = conditional_probs(MarkovNoiseParams(0.2, 1.0))
-    assert c.g_given_g == 1.0 and c.gp_given_gp == 1.0
-    # mu = 0 is i.i.d.
+    assert np.array_equal(c, np.eye(2))
+    # mu = 0 is i.i.d.: both columns are the stationary law (1 - p, p),
+    # the first collision's draw
     c = conditional_probs(MarkovNoiseParams(0.2, 0.0))
-    assert c.g_given_g == c.g_given_gp == pytest.approx(0.8)
+    assert np.array_equal(c, [[0.8, 0.8], [0.2, 0.2]])
+
+
+def test_conditional_probs_stacks_points():
+    # The one chain law also takes stacked p and mu, as transfer_weights
+    # passes them: each member is the single point's matrix, bitwise.
+    ps, mus = np.meshgrid([0.0, 0.25, 1 / 3, 1.0], [0.0, 0.4, 0.5, 1.0])
+    stack = noise._transition(ps, mus)
+    assert stack.shape == ps.shape + (2, 2)
+    for index in np.ndindex(ps.shape):
+        point = MarkovNoiseParams(float(ps[index]), float(mus[index]))
+        assert np.array_equal(stack[index], conditional_probs(point))
 
 
 def test_initial_joint_state():
@@ -149,13 +161,7 @@ def _enumerated_histories(inst, spec, params, steps):
     # itertools.product order, as the sum was first written.
     g = grover_operator(inst)
     ops = (g, build_chi(inst.n, spec) @ g)
-    cond = conditional_probs(params)
-    trans = {
-        (0, 0): cond.g_given_g,
-        (1, 0): cond.gp_given_g,
-        (0, 1): cond.g_given_gp,
-        (1, 1): cond.gp_given_gp,
-    }
+    trans = conditional_probs(params)
     first = (params.p_g, params.p_gp)
     rho0 = projector(uniform_superposition(inst))
     states = [rho0]
@@ -164,7 +170,7 @@ def _enumerated_histories(inst, spec, params, steps):
         for hist in itertools.product((0, 1), repeat=t):
             weight = first[hist[0]]
             for prev, cur in zip(hist, hist[1:]):
-                weight *= trans[(cur, prev)]
+                weight *= trans[cur, prev]
             if weight == 0.0:
                 continue
             v = rho0
