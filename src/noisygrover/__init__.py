@@ -48,8 +48,6 @@ from .noise import (
     w_prime,
 )
 from .collision import (
-    DilationReport,
-    DilationUnitary,
     EvolutionTrace,
     FactorizationReport,
     KrausSet,
@@ -65,6 +63,7 @@ from .collision import (
     thermal_kraus,
     thermal_weights,
     transfer_weights,
+    unitarity_defect,
     verify_dilation,
 )
 from .markov import (

@@ -27,8 +27,9 @@ table that ``dilation_unitary`` assembles U from, weighting each ancilla
 input by its population (|00> only for pure ancillas, Gibbs products for
 a thermal bath). It takes one (p, mu) point or a sequence, whose tensors
 it stacks from one incidence table of that block layout. The Kraus sets,
-the dilation and its factorization are the verification layer: the tests
-and ``dilation-check`` compare against them.
+the dilation and its factorization are the verification layer: each
+check returns its measurements (defects, deviations, residuals), which
+``dilation-check`` gates in one table and the tests bound themselves.
 
 The step loop is one generator, dense at whatever size it is given, that
 runs a batch at once: transfer tensors, G, G' and the start each may carry
@@ -53,7 +54,7 @@ U also factors as
 
 where CX applies chi to the system when the first ancilla is |1> and M is
 the 8 x 8 coefficient grid; ``extract_m`` recovers M numerically and
-checks it is unitary.
+measures how far it is from unitary.
 """
 
 from __future__ import annotations
@@ -82,21 +83,16 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 # n = 6 on).
 _BATCH_ENTRIES = 2**14
 
-# Kraus-operator labels "next|previous": operator 2 next + previous carries
-# the chain's P[next, previous].
-_KEYS = ("g|g", "g|g'", "g'|g", "g'|g'")
-
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of one collision step, with human-readable labels.
+    """Kraus operators of one collision step.
 
     The set is read-only: :func:`apply_kraus` cuts the operators to their
     nonzero boxes once per set and keeps the cuts.
     """
 
     ops: tuple[ComplexMatrix, ...]
-    labels: tuple[str, ...]
 
     @cached_property
     def _boxes(self) -> tuple[tuple[slice, slice, ComplexMatrix], ...]:
@@ -160,7 +156,7 @@ def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -
             math.sqrt(w[row, col]) * (g, gp)[row]
         )
         ops.append(k)
-    return KrausSet(tuple(ops), _KEYS)
+    return KrausSet(tuple(ops))
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
@@ -205,42 +201,12 @@ _LAYOUT = (
 )
 
 
-@dataclass(frozen=True)
-class DilationUnitary:
-    """The 8N x 8N collision unitary on ancilla1 (x) ancilla2 (x) walker (x) system."""
-
-    matrix: ComplexMatrix
-
-    def unitarity_defect(self) -> float:
-        """max |U^dagger U - I|, one N x N block of U^dagger U at a time.
-
-        Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8
-        block rows i. Each row is taken on the column blocks where it is
-        nonzero (``any`` on U itself, so a NaN counts), and every term left
-        out is an exact zero: only the block pairs (j, k) that share a
-        nonzero block row are summed, 16 of the 64 for the layout, with 32
-        N x N products in place of the dense 8N x 8N one, and no 8N x 8N
-        matrix besides U is formed. Every other block is an exact zero, so
-        its defect is 1 on the diagonal and 0 off it. A NaN entry makes the
-        defect NaN.
-        """
-        n_dim = self.matrix.shape[0] // 8
-        grid = self.matrix.reshape(8, n_dim, 8, n_dim)
-        nonzero = grid.any(axis=(1, 3))
-        eye = np.eye(n_dim)
-        defects = np.eye(8)
-        for j, k in zip(*np.nonzero(nonzero.T @ nonzero)):
-            rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
-            block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
-            defects[j, k] = np.max(np.abs(block - eye if j == k else block))
-        return float(np.max(defects))
-
-
 def dilation_unitary(
     params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
-) -> DilationUnitary:
-    """Assemble the collision unitary of the step at ``params`` (the first
-    collision is the step at mu = 0).
+) -> ComplexMatrix:
+    """The 8N x 8N collision unitary on ancilla1 (x) ancilla2 (x) walker (x)
+    system of the step at ``params`` (the first collision is the step at
+    mu = 0).
 
     Tracing the ancillas out of U (R (x) |00><00|-style input, ancillas
     leftmost) reproduces exactly :func:`kraus_step` at the same ``params``;
@@ -257,40 +223,48 @@ def dilation_unitary(
     for row, col, sign, pair, which in _LAYOUT:
         block = sign * (math.sqrt(w[pair]) * ops[which])
         u[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
-    return DilationUnitary(u)
+    return u
 
 
-def kraus_from_dilation(dil: DilationUnitary) -> KrausSet:
-    """Read the four Kraus operators out of the dilation's |00> columns."""
-    n2 = dil.matrix.shape[0] // 4  # walker+system dimension 2N
-    ops = []
-    for alpha in range(4):
-        ops.append(dil.matrix[alpha * n2 : (alpha + 1) * n2, 0:n2].copy())
-    return KrausSet(tuple(ops), _KEYS)
+def unitarity_defect(u: ComplexMatrix) -> float:
+    """max |U^dagger U - I| of a collision unitary U, one N x N block of
+    U^dagger U at a time.
+
+    Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8 block
+    rows i. Each row is taken on the column blocks where it is nonzero
+    (``any`` on U itself, so a NaN counts), and every term left out is an
+    exact zero: only the block pairs (j, k) that share a nonzero block row
+    are summed, 16 of the 64 for the layout, with 32 N x N products in
+    place of the dense 8N x 8N one, and no 8N x 8N matrix besides U is
+    formed. Every other block is an exact zero, so its defect is 1 on the
+    diagonal and 0 off it. A NaN entry makes the defect NaN.
+    """
+    n_dim = u.shape[0] // 8
+    grid = u.reshape(8, n_dim, 8, n_dim)
+    nonzero = grid.any(axis=(1, 3))
+    eye = np.eye(n_dim)
+    defects = np.eye(8)
+    for j, k in zip(*np.nonzero(nonzero.T @ nonzero)):
+        rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
+        block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
+        defects[j, k] = np.max(np.abs(block - eye if j == k else block))
+    return float(np.max(defects))
 
 
-@dataclass(frozen=True)
-class DilationReport:
-    trials: int
-    max_deviation: float
-    tol: float
-    passed: bool
+def kraus_from_dilation(u: ComplexMatrix) -> KrausSet:
+    """Read the four Kraus operators out of the collision unitary's |00> columns."""
+    n2 = u.shape[0] // 4  # walker+system dimension 2N
+    return KrausSet(tuple(u[alpha * n2 : (alpha + 1) * n2, :n2].copy() for alpha in range(4)))
 
 
-def verify_dilation(
-    dil: DilationUnitary,
-    kset: KrausSet,
-    trials: int = 20,
-    seed: int = 1234,
-    tol: float = 1e-12,
-) -> DilationReport:
-    """Check Tr_anc[ U (|00><00| (x) R) U^dagger ] against the Kraus map.
+def verify_dilation(u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: int = 1234) -> float:
+    """The largest trace distance between Tr_anc[ U (|00><00| (x) R) U^dagger ]
+    and the Kraus map's image of R.
 
     Runs ``trials`` seeded Haar-random pure states psi on walker (x) system
-    and reports the largest trace distance between the two one-step images
+    and returns the largest trace distance between the two one-step images
     of R = |psi><psi|; ``trials`` < 1 raises ``ValueError``, since no state
-    would be checked. A NaN deviation is kept as the maximum and fails the
-    check.
+    would be checked. A NaN deviation is kept as the maximum.
 
     Pure probes lose nothing: ||(E - F)(R)||_1 is convex in R and every
     state is a mixture of pure states, so the difference of two channels E
@@ -312,8 +286,8 @@ def verify_dilation(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n2 = dil.matrix.shape[0] // 4
-    columns = dil.matrix[:, :n2]
+    n2 = u.shape[0] // 4
+    columns = u[:, :n2]
     stack = max(1, _BATCH_ENTRIES // n2**2)
     rng = np.random.default_rng(seed)
     deviations = []
@@ -322,27 +296,20 @@ def verify_dilation(
         phi = (psi @ columns.T).reshape(-1, 4, n2)
         image = apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
         deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
-    worst = float(np.max(np.concatenate(deviations)))
-    return DilationReport(trials, worst, tol, worst <= tol)
+    return float(np.max(np.concatenate(deviations)))
 
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Result of pulling the coefficient grid M out of the dilation."""
+    """Result of pulling the coefficient grid M out of the collision unitary."""
 
     m_grid: ComplexMatrix
     residual: float
     control_value: int
     unitary_defect: float
-    passed: bool
 
 
-def extract_m(
-    dil: DilationUnitary,
-    chi: ComplexMatrix,
-    g: ComplexMatrix,
-    tol: float = 1e-8,
-) -> FactorizationReport:
+def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> FactorizationReport:
     """Recover M from U = CX . (M (x) I_N) . (I_8 (x) G).
 
     CX applies ``chi`` to the system when the first ancilla is |1>, since
@@ -356,7 +323,6 @@ def extract_m(
     so a NaN counts); the others give M_ij = 0 and residual 0, as the
     product does. A NaN block residual is kept as the maximum.
     """
-    u = dil.matrix
     n_dim = g.shape[0]
     g_dag, chi_dag = dagger(g), dagger(chi)
     eye_n = np.eye(n_dim)
@@ -371,7 +337,7 @@ def extract_m(
         residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
     residual = float(np.max(residuals))
     defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
-    return FactorizationReport(m_grid, residual, 1, defect, residual <= tol)
+    return FactorizationReport(m_grid, residual, 1, defect)
 
 
 @dataclass(frozen=True)
@@ -397,7 +363,7 @@ def thermal_weights(temperature: float) -> ThermalBathParams:
     return ThermalBathParams(t, z1, 1.0 - z1)
 
 
-def thermal_kraus(dil: DilationUnitary, bath: ThermalBathParams) -> KrausSet:
+def thermal_kraus(u: ComplexMatrix, bath: ThermalBathParams) -> KrausSet:
     """Sixteen Kraus operators K_{ab} = pi_b <a|U|b> of the thermal collision.
 
     pi weights are the square roots of the two-qubit Gibbs populations:
@@ -405,18 +371,14 @@ def thermal_kraus(dil: DilationUnitary, bath: ThermalBathParams) -> KrausSet:
     follows from (z1 + z2)^2 = 1. At T -> 0 only the b = 00 column
     survives and the pure-ancilla step is recovered.
     """
-    u = dil.matrix
     n2 = u.shape[0] // 4
     root = math.sqrt(bath.z1 * bath.z2)
     pi = (bath.z1, root, root, bath.z2)
-    ops = []
-    labels = []
-    for alpha in range(4):
-        for beta in range(4):
-            block = u[alpha * n2 : (alpha + 1) * n2, beta * n2 : (beta + 1) * n2]
-            ops.append(pi[beta] * block)
-            labels.append(f"{alpha:02b}|{beta:02b}")
-    return KrausSet(tuple(ops), tuple(labels))
+    return KrausSet(tuple(
+        pi[beta] * u[alpha * n2 : (alpha + 1) * n2, beta * n2 : (beta + 1) * n2]
+        for alpha in range(4)
+        for beta in range(4)
+    ))
 
 
 def channel_maps(

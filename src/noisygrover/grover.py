@@ -6,10 +6,11 @@ superposition |s> and the marked state |w>:
     G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w|
 
 which equals the usual diffusion-times-oracle product (2|s><s| - I)(I - 2|w><w|).
-The same formula gives G on any smaller space that holds |s> and |w>
-(:func:`reduced_grover_operator`), which is where the simulator runs. The
-ideal success probability after t iterations has the closed form
-sin^2((2t + 1) asin(1/sqrt(N))), used throughout the tests as an oracle.
+It is written once, in :func:`reduced_grover_operator`: G on the whole
+register, and on any smaller space that holds |s> and |w>, where the
+simulator runs. The ideal success probability after t iterations has the
+closed form sin^2((2t + 1) asin(1/sqrt(N))), used throughout the tests as
+an oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import projector
 
 
 @dataclass(frozen=True)
@@ -65,15 +64,10 @@ def marked_state(inst: GroverInstance) -> np.ndarray:
 
 
 def grover_operator(inst: GroverInstance) -> np.ndarray:
-    """Dense N x N Grover iteration operator."""
-    N = inst.N
-    s = uniform_superposition(inst)
-    w = marked_state(inst)
-    g = -np.eye(N, dtype=complex)
-    g += 2.0 * projector(s)
-    g += -(4.0 / math.sqrt(N)) * np.outer(s, np.conj(w))
-    g += 2.0 * projector(w)
-    return g
+    """Dense N x N Grover iteration operator: :func:`reduced_grover_operator`
+    on the whole register, as a complex matrix."""
+    s = uniform_superposition(inst).real
+    return reduced_grover_operator(s, inst.marked, inst.N).astype(complex)
 
 
 def reduced_grover_operator(s: np.ndarray, w: int, N: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Default tolerance of the Hermiticity checks.
+# Tolerance of the Hermiticity checks (the step loop's start, trace_norm).
 HERMITICITY_TOL = 1e-10
 
 ComplexMatrix = np.ndarray
@@ -107,17 +107,19 @@ def hermiticity_defect(a: ComplexMatrix, axis=None) -> float | np.ndarray:
     return float(defect) if axis is None else defect
 
 
-def trace_norm(h: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+def trace_norm(h: ComplexMatrix) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix, or of each member
     of a stack ``(..., d, d)``.
 
     Parameters
     ----------
     h
-        Matrix or stack that must be Hermitian within ``tol``; the skew
-        part is discarded by ``eigh``, so feeding a genuinely non-Hermitian
-        matrix would silently compute the wrong norm. Hence the check: one
-        pass over the whole stack, which also rejects non-finite entries.
+        Matrix or stack that must be Hermitian within ``HERMITICITY_TOL``;
+        the skew part is discarded by ``eigh``, so feeding a genuinely
+        non-Hermitian matrix would silently compute the wrong norm. Hence
+        the check: one pass over the whole stack, which also rejects
+        non-finite entries with ``ValueError``, as it does a defect above
+        that tolerance.
 
     Returns
     -------
@@ -132,8 +134,8 @@ def trace_norm(h: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float | np.nda
     defect = hermiticity_defect(h)
     if not np.isfinite(defect):  # a NaN or inf entry makes the defect NaN or inf
         raise ValueError(f"matrix is not finite: hermiticity defect {defect}")
-    if not defect <= tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {HERMITICITY_TOL:.1e}")
     norms = sum(
         np.sum(np.abs(np.linalg.eigvalsh(h[..., lo:hi, lo:hi])), axis=-1)
         for lo, hi in _diagonal_blocks(h)
@@ -159,18 +161,17 @@ def _diagonal_blocks(h: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0] + ends[:-1], ends))
 
 
-def trace_distance(
-    rho1: ComplexMatrix, rho2: ComplexMatrix, tol: float = HERMITICITY_TOL
-) -> float | np.ndarray:
+def trace_distance(rho1: ComplexMatrix, rho2: ComplexMatrix) -> float | np.ndarray:
     """Half the trace norm of the difference of two Hermitian matrices, or
     of each pair of members of two stacks ``(..., d, d)`` of one shape: a
     float for one pair, an array of shape ``rho1.shape[:-2]`` for stacks,
-    by :func:`trace_norm`."""
+    by :func:`trace_norm`, which rejects a difference that is not Hermitian
+    within ``HERMITICITY_TOL``."""
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError(f"shape mismatch: {rho1.shape} vs {rho2.shape}")
-    return 0.5 * trace_norm(rho1 - rho2, tol=tol)
+    return 0.5 * trace_norm(rho1 - rho2)
 
 
 @dataclass(frozen=True)

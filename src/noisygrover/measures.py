@@ -78,8 +78,6 @@ class MeasureResult:
 
     value: float | np.ndarray
     series: np.ndarray
-    horizon: int
-    witness_only: bool = True
     meta: dict = field(default_factory=dict)
 
 
@@ -151,7 +149,6 @@ def _measure(
     params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
     points: list[MarkovNoiseParams],
     series: np.ndarray,
-    steps: int,
     **meta,
 ) -> MeasureResult:
     """The witness of a batched run over ``points``: the positive increment
@@ -171,7 +168,7 @@ def _measure(
 
         values, series = member(values), member(series)
         meta = {k: member(v) if isinstance(v, np.ndarray) else v for k, v in meta.items()}
-    return MeasureResult(values, series, steps, witness_only=True, meta=meta)
+    return MeasureResult(values, series, meta=meta)
 
 
 def n_blp(
@@ -242,7 +239,7 @@ def n_blp(
             f"step {t} -> {t + 1}: {d_joint[member, t]:.12e} -> {d_joint[member, t + 1]:.12e}"
         )
     return _measure(
-        params, points, d_sys, steps,
+        params, points, d_sys,
         temperature=bath.temperature if bath is not None else 0.0,
         joint_series=d_joint,
         dim=dim,
@@ -287,4 +284,4 @@ def n_cp(
     sigma0 = _label_start(projector(s) - projector(w))
     blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
     _require_finite(blocks, points)
-    return _measure(params, points, _half_norm(blocks.sum(axis=-3)), steps)
+    return _measure(params, points, _half_norm(blocks.sum(axis=-3)))

@@ -303,7 +303,7 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) == 2
     peak, at = lines[0].split()
     assert 0.0 < float(peak) <= 1.0 and 0 <= int(at) <= 25
-    assert float(lines[1]) >= 0.0  # a sum of positive increments
+    assert float(lines[1]) > 0.0  # a memory effect: some backflow
 
 
 def _option_lines(help_text):
@@ -412,6 +412,64 @@ def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
     )
     assert code == 2 and out == ""
     assert "dilation_dev_initial=nan" in err
+
+
+def _on_call(real, call, put):
+    # ``real``, except that its ``call``-th call (0-based) returns put(result)
+    calls = []
+
+    def patched(*args):
+        out = real(*args)
+        calls.append(None)
+        return put(out) if len(calls) - 1 == call else out
+
+    return patched
+
+
+def _nudged(kset):
+    # the set with the first nonzero entry of its first operator moved up by one ulp
+    op = kset.ops[0].copy()
+    i = np.flatnonzero(op)[0]
+    op.flat[i] = complex(np.nextafter(op.flat[i].real, np.inf), op.flat[i].imag)
+    return collision.KrausSet((op,) + kset.ops[1:])
+
+
+# The measurement that feeds each gated dilation-check column, which of its
+# calls in a one-point run fills it (the first collision's, then the steady
+# step's), and how to set the column to a value v from the real result.
+_GATE_STUBS = {
+    "unitarity_initial": ("unitarity_defect", 0, lambda out, v: v),
+    "unitarity_steady": ("unitarity_defect", 1, lambda out, v: v),
+    "kraus_defect_initial": ("kraus_from_dilation", 0, lambda out, v: _nudged(out) if v else out),
+    "kraus_defect_steady": ("kraus_from_dilation", 1, lambda out, v: _nudged(out) if v else out),
+    "dilation_dev_initial": ("verify_dilation", 0, lambda out, v: v),
+    "dilation_dev_steady": ("verify_dilation", 1, lambda out, v: v),
+    "m_residual": ("extract_m", 0, lambda out, v: replace(out, residual=v)),
+    "m_unitary_defect": ("extract_m", 0, lambda out, v: replace(out, unitary_defect=v)),
+}
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("column", sorted(cli._DILATION_TOLS))
+def test_dilation_check_gates_each_column_at_its_tolerance(capsys, monkeypatch, column, above):
+    # One value just above a column's tolerance fails the table; a value
+    # exactly at it passes. A Kraus operator one ulp off its dilation column
+    # is the smallest defect above that gate's 0.0.
+    assert set(_GATE_STUBS) == set(cli._DILATION_TOLS)
+    tol = cli._DILATION_TOLS[column]
+    value = np.nextafter(tol, np.inf) if above else tol
+    name, call, put = _GATE_STUBS[column]
+    monkeypatch.setattr(cli, name, _on_call(getattr(cli, name), call, lambda out: put(out, value)))
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "2",
+    )
+    if above:
+        assert code == 2 and out == ""
+        assert f"{column}=" in err
+    else:
+        assert code == 0, err
+        _, columns, rows = parse_csv(out)
+        assert float(rows[0][columns.index(column)]) == tol
 
 
 def test_dilation_check_without_memory_repeats_the_first_step(capsys):

@@ -82,9 +82,7 @@ def test_backflow_vanishes_in_memoryless_limits():
 def test_backflow_frozen_value():
     result = n_blp(INST, SPEC, MarkovNoiseParams(0.33, 0.9), 45)
     assert result.value == pytest.approx(0.18893317464273895, abs=1e-9)
-    assert result.witness_only
-    assert result.horizon == 45
-    assert len(result.series) == 46
+    assert len(result.series) == 46  # t = 0..45
     assert result.meta["temperature"] == 0.0
 
 
@@ -106,7 +104,6 @@ def test_cp_witness_initial_value_and_frozen_point():
     result = n_cp(INST, SPEC, MarkovNoiseParams(0.5, 0.9), 20)
     assert result.series[0] == pytest.approx(np.sqrt(1.0 - 1.0 / 8.0), abs=1e-12)
     assert result.value == pytest.approx(1.083341123404881, abs=1e-9)
-    assert result.witness_only
 
 
 def test_cp_witness_vanishes_for_iid_noise():
