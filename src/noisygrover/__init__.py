@@ -13,7 +13,6 @@ from .linalg import (
     assert_density,
     partial_trace,
     projector,
-    random_density,
     require_density,
     tensor,
     trace_distance,
@@ -68,7 +67,6 @@ from .collision import (
 )
 from .markov import (
     history_oracle,
-    initial_joint_state,
     markov_evolve,
     markov_first_max,
     markov_series,
@@ -77,8 +75,6 @@ from .markov import (
 )
 from .measures import (
     MeasureResult,
-    StatePair,
-    blp_pair,
     n_blp,
     n_cp,
     positive_increment_sum,

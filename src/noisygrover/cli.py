@@ -75,11 +75,15 @@ class ConfigError(ValueError):
 # n = 10). Every other subcommand runs at a size set by the noisy qubits.
 DILATION_MAX_N = 8
 ORACLE_MAX_N = 10
-# Most work oracle-check accepts, as log2 of N^2 2^steps (its history walk
-# makes 2^(steps + 1) - 2 matrix-vector products and as many rank-one
-# terms): the value at n = 10 and 11 steps, whose walk takes about 5 s on
-# one core (n = 9 at 12 steps about 1.4 s; n = 10 at 12 steps, refused,
-# about 9 s).
+# Most work oracle-check accepts, as log2 of N^2 2^steps: the value at
+# n = 10 and 11 steps. The cap models the history walk only (2^(steps + 1)
+# - 2 matrix-vector products and as many rank-one terms), about 3 s there
+# on one core (n = 9 at 12 steps about 1.1 s; n = 10 at 12 steps, refused,
+# about 6 s). The comparison adds one dense N x N eigvalsh per step, N^3
+# (steps + 1) in all, which the cap does not count. From n = 9 it can
+# outweigh the walk: at n = 10 it takes 1.6 s of 1.9 s at 3 steps and
+# 5.0 s of 7.9 s at 11 steps, while at n = 9 and 12 steps the walk still
+# leads (1.1 s to 0.8 s).
 ORACLE_MAX_WORK_LOG2 = 2 * 10 + 11
 
 

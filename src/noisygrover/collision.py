@@ -109,22 +109,6 @@ class KrausSet:
                 boxes.append((rows, cols, k[rows, cols]))
         return tuple(boxes)
 
-    def completeness_defect(self) -> float:
-        """max | sum_k K_k^dagger K_k  -  I |."""
-        dim = self.ops[0].shape[1]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for k in self.ops:
-            acc += dagger(k) @ k
-        return float(np.max(np.abs(acc - np.eye(dim))))
-
-    def unitality_defect(self) -> float:
-        """max | sum_k K_k K_k^dagger  -  I |; zero iff the map is unital."""
-        dim = self.ops[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for k in self.ops:
-            acc += k @ dagger(k)
-        return float(np.max(np.abs(acc - np.eye(dim))))
-
 
 def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -> KrausSet:
     """Four Kraus operators on walker (x) system (2N x 2N each).
@@ -639,7 +623,7 @@ def collision_evolve(
         probs[..., t] = _success(sigma, marked)
         if keep_blocks:
             blocks[..., t, :, :, :] = sigma
-    return EvolutionTrace(probs, meta={"steps": steps, "dim": n_dim}, blocks=blocks)
+    return EvolutionTrace(probs, meta={"dim": n_dim}, blocks=blocks)
 
 
 def collision_first_max(

@@ -235,13 +235,6 @@ def require_density(
         )
 
 
-def random_density(dim: int, rng: np.random.Generator) -> ComplexMatrix:
-    """Random full-rank density matrix (normalized Wishart / Ginibre form)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit state vector (normalized complex Gaussian)."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

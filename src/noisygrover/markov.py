@@ -36,7 +36,7 @@ from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
 from .grover import GroverInstance, grover_operator, uniform_superposition
-from .linalg import ComplexMatrix, projector, require_density, tensor
+from .linalg import ComplexMatrix, projector, require_density
 from .noise import (
     MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi, conditional_probs,
     noisy_grover,
@@ -47,13 +47,6 @@ from .noise import (
 HISTORY_MAX_STEPS = 12
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-
-def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
-    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N), the
-    dense start of the Kraus verification layer; the step loop takes its
-    label blocks (:func:`_label_start`)."""
-    return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
 
 
 def _label_start(rho: ComplexMatrix) -> np.ndarray:

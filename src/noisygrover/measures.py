@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collision import ThermalBathParams, collision_evolve, transfer_weights
-from .grover import GroverInstance, reduced_grover_operator, uniform_superposition
+from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
 from .markov import _PLUS, _label_start
 from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_chi
@@ -47,31 +47,6 @@ _MONOTONE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
-class StatePair:
-    """Initial system-state pair monitored by the backflow measure."""
-
-    rho1: ComplexMatrix
-    rho2: ComplexMatrix
-
-
-def blp_pair(inst: GroverInstance) -> StatePair:
-    """The fixed pair: |s><s| and an orthogonal-support rank-N/2 state.
-
-    rho2 = (1/N) [[I, -I], [-I, I]] (blocks of size N/2), that is
-    (I - X_0)/N (x) I_rest with X on qubit 0, has eigenvalue 2/N on the
-    span of |i> - |i + N/2>, which is orthogonal to |s>, so the pair starts
-    at trace distance exactly 1. These are the dense N x N forms;
-    :func:`n_blp` runs the same pair without building them.
-    """
-    N = inst.N
-    rho2 = np.kron(
-        np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / N,
-        np.eye(N // 2, dtype=complex),
-    )
-    return StatePair(projector(uniform_superposition(inst)), rho2)
-
-
-@dataclass(frozen=True)
 class MeasureResult:
     """A witness value plus the monitored series it was summed from; for a
     batch of B points, ``value`` is (B,) and ``series`` (B, steps + 1)."""
@@ -81,15 +56,15 @@ class MeasureResult:
     meta: dict = field(default_factory=dict)
 
 
-def positive_increment_sum(series: Sequence[float], threshold: float = INCREMENT_TOL) -> float:
-    """Sum of forward increments exceeding ``threshold``. A non-finite entry
+def positive_increment_sum(series: Sequence[float]) -> float:
+    """Sum of forward increments exceeding ``INCREMENT_TOL``. A non-finite entry
     raises ``ValueError``: a NaN increment would otherwise drop out of the
     sum unseen."""
     arr = np.asarray(series, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"series is not finite: {arr}")
     steps = np.diff(arr)
-    return float(np.sum(steps[steps > threshold]))
+    return float(np.sum(steps[steps > INCREMENT_TOL]))
 
 
 def _split_operators(
@@ -147,20 +122,14 @@ def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None
 
 def _measure(
     params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
-    points: list[MarkovNoiseParams],
     series: np.ndarray,
     **meta,
 ) -> MeasureResult:
-    """The witness of a batched run over ``points``: the positive increment
-    sum of each row of ``series``, batch axis in front, with p and mu put
-    first in ``meta``. For one MarkovNoiseParams it is the batch's one
-    member, with floats where the batch has a (B,) array."""
+    """The witness of a batched run of ``params``: the positive increment
+    sum of each row of ``series``, batch axis in front. For one
+    MarkovNoiseParams it is the batch's one member, with floats where the
+    batch has a (B,) array."""
     values = np.array([positive_increment_sum(row) for row in series])
-    meta = {
-        "p": np.array([point.p for point in points]),
-        "mu": np.array([point.mu for point in points]),
-        **meta,
-    }
     if isinstance(params, MarkovNoiseParams):
 
         def member(x):
@@ -209,11 +178,11 @@ def n_blp(
     ``params`` is one (p, mu) point or a sequence of them. A sequence runs
     as one batched :func:`collision_evolve` over the stacked transfer
     tensors, and the batch axis B comes first: ``value`` (B,), ``series``
-    and ``meta["joint_series"]`` (B, steps + 1), ``meta["p"]``,
-    ``meta["mu"]`` and ``meta["joint_slack"]`` (B,); one point gives
-    floats and (steps + 1,) series. ``meta["dim"]`` is dim W, which
-    depends on m and not on n; ``meta["joint_slack"]`` is the smallest drop
-    of the joint series from t = 1 on (infinite when ``steps`` < 2).
+    and ``meta["joint_series"]`` (B, steps + 1) and ``meta["joint_slack"]``
+    (B,); one point gives floats and (steps + 1,) series. ``meta["dim"]``
+    is dim W, which depends on m and not on n; ``meta["joint_slack"]`` is
+    the smallest drop of the joint series from t = 1 on (infinite when
+    ``steps`` < 2).
     """
     if any(p >= inst.n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
@@ -239,8 +208,7 @@ def n_blp(
             f"step {t} -> {t + 1}: {d_joint[member, t]:.12e} -> {d_joint[member, t + 1]:.12e}"
         )
     return _measure(
-        params, points, d_sys,
-        temperature=bath.temperature if bath is not None else 0.0,
+        params, d_sys,
         joint_series=d_joint,
         dim=dim,
         joint_slack=np.min(d_joint[:, 1:-1] - d_joint[:, 2:], axis=-1, initial=math.inf),
@@ -269,11 +237,11 @@ def n_cp(
     G, G' and |s> come from the closed forms, and V is never built.
 
     ``params`` is one (p, mu) point or a sequence of them; a sequence runs
-    as one batched :func:`collision_evolve`, and ``value`` (B,),
-    ``series`` (B, steps + 1), ``meta["p"]`` and ``meta["mu"]`` (B,) get
-    the batch axis in front. The system states are the sums
-    sigma_0 + sigma_1 of the label blocks that :func:`collision_evolve`
-    keeps, and every one of every member goes through one stacked
+    as one batched :func:`collision_evolve`, and ``value`` (B,) and
+    ``series`` (B, steps + 1) get the batch axis in front; ``meta`` is
+    empty. The system states are the sums sigma_0 + sigma_1 of the label
+    blocks that :func:`collision_evolve` keeps, and every one of every
+    member goes through one stacked
     :func:`~noisygrover.linalg.trace_norm`. A run whose states are
     not finite raises :class:`~noisygrover.linalg.InvariantViolation`
     naming the (p, mu) point and step.
@@ -284,4 +252,4 @@ def n_cp(
     sigma0 = _label_start(projector(s) - projector(w))
     blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
     _require_finite(blocks, points)
-    return _measure(params, points, _half_norm(blocks.sum(axis=-3)))
+    return _measure(params, _half_norm(blocks.sum(axis=-3)))

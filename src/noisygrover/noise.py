@@ -109,10 +109,6 @@ class NoiseSpec:
         if any(p < 0 for p in self.positions):
             raise ValueError(f"negative position in {self.positions}")
 
-    @property
-    def m(self) -> int:
-        return len(self.positions)
-
 
 def noise_spec(
     u: SingleQubitUnitary,
@@ -150,16 +146,6 @@ class MarkovNoiseParams:
             raise ValueError(f"p={self.p} outside [0, 1]")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu={self.mu} outside [0, 1]")
-
-    @property
-    def p_g(self) -> float:
-        """Stationary probability of a clean step."""
-        return 1.0 - self.p
-
-    @property
-    def p_gp(self) -> float:
-        """Stationary probability of a faulty step."""
-        return self.p
 
 
 def _transition(p, mu) -> np.ndarray:

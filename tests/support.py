@@ -1,13 +1,73 @@
 """Helpers that several test modules share."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from noisygrover.grover import GroverInstance
-from noisygrover.linalg import dagger
-from noisygrover.markov import markov_evolve
+from noisygrover.grover import GroverInstance, uniform_superposition
+from noisygrover.linalg import ComplexMatrix, dagger, projector, tensor
+from noisygrover.markov import _PLUS, markov_evolve
 from noisygrover.noise import NoiseSpec, orbit_basis, sigma_x_reduced, single_qubit_unitary
+
+
+def random_density(dim: int, rng: np.random.Generator) -> ComplexMatrix:
+    """Random full-rank density matrix (normalized Wishart / Ginibre form)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
+    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N), the
+    dense start of the Kraus verification layer; the step loop takes its
+    label blocks (``markov._label_start``)."""
+    return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
+
+
+@dataclass(frozen=True)
+class StatePair:
+    """Initial system-state pair monitored by the backflow measure."""
+
+    rho1: ComplexMatrix
+    rho2: ComplexMatrix
+
+
+def blp_pair(inst: GroverInstance) -> StatePair:
+    """The fixed pair: |s><s| and an orthogonal-support rank-N/2 state.
+
+    rho2 = (1/N) [[I, -I], [-I, I]] (blocks of size N/2), that is
+    (I - X_0)/N (x) I_rest with X on qubit 0, has eigenvalue 2/N on the
+    span of |i> - |i + N/2>, which is orthogonal to |s>, so the pair starts
+    at trace distance exactly 1. These are the dense N x N forms;
+    :func:`~noisygrover.measures.n_blp` runs the same pair without
+    building them.
+    """
+    N = inst.N
+    rho2 = np.kron(
+        np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / N,
+        np.eye(N // 2, dtype=complex),
+    )
+    return StatePair(projector(uniform_superposition(inst)), rho2)
+
+
+def completeness_defect(ops) -> float:
+    """max | sum_k K_k^dagger K_k  -  I | of the Kraus operators ``ops``."""
+    dim = ops[0].shape[1]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for k in ops:
+        acc += dagger(k) @ k
+    return float(np.max(np.abs(acc - np.eye(dim))))
+
+
+def unitality_defect(ops) -> float:
+    """max | sum_k K_k K_k^dagger  -  I | of the Kraus operators ``ops``;
+    zero iff the map is unital."""
+    dim = ops[0].shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for k in ops:
+        acc += k @ dagger(k)
+    return float(np.max(np.abs(acc - np.eye(dim))))
 
 
 def haar_noise(rng):

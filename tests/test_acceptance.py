@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from support import label_blocks, lift, reduced_sigma_x_walks
+from support import completeness_defect, label_blocks, lift, random_density, reduced_sigma_x_walks
 
 from noisygrover.collision import (
     apply_kraus,
@@ -30,7 +30,6 @@ from noisygrover.collision import (
 from noisygrover.grover import GroverInstance, grover_operator, ideal_success_series
 from noisygrover.linalg import (
     assert_density,
-    random_density,
     tensor,
     trace_distance,
 )
@@ -321,7 +320,7 @@ def test_c13_thermal_channel_consistency():
         bath = thermal_weights(temperature)
         for step in (MarkovNoiseParams(params.p, 0.0), params):
             kset = thermal_kraus(dilation_unitary(step, g, gp), bath)
-            worst_completeness = max(worst_completeness, kset.completeness_defect())
+            worst_completeness = max(worst_completeness, completeness_defect(kset.ops))
     cold = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20, bath=thermal_weights(0.01))
     pure = markov_evolve(inst, spec, MarkovNoiseParams(0.5, 0.9), 20)
     cold_states, pure_states = (lift(inst, spec, run.blocks.sum(axis=1)) for run in (cold, pure))

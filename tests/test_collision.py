@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from support import haar_noise, label_blocks, lift
+from support import (
+    blp_pair,
+    completeness_defect,
+    haar_noise,
+    initial_joint_state,
+    label_blocks,
+    lift,
+    random_density,
+    unitality_defect,
+)
 
 from noisygrover import collision
 from noisygrover.collision import (
@@ -30,7 +39,6 @@ from noisygrover.linalg import (
     InvariantViolation,
     partial_trace,
     projector,
-    random_density,
     random_pure_state,
     require_density,
     tensor,
@@ -39,10 +47,8 @@ from noisygrover.linalg import (
 from noisygrover.markov import (
     MarkovNoiseParams,
     conditional_probs,
-    initial_joint_state,
     markov_evolve,
 )
-from noisygrover.measures import blp_pair
 from noisygrover.noise import (
     build_chi,
     noise_spec,
@@ -120,7 +126,7 @@ def _stationary_transfer(p, bath):
 def test_kraus_completeness_everywhere(step):
     for params in GRID:
         kset = kraus_step(_step(step, params), G, GP)
-        assert kset.completeness_defect() < 1e-12, params
+        assert completeness_defect(kset.ops) < 1e-12, params
 
 
 def test_kraus_block_structure():
@@ -141,13 +147,13 @@ def test_unitality_defect_formula():
     for params in GRID:
         steady = kraus_step(params, G, GP)
         expected = (1.0 - params.mu) * abs(1.0 - 2.0 * params.p)
-        assert steady.unitality_defect() == pytest.approx(expected, abs=1e-12)
+        assert unitality_defect(steady.ops) == pytest.approx(expected, abs=1e-12)
         first = kraus_step(_step("initial", params), G, GP)
-        assert first.unitality_defect() == pytest.approx(
+        assert unitality_defect(first.ops) == pytest.approx(
             abs(1.0 - 2.0 * params.p), abs=1e-12
         )
     loud = kraus_step(MarkovNoiseParams(0.3, 0.5), G, GP)
-    assert loud.unitality_defect() == pytest.approx(0.2, abs=1e-12)
+    assert unitality_defect(loud.ops) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_apply_kraus_preserves_density():
@@ -657,7 +663,7 @@ def test_thermal_kraus_completeness(temperature):
     for step in STEPS:
         kset = thermal_kraus(dilation_unitary(_step(step, params), G, GP), bath)
         assert len(kset.ops) == 16
-        assert kset.completeness_defect() < 1e-12
+        assert completeness_defect(kset.ops) < 1e-12
 
 
 def test_thermal_cold_limit_reduces_to_pure_step():
@@ -722,7 +728,7 @@ def test_collision_evolve_basics():
     assert trace.blocks.shape == (5, 2, 4, 4)
     assert np.array_equal(trace.blocks[0], sigma0)
     require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
-    assert trace.meta["steps"] == 4
+    assert trace.meta == {"dim": 4}
     with pytest.raises(ValueError):
         collision_evolve(G, GP, first, steady, sigma0, -1)
     with pytest.raises(ValueError):

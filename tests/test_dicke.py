@@ -159,9 +159,9 @@ def test_closed_forms_at_large_n(n):
     # and the noiseless series at p = 0.
     for inst, spec in _cases(n, 900 + n, ones=2):
         faulty = markov_evolve(inst, spec, MarkovNoiseParams(1.0, rng.uniform()), 1)
-        p1 = closed_form_overlaps(spec.u, n, spec.m, _q(inst, spec)).p1
+        p1 = closed_form_overlaps(spec.u, n, len(spec.positions), _q(inst, spec)).p1
         assert abs(faulty.probabilities[1] - p1) < 1e-12, spec.positions
-        if spec.m in (1, n // 2, n):
+        if len(spec.positions) in (1, n // 2, n):
             clean = markov_evolve(inst, spec, MarkovNoiseParams(0.0, rng.uniform()), 30)
             assert np.max(np.abs(clean.probabilities - ideal)) < 1e-12, spec.positions
     # Two faulty sigma_y steps: parity of m only.
@@ -173,7 +173,7 @@ def test_closed_forms_at_large_n(n):
     # sigma_x on any nonempty set, any marked index: the 3-level walks.
     frozen, iid = reduced_sigma_x_walks(n, 0.3, 25)
     for inst, spec in list(_cases(n, 950 + n, ones=2))[1 :: n // 4]:
-        x_spec = noise_spec(noise_unitary("x"), spec.m, n, spec.positions)
+        x_spec = noise_spec(noise_unitary("x"), len(spec.positions), n, spec.positions)
         for mu, want in ((1.0, frozen), (0.0, iid)):
             got = markov_evolve(inst, x_spec, MarkovNoiseParams(0.3, mu), 25).probabilities
             assert np.max(np.abs(got - want)) < 1e-12, (spec.positions, mu)
@@ -187,7 +187,7 @@ def test_closed_forms_at_large_n(n):
 @pytest.mark.parametrize("n,ones", [(2, None), (5, None), (11, None), (40, 3)])
 def test_meta_dim_is_the_formula(n, ones):
     for inst, spec in _cases(n, 300 + n, ones):
-        q, m = _q(inst, spec), spec.m
+        q, m = _q(inst, spec), len(spec.positions)
         dim = (q + 1) * (m - q + 1) * (1 if m == n else 2)
         assert markov_evolve(inst, spec, MarkovNoiseParams(0.4, 0.5), 1).meta["dim"] == dim
 

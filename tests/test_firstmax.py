@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks
+from support import haar_noise, initial_joint_state, label_blocks
 
 from noisygrover import collision, markov
 from noisygrover.cli import main
@@ -19,7 +19,6 @@ from noisygrover.collision import (
 from noisygrover.grover import GroverInstance, grover_operator, ideal_success_closed_form
 from noisygrover.markov import (
     MarkovNoiseParams,
-    initial_joint_state,
     markov_first_max,
     markov_series,
     perfect_memory_analytic,
@@ -260,6 +259,25 @@ def test_firstmax_noiseless_matches_ideal_closed_form(capsys, ns, steps):
         assert abs(float(row[4]) - p_ref) <= 1e-12, n
     if tuple(ns) == (20,):
         assert int(rows[0][3]) == 804
+
+
+@pytest.mark.parametrize("n, t_star, steps", [(20, 804, 810), (24, 3216, 3230)])
+def test_noiseless_drift_grows_at_most_linearly_in_the_horizon(n, t_star, steps):
+    # The step loop's rounding adds up along the horizon: at p = mu = 0 it
+    # drifts from the closed form by about 2.2e-16 per step (1.97e-12 at
+    # n = 20 and T = 10^4), so a fixed 1e-12 bound would fail near 5,000
+    # steps; the bound is stated per step instead.
+    inst, spec = GroverInstance(n), noise_spec(noise_unitary("x"), 1, n)
+    point = [MarkovNoiseParams(0.0, 0.0)]
+    drift = np.abs(
+        markov_series(inst, spec, point, 10_000)[0]
+        - [ideal_success_closed_form(2**n, t) for t in range(10_001)]
+    )
+    for horizon in (1_000, 3_000, 10_000):
+        assert drift[: horizon + 1].max() <= 4e-16 * horizon, (n, horizon)
+    (t,), (height,) = markov_first_max(inst, spec, point, steps)
+    assert t == t_star
+    assert abs(height - ideal_success_closed_form(2**n, t_star)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(3, 11))

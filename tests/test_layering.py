@@ -4,9 +4,15 @@ and its orbit space, then the collision step, then the tables read off
 it), so the modules form no import cycle."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+import support
+
+import noisygrover
+from noisygrover.measures import positive_increment_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "noisygrover"
 
@@ -52,3 +58,32 @@ def test_intra_package_imports_point_left(name):
             else:
                 imported.add(node.module.split(".")[0])
     assert imported <= allowed, sorted(imported - allowed)
+
+
+# Names that left the package: (module, class or None, name, whether
+# tests/support.py holds it now). The moved ones are dense references that
+# only tests call; the deleted ones had no reader outside the tests.
+GONE = (
+    ("linalg", None, "random_density", True),
+    ("markov", None, "initial_joint_state", True),
+    ("measures", None, "blp_pair", True),
+    ("measures", None, "StatePair", True),
+    ("collision", "KrausSet", "completeness_defect", True),
+    ("collision", "KrausSet", "unitality_defect", True),
+    ("noise", "NoiseSpec", "m", False),
+    ("noise", "MarkovNoiseParams", "p_g", False),
+    ("noise", "MarkovNoiseParams", "p_gp", False),
+)
+
+
+@pytest.mark.parametrize("module, cls, name, moved", GONE, ids=[g[2] for g in GONE])
+def test_test_only_names_left_the_package(module, cls, name, moved):
+    holders = [noisygrover] + [importlib.import_module(f"noisygrover.{m}") for m in ORDER]
+    if cls is not None:
+        holders.append(getattr(importlib.import_module(f"noisygrover.{module}"), cls))
+    assert [h for h in holders if hasattr(h, name)] == []
+    assert hasattr(support, name) == moved
+
+
+def test_positive_increment_sum_takes_no_threshold():
+    assert list(inspect.signature(positive_increment_sum).parameters) == ["series"]

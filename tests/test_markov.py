@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks, lift
+from support import haar_noise, initial_joint_state, label_blocks, lift, random_density
 
 from noisygrover import markov, noise
 from noisygrover.collision import thermal_weights
@@ -19,7 +19,6 @@ from noisygrover.linalg import (
     InvariantViolation,
     assert_density,
     projector,
-    random_density,
     tensor,
     trace_distance,
 )
@@ -28,7 +27,6 @@ from noisygrover.markov import (
     MarkovNoiseParams,
     conditional_probs,
     history_oracle,
-    initial_joint_state,
     markov_evolve,
     perfect_memory_analytic,
     perfect_memory_first_max,
@@ -50,8 +48,6 @@ def test_params_validation():
         MarkovNoiseParams(-0.1, 0.5)
     with pytest.raises(ValueError):
         MarkovNoiseParams(0.5, 1.1)
-    params = MarkovNoiseParams(0.3, 0.5)
-    assert params.p_g == 0.7 and params.p_gp == 0.3
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
@@ -162,7 +158,7 @@ def _enumerated_histories(inst, spec, params, steps):
     g = grover_operator(inst)
     ops = (g, build_chi(inst.n, spec) @ g)
     trans = conditional_probs(params)
-    first = (params.p_g, params.p_gp)
+    first = (1.0 - params.p, params.p)
     rho0 = projector(uniform_superposition(inst))
     states = [rho0]
     for t in range(1, steps + 1):

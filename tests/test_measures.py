@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks, orbit_blocks, split_basis
+from support import blp_pair, haar_noise, label_blocks, orbit_blocks, split_basis
 
 from noisygrover import measures
 from noisygrover.collision import (
@@ -26,7 +26,6 @@ from noisygrover.linalg import (
 )
 from noisygrover.markov import MarkovNoiseParams
 from noisygrover.measures import (
-    blp_pair,
     n_blp,
     n_cp,
     positive_increment_sum,
@@ -83,7 +82,7 @@ def test_backflow_frozen_value():
     result = n_blp(INST, SPEC, MarkovNoiseParams(0.33, 0.9), 45)
     assert result.value == pytest.approx(0.18893317464273895, abs=1e-9)
     assert len(result.series) == 46  # t = 0..45
-    assert result.meta["temperature"] == 0.0
+    assert sorted(result.meta) == ["dim", "joint_series", "joint_slack"]
 
 
 def test_backflow_is_deterministic():
@@ -298,11 +297,11 @@ def test_batched_witnesses_equal_single_calls(n):
     for _rng, inst, spec in _cases(n, 800 + n):
         cp = n_cp(inst, spec, _GRID, steps)
         assert cp.value.shape == (len(_GRID),) and cp.series.shape == (len(_GRID), steps + 1)
+        assert cp.meta == {}
         for i, params in enumerate(_GRID):
             single = n_cp(inst, spec, params, steps)
             assert abs(cp.value[i] - single.value) < 1e-13, (n, spec.positions, params)
             assert np.max(np.abs(cp.series[i] - single.series)) < 1e-13
-            assert (cp.meta["p"][i], cp.meta["mu"][i]) == (params.p, params.mu)
         for bath in (None, thermal_weights(0.7)):
             blp = n_blp(inst, spec, _GRID, steps, bath=bath)
             assert blp.meta["joint_series"].shape == (len(_GRID), steps + 1)
