@@ -50,7 +50,7 @@ from .collision import (
     unitarity_defect,
     verify_dilation,
 )
-from .grover import GroverInstance, ideal_success_series, grover_operator, optimal_iterations
+from .grover import GroverInstance, ideal_success_series, optimal_iterations
 from .linalg import InvariantViolation, trace_distance
 from .markov import (
     HISTORY_MAX_STEPS,
@@ -61,19 +61,22 @@ from .markov import (
     markov_evolve,
 )
 from .measures import n_blp, n_cp
-from .noise import MarkovNoiseParams, SingleQubitUnitary, _orbit_representatives, build_chi
-from .noise import noise_spec, noise_unitary, noisy_grover, orbit_basis, single_qubit_unitary
+from .noise import MarkovNoiseParams, SingleQubitUnitary, _dicke_operators, _orbit_chi
+from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary, orbit_basis
+from .noise import single_qubit_unitary
 
 
 class ConfigError(ValueError):
     """Bad command line, config file, or option value."""
 
 
-# Largest n of the subcommands that check against dense N x N references:
-# dilation-check builds 8N x 8N unitaries (64 MiB each at n = 8), and
-# oracle-check holds steps + 1 dense N x N history sums (16 MiB each at
-# n = 10). Every other subcommand runs at a size set by the noisy qubits.
-DILATION_MAX_N = 8
+# Largest order 8d of the collision unitary dilation-check builds on the
+# orbit space of dimension d: 2048, the 8N of n = 8, so 64 MiB per unitary
+# (d = 256, as at n = 30, m = 30, q = 15; about 3 s a point on one core).
+DILATION_MAX_ORDER = 2048
+# Largest n of oracle-check, which holds steps + 1 dense N x N history sums
+# (16 MiB each at n = 10). Every other subcommand runs at a size set by
+# the noisy qubits.
 ORACLE_MAX_N = 10
 # Most work oracle-check accepts, as log2 of N^2 2^steps: the value at
 # n = 10 and 11 steps. The cap models the history walk only (2^(steps + 1)
@@ -383,11 +386,14 @@ def _dilation_step(params, g, gp, trials, seed):
 
 def _dilation_point(point):
     inst, spec, params, trials, seed = point
-    g = grover_operator(inst)
-    chi = build_chi(inst.n, spec)
-    gp = noisy_grover(g, chi)
+    # G, G' and chi on the orbit space V of noise.orbit_basis, d x d. V holds
+    # |s> and is invariant under G and chi, so the register's collision
+    # unitary U meets the one built from these, U_d, as
+    # U (I_8 (x) V) = (I_8 (x) V) U_d.
+    g, gp, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    chi, _ = _orbit_chi(inst.n, inst.marked, spec.u.matrix, spec.positions)
     # The first collision is the step at mu = 0. Its U is dropped before
-    # the steady one is built, so one 8N x 8N unitary is alive at a time.
+    # the steady one is built, so one 8d x 8d unitary is alive at a time.
     first = MarkovNoiseParams(params.p, 0.0)
     row = [params.p, params.mu] + _dilation_step(first, g, gp, trials, seed)[1]
     u, defects = _dilation_step(params, g, gp, trials, seed)
@@ -543,12 +549,15 @@ _DILATION_TOLS = {
 
 
 def _handle_dilation_check(a, meta: dict) -> ResultTable:
-    if a.n > DILATION_MAX_N:
-        raise ConfigError(
-            f"dilation-check builds dense 8N x 8N unitaries; n={a.n} > {DILATION_MAX_N}"
-        )
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
+    m, q, d = _orbit_class(a.n, a.marked, spec.positions)
+    if 8 * d > DILATION_MAX_ORDER:
+        raise ConfigError(
+            f"dilation-check builds 8d x 8d unitaries; d={d} at n={a.n}, m={m}, q={q} "
+            f"gives 8d={8 * d} > {DILATION_MAX_ORDER}"
+        )
+    meta["dim"] = d
     points = [(inst, spec, params, a.trials, a.seed) for params in _params(a.p, a.mu)]
     rows = _run_grid(_dilation_point, points, a.jobs)
     for row in rows:
@@ -631,7 +640,8 @@ _SUBCOMMANDS = {
         {"p": "0.5", "mu": "0.9", "temps": "0.5,1,2", "steps": "45"},
     ),
     "dilation-check": _Subcommand(
-        f"verify the collision unitaries against the Kraus step on a grid; n <= {DILATION_MAX_N}",
+        "verify the collision unitaries against the Kraus step on a grid, on the orbit "
+        f"space of dimension d; 8d <= {DILATION_MAX_ORDER}",
         _handle_dilation_check,
         ("n", "marked", "noise", "m", "p-list", "mu-list", "trials", "seed"),
         {"p": "0.1,0.5,0.9", "mu": "0,0.5,1", "trials": "20", "seed": "1234"},

@@ -9,16 +9,20 @@ transition matrix P of :mod:`~noisygrover.noise`. The first collision has
 no previous label: it is the same step at memory mu = 0, whose columns of
 P are both the stationary law (1 - p, p). The same step is also realized
 as a unitary collision: two fresh ancilla qubits in |00> interact with
-walker+system through an 8N x 8N unitary U, after which the ancillas are
-traced out. U is stored as an 8 x 8 grid of N x N blocks, each a multiple
-of G or G'; the minus signs in the lower half make the columns
-orthonormal for every parameter choice. Replacing the pure ancillas with
-thermal ones (Gibbs weights at temperature T) yields the
-finite-temperature channel via the same U.
+walker+system through a unitary U, after which the ancillas are traced
+out. With G and G' given D x D, U is 8D x 8D, stored as an 8 x 8 grid of
+D x D blocks, each a multiple of G or G'; the minus signs in the lower
+half make the columns orthonormal for every parameter choice. Replacing
+the pure ancillas with thermal ones (Gibbs weights at temperature T)
+yields the finite-temperature channel via the same U. The verification
+layer below is written for any D: ``dilation-check`` passes G, G' and chi
+at d x d on the orbit space V of :mod:`~noisygrover.noise` (D = d), which
+holds |s> and is invariant under G and chi, so the register's U at
+D = N = 2^n meets that U_d as U (I_8 (x) V) = (I_8 (x) V) U_d.
 
-The simulator never builds those matrices. Every block of U sits in one
+The step loop never builds those matrices. Every block of U sits in one
 walker row r and column c, so the step keeps the walker label classical
-and is carried by the two N x N label blocks sigma_0, sigma_1 alone:
+and is carried by the two D x D label blocks sigma_0, sigma_1 alone:
 
     sigma'_r = sum_op op (sum_c W[r, c, op] sigma_c) op^dagger,  op in {G, G'}
 
@@ -50,7 +54,7 @@ of the other n - 1 qubits); the size is reported as ``meta["dim"]``.
 
 U also factors as
 
-    U = CX . (M (x) I_N) . (I_8 (x) G)
+    U = CX . (M (x) I_D) . (I_8 (x) G)
 
 where CX applies chi to the system when the first ancilla is |1> and M is
 the 8 x 8 coefficient grid; ``extract_m`` recovers M numerically and
@@ -79,8 +83,8 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 # Most entries one stack of states holds where the verification layer
 # batches its dense work: the same-depth amplitude vectors of
 # ``markov.history_oracle`` (1024 states at n = 4, 16 at n = 10) and the
-# 2N x 2N trial images of ``verify_dilation`` (4 trials at n = 5, one from
-# n = 6 on).
+# 2D x 2D trial images of ``verify_dilation`` for D x D operators (256
+# trials at D = 4, 4 at D = 32, one from D = 64 on).
 _BATCH_ENTRIES = 2**14
 
 
@@ -111,7 +115,8 @@ class KrausSet:
 
 
 def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -> KrausSet:
-    """Four Kraus operators on walker (x) system (2N x 2N each).
+    """Four Kraus operators on walker (x) system, 2D x 2D each for D x D
+    ``g`` and ``gp``.
 
     Walker index 0 is the clean branch (G fires), index 1 the faulty one
     (G' fires). Operator 2 r + c puts sqrt(P[r, c]) times G (r = 0) or G'
@@ -145,12 +150,12 @@ def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
     """sum_k K_k R K_k^dagger, each term on its operator's nonzero box, for
-    one matrix R or each member of a stack ``(..., 2N, 2N)``.
+    one matrix R or each member of a stack ``(..., 2D, 2D)``.
 
     With K_k's nonzero rows in the range a and columns in the range b, the
     term is K_k[a, b] R[..., b, b] K_k[a, b]^dagger, added into
     out[..., a, a]; every entry outside those ranges is an exact zero of
-    the dense product. A ``kraus_step`` operator is one N x N block, so each
+    the dense product. A ``kraus_step`` operator is one D x D block, so each
     term costs an eighth of the dense one; an all-zero operator (a zero
     weight) adds nothing and is skipped, and a dense operator keeps its
     whole box. The boxes are cut once per set.
@@ -188,9 +193,9 @@ _LAYOUT = (
 def dilation_unitary(
     params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
 ) -> ComplexMatrix:
-    """The 8N x 8N collision unitary on ancilla1 (x) ancilla2 (x) walker (x)
-    system of the step at ``params`` (the first collision is the step at
-    mu = 0).
+    """The 8D x 8D collision unitary on ancilla1 (x) ancilla2 (x) walker (x)
+    system of the step at ``params``, for D x D ``g`` and ``gp`` (the first
+    collision is the step at mu = 0).
 
     Tracing the ancillas out of U (R (x) |00><00|-style input, ancillas
     leftmost) reproduces exactly :func:`kraus_step` at the same ``params``;
@@ -211,15 +216,15 @@ def dilation_unitary(
 
 
 def unitarity_defect(u: ComplexMatrix) -> float:
-    """max |U^dagger U - I| of a collision unitary U, one N x N block of
-    U^dagger U at a time.
+    """max |U^dagger U - I| of an 8D x 8D collision unitary U, one D x D
+    block of U^dagger U at a time.
 
     Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8 block
     rows i. Each row is taken on the column blocks where it is nonzero
     (``any`` on U itself, so a NaN counts), and every term left out is an
     exact zero: only the block pairs (j, k) that share a nonzero block row
-    are summed, 16 of the 64 for the layout, with 32 N x N products in
-    place of the dense 8N x 8N one, and no 8N x 8N matrix besides U is
+    are summed, 16 of the 64 for the layout, with 32 D x D products in
+    place of the dense 8D x 8D one, and no 8D x 8D matrix besides U is
     formed. Every other block is an exact zero, so its defect is 1 on the
     diagonal and 0 off it. A NaN entry makes the defect NaN.
     """
@@ -237,7 +242,7 @@ def unitarity_defect(u: ComplexMatrix) -> float:
 
 def kraus_from_dilation(u: ComplexMatrix) -> KrausSet:
     """Read the four Kraus operators out of the collision unitary's |00> columns."""
-    n2 = u.shape[0] // 4  # walker+system dimension 2N
+    n2 = u.shape[0] // 4  # walker+system dimension 2D
     return KrausSet(tuple(u[alpha * n2 : (alpha + 1) * n2, :n2].copy() for alpha in range(4)))
 
 
@@ -255,12 +260,12 @@ def verify_dilation(u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: in
     and F is largest on a pure input, and a pure probe is at least as
     sensitive as a mixed one.
 
-    The trials run in stacks of at most ``_BATCH_ENTRIES // (2N)**2`` (at
+    The trials run in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at
     least one) members, in the order the states are drawn, one
     ``random_pure_state`` call per trial, so every trial sees the state it
-    would see alone. The joint states U (|00> (x) psi) = U[:, :2N] psi of a
+    would see alone. The joint states U (|00> (x) psi) = U[:, :2D] psi of a
     stack are pure, one product that reads every entry of U's |00>
-    columns. Each member's four 2N-entry ancilla rows phi_a give its
+    columns. Each member's four 2D-entry ancilla rows phi_a give its
     reduced state sum_a phi_a phi_a^dagger. The Kraus side is
     ``apply_kraus`` on the stack of matrices |psi><psi|, never K psi, so
     the two sides share no arithmetic. It takes each operator on its
@@ -294,15 +299,16 @@ class FactorizationReport:
 
 
 def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> FactorizationReport:
-    """Recover M from U = CX . (M (x) I_N) . (I_8 (x) G).
+    """Recover M from U = CX . (M (x) I_D) . (I_8 (x) G), for D x D ``chi``
+    and ``g``.
 
     CX applies ``chi`` to the system when the first ancilla is |1>, since
     the layout puts every G' block in grid rows 4-7; ``control_value`` is
-    that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_N|
+    that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_D|
     with M the blockwise normalized trace; ``unitary_defect`` is
-    max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of N x N
+    max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of D x D
     blocks, so block (i, j) of the product is C_i^dagger U_ij G^dagger,
-    taken one at a time: no 8N x 8N matrix besides U is formed. Only the
+    taken one at a time: no 8D x 8D matrix besides U is formed. Only the
     blocks of U that are not all zero are multiplied (``any`` on U itself,
     so a NaN counts); the others give M_ij = 0 and residual 0, as the
     product does. A NaN block residual is kept as the maximum.

@@ -372,6 +372,7 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
     assert out1 == out2
     meta, columns, rows = parse_csv(out1)
     assert meta["all_within_tolerance"] == "true"
+    assert meta["dim"] == "4"  # m = 1, q = 0 at n = 2: (0 + 1)(1 + 1) 2
     assert "m_residual" in columns
     assert len(rows) == 9
 
@@ -666,8 +667,12 @@ def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "argv,what",
     [
-        (("dilation-check", "--n", str(cli.DILATION_MAX_N + 1)), "dilation-check"),
-        (("dilation-check", "--n", "30", "--p", "0.1,0.2"), "dilation-check"),
+        # Orbit classes over the 8d <= 2048 cap: q = 19 of m = 39 (d = 840),
+        # and q = 15 of m = 31 = n (d = 272), the smallest refused d at m = n.
+        (("dilation-check", "--n", "40", "--m", "39", "--marked", str(2**40 - 2**21)),
+         "dilation-check"),
+        (("dilation-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16),
+          "--p", "0.1,0.2"), "dilation-check"),
         (("oracle-check", "--n", str(cli.ORACLE_MAX_N + 1)), "oracle-check"),
         (("oracle-check", "--n", "40"), "oracle-check"),
         (("ideal", "--n", "1024"), "finite"),
@@ -711,6 +716,35 @@ def test_dense_subcommands_run_at_their_caps(capsys):
         capsys, "dilation-check", "--n", "4", "--trials", "1", "--p", "0.3", "--mu", "0.5"
     )
     assert code == 0, err
+
+
+def test_dilation_check_admits_the_cap_exactly(capsys, monkeypatch):
+    # q = 15 of m = 30 = n gives d = 256, 8d = 2048: admitted, and recorded
+    # as dim. The point itself (about 3 s) is stubbed; CI runs it.
+    def zeros(point):
+        params = point[2]
+        return [params.p, params.mu] + [0.0] * (len(cli._DILATION_COLUMNS) - 2)
+
+    monkeypatch.setattr(cli, "_dilation_point", zeros)
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "30", "--m", "30", "--marked", str(2**30 - 2**15),
+        "--p", "0.3", "--mu", "0.5",
+    )
+    assert code == 0, err
+    meta, _, rows = parse_csv(out)
+    assert meta["dim"] == "256" and meta["all_within_tolerance"] == "true" and len(rows) == 1
+
+
+def test_dilation_check_runs_on_the_orbit_space_at_forty_qubits(capsys):
+    # n = 40 with marked index 0: q = 0 of m = 30, d = 31 * 2 = 62.
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "40", "--m", "30", "--marked", "0",
+        "--noise", "hadamard", "--p", "0.3", "--mu", "0.5", "--trials", "5",
+    )
+    assert code == 0, err
+    meta, columns, rows = parse_csv(out)
+    assert meta["dim"] == "62" and meta["all_within_tolerance"] == "true"
+    assert len(rows) == 1 and len(columns) == len(cli._DILATION_COLUMNS)
 
 
 def test_grids_run_at_forty_qubits(capsys):
