@@ -62,7 +62,7 @@ from .markov import (
 )
 from .measures import n_blp, n_cp
 from .noise import MarkovNoiseParams, SingleQubitUnitary, _dicke_operators, _orbit_chi
-from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary, orbit_basis
+from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary
 from .noise import single_qubit_unitary
 
 
@@ -70,24 +70,11 @@ class ConfigError(ValueError):
     """Bad command line, config file, or option value."""
 
 
-# Largest order 8d of the collision unitary dilation-check builds on the
-# orbit space of dimension d: 2048, the 8N of n = 8, so 64 MiB per unitary
-# (d = 256, as at n = 30, m = 30, q = 15; about 3 s a point on one core).
-DILATION_MAX_ORDER = 2048
-# Largest n of oracle-check, which holds steps + 1 dense N x N history sums
-# (16 MiB each at n = 10). Every other subcommand runs at a size set by
-# the noisy qubits.
-ORACLE_MAX_N = 10
-# Most work oracle-check accepts, as log2 of N^2 2^steps: the value at
-# n = 10 and 11 steps. The cap models the history walk only (2^(steps + 1)
-# - 2 matrix-vector products and as many rank-one terms), about 3 s there
-# on one core (n = 9 at 12 steps about 1.1 s; n = 10 at 12 steps, refused,
-# about 6 s). The comparison adds one dense N x N eigvalsh per step, N^3
-# (steps + 1) in all, which the cap does not count. From n = 9 it can
-# outweigh the walk: at n = 10 it takes 1.6 s of 1.9 s at 3 steps and
-# 5.0 s of 7.9 s at 11 steps, while at n = 9 and 12 steps the walk still
-# leads (1.1 s to 0.8 s).
-ORACLE_MAX_WORK_LOG2 = 2 * 10 + 11
+# Largest orbit dimension d that dilation-check and oracle-check build
+# their operators at, whatever n is. d = 256 (n = 30, m = 30, q = 15) gives
+# dilation-check 8d x 8d unitaries of 64 MiB, about 3 s a point on one
+# core, and oracle-check 13 history sums of 1 MiB at 12 steps, about 0.5 s.
+ORBIT_MAX_DIM = 256
 
 
 @dataclass
@@ -373,6 +360,19 @@ def _cpdiv_group(group) -> np.ndarray:
     return n_cp(inst, spec, params, steps).value
 
 
+def _orbit_dim(command: str, a, spec) -> int:
+    """d of the orbit space a verification subcommand builds on, from the
+    (m, q) class of ``spec``; above ``ORBIT_MAX_DIM`` it is refused before
+    any operator or pool is built."""
+    m, q, d = _orbit_class(a.n, a.marked, spec.positions)
+    if d > ORBIT_MAX_DIM:
+        raise ConfigError(
+            f"{command} runs on the orbit space of dimension d; d={d} at n={a.n}, m={m}, "
+            f"q={q} exceeds {ORBIT_MAX_DIM}"
+        )
+    return d
+
+
 def _dilation_step(params, g, gp, trials, seed):
     """(U, [unitarity, Kraus and dilation defects]) of the step at
     ``params``; the Kraus sets built here die with the call."""
@@ -551,13 +551,7 @@ _DILATION_TOLS = {
 def _handle_dilation_check(a, meta: dict) -> ResultTable:
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
-    m, q, d = _orbit_class(a.n, a.marked, spec.positions)
-    if 8 * d > DILATION_MAX_ORDER:
-        raise ConfigError(
-            f"dilation-check builds 8d x 8d unitaries; d={d} at n={a.n}, m={m}, q={q} "
-            f"gives 8d={8 * d} > {DILATION_MAX_ORDER}"
-        )
-    meta["dim"] = d
+    meta["dim"] = _orbit_dim("dilation-check", a, spec)
     points = [(inst, spec, params, a.trials, a.seed) for params in _params(a.p, a.mu)]
     rows = _run_grid(_dilation_point, points, a.jobs)
     for row in rows:
@@ -573,26 +567,21 @@ def _handle_dilation_check(a, meta: dict) -> ResultTable:
 
 
 def _handle_oracle_check(a, meta: dict) -> ResultTable:
-    if a.n > ORACLE_MAX_N:
-        raise ConfigError(f"oracle-check sums dense N x N histories; n={a.n} > {ORACLE_MAX_N}")
     if a.steps > HISTORY_MAX_STEPS:
         raise ConfigError(f"oracle-check is exponential in steps; {a.steps} > {HISTORY_MAX_STEPS}")
-    if 2 * a.n + a.steps > ORACLE_MAX_WORK_LOG2:
-        raise ConfigError(
-            f"oracle-check work N^2 2^steps = 2^{2 * a.n + a.steps} at n={a.n}, "
-            f"steps={a.steps} exceeds 2^{ORACLE_MAX_WORK_LOG2} (n = 10 at 11 steps)"
-        )
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
+    meta["dim"] = _orbit_dim("oracle-check", a, spec)
     params = MarkovNoiseParams(a.p, a.mu)
     evolved = markov_evolve(inst, spec, params, a.steps)
-    reference = history_oracle(inst, spec, params, a.steps)
-    v = orbit_basis(inst, spec)
+    # The history sums on the orbit space, where the evolution's d x d label
+    # blocks live: G, G' and |s> at d x d, with |w> as column 0.
+    g, gp, s = _dicke_operators(a.n, a.marked, spec.u.matrix, spec.positions)
+    sums = history_oracle(g, gp, s, params, a.steps)
     rows = []
-    for t in range(a.steps + 1):
-        # the register state V (sigma_0 + sigma_1) V^T, lifted one step at a time
-        dist = trace_distance(v @ evolved.blocks[t].sum(axis=0) @ v.T, reference.states[t])
-        prob_dev = abs(evolved.probabilities[t] - reference.probabilities[t])
+    for t, (blocks, reference) in enumerate(zip(evolved.blocks, sums)):
+        dist = trace_distance(blocks.sum(axis=0), reference)
+        prob_dev = abs(evolved.probabilities[t] - reference[0, 0].real)
         rows.append([t, float(dist), float(prob_dev)])
     worst = float(np.max([row[1] for row in rows]))  # a NaN distance stays the maximum
     if not worst <= 1e-10:
@@ -641,15 +630,15 @@ _SUBCOMMANDS = {
     ),
     "dilation-check": _Subcommand(
         "verify the collision unitaries against the Kraus step on a grid, on the orbit "
-        f"space of dimension d; 8d <= {DILATION_MAX_ORDER}",
+        f"space of dimension d; d <= {ORBIT_MAX_DIM}",
         _handle_dilation_check,
         ("n", "marked", "noise", "m", "p-list", "mu-list", "trials", "seed"),
         {"p": "0.1,0.5,0.9", "mu": "0,0.5,1", "trials": "20", "seed": "1234"},
     ),
     "oracle-check": _Subcommand(
-        "compare the collision evolution to the explicit history sum; "
-        f"n <= {ORACLE_MAX_N}, steps <= {HISTORY_MAX_STEPS} and N^2 2^steps <= "
-        f"2^{ORACLE_MAX_WORK_LOG2} (n = 10 at 11 steps)", _handle_oracle_check,
+        "compare the collision evolution to the explicit history sum, on the orbit space "
+        f"of dimension d; d <= {ORBIT_MAX_DIM} and steps <= {HISTORY_MAX_STEPS}",
+        _handle_oracle_check,
         ("n", "marked", "noise", "m", "p", "mu", "steps"), {"p": "0.5", "mu": "0.5", "steps": "8"},
     ),
 }

@@ -82,9 +82,9 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 
 # Most entries one stack of states holds where the verification layer
 # batches its dense work: the same-depth amplitude vectors of
-# ``markov.history_oracle`` (1024 states at n = 4, 16 at n = 10) and the
-# 2D x 2D trial images of ``verify_dilation`` for D x D operators (256
-# trials at D = 4, 4 at D = 32, one from D = 64 on).
+# ``markov.history_oracle`` (1024 states at D = 16, 64 at D = 256) and the
+# 2D x 2D trial images of ``verify_dilation`` (256 trials at D = 4, 4 at
+# D = 32, one from D = 64 on), for D x D operators.
 _BATCH_ENTRIES = 2**14
 
 
@@ -557,13 +557,10 @@ class EvolutionTrace:
 
     ``probabilities[t]`` is the success probability after t steps,
     t = 0..steps. ``blocks`` are the label blocks that ``collision_evolve``
-    keeps on request and ``markov_evolve`` always keeps; ``states``, the
-    dense N x N system states, are filled only by ``history_oracle``. Both
-    include t = 0.
+    keeps on request and ``markov_evolve`` always keeps, t = 0 included.
     """
 
     probabilities: np.ndarray
-    states: Optional[tuple[ComplexMatrix, ...]] = None
     meta: dict = field(default_factory=dict)
     blocks: Optional[np.ndarray] = None
 

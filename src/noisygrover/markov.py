@@ -12,7 +12,8 @@ mixes branch populations with the conditional probabilities. The success
 probability is read off the system marginal at the marked index. All of
 this runs at d x d in the orbit space of :mod:`~noisygrover.noise`, with
 the G, G' and |s> that ``noise`` builds there, so nothing of size 2^n is
-formed outside the dense reference :func:`history_oracle`.
+formed. :func:`history_oracle`, the explicit sum over label histories
+that checks it, takes G, G' and |s> of any size D.
 :func:`markov_series` runs many (p, mu) points of one system as one
 batched step loop, and :func:`markov_first_max` reads where each point's
 first maximum falls from the same loop, stopped once every point has
@@ -35,12 +36,9 @@ import numpy as np
 from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
-from .grover import GroverInstance, grover_operator, uniform_superposition
+from .grover import GroverInstance
 from .linalg import ComplexMatrix, projector, require_density
-from .noise import (
-    MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, build_chi, conditional_probs,
-    noisy_grover,
-)
+from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, conditional_probs
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # matrix-vector products and as many rank-one terms.
@@ -192,8 +190,8 @@ def markov_evolve(
     :mod:`~noisygrover.noise` gives the system, is ``meta["dim"]``, from
     the label blocks of |+><+| (x) |s><s|, and returns every step's blocks
     sigma_0, sigma_1 as ``blocks``, shape (steps + 1, 2, d, d), t = 0
-    included; ``states`` is None. The blocks live in the span of the orbit
-    basis V (:func:`~noisygrover.noise.orbit_basis`), whose lift
+    included. The blocks live in the span of the orbit basis V
+    (:func:`~noisygrover.noise.orbit_basis`), whose lift
     V (sigma_0 + sigma_1) V^T is the N x N register state; nothing here
     builds V. ``validate`` checks, once after the run, every step's blocks
     from t = 0 on at 1e-9 (an isometry keeps trace, hermiticity and the
@@ -210,50 +208,55 @@ def markov_evolve(
 
 
 def history_oracle(
-    inst: GroverInstance,
-    spec: NoiseSpec,
+    g: ComplexMatrix,
+    gp: ComplexMatrix,
+    s: np.ndarray,
     params: MarkovNoiseParams,
     steps: int,
-) -> EvolutionTrace:
-    """Success probabilities by explicit sum over all 2**t label histories.
+) -> np.ndarray:
+    """The state after every t <= ``steps`` steps as an explicit sum over
+    all 2**t label histories, an array (steps + 1, D, D), t = 0 included.
 
     Exponential-cost reference implementation: each history h = (k_1 .. k_t)
     contributes its chain probability w_h times the pure state
-    psi_h psi_h^dagger, psi_h = O_{k_t} .. O_{k_1} |s>, for every t <=
-    ``steps``. Used to validate the collision construction; refuses
-    steps > ``HISTORY_MAX_STEPS``. It builds the dense G and G' and nothing
-    of the orbit space or the label blocks.
+    psi_h psi_h^dagger, psi_h = O_{k_t} .. O_{k_1} |s>, with O_0 = G and
+    O_1 = G', the D x D operators given, and |s> of size D. Used to
+    validate the collision construction; refuses steps >
+    ``HISTORY_MAX_STEPS``, and G, G' and |s> whose shapes do not match.
+    It is generic in D: the CLI passes the d x d operators of the orbit
+    space (:func:`~noisygrover.noise._dicke_operators`), and the tests the
+    dense N x N ones as well.
 
     The histories form a binary tree: a node applies G or G' to its
     parent's amplitudes and multiplies its parent's weight by one chain
     probability, so each prefix is evaluated once. The tree has
     2**(steps + 1) - 1 nodes, and every node but the root |s> costs one
     matrix-vector product and one rank-one term of its depth's sum, about
-    2 N^2 complex multiply-adds: N^2 2^steps work over the tree. It is
+    2 D^2 complex multiply-adds: D^2 2^steps work over the tree. It is
     walked depth first in batches of same-depth nodes: the children of a
     batch whose weight is not 0 form one lexicographic range of the next
     depth, and a range of more than ``_BATCH_ENTRIES`` vector entries is
-    halved, left half first, down to one state (1024 states at n = 4, 16 at
-    n = 10). A zero weight drops the node and its subtree. Each batch costs
-    one (B, N) @ (N, N) product per label and one (N, B) @ (B, N) product,
-    sum_b w_b psi_b psi_b^dagger, added to its depth's sum. Besides the
-    ``steps`` + 1 dense N x N sums and that product, one batch of at most
-    ``_BATCH_ENTRIES`` entries per depth is alive at a time. The sums agree
-    with one history at a time to rounding, not bitwise, and each is
+    halved, left half first, down to one state (1024 states at D = 16, 64
+    at D = 256). A zero weight drops the node and its subtree. Each batch
+    costs one (B, D) @ (D, D) product per label and one (D, B) @ (B, D)
+    product, sum_b w_b psi_b psi_b^dagger, added to its depth's sum.
+    Besides the ``steps`` + 1 D x D sums and that product, one batch of at
+    most ``_BATCH_ENTRIES`` entries per depth is alive at a time. The sums
+    agree with one history at a time to rounding, not bitwise, and each is
     Hermitian to rounding.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps > HISTORY_MAX_STEPS:
         raise ValueError(f"history sum over 2^{steps} branches refused (cap {HISTORY_MAX_STEPS})")
-    g = grover_operator(inst)
+    if s.ndim != 1 or g.shape != (s.size, s.size) or gp.shape != g.shape:
+        raise ValueError(f"G {g.shape}, G' {gp.shape} and |s> {s.shape} do not match")
     # rows of amplitudes: psi @ O^T is O psi for each row psi
-    ops_t = tuple(op.T for op in (g, noisy_grover(g, build_chi(inst.n, spec))))
+    ops_t = (g.T, gp.T)
     # trans[k_next, k]: the chain probability of label k_next after k; the
     # first label draws from the chain at mu = 0, whose columns are (1 - p, p)
     trans = conditional_probs(params)
     first = conditional_probs(MarkovNoiseParams(params.p, 0.0))
-    s = uniform_superposition(inst)
     acc = np.zeros((steps + 1, s.size, s.size), dtype=complex)
     acc[0] = projector(s)
 
@@ -280,8 +283,7 @@ def history_oracle(
 
     if steps:
         expand(1, s[None], first[None, :, 0])
-    probs = np.array([a[inst.marked, inst.marked].real for a in acc])
-    return EvolutionTrace(probs, states=tuple(acc), meta={"method": "history"})
+    return acc
 
 
 def perfect_memory_analytic(N: int, t: float) -> float:

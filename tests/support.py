@@ -5,10 +5,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisygrover.grover import GroverInstance, uniform_superposition
+from noisygrover.grover import GroverInstance, grover_operator, uniform_superposition
 from noisygrover.linalg import ComplexMatrix, dagger, projector, tensor
 from noisygrover.markov import _PLUS, markov_evolve
-from noisygrover.noise import NoiseSpec, orbit_basis, sigma_x_reduced, single_qubit_unitary
+from noisygrover.noise import (
+    NoiseSpec,
+    build_chi,
+    noisy_grover,
+    orbit_basis,
+    sigma_x_reduced,
+    single_qubit_unitary,
+)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> ComplexMatrix:
@@ -23,6 +30,14 @@ def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
     dense start of the Kraus verification layer; the step loop takes its
     label blocks (``markov._label_start``)."""
     return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
+
+
+def dense_operators(inst: GroverInstance, spec: NoiseSpec):
+    """(G, G', |s>) on the whole register, N x N and N: what
+    ``history_oracle`` takes for the register's history sums, whose
+    ``marked`` diagonal entries are the success probabilities."""
+    g = grover_operator(inst)
+    return g, noisy_grover(g, build_chi(inst.n, spec)), uniform_superposition(inst)
 
 
 @dataclass(frozen=True)

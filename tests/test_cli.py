@@ -177,8 +177,12 @@ def test_load_config_syntax_error(tmp_path):
             ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
         ),
         pytest.param(("noisy", "--n", "3", "--temp", "0.5", "--st", "1"), id="abbreviated-flags"),
-        # N^2 2^steps above its value at n = 10, 11 steps
-        pytest.param(("oracle-check", "--n", "10", "--steps", "12"), id="oracle-work-n10-steps12"),
+        # d = 272 (q = 15 of m = 31 = n) at 12 steps, above ORBIT_MAX_DIM
+        pytest.param(
+            ("oracle-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16),
+             "--steps", "12"),
+            id="oracle-work-n10-steps12",
+        ),
     ],
 )
 def test_invalid_inputs_exit_one(capsys, argv):
@@ -193,23 +197,31 @@ class _Accepted(Exception):
 
 @pytest.mark.parametrize(
     "n,steps,accepted",
-    [(7, 12, True), (10, 3, True), (8, 12, True), (9, 12, True), (10, 11, True), (10, 12, False)],
+    [
+        (7, 12, True), (10, 3, True), (8, 12, True), (9, 12, True), (10, 11, True),
+        (10, 12, True), (30, 12, True), (31, 12, False),
+    ],
 )
 def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
-    # The evolution is stubbed, so nothing runs: reaching it means the
-    # inputs were accepted.
+    # Every qubit noisy, with the marked index's top n - n // 2 bits set:
+    # q = n - n // 2 and d = (q + 1)(n - q + 1), from 20 at n = 7 to
+    # 36 at n = 10, 256 (the cap) at n = 30 and 272 at n = 31. The
+    # evolution is stubbed, so nothing runs: reaching it means the inputs
+    # were accepted.
     def stub(*args, **kwargs):
         raise _Accepted
 
     monkeypatch.setattr(cli, "markov_evolve", stub)
-    argv = ("oracle-check", "--n", str(n), "--steps", str(steps))
+    marked = 2**n - 2 ** (n // 2)
+    argv = ("oracle-check", "--n", str(n), "--m", str(n), "--marked", str(marked),
+            "--steps", str(steps))
     if accepted:
         with pytest.raises(_Accepted):
             main(list(argv))
         return
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and f"work N^2 2^steps = 2^{2 * n + steps}" in err
+    assert err.startswith("error:") and f"d=272 at n={n}, m={n}, q=16 exceeds 256" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -339,17 +351,21 @@ def test_oracle_check_passes(capsys):
     assert code == 0
     meta, _, rows = parse_csv(out)
     assert float(meta["max_trace_distance"]) < 1e-10
+    assert meta["dim"] == "4"  # m = 1, q = 0 at n = 2: (0 + 1)(1 + 1) 2
     assert len(rows) == 7
+    assert max(float(row[2]) for row in rows) < 1e-12  # prob_deviation, read at |w>
 
 
-def test_oracle_check_lifts_one_step_at_a_time():
-    # The table holds the 13 dense history sums (13 N^2 complex entries at
-    # 12 steps) and, beside them, a few N x N temporaries: one lifted state,
-    # the history walk's rank-one product, trace_distance's difference and
-    # its eigvalsh work. Holding all 13 lifted states at once as well peaks
-    # at 31.5 N^2; lifting one step at a time peaks at 19.2 N^2.
+def test_oracle_check_runs_on_the_orbit_space_at_forty_qubits():
+    # n = 40 with marked index 0: q = 0 of m = 30, d = 31 * 2 = 62. The
+    # noise u is not symmetric, so a history sum built from u^T would miss
+    # the evolution. The table holds the kept label blocks (2 (steps + 1) d^2
+    # complex entries), the history sums ((steps + 1) d^2) and, while the
+    # walk runs, one batch of at most 2^14 entries per depth; it peaks at
+    # 5.9 (steps + 1) d^2.
     ns = cli.build_parser().parse_args(
-        ["oracle-check", "--n", "8", "--m", "3", "--noise", "hadamard", "--steps", "12"]
+        ["oracle-check", "--n", "40", "--m", "30", "--marked", "0",
+         "--noise", "custom:0.6,0.8j,1.1", "--steps", "12"]
     )
     tracemalloc.start()
     try:
@@ -357,8 +373,9 @@ def test_oracle_check_lifts_one_step_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert table.meta["dim"] == 62 and len(table.rows) == 13
     assert table.meta["max_trace_distance"] < 1e-10
-    assert peak < 23 * 16 * 256**2, peak / (16 * 256**2)
+    assert peak < 8 * 16 * 13 * 62**2, peak / (16 * 13 * 62**2)
 
 
 def test_dilation_check_passes_and_is_reproducible(capsys):
@@ -667,14 +684,16 @@ def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "argv,what",
     [
-        # Orbit classes over the 8d <= 2048 cap: q = 19 of m = 39 (d = 840),
+        # Orbit classes over the d <= 256 cap: q = 19 of m = 39 (d = 840),
         # and q = 15 of m = 31 = n (d = 272), the smallest refused d at m = n.
         (("dilation-check", "--n", "40", "--m", "39", "--marked", str(2**40 - 2**21)),
          "dilation-check"),
         (("dilation-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16),
           "--p", "0.1,0.2"), "dilation-check"),
-        (("oracle-check", "--n", str(cli.ORACLE_MAX_N + 1)), "oracle-check"),
-        (("oracle-check", "--n", "40"), "oracle-check"),
+        (("oracle-check", "--n", "40", "--m", "39", "--marked", str(2**40 - 2**21)),
+         "oracle-check"),
+        (("oracle-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16)),
+         "oracle-check"),
         (("ideal", "--n", "1024"), "finite"),
         (("noisy", "--n", "1100", "--p", "0.1,0.2"), "finite"),
         (("firstmax", "--n", "3,1024", "--p", "0.1,0.2"), "finite"),
@@ -719,7 +738,7 @@ def test_dense_subcommands_run_at_their_caps(capsys):
 
 
 def test_dilation_check_admits_the_cap_exactly(capsys, monkeypatch):
-    # q = 15 of m = 30 = n gives d = 256, 8d = 2048: admitted, and recorded
+    # q = 15 of m = 30 = n gives d = 256, the cap: admitted, and recorded
     # as dim. The point itself (about 3 s) is stubbed; CI runs it.
     def zeros(point):
         params = point[2]

@@ -2,12 +2,13 @@
 replace, the closed forms at n = 20..40, and the batched series."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from support import haar_noise, label_blocks, reduced_sigma_x_walks, split_basis
 
-from noisygrover import collision, grover, markov, measures, noise
+from noisygrover import cli, collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
 from noisygrover.grover import GroverInstance, ideal_success_closed_form, uniform_superposition
 from noisygrover.linalg import dagger, projector, require_density, tensor
@@ -192,6 +193,12 @@ def test_meta_dim_is_the_formula(n, ones):
         assert markov_evolve(inst, spec, MarkovNoiseParams(0.4, 0.5), 1).meta["dim"] == dim
 
 
+# What builds N x N (or N x d) arrays: the dense G, |s>, chi and G', and V.
+_DENSE_BUILDERS = (
+    "grover_operator", "uniform_superposition", "build_chi", "noisy_grover", "orbit_basis",
+)
+
+
 def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     calls = []
 
@@ -202,8 +209,8 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
 
         return wrapper
 
-    for module in (grover, noise, markov, measures, collision):
-        for name in ("orbit_basis", "grover_operator"):
+    for module in (grover, noise, markov, measures, collision, cli):
+        for name in _DENSE_BUILDERS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     inst = GroverInstance(6, 45)
@@ -216,10 +223,16 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     n_blp(inst, spec, params, 5)
     n_blp(inst, spec, params, 5, bath=thermal_weights(1.0))
     grover.ideal_success_series(inst, 5)
+    # The verification subcommands run on the orbit space too.
+    for command in ("oracle-check", "dilation-check"):
+        assert cli.main([command, "--n", "6", "--marked", "45", "--m", "3", "--p", "0.4",
+                         "--mu", "0.7", "--output", os.devnull]) == 0
     assert calls == []
-    # markov_evolve never builds orbit_basis: markov does not import it,
-    # and the blocks it keeps stay d x d.
-    assert not hasattr(markov, "orbit_basis")
+    # markov_evolve and history_oracle never build the dense operators or
+    # orbit_basis: neither markov nor cli imports them, and the blocks
+    # markov_evolve keeps stay d x d.
+    for module in (markov, cli):
+        assert [name for name in _DENSE_BUILDERS if hasattr(module, name)] == []
     assert markov_evolve(inst, spec, params, 2).blocks.shape == (3, 2, 8, 8)  # d = 8, N = 64
     assert calls == []
 

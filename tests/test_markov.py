@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import haar_noise, initial_joint_state, label_blocks, lift, random_density
+from support import (
+    dense_operators,
+    haar_noise,
+    initial_joint_state,
+    label_blocks,
+    lift,
+    random_density,
+)
 
 from noisygrover import markov, noise
 from noisygrover.collision import thermal_weights
@@ -146,10 +153,11 @@ def test_first_step_uses_stationary_mixture():
 def test_matches_history_oracle_states():
     params = MarkovNoiseParams(0.3, 0.7)
     evolved = markov_evolve(INST3, SPEC_X1, params, 6)
-    reference = history_oracle(INST3, SPEC_X1, params, 6)
-    for a, b in zip(lift(INST3, SPEC_X1, evolved.blocks.sum(axis=1)), reference.states):
+    reference = history_oracle(*dense_operators(INST3, SPEC_X1), params, 6)
+    for a, b in zip(lift(INST3, SPEC_X1, evolved.blocks.sum(axis=1)), reference):
         assert trace_distance(a, b) < 1e-12
-    assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
+    probs = reference[:, INST3.marked, INST3.marked].real
+    assert np.max(np.abs(evolved.probabilities - probs)) < 1e-12
 
 
 def _enumerated_histories(inst, spec, params, steps):
@@ -178,14 +186,14 @@ def _enumerated_histories(inst, spec, params, steps):
     return probs, states
 
 
-def _assert_close_to_enumeration(trace, inst, spec, params, steps):
+def _assert_close_to_enumeration(sums, inst, spec, params, steps):
     # The tree walk forms its sums from other products than one history at
     # a time, so they agree to rounding: at most 8.9e-16 on the n = 3, 4
     # grid and 1.2e-15 on the split cases.
     probs, states = _enumerated_histories(inst, spec, params, steps)
-    assert len(trace.states) == steps + 1
-    assert np.max(np.abs(trace.probabilities - probs)) <= 1e-14, steps
-    for ours, ref in zip(trace.states, states, strict=True):
+    assert len(sums) == steps + 1
+    assert np.max(np.abs(sums[:, inst.marked, inst.marked].real - probs)) <= 1e-14, steps
+    for ours, ref in zip(sums, states, strict=True):
         assert np.max(np.abs(ours - ref)) <= 1e-14, steps
 
 
@@ -200,9 +208,10 @@ def test_history_oracle_equals_enumeration(n, p, mu):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
     params = MarkovNoiseParams(p, mu)
+    ops = dense_operators(inst, spec)
     for steps in range(9):
-        trace = history_oracle(inst, spec, params, steps)
-        _assert_close_to_enumeration(trace, inst, spec, params, steps)
+        sums = history_oracle(*ops, params, steps)
+        _assert_close_to_enumeration(sums, inst, spec, params, steps)
 
 
 @pytest.mark.parametrize(
@@ -230,8 +239,8 @@ def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
     inst = GroverInstance(n, int(rng.integers(2**n)))
     spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
     params = MarkovNoiseParams(p, mu)
-    trace = history_oracle(inst, spec, params, steps)
-    _assert_close_to_enumeration(trace, inst, spec, params, steps)
+    sums = history_oracle(*dense_operators(inst, spec), params, steps)
+    _assert_close_to_enumeration(sums, inst, spec, params, steps)
 
 
 @pytest.mark.parametrize("p, mu", [(0.3, 0.7), (0.0, 0.5), (1.0, 0.2), (0.6, 1.0), (0.5, 0.0)])
@@ -243,8 +252,8 @@ def test_history_oracle_states_are_density_matrices(n, p, mu):
     u = haar_noise(rng)
     inst = GroverInstance(n, int(rng.integers(2**n)))
     spec = noise_spec(u, 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
-    trace = history_oracle(inst, spec, MarkovNoiseParams(p, mu), 10)
-    report = assert_density(np.array(trace.states), tol=1e-13)
+    sums = history_oracle(*dense_operators(inst, spec), MarkovNoiseParams(p, mu), 10)
+    report = assert_density(sums, tol=1e-13)
     assert np.all(report.passed), report
 
 
@@ -258,26 +267,34 @@ def test_matches_history_oracle_states_at_the_step_cap(n):
     spec = noise_spec(u, 3, n, sorted(rng.choice(n, size=3, replace=False).tolist()))
     params = MarkovNoiseParams(0.35, 0.6)
     evolved = markov_evolve(inst, spec, params, HISTORY_MAX_STEPS)
-    reference = history_oracle(inst, spec, params, HISTORY_MAX_STEPS)
+    reference = history_oracle(*dense_operators(inst, spec), params, HISTORY_MAX_STEPS)
     states = lift(inst, spec, evolved.blocks.sum(axis=1))
-    for a, b in zip(states, reference.states, strict=True):
+    for a, b in zip(states, reference, strict=True):
         assert trace_distance(a, b) < 1e-12
-    assert np.max(np.abs(evolved.probabilities - reference.probabilities)) < 1e-12
+    probs = reference[:, inst.marked, inst.marked].real
+    assert np.max(np.abs(evolved.probabilities - probs)) < 1e-12
 
 
 def test_history_oracle_refuses_large_horizons():
     for steps in (HISTORY_MAX_STEPS + 1, 17):
         with pytest.raises(ValueError, match="refused"):
-            history_oracle(INST3, SPEC_X1, MarkovNoiseParams(0.5, 0.5), steps)
+            history_oracle(*dense_operators(INST3, SPEC_X1), MarkovNoiseParams(0.5, 0.5), steps)
+
+
+def test_history_oracle_refuses_operators_that_do_not_match():
+    g, gp, s = dense_operators(INST3, SPEC_X1)
+    params = MarkovNoiseParams(0.5, 0.5)
+    for ops in ((g, gp, s[:4]), (g, gp[:4, :4], s), (g[:, :4], gp, s), (g, gp, s[:, None])):
+        with pytest.raises(ValueError, match="do not match"):
+            history_oracle(*ops, params, 3)
 
 
 def test_trace_keeps_the_label_blocks():
     # With or without validate, a run keeps every step's label blocks at
-    # d x d, t = 0 included, and no dense state.
+    # d x d, t = 0 included.
     params = MarkovNoiseParams(0.4, 0.2)
     bare = markov_evolve(INST3, SPEC_X1, params, 5)
     checked = markov_evolve(INST3, SPEC_X1, params, 5, validate=True)
-    assert bare.states is None and checked.states is None
     assert bare.probabilities.shape == (6,)
     d = bare.meta["dim"]
     assert bare.blocks.shape == (6, 2, d, d)
@@ -368,7 +385,6 @@ def test_validate_passes_clean_runs(n, temperature):
         checked = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
         plain = markov_evolve(inst, spec, params, 12, bath=bath)
         assert np.array_equal(checked.probabilities, plain.probabilities)
-        assert checked.states is None
 
 
 def test_perfect_memory_analytic_values():
