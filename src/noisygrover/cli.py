@@ -42,6 +42,7 @@ import numpy as np
 
 from . import __version__
 from .collision import (
+    _BATCH_ENTRIES,
     dilation_unitary,
     extract_m,
     kraus_from_dilation,
@@ -51,6 +52,7 @@ from .collision import (
     verify_dilation,
 )
 from .grover import GroverInstance, ideal_success_series, optimal_iterations
+from .grover import reduced_grover_operator
 from .linalg import InvariantViolation, trace_distance
 from .markov import (
     HISTORY_MAX_STEPS,
@@ -373,15 +375,31 @@ def _orbit_dim(command: str, a, spec) -> int:
     return d
 
 
-def _dilation_step(params, g, gp, trials, seed):
-    """(U, [unitarity, Kraus and dilation defects]) of the step at
-    ``params``; the Kraus sets built here die with the call."""
-    u = dilation_unitary(params, g, gp)
-    ks = kraus_step(params, g, gp)
-    kraus_defect = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(ks.ops, kraus_from_dilation(u).ops)
-    )
-    return u, [unitarity_defect(u), kraus_defect, verify_dilation(u, ks, trials, seed)]
+def _dilation_row(params, g, gp, chi, trials, seed) -> list:
+    """The checks of the first collision (the step at mu = 0) and of the
+    steady step at ``params``, for D x D G, G' and chi: [unitarity, Kraus
+    and dilation defects] of each, then the steady step's factorization.
+
+    Both steps run as one stack when two 8D x 8D unitaries fit
+    ``_BATCH_ENTRIES`` (D <= 11), so they share the seeded probes and every
+    batched product. Past that each runs as a stack of one, and the first
+    collision's unitary is dropped before the steady one is built, so one
+    is alive at a time."""
+    steps = [MarkovNoiseParams(params.p, 0.0), params]
+    groups = [steps] if _BATCH_ENTRIES // (8 * g.shape[0]) ** 2 >= 2 else [steps[:1], steps[1:]]
+    checks = []
+    for group in groups:
+        u = ks = None  # the previous group's unitaries and Kraus sets die here
+        u = dilation_unitary(group, g, gp)
+        ks = kraus_step(group, g, gp)
+        kraus_defect = np.max([
+            np.max(np.abs(a - b), axis=(-2, -1)) for a, b in zip(ks.ops, kraus_from_dilation(u).ops)
+        ], axis=0)
+        checks += zip(unitarity_defect(u), kraus_defect, verify_dilation(u, ks, trials, seed))
+    fact = extract_m(u[-1], chi, g)  # the steady step's factorization
+    return [params.p, params.mu] + [float(v) for step in checks for v in step] + [
+        fact.residual, fact.unitary_defect, fact.control_value
+    ]
 
 
 def _dilation_point(point):
@@ -390,15 +408,9 @@ def _dilation_point(point):
     # |s> and is invariant under G and chi, so the register's collision
     # unitary U meets the one built from these, U_d, as
     # U (I_8 (x) V) = (I_8 (x) V) U_d.
-    g, gp, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    chi, _ = _orbit_chi(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    # The first collision is the step at mu = 0. Its U is dropped before
-    # the steady one is built, so one 8d x 8d unitary is alive at a time.
-    first = MarkovNoiseParams(params.p, 0.0)
-    row = [params.p, params.mu] + _dilation_step(first, g, gp, trials, seed)[1]
-    u, defects = _dilation_step(params, g, gp, trials, seed)
-    fact = extract_m(u, chi, g)  # the steady step's factorization
-    return row + defects + [fact.residual, fact.unitary_defect, fact.control_value]
+    chi, s = _orbit_chi(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    g = reduced_grover_operator(s, 0, inst.N)
+    return _dilation_row(params, g, chi @ g, chi, trials, seed)
 
 
 def _run_grid(worker, points, jobs: int) -> list:
@@ -578,12 +590,16 @@ def _handle_oracle_check(a, meta: dict) -> ResultTable:
     # blocks live: G, G' and |s> at d x d, with |w> as column 0.
     g, gp, s = _dicke_operators(a.n, a.marked, spec.u.matrix, spec.positions)
     sums = history_oracle(g, gp, s, params, a.steps)
-    rows = []
-    for t, (blocks, reference) in enumerate(zip(evolved.blocks, sums)):
-        dist = trace_distance(blocks.sum(axis=0), reference)
-        prob_dev = abs(evolved.probabilities[t] - reference[0, 0].real)
-        rows.append([t, float(dist), float(prob_dev)])
-    worst = float(np.max([row[1] for row in rows]))  # a NaN distance stays the maximum
+    # The steps are compared in stacks of at most _BATCH_ENTRIES entries (at
+    # least one step), one trace_distance call each.
+    stack = max(1, _BATCH_ENTRIES // g.size)
+    dists = np.concatenate([
+        trace_distance(evolved.blocks[t : t + stack].sum(axis=1), sums[t : t + stack])
+        for t in range(0, a.steps + 1, stack)
+    ])
+    prob_devs = np.abs(evolved.probabilities - sums[:, 0, 0].real)
+    rows = [[t, float(dist), float(dev)] for t, (dist, dev) in enumerate(zip(dists, prob_devs))]
+    worst = float(np.max(dists))  # a NaN distance stays the maximum
     if not worst <= 1e-10:
         raise InvariantViolation(
             f"collision evolution deviates from the history sum by {worst:.3e}"

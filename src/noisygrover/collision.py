@@ -34,6 +34,8 @@ it stacks from one incidence table of that block layout. The Kraus sets,
 the dilation and its factorization are the verification layer: each
 check returns its measurements (defects, deviations, residuals), which
 ``dilation-check`` gates in one table and the tests bound themselves.
+The Kraus sets and unitaries of a sequence of points come as stacks,
+which the checks take whole, one value per member.
 
 The step loop is one generator, dense at whatever size it is given, that
 runs a batch at once: transfer tensors, G, G' and the start each may carry
@@ -82,9 +84,12 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 
 # Most entries one stack of states holds where the verification layer
 # batches its dense work: the same-depth amplitude vectors of
-# ``markov.history_oracle`` (1024 states at D = 16, 64 at D = 256) and the
+# ``markov.history_oracle`` (1024 states at D = 16, 64 at D = 256), the
 # 2D x 2D trial images of ``verify_dilation`` (256 trials at D = 4, 4 at
-# D = 32, one from D = 64 on), for D x D operators.
+# D = 32, one from D = 64 on, per member), the D x D block products of
+# ``unitarity_defect`` and ``extract_m`` (all 32 up to D = 22, one from
+# D = 91 on), for D x D operators, and the 8D x 8D unitaries that
+# ``dilation-check`` stacks (two up to D = 11).
 _BATCH_ENTRIES = 2**14
 
 
@@ -102,21 +107,42 @@ class KrausSet:
     def _boxes(self) -> tuple[tuple[slice, slice, ComplexMatrix], ...]:
         """(rows, cols, box) per operator that is not all zero:
         the bounding box of its nonzero rows and columns, found with ``any``
-        on the matrix itself (a NaN counts as nonzero), and the operator cut
-        to it, a view."""
+        on the matrix itself (a NaN counts as nonzero) and, for a stack of
+        operators, over all its members, and the operator cut to it, a
+        view."""
         boxes = []
         for k in self.ops:
-            rows = np.flatnonzero(k.any(axis=1))
+            nonzero = k.reshape((-1,) + k.shape[-2:]).any(axis=0)
+            rows = np.flatnonzero(nonzero.any(axis=1))
             if rows.size:
-                cols = np.flatnonzero(k.any(axis=0))
+                cols = np.flatnonzero(nonzero.any(axis=0))
                 rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-                boxes.append((rows, cols, k[rows, cols]))
+                boxes.append((rows, cols, k[..., rows, cols]))
         return tuple(boxes)
 
 
-def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -> KrausSet:
+def _points(params: MarkovNoiseParams | Sequence[MarkovNoiseParams]) -> list[MarkovNoiseParams]:
+    """The (p, mu) points of one point or a sequence; an empty one raises
+    ``ValueError``."""
+    points = [params] if isinstance(params, MarkovNoiseParams) else list(params)
+    if not points:
+        raise ValueError("no (p, mu) points given")
+    return points
+
+
+def _check_operators(g: ComplexMatrix, gp: ComplexMatrix) -> int:
+    """D of two D x D operators G, G'; other shapes raise ``ValueError``."""
+    n_dim = g.shape[0]
+    if g.shape != gp.shape or g.shape != (n_dim, n_dim):
+        raise ValueError(f"operator shapes {g.shape} vs {gp.shape} invalid")
+    return n_dim
+
+
+def kraus_step(
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams], g: ComplexMatrix, gp: ComplexMatrix
+) -> KrausSet:
     """Four Kraus operators on walker (x) system, 2D x 2D each for D x D
-    ``g`` and ``gp``.
+    ``g`` and ``gp``, or (B, 2D, 2D) stacks for a sequence of B points.
 
     Walker index 0 is the clean branch (G fires), index 1 the faulty one
     (G' fires). Operator 2 r + c puts sqrt(P[r, c]) times G (r = 0) or G'
@@ -134,23 +160,24 @@ def kraus_step(params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix) -
     so it is unital iff p = 1/2 or mu = 1, and it moves I/2N by 0.5 |a| in
     trace distance (p=0.3, mu=0.5 gives a = 0.2).
     """
-    n_dim = g.shape[0]
-    if g.shape != gp.shape or g.shape != (n_dim, n_dim):
-        raise ValueError(f"operator shapes {g.shape} vs {gp.shape} invalid")
-    w = conditional_probs(params)
+    n_dim = _check_operators(g, gp)
+    weights = [conditional_probs(point) for point in _points(params)]
     ops = []
     for row, col in np.ndindex(2, 2):
-        k = np.zeros((2 * n_dim, 2 * n_dim), dtype=complex)
-        k[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
-            math.sqrt(w[row, col]) * (g, gp)[row]
-        )
-        ops.append(k)
+        k = np.zeros((len(weights), 2 * n_dim, 2 * n_dim), dtype=complex)
+        for member, w in zip(k, weights):
+            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
+                math.sqrt(w[row, col]) * (g, gp)[row]
+            )
+        ops.append(k[0] if isinstance(params, MarkovNoiseParams) else k)
     return KrausSet(tuple(ops))
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
     """sum_k K_k R K_k^dagger, each term on its operator's nonzero box, for
-    one matrix R or each member of a stack ``(..., 2D, 2D)``.
+    one matrix R or each member of a stack ``(..., 2D, 2D)``. A set whose
+    operators are (B, 2D, 2D) stacks maps every R through each of its B
+    members: the result is (B,) + ``r.shape``.
 
     With K_k's nonzero rows in the range a and columns in the range b, the
     term is K_k[a, b] R[..., b, b] K_k[a, b]^dagger, added into
@@ -158,10 +185,12 @@ def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
     the dense product. A ``kraus_step`` operator is one D x D block, so each
     term costs an eighth of the dense one; an all-zero operator (a zero
     weight) adds nothing and is skipped, and a dense operator keeps its
-    whole box. The boxes are cut once per set.
+    whole box. The boxes are cut once per set, over all its members.
     """
-    out = np.zeros_like(r)
+    batch = kset.ops[0].shape[:-2]
+    out = np.zeros(batch + r.shape, dtype=r.dtype)
     for rows, cols, box in kset._boxes:
+        box = box.reshape(batch + (1,) * (r.ndim - 2) + box.shape[-2:])
         out[..., rows, rows] += box @ r[..., cols, cols] @ dagger(box)
     return out
 
@@ -191,11 +220,12 @@ _LAYOUT = (
 
 
 def dilation_unitary(
-    params: MarkovNoiseParams, g: ComplexMatrix, gp: ComplexMatrix
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams], g: ComplexMatrix, gp: ComplexMatrix
 ) -> ComplexMatrix:
     """The 8D x 8D collision unitary on ancilla1 (x) ancilla2 (x) walker (x)
     system of the step at ``params``, for D x D ``g`` and ``gp`` (the first
-    collision is the step at mu = 0).
+    collision is the step at mu = 0), or the (B, 8D, 8D) stack of them for
+    a sequence of B points.
 
     Tracing the ancillas out of U (R (x) |00><00|-style input, ancillas
     leftmost) reproduces exactly :func:`kraus_step` at the same ``params``;
@@ -203,52 +233,107 @@ def dilation_unitary(
     normalization holds because each column of the chain's transition
     matrix sums to one, so U is unitary for every p, mu in [0, 1].
     """
-    n_dim = g.shape[0]
-    if g.shape != gp.shape or g.shape != (n_dim, n_dim):
-        raise ValueError(f"operator shapes {g.shape} vs {gp.shape} invalid")
-    w = conditional_probs(params)
+    n_dim = _check_operators(g, gp)
+    weights = [conditional_probs(point) for point in _points(params)]
     ops = (g, gp)
-    u = np.zeros((8 * n_dim, 8 * n_dim), dtype=complex)
-    for row, col, sign, pair, which in _LAYOUT:
-        block = sign * (math.sqrt(w[pair]) * ops[which])
-        u[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
-    return u
+    u = np.zeros((len(weights), 8 * n_dim, 8 * n_dim), dtype=complex)
+    for member, w in zip(u, weights):
+        for row, col, sign, pair, which in _LAYOUT:
+            block = sign * (math.sqrt(w[pair]) * ops[which])
+            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
+    return u[0] if isinstance(params, MarkovNoiseParams) else u
 
 
-def unitarity_defect(u: ComplexMatrix) -> float:
+def _grid(u: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """U, or a stack of them, as its 8 x 8 grid of D x D blocks, a view of
+    shape (..., 8, D, 8, D), and the blocks that are not all zero in some
+    member, (8, 8), found with ``any`` on U itself (a NaN counts)."""
+    n_dim = u.shape[-1] // 8
+    grid = u.reshape(u.shape[:-2] + (8, n_dim, 8, n_dim))
+    nonzero = grid.reshape((-1, 8, n_dim, 8, n_dim)).any(axis=(0, 2, 4))
+    return grid, nonzero
+
+
+def _blocks(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Grid blocks (rows[i], cols[i]) of every member, (len(rows),) + the
+    batch shape + (D, D): gathered for several blocks, a view for one."""
+    if len(rows) == 1:
+        return grid[..., rows[0], :, cols[0], :][None]
+    return grid[..., rows, :, cols, :]
+
+
+def _chunks(sizes: np.ndarray, budget: int) -> Generator[slice, None, None]:
+    """Consecutive runs of items, as slices, whose ``sizes`` sum to at most
+    ``budget``; an item larger than that has a run of its own."""
+    start, total = 0, 0
+    for end, size in enumerate(sizes):
+        if end > start and total + size > budget:
+            yield slice(start, end)
+            start, total = end, 0
+        total += size
+    if len(sizes):
+        yield slice(start, len(sizes))
+
+
+def _block_budget(grid: np.ndarray) -> int:
+    """How many D x D blocks of every member of ``grid`` one batched
+    product takes: ``_BATCH_ENTRIES`` entries, at least one block."""
+    return max(1, _BATCH_ENTRIES // (math.prod(grid.shape[:-4]) * grid.shape[-1] ** 2))
+
+
+def unitarity_defect(u: ComplexMatrix) -> float | np.ndarray:
     """max |U^dagger U - I| of an 8D x 8D collision unitary U, one D x D
-    block of U^dagger U at a time.
+    block of U^dagger U at a time; for a stack (B, 8D, 8D), one value per
+    member.
 
     Block (j, k) of U^dagger U is sum_i U_ij^dagger U_ik over U's 8 block
     rows i. Each row is taken on the column blocks where it is nonzero
-    (``any`` on U itself, so a NaN counts), and every term left out is an
-    exact zero: only the block pairs (j, k) that share a nonzero block row
-    are summed, 16 of the 64 for the layout, with 32 D x D products in
-    place of the dense 8D x 8D one, and no 8D x 8D matrix besides U is
-    formed. Every other block is an exact zero, so its defect is 1 on the
-    diagonal and 0 off it. A NaN entry makes the defect NaN.
+    (``any`` on U itself, over all members of a stack, so a NaN counts),
+    and every term left out is an exact zero: only the block pairs (j, k)
+    that share a nonzero block row are summed, 16 of the 64 for the
+    layout, with 32 D x D products in place of the dense 8D x 8D one. The
+    products run over runs of whole pairs of at most ``_BATCH_ENTRIES``
+    entries, one batched matmul per rank of a row within its pair, so each
+    pair's terms are added in the order of its rows. A run of one pair
+    takes views of U, one product at a time, so no 8D x 8D matrix besides
+    U is formed. Every other block is an exact zero, so its defect is 1 on
+    the diagonal and 0 off it. A NaN entry makes the defect NaN.
     """
-    n_dim = u.shape[0] // 8
-    grid = u.reshape(8, n_dim, 8, n_dim)
-    nonzero = grid.any(axis=(1, 3))
-    eye = np.eye(n_dim)
-    defects = np.eye(8)
-    for j, k in zip(*np.nonzero(nonzero.T @ nonzero)):
-        rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
-        block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
-        defects[j, k] = np.max(np.abs(block - eye if j == k else block))
-    return float(np.max(defects))
+    grid, nonzero = _grid(u)
+    pairs = np.argwhere(nonzero.T @ nonzero)
+    rows = [np.flatnonzero(nonzero[:, j] & nonzero[:, k]) for j, k in pairs]
+    sizes = np.array([len(r) for r in rows])
+    defects = np.broadcast_to(np.eye(8), u.shape[:-2] + (8, 8)).copy()
+    eye = np.eye(grid.shape[-1])
+    for run in _chunks(sizes, _block_budget(grid)):
+        (j, k), counts = pairs[run].T, sizes[run]
+        for rank in range(counts.max()):  # each pair's rows in order
+            has = np.flatnonzero(counts > rank)
+            i = np.array([r[rank] for r in rows[run] if len(r) > rank])
+            product = dagger(_blocks(grid, i, j[has])) @ _blocks(grid, i, k[has])
+            if rank:
+                block[has] += product
+            else:
+                block = product
+        block[j == k] -= eye
+        defects[..., j, k] = np.moveaxis(np.max(np.abs(block), axis=(-2, -1)), 0, -1)
+    worst = np.max(defects, axis=(-2, -1))
+    return float(worst) if u.ndim == 2 else worst
 
 
 def kraus_from_dilation(u: ComplexMatrix) -> KrausSet:
-    """Read the four Kraus operators out of the collision unitary's |00> columns."""
-    n2 = u.shape[0] // 4  # walker+system dimension 2D
-    return KrausSet(tuple(u[alpha * n2 : (alpha + 1) * n2, :n2].copy() for alpha in range(4)))
+    """Read the four Kraus operators out of the collision unitary's |00>
+    columns; for a stack (B, 8D, 8D), each operator is a (B, 2D, 2D) stack."""
+    n2 = u.shape[-1] // 4  # walker+system dimension 2D
+    return KrausSet(tuple(u[..., alpha * n2 : (alpha + 1) * n2, :n2].copy() for alpha in range(4)))
 
 
-def verify_dilation(u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: int = 1234) -> float:
+def verify_dilation(
+    u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: int = 1234
+) -> float | np.ndarray:
     """The largest trace distance between Tr_anc[ U (|00><00| (x) R) U^dagger ]
-    and the Kraus map's image of R.
+    and the Kraus map's image of R; for a stack of B unitaries (B, 8D, 8D)
+    and a set of (B, 2D, 2D) operator stacks, one value per member.
 
     Runs ``trials`` seeded Haar-random pure states psi on walker (x) system
     and returns the largest trace distance between the two one-step images
@@ -260,32 +345,37 @@ def verify_dilation(u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: in
     and F is largest on a pure input, and a pure probe is at least as
     sensitive as a mixed one.
 
-    The trials run in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at
-    least one) members, in the order the states are drawn, one
-    ``random_pure_state`` call per trial, so every trial sees the state it
-    would see alone. The joint states U (|00> (x) psi) = U[:, :2D] psi of a
-    stack are pure, one product that reads every entry of U's |00>
-    columns. Each member's four 2D-entry ancilla rows phi_a give its
-    reduced state sum_a phi_a phi_a^dagger. The Kraus side is
+    The probes are drawn once and shared by every member. The trials run
+    in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at least one) per
+    member, in the order the states are drawn, one ``random_pure_state``
+    call per trial, so every trial sees the state it would see alone. The
+    stacks do not shrink with B: a stack of one trial takes a
+    matrix-vector product, which rounds differently from the matrix
+    product of several, so equal stacks keep each member's value bitwise
+    the one it gets alone. The joint states U (|00> (x) psi) = U[:, :2D]
+    psi of a stack are pure, one product per member that reads every
+    entry of U's |00> columns. Each one's four 2D-entry ancilla rows phi_a
+    give its reduced state sum_a phi_a phi_a^dagger. The Kraus side is
     ``apply_kraus`` on the stack of matrices |psi><psi|, never K psi, so
     the two sides share no arithmetic. It takes each operator on its
     nonzero box, which ``kset`` cuts once, at the first stack. Each stack
-    takes one ``trace_distance`` call, which returns one distance per
-    member.
+    of trials takes one ``trace_distance`` call over every member, which
+    returns one distance per member and trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n2 = u.shape[0] // 4
-    columns = u[:, :n2]
+    batch, n2 = u.shape[:-2], u.shape[-1] // 4
+    columns = u[..., :, :n2].swapaxes(-1, -2)
     stack = max(1, _BATCH_ENTRIES // n2**2)
     rng = np.random.default_rng(seed)
     deviations = []
     for start in range(0, trials, stack):
         psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
-        phi = (psi @ columns.T).reshape(-1, 4, n2)
+        phi = (psi @ columns).reshape(batch + (-1, 4, n2))
         image = apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
         deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
-    return float(np.max(np.concatenate(deviations)))
+    worst = np.max(np.concatenate(deviations, axis=-1), axis=-1)
+    return float(worst) if u.ndim == 2 else worst
 
 
 @dataclass(frozen=True)
@@ -307,24 +397,29 @@ def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> Factori
     that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_D|
     with M the blockwise normalized trace; ``unitary_defect`` is
     max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of D x D
-    blocks, so block (i, j) of the product is C_i^dagger U_ij G^dagger,
-    taken one at a time: no 8D x 8D matrix besides U is formed. Only the
-    blocks of U that are not all zero are multiplied (``any`` on U itself,
-    so a NaN counts); the others give M_ij = 0 and residual 0, as the
+    blocks, so block (i, j) of the product is C_i^dagger U_ij G^dagger: no
+    8D x 8D matrix besides U is formed. Only the blocks of U that are not
+    all zero are multiplied (``any`` on U itself, so a NaN counts), as
+    batched matmuls of at most ``_BATCH_ENTRIES`` entries (at least one
+    block, a view of U); the others give M_ij = 0 and residual 0, as the
     product does. A NaN block residual is kept as the maximum.
     """
-    n_dim = g.shape[0]
+    grid, nonzero = _grid(u)
+    n_dim = grid.shape[-1]
     g_dag, chi_dag = dagger(g), dagger(chi)
     eye_n = np.eye(n_dim)
     m_grid = np.zeros((8, 8), dtype=complex)
     residuals = np.zeros((8, 8))
-    nonzero = u.reshape(8, n_dim, 8, n_dim).any(axis=(1, 3))
-    for i, j in zip(*np.nonzero(nonzero)):
-        block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
-        if i >= 4:
-            block = chi_dag @ block
-        m_grid[i, j] = np.trace(block) / n_dim
-        residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
+    rows, cols = np.nonzero(nonzero)
+    budget = _block_budget(grid)
+    for start in range(0, len(rows), budget):
+        i, j = rows[start : start + budget], cols[start : start + budget]
+        blocks = _blocks(grid, i, j) @ g_dag
+        faulty = i >= 4
+        blocks[faulty] = chi_dag @ blocks[faulty]
+        m = np.trace(blocks, axis1=-2, axis2=-1) / n_dim
+        m_grid[i, j] = m
+        residuals[i, j] = np.max(np.abs(blocks - m[:, None, None] * eye_n), axis=(-2, -1))
     residual = float(np.max(residuals))
     defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
     return FactorizationReport(m_grid, residual, 1, defect)
@@ -419,9 +514,7 @@ def transfer_weights(
     Every column sums to one over (r, op), so the step is trace preserving.
     """
     single = isinstance(params, MarkovNoiseParams)
-    points = [params] if single else list(params)
-    if not points:
-        raise ValueError("no (p, mu) points given")
+    points = _points(params)
     p = np.array([point.p for point in points], dtype=float)
     mu = np.array([[0.0] * len(points), [point.mu for point in points]])
     chain = _transition(p, mu).reshape(2, len(points), 4)  # [step, point, 2 next + previous]

@@ -5,8 +5,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from noisygrover import collision
 from noisygrover.grover import GroverInstance, grover_operator, uniform_superposition
-from noisygrover.linalg import ComplexMatrix, dagger, projector, tensor
+from noisygrover.linalg import (
+    ComplexMatrix,
+    dagger,
+    projector,
+    random_pure_state,
+    tensor,
+    trace_distance,
+)
 from noisygrover.markov import _PLUS, markov_evolve
 from noisygrover.noise import (
     NoiseSpec,
@@ -144,3 +152,58 @@ def reduced_sigma_x_walks(n, p, steps):
         clean, faulty = g3 @ clean, g3p @ faulty
         rho = (1.0 - p) * g3 @ rho @ dagger(g3) + p * g3p @ rho @ dagger(g3p)
     return np.array(frozen), np.array(iid)
+
+
+# The verification layer one block at a time: the Python loops that
+# collision's batched block products replace, kept as the references those
+# must equal bitwise.
+
+
+def unitarity_defect_loop(u):
+    """collision.unitarity_defect of one 8D x 8D U, one block pair (j, k)
+    of U^dagger U at a time, its rows summed in order."""
+    n_dim = u.shape[0] // 8
+    grid = u.reshape(8, n_dim, 8, n_dim)
+    nonzero = grid.any(axis=(1, 3))
+    eye = np.eye(n_dim)
+    defects = np.eye(8)
+    for j, k in zip(*np.nonzero(nonzero.T @ nonzero)):
+        rows = np.flatnonzero(nonzero[:, j] & nonzero[:, k])
+        block = sum(dagger(grid[i, :, j, :]) @ grid[i, :, k, :] for i in rows)
+        defects[j, k] = np.max(np.abs(block - eye if j == k else block))
+    return float(np.max(defects))
+
+
+def extract_m_loop(u, chi, g):
+    """collision.extract_m of one U, one nonzero block at a time."""
+    n_dim = g.shape[0]
+    g_dag, chi_dag = dagger(g), dagger(chi)
+    eye_n = np.eye(n_dim)
+    m_grid = np.zeros((8, 8), dtype=complex)
+    residuals = np.zeros((8, 8))
+    nonzero = u.reshape(8, n_dim, 8, n_dim).any(axis=(1, 3))
+    for i, j in zip(*np.nonzero(nonzero)):
+        block = u[i * n_dim : (i + 1) * n_dim, j * n_dim : (j + 1) * n_dim] @ g_dag
+        if i >= 4:
+            block = chi_dag @ block
+        m_grid[i, j] = np.trace(block) / n_dim
+        residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
+    residual = float(np.max(residuals))
+    defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
+    return collision.FactorizationReport(m_grid, residual, 1, defect)
+
+
+def verify_dilation_loop(u, kset, trials=20, seed=1234):
+    """collision.verify_dilation of one U and its Kraus set: the seeded
+    probes drawn for this step alone, in stacks of its own budget."""
+    n2 = u.shape[0] // 4
+    columns = u[:, :n2]
+    stack = max(1, collision._BATCH_ENTRIES // n2**2)
+    rng = np.random.default_rng(seed)
+    deviations = []
+    for start in range(0, trials, stack):
+        psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
+        phi = (psi @ columns.T).reshape(-1, 4, n2)
+        image = collision.apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
+        deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
+    return float(np.max(np.concatenate(deviations)))

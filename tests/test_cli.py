@@ -394,27 +394,17 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
     assert len(rows) == 9
 
 
-def _nan_on_call(real, which):
-    # trace_distance that returns NaN on its ``which``-th call (0-based)
-    calls = []
-
-    def patched(*args, **kwargs):
-        calls.append(None)
-        return float("nan") if len(calls) - 1 == which else real(*args, **kwargs)
-
-    return patched
-
-
 def _nan_on_member(real, which):
-    # trace_distance on stacks that gives NaN for the ``which``-th member
-    # (0-based) over all its calls
+    # trace_distance on stacks that gives NaN for the ``which``-th distance
+    # (0-based) over all its calls, each call's distances taken in the
+    # order of its array's entries
     seen = [0]
 
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
-        first, seen[0] = seen[0], seen[0] + len(out)
+        first, seen[0] = seen[0], seen[0] + out.size
         if first <= which < seen[0]:
-            out[which - first] = np.nan
+            out.flat[which - first] = np.nan
         return out
 
     return patched
@@ -422,8 +412,9 @@ def _nan_on_member(real, which):
 
 @pytest.mark.parametrize("which", [0, 3, 4])
 def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
-    # 5 trials per step, one stack each at n = 2: members 0-4 check the
-    # first collision, 5-9 the steady one
+    # At n = 2 (d = 4) both steps run as one stack and their 5 trials as
+    # one stack of probes: one call returns the (2, 5) distances, 0-4 of
+    # the first collision and 5-9 of the steady one
     monkeypatch.setattr(collision, "trace_distance", _nan_on_member(collision.trace_distance, which))
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
@@ -432,38 +423,37 @@ def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
     assert "dilation_dev_initial=nan" in err
 
 
-def _on_call(real, call, put):
-    # ``real``, except that its ``call``-th call (0-based) returns put(result)
-    calls = []
-
-    def patched(*args):
-        out = real(*args)
-        calls.append(None)
-        return put(out) if len(calls) - 1 == call else out
-
-    return patched
-
-
-def _nudged(kset):
-    # the set with the first nonzero entry of its first operator moved up by one ulp
+def _nudged(kset, member):
+    # the stacked set with the first nonzero entry of one member's first
+    # operator moved up by one ulp
     op = kset.ops[0].copy()
-    i = np.flatnonzero(op)[0]
-    op.flat[i] = complex(np.nextafter(op.flat[i].real, np.inf), op.flat[i].imag)
+    entries = op[member].reshape(-1)
+    i = np.flatnonzero(entries)[0]
+    entries[i] = complex(np.nextafter(entries[i].real, np.inf), entries[i].imag)
     return collision.KrausSet((op,) + kset.ops[1:])
 
 
-# The measurement that feeds each gated dilation-check column, which of its
-# calls in a one-point run fills it (the first collision's, then the steady
-# step's), and how to set the column to a value v from the real result.
+def _with(values, member, v):
+    # a copy of the stacked measurements with one member's set to v
+    values = values.copy()
+    values[member] = v
+    return values
+
+
+# The measurement that feeds each gated dilation-check column and how to set
+# the column to a value v from the real result. A one-point run at d = 4
+# makes one call of each, which the stub changes: the checks of both steps
+# take one stack, member 0 the first collision and member 1 the steady
+# step, and extract_m takes the steady step alone.
 _GATE_STUBS = {
-    "unitarity_initial": ("unitarity_defect", 0, lambda out, v: v),
-    "unitarity_steady": ("unitarity_defect", 1, lambda out, v: v),
-    "kraus_defect_initial": ("kraus_from_dilation", 0, lambda out, v: _nudged(out) if v else out),
-    "kraus_defect_steady": ("kraus_from_dilation", 1, lambda out, v: _nudged(out) if v else out),
-    "dilation_dev_initial": ("verify_dilation", 0, lambda out, v: v),
-    "dilation_dev_steady": ("verify_dilation", 1, lambda out, v: v),
-    "m_residual": ("extract_m", 0, lambda out, v: replace(out, residual=v)),
-    "m_unitary_defect": ("extract_m", 0, lambda out, v: replace(out, unitary_defect=v)),
+    "unitarity_initial": ("unitarity_defect", lambda out, v: _with(out, 0, v)),
+    "unitarity_steady": ("unitarity_defect", lambda out, v: _with(out, 1, v)),
+    "kraus_defect_initial": ("kraus_from_dilation", lambda out, v: _nudged(out, 0) if v else out),
+    "kraus_defect_steady": ("kraus_from_dilation", lambda out, v: _nudged(out, 1) if v else out),
+    "dilation_dev_initial": ("verify_dilation", lambda out, v: _with(out, 0, v)),
+    "dilation_dev_steady": ("verify_dilation", lambda out, v: _with(out, 1, v)),
+    "m_residual": ("extract_m", lambda out, v: replace(out, residual=v)),
+    "m_unitary_defect": ("extract_m", lambda out, v: replace(out, unitary_defect=v)),
 }
 
 
@@ -476,8 +466,9 @@ def test_dilation_check_gates_each_column_at_its_tolerance(capsys, monkeypatch, 
     assert set(_GATE_STUBS) == set(cli._DILATION_TOLS)
     tol = cli._DILATION_TOLS[column]
     value = np.nextafter(tol, np.inf) if above else tol
-    name, call, put = _GATE_STUBS[column]
-    monkeypatch.setattr(cli, name, _on_call(getattr(cli, name), call, lambda out: put(out, value)))
+    name, put = _GATE_STUBS[column]
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: put(real(*args), value))
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "2",
     )
@@ -488,6 +479,26 @@ def test_dilation_check_gates_each_column_at_its_tolerance(capsys, monkeypatch, 
         assert code == 0, err
         _, columns, rows = parse_csv(out)
         assert float(rows[0][columns.index(column)]) == tol
+
+
+@pytest.mark.parametrize("op", range(4))
+def test_dilation_check_fails_on_a_nan_kraus_operator(capsys, monkeypatch, op):
+    # A NaN entry in any one of the steady step's four extracted operators
+    # reaches its Kraus column: the largest defect over the operators keeps
+    # a NaN wherever it sits.
+    real = cli.kraus_from_dilation
+
+    def nan_in_steady(u):
+        ops = [k.copy() for k in real(u).ops]
+        ops[op][1].flat[np.flatnonzero(ops[op][1])[0]] = np.nan
+        return collision.KrausSet(tuple(ops))
+
+    monkeypatch.setattr(cli, "kraus_from_dilation", nan_in_steady)
+    code, out, err = run_cli(
+        capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "2",
+    )
+    assert code == 2 and out == ""
+    assert "kraus_defect_steady=nan" in err
 
 
 def test_dilation_check_without_memory_repeats_the_first_step(capsys):
@@ -508,27 +519,40 @@ def test_dilation_check_without_memory_repeats_the_first_step(capsys):
 
 
 def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, monkeypatch):
-    # One 8N x 8N unitary alive at a time: when the steady step's U is
-    # built, nothing holds the first collision's any more.
-    real, built, alive_at_build = cli.dilation_unitary, [], []
+    # Up to d = 11 two 8d x 8d unitaries fit the entry budget, and at d = 8
+    # one stacked call builds both steps. From d = 12 on one unitary is
+    # alive at a time: when the steady step's U is built, nothing holds the
+    # first collision's.
+    real, built, shapes, alive_at_build = cli.dilation_unitary, [], [], []
 
     def tracked(*args):
         alive_at_build.append([ref() is not None for ref in built])
         dil = real(*args)
         built.append(weakref.ref(dil))
+        shapes.append(dil.shape)
         return dil
 
     monkeypatch.setattr(cli, "dilation_unitary", tracked)
-    code, out, err = run_cli(
-        capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "2",
-    )
-    assert code == 0, err
-    assert alive_at_build == [[], [False]]
+    for argv, dim, stacks, alive in (
+        (("--n", "8", "--m", "3"), "8", [(2, 64, 64)], [[]]),
+        (("--n", "5", "--m", "3", "--marked", "4"), "12", [(1, 96, 96)] * 2, [[], [False]]),
+    ):
+        for record in (built, shapes, alive_at_build):
+            record.clear()
+        code, out, err = run_cli(
+            capsys, "dilation-check", *argv, "--noise", "hadamard", "--p", "0.3", "--mu", "0.5",
+            "--trials", "2",
+        )
+        assert code == 0, err
+        assert parse_csv(out)[0]["dim"] == dim
+        assert shapes == stacks
+        assert alive_at_build == alive
 
 
 @pytest.mark.parametrize("which", [0, 3, 6])
 def test_oracle_check_fails_on_a_nan_distance(capsys, monkeypatch, which):
-    monkeypatch.setattr(cli, "trace_distance", _nan_on_call(cli.trace_distance, which))
+    # At n = 2 (d = 4) the 7 steps are compared as one stack.
+    monkeypatch.setattr(cli, "trace_distance", _nan_on_member(cli.trace_distance, which))
     code, out, err = run_cli(capsys, "oracle-check", "--n", "2", "--steps", "6")
     assert code == 2 and out == ""
     assert "by nan" in err

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from support import (
     blp_pair,
     completeness_defect,
+    extract_m_loop,
     haar_noise,
     initial_joint_state,
     label_blocks,
     lift,
     random_density,
     unitality_defect,
+    unitarity_defect_loop,
+    verify_dilation_loop,
 )
 
 from noisygrover import collision
@@ -214,12 +217,17 @@ def test_verify_dilation_catches_mismatch():
     assert not verify_dilation(dil, broken, trials=3) <= 1e-12
 
 
-def _haar_operators(n, seed):
+def _haar_system(n, seed):
+    # G and chi of a seeded Haar noise on a random m of n qubits, D = 2^n
     rng = np.random.default_rng(seed)
-    inst = GroverInstance(n, int(rng.integers(2**n)))
-    g = grover_operator(inst)
+    g = grover_operator(GroverInstance(n, int(rng.integers(2**n))))
     m = int(rng.integers(1, n + 1))
-    return g, noisy_grover(g, build_chi(n, noise_spec(haar_noise(rng), m, n)))
+    return g, build_chi(n, noise_spec(haar_noise(rng), m, n))
+
+
+def _haar_operators(n, seed):
+    g, chi = _haar_system(n, seed)
+    return g, noisy_grover(g, chi)
 
 
 def _full_product_dilation(u, kset, trials, seed):
@@ -589,6 +597,91 @@ def test_extract_m_matches_the_dense_product_off_the_layout(step, variant):
     # a residual.
     assert (report.residual > 1e-6) is (variant == "planted")
     assert (report.unitary_defect > 1e-6) is (variant == "planted")
+
+
+def _same_report(got, ref):
+    assert np.array_equal(got.m_grid, ref.m_grid, equal_nan=True)
+    assert np.array_equal(
+        [got.residual, got.unitary_defect, got.control_value],
+        [ref.residual, ref.unitary_defect, ref.control_value],
+        equal_nan=True,
+    )
+
+
+# D = 4, 8, 32 and 64: the 32 block products of the layout run as one
+# batched product up to D = 16, in 2 chunks at D = 32 and in 8 at D = 64.
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_batched_block_products_equal_the_loops_bitwise(n):
+    g, chi = _haar_system(n, 100 + n)
+    gp = noisy_grover(g, chi)
+    budget = max(1, collision._BATCH_ENTRIES // g.size)
+    assert (budget < 32) is (n >= 5)
+    steps = [MarkovNoiseParams(0.35, 0.0), MarkovNoiseParams(0.35, 0.6)]
+    stack = dilation_unitary(steps, g, gp)
+    defects = unitarity_defect(stack)
+    assert defects.shape == (2,)
+    for params, u, defect in zip(steps, stack, defects, strict=True):
+        assert np.array_equal(u, dilation_unitary(params, g, gp))
+        assert unitarity_defect(u) == defect == unitarity_defect_loop(u)
+        _same_report(extract_m(u, chi, g), extract_m_loop(u, chi, g))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_batched_block_products_equal_the_loops_at_zero_weights(p, mu):
+    # A zero weight leaves blocks of the layout all zero, so the nonzero
+    # blocks differ between a step and its first collision.
+    g, chi = _haar_system(3, 110)
+    gp = noisy_grover(g, chi)
+    steps = [MarkovNoiseParams(p, 0.0), MarkovNoiseParams(p, mu)]
+    stack = dilation_unitary(steps, g, gp)
+    assert sum(not b.any() for b in stack[0].reshape(8, 8, 8, 8).swapaxes(1, 2).reshape(64, -1)) > 48
+    for u, defect in zip(stack, unitarity_defect(stack), strict=True):
+        assert unitarity_defect(u) == defect == unitarity_defect_loop(u)
+        _same_report(extract_m(u, chi, g), extract_m_loop(u, chi, g))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_batched_block_products_keep_a_nan_block(n):
+    g, chi = _haar_system(n, 120 + n)
+    steps = [MarkovNoiseParams(0.35, 0.0), MarkovNoiseParams(0.35, 0.6)]
+    stack = dilation_unitary(steps, g, noisy_grover(g, chi))
+    n_dim = g.shape[0]
+    stack[1, n_dim : 2 * n_dim, 7 * n_dim :] = np.nan  # block (1, 7), which the layout fills
+    defects = unitarity_defect(stack)
+    assert not math.isnan(defects[0]) and math.isnan(defects[1])
+    assert math.isnan(unitarity_defect(stack[1])) and math.isnan(unitarity_defect_loop(stack[1]))
+    report = extract_m(stack[1], chi, g)
+    assert math.isnan(report.residual)
+    _same_report(report, extract_m_loop(stack[1], chi, g))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_verify_dilation_on_a_stack_equals_each_step_alone(n, p):
+    # The two steps of a point share their probes: a B = 2 stack gives each
+    # member the value it gets alone, and the one-step loop's.
+    g, gp = _haar_operators(n, 130 + n)
+    steps = [MarkovNoiseParams(p, 0.0), MarkovNoiseParams(p, 0.6)]
+    stack, kset = dilation_unitary(steps, g, gp), kraus_step(steps, g, gp)
+    assert all(op.shape == (2, 2 * g.shape[0], 2 * g.shape[0]) for op in kset.ops)
+    stacked = verify_dilation(stack, kset, trials=7, seed=21)
+    assert stacked.shape == (2,)
+    for params, u, value in zip(steps, stack, stacked, strict=True):
+        alone = kraus_step(params, g, gp)
+        assert all(np.array_equal(a, b) for a, b in zip(alone.ops, kraus_from_dilation(u).ops))
+        assert verify_dilation(u, alone, trials=7, seed=21) == value
+        assert verify_dilation_loop(u, alone, trials=7, seed=21) == value <= 1e-12
+
+
+def test_verify_dilation_stacks_its_trials_over_every_member(monkeypatch):
+    # n = 3: 2D = 16, so a stack holds 16384 // 256 = 64 trials of each of
+    # the B = 2 members, and 70 split 64 + 6, one trace_distance call each.
+    g, gp = _haar_operators(3, 140)
+    steps = [MarkovNoiseParams(0.35, 0.0), MarkovNoiseParams(0.35, 0.6)]
+    stacks = _spy_stacks(monkeypatch)
+    verify_dilation(dilation_unitary(steps, g, gp), kraus_step(steps, g, gp), trials=70, seed=3)
+    assert [rho.shape for rho, _ in stacks] == [(2, k, 16, 16) for k in (64, 6)]
 
 
 def _transition_roots(params):

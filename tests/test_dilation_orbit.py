@@ -11,7 +11,7 @@ import pytest
 from support import haar_noise
 
 from noisygrover import cli, collision
-from noisygrover.collision import dilation_unitary, extract_m
+from noisygrover.collision import dilation_unitary
 from noisygrover.grover import GroverInstance, grover_operator
 from noisygrover.noise import (
     MarkovNoiseParams,
@@ -80,16 +80,12 @@ def test_a_permuted_orbit_basis_breaks_the_intertwining():
 
 def _dense_row(point):
     # dilation-check's row from the dense N x N G, chi and G' in place of
-    # the d x d ones: cli._dilation_point with its operators swapped.
+    # the d x d ones: the row cli._dilation_point computes, from other
+    # operators.
     inst, spec, params, trials, seed = point
     g = grover_operator(inst)
     chi = build_chi(inst.n, spec)
-    gp = noisy_grover(g, chi)
-    first = MarkovNoiseParams(params.p, 0.0)
-    row = [params.p, params.mu] + cli._dilation_step(first, g, gp, trials, seed)[1]
-    u, defects = cli._dilation_step(params, g, gp, trials, seed)
-    fact = extract_m(u, chi, g)
-    return row + defects + [fact.residual, fact.unitary_defect, fact.control_value]
+    return cli._dilation_row(params, g, noisy_grover(g, chi), chi, trials, seed)
 
 
 def _failed_gates(row):

@@ -73,6 +73,7 @@ GONE = (
     ("noise", "NoiseSpec", "m", False),
     ("noise", "MarkovNoiseParams", "p_g", False),
     ("noise", "MarkovNoiseParams", "p_gp", False),
+    ("cli", None, "_dilation_step", False),
 )
 
 
