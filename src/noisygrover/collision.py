@@ -349,12 +349,16 @@ def verify_dilation(
     in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at least one) per
     member, in the order the states are drawn, one ``random_pure_state``
     call per trial, so every trial sees the state it would see alone. The
-    stacks do not shrink with B: a stack of one trial takes a
-    matrix-vector product, which rounds differently from the matrix
-    product of several, so equal stacks keep each member's value bitwise
-    the one it gets alone. The joint states U (|00> (x) psi) = U[:, :2D]
-    psi of a stack are pure, one product per member that reads every
-    entry of U's |00> columns. Each one's four 2D-entry ancilla rows phi_a
+    joint states U (|00> (x) psi) = U[:, :2D] psi of a stack are pure, one
+    product per member that reads every entry of U's |00> columns. A stack
+    of one trial takes that product as two rows, the trial and a copy, and
+    keeps the first: numpy would take one row as a matrix-vector product,
+    which rounds differently from a row of the matrix product of several.
+    So a trial's distance is bitwise the same whatever stack it falls in,
+    and the result is prefix-stable in ``trials``: ``trials = k`` gives the
+    largest of the first k distances of a longer run. The stacks do not
+    shrink with B, so each member's value is bitwise the one it gets
+    alone. Each one's four 2D-entry ancilla rows phi_a
     give its reduced state sum_a phi_a phi_a^dagger. The Kraus side is
     ``apply_kraus`` on the stack of matrices |psi><psi|, never K psi, so
     the two sides share no arithmetic. It takes each operator on its
@@ -371,7 +375,10 @@ def verify_dilation(
     deviations = []
     for start in range(0, trials, stack):
         psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
-        phi = (psi @ columns).reshape(batch + (-1, 4, n2))
+        # A lone trial goes through the product as two rows, itself and a
+        # copy: as one row it would take numpy's matrix-vector product.
+        rows = psi if len(psi) > 1 else np.concatenate((psi, psi))
+        phi = (rows @ columns)[..., : len(psi), :].reshape(batch + (-1, 4, n2))
         image = apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
         deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
     worst = np.max(np.concatenate(deviations, axis=-1), axis=-1)
@@ -523,8 +530,10 @@ def transfer_weights(
     else:
         mixed = bath.z1 * bath.z2
         pop = np.array([bath.z1**2, mixed, mixed, bath.z2**2])
-    table = np.tensordot(pop, _INCIDENCE, axes=1)  # [k, r, c, op]
-    first, steady = np.einsum("sbk,krco->sbrco", chain, table)
+    # [k, (r, c, op)]: each entry takes one ancilla input b, so the product
+    # is that population exactly.
+    table = (pop @ _INCIDENCE.reshape(4, -1)).reshape(4, 8)
+    first, steady = (chain[..., None] * table).sum(axis=-2).reshape(2, len(points), 2, 2, 2)
     if single:
         return first[0], steady[0]
     return first, steady
@@ -563,10 +572,13 @@ def _label_steps(
     steady: np.ndarray,
     sigma0: np.ndarray,
     marked: int,
-) -> tuple[tuple[int, ...], _Stream]:
+    kept: int = 0,
+) -> tuple[tuple[int, ...], _Stream, Optional[np.ndarray]]:
     """Check the inputs of a step loop and set it up: returns the batch
-    shape and the generator :func:`_step_stream` of its label-block stacks.
-    The checks run here, at the call, not at the generator's first item.
+    shape, the generator :func:`_step_stream` of its label-block stacks
+    and, for ``kept`` > 0, the array batch + (kept, 2, d, d) that the
+    generator writes its first ``kept`` stacks into (else None). The checks
+    run here, at the call, not at the generator's first item.
 
     The batch shape broadcasts the leading axes of G and G' (before their
     last two) and of ``sigma0`` and the transfer tensors (before their last
@@ -603,10 +615,13 @@ def _label_steps(
     defect = hermiticity_defect(sigma0)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"label blocks are not Hermitian: defect {defect:.3e}")
-    ops = np.stack(np.broadcast_arrays(g, gp), axis=-3)
+    if g.shape != gp.shape:
+        g, gp = np.broadcast_arrays(g, gp)
+    ops = np.concatenate((g[..., None, :, :], gp[..., None, :, :]), axis=-3)
     ops_dag = np.conj(ops).swapaxes(-1, -2)
     plans = [_step_terms(w, ops, ops_dag) for w in (first, steady)]
-    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans)
+    blocks = np.empty(batch + (kept,) + shape[-3:], dtype=complex) if kept else None
+    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans, blocks), blocks
 
 
 def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
@@ -618,30 +633,69 @@ def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
     )
 
 
-def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
+def _step_stream(sigma: np.ndarray, first_plan, steady_plan, blocks=None) -> _Stream:
     """The step loop: yields the label-block stack, batch + (2, d, d), after
-    t = 0, 1, 2, ... collisions, without end; the consumer stops it.
+    t = 0, 1, 2, ... collisions, without end; the consumer stops it. A
+    stack stays valid until the next one is drawn: the loop writes each
+    step over the one before.
 
     A step is one mixing product over the input blocks c, one batched
     conjugation of the k mixed blocks per output block and, for k = 2 (a
     thermal bath), one sum of each block's two terms; the plans of
     :func:`_step_terms` fix k. The first collision uses ``first_plan``, all
-    later ones ``steady_plan``. A consumer that is done with some slices of
-    the first batch axis sends the indices of the others: from the next
-    step on, the loop carries only those, and yields stacks cut to them.
+    later ones ``steady_plan``. Every product writes into a buffer made
+    once per batch and k, so a step allocates nothing. With ``blocks``, an
+    array batch + (T, 2, d, d), the stack after t < T collisions is written
+    into ``blocks[..., t, :, :, :]`` and yielded from there. A consumer that
+    is done with some slices of the first batch axis sends the indices of
+    the others (never with ``blocks``): from the next step on, the loop
+    carries only those, and yields stacks cut to them.
     """
     n_dim, ndim, plan = sigma.shape[-1], sigma.ndim - 3, first_plan
+    if blocks is not None:
+        blocks[..., 0, :, :, :] = sigma
+        sigma = blocks[..., 0, :, :, :]
+    rows = sigma.reshape(sigma.shape[:-3] + (2, -1))
+    t, state, buffers = 0, None, {}
     while True:
         keep = yield sigma
         if keep is not None:
-            sigma = sigma[keep]
+            # The cut stack is a new array, which the next step may overwrite.
+            state = _stack_views(sigma[keep])
+            sigma, rows = state[:2]
             plan, steady_plan = _take(plan, keep, ndim), _take(steady_plan, keep, ndim)
-        batch, (mix, op, op_dag) = sigma.shape[:-3], plan
-        mixed = (mix @ sigma.reshape(batch + (2, -1))).reshape(batch + (2, -1, n_dim, n_dim))
-        terms = op @ mixed @ op_dag
+            buffers.clear()
+        t += 1
+        (mix, op, op_dag), batch = plan, sigma.shape[:-3]
+        k = mix.shape[-2] // 2
+        if k not in buffers:
+            mixed = np.empty(batch + (2 * k, n_dim * n_dim), dtype=complex)
+            half = np.empty(batch + (2, k, n_dim, n_dim), dtype=complex)
+            terms = np.empty_like(half) if k == 2 else None
+            buffers[k] = (mixed, mixed.reshape(half.shape), half, terms)
+        mixed, mixed_blocks, half, terms = buffers[k]
+        if blocks is not None:
+            out, out_rows, out_pure = _stack_views(blocks[..., t, :, :, :])
+        else:
+            if state is None:
+                state = _stack_views(np.empty(sigma.shape, dtype=complex))
+            out, out_rows, out_pure = state
+        np.matmul(mix, rows, out=mixed)
+        np.matmul(op, mixed_blocks, out=half)
         # A pure step has one term per block, which needs no sum.
-        sigma = terms[..., 0, :, :] if terms.shape[-3] == 1 else terms.sum(axis=-3)
-        plan = steady_plan
+        if k == 1:
+            np.matmul(half, op_dag, out=out_pure)
+        else:
+            np.matmul(half, op_dag, out=terms)
+            terms.sum(axis=-3, out=out)
+        sigma, rows, plan = out, out_rows, steady_plan
+
+
+def _stack_views(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A label-block stack batch + (2, d, d) and two views of it: its rows
+    batch + (2, d^2), the input of a step's mixing product, and
+    batch + (2, 1, d, d), the output of a pure step's last product."""
+    return sigma, sigma.reshape(sigma.shape[:-3] + (2, -1)), sigma[..., :, None, :, :]
 
 
 @dataclass(frozen=True)
@@ -658,10 +712,11 @@ class EvolutionTrace:
     blocks: Optional[np.ndarray] = None
 
 
-def _success(sigma: np.ndarray, marked: int) -> np.ndarray:
-    """Success probability of every member of a label-block stack: the
-    ``marked`` diagonal entry of sigma_0 + sigma_1."""
-    return sigma[..., 0, marked, marked].real + sigma[..., 1, marked, marked].real
+def _success(diagonal: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Success probabilities from the ``marked`` diagonal entries
+    (..., 2) of the label blocks sigma_0 and sigma_1: the sum of their real
+    parts."""
+    return np.add(diagonal[..., 0].real, diagonal[..., 1].real, out=out)
 
 
 def collision_evolve(
@@ -702,24 +757,32 @@ def collision_evolve(
     ``n_blp`` pass those, see :func:`~noisygrover.noise._orbit_chi`).
     ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
-    sigma_0 + sigma_1. A start that is not (..., 2, n, n), blocks that are
-    not finite and Hermitian, transfer tensors that are not finite,
-    operators and start of mismatched size, or batch axes that do not
-    broadcast raise ``ValueError``. ``keep_blocks`` keeps the stacks as
-    ``blocks``, shape batch + (steps + 1, 2, n, n), with ``sigma0`` at
-    t = 0. No joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
+    sigma_0 + sigma_1: each step's two entries are read as it is drawn,
+    and the series is formed from them once at the end. A start that is
+    not (..., 2, n, n), blocks that are not finite and Hermitian, transfer
+    tensors that are not finite, operators and start of mismatched size,
+    or batch axes that do not broadcast raise ``ValueError``.
+    ``keep_blocks`` keeps the stacks as ``blocks``, shape batch +
+    (steps + 1, 2, n, n), with ``sigma0`` at t = 0: the loop writes every
+    step there, and the series is read off them. Without it, memory is the
+    loop's few stacks plus 40 bytes per member and step. No joint is
+    formed: from t = 1 on it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
-    n_dim = np.shape(sigma0)[-1]
-    probs = np.empty(batch + (steps + 1,), dtype=float)
-    blocks = np.empty(batch + (steps + 1, 2, n_dim, n_dim), dtype=complex) if keep_blocks else None
-    for t, sigma in zip(range(steps + 1), stream):
-        probs[..., t] = _success(sigma, marked)
-        if keep_blocks:
-            blocks[..., t, :, :, :] = sigma
-    return EvolutionTrace(probs, meta={"dim": n_dim}, blocks=blocks)
+    kept = steps + 1 if keep_blocks else 0
+    batch, stream, blocks = _label_steps(g, gp, first, steady, sigma0, marked, kept)
+    if keep_blocks:
+        for _ in zip(range(steps + 1), stream):
+            pass
+        diagonal = blocks[..., :, :, marked, marked]
+    else:
+        diagonal = np.empty(batch + (steps + 1, 2), dtype=complex)
+        for t, sigma in zip(range(steps + 1), stream):
+            diagonal[..., t, :] = sigma[..., :, marked, marked]
+    probs = np.empty(batch + (steps + 1,))
+    _success(diagonal, out=probs)
+    return EvolutionTrace(probs, meta={"dim": np.shape(sigma0)[-1]}, blocks=blocks)
 
 
 def collision_first_max(
@@ -756,7 +819,7 @@ def collision_first_max(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
+    batch, stream, _ = _label_steps(g, gp, first, steady, sigma0, marked)
     # A lone member runs as a batch (1,): the loop works on first-axis slices.
     shape = batch or (1,)
     t_out, p_out = np.empty(shape, dtype=np.intp), np.empty(shape)
@@ -769,7 +832,8 @@ def collision_first_max(
     t_star, p_star = np.zeros(shape, dtype=np.intp), np.full(shape, -np.inf)
     for t in range(steps + 1):
         sigma = stream.send(keep) if t else next(stream)
-        now, keep = _success(sigma, marked).reshape((-1,) + shape[1:]), None
+        now = _success(sigma[..., :, marked, marked]).reshape((-1,) + shape[1:])
+        keep = None
         if t >= 2:  # close the members whose P(t - 1) is their first maximum
             peak = open_ & (last >= older) & (last >= now)
             t_star[peak], p_star[peak] = t - 1, last[peak]

@@ -70,13 +70,17 @@ def grover_operator(inst: GroverInstance) -> np.ndarray:
     return reduced_grover_operator(s, inst.marked, inst.N).astype(complex)
 
 
-def reduced_grover_operator(s: np.ndarray, w: int, N: int) -> np.ndarray:
+def reduced_grover_operator(s: np.ndarray, w: int, N) -> np.ndarray:
     """G = -I + 2|s><s| - (4/sqrt(N))|s><w| + 2|w><w| at the size of the
     real vector ``s``, on a space that holds |s> and |w> = e_w and is
-    invariant under G; the faulty iteration there is chi G."""
-    g = 2.0 * np.outer(s, s) - np.eye(s.size)
-    g[:, w] -= (4.0 / math.sqrt(N)) * s
-    g[w, w] += 2.0
+    invariant under G; the faulty iteration there is chi G. ``s`` may be a
+    stack (..., D) of such vectors, with ``N`` one size or an array of its
+    leading shape, and G is then the stack (..., D, D), each member bitwise
+    the G of that member alone."""
+    s = np.asarray(s)
+    g = 2.0 * (s[..., :, None] * s[..., None, :]) - np.eye(s.shape[-1])
+    g[..., :, w] -= np.expand_dims(4.0 / np.sqrt(np.asarray(N, dtype=float)), -1) * s
+    g[..., w, w] += 2.0
     return g
 
 

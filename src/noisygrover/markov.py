@@ -36,9 +36,9 @@ import numpy as np
 from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
-from .grover import GroverInstance
+from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix, projector, require_density
-from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_dicke, conditional_probs
+from .noise import MarkovNoiseParams, NoiseSpec, _orbit_dicke, _orbit_lift, conditional_probs
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # matrix-vector products and as many rank-one terms.
@@ -47,11 +47,15 @@ HISTORY_MAX_STEPS = 12
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
+# The walker populations of projector(_PLUS), 0.4999999999999999 and not 0.5.
+_POPULATIONS = np.diagonal(projector(_PLUS))[:, None, None]
+
+
 def _label_start(rho: ComplexMatrix) -> np.ndarray:
     """The label blocks (..., 2, d, d) of |+><+| (x) rho, for rho (..., d, d):
-    each walker population of projector(_PLUS), 0.4999999999999999 and not
-    0.5, times rho, the products that the Kronecker product forms."""
-    return np.diagonal(projector(_PLUS))[:, None, None] * rho[..., None, :, :]
+    each walker population of projector(_PLUS) times rho, the products that
+    the Kronecker product forms."""
+    return _POPULATIONS * rho[..., None, :, :]
 
 
 def _table_groups(
@@ -66,12 +70,12 @@ def _table_groups(
     position set before any step runs, serve the whole table. The systems
     are grouped by the d it gives, in order of first appearance, never
     padded. Returns each group's system indices and its work item for
-    :func:`_group_inputs`: the group's systems with their Dicke pairs, and
-    the weights."""
+    :func:`_group_inputs`: each system's n, class (m, q) and Dicke pair,
+    and the weights."""
     first, steady = transfer_weights(params_seq, bath)
     groups: dict[int, list] = {}
-    for i, ((inst, spec), (d, dicke)) in enumerate(zip(systems, _orbit_dicke(systems))):
-        groups.setdefault(d, []).append((i, (inst, spec, dicke)))
+    for i, ((inst, _), (m, q, d, dicke)) in enumerate(zip(systems, _orbit_dicke(systems))):
+        groups.setdefault(d, []).append((i, (inst.n, m, q, dicke)))
     members = [[i for i, _ in group] for group in groups.values()]
     return members, [([item for _, item in group], first, steady) for group in groups.values()]
 
@@ -81,15 +85,17 @@ def _group_inputs(group) -> tuple:
     for the step loop: G and G' stacked (S, 1, d, d) and the label blocks
     of |+><+| (x) |s><s| (S, 1, 2, d, d) over the group's S systems, and
     the (P, 2, 2, 2) transfer tensors of the table's P points, so the
-    batch is (S, P) and neither side is copied along the other's axis."""
+    batch is (S, P) and neither side is copied along the other's axis.
+    chi and |s> come per system (:func:`~noisygrover.noise._orbit_lift`,
+    whose Kronecker factors differ in shape); G, G' = chi G and the start
+    are formed once for the group's stacks."""
     systems, first, steady = group
-    g, gp, s = zip(*(
-        _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions, dicke)
-        for inst, spec, dicke in systems
-    ))
-    s = np.stack(s).astype(complex)  # |s><s| below is what projector() forms
+    chi, s = zip(*(_orbit_lift(*system) for system in systems))
+    s = np.array(s)
+    g = reduced_grover_operator(s, 0, [2**n for n, *_ in systems]).astype(complex)
+    s = s.astype(complex)  # |s><s| below is what projector() forms
     sigma0 = _label_start(s[:, :, None] * s.conj()[:, None, :])
-    return (*(np.stack(part)[:, None] for part in (g, gp)), first, steady, sigma0[:, None])
+    return g[:, None], (np.array(chi) @ g)[:, None], first, steady, sigma0[:, None]
 
 
 def _group_series(group, steps: int) -> tuple[np.ndarray]:

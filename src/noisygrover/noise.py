@@ -20,7 +20,8 @@ classifier for this "good noise" family live here, and so does the orbit
 space the simulator runs in: the span of :func:`orbit_basis`, its (m, q)
 classes of position sets (:func:`_orbit_class`), and G, G' and |s> there
 from Dicke-basis closed forms in which n enters only through scalars
-(:func:`_dicke_operators`, with recursions shared by :func:`_orbit_dicke`).
+(:func:`_dicke_operators`, with recursions shared by :func:`_orbit_dicke`
+and lifted by :func:`_orbit_lift`).
 """
 
 from __future__ import annotations
@@ -225,13 +226,16 @@ def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
 
 
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_EYE2 = np.eye(2)
 
 
 def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
     """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
     j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
     Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
-    basis states of Hamming weight x.
+    basis states of Hamming weight x. ``a`` may be a stack (..., 2, 2), and
+    then every power is the stack (..., j + 1, j + 1) of its members' powers,
+    each bitwise the power of that member alone.
 
     The entries are the binomial sums
 
@@ -242,20 +246,30 @@ def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
     powers are built one qubit at a time through the isometry
     |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
     which only ever forms contractions and stays at rounding level. Each
-    step adds the four shifted copies of the last power, one per entry of
-    ``a``, into the slices of a zero matrix where they land.
+    step forms the four shifted copies of the last power, one per entry
+    a_ij, as ((c_i c_j^T) a_ij) last with c_0 the |0> weights and c_1 the
+    |1> weights, in one product, and adds them into the slices of a zero
+    matrix where they land.
     """
-    powers = [np.ones((1, 1), dtype=complex)]
+    a = np.asarray(a)
+    # weights[j - 1, :, x] for step j, x < j: c_0 = sqrt((j - x) / j), the
+    # weight of |D^(j-1)_x>|0>, and c_1 = sqrt((x + 1) / j), that of
+    # |D^(j-1)_x>|1> (the abs only keeps the unused entries x > j real).
+    j, x = np.arange(1, k + 1)[:, None], np.arange(k)
+    weights = np.empty((k, 2, k))
+    weights[:, 0], weights[:, 1] = np.abs(j - x), x + 1
+    weights = np.sqrt(weights / j[:, None])
+    entries = a[..., :, :, None, None]
+    powers = [np.ones(a.shape[:-2] + (1, 1), dtype=complex)]
     for size in range(1, k + 1):
-        x = np.arange(size + 1)
-        stay = np.sqrt((size - x[:-1]) / size)[:, None]  # weight of |D_x>|0>, x < size
-        move = np.sqrt(x[1:] / size)[:, None]  # weight of |D_(x-1)>|1>, x > 0
-        last = powers[-1]
-        d = np.zeros((size + 1, size + 1), dtype=complex)
-        d[:-1, :-1] = stay * stay.T * a[0, 0] * last  # from D[x, y]
-        d[:-1, 1:] += stay * move.T * a[0, 1] * last  # from D[x, y - 1]
-        d[1:, :-1] += move * stay.T * a[1, 0] * last  # from D[x - 1, y]
-        d[1:, 1:] += move * move.T * a[1, 1] * last  # from D[x - 1, y - 1]
+        c = weights[size - 1, :, :size]
+        shifted = c[:, None, :, None] * c[None, :, None, :] * entries
+        shifted = shifted * powers[-1][..., None, None, :, :]
+        d = np.zeros(a.shape[:-2] + (size + 1, size + 1), dtype=complex)
+        d[..., :-1, :-1] = shifted[..., 0, 0, :, :]  # from D[x, y]
+        d[..., :-1, 1:] += shifted[..., 0, 1, :, :]  # from D[x, y - 1]
+        d[..., 1:, :-1] += shifted[..., 1, 0, :, :]  # from D[x - 1, y]
+        d[..., 1:, 1:] += shifted[..., 1, 1, :, :]  # from D[x - 1, y - 1]
         powers.append(d)
     return powers
 
@@ -297,11 +311,7 @@ def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
 
 
 def _orbit_chi(
-    n: int,
-    marked: int,
-    u: np.ndarray,
-    positions: tuple[int, ...],
-    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
+    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
 ) -> tuple[ComplexMatrix, np.ndarray]:
     """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
     the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
@@ -318,17 +328,24 @@ def _orbit_chi(
         s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
 
     with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n. ``dicke`` is the pair
-    (D^(m-q)(u), D^(q)(X u X)) when the caller has it from recursions that
-    systems share (:func:`_orbit_dicke`); by default both run here.
+    order of :func:`orbit_basis`; nc = 1 when m = n. One recursion
+    (:func:`_dicke_powers`) runs on the pair (u, X u X), up to
+    max(m - q, q); :func:`_orbit_lift` forms chi and |s> from it.
     """
     m, q, _ = _orbit_class(n, marked, positions)
-    if dicke is None:
-        dicke = (_dicke_powers(u, m - q)[-1], _dicke_powers(_FLIP @ u @ _FLIP, q)[-1])
+    powers = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), max(m - q, q))
+    return _orbit_lift(n, m, q, (powers[m - q][0], powers[q][1]))
+
+
+def _orbit_lift(
+    n: int, m: int, q: int, dicke: tuple[ComplexMatrix, ComplexMatrix]
+) -> tuple[ComplexMatrix, np.ndarray]:
+    """(chi, |s>) of :func:`_orbit_chi` for a position set of class (m, q)
+    on n qubits, from its Dicke pair ``dicke`` = (D^(m-q)(u), D^(q)(X u X))."""
     chi = _kron(*dicke)
     clean = (1,)  # class sizes on C
     if m < n:
-        chi = _kron(chi, np.eye(2))
+        chi = _kron(chi, _EYE2)
         clean = (1, 2 ** (n - m) - 1)
     N = 2**n
     s = np.sqrt([
@@ -341,28 +358,23 @@ def _orbit_chi(
 
 
 def _dicke_operators(
-    n: int,
-    marked: int,
-    u: np.ndarray,
-    positions: tuple[int, ...],
-    dicke: Optional[tuple[ComplexMatrix, ComplexMatrix]] = None,
+    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
 ) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
     """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d;
-    |w> is column 0. They are built from scalars only (:func:`_orbit_chi`,
-    which ``dicke`` is passed to)."""
-    chi, s = _orbit_chi(n, marked, u, positions, dicke)
+    |w> is column 0. They are built from scalars only (:func:`_orbit_chi`)."""
+    chi, s = _orbit_chi(n, marked, u, positions)
     g = reduced_grover_operator(s, 0, 2**n)
     return g, chi @ g, s
 
 
 def _orbit_dicke(
     systems: Sequence[tuple[GroverInstance, NoiseSpec]],
-) -> list[tuple[int, tuple[ComplexMatrix, ComplexMatrix]]]:
-    """(d, (D^(m-q)(u), D^(q)(X u X))) of every (inst, spec) system of a
-    table, in order: its orbit dimension and the Dicke pair that
-    :func:`_dicke_operators` takes. Every position set is checked first
-    (:func:`_orbit_class`); then one recursion (:func:`_dicke_powers`) runs
-    per distinct u and one per X u X, each up to the table's largest m."""
+) -> list[tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]]:
+    """(m, q, d, (D^(m-q)(u), D^(q)(X u X))) of every (inst, spec) system of
+    a table, in order: its class and orbit dimension (:func:`_orbit_class`)
+    and the Dicke pair that :func:`_orbit_lift` takes. Every position set
+    is checked first; then one recursion (:func:`_dicke_powers`) runs per
+    distinct u, on the pair (u, X u X), up to the table's largest m."""
     classes = [_orbit_class(inst.n, inst.marked, spec.positions) for inst, spec in systems]
     top = max((m for m, _, _ in classes), default=0)
     powers = {}
@@ -370,9 +382,9 @@ def _orbit_dicke(
     for (_, spec), (m, q, d) in zip(systems, classes):
         if spec.u not in powers:
             u = spec.u.matrix
-            powers[spec.u] = (_dicke_powers(u, top), _dicke_powers(_FLIP @ u @ _FLIP, top))
-        of_u, of_xux = powers[spec.u]
-        out.append((d, (of_u[m - q], of_xux[q])))
+            powers[spec.u] = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), top)
+        of_pair = powers[spec.u]
+        out.append((m, q, d, (of_pair[m - q][0], of_pair[q][1])))
     return out
 
 

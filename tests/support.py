@@ -207,3 +207,67 @@ def verify_dilation_loop(u, kset, trials=20, seed=1234):
         image = collision.apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
         deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
     return float(np.max(np.concatenate(deviations)))
+
+
+# The step loop and the Dicke recursion as they were before their buffers
+# and stacks: a fresh array per product and per step, the success
+# probability read per step, one recursion per 2 x 2 matrix. Kept as the
+# references that collision's step loop and noise's stacked recursion must
+# equal bitwise.
+
+
+def step_stream_loop(sigma, first_plan, steady_plan):
+    """collision._step_stream without buffers: yields the label-block stack
+    after t = 0, 1, 2, ... collisions, each a new array."""
+    n_dim, plan = sigma.shape[-1], first_plan
+    while True:
+        yield sigma
+        batch, (mix, op, op_dag) = sigma.shape[:-3], plan
+        mixed = (mix @ sigma.reshape(batch + (2, -1))).reshape(batch + (2, -1, n_dim, n_dim))
+        terms = op @ mixed @ op_dag
+        sigma = terms[..., 0, :, :] if terms.shape[-3] == 1 else terms.sum(axis=-3)
+        plan = steady_plan
+
+
+def success_loop(sigma, marked):
+    """The success probability of every member of a label-block stack:
+    the ``marked`` diagonal entry of sigma_0 + sigma_1."""
+    return sigma[..., 0, marked, marked].real + sigma[..., 1, marked, marked].real
+
+
+def evolve_loop(g, gp, first, steady, sigma0, steps, marked=0):
+    """(series, blocks) of collision_evolve with keep_blocks, through
+    :func:`step_stream_loop` and :func:`success_loop`: batch + (steps + 1,)
+    and batch + (steps + 1, 2, d, d)."""
+    g, gp, sigma0 = (np.asarray(a, dtype=complex) for a in (g, gp, sigma0))
+    first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
+    batch = np.broadcast_shapes(
+        g.shape[:-2], gp.shape[:-2], sigma0.shape[:-3], first.shape[:-3], steady.shape[:-3]
+    )
+    ops = np.stack(np.broadcast_arrays(g, gp), axis=-3)
+    ops_dag = np.conj(ops).swapaxes(-1, -2)
+    plans = [collision._step_terms(w, ops, ops_dag) for w in (first, steady)]
+    stream = step_stream_loop(np.broadcast_to(sigma0, batch + sigma0.shape[-3:]), *plans)
+    probs, blocks = [], []
+    for _, sigma in zip(range(steps + 1), stream):
+        probs.append(success_loop(sigma, marked))
+        blocks.append(sigma)
+    return np.stack(probs, axis=-1), np.stack(blocks, axis=-4)
+
+
+def dicke_powers_loop(a, k):
+    """noise._dicke_powers of one 2 x 2 matrix ``a``, one shifted copy of
+    the last power per line."""
+    powers = [np.ones((1, 1), dtype=complex)]
+    for size in range(1, k + 1):
+        x = np.arange(size + 1)
+        stay = np.sqrt((size - x[:-1]) / size)[:, None]
+        move = np.sqrt(x[1:] / size)[:, None]
+        last = powers[-1]
+        d = np.zeros((size + 1, size + 1), dtype=complex)
+        d[:-1, :-1] = stay * stay.T * a[0, 0] * last
+        d[:-1, 1:] += stay * move.T * a[0, 1] * last
+        d[1:, :-1] += move * stay.T * a[1, 0] * last
+        d[1:, 1:] += move * move.T * a[1, 1] * last
+        powers.append(d)
+    return powers

@@ -200,8 +200,8 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
     assert [markov._group_inputs(group)[0].shape for group in groups] == [
         (2, 1, 4, 4), (2, 1, 6, 6), (1, 1, 8, 8)
     ]
-    # One recursion for u and one for X u X, one weights call, per table.
-    assert calls == {"powers": 2, "weights": 1}
+    # One recursion on the pair (u, X u X), one weights call, per table.
+    assert calls == {"powers": 1, "weights": 1}
 
 
 def test_stack_inputs_are_checked():
