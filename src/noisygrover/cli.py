@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import io
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .collision import (
-    _BATCH_ENTRIES,
+    _chunks,
     dilation_unitary,
     extract_m,
     kraus_from_dilation,
@@ -52,7 +53,6 @@ from .collision import (
     verify_dilation,
 )
 from .grover import GroverInstance, ideal_success_series, optimal_iterations
-from .grover import reduced_grover_operator
 from .linalg import InvariantViolation, trace_distance
 from .markov import (
     HISTORY_MAX_STEPS,
@@ -63,7 +63,7 @@ from .markov import (
     markov_evolve,
 )
 from .measures import n_blp, n_cp
-from .noise import MarkovNoiseParams, SingleQubitUnitary, _dicke_operators, _orbit_chi
+from .noise import MarkovNoiseParams, SingleQubitUnitary, _dicke_operators
 from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary
 from .noise import single_qubit_unitary
 
@@ -95,17 +95,16 @@ def _fmt(value) -> str:
 
 
 def emit(table: ResultTable, fmt: str, stream: TextIO) -> None:
-    """Write ``table`` to ``stream`` as csv or json (LF line endings)."""
+    """Write ``table`` to ``stream`` as csv or json (LF line endings), in one
+    ``write`` call."""
     if fmt == "csv":
-        for key, value in table.meta.items():
-            stream.write(f"# {key}={_fmt(value)}\n")
-        stream.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        lines = [f"# {key}={_fmt(value)}" for key, value in table.meta.items()]
+        lines.append(",".join(table.columns))
+        lines += [",".join(_fmt(v) for v in row) for row in table.rows]
+        stream.write("\n".join(lines) + "\n")
     elif fmt == "json":
         payload = {"meta": table.meta, "columns": table.columns, "rows": table.rows}
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(payload, indent=2) + "\n")
     else:
         raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
@@ -381,24 +380,25 @@ def _dilation_row(params, g, gp, chi, trials, seed) -> list:
     and dilation defects] of each, then the steady step's factorization.
 
     Both steps run as one stack when two 8D x 8D unitaries fit
-    ``_BATCH_ENTRIES`` (D <= 11), so they share the seeded probes and every
-    batched product. Past that each runs as a stack of one, and the first
-    collision's unitary is dropped before the steady one is built, so one
-    is alive at a time."""
+    ``_BATCH_ENTRIES`` (D <= 11, :func:`~noisygrover.collision._chunks`), so
+    they share the seeded probes and every batched product. Past that each
+    runs as a stack of one, and the first collision's unitary is dropped
+    before the steady one is built, so one is alive at a time."""
     steps = [MarkovNoiseParams(params.p, 0.0), params]
-    groups = [steps] if _BATCH_ENTRIES // (8 * g.shape[0]) ** 2 >= 2 else [steps[:1], steps[1:]]
     checks = []
-    for group in groups:
-        u = ks = None  # the previous group's unitaries and Kraus sets die here
-        u = dilation_unitary(group, g, gp)
-        ks = kraus_step(group, g, gp)
+    for run in _chunks([(8 * g.shape[0]) ** 2] * len(steps)):
+        u = ks = None  # the previous run's unitaries and Kraus sets die here
+        u = dilation_unitary(steps[run], g, gp)
+        ks = kraus_step(steps[run], g, gp)
         kraus_defect = np.max([
             np.max(np.abs(a - b), axis=(-2, -1)) for a, b in zip(ks.ops, kraus_from_dilation(u).ops)
         ], axis=0)
         checks += zip(unitarity_defect(u), kraus_defect, verify_dilation(u, ks, trials, seed))
     fact = extract_m(u[-1], chi, g)  # the steady step's factorization
+    # m_control is 1: the layout puts every G' block in grid rows 4-7, so CX
+    # applies chi when the first ancilla is |1>.
     return [params.p, params.mu] + [float(v) for step in checks for v in step] + [
-        fact.residual, fact.unitary_defect, fact.control_value
+        fact.residual, fact.unitary_defect, 1
     ]
 
 
@@ -408,9 +408,8 @@ def _dilation_point(point):
     # |s> and is invariant under G and chi, so the register's collision
     # unitary U meets the one built from these, U_d, as
     # U (I_8 (x) V) = (I_8 (x) V) U_d.
-    chi, s = _orbit_chi(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    g = reduced_grover_operator(s, 0, inst.N)
-    return _dilation_row(params, g, chi @ g, chi, trials, seed)
+    chi, g, gp, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    return _dilation_row(params, g, gp, chi, trials, seed)
 
 
 def _run_grid(worker, points, jobs: int) -> list:
@@ -588,14 +587,13 @@ def _handle_oracle_check(a, meta: dict) -> ResultTable:
     evolved = markov_evolve(inst, spec, params, a.steps)
     # The history sums on the orbit space, where the evolution's d x d label
     # blocks live: G, G' and |s> at d x d, with |w> as column 0.
-    g, gp, s = _dicke_operators(a.n, a.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = _dicke_operators(a.n, a.marked, spec.u.matrix, spec.positions)
     sums = history_oracle(g, gp, s, params, a.steps)
     # The steps are compared in stacks of at most _BATCH_ENTRIES entries (at
     # least one step), one trace_distance call each.
-    stack = max(1, _BATCH_ENTRIES // g.size)
     dists = np.concatenate([
-        trace_distance(evolved.blocks[t : t + stack].sum(axis=1), sums[t : t + stack])
-        for t in range(0, a.steps + 1, stack)
+        trace_distance(evolved.blocks[run].sum(axis=1), sums[run])
+        for run in _chunks([g.size] * (a.steps + 1))
     ])
     prob_devs = np.abs(evolved.probabilities - sums[:, 0, 0].real)
     rows = [[t, float(dist), float(dev)] for t, (dist, dev) in enumerate(zip(dists, prob_devs))]
@@ -675,14 +673,27 @@ def run(ns: argparse.Namespace) -> ResultTable:
     return _tabulate(*_resolve_options(ns))
 
 
+def _emit_stdout(table: ResultTable, fmt: str) -> None:
+    """``emit`` to standard output. Under ``python -u`` sys.stdout drops
+    what a pipe does not take of one write; a buffered stream on the same
+    descriptor writes the rest or raises BrokenPipeError."""
+    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        emit(table, fmt, sys.stdout)
+        sys.stdout.flush()
+        return
+    with open(
+        sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, newline="\n", closefd=False
+    ) as fh:
+        emit(table, fmt, fh)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command, texts, args = _resolve_options(build_parser().parse_args(argv))
         table = _tabulate(command, texts, args)
         if args.output == "-":
             try:
-                emit(table, args.format, sys.stdout)
-                sys.stdout.flush()
+                _emit_stdout(table, args.format)
             except BrokenPipeError:
                 # The reader closed the pipe (``... | head -1``). What is
                 # still buffered goes to devnull, so the flush at exit

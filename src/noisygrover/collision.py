@@ -65,10 +65,11 @@ measures how far it is from unitary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Generator, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -88,8 +89,10 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 # 2D x 2D trial images of ``verify_dilation`` (256 trials at D = 4, 4 at
 # D = 32, one from D = 64 on, per member), the D x D block products of
 # ``unitarity_defect`` and ``extract_m`` (all 32 up to D = 22, one from
-# D = 91 on), for D x D operators, and the 8D x 8D unitaries that
-# ``dilation-check`` stacks (two up to D = 11).
+# D = 91 on), for D x D operators, the 8D x 8D unitaries that
+# ``dilation-check`` stacks (two up to D = 11) and the D x D steps that
+# ``oracle-check`` compares. ``_chunks`` cuts every one of those stacks but
+# the history sum's, which halves its ranges.
 _BATCH_ENTRIES = 2**14
 
 
@@ -262,23 +265,20 @@ def _blocks(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return grid[..., rows, :, cols, :]
 
 
-def _chunks(sizes: np.ndarray, budget: int) -> Generator[slice, None, None]:
-    """Consecutive runs of items, as slices, whose ``sizes`` sum to at most
-    ``budget``; an item larger than that has a run of its own."""
-    start, total = 0, 0
+def _chunks(sizes: Iterable[int]) -> Generator[slice, None, None]:
+    """Consecutive runs of items, as slices, whose ``sizes`` in entries sum
+    to at most ``_BATCH_ENTRIES``, the one stack rule of the verification
+    layer; an item larger than that has a run of its own. Items of one
+    size s go floor(_BATCH_ENTRIES / s) to a run, at least one. ``sizes``
+    is read one item at a time, so a run is cut before the next is read."""
+    start, total, end = 0, 0, -1
     for end, size in enumerate(sizes):
-        if end > start and total + size > budget:
+        if end > start and total + size > _BATCH_ENTRIES:
             yield slice(start, end)
             start, total = end, 0
         total += size
-    if len(sizes):
-        yield slice(start, len(sizes))
-
-
-def _block_budget(grid: np.ndarray) -> int:
-    """How many D x D blocks of every member of ``grid`` one batched
-    product takes: ``_BATCH_ENTRIES`` entries, at least one block."""
-    return max(1, _BATCH_ENTRIES // (math.prod(grid.shape[:-4]) * grid.shape[-1] ** 2))
+    if end >= start:
+        yield slice(start, end + 1)
 
 
 def unitarity_defect(u: ComplexMatrix) -> float | np.ndarray:
@@ -305,7 +305,8 @@ def unitarity_defect(u: ComplexMatrix) -> float | np.ndarray:
     sizes = np.array([len(r) for r in rows])
     defects = np.broadcast_to(np.eye(8), u.shape[:-2] + (8, 8)).copy()
     eye = np.eye(grid.shape[-1])
-    for run in _chunks(sizes, _block_budget(grid)):
+    block_entries = math.prod(grid.shape[:-4]) * grid.shape[-1] ** 2  # one block, every member
+    for run in _chunks((sizes * block_entries).tolist()):
         (j, k), counts = pairs[run].T, sizes[run]
         for rank in range(counts.max()):  # each pair's rows in order
             has = np.flatnonzero(counts > rank)
@@ -346,9 +347,10 @@ def verify_dilation(
     sensitive as a mixed one.
 
     The probes are drawn once and shared by every member. The trials run
-    in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at least one) per
-    member, in the order the states are drawn, one ``random_pure_state``
-    call per trial, so every trial sees the state it would see alone. The
+    in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at least one,
+    :func:`_chunks`) per member, in the order the states are drawn, one
+    ``random_pure_state`` call per trial, so every trial sees the state it
+    would see alone. The
     joint states U (|00> (x) psi) = U[:, :2D] psi of a stack are pure, one
     product per member that reads every entry of U's |00> columns. A stack
     of one trial takes that product as two rows, the trial and a copy, and
@@ -370,11 +372,10 @@ def verify_dilation(
         raise ValueError(f"trials must be at least 1, got {trials}")
     batch, n2 = u.shape[:-2], u.shape[-1] // 4
     columns = u[..., :, :n2].swapaxes(-1, -2)
-    stack = max(1, _BATCH_ENTRIES // n2**2)
     rng = np.random.default_rng(seed)
     deviations = []
-    for start in range(0, trials, stack):
-        psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
+    for run in _chunks(itertools.repeat(n2**2, trials)):
+        psi = np.array([random_pure_state(n2, rng) for _ in range(run.stop - run.start)])
         # A lone trial goes through the product as two rows, itself and a
         # copy: as one row it would take numpy's matrix-vector product.
         rows = psi if len(psi) > 1 else np.concatenate((psi, psi))
@@ -391,7 +392,6 @@ class FactorizationReport:
 
     m_grid: ComplexMatrix
     residual: float
-    control_value: int
     unitary_defect: float
 
 
@@ -400,15 +400,15 @@ def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> Factori
     and ``g``.
 
     CX applies ``chi`` to the system when the first ancilla is |1>, since
-    the layout puts every G' block in grid rows 4-7; ``control_value`` is
-    that 1. The residual is max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_D|
-    with M the blockwise normalized trace; ``unitary_defect`` is
-    max |M^dagger M - I|. CX is block diagonal on U's 8 x 8 grid of D x D
-    blocks, so block (i, j) of the product is C_i^dagger U_ij G^dagger: no
-    8D x 8D matrix besides U is formed. Only the blocks of U that are not
-    all zero are multiplied (``any`` on U itself, so a NaN counts), as
-    batched matmuls of at most ``_BATCH_ENTRIES`` entries (at least one
-    block, a view of U); the others give M_ij = 0 and residual 0, as the
+    the layout puts every G' block in grid rows 4-7. The residual is
+    max |CX^dagger U (I_8 (x) G^dagger) - M (x) I_D| with M the blockwise
+    normalized trace; ``unitary_defect`` is max |M^dagger M - I|. CX is
+    block diagonal on U's 8 x 8 grid of D x D blocks, so block (i, j) of
+    the product is C_i^dagger U_ij G^dagger: no 8D x 8D matrix besides U
+    is formed. Only the blocks of U that are not all zero are multiplied
+    (``any`` on U itself, so a NaN counts), as batched matmuls of at most
+    ``_BATCH_ENTRIES`` entries (at least one block, a view of U;
+    :func:`_chunks`); the others give M_ij = 0 and residual 0, as the
     product does. A NaN block residual is kept as the maximum.
     """
     grid, nonzero = _grid(u)
@@ -418,9 +418,8 @@ def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> Factori
     m_grid = np.zeros((8, 8), dtype=complex)
     residuals = np.zeros((8, 8))
     rows, cols = np.nonzero(nonzero)
-    budget = _block_budget(grid)
-    for start in range(0, len(rows), budget):
-        i, j = rows[start : start + budget], cols[start : start + budget]
+    for run in _chunks([n_dim**2] * len(rows)):
+        i, j = rows[run], cols[run]
         blocks = _blocks(grid, i, j) @ g_dag
         faulty = i >= 4
         blocks[faulty] = chi_dag @ blocks[faulty]
@@ -429,7 +428,7 @@ def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> Factori
         residuals[i, j] = np.max(np.abs(blocks - m[:, None, None] * eye_n), axis=(-2, -1))
     residual = float(np.max(residuals))
     defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
-    return FactorizationReport(m_grid, residual, 1, defect)
+    return FactorizationReport(m_grid, residual, defect)
 
 
 @dataclass(frozen=True)
@@ -754,7 +753,7 @@ def collision_evolve(
     to 0 runs the pure step). The loop is dense at whatever size it is
     given: N x N G, G' for the full register, or d x d forms on an
     invariant subspace (``markov_evolve``, ``markov_series``, ``n_cp`` and
-    ``n_blp`` pass those, see :func:`~noisygrover.noise._orbit_chi`).
+    ``n_blp`` pass those, from :func:`~noisygrover.noise._orbit_operators`).
     ``meta["dim"]`` is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1: each step's two entries are read as it is drawn,

@@ -36,9 +36,9 @@ import numpy as np
 from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
-from .grover import GroverInstance, reduced_grover_operator
+from .grover import GroverInstance
 from .linalg import ComplexMatrix, projector, require_density
-from .noise import MarkovNoiseParams, NoiseSpec, _orbit_dicke, _orbit_lift, conditional_probs
+from .noise import MarkovNoiseParams, NoiseSpec, _orbit_dicke, _orbit_operators, conditional_probs
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # matrix-vector products and as many rank-one terms.
@@ -74,8 +74,9 @@ def _table_groups(
     and the weights."""
     first, steady = transfer_weights(params_seq, bath)
     groups: dict[int, list] = {}
-    for i, ((inst, _), (m, q, d, dicke)) in enumerate(zip(systems, _orbit_dicke(systems))):
-        groups.setdefault(d, []).append((i, (inst.n, m, q, dicke)))
+    dicke = _orbit_dicke([(i.n, i.marked, s.u.matrix, s.positions) for i, s in systems])
+    for i, (d, system) in enumerate(dicke):
+        groups.setdefault(d, []).append((i, system))
     members = [[i for i, _ in group] for group in groups.values()]
     return members, [([item for _, item in group], first, steady) for group in groups.values()]
 
@@ -83,19 +84,15 @@ def _table_groups(
 def _group_inputs(group) -> tuple:
     """(G, G', first, steady, sigma0) of one d-group of :func:`_table_groups`
     for the step loop: G and G' stacked (S, 1, d, d) and the label blocks
-    of |+><+| (x) |s><s| (S, 1, 2, d, d) over the group's S systems, and
-    the (P, 2, 2, 2) transfer tensors of the table's P points, so the
-    batch is (S, P) and neither side is copied along the other's axis.
-    chi and |s> come per system (:func:`~noisygrover.noise._orbit_lift`,
-    whose Kronecker factors differ in shape); G, G' = chi G and the start
-    are formed once for the group's stacks."""
+    of |+><+| (x) |s><s| (S, 1, 2, d, d) over the group's S systems
+    (:func:`~noisygrover.noise._orbit_operators`), and the (P, 2, 2, 2)
+    transfer tensors of the table's P points, so the batch is (S, P) and
+    neither side is copied along the other's axis."""
     systems, first, steady = group
-    chi, s = zip(*(_orbit_lift(*system) for system in systems))
-    s = np.array(s)
-    g = reduced_grover_operator(s, 0, [2**n for n, *_ in systems]).astype(complex)
+    _, g, gp, s = _orbit_operators(systems)
     s = s.astype(complex)  # |s><s| below is what projector() forms
     sigma0 = _label_start(s[:, :, None] * s.conj()[:, None, :])
-    return g[:, None], (np.array(chi) @ g)[:, None], first, steady, sigma0[:, None]
+    return g.astype(complex)[:, None], gp[:, None], first, steady, sigma0[:, None]
 
 
 def _group_series(group, steps: int) -> tuple[np.ndarray]:

@@ -10,9 +10,9 @@ absence (no optimization over inputs is performed). Neither builds
 anything of size N: the divisibility witness runs in the span of the orbit
 basis of :func:`~noisygrover.noise.orbit_basis`, the backflow pair in
 qubit 0 times that of the other n - 1 qubits, both with G, G' and |s>
-built there from the Dicke-basis closed forms of
-:func:`~noisygrover.noise._orbit_chi`. The channel is linear and a trace
-distance depends only on the difference of its two states, so the
+built there from the Dicke-basis closed forms
+(:func:`~noisygrover.noise._dicke_operators`). The channel is linear and
+a trace distance depends only on the difference of its two states, so the
 backflow pair runs once, as that difference; its part outside the space
 is fixed by a trace (:func:`n_blp`). The step loop keeps label blocks
 only, at d x d, and each witness reads its states off them.
@@ -33,11 +33,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .collision import ThermalBathParams, collision_evolve, transfer_weights
+from .collision import ThermalBathParams, _points, collision_evolve, transfer_weights
 from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
 from .markov import _PLUS, _label_start
-from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators, _orbit_chi
+from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -75,12 +75,12 @@ def _split_operators(
     invariant under G and G' and closed under every operator on qubit 0.
     From scalars only: chi is u on qubit 0 when it is noisy (else I_2)
     times the Dicke-basis chi of the other n - 1 qubits
-    (:func:`~noisygrover.noise._orbit_chi`), |s> = |+> (x) |s_rest>, and
-    |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
+    (:func:`~noisygrover.noise._dicke_operators`), |s> = |+> (x) |s_rest>,
+    and |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
     """
     half = inst.N // 2
     u = spec.u.matrix
-    chi, s = _orbit_chi(
+    chi, _, _, s = _dicke_operators(
         inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
     )
     chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
@@ -93,19 +93,6 @@ def _half_norm(x: ComplexMatrix) -> float | np.ndarray:
     """1/2 (||x||_1 + tr x) of a Hermitian matrix x, or of each member of a
     stack (..., d, d): a float or an array, as :func:`trace_norm` gives."""
     return 0.5 * (trace_norm(x) + np.trace(x, axis1=-2, axis2=-1).real)
-
-
-def _batch(
-    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
-    bath: Optional[ThermalBathParams] = None,
-) -> tuple[list[MarkovNoiseParams], np.ndarray, np.ndarray]:
-    """The (p, mu) points of ``params``, one point or a sequence, and their
-    first and steady transfer tensors stacked (B, 2, 2, 2) by one
-    :func:`transfer_weights` call, which rejects an empty sequence: one
-    point runs as a batch of one, which is the same arithmetic as an
-    unbatched run."""
-    points = [params] if isinstance(params, MarkovNoiseParams) else list(params)
-    return points, *transfer_weights(points, bath)
 
 
 def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None:
@@ -186,7 +173,8 @@ def n_blp(
     """
     if any(p >= inst.n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
-    points, first, steady = _batch(params, bath)
+    points = _points(params)
+    first, steady = transfer_weights(points, bath)
     g, gp, s = _split_operators(inst, spec)
     dim = s.size
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
@@ -246,8 +234,9 @@ def n_cp(
     not finite raises :class:`~noisygrover.linalg.InvariantViolation`
     naming the (p, mu) point and step.
     """
-    points, first, steady = _batch(params)
-    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    points = _points(params)
+    first, steady = transfer_weights(points)
+    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     w = np.eye(s.size)[0]
     sigma0 = _label_start(projector(s) - projector(w))
     blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks

@@ -20,8 +20,9 @@ classifier for this "good noise" family live here, and so does the orbit
 space the simulator runs in: the span of :func:`orbit_basis`, its (m, q)
 classes of position sets (:func:`_orbit_class`), and G, G' and |s> there
 from Dicke-basis closed forms in which n enters only through scalars
-(:func:`_dicke_operators`, with recursions shared by :func:`_orbit_dicke`
-and lifted by :func:`_orbit_lift`).
+(:func:`_orbit_dicke` runs the recursions a table shares, and
+:func:`_orbit_operators` forms the operators from them;
+:func:`_dicke_operators` is the one-system case).
 """
 
 from __future__ import annotations
@@ -310,12 +311,38 @@ def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _orbit_chi(
-    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
-) -> tuple[ComplexMatrix, np.ndarray]:
-    """(chi, |s>) in the orbit basis of :func:`orbit_basis`, built from n,
-    the marked index, the 2 x 2 matrix ``u`` and the noisy positions only:
-    nothing of size 2^n is formed, and n = 0 gives the 1 x 1 case.
+def _orbit_dicke(
+    systems: Sequence[tuple[int, int, np.ndarray, tuple[int, ...]]],
+) -> list[tuple[int, tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]]]:
+    """(d, (n, m, q, (D^(m-q)(u), D^(q)(X u X)))) of every (n, marked, u,
+    positions) system, in order, with u its 2 x 2 noise matrix: its orbit
+    dimension and class (:func:`_orbit_class`) and the Dicke pair that
+    :func:`_orbit_operators` takes. n = 0 gives the 1 x 1 case. Every
+    position set is checked first; then one recursion
+    (:func:`_dicke_powers`) runs per distinct u, on the pair (u, X u X), up
+    to the largest max(m - q, q) of the systems. Each power is formed
+    elementwise from its own weights and the power before it, so it does
+    not depend on how far the recursion runs."""
+    classes = [_orbit_class(n, marked, positions) for n, marked, _, positions in systems]
+    top = max((max(m - q, q) for m, q, _ in classes), default=0)
+    powers = {}
+    out = []
+    for (n, _, u, _), (m, q, d) in zip(systems, classes):
+        key = u.tobytes()
+        if key not in powers:
+            powers[key] = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), top)
+        of_pair = powers[key]
+        out.append((d, (n, m, q, (of_pair[m - q][0], of_pair[q][1]))))
+    return out
+
+
+def _orbit_operators(
+    systems: Sequence[tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]],
+) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
+    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, stacked
+    (S, d, d) and (S, d) over S systems of one d, each an (n, m, q, Dicke
+    pair) item of :func:`_orbit_dicke`; |w> is column 0 and G and |s> are
+    real. Nothing of size 2^n is formed.
 
     Flipping the q noisy qubits where the marked index has a 1 bit maps the
     class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
@@ -328,64 +355,40 @@ def _orbit_chi(
         s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
 
     with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n. One recursion
-    (:func:`_dicke_powers`) runs on the pair (u, X u X), up to
-    max(m - q, q); :func:`_orbit_lift` forms chi and |s> from it.
+    order of :func:`orbit_basis`; nc = 1 when m = n. chi and |s> are
+    formed per system, since systems of one d may differ in their
+    Kronecker factors' shapes; G (:func:`reduced_grover_operator`) and
+    G' = chi G are formed once for the stacks.
     """
-    m, q, _ = _orbit_class(n, marked, positions)
-    powers = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), max(m - q, q))
-    return _orbit_lift(n, m, q, (powers[m - q][0], powers[q][1]))
-
-
-def _orbit_lift(
-    n: int, m: int, q: int, dicke: tuple[ComplexMatrix, ComplexMatrix]
-) -> tuple[ComplexMatrix, np.ndarray]:
-    """(chi, |s>) of :func:`_orbit_chi` for a position set of class (m, q)
-    on n qubits, from its Dicke pair ``dicke`` = (D^(m-q)(u), D^(q)(X u X))."""
-    chi = _kron(*dicke)
-    clean = (1,)  # class sizes on C
-    if m < n:
-        chi = _kron(chi, _EYE2)
-        clean = (1, 2 ** (n - m) - 1)
-    N = 2**n
-    s = np.sqrt([
-        math.comb(m - q, j) * math.comb(q, k) * size / N
-        for j in range(m - q + 1)
-        for k in range(q + 1)
-        for size in clean
-    ])
-    return chi, s
+    chi, s = [], []
+    for n, m, q, dicke in systems:
+        lifted = _kron(*dicke)
+        clean = (1,)  # class sizes on C
+        if m < n:
+            lifted = _kron(lifted, _EYE2)
+            clean = (1, 2 ** (n - m) - 1)
+        N = 2**n
+        chi.append(lifted)
+        s.append(np.sqrt([
+            math.comb(m - q, j) * math.comb(q, k) * size / N
+            for j in range(m - q + 1)
+            for k in range(q + 1)
+            for size in clean
+        ]))
+    chi, s = np.array(chi), np.array(s)
+    g = reduced_grover_operator(s, 0, [2**n for n, *_ in systems])
+    return chi, g, chi @ g, s
 
 
 def _dicke_operators(
     n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
-) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
-    """(G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d and d;
-    |w> is column 0. They are built from scalars only (:func:`_orbit_chi`)."""
-    chi, s = _orbit_chi(n, marked, u, positions)
-    g = reduced_grover_operator(s, 0, 2**n)
-    return g, chi @ g, s
-
-
-def _orbit_dicke(
-    systems: Sequence[tuple[GroverInstance, NoiseSpec]],
-) -> list[tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]]:
-    """(m, q, d, (D^(m-q)(u), D^(q)(X u X))) of every (inst, spec) system of
-    a table, in order: its class and orbit dimension (:func:`_orbit_class`)
-    and the Dicke pair that :func:`_orbit_lift` takes. Every position set
-    is checked first; then one recursion (:func:`_dicke_powers`) runs per
-    distinct u, on the pair (u, X u X), up to the table's largest m."""
-    classes = [_orbit_class(inst.n, inst.marked, spec.positions) for inst, spec in systems]
-    top = max((m for m, _, _ in classes), default=0)
-    powers = {}
-    out = []
-    for (_, spec), (m, q, d) in zip(systems, classes):
-        if spec.u not in powers:
-            u = spec.u.matrix
-            powers[spec.u] = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), top)
-        of_pair = powers[spec.u]
-        out.append((m, q, d, (of_pair[m - q][0], of_pair[q][1])))
-    return out
+) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
+    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d
+    and d, of one system: the one-system case of :func:`_orbit_dicke` and
+    :func:`_orbit_operators`, built from n, the marked index, the 2 x 2
+    matrix ``u`` and the noisy positions only."""
+    ((_, system),) = _orbit_dicke([(n, marked, u, positions)])
+    return tuple(part[0] for part in _orbit_operators([system]))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisygrover import collision
-from noisygrover.grover import GroverInstance, grover_operator, uniform_superposition
+from noisygrover import collision, noise
+from noisygrover.grover import (
+    GroverInstance,
+    grover_operator,
+    reduced_grover_operator,
+    uniform_superposition,
+)
 from noisygrover.linalg import (
     ComplexMatrix,
     dagger,
@@ -190,7 +195,7 @@ def extract_m_loop(u, chi, g):
         residuals[i, j] = np.max(np.abs(block - m_grid[i, j] * eye_n))
     residual = float(np.max(residuals))
     defect = float(np.max(np.abs(dagger(m_grid) @ m_grid - np.eye(8))))
-    return collision.FactorizationReport(m_grid, residual, 1, defect)
+    return collision.FactorizationReport(m_grid, residual, defect)
 
 
 def verify_dilation_loop(u, kset, trials=20, seed=1234):
@@ -271,3 +276,85 @@ def dicke_powers_loop(a, k):
         d[1:, 1:] += move * move.T * a[1, 1] * last
         powers.append(d)
     return powers
+
+
+# The orbit operators as they were built before one builder served every
+# caller: the verification subcommands and the witnesses ran one recursion
+# per system, up to its own max(m - q, q), and formed G and G' one system
+# at a time; the success tables ran one recursion per distinct u up to the
+# table's largest m and formed G and G' on a d-group's stacks. Kept as the
+# references that noise._orbit_dicke and noise._orbit_operators must equal
+# bitwise.
+
+
+def orbit_lift_loop(n, m, q, dicke):
+    """(chi, |s>) of a position set of class (m, q) on n qubits, from its
+    Dicke pair (D^(m-q)(u), D^(q)(X u X))."""
+    chi = noise._kron(*dicke)
+    clean = (1,)
+    if m < n:
+        chi = noise._kron(chi, np.eye(2))
+        clean = (1, 2 ** (n - m) - 1)
+    N = 2**n
+    s = np.sqrt([
+        math.comb(m - q, j) * math.comb(q, k) * size / N
+        for j in range(m - q + 1)
+        for k in range(q + 1)
+        for size in clean
+    ])
+    return chi, s
+
+
+def dicke_operators_loop(n, marked, u, positions):
+    """(chi, G, G', |s>) of one system from its own recursion, G and |s>
+    real."""
+    m, q, _ = noise._orbit_class(n, marked, positions)
+    powers = noise._dicke_powers(np.array((u, noise._FLIP @ u @ noise._FLIP)), max(m - q, q))
+    chi, s = orbit_lift_loop(n, m, q, (powers[m - q][0], powers[q][1]))
+    g = reduced_grover_operator(s, 0, 2**n)
+    return chi, g, chi @ g, s
+
+
+def split_operators_loop(inst, spec):
+    """(G, G', |s>) of measures._split_operators from
+    :func:`dicke_operators_loop` of the other n - 1 qubits."""
+    half = inst.N // 2
+    u = spec.u.matrix
+    chi, _, _, s = dicke_operators_loop(
+        inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
+    )
+    chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
+    s = np.kron(_PLUS.real, s)
+    g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
+    return g, chi @ g, s
+
+
+def group_operators_loop(systems):
+    """(chi, G, G', |s>) stacked over (inst, spec) systems of one d: each
+    u's recursion up to the largest m of ``systems``, chi and |s> lifted
+    per system, G cast to complex before G' = chi G."""
+    top = max(len(spec.positions) for _, spec in systems)
+    chi, s = [], []
+    for inst, spec in systems:
+        m, q, _ = noise._orbit_class(inst.n, inst.marked, spec.positions)
+        u = spec.u.matrix
+        powers = noise._dicke_powers(np.array((u, noise._FLIP @ u @ noise._FLIP)), top)
+        lifted = orbit_lift_loop(inst.n, m, q, (powers[m - q][0], powers[q][1]))
+        chi.append(lifted[0])
+        s.append(lifted[1])
+    s = np.array(s)
+    g = reduced_grover_operator(s, 0, [inst.N for inst, _ in systems]).astype(complex)
+    return np.array(chi), g, np.array(chi) @ g, s
+
+
+def chunks_loop(sizes, budget):
+    """collision._chunks as it took an item budget: runs of items whose
+    ``sizes`` sum to at most ``budget``, an item above it alone."""
+    start, total = 0, 0
+    for end, size in enumerate(sizes):
+        if end > start and total + size > budget:
+            yield slice(start, end)
+            start, total = end, 0
+        total += size
+    if len(sizes):
+        yield slice(start, len(sizes))

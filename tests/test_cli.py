@@ -1,6 +1,8 @@
 import concurrent.futures
+import io
 import itertools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -549,6 +551,23 @@ def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, 
         assert alive_at_build == alive
 
 
+def test_dilation_row_stacks_both_steps_up_to_eleven(monkeypatch):
+    # Two 8D x 8D unitaries fit the entry budget up to D = 11, one from
+    # D = 12 on.
+    real, stacks = cli.dilation_unitary, []
+
+    def spy(params, g, gp):
+        stacks.append(len(params))
+        return real(params, g, gp)
+
+    monkeypatch.setattr(cli, "dilation_unitary", spy)
+    for n_dim in range(1, 15):
+        stacks.clear()
+        eye = np.eye(n_dim)
+        cli._dilation_row(MarkovNoiseParams(0.3, 0.5), eye, eye.astype(complex), eye, 1, 7)
+        assert stacks == ([2] if n_dim <= 11 else [1, 1]), n_dim
+
+
 @pytest.mark.parametrize("which", [0, 3, 6])
 def test_oracle_check_fails_on_a_nan_distance(capsys, monkeypatch, which):
     # At n = 2 (d = 4) the 7 steps are compared as one stack.
@@ -886,6 +905,55 @@ def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ConfigError):
         with open(tmp_path / "t.txt", "w") as fh:
             emit(table, "yaml", fh)
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_emit_writes_each_table_in_one_call():
+    # oracle-check's meta holds a float, max_trace_distance.
+    table = cli.run(cli.build_parser().parse_args(
+        ["oracle-check", "--n", "3", "--m", "2", "--noise", "hadamard", "--steps", "3"]
+    ))
+    assert isinstance(table.meta["max_trace_distance"], float)
+    texts = {}
+    for fmt in ("csv", "json"):
+        stream = _CountingStream()
+        emit(table, fmt, stream)
+        assert stream.writes == 1, fmt
+        texts[fmt] = stream.getvalue()
+    want = io.StringIO()
+    json.dump({"meta": table.meta, "columns": table.columns, "rows": table.rows}, want, indent=2)
+    assert texts["json"] == want.getvalue() + "\n"
+    lines = [f"# {key}={cli._fmt(value)}" for key, value in table.meta.items()]
+    lines += [",".join(table.columns)] + [",".join(cli._fmt(v) for v in row) for row in table.rows]
+    assert texts["csv"] == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_closed_stdout_exits_one_buffered_or_not(fmt, unbuffered):
+    # Under python -u a table's one write may reach the pipe only in part;
+    # the rest must still be written or fail, never vanish with exit 0.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, *(["-u"] if unbuffered else []), "-m", "noisygrover.cli", "noisy",
+         "--n", "6", "--steps", "20000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert first == ("# command=noisy\n" if fmt == "csv" else "{\n")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from support import (
     blp_pair,
+    chunks_loop,
     completeness_defect,
     extract_m_loop,
     haar_noise,
@@ -406,7 +407,6 @@ def test_extract_m_recovers_unitary_grid():
         dil = dilation_unitary(params, G, GP)
         report = extract_m(dil, CHI, G)
         assert report.residual < 1e-10, params
-        assert report.control_value == 1
         assert report.unitary_defect < 1e-10
         # the grid entries are the +-sqrt(prob) coefficients
         stay = math.sqrt(conditional_probs(params)[0, 0])
@@ -448,7 +448,6 @@ def test_extract_m_matches_full_product(n, step):
         report = extract_m(dil, cx_chi, g)
         m_grid, residual, defect = _full_product_factorization(dil, cx_chi, g)
         assert (report.residual <= 1e-8) is passes
-        assert report.control_value == 1
         assert abs(report.residual - residual) < 1e-12
         assert abs(report.unitary_defect - defect) < 1e-12
         assert np.max(np.abs(report.m_grid - m_grid)) < 1e-12
@@ -464,7 +463,6 @@ def test_extract_m_rejects_a_dilation_controlled_on_zero(step):
     half = u.shape[0] // 2
     swapped = np.roll(np.roll(u, half, axis=0), half, axis=1)
     report = extract_m(swapped, CHI, G)
-    assert report.control_value == 1
     assert report.residual > 0.1
     assert abs(report.residual - _full_product_factorization(swapped, CHI, G)[1]) < 1e-12
 
@@ -602,8 +600,8 @@ def test_extract_m_matches_the_dense_product_off_the_layout(step, variant):
 def _same_report(got, ref):
     assert np.array_equal(got.m_grid, ref.m_grid, equal_nan=True)
     assert np.array_equal(
-        [got.residual, got.unitary_defect, got.control_value],
-        [ref.residual, ref.unitary_defect, ref.control_value],
+        [got.residual, got.unitary_defect],
+        [ref.residual, ref.unitary_defect],
         equal_nan=True,
     )
 
@@ -639,6 +637,36 @@ def test_batched_block_products_equal_the_loops_at_zero_weights(p, mu):
     for u, defect in zip(stack, unitarity_defect(stack), strict=True):
         assert unitarity_defect(u) == defect == unitarity_defect_loop(u)
         _same_report(extract_m(u, chi, g), extract_m_loop(u, chi, g))
+
+
+_E = collision._BATCH_ENTRIES
+
+
+@pytest.mark.parametrize("size", [1, _E // 2, _E // 2 + 1, _E - 1, _E, _E + 1, 3 * _E])
+def test_chunks_of_one_size_are_the_floor_of_the_budget(size):
+    # The stacks of extract_m, verify_dilation, dilation-check and
+    # oracle-check: floor(E / size) items to a run, at least one.
+    step = max(1, _E // size)
+    for count in range(41):
+        want = [slice(start, min(start + step, count)) for start in range(0, count, step)]
+        assert list(collision._chunks(np.full(count, size))) == want, count
+
+
+def test_chunks_cut_unitarity_defect_as_the_block_budget_did():
+    # unitarity_defect's runs of block pairs, sized in entries, are the runs
+    # of the same pairs sized in blocks against max(1, E // b), b the entries
+    # of one block over every member: t <= E // b if and only if t b <= E.
+    _, nonzero = collision._grid(dilation_unitary(MarkovNoiseParams(0.35, 0.6), G, GP))
+    layout = np.array([
+        np.count_nonzero(nonzero[:, j] & nonzero[:, k]) for j, k in np.argwhere(nonzero.T @ nonzero)
+    ])
+    rng = np.random.default_rng(7)
+    for sizes in (layout, rng.integers(1, 9, 40), np.ones(32, dtype=int)):
+        for members in (1, 2, 3):
+            for n_dim in range(1, 130):
+                b = members * n_dim**2
+                got = list(collision._chunks(sizes * b))
+                assert got == list(chunks_loop(sizes, max(1, _E // b))), (members, n_dim)
 
 
 @pytest.mark.parametrize("n", [2, 5])

@@ -67,7 +67,7 @@ def _q(inst, spec):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dicke_operators_equal_the_orbit_basis_compressions(n):
     for inst, spec in _cases(n, 100 + n):
-        got = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+        _, *got = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
         want = _compressed(inst, spec, orbit_basis(inst, spec))
         for a, b in zip(got, want):
             assert a.shape == b.shape
@@ -257,7 +257,7 @@ def test_series_rows_equal_single_evolves(temperature):
 def test_batched_collision_evolve_keeps_each_members_states():
     inst = GroverInstance(4, 9)
     spec = noise_spec(haar_noise(np.random.default_rng(11)), 2, 4, (1, 3))
-    g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     sigma0 = label_blocks(tensor(projector(markov._PLUS), projector(s)))
     points = [(MarkovNoiseParams(p, mu), bath) for p in (0.0, 0.6) for mu in (0.2, 1.0)
               for bath in (None, thermal_weights(0.5))]

@@ -53,7 +53,7 @@ def test_orbit_unitary_is_the_register_unitary_on_the_orbit_space(n):
             for u in NOISES:
                 spec = noise_spec(u, m, n)
                 gp = noisy_grover(g, chis[m, u])
-                g_d, gp_d, _ = _dicke_operators(n, marked, u.matrix, spec.positions)
+                _, g_d, gp_d, _ = _dicke_operators(n, marked, u.matrix, spec.positions)
                 for params in STEPS:
                     dev = _intertwining(
                         dilation_unitary(params, g, gp), dilation_unitary(params, g_d, gp_d), v
@@ -68,7 +68,7 @@ def test_a_permuted_orbit_basis_breaks_the_intertwining():
     spec = noise_spec(noise_unitary("hadamard"), 3, 4)
     v = orbit_basis(inst, spec)
     g = grover_operator(inst)
-    g_d, gp_d, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g_d, gp_d, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
     u_full = dilation_unitary(STEPS[1], g, noisy_grover(g, build_chi(inst.n, spec)))
     u_orbit = dilation_unitary(STEPS[1], g_d, gp_d)
     assert _intertwining(u_full, u_orbit, v) <= 1e-14

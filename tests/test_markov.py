@@ -115,7 +115,7 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
         inst, spec = GroverInstance(n, 2**n - 2), noise_spec(noise_unitary("hadamard"), m, n)
         _, (group,) = markov._table_groups([(inst, spec)], [MarkovNoiseParams(0.3, 0.6)], None)
         sigma0 = markov._group_inputs(group)[4]
-        s = noise._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[2]
+        s = noise._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[3]
         joint = tensor(projector(markov._PLUS), projector(s))
         assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
         assert np.array_equal(sigma0[0, 0], label_blocks(joint))

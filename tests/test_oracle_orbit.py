@@ -31,7 +31,7 @@ def _sums(inst, spec, params):
     # (H_t, h_t): the history sums of the register and of the orbit space
     dense = history_oracle(*dense_operators(inst, spec), params, STEPS)
     orbit = history_oracle(
-        *_dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions), params, STEPS
+        *_dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)[1:], params, STEPS
     )
     return dense, orbit
 

@@ -1,15 +1,23 @@
 """The buffered step loop, the stacked Dicke recursion and the operators
 built per d-group, each against its reference in support.py, bitwise; the
-loop's memory without kept blocks; and ``verify_dilation``'s prefix
-stability in the number of trials."""
+one orbit-operator builder against the per-system and per-table builds it
+replaced, bitwise; the loop's memory without kept blocks; and
+``verify_dilation``'s prefix stability in the number of trials."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from support import dicke_powers_loop, evolve_loop, haar_noise
+from support import (
+    dicke_operators_loop,
+    dicke_powers_loop,
+    evolve_loop,
+    group_operators_loop,
+    haar_noise,
+    split_operators_loop,
+)
 
-from noisygrover import collision, markov, noise
+from noisygrover import collision, markov, measures, noise
 from noisygrover.collision import (
     collision_evolve,
     collision_first_max,
@@ -22,7 +30,7 @@ from noisygrover.collision import (
 from noisygrover.grover import GroverInstance
 from noisygrover.linalg import projector
 from noisygrover.markov import MarkovNoiseParams
-from noisygrover.noise import noise_spec, noise_unitary
+from noisygrover.noise import PRESETS, noise_spec, noise_unitary
 
 U = haar_noise(np.random.default_rng(11))
 POINTS = [MarkovNoiseParams(p, mu) for p in (0.0, 0.37, 1.0) for mu in (0.0, 0.6, 1.0)]
@@ -124,9 +132,89 @@ def test_group_operators_equal_each_system_alone_bitwise(d):
     systems = _systems(d)
     g, gp, _, _, sigma0 = _group(d)
     for i, (inst, spec) in enumerate(systems):
-        g_i, gp_i, s_i = noise._dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+        _, g_i, gp_i, s_i = noise._dicke_operators(
+            inst.n, inst.marked, spec.u.matrix, spec.positions
+        )
         assert np.array_equal(g[i, 0], g_i) and np.array_equal(gp[i, 0], gp_i)
         assert np.array_equal(sigma0[i, 0], markov._label_start(projector(s_i)))
+
+
+# The five presets and two Haar draws.
+UNITARIES = [noise_unitary(name) for name in PRESETS] + [
+    haar_noise(np.random.default_rng(seed)) for seed in (21, 22)
+]
+
+
+def _same(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dicke_operators_equal_the_per_system_build_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    for marked in (0, 2**n - 1, int(rng.integers(2**n))):
+        for m in range(n + 1):
+            positions = tuple(sorted(int(p) for p in rng.choice(n, m, replace=False)))
+            for u in UNITARIES:
+                _same(
+                    noise._dicke_operators(n, marked, u.matrix, positions),
+                    dicke_operators_loop(n, marked, u.matrix, positions),
+                )
+
+
+@pytest.mark.parametrize("q", [0, 15])
+def test_dicke_operators_at_forty_qubits_equal_the_per_system_build_bitwise(q):
+    marked = (2**q - 1) << (40 - q)  # 1 bits on qubits 0 .. q - 1
+    for u in (noise_unitary("hadamard"), U):
+        got = noise._dicke_operators(40, marked, u.matrix, tuple(range(30)))
+        assert noise._orbit_class(40, marked, tuple(range(30)))[1] == q
+        _same(got, dicke_operators_loop(40, marked, u.matrix, tuple(range(30))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_operators_equal_the_per_system_build_bitwise(n):
+    # At n = 1 the other n - 1 = 0 qubits give the 1 x 1 case, d = 1.
+    _same(noise._dicke_operators(0, 0, U.matrix, ()), dicke_operators_loop(0, 0, U.matrix, ()))
+    rng = np.random.default_rng(300 + n)
+    for marked in (0, 2**n - 1, int(rng.integers(2**n))):
+        for m in range(n + 1):
+            for u in UNITARIES:
+                inst = GroverInstance(n, marked)
+                spec = noise_spec(u, m, n, sorted(rng.choice(n, m, replace=False)))
+                _same(measures._split_operators(inst, spec), split_operators_loop(inst, spec))
+
+
+def test_table_of_two_unitaries_shares_each_recursion_bitwise(monkeypatch):
+    # Two unitaries across systems of several d, one d-group holding both:
+    # one recursion per distinct u, up to the largest max(m - q, q), and
+    # every group's operators bitwise those of the per-table build, whose
+    # recursions ran up to the largest m.
+    other = UNITARIES[-1]
+    systems = [
+        (GroverInstance(5, 9), noise_spec(U, 2, 5, (0, 3))),
+        (GroverInstance(5, 9), noise_spec(other, 2, 5, (0, 3))),
+        (GroverInstance(6, 0), noise_spec(U, 4, 6)),
+        (GroverInstance(4, 15), noise_spec(other, 4, 4)),
+        (GroverInstance(7, 5), noise_spec(other, 6, 7)),
+        (GroverInstance(3, 2), noise_spec(U, 1, 3, (1,))),
+    ]
+    real, depths = noise._dicke_powers, []
+
+    def spy(a, k):
+        depths.append(k)
+        return real(a, k)
+
+    monkeypatch.setattr(noise, "_dicke_powers", spy)
+    members, groups = markov._table_groups(systems, POINTS, None)
+    # the largest max(m - q, q) is 5, of n = 7, m = 6, q = 1; the largest m is 6
+    assert depths == [5, 5]
+    assert [0, 1] in members
+    monkeypatch.setattr(noise, "_dicke_powers", real)
+    for index, group in zip(members, groups, strict=True):
+        chi, _, _, s = noise._orbit_operators(group[0])
+        g, gp, _, _, _ = markov._group_inputs(group)
+        _same((chi, g[:, 0], gp[:, 0], s), group_operators_loop([systems[i] for i in index]))
 
 
 def test_evolve_without_blocks_keeps_no_step_history():
@@ -134,7 +222,7 @@ def test_evolve_without_blocks_keeps_no_step_history():
     # bytes, about 369 KB. Without kept blocks the loop's memory grows with
     # the horizon only by its per-step reads: the probability (8 bytes) and
     # the two marked diagonal entries (32 bytes) per member and step.
-    g, gp, s = noise._dicke_operators(40, 0, noise_unitary("hadamard").matrix, tuple(range(30)))
+    _, g, gp, s = noise._dicke_operators(40, 0, noise_unitary("hadamard").matrix, tuple(range(30)))
     assert g.shape == (62, 62)
     first, steady = transfer_weights(POINTS[3:6])
     sigma0 = markov._label_start(projector(s))
@@ -158,7 +246,8 @@ def test_verify_dilation_is_prefix_stable_in_trials(monkeypatch, n, m, marked):
     # d = 32 runs its trials in stacks of 4, so 5 trials end on a stack of
     # one; at d = 62 every stack holds one trial. trials = k must give the
     # largest of the first k distances of one 8-trial run, bitwise.
-    g, gp, _ = noise._dicke_operators(n, marked, noise_unitary("hadamard").matrix, tuple(range(m)))
+    hadamard = noise_unitary("hadamard").matrix
+    _, g, gp, _ = noise._dicke_operators(n, marked, hadamard, tuple(range(m)))
     assert g.shape[0] == {8: 32, 40: 62}[n]
     u = dilation_unitary(MarkovNoiseParams(0.3, 0.5), g, gp)
     kset = kraus_from_dilation(u)
