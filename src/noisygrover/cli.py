@@ -9,13 +9,13 @@ separated values and expand as a Cartesian grid. ``--jobs`` parallelizes
 over groups of grid points without changing results or row order: the
 success grids hand their systems (the noisy position sets of ``noisy``,
 the n list of ``firstmax``, the position classes of ``invariance``) to one
-step loop per distinct orbit dimension d, which runs every system of that
-d against every (p, mu) pair at once, so a group is one d (in
-``firstmax``, each n leaves its loop once its points have passed their
-first maximum). The witness grids run every (p, mu) pair that shares its
-bath as one batched witness call whose trace norms are one stacked pass,
-so ``blp`` and ``cpdiv`` are one group each and ``thermal`` one group per
-temperature.
+step loop per distinct weight-basis dimension d' <= 2(m + 1), which runs
+every system of that d' against every (p, mu) pair at once, so a group is
+one d' (in ``firstmax``, each n leaves its loop once its points have
+passed their first maximum). The witness grids run every (p, mu) pair
+that shares its bath as one batched witness call whose trace norms are
+one stacked pass, so ``blp`` and ``cpdiv`` are one group each and
+``thermal`` one group per temperature.
 
 Flags are spelled in full, as config keys are: argparse's prefix matching
 is off.
@@ -28,7 +28,6 @@ table was written, 2 a numeric invariant failed mid-run.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import io
 import itertools
@@ -94,17 +93,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The rows of a json table in one pass of the C encoder, which json.dumps
+# gives up once it indents: the item separator is the one json.dumps(indent=2)
+# writes between the numbers of a row, and :func:`_json_rows` puts the
+# breaks between rows in after.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_rows(rows: list[list]) -> str:
+    """``rows``, flat nonempty lists of numbers, as json.dumps(indent=2)
+    writes them as the value of a top-level key. A string in a row could
+    not hold the "],<newline>" that is cut here: json escapes a newline."""
+    if not rows:
+        return "[]"
+    text = _ROWS_ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + text + "\n    ]\n  ]"
+
+
 def emit(table: ResultTable, fmt: str, stream: TextIO) -> None:
     """Write ``table`` to ``stream`` as csv or json (LF line endings), in one
-    ``write`` call."""
+    ``write`` call. The json text is that of json.dumps(indent=2) of
+    {"meta", "columns", "rows"}; the rows go through :func:`_json_rows`."""
     if fmt == "csv":
         lines = [f"# {key}={_fmt(value)}" for key, value in table.meta.items()]
         lines.append(",".join(table.columns))
         lines += [",".join(_fmt(v) for v in row) for row in table.rows]
         stream.write("\n".join(lines) + "\n")
     elif fmt == "json":
-        payload = {"meta": table.meta, "columns": table.columns, "rows": table.rows}
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        head = json.dumps({"meta": table.meta, "columns": table.columns}, indent=2)
+        stream.write(head[:-2] + ',\n  "rows": ' + _json_rows(table.rows) + "\n}\n")
     else:
         raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
@@ -346,7 +363,7 @@ def _resolve_options(ns: argparse.Namespace) -> tuple[str, dict[str, str], argpa
 # one tuple of inputs the handler has already built, so every bad input
 # fails before any pool starts, and returns plain data; row order is the
 # point order, independent of --jobs. The success grids hand out the
-# d-groups of markov._table through its own top-level readers.
+# d'-groups of markov._table through its own top-level readers.
 
 def _blp_group(group) -> np.ndarray:
     """Backflow witness values, (len(params),), of the (p, mu) points of one
@@ -416,14 +433,17 @@ def _run_grid(worker, points, jobs: int) -> list:
     if jobs <= 1 or len(points) <= 1:
         return [worker(pt) for pt in points]
     # Under fork the pool starts all its workers at once: none beyond the
-    # points. concurrent.futures loads the pool class, and multiprocessing
-    # with it, on first use, so a --jobs 1 run never imports them.
+    # points. Imported here, so a --jobs 1 run never loads concurrent.futures
+    # (logging and threading with it), nor the pool class and
+    # multiprocessing, which concurrent.futures loads on first use.
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
         return list(pool.map(worker, points))
 
 
 def _success_table(read, systems, params, steps, jobs: int, bath=None) -> tuple:
-    """``markov._table`` over ``systems``: one step loop per distinct d,
+    """``markov._table`` over ``systems``: one step loop per distinct d',
     and ``--jobs`` hands out those groups."""
     return _table(read, systems, params, steps, bath, functools.partial(_run_grid, jobs=jobs))
 
@@ -474,9 +494,9 @@ def _handle_noisy(a, meta: dict) -> ResultTable:
     (all_series,) = _success_table(
         _group_series, systems, params, a.steps, a.jobs, _bath(a.temperature)
     )
-    all_series = all_series.reshape(-1, a.steps + 1)
+    columns = all_series.reshape(-1, a.steps + 1).T.tolist()
     labels = [_label(m=len(spec.positions), p=par.p, mu=par.mu) for spec in specs for par in params]
-    rows = [[t] + [float(x) for x in all_series[:, t]] for t in range(a.steps + 1)]
+    rows = [[t] + column for t, column in enumerate(columns)]
     return ResultTable(meta, ["t"] + labels, rows)
 
 
@@ -491,9 +511,7 @@ def _handle_invariance(a, meta: dict) -> ResultTable:
     reference = all_series[classes.index((0,))]
     deviations = np.max(np.abs(all_series - reference[None, :]), axis=0)
     meta["subsets"] = 2**a.n - 1
-    rows = [
-        [t, float(reference[t]), float(deviations[t])] for t in range(a.steps + 1)
-    ]
+    rows = [[t, p, dev] for t, (p, dev) in enumerate(zip(reference.tolist(), deviations.tolist()))]
     return ResultTable(meta, ["t", "P", "max_dev"], rows)
 
 
@@ -502,8 +520,8 @@ def _handle_firstmax(a, meta: dict) -> ResultTable:
     systems = [(GroverInstance(n, a.marked), noise_spec(a.noise, a.m, n)) for n in a.n]
     t_star, p_star = _success_table(_group_first_max, systems, params, a.steps, a.jobs)
     rows = [
-        [n, par.p, par.mu, int(t), float(height)]
-        for n, t_row, p_row in zip(a.n, t_star, p_star)
+        [n, par.p, par.mu, t, height]
+        for n, t_row, p_row in zip(a.n, t_star.tolist(), p_star.tolist())
         for par, t, height in zip(params, t_row, p_row)
     ]
     return ResultTable(meta, ["n", "p", "mu", "t_star", "P_star"], rows)

@@ -50,8 +50,9 @@ and ``collision_first_max`` drops each slice of the first batch axis once
 its members have passed their first success maximum and stops when none
 is left, so its cost follows the first maxima and its memory the
 members, not the horizon. No 2d x 2d joint is taken or formed. The
-success and witness series hand the loop G and G' at d x d on the orbit
-space of :mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that
+success tables hand the loop G and G' at d' x d' on the weight basis of
+:mod:`~noisygrover.noise`; ``markov_evolve`` and the witness series hand
+it those at d x d on the orbit basis (for blp's pair, qubit 0 times that
 of the other n - 1 qubits); the size is reported as ``meta["dim"]``.
 
 U also factors as
@@ -751,10 +752,12 @@ def collision_evolve(
     alone, 2 conjugations per member; a thermal bath feeds every block
     through both ops, 4 conjugations (a bath whose excited weight rounds
     to 0 runs the pure step). The loop is dense at whatever size it is
-    given: N x N G, G' for the full register, or d x d forms on an
-    invariant subspace (``markov_evolve``, ``markov_series``, ``n_cp`` and
-    ``n_blp`` pass those, from :func:`~noisygrover.noise._orbit_operators`).
-    ``meta["dim"]`` is that size.
+    given: N x N G, G' for the full register, or the forms on an invariant
+    subspace: ``markov_evolve``, ``n_cp`` and ``n_blp`` pass d x d ones on
+    the orbit basis (:func:`~noisygrover.noise._dicke_operators`), and
+    ``markov_series`` and ``markov_first_max`` d' x d' ones on the weight
+    basis (:func:`~noisygrover.noise._weight_operators`). ``meta["dim"]``
+    is that size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1: each step's two entries are read as it is drawn,
     and the series is formed from them once at the end. A start that is

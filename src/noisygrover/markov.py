@@ -9,20 +9,28 @@ walker qubit (index 0 = g, 1 = g') is adjoined to the system, the joint
 state starts as |+><+| (x) |s><s|, and every step is the exact completely
 positive map that applies G on the g branch, G' on the g' branch, and
 mixes branch populations with the conditional probabilities. The success
-probability is read off the system marginal at the marked index. All of
-this runs at d x d in the orbit space of :mod:`~noisygrover.noise`, with
-the G, G' and |s> that ``noise`` builds there, so nothing of size 2^n is
-formed. :func:`history_oracle`, the explicit sum over label histories
-that checks it, takes G, G' and |s> of any size D.
+probability is read off the system marginal at the marked index. Nothing
+of size 2^n is formed; each path runs on a basis that
+:mod:`~noisygrover.noise` builds from scalars, with |w> as index 0.
+
+:func:`markov_evolve` runs at d x d on the orbit basis
+(:func:`~noisygrover.noise._dicke_operators`) and keeps every step's label
+blocks, which lift to the register through
+:func:`~noisygrover.noise.orbit_basis`. :func:`history_oracle`, the
+explicit sum over label histories that checks it, takes G, G' and |s> of
+any size D. The success tables run on the smaller weight basis, of
+dimension d' <= 2(m + 1) whatever q and n are
+(:func:`~noisygrover.noise._weight_operators`), and keep no blocks:
 :func:`markov_series` runs many (p, mu) points of one system as one
 batched step loop, and :func:`markov_first_max` reads where each point's
 first maximum falls from the same loop, stopped once every point has
 passed it. Both are the one-system case of :func:`_table`, which takes the
 systems of a table (the position classes of ``invariance``, the n list of
-``firstmax``, the m list of ``noisy``), groups them by the d that
-``noise`` gives each, shares their transfer weights, and runs one step
-loop per distinct d over the systems of that d, each with its own G, G'
-and start, stacked against the points.
+``firstmax``, the m list of ``noisy``), groups them by d', shares their
+transfer weights and each distinct u's eigen frame, and runs one step
+loop per distinct d' over the systems of that d', each with its own G, G'
+and start, stacked against the points. The two bases give the same
+series to rounding, not bitwise: the tests hold them to 1e-12.
 """
 
 from __future__ import annotations
@@ -38,7 +46,16 @@ from .collision import (
 )
 from .grover import GroverInstance
 from .linalg import ComplexMatrix, projector, require_density
-from .noise import MarkovNoiseParams, NoiseSpec, _orbit_dicke, _orbit_operators, conditional_probs
+from .noise import (
+    MarkovNoiseParams,
+    NoiseSpec,
+    _dicke_operators,
+    _eigen_frame,
+    _orbit_class,
+    _weight_coordinates,
+    _weight_operators,
+    conditional_probs,
+)
 
 # Largest horizon the explicit history sum accepts; its cost is 2**(steps + 1) - 2
 # matrix-vector products and as many rank-one terms.
@@ -65,43 +82,48 @@ def _table_groups(
 ) -> tuple[list[list[int]], list[tuple]]:
     """Set up one table of ``systems``, (inst, spec) pairs that share the
     (p, mu) points ``params_seq`` and ``bath``, as one step loop per
-    distinct d. One ``transfer_weights`` call and one
-    :func:`~noisygrover.noise._orbit_dicke` call, which checks every
-    position set before any step runs, serve the whole table. The systems
-    are grouped by the d it gives, in order of first appearance, never
+    distinct dimension d' of the weight basis.
+    Every position set is checked (:func:`~noisygrover.noise._orbit_class`)
+    before any step runs; one ``transfer_weights`` call serves the whole
+    table, and one :func:`~noisygrover.noise._eigen_frame` each distinct u.
+    The systems are grouped by d', in order of first appearance, never
     padded. Returns each group's system indices and its work item for
-    :func:`_group_inputs`: each system's n, class (m, q) and Dicke pair,
-    and the weights."""
+    :func:`_group_inputs`: each system's
+    :func:`~noisygrover.noise._weight_coordinates`, and the weights."""
     first, steady = transfer_weights(params_seq, bath)
+    frames: dict = {}
     groups: dict[int, list] = {}
-    dicke = _orbit_dicke([(i.n, i.marked, s.u.matrix, s.positions) for i, s in systems])
-    for i, (d, system) in enumerate(dicke):
-        groups.setdefault(d, []).append((i, system))
+    for i, (inst, spec) in enumerate(systems):
+        m, q, _ = _orbit_class(inst.n, inst.marked, spec.positions)
+        if spec.u not in frames:
+            frames[spec.u] = _eigen_frame(spec.u)
+        item = _weight_coordinates(inst.n, m, q, frames[spec.u])
+        groups.setdefault(len(item[0]), []).append((i, item))
     members = [[i for i, _ in group] for group in groups.values()]
     return members, [([item for _, item in group], first, steady) for group in groups.values()]
 
 
 def _group_inputs(group) -> tuple:
-    """(G, G', first, steady, sigma0) of one d-group of :func:`_table_groups`
-    for the step loop: G and G' stacked (S, 1, d, d) and the label blocks
-    of |+><+| (x) |s><s| (S, 1, 2, d, d) over the group's S systems
-    (:func:`~noisygrover.noise._orbit_operators`), and the (P, 2, 2, 2)
+    """(G, G', first, steady, sigma0) of one d'-group of :func:`_table_groups`
+    for the step loop: G and G' stacked (S, 1, d', d') and the label blocks
+    of |+><+| (x) |s><s| (S, 1, 2, d', d') over the group's S systems
+    (:func:`~noisygrover.noise._weight_operators`), and the (P, 2, 2, 2)
     transfer tensors of the table's P points, so the batch is (S, P) and
     neither side is copied along the other's axis."""
-    systems, first, steady = group
-    _, g, gp, s = _orbit_operators(systems)
-    s = s.astype(complex)  # |s><s| below is what projector() forms
+    coordinates, first, steady = group
+    g, gp, s = _weight_operators(coordinates)
+    s = s.astype(complex)
     sigma0 = _label_start(s[:, :, None] * s.conj()[:, None, :])
     return g.astype(complex)[:, None], gp[:, None], first, steady, sigma0[:, None]
 
 
 def _group_series(group, steps: int) -> tuple[np.ndarray]:
-    """(success series (S, P, steps + 1),) of one d-group."""
+    """(success series (S, P, steps + 1),) of one d'-group."""
     return (collision_evolve(*_group_inputs(group), steps).probabilities,)
 
 
 def _group_first_max(group, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(t*, P*), each (S, P), of one d-group."""
+    """(t*, P*), each (S, P), of one d'-group."""
     return collision_first_max(*_group_inputs(group), steps)
 
 
@@ -114,7 +136,7 @@ def _table(
     mapper=map,
 ) -> tuple[np.ndarray, ...]:
     """Run ``read`` (:func:`_group_series` or :func:`_group_first_max`) over
-    the d-groups of :func:`_table_groups`, one step loop each, and give its
+    the d'-groups of :func:`_table_groups`, one step loop each, and give its
     arrays with the systems axis in ``systems`` order in front: (S, P,
     steps + 1) series, or (S, P) t* and P*. ``mapper(worker, items)``
     hands the groups out, ``map`` by default; every check of
@@ -137,13 +159,15 @@ def markov_series(
     bath=None,
 ) -> np.ndarray:
     """Success probabilities for every (p, mu) point of ``params_seq`` at
-    once, shape (len(params_seq), steps + 1); row b equals
-    ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``.
+    once, shape (len(params_seq), steps + 1); row b agrees with
+    ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``
+    to rounding (the tests hold it to 1e-12), on the weight basis of
+    dimension d' in place of the orbit basis of dimension d.
 
     The points share G, G' and the start, so they run as one batched step
     loop over their transfer tensors (:func:`collision_evolve`). This is
     the one-system case of the tables that run many systems, one step loop
-    per distinct d (:func:`_table`). An empty ``params_seq`` raises
+    per distinct d' (:func:`_table`). An empty ``params_seq`` raises
     ``ValueError``.
     """
     return _table(_group_series, [(inst, spec)], params_seq, steps, bath)[0][0]
@@ -188,23 +212,24 @@ def markov_evolve(
     step from thermal two-qubit ancillas instead of pure ones;
     ``bath=None`` is the zero-temperature (pure) construction.
 
-    This is one point of :func:`markov_series`, ``params``, with its label
-    blocks kept: the loop runs at d x d, where d, the dimension that
-    :mod:`~noisygrover.noise` gives the system, is ``meta["dim"]``, from
-    the label blocks of |+><+| (x) |s><s|, and returns every step's blocks
-    sigma_0, sigma_1 as ``blocks``, shape (steps + 1, 2, d, d), t = 0
-    included. The blocks live in the span of the orbit basis V
-    (:func:`~noisygrover.noise.orbit_basis`), whose lift
+    The loop runs on the orbit basis, at d x d
+    (:func:`~noisygrover.noise._dicke_operators`), with d as
+    ``meta["dim"]``, from the label blocks of |+><+| (x) |s><s|, and
+    returns every step's blocks sigma_0, sigma_1 as ``blocks``, shape
+    (steps + 1, 2, d, d), t = 0 included. The blocks live in the span of
+    the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), whose lift
     V (sigma_0 + sigma_1) V^T is the N x N register state; nothing here
-    builds V. ``validate`` checks, once after the run, every step's blocks
+    builds V. Its success series is the row of :func:`markov_series` for
+    ``params``, which runs on the weight basis, to rounding. ``validate`` checks, once after the run, every step's blocks
     from t = 0 on at 1e-9 (an isometry keeps trace, hermiticity and the
     nonzero spectrum; at t = 0 that is all the loop reads of the start) and
     raises :class:`InvariantViolation` at the first bad step.
     """
-    _, (group,) = _table_groups([(inst, spec)], [params], bath)
-    g, gp, first, steady, sigma0 = _group_inputs(group)
-    # The group's one system: a batch (1,) of the one point.
-    run = collision_evolve(g[0], gp[0], first, steady, sigma0[0], steps, keep_blocks=True)
+    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    first, steady = transfer_weights([params], bath)
+    # A batch (1,) of the one point.
+    sigma0 = _label_start(projector(s))[None]
+    run = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True)
     if validate:
         require_density(run.blocks[0], 1e-9, what="joint state t={}", blocks=True)
     return EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])

@@ -16,13 +16,21 @@ For U proportional to a Pauli or the identity the success probability
 admits closed forms in the overlaps <w| chi G |s>, and is independent of
 which qubits are hit (identity, sigma_x, sigma_z up to phase) or depends
 only on the parity of m (sigma_y up to phase). Those overlaps and the
-classifier for this "good noise" family live here, and so does the orbit
-space the simulator runs in: the span of :func:`orbit_basis`, its (m, q)
-classes of position sets (:func:`_orbit_class`), and G, G' and |s> there
-from Dicke-basis closed forms in which n enters only through scalars
-(:func:`_orbit_dicke` runs the recursions a table shares, and
-:func:`_orbit_operators` forms the operators from them;
-:func:`_dicke_operators` is the one-system case).
+classifier for this "good noise" family live here, and so do the two
+bases the simulator runs in, each holding |s> and |w> and invariant under
+G and G', with n entering only through scalars:
+
+- the orbit basis, the span of :func:`orbit_basis` for the (m, q) class of
+  the position set (:func:`_orbit_class`), of dimension
+  d = (q + 1)(m - q + 1), doubled when m < n, with G, G' and |s> from
+  Dicke-basis closed forms (:func:`_dicke_operators`). ``markov_evolve``,
+  the witnesses and the verification layer run on it;
+- the weight basis, the span of P_j |s> and P_j |w> with P_j the projector
+  onto total weight j of the noisy qubits in u's eigenbasis, of dimension
+  d' <= 2(m + 1), with G, G' and |s> from u's 2 x 2 eigen frame
+  (:func:`_eigen_frame`) and binomial closed forms of order m
+  (:func:`_weight_coordinates`, :func:`_weight_operators`). The success
+  tables run on it.
 """
 
 from __future__ import annotations
@@ -205,9 +213,10 @@ def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
     symmetric factor into itself, chi leaves C alone, and G is -I plus a
     rank-2 term on span{|s>, |w>}, which lies inside. So d = (q + 1)(m - q + 1)
     nc whatever n is (:func:`_orbit_class`), and no threshold is involved.
-    The simulator builds G, G' and |s> in this basis from closed forms
-    (:func:`_dicke_operators`); V itself only lifts kept states back to
-    N x N and serves the tests as a reference.
+    ``markov_evolve``, the witnesses and the verification layer build G, G'
+    and |s> in this basis from closed forms (:func:`_dicke_operators`); V
+    itself only lifts kept states back to N x N and serves the tests as a
+    reference.
     """
     n = inst.n
     if any(p >= n for p in spec.positions):
@@ -311,38 +320,13 @@ def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _orbit_dicke(
-    systems: Sequence[tuple[int, int, np.ndarray, tuple[int, ...]]],
-) -> list[tuple[int, tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]]]:
-    """(d, (n, m, q, (D^(m-q)(u), D^(q)(X u X)))) of every (n, marked, u,
-    positions) system, in order, with u its 2 x 2 noise matrix: its orbit
-    dimension and class (:func:`_orbit_class`) and the Dicke pair that
-    :func:`_orbit_operators` takes. n = 0 gives the 1 x 1 case. Every
-    position set is checked first; then one recursion
-    (:func:`_dicke_powers`) runs per distinct u, on the pair (u, X u X), up
-    to the largest max(m - q, q) of the systems. Each power is formed
-    elementwise from its own weights and the power before it, so it does
-    not depend on how far the recursion runs."""
-    classes = [_orbit_class(n, marked, positions) for n, marked, _, positions in systems]
-    top = max((max(m - q, q) for m, q, _ in classes), default=0)
-    powers = {}
-    out = []
-    for (n, _, u, _), (m, q, d) in zip(systems, classes):
-        key = u.tobytes()
-        if key not in powers:
-            powers[key] = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), top)
-        of_pair = powers[key]
-        out.append((d, (n, m, q, (of_pair[m - q][0], of_pair[q][1]))))
-    return out
-
-
-def _orbit_operators(
-    systems: Sequence[tuple[int, int, int, tuple[ComplexMatrix, ComplexMatrix]]],
+def _dicke_operators(
+    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
 ) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
-    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, stacked
-    (S, d, d) and (S, d) over S systems of one d, each an (n, m, q, Dicke
-    pair) item of :func:`_orbit_dicke`; |w> is column 0 and G and |s> are
-    real. Nothing of size 2^n is formed.
+    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d
+    and d, of one system, built from n, the marked index, the 2 x 2 matrix
+    ``u`` and the noisy positions only; |w> is column 0 and G and |s> are
+    real. n = 0 gives the 1 x 1 case. Nothing of size 2^n is formed.
 
     Flipping the q noisy qubits where the marked index has a 1 bit maps the
     class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
@@ -355,40 +339,174 @@ def _orbit_operators(
         s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
 
     with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n. chi and |s> are
-    formed per system, since systems of one d may differ in their
-    Kronecker factors' shapes; G (:func:`reduced_grover_operator`) and
-    G' = chi G are formed once for the stacks.
+    order of :func:`orbit_basis`; nc = 1 when m = n. One recursion
+    (:func:`_dicke_powers`) on the pair (u, X u X) up to max(m - q, q)
+    gives both Dicke factors.
     """
-    chi, s = [], []
-    for n, m, q, dicke in systems:
-        lifted = _kron(*dicke)
-        clean = (1,)  # class sizes on C
-        if m < n:
-            lifted = _kron(lifted, _EYE2)
-            clean = (1, 2 ** (n - m) - 1)
-        N = 2**n
-        chi.append(lifted)
-        s.append(np.sqrt([
-            math.comb(m - q, j) * math.comb(q, k) * size / N
-            for j in range(m - q + 1)
-            for k in range(q + 1)
-            for size in clean
-        ]))
-    chi, s = np.array(chi), np.array(s)
-    g = reduced_grover_operator(s, 0, [2**n for n, *_ in systems])
+    m, q, _ = _orbit_class(n, marked, positions)
+    powers = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), max(m - q, q))
+    chi = _kron(powers[m - q][0], powers[q][1])
+    clean = (1,)  # class sizes on C
+    if m < n:
+        chi = _kron(chi, _EYE2)
+        clean = (1, 2 ** (n - m) - 1)
+    N = 2**n
+    s = np.sqrt([
+        math.comb(m - q, j) * math.comb(q, k) * size / N
+        for j in range(m - q + 1)
+        for k in range(q + 1)
+        for size in clean
+    ])
+    g = reduced_grover_operator(s, 0, N)
     return chi, g, chi @ g, s
 
 
-def _dicke_operators(
-    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
-) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
-    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d
-    and d, of one system: the one-system case of :func:`_orbit_dicke` and
-    :func:`_orbit_operators`, built from n, the marked index, the 2 x 2
-    matrix ``u`` and the noisy positions only."""
-    ((_, system),) = _orbit_dicke([(n, marked, u, positions)])
-    return tuple(part[0] for part in _orbit_operators([system]))
+def _eigen_frame(u: SingleQubitUnitary) -> tuple[tuple[complex, complex], ...]:
+    """(l, p, z, z') of u: its eigenvalues l = (l0, l1), each of modulus 1,
+    and the coordinates p = V^dagger |+>, z = V^dagger |0> and
+    z' = V^dagger |1> in its eigenbasis V = (v0, v1), from scalars alone.
+
+    e^(-i theta/2) u = Re(alpha) I + i r.sigma with alpha = a e^(-i theta/2),
+    beta = b e^(-i theta/2) and r = (Im beta, Re beta, Im alpha). So v0 is
+    the +1 eigenvector of the unit axis r/|r| . sigma, taken from whichever
+    of its two closed forms has the larger norm, v1 = (-conj v0[1],
+    conj v0[0]) is orthogonal to it by construction, and l = e^(i theta/2)
+    (Re alpha +- i |r|), each divided by its modulus. r = 0 (u a multiple
+    of I) gives V = I.
+    """
+    half = cmath.exp(-0.5j * u.theta)
+    alpha, beta = u.a * half, u.b * half
+    size = math.hypot(beta.imag, beta.real, alpha.imag)
+    v0 = (1.0 + 0j, 0j)
+    if size:
+        nx, ny, nz = beta.imag / size, beta.real / size, alpha.imag / size
+        norm = math.sqrt(2.0 * (1.0 + abs(nz)))
+        if nz >= 0.0:
+            v0 = ((1.0 + nz) / norm + 0j, complex(nx, ny) / norm)
+        else:
+            v0 = (complex(nx, -ny) / norm, (1.0 - nz) / norm + 0j)
+    v1 = (-v0[1].conjugate(), v0[0].conjugate())
+    l0, l1 = (complex(alpha.real, sign * size) for sign in (1.0, -1.0))
+    l0, l1 = l0 / (abs(l0) * half), l1 / (abs(l1) * half)
+    root = math.sqrt(0.5)
+    p = tuple((v[0] + v[1]).conjugate() * root for v in (v0, v1))
+    z = (v0[0].conjugate(), v1[0].conjugate())
+    zf = (v0[1].conjugate(), v1[1].conjugate())
+    return (l0, l1), p, z, zf
+
+
+def _binomial_product(k0: int, a: tuple, k1: int, b: tuple) -> list:
+    """The coefficients of t^0 .. t^(k0 + k1) in (a0 + a1 t)^k0 (b0 + b1 t)^k1."""
+    left = [math.comb(k0, i) * a[0] ** (k0 - i) * a[1] ** i for i in range(k0 + 1)]
+    right = [math.comb(k1, i) * b[0] ** (k1 - i) * b[1] ** i for i in range(k1 + 1)]
+    out = [0.0] * (k0 + k1 + 1)
+    for i, x in enumerate(left):
+        for k, y in enumerate(right):
+            out[i + k] += x * y
+    return out
+
+
+def _weight_coordinates(n: int, m: int, q: int, frame) -> tuple[list, list, list, int]:
+    """(lambda, s, w, N): the eigenvalue of chi and the coordinates of |s>
+    and |w> on each of the d' slots of the weight basis of class (m, q) on
+    n qubits, from u's :func:`_eigen_frame` alone, and N = 2^n.
+
+    The weight basis spans P_j |s> and P_j |w>, with P_j the projector onto
+    total weight j = 0 .. m of the noisy qubits in u's eigenbasis; chi is
+    the scalar lambda_j = l0^(m-j) l1^j (divided by its modulus) on that
+    block, so the span holds |s> and |w> and is invariant under chi and G.
+    In the frame of :func:`_dicke_operators` the m - q group sees u and the
+    q group X u X, whose eigenvectors are X v_i, and a product state
+    phi^(x k) has eigen-Dicke coordinates sqrt(C(k, a)) (v0^dagger phi)^(k-a)
+    (v1^dagger phi)^a. With p, z, z' of the frame, x = P_j s and y = P_j w:
+
+        |x| = sqrt(C(m, j)) |p0|^(m-j) |p1|^j,
+        |y|^2 = [t^j] (|z0|^2 + |z1|^2 t)^(m-q) (|z'0|^2 + |z'1|^2 t)^q,
+        x^dagger y = g0 conj(p0)^(m-j) conj(p1)^j
+                     [t^j] (z0 + z1 t)^(m-q) (z'0 + z'1 t)^q,
+
+    with g0 = 2^(-(n-m)/2) the overlap of the clean parts. Slot j, 0 is
+    x / |x| and slot j, 1 the rest of y: |s> reads (|x|, 0) and |w> reads
+    (c, sqrt(max(|y|^2 - |c|^2, 0))) with c = x^dagger y / |x|, formed as
+    g0 e0^(m-j) e1^j [t^j](...) / sqrt(C(m, j)) with e_i = conj(p_i) / |p_i|,
+    so a tiny |x| loses nothing; a zero p_i takes e_i = 1. The second slot
+    exists where the
+    weight-j block of the orbit space, of dimension
+    nc #{a + b = j : a <= m - q, b <= q}, is not a line; chi is lambda_j on
+    the whole block, so its value is exact even when it is 0. So d' depends
+    on (n, m, q) alone: 2(m + 1) when m < n (nc = 2), and at m = n, m + 1
+    when q = 0 or q = m and 2m otherwise.
+    """
+    (l0, l1), p, z, zf = frame
+    size = (abs(p[0]), abs(p[1]))
+    phase = tuple(c.conjugate() / a if a else 1.0 for c, a in zip(p, size))
+    y_norms = _binomial_product(m - q, (abs(z[0]) ** 2, abs(z[1]) ** 2),
+                                q, (abs(zf[0]) ** 2, abs(zf[1]) ** 2))
+    overlaps = _binomial_product(m - q, z, q, zf)
+    clean = 2.0 ** (-(n - m) / 2)
+    lam, s, w = [], [], []
+    for j in range(m + 1):
+        root = math.sqrt(math.comb(m, j))
+        c = clean * phase[0] ** (m - j) * phase[1] ** j * overlaps[j] / root
+        eigenvalue = l0 ** (m - j) * l1**j
+        lam.append(eigenvalue / abs(eigenvalue))
+        s.append(root * size[0] ** (m - j) * size[1] ** j)
+        w.append(c)
+        if m < n or 0 < j < m and 0 < q < m:
+            lam.append(lam[-1])
+            s.append(0.0)
+            w.append(math.sqrt(max(y_norms[j] - abs(c) ** 2, 0.0)))
+    return lam, s, w, 2**n
+
+
+def _weight_operators(coordinates) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
+    """(G, G', |s>), stacked (S, d', d') and (S, d'), of S systems of one d'
+    from their :func:`_weight_coordinates`, with |w> at index 0 and G and
+    |s> real.
+
+    The basis change is B = P H. The Householder reflection
+    H = I - c v v^dagger, v = w + e^(i phi) e_0 with w normalized, e^(i phi)
+    the phase of w_0 and c = 1 / (1 + |w_0|), maps w onto -e^(i phi) e_0,
+    and the diagonal phase P makes H s real and nonnegative. With y = P v
+    and mu = sum_k lambda_k |v_k|^2, chi = B diag(lambda) B^dagger is
+    diag(lambda) plus a rank-2 term,
+
+        chi[k, l] = lambda_k delta_kl + y_k conj(y_l) (c^2 mu - c (lambda_k + lambda_l)),
+
+    G is :func:`reduced_grover_operator` of |s> and G' = chi G. |s> is
+    |H s| with s_0 = <w|s> = sqrt(1/N) put back, as the orbit basis has it,
+    and the rest scaled to norm sqrt(1 - 1/N): H leaves an absolute rounding
+    error in every entry, and s_0 sets every step's rotation angle. The
+    reflection runs on scalars, per system; the matrices are formed for the
+    whole stack.
+    """
+    rows, sizes = [], []
+    for lam, s, w, N in coordinates:
+        overlap = math.sqrt(1.0 / N)
+        norm = math.sqrt(sum(abs(x) ** 2 for x in w))
+        head = abs(w[0]) / norm
+        phase = w[0] / (head * norm) if head else 1.0
+        v = [w[0] / norm + phase] + [x / norm for x in w[1:]]
+        c = 1.0 / (1.0 + head)
+        # H s = s - c v (v^dagger s), with v^dagger s = <w|s> + conj(phase) s_0
+        t = c * (overlap + phase.conjugate() * s[0])
+        hs = [b - a * t for a, b in zip(v, s)]
+        rest = [abs(x) for x in hs[1:]]
+        scale = math.sqrt((1.0 - overlap**2) / sum(x * x for x in rest))
+        y = [a * b.conjugate() / abs(b) if b else a for a, b in zip(v, hs)]
+        mu = sum(x * abs(a) ** 2 for x, a in zip(lam, v))
+        # chi = diag(lambda) + y left^T + right y^dagger
+        left = [b.conjugate() * (c * c * mu - c * x) for x, b in zip(lam, y)]
+        right = [-c * x * b for x, b in zip(lam, y)]
+        y_dag = [b.conjugate() for b in y]
+        rows.append((lam, y, left, right, y_dag, [overlap] + [x * scale for x in rest]))
+        sizes.append(N)
+    lam, y, left, right, y_dag, s = np.array(rows).transpose(1, 0, 2)
+    chi = y[:, :, None] * left[:, None, :] + right[:, :, None] * y_dag[:, None, :]
+    chi.reshape(len(chi), -1)[:, :: lam.shape[-1] + 1] += lam
+    s = s.real.copy()
+    g = reduced_grover_operator(s, 0, np.array(sizes, dtype=float))
+    return g, chi @ g, s
 
 
 @dataclass(frozen=True)

@@ -278,13 +278,10 @@ def dicke_powers_loop(a, k):
     return powers
 
 
-# The orbit operators as they were built before one builder served every
-# caller: the verification subcommands and the witnesses ran one recursion
-# per system, up to its own max(m - q, q), and formed G and G' one system
-# at a time; the success tables ran one recursion per distinct u up to the
-# table's largest m and formed G and G' on a d-group's stacks. Kept as the
-# references that noise._orbit_dicke and noise._orbit_operators must equal
-# bitwise.
+# The orbit operators as the verification subcommands and the witnesses
+# built them, one recursion per system up to its own max(m - q, q) and G
+# and G' one system at a time: the reference that noise._dicke_operators
+# must equal bitwise.
 
 
 def orbit_lift_loop(n, m, q, dicke):
@@ -327,24 +324,6 @@ def split_operators_loop(inst, spec):
     s = np.kron(_PLUS.real, s)
     g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
     return g, chi @ g, s
-
-
-def group_operators_loop(systems):
-    """(chi, G, G', |s>) stacked over (inst, spec) systems of one d: each
-    u's recursion up to the largest m of ``systems``, chi and |s> lifted
-    per system, G cast to complex before G' = chi G."""
-    top = max(len(spec.positions) for _, spec in systems)
-    chi, s = [], []
-    for inst, spec in systems:
-        m, q, _ = noise._orbit_class(inst.n, inst.marked, spec.positions)
-        u = spec.u.matrix
-        powers = noise._dicke_powers(np.array((u, noise._FLIP @ u @ noise._FLIP)), top)
-        lifted = orbit_lift_loop(inst.n, m, q, (powers[m - q][0], powers[q][1]))
-        chi.append(lifted[0])
-        s.append(lifted[1])
-    s = np.array(s)
-    g = reduced_grover_operator(s, 0, [inst.N for inst, _ in systems]).astype(complex)
-    return np.array(chi), g, np.array(chi) @ g, s
 
 
 def chunks_loop(sizes, budget):

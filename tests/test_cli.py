@@ -907,6 +907,17 @@ def test_emit_rejects_unknown_format(tmp_path):
             emit(table, "yaml", fh)
 
 
+@pytest.mark.parametrize("rows", [
+    [], [[0]], [[0, 0.5, -1e-300, 1.0]], [[1, float("nan")], [2, float("inf")], [3, -0.0]],
+])
+def test_json_rows_are_what_json_dumps_writes(rows):
+    table = ResultTable({"command": "x", "steps": "3"}, ["a", "b"], rows)
+    stream = io.StringIO()
+    emit(table, "json", stream)
+    payload = {"meta": table.meta, "columns": table.columns, "rows": rows}
+    assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
 class _CountingStream(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -993,6 +1004,15 @@ def test_cli_does_not_import_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_does_not_import_concurrent_futures():
+    # It costs a few ms of every start (logging and threading come with
+    # it), and only a run with --jobs above 1 uses it.
+    code = "import sys, noisygrover.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_help_and_version():

@@ -111,14 +111,22 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
     for rho in (projector(uniform_superposition(INST3)), random_density(5, rng)):
         joint = tensor(projector(markov._PLUS), rho)
         assert np.array_equal(markov._label_start(rho), label_blocks(joint))
+    # The success tables start from |s> of the weight basis, markov_evolve
+    # from |s> of the orbit basis.
+    params = MarkovNoiseParams(0.3, 0.6)
     for n, m in ((3, 1), (4, 4), (5, 2)):
         inst, spec = GroverInstance(n, 2**n - 2), noise_spec(noise_unitary("hadamard"), m, n)
-        _, (group,) = markov._table_groups([(inst, spec)], [MarkovNoiseParams(0.3, 0.6)], None)
+        _, (group,) = markov._table_groups([(inst, spec)], [params], None)
         sigma0 = markov._group_inputs(group)[4]
-        s = noise._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[3]
+        m, q, _ = noise._orbit_class(n, inst.marked, spec.positions)
+        coordinates = noise._weight_coordinates(n, m, q, noise._eigen_frame(spec.u))
+        s = noise._weight_operators([coordinates])[2][0]
         joint = tensor(projector(markov._PLUS), projector(s))
         assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
         assert np.array_equal(sigma0[0, 0], label_blocks(joint))
+        s = noise._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[3]
+        joint = tensor(projector(markov._PLUS), projector(s))
+        assert np.array_equal(markov_evolve(inst, spec, params, 0).blocks[0], label_blocks(joint))
 
 
 def test_noiseless_limit_recovers_ideal_series():

@@ -1,8 +1,9 @@
-"""The buffered step loop, the stacked Dicke recursion and the operators
-built per d-group, each against its reference in support.py, bitwise; the
-one orbit-operator builder against the per-system and per-table builds it
-replaced, bitwise; the loop's memory without kept blocks; and
-``verify_dilation``'s prefix stability in the number of trials."""
+"""The buffered step loop and the stacked Dicke recursion, each against its
+reference in support.py, bitwise; the weight-basis operators of a d'-group
+against each system's alone, bitwise; the one orbit-operator builder
+against the per-system build it replaced, bitwise; the loop's memory
+without kept blocks; and ``verify_dilation``'s prefix stability in the
+number of trials."""
 
 import tracemalloc
 
@@ -12,7 +13,6 @@ from support import (
     dicke_operators_loop,
     dicke_powers_loop,
     evolve_loop,
-    group_operators_loop,
     haar_noise,
     split_operators_loop,
 )
@@ -39,26 +39,32 @@ POINTS = [MarkovNoiseParams(p, mu) for p in (0.0, 0.37, 1.0) for mu in (0.0, 0.6
 BATHS = {"pure": None, "cold": thermal_weights(0.01), "warm": thermal_weights(0.7)}
 
 
+def _weight_dim(n, marked, positions):
+    m, q, _ = noise._orbit_class(n, marked, positions)
+    return len(noise._weight_coordinates(n, m, q, noise._eigen_frame(U))[0])
+
+
 def _systems(d):
-    """Three (inst, spec) systems of orbit dimension d, each on its own n,
-    so their first maxima fall at different steps."""
+    """Three (inst, spec) systems of weight-basis dimension d', each on its
+    own n, so their first maxima fall at different steps."""
     found = []
-    for n in (4, 6, 9):
+    for n in (4, 6, 7, 8):
         for marked in range(2**n):
             hits = [
                 positions
                 for positions in [()] + noise._orbit_representatives(n, marked)
-                if noise._orbit_class(n, marked, positions)[2] == d
+                if _weight_dim(n, marked, positions) == d
             ]
             if hits:
                 found.append((GroverInstance(n, marked), noise_spec(U, len(hits[0]), n, hits[0])))
                 break
-    assert len(found) == 3, d
-    return found
+        if len(found) == 3:
+            return found
+    raise AssertionError(d)
 
 
 def _group(d, bath=None):
-    """The inputs of the one d-group of three systems against POINTS:
+    """The inputs of the one d'-group of three systems against POINTS:
     G, G' and the start (3, 1, ...) and the weights (9, 2, 2, 2), so the
     operators broadcast over a (3, 9) batch."""
     members, (group,) = markov._table_groups(_systems(d), POINTS, bath)
@@ -131,12 +137,11 @@ def test_stacked_dicke_pair_equals_each_matrix_alone_bitwise():
 def test_group_operators_equal_each_system_alone_bitwise(d):
     systems = _systems(d)
     g, gp, _, _, sigma0 = _group(d)
-    for i, (inst, spec) in enumerate(systems):
-        _, g_i, gp_i, s_i = noise._dicke_operators(
-            inst.n, inst.marked, spec.u.matrix, spec.positions
-        )
-        assert np.array_equal(g[i, 0], g_i) and np.array_equal(gp[i, 0], gp_i)
-        assert np.array_equal(sigma0[i, 0], markov._label_start(projector(s_i)))
+    for i, system in enumerate(systems):
+        _, (alone,) = markov._table_groups([system], POINTS, None)
+        g_i, gp_i, _, _, sigma0_i = markov._group_inputs(alone)
+        assert np.array_equal(g[i, 0], g_i[0, 0]) and np.array_equal(gp[i, 0], gp_i[0, 0])
+        assert np.array_equal(sigma0[i, 0], sigma0_i[0, 0])
 
 
 # The five presets and two Haar draws.
@@ -185,11 +190,10 @@ def test_split_operators_equal_the_per_system_build_bitwise(n):
                 _same(measures._split_operators(inst, spec), split_operators_loop(inst, spec))
 
 
-def test_table_of_two_unitaries_shares_each_recursion_bitwise(monkeypatch):
-    # Two unitaries across systems of several d, one d-group holding both:
-    # one recursion per distinct u, up to the largest max(m - q, q), and
-    # every group's operators bitwise those of the per-table build, whose
-    # recursions ran up to the largest m.
+def test_table_of_two_unitaries_shares_each_eigen_frame_bitwise(monkeypatch):
+    # Two unitaries across systems of several d', one d'-group holding
+    # both: one eigen frame per distinct u, no Dicke recursion, and every
+    # group's operators bitwise those of each system built alone.
     other = UNITARIES[-1]
     systems = [
         (GroverInstance(5, 9), noise_spec(U, 2, 5, (0, 3))),
@@ -199,22 +203,30 @@ def test_table_of_two_unitaries_shares_each_recursion_bitwise(monkeypatch):
         (GroverInstance(7, 5), noise_spec(other, 6, 7)),
         (GroverInstance(3, 2), noise_spec(U, 1, 3, (1,))),
     ]
-    real, depths = noise._dicke_powers, []
+    real, frames = noise._eigen_frame, []
 
-    def spy(a, k):
-        depths.append(k)
-        return real(a, k)
+    def spy(u):
+        frames.append(u)
+        return real(u)
 
-    monkeypatch.setattr(noise, "_dicke_powers", spy)
+    def no_recursion(*args):
+        raise AssertionError("Dicke recursion on the success path")
+
+    monkeypatch.setattr(markov, "_eigen_frame", spy)
+    monkeypatch.setattr(noise, "_dicke_powers", no_recursion)
     members, groups = markov._table_groups(systems, POINTS, None)
-    # the largest max(m - q, q) is 5, of n = 7, m = 6, q = 1; the largest m is 6
-    assert depths == [5, 5]
-    assert [0, 1] in members
-    monkeypatch.setattr(noise, "_dicke_powers", real)
+    assert frames == [U, other]
+    # d' = 6, 6, 10, 5 (m = n = 4, q = 4), 14, 4
+    assert members == [[0, 1], [2], [3], [4], [5]]
     for index, group in zip(members, groups, strict=True):
-        chi, _, _, s = noise._orbit_operators(group[0])
-        g, gp, _, _, _ = markov._group_inputs(group)
-        _same((chi, g[:, 0], gp[:, 0], s), group_operators_loop([systems[i] for i in index]))
+        g, gp, _, _, sigma0 = markov._group_inputs(group)
+        for k, i in enumerate(index):
+            inst, spec = systems[i]
+            m, q, _ = noise._orbit_class(inst.n, inst.marked, spec.positions)
+            coordinates = noise._weight_coordinates(inst.n, m, q, real(spec.u))
+            g_i, gp_i, s_i = noise._weight_operators([coordinates])
+            assert np.array_equal(g[k, 0], g_i[0]) and np.array_equal(gp[k, 0], gp_i[0])
+            assert np.array_equal(sigma0[k, 0], markov._label_start(projector(s_i[0])))
 
 
 def test_evolve_without_blocks_keeps_no_step_history():

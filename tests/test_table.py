@@ -1,4 +1,4 @@
-"""The step loop over stacked systems and the tables that group systems by d:
+"""The step loop over stacked systems and the tables that group systems by d':
 stacked G, G' and start blocks against one call per member, the step's two
 shapes, the first-maximum reader's shrinking batch, the grouped series
 against per-class ``markov_series``, and the input checks of both."""
@@ -21,13 +21,13 @@ PRESETS = ("identity", "x", "y", "z", "hadamard")
 
 
 def _stack(systems, params, bath=None):
-    # The inputs of one d-group, through the grouping itself.
+    # The inputs of one d'-group, through the grouping itself.
     members, groups = markov._table_groups(systems, params, bath)
     assert members == [list(range(len(systems)))]
     return markov._group_inputs(groups[0])
 
 
-# Systems of equal d = 4 (m = 1 < n, q = 0 or 1) whose first maxima fall at
+# Systems of equal d' = 4 (m = 1 < n) whose first maxima fall at
 # very different steps: t* grows like sqrt(N).
 U = haar_noise(np.random.default_rng(5))
 SPREAD = [(GroverInstance(n, 2**n - 1 - n), noise_spec(U, 1, n, (n // 2,))) for n in (2, 4, 6, 9)]
@@ -181,8 +181,10 @@ def test_grouped_series_equal_per_class_markov_series(n):
 
 
 def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
-    calls = {"powers": 0, "weights": 0}
-    real_powers, real_weights = noise._dicke_powers, markov.transfer_weights
+    calls = {"powers": 0, "frames": 0, "weights": 0}
+    real_powers, real_frame, real_weights = (
+        noise._dicke_powers, markov._eigen_frame, markov.transfer_weights
+    )
 
     def count(name, real):
         def wrapper(*args, **kwargs):
@@ -191,17 +193,18 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(noise, "_dicke_powers", count("powers", real_powers))
+    monkeypatch.setattr(markov, "_eigen_frame", count("frames", real_frame))
     monkeypatch.setattr(markov, "transfer_weights", count("weights", real_weights))
     inst = GroverInstance(5, 6)  # 00110
     systems = [(inst, noise_spec(U, len(c), 5, c)) for c in ((0,), (2,), (0, 1), (0, 2), (2, 3))]
     members, groups = markov._table_groups(systems, POINTS, None)
-    # d = 4, 4, 6, 8, 6 (m = 1, 1, 2, 2, 2 and q = 0, 1, 0, 1, 2), each doubled.
-    assert members == [[0, 1], [2, 4], [3]]
+    # d' = 2(m + 1) for m < n whatever q is: 4, 4, 6, 6, 6 (m = 1, 1, 2, 2, 2).
+    assert members == [[0, 1], [2, 3, 4]]
     assert [markov._group_inputs(group)[0].shape for group in groups] == [
-        (2, 1, 4, 4), (2, 1, 6, 6), (1, 1, 8, 8)
+        (2, 1, 4, 4), (3, 1, 6, 6)
     ]
-    # One recursion on the pair (u, X u X), one weights call, per table.
-    assert calls == {"powers": 1, "weights": 1}
+    # One eigen frame of u, one weights call, per table; no Dicke recursion.
+    assert calls == {"powers": 0, "frames": 1, "weights": 1}
 
 
 def test_stack_inputs_are_checked():
