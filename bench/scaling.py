@@ -4,24 +4,31 @@ Usage, from the root of a checkout::
 
     python3 bench/scaling.py --label change
     python3 bench/scaling.py --root /path/to/other/checkout --label parent
+    python3 bench/scaling.py --parent /path/to/parent/checkout
 
 Each run in ``RUNS`` is one ``noisygrover`` command, started ``--repeats``
 times, each time in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1``
-and the ``src`` of ``--root`` first on ``sys.path``. A run records the
-min and median wall time of those starts (interpreter start and imports
-included) and the largest peak resident set size of one of them. Each
-table is compared with ``bench/reference.json``: the largest absolute
-difference of its float cells and the number of int cells that differ,
-and the run is marked ``ok`` only if the first is at most 1e-12 and the
-second 0. The record goes into ``BENCH_37.json`` at the root of this
-checkout under ``--label``, next to the records already there.
-``--write-reference`` stores the tables of ``--root`` as the reference
-instead; the committed reference holds those of the orbit-basis success
-tables, before the weight basis.
+and the ``src`` of ``--root`` first on ``sys.path``. With ``--parent``,
+each start in ``--root`` follows one in the parent checkout, so the two
+alternate, and both records are written, under ``parent`` and
+``--label``. A run records the min and median wall time of those starts
+(interpreter start and imports included) and the largest peak resident
+set size of one of them. Each table is compared with
+``bench/reference.json``: the largest absolute difference of its float
+cells and the number of int cells that differ, and the run is marked
+``ok`` only if the first is at most 1e-12 and the second 0. The records
+go into ``BENCH_38.json`` at the root of this checkout, next to the
+records already there. ``--runs`` picks runs by name.
+``--write-reference`` stores the tables of ``--root`` for those runs in
+the reference, next to the ones already there. The committed reference
+holds the tables of the orbit basis: the success tables from before the
+weight basis, and the witness tables from before the witnesses moved to
+it.
 
 Nothing in the test suite or CI runs this script, and no bound here gates
-anything: the d = 256 verification caps take seconds, and the orbit-basis
-success tables took 5-7 s per `invariance` run.
+anything: the d = 256 verification caps take seconds, the orbit-basis
+success tables took 5-7 s per `invariance` run, and the orbit-basis
+witnesses at n = 30..40 took 6-11 s and 1.5-1.7 GiB per table.
 """
 
 from __future__ import annotations
@@ -35,14 +42,18 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import Optional
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 REFERENCE_PATH = os.path.join(HERE, "reference.json")
-OUT_PATH = os.path.join(ROOT, "BENCH_37.json")
+OUT_PATH = os.path.join(ROOT, "BENCH_38.json")
 TOL = 1e-12
+
+# 20 values in (0, 1) for p and for mu: a 20 x 20 grid.
+_GRID = ",".join(f"{0.025 + 0.05 * i:.3f}" for i in range(20))
 
 # (name, argv): the success tables at scale, whose step loops run at the
 # dimension the representation gives each system, and the two verification
@@ -61,6 +72,30 @@ RUNS = (
     ("oracle-check-cap", [
         "oracle-check", "--n", "30", "--m", "30", "--marked", "1073709056",
         "--noise", "hadamard", "--steps", "12",
+    ]),
+    # The witnesses at scale: orbit d = 512 against d' = 62 for cpdiv, and
+    # dim W = 440 against 80 for blp and each temperature of thermal.
+    ("cpdiv-n40", [
+        "cpdiv", "--n", "40", "--m", "30", "--marked", "1073709056", "--noise", "hadamard",
+        "--p", "0.3,0.7", "--mu", "0.6,0.9", "--steps", "20",
+    ]),
+    ("blp-n30", [
+        "blp", "--n", "30", "--m", "20", "--marked", "1048575", "--noise", "hadamard",
+        "--p", "0.3", "--mu", "0.6", "--steps", "45",
+    ]),
+    ("thermal-n30", [
+        "thermal", "--n", "30", "--m", "20", "--marked", "1048575", "--noise", "hadamard",
+        "--p", "0.3", "--mu", "0.6", "--steps", "45", "--temps", "0.5,2",
+    ]),
+    # 400 (p, mu) points at small d, where the witnesses' kept blocks
+    # over the whole grid set the peak memory.
+    ("blp-grid-n6", [
+        "blp", "--n", "6", "--m", "2", "--marked", "34", "--noise", "hadamard",
+        "--p", _GRID, "--mu", _GRID, "--steps", "45",
+    ]),
+    ("cpdiv-grid-n6", [
+        "cpdiv", "--n", "6", "--m", "2", "--marked", "34", "--noise", "hadamard",
+        "--p", _GRID, "--mu", _GRID, "--steps", "45",
     ]),
 )
 
@@ -111,50 +146,74 @@ def environment() -> dict:
     }
 
 
+def measure(src: str, argv: list[str], output: str) -> tuple[float, float, dict]:
+    """(wall seconds, peak RSS in MiB, table without its meta) of one start."""
+    wall, peak = run_once(src, argv, output)
+    with open(output, encoding="utf-8") as fh:
+        table = {key: value for key, value in json.load(fh).items() if key != "meta"}
+    return wall, peak, table
+
+
+def record(argv: list[str], starts: list, reference: Optional[dict]) -> dict:
+    """The record of one run from its starts' (wall, peak, table)."""
+    walls = [wall for wall, _, _ in starts]
+    out = {
+        "argv": argv,
+        "wall_min_s": min(walls),
+        "wall_median_s": statistics.median(walls),
+        "walls_s": walls,
+        "peak_rss_mib": max(peak for _, peak, _ in starts),
+    }
+    if reference is not None:
+        out["max_abs_dev"], out["int_mismatches"] = deviation(starts[-1][2], reference)
+        out["ok"] = out["max_abs_dev"] <= TOL and not out["int_mismatches"]
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT, help="checkout whose src is run")
-    parser.add_argument("--label", default="change", help="key of this record in BENCH_37.json")
+    parser.add_argument("--label", default="change", help="key of this record in BENCH_38.json")
+    parser.add_argument("--parent", help="checkout whose starts alternate with those of --root")
     parser.add_argument("--repeats", type=int, default=3, help="fresh starts per run")
+    parser.add_argument("--runs", help="comma-separated names of the runs to start (default all)")
     parser.add_argument("--write-reference", action="store_true",
-                        help="store the tables of --root as bench/reference.json")
+                        help="store the tables of --root in bench/reference.json")
     args = parser.parse_args()
-    src = os.path.join(os.path.abspath(args.root), "src")
-    reference = {}
-    if not args.write_reference:
-        with open(REFERENCE_PATH, encoding="utf-8") as fh:
-            reference = json.load(fh)
-    records, tables = {}, {}
+    runs = RUNS
+    if args.runs:
+        names = args.runs.split(",")
+        unknown = sorted(set(names) - {name for name, _ in RUNS})
+        if unknown:
+            raise SystemExit(f"error: unknown runs {unknown}")
+        runs = [(name, argv) for name, argv in RUNS if name in names]
+    roots = {args.label: args.root}
+    if args.parent and not args.write_reference:
+        roots = {"parent": args.parent, args.label: args.root}
+    srcs = {label: os.path.join(os.path.abspath(root), "src") for label, root in roots.items()}
+    with open(REFERENCE_PATH, encoding="utf-8") as fh:
+        reference = json.load(fh)
+    records = {label: {} for label in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RUNS:
-            output = os.path.join(tmp, f"{name}.json")
-            walls, peaks = [], []
+        output = os.path.join(tmp, "table.json")
+        for name, argv in runs:
+            starts = {label: [] for label in roots}
             for _ in range(args.repeats):
-                wall, peak = run_once(src, argv, output)
-                walls.append(wall)
-                peaks.append(peak)
-            with open(output, encoding="utf-8") as fh:
-                tables[name] = {key: value for key, value in json.load(fh).items() if key != "meta"}
-            record = {
-                "argv": argv,
-                "wall_min_s": min(walls),
-                "wall_median_s": statistics.median(walls),
-                "walls_s": walls,
-                "peak_rss_mib": max(peaks),
-            }
-            if name in reference:
-                record["max_abs_dev"], record["int_mismatches"] = deviation(
-                    tables[name], reference[name]
-                )
-                record["ok"] = record["max_abs_dev"] <= TOL and not record["int_mismatches"]
-            records[name] = record
-            print(f"{name}: min {record['wall_min_s']:.3f} s, median "
-                  f"{record['wall_median_s']:.3f} s, peak {record['peak_rss_mib']:.1f} MiB, "
-                  f"max |dev| {record.get('max_abs_dev', 'n/a')}, int cells differing "
-                  f"{record.get('int_mismatches', 'n/a')}", flush=True)
+                for label, src in srcs.items():
+                    starts[label].append(measure(src, argv, output))
+            for label in roots:
+                rec = record(argv, starts[label], None if args.write_reference
+                             else reference.get(name))
+                records[label][name] = rec
+                if args.write_reference:
+                    reference[name] = starts[label][-1][2]
+                print(f"{label} {name}: min {rec['wall_min_s']:.3f} s, median "
+                      f"{rec['wall_median_s']:.3f} s, peak {rec['peak_rss_mib']:.1f} MiB, "
+                      f"max |dev| {rec.get('max_abs_dev', 'n/a')}, int cells differing "
+                      f"{rec.get('int_mismatches', 'n/a')}", flush=True)
     if args.write_reference:
         with open(REFERENCE_PATH, "w", encoding="utf-8") as fh:
-            json.dump(tables, fh, indent=1)
+            json.dump(reference, fh, indent=1)
             fh.write("\n")
         return 0
     bench = {}
@@ -163,17 +222,19 @@ def main() -> int:
             bench = json.load(fh)
     bench.setdefault("description", (
         "bench/scaling.py records: each CLI run started --repeats times in a fresh "
-        "interpreter with OPENBLAS_NUM_THREADS=1; wall times include interpreter start "
-        "and imports; peak_rss_mib is the largest ru_maxrss of the starts; max_abs_dev "
-        "and int_mismatches compare the table with bench/reference.json."
+        "interpreter with OPENBLAS_NUM_THREADS=1, alternating with the parent checkout's "
+        "starts when both are recorded; wall times include interpreter start and imports; "
+        "peak_rss_mib is the largest ru_maxrss of the starts; max_abs_dev and "
+        "int_mismatches compare the table with bench/reference.json."
     ))
-    bench.setdefault("records", {})[args.label] = {
-        "environment": environment(), "repeats": args.repeats, "runs": records,
-    }
+    for label, recs in records.items():
+        bench.setdefault("records", {})[label] = {
+            "environment": environment(), "repeats": args.repeats, "runs": recs,
+        }
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    return 0 if all(r.get("ok", True) for r in records.values()) else 1
+    return 0 if all(r.get("ok", True) for recs in records.values() for r in recs.values()) else 1
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ step loop per distinct weight-basis dimension d' <= 2(m + 1), which runs
 every system of that d' against every (p, mu) pair at once, so a group is
 one d' (in ``firstmax``, each n leaves its loop once its points have
 passed their first maximum). The witness grids run every (p, mu) pair
-that shares its bath as one batched witness call whose trace norms are
-one stacked pass, so ``blp`` and ``cpdiv`` are one group each and
-``thermal`` one group per temperature.
+that shares its bath as one witness call, whose runs of points each take
+one batched step loop and one stacked pass of trace norms, so ``blp`` and
+``cpdiv`` are one group each and ``thermal`` one group per temperature.
 
 Flags are spelled in full, as config keys are: argparse's prefix matching
 is off.

@@ -111,7 +111,7 @@ def _group_inputs(group) -> tuple:
     transfer tensors of the table's P points, so the batch is (S, P) and
     neither side is copied along the other's axis."""
     coordinates, first, steady = group
-    g, gp, s = _weight_operators(coordinates)
+    _, g, gp, s = _weight_operators(coordinates)
     s = s.astype(complex)
     sigma0 = _label_start(s[:, :, None] * s.conj()[:, None, :])
     return g.astype(complex)[:, None], gp[:, None], first, steady, sigma0[:, None]

@@ -7,37 +7,46 @@ of the system alone (no spectator register). Both sum the positive
 increments of their monitored series, so both are lower-bound witnesses: a
 positive value certifies memory effects, a zero does not certify their
 absence (no optimization over inputs is performed). Neither builds
-anything of size N: the divisibility witness runs in the span of the orbit
-basis of :func:`~noisygrover.noise.orbit_basis`, the backflow pair in
-qubit 0 times that of the other n - 1 qubits, both with G, G' and |s>
-built there from the Dicke-basis closed forms
-(:func:`~noisygrover.noise._dicke_operators`). The channel is linear and
-a trace distance depends only on the difference of its two states, so the
-backflow pair runs once, as that difference; its part outside the space
-is fixed by a trace (:func:`n_blp`). The step loop keeps label blocks
-only, at d x d, and each witness reads its states off them.
+anything of size N: both run on the weight basis of
+:mod:`~noisygrover.noise` (:func:`~noisygrover.noise._weight_system`),
+the one the success tables run on, whose dimension is set by the number m
+of noisy qubits alone. The divisibility witness runs in the span of
+P_j |s> and P_j |w>, of dimension d' <= 2(m + 1); the backflow pair in
+qubit 0 times that span of the other n - 1 qubits, of dimension
+2 d'_rest. The channel is linear and a trace distance depends only on the
+difference of its two states, so the backflow pair runs once, as that
+difference; its part outside the space is fixed by a trace
+(:func:`n_blp`). The step loop keeps label blocks only, at that
+dimension, and each witness reads its states off them. The orbit basis
+(:func:`~noisygrover.noise._dicke_operators`) stays with
+``markov_evolve`` and the verification layer, the references.
 
 Both witnesses take one (p, mu) point or a sequence of them. A sequence
-shares G, G' and the bath, so it runs as one batched
-:func:`~noisygrover.collision.collision_evolve`, and every result gets the
-batch axis in front. Each call reads all of its distances, for every step
-and member, through one stacked :func:`~noisygrover.linalg.trace_norm`:
-one hermiticity pass and one ``eigvalsh``.
+shares G, G' and the bath, so it runs as batched
+:func:`~noisygrover.collision.collision_evolve` calls, and every result
+gets the batch axis in front. The points go in runs whose kept blocks
+hold at most ``collision._BATCH_ENTRIES`` entries (one point at least,
+:func:`~noisygrover.collision._chunks`), so memory follows a run and not
+the whole grid; each run is one step loop, and reads all of its
+distances, for every step and member, through one stacked
+:func:`~noisygrover.linalg.trace_norm`: one hermiticity pass and one
+``eigvalsh``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .collision import ThermalBathParams, _points, collision_evolve, transfer_weights
+from .collision import ThermalBathParams, _chunks, _points, collision_evolve, transfer_weights
 from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
 from .markov import _PLUS, _label_start
-from .noise import MarkovNoiseParams, NoiseSpec, _dicke_operators
+from .noise import MarkovNoiseParams, NoiseSpec, _weight_system
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -70,20 +79,20 @@ def positive_increment_sum(series: Sequence[float]) -> float:
 def _split_operators(
     inst: GroverInstance, spec: NoiseSpec
 ) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
-    """(G, G', |s>) on W = C^2 (x) W_rest in the basis I_2 (x) V_rest, V_rest
-    the orbit basis of the other n - 1 qubits. W holds |s> and |w>, is
-    invariant under G and G' and closed under every operator on qubit 0.
-    From scalars only: chi is u on qubit 0 when it is noisy (else I_2)
-    times the Dicke-basis chi of the other n - 1 qubits
-    (:func:`~noisygrover.noise._dicke_operators`), |s> = |+> (x) |s_rest>,
+    """(G, G', |s>) on W = C^2 (x) W_rest in the basis I_2 (x) B_rest, B_rest
+    the weight basis of the other n - 1 qubits (at their own m, the noisy
+    positions but qubit 0; one vector when n = 1), so dim W = 2 d'_rest.
+    W holds |s> and |w>, is invariant under G and G' and closed under every
+    operator on qubit 0. From scalars only: chi is u on qubit 0 when it is
+    noisy (else I_2) times the weight-basis chi of the other n - 1 qubits
+    (:func:`~noisygrover.noise._weight_system`), |s> = |+> (x) |s_rest>,
     and |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
     """
     half = inst.N // 2
-    u = spec.u.matrix
-    chi, _, _, s = _dicke_operators(
-        inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
+    chi, _, _, s = _weight_system(
+        inst.n - 1, inst.marked % half, spec.u, tuple(p - 1 for p in spec.positions if p)
     )
-    chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
+    chi = np.kron(spec.u.matrix if 0 in spec.positions else np.eye(2), chi)
     s = np.kron(_PLUS.real, s)
     g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
     return g, chi @ g, s
@@ -105,6 +114,23 @@ def _require_finite(blocks: np.ndarray, points: list[MarkovNoiseParams]) -> None
         raise InvariantViolation(
             f"state is not finite at p={point.p:.15g} mu={point.mu:.15g}, step {t}"
         )
+
+
+def _kept_blocks(g, gp, first, steady, sigma0, steps: int, points: list[MarkovNoiseParams]):
+    """The label blocks, (B, steps + 1, 2, d, d), of each run of ``points``
+    in turn, from one :func:`collision_evolve` per run over the run's
+    slices of ``first`` and ``steady``, stacks (len(points), 2, 2, 2). A
+    run holds at most ``_BATCH_ENTRIES`` kept entries, (steps + 1) 2 d^2
+    per point, and one point at least
+    (:func:`~noisygrover.collision._chunks`). Each run is checked by
+    :func:`_require_finite`."""
+    entries = 2 * (steps + 1) * sigma0.shape[-1] ** 2
+    for run in _chunks(itertools.repeat(entries, len(points))):
+        blocks = collision_evolve(
+            g, gp, first[run], steady[run], sigma0, steps, keep_blocks=True
+        ).blocks
+        _require_finite(blocks, points[run])
+        yield blocks
 
 
 def _measure(
@@ -159,17 +185,20 @@ def n_blp(
     the witness series, and each block on its own for the joint series,
     the sum of the two block distances (at t = 0 that is D(rho1, rho2),
     the distance of the two joint starts; from t = 1 on the joint is
-    diag(delta_0, delta_1)). All of them, for every step and member, go
-    through one stacked :func:`~noisygrover.linalg.trace_norm`.
+    diag(delta_0, delta_1)). All of them, for every step and member of a
+    run, go through one stacked :func:`~noisygrover.linalg.trace_norm`.
 
     ``params`` is one (p, mu) point or a sequence of them. A sequence runs
-    as one batched :func:`collision_evolve` over the stacked transfer
-    tensors, and the batch axis B comes first: ``value`` (B,), ``series``
-    and ``meta["joint_series"]`` (B, steps + 1) and ``meta["joint_slack"]``
+    as batched :func:`collision_evolve` calls over the stacked transfer
+    tensors, one per run of points (:func:`_kept_blocks`), and the batch
+    axis B comes first: ``value`` (B,), ``series`` and
+    ``meta["joint_series"]`` (B, steps + 1) and ``meta["joint_slack"]``
     (B,); one point gives floats and (steps + 1,) series. ``meta["dim"]``
-    is dim W, which depends on m and not on n; ``meta["joint_slack"]`` is
-    the smallest drop of the joint series from t = 1 on (infinite when
-    ``steps`` < 2).
+    is dim W = 2 d'_rest, twice the weight-basis dimension of the other
+    n - 1 qubits, which the number of noisy qubits among them sets and n
+    does not (2(m_rest + 1) when some of them are clean);
+    ``meta["joint_slack"]`` is the smallest drop of the joint series from
+    t = 1 on (infinite when ``steps`` < 2).
     """
     if any(p >= inst.n for p in spec.positions):
         raise ValueError(f"positions {spec.positions} exceed qubit count {inst.n}")
@@ -180,12 +209,11 @@ def n_blp(
     i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N  # (I - X)/N on qubit 0
     delta = projector(s) - np.kron(i_minus_x, np.eye(dim // 2))
     sigma0 = _label_start(delta)
-    blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
-    _require_finite(blocks, points)
-    # (3, B, steps + 1, dim, dim): system states, then both label blocks.
-    d_sys, upper, lower = _half_norm(
-        np.stack((blocks.sum(axis=-3), blocks[..., 0, :, :], blocks[..., 1, :, :]))
-    )
+    # (3, B, steps + 1) per run: system states, then both label blocks.
+    d_sys, upper, lower = np.concatenate([
+        _half_norm(np.stack((blocks.sum(axis=-3), blocks[..., 0, :, :], blocks[..., 1, :, :])))
+        for blocks in _kept_blocks(g, gp, first, steady, sigma0, steps, points)
+    ], axis=1)
     d_joint = upper + lower
     grew = d_joint[:, 2:] > d_joint[:, 1:-1] + _MONOTONE_SLACK
     if grew.any():
@@ -219,26 +247,30 @@ def n_cp(
     trace norm of a traceless operator, so any increase shows that the
     intermediate map from t to t + 1 is not positive: the dynamics is
     neither P- nor CP-divisible (the criterion of Rivas, Huelga and Plenio
-    on this one operator). Pure-ancilla channel only. X lies in the span
-    of the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), so the
-    run and its trace norms stay at d x d, with ||V s V^dagger||_1 = ||s||_1;
-    G, G' and |s> come from the closed forms, and V is never built.
+    on this one operator). Pure-ancilla channel only. X lies in span{s, w},
+    inside the weight basis B (:func:`~noisygrover.noise._weight_system`),
+    so the run and its trace norms stay at d' x d', d' <= 2(m + 1), with
+    ||B x B^dagger||_1 = ||x||_1; G, G' and |s> come from closed forms,
+    and B is never built.
 
     ``params`` is one (p, mu) point or a sequence of them; a sequence runs
-    as one batched :func:`collision_evolve`, and ``value`` (B,) and
-    ``series`` (B, steps + 1) get the batch axis in front; ``meta`` is
-    empty. The system states are the sums sigma_0 + sigma_1 of the label
-    blocks that :func:`collision_evolve` keeps, and every one of every
-    member goes through one stacked
+    as batched :func:`collision_evolve` calls, one per run of points
+    (:func:`_kept_blocks`), and ``value`` (B,) and ``series``
+    (B, steps + 1) get the batch axis in front; ``meta`` is empty (the
+    run's dimension is d', which ``collision_evolve`` reports as its
+    ``meta["dim"]``). The system states are the sums sigma_0 + sigma_1 of
+    the label blocks that :func:`collision_evolve` keeps, and every one of
+    every member of a run goes through one stacked
     :func:`~noisygrover.linalg.trace_norm`. A run whose states are
     not finite raises :class:`~noisygrover.linalg.InvariantViolation`
     naming the (p, mu) point and step.
     """
     points = _points(params)
     first, steady = transfer_weights(points)
-    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
     w = np.eye(s.size)[0]
     sigma0 = _label_start(projector(s) - projector(w))
-    blocks = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
-    _require_finite(blocks, points)
-    return _measure(params, _half_norm(blocks.sum(axis=-3)))
+    return _measure(params, np.concatenate([
+        _half_norm(blocks.sum(axis=-3))
+        for blocks in _kept_blocks(g, gp, first, steady, sigma0, steps, points)
+    ]))

@@ -23,14 +23,15 @@ G and G', with n entering only through scalars:
 - the orbit basis, the span of :func:`orbit_basis` for the (m, q) class of
   the position set (:func:`_orbit_class`), of dimension
   d = (q + 1)(m - q + 1), doubled when m < n, with G, G' and |s> from
-  Dicke-basis closed forms (:func:`_dicke_operators`). ``markov_evolve``,
-  the witnesses and the verification layer run on it;
+  Dicke-basis closed forms (:func:`_dicke_operators`). ``markov_evolve``
+  and the verification layer, the independent references, run on it;
 - the weight basis, the span of P_j |s> and P_j |w> with P_j the projector
   onto total weight j of the noisy qubits in u's eigenbasis, of dimension
   d' <= 2(m + 1), with G, G' and |s> from u's 2 x 2 eigen frame
   (:func:`_eigen_frame`) and binomial closed forms of order m
-  (:func:`_weight_coordinates`, :func:`_weight_operators`). The success
-  tables run on it.
+  (:func:`_weight_coordinates`, :func:`_weight_operators`, and
+  :func:`_weight_system` for one system). The success tables and the
+  witnesses run on it.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
     symmetric factor into itself, chi leaves C alone, and G is -I plus a
     rank-2 term on span{|s>, |w>}, which lies inside. So d = (q + 1)(m - q + 1)
     nc whatever n is (:func:`_orbit_class`), and no threshold is involved.
-    ``markov_evolve``, the witnesses and the verification layer build G, G'
-    and |s> in this basis from closed forms (:func:`_dicke_operators`); V
+    ``markov_evolve`` and the verification layer build G, G' and |s> in
+    this basis from closed forms (:func:`_dicke_operators`); V
     itself only lifts kept states back to N x N and serves the tests as a
     reference.
     """
@@ -459,10 +460,12 @@ def _weight_coordinates(n: int, m: int, q: int, frame) -> tuple[list, list, list
     return lam, s, w, 2**n
 
 
-def _weight_operators(coordinates) -> tuple[np.ndarray, ComplexMatrix, np.ndarray]:
-    """(G, G', |s>), stacked (S, d', d') and (S, d'), of S systems of one d'
-    from their :func:`_weight_coordinates`, with |w> at index 0 and G and
-    |s> real.
+def _weight_operators(
+    coordinates,
+) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
+    """(chi, G, G', |s>), stacked (S, d', d') and (S, d'), of S systems of
+    one d' from their :func:`_weight_coordinates`, with |w> at index 0 and
+    G and |s> real.
 
     The basis change is B = P H. The Householder reflection
     H = I - c v v^dagger, v = w + e^(i phi) e_0 with w normalized, e^(i phi)
@@ -478,7 +481,8 @@ def _weight_operators(coordinates) -> tuple[np.ndarray, ComplexMatrix, np.ndarra
     and the rest scaled to norm sqrt(1 - 1/N): H leaves an absolute rounding
     error in every entry, and s_0 sets every step's rotation angle. The
     reflection runs on scalars, per system; the matrices are formed for the
-    whole stack.
+    whole stack. At d' = 1 (n = 0, the empty register) |s> is |w>, the
+    1 x 1 case.
     """
     rows, sizes = [], []
     for lam, s, w, N in coordinates:
@@ -492,7 +496,7 @@ def _weight_operators(coordinates) -> tuple[np.ndarray, ComplexMatrix, np.ndarra
         t = c * (overlap + phase.conjugate() * s[0])
         hs = [b - a * t for a, b in zip(v, s)]
         rest = [abs(x) for x in hs[1:]]
-        scale = math.sqrt((1.0 - overlap**2) / sum(x * x for x in rest))
+        scale = math.sqrt((1.0 - overlap**2) / sum(x * x for x in rest)) if rest else 0.0
         y = [a * b.conjugate() / abs(b) if b else a for a, b in zip(v, hs)]
         mu = sum(x * abs(a) ** 2 for x, a in zip(lam, v))
         # chi = diag(lambda) + y left^T + right y^dagger
@@ -506,7 +510,20 @@ def _weight_operators(coordinates) -> tuple[np.ndarray, ComplexMatrix, np.ndarra
     chi.reshape(len(chi), -1)[:, :: lam.shape[-1] + 1] += lam
     s = s.real.copy()
     g = reduced_grover_operator(s, 0, np.array(sizes, dtype=float))
-    return g, chi @ g, s
+    return chi, g, chi @ g, s
+
+
+def _weight_system(
+    n: int, marked: int, u: SingleQubitUnitary, positions: tuple[int, ...]
+) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
+    """(chi, G, G', |s>) of one system on the weight basis, d' x d' and d',
+    built from n, the marked index, u and the noisy positions as
+    :func:`_weight_operators` builds the members of a d'-group: |w> at
+    index 0, G and |s> real. n = 0 gives the 1 x 1 case. A position
+    outside [0, n) raises ``ValueError`` (:func:`_orbit_class`)."""
+    m, q, _ = _orbit_class(n, marked, positions)
+    chi, g, gp, s = _weight_operators([_weight_coordinates(n, m, q, _eigen_frame(u))])
+    return chi[0], g[0], gp[0], s[0]
 
 
 @dataclass(frozen=True)

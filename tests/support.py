@@ -278,10 +278,10 @@ def dicke_powers_loop(a, k):
     return powers
 
 
-# The orbit operators as the verification subcommands and the witnesses
-# built them, one recursion per system up to its own max(m - q, q) and G
-# and G' one system at a time: the reference that noise._dicke_operators
-# must equal bitwise.
+# The orbit operators as the verification subcommands built them, one
+# recursion per system up to its own max(m - q, q) and G and G' one system
+# at a time: the reference that noise._dicke_operators must equal bitwise;
+# and the witnesses' split operators from the per-system weight build.
 
 
 def orbit_lift_loop(n, m, q, dicke):
@@ -313,15 +313,19 @@ def dicke_operators_loop(n, marked, u, positions):
 
 
 def split_operators_loop(inst, spec):
-    """(G, G', |s>) of measures._split_operators from
-    :func:`dicke_operators_loop` of the other n - 1 qubits."""
+    """(G, G', |s>) of measures._split_operators from the per-system build
+    of the success tables, :func:`~noisygrover.noise._weight_coordinates`
+    and :func:`~noisygrover.noise._weight_operators`, of the other n - 1
+    qubits, whose class (m, q) is counted off their bits here."""
     half = inst.N // 2
-    u = spec.u.matrix
-    chi, _, _, s = dicke_operators_loop(
-        inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
+    rest = [p - 1 for p in spec.positions if p]
+    q = sum(inst.marked % half >> (inst.n - 2 - p) & 1 for p in rest)
+    frame = noise._eigen_frame(spec.u)
+    chi, _, _, s = noise._weight_operators(
+        [noise._weight_coordinates(inst.n - 1, len(rest), q, frame)]
     )
-    chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
-    s = np.kron(_PLUS.real, s)
+    chi = np.kron(spec.u.matrix if 0 in spec.positions else np.eye(2), chi[0])
+    s = np.kron(_PLUS.real, s[0])
     g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
     return g, chi @ g, s
 
@@ -337,3 +341,60 @@ def chunks_loop(sizes, budget):
         total += size
     if len(sizes):
         yield slice(start, len(sizes))
+
+
+# The witnesses as they ran on the orbit basis: the reference that
+# measures.n_blp and measures.n_cp, on the weight basis, must equal to
+# 1e-12.
+
+
+def orbit_split_operators(inst, spec):
+    """(G, G', |s>) on n_blp's space W = C^2 (x) W_rest in the basis
+    I_2 (x) V_rest, with V_rest the orbit basis of the other n - 1 qubits
+    (:func:`split_basis`): u (or I_2) on qubit 0 times the Dicke-basis chi
+    of the rest (``noise._dicke_operators``), |s> = |+> (x) |s_rest> and
+    |w> = |b_0> (x) |w_rest>."""
+    half = inst.N // 2
+    u = spec.u.matrix
+    chi, _, _, s = noise._dicke_operators(
+        inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
+    )
+    chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
+    s = np.kron(_PLUS.real, s)
+    g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
+    return g, chi @ g, s
+
+
+def _half_norms(x):
+    """1/2 (||x||_1 + tr x) of each member of a Hermitian stack, from one
+    ``eigvalsh`` on the whole stack."""
+    return 0.5 * (np.abs(np.linalg.eigvalsh(x)).sum(axis=-1) + np.trace(x, axis1=-2, axis2=-1).real)
+
+
+def _orbit_run(g, gp, start, points, steps, bath=None):
+    """The kept label blocks (len(points), steps + 1, 2, d, d) of one
+    batched run from the label blocks of |+><+| (x) ``start``."""
+    sigma0 = projector(_PLUS).diagonal()[:, None, None] * start
+    first, steady = collision.transfer_weights(points, bath)
+    return collision.collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
+
+
+def orbit_cp_series(inst, spec, points, steps):
+    """n_cp's series (len(points), steps + 1) on the orbit basis: half the
+    trace norm of the system image of |s><s| - |w><w|."""
+    _, g, gp, s = noise._dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    w = np.eye(s.size)[0]
+    blocks = _orbit_run(g, gp, np.outer(s, s) - np.outer(w, w), points, steps)
+    return _half_norms(blocks.sum(axis=-3))
+
+
+def orbit_blp_series(inst, spec, points, steps, bath=None):
+    """(system, joint) series of n_blp, each (len(points), steps + 1), on
+    the orbit basis: the pair difference |s><s| - (I - X_0)/N restricted to
+    W (:func:`orbit_split_operators`), the system distance from the sum of
+    its label blocks and the joint one as the sum of the two blocks'."""
+    g, gp, s = orbit_split_operators(inst, spec)
+    i_minus_x = np.array([[1.0, -1.0], [-1.0, 1.0]]) / inst.N
+    delta = np.outer(s, s) - np.kron(i_minus_x, np.eye(s.size // 2))
+    blocks = _orbit_run(g, gp, delta, points, steps, bath)
+    return _half_norms(blocks.sum(axis=-3)), _half_norms(blocks).sum(axis=-1)

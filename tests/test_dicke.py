@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks, reduced_sigma_x_walks, split_basis
+from support import haar_noise, label_blocks, reduced_sigma_x_walks
 
 from noisygrover import cli, collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
@@ -47,6 +47,20 @@ def _compressed(inst, spec, v):
     return g, (v.T @ chi_v.reshape(v.shape)) @ g, s
 
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+
+
+def _words(ops, starts, depth=3):
+    # Each start and every word of at most ``depth`` of ``ops`` applied to
+    # it, as rows.
+    layer, rows = list(starts), list(starts)
+    for _ in range(depth):
+        layer = [op @ v for v in layer for op in ops]
+        rows += layer
+    return np.array(rows)
+
+
 def _cases(n, seed, ones=None):
     # Every m, with random positions and Haar noise. The marked index is
     # random, or has ``ones`` random 1 bits, which caps q and so d at large n.
@@ -72,11 +86,22 @@ def test_dicke_operators_equal_the_orbit_basis_compressions(n):
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
-        got = _split_operators(inst, spec)
-        want = _compressed(inst, spec, split_basis(inst, spec))
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert np.max(np.abs(a - b)) < 1e-13, (inst, spec.positions)
+        # The backflow witness's split space runs on the weight basis of the
+        # other n - 1 qubits, not the orbit basis: its operators are held to
+        # the dense ones through the inner products of every word of at
+        # most three of G, G', X_0 and Z_0 applied to |s> and |w>, which
+        # any isometry onto an invariant space keeps.
+        half = inst.N // 2
+        g, gp, s = _split_operators(inst, spec)
+        d_rest = s.size // 2
+        w = np.eye(s.size)[(inst.marked // half) * d_rest]
+        got = _words([g, gp, np.kron(_X, np.eye(d_rest)), np.kron(_Z, np.eye(d_rest))], [s, w])
+        g = grover.grover_operator(inst)
+        ops = [g, noise.build_chi(n, spec) @ g]
+        ops += [np.kron(_X, np.eye(half)), np.kron(_Z, np.eye(half))]
+        want = _words(ops, [uniform_superposition(inst), np.eye(inst.N)[inst.marked]])
+        gram = np.max(np.abs(got.conj() @ got.T - want.conj() @ want.T))
+        assert gram < 1e-13, (inst, spec.positions)
 
 
 @pytest.mark.parametrize("k", range(0, 13))

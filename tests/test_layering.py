@@ -72,8 +72,11 @@ def test_intra_package_imports_point_left(name):
 
 
 # Names that left the package: (module, class or None, name, whether
-# tests/support.py holds it now). The moved ones are dense references that
-# only tests call; the deleted ones had no reader outside the tests.
+# tests/support.py holds it now). The moved ones are references that only
+# tests call: the dense ones, and the backflow witness's orbit-basis split
+# operators (``measures._split_operators`` before it moved to the weight
+# basis, now ``orbit_split_operators``); the deleted ones had no reader
+# outside the tests.
 GONE = (
     ("linalg", None, "random_density", True),
     ("markov", None, "initial_joint_state", True),
@@ -85,6 +88,7 @@ GONE = (
     ("noise", "MarkovNoiseParams", "p_g", False),
     ("noise", "MarkovNoiseParams", "p_gp", False),
     ("cli", None, "_dilation_step", False),
+    ("measures", None, "orbit_split_operators", True),
 )
 
 
@@ -99,3 +103,10 @@ def test_test_only_names_left_the_package(module, cls, name, moved):
 
 def test_positive_increment_sum_takes_no_threshold():
     assert list(inspect.signature(positive_increment_sum).parameters) == ["series"]
+
+
+def test_the_witnesses_import_no_orbit_builder():
+    # n_cp and n_blp run on the weight basis; the orbit basis stays with
+    # markov_evolve and the verification layer, the references.
+    orbit = {"_dicke_operators", "_dicke_powers", "orbit_basis", "_orbit_representatives"}
+    assert orbit.isdisjoint(vars(importlib.import_module("noisygrover.measures")))

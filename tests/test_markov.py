@@ -120,7 +120,7 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
         sigma0 = markov._group_inputs(group)[4]
         m, q, _ = noise._orbit_class(n, inst.marked, spec.positions)
         coordinates = noise._weight_coordinates(n, m, q, noise._eigen_frame(spec.u))
-        s = noise._weight_operators([coordinates])[2][0]
+        s = noise._weight_operators([coordinates])[3][0]
         joint = tensor(projector(markov._PLUS), projector(s))
         assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
         assert np.array_equal(sigma0[0, 0], label_blocks(joint))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from support import blp_pair, haar_noise, label_blocks, orbit_blocks, split_basis
 
-from noisygrover import measures
+from noisygrover import collision, measures
 from noisygrover.collision import (
     apply_kraus,
     channel_maps,
@@ -36,7 +36,6 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
-    orbit_basis,
 )
 
 INST = GroverInstance(3)
@@ -265,12 +264,16 @@ def test_blp_reports_dim_and_joint_slack(n):
         joint = result.meta["joint_series"]
         assert result.meta["joint_slack"] >= -1e-10
         assert result.meta["joint_slack"] == np.min(joint[1:-1] - joint[2:])
-        if n == 1:
-            d_rest = 1  # the rest register is empty
+        # dim W = 2 d'_rest, with d'_rest the weight-basis dimension of the
+        # other n - 1 qubits: 2(m + 1) when m < n - 1, and at m = n - 1,
+        # m + 1 when q is 0 or m (1 for the empty register at n = 1) and 2m
+        # otherwise.
+        rest = [p - 1 for p in spec.positions if p]
+        m, q = len(rest), sum(inst.marked % (inst.N // 2) >> (n - 2 - p) & 1 for p in rest)
+        if m < n - 1:
+            d_rest = 2 * (m + 1)
         else:
-            rest = GroverInstance(n - 1, inst.marked % (inst.N // 2))
-            rest_spec = NoiseSpec(spec.u, tuple(p - 1 for p in spec.positions if p))
-            d_rest = orbit_basis(rest, rest_spec).shape[1]
+            d_rest = m + 1 if q in (0, m) else 2 * m
         assert result.meta["dim"] == 2 * d_rest
     assert n_blp(INST, SPEC, MarkovNoiseParams(0.3, 0.5), 1).meta["joint_slack"] == math.inf
 
@@ -286,6 +289,41 @@ def test_blp_memory_stays_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("witness", [n_blp, n_cp], ids=["blp", "cp"])
+def test_witness_memory_follows_a_run_of_points(monkeypatch, witness):
+    # 100 points at n = 6, m = 2 and 45 steps: a point keeps 2 * 46 * 8^2
+    # entries for blp (dim W = 8) and 2 * 46 * 6^2 for cp (d' = 6), so the
+    # runs hold 2 and 4 points. They equal one run of all 100 bitwise, and
+    # the traced peak is a few runs' worth, not the grid's (about 50 and
+    # 13 MiB as one run).
+    inst, spec = GroverInstance(6, 34), noise_spec(noise_unitary("hadamard"), 2, 6)
+    grid = [MarkovNoiseParams(p, mu) for p in np.linspace(0.05, 0.95, 10)
+            for mu in np.linspace(0.05, 0.95, 10)]
+    runs = []
+
+    def spy(g, gp, first, steady, sigma0, steps, **kwargs):
+        runs.append(len(first) * 2 * (steps + 1) * sigma0.shape[-1] ** 2)
+        return collision_evolve(g, gp, first, steady, sigma0, steps, **kwargs)
+
+    monkeypatch.setattr(measures, "collision_evolve", spy)
+    tracemalloc.start()
+    try:
+        result = witness(inst, spec, grid, 45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == (50 if witness is n_blp else 25)
+    assert max(runs) <= collision._BATCH_ENTRIES
+    assert peak < 4 * 2**20
+    monkeypatch.setattr(collision, "_BATCH_ENTRIES", 2**40)
+    whole = witness(inst, spec, grid, 45)
+    assert len(runs) == (51 if witness is n_blp else 26)
+    assert np.array_equal(result.value, whole.value)
+    assert np.array_equal(result.series, whole.series)
+    for key in result.meta:
+        assert np.array_equal(result.meta[key], whole.meta[key])
 
 
 _GRID = [MarkovNoiseParams(p, mu) for p in (0.0, 0.3, 1.0) for mu in (0.0, 0.3, 1.0)]
@@ -344,3 +382,28 @@ def test_a_non_finite_run_is_an_invariant_violation(monkeypatch, kept):
         n_blp(INST, SPEC, points, 6)
     with pytest.raises(InvariantViolation, match=r"not finite at p=0.6 mu=0.9, step 4"):
         n_cp(INST, SPEC, points, 6)
+
+
+@pytest.mark.parametrize("witness", [n_blp, n_cp], ids=["blp", "cp"])
+def test_a_non_finite_state_in_a_later_run_names_its_point(monkeypatch, witness):
+    # Six points at n = 6, m = 2 and 45 steps run two to a run for blp and
+    # four for cp; a NaN in the second member of the second run is the
+    # grid's point 3 for blp and 5 for cp.
+    inst, spec = GroverInstance(6, 34), noise_spec(noise_unitary("hadamard"), 2, 6)
+    points = [MarkovNoiseParams(0.1 * k, 0.05 + 0.15 * k) for k in range(1, 7)]
+    calls = []
+
+    def run(*args, **kwargs):
+        trace = collision_evolve(*args, **kwargs)
+        calls.append(trace)
+        if len(calls) == 2:
+            blocks = trace.blocks.copy()
+            blocks[1, 7] *= math.nan
+            return replace(trace, blocks=blocks)
+        return trace
+
+    monkeypatch.setattr(measures, "collision_evolve", run)
+    point = points[3 if witness is n_blp else 5]
+    message = rf"not finite at p={point.p:.15g} mu={point.mu:.15g}, step 7"
+    with pytest.raises(InvariantViolation, match=message):
+        witness(inst, spec, points, 45)

@@ -1,7 +1,8 @@
 """The buffered step loop and the stacked Dicke recursion, each against its
 reference in support.py, bitwise; the weight-basis operators of a d'-group
 against each system's alone, bitwise; the one orbit-operator builder
-against the per-system build it replaced, bitwise; the loop's memory
+against the per-system build it replaced, and the witnesses' split
+operators against the per-system weight build, bitwise; the loop's memory
 without kept blocks; and ``verify_dilation``'s prefix stability in the
 number of trials."""
 
@@ -179,8 +180,11 @@ def test_dicke_operators_at_forty_qubits_equal_the_per_system_build_bitwise(q):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_split_operators_equal_the_per_system_build_bitwise(n):
-    # At n = 1 the other n - 1 = 0 qubits give the 1 x 1 case, d = 1.
-    _same(noise._dicke_operators(0, 0, U.matrix, ()), dicke_operators_loop(0, 0, U.matrix, ()))
+    # At n = 1 the other n - 1 = 0 qubits give the 1 x 1 case, d' = 1,
+    # where |s> is |w>: chi = 1 and G = -1 exactly.
+    chi, g, gp, s = noise._weight_system(0, 0, U, ())
+    assert chi.tolist() == [[1.0]] and g.tolist() == gp.tolist() == [[-1.0]]
+    assert s.tolist() == [1.0]
     rng = np.random.default_rng(300 + n)
     for marked in (0, 2**n - 1, int(rng.integers(2**n))):
         for m in range(n + 1):
@@ -224,7 +228,7 @@ def test_table_of_two_unitaries_shares_each_eigen_frame_bitwise(monkeypatch):
             inst, spec = systems[i]
             m, q, _ = noise._orbit_class(inst.n, inst.marked, spec.positions)
             coordinates = noise._weight_coordinates(inst.n, m, q, real(spec.u))
-            g_i, gp_i, s_i = noise._weight_operators([coordinates])
+            _, g_i, gp_i, s_i = noise._weight_operators([coordinates])
             assert np.array_equal(g[k, 0], g_i[0]) and np.array_equal(gp[k, 0], gp_i[0])
             assert np.array_equal(sigma0[k, 0], markov._label_start(projector(s_i[0])))
 

@@ -1,20 +1,23 @@
-"""The weight basis of the success tables: u's closed-form eigen frame, the
-coordinates of |s> and |w> against the dense projections they stand for,
-the dimension d', the operators' unitarity, and the tables' series
-against ``markov_evolve`` on the orbit basis, the independent reference,
+"""The weight basis: u's closed-form eigen frame, the coordinates of |s>
+and |w> against the dense projections they stand for, the dimension d',
+the operators' unitarity, the success tables' series against
+``markov_evolve`` on the orbit basis, the independent reference, and the
+witnesses' system and joint series against their runs on the orbit
+basis (``support.orbit_cp_series``, ``support.orbit_blp_series``), each
 to 1e-12."""
 
 import math
 
 import numpy as np
 import pytest
-from support import haar_noise
+from support import haar_noise, orbit_blp_series, orbit_cp_series
 
 from noisygrover import markov, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
 from noisygrover.grover import GroverInstance, uniform_superposition
 from noisygrover.linalg import projector
 from noisygrover.markov import MarkovNoiseParams, markov_evolve, markov_series
+from noisygrover.measures import n_blp, n_cp
 from noisygrover.noise import PRESETS, build_chi, noise_spec, noise_unitary, single_qubit_unitary
 
 # The presets, two Haar draws, a u within 1e-9 of a multiple of I, one
@@ -144,7 +147,7 @@ def test_weight_operators_are_unitary_and_start_at_s(n):
     for marked in (0, 2**n - 1, int(rng.integers(2**n))):
         for u in UNITARIES:
             for positions in _classes(n, marked)[:: max(1, n // 4)]:
-                g, gp, s = noise._weight_operators([_coordinates(n, marked, positions, u)])
+                _, g, gp, s = noise._weight_operators([_coordinates(n, marked, positions, u)])
                 assert g.dtype == s.dtype == float
                 assert _unitarity(g) <= 4e-15 and _unitarity(gp) <= 4e-15
                 assert s[0, 0] == math.sqrt(1.0 / 2**n) and abs(np.linalg.norm(s) - 1.0) <= 4e-16
@@ -219,3 +222,68 @@ def test_invariance_at_five_qubits_runs_four_step_loops(monkeypatch, marked):
     systems = [(inst, noise_spec(UNITARIES[5], len(c), 5, c)) for c in classes]
     markov._table(markov._group_series, systems, POINTS[:1], 25)
     assert sizes == [4, 6, 8, 10]
+
+
+# The presets and the two Haar draws.
+WITNESS_UNITARIES = UNITARIES[:7]
+
+
+def _split_classes(n, marked):
+    """One position set per class of n_blp's split space: each class of the
+    other n - 1 qubits (:func:`_classes` there, shifted past qubit 0), with
+    qubit 0 clean and with it noisy."""
+    rest = _classes(n - 1, marked % 2 ** (n - 1)) if n > 1 else [()]
+    shifted = [tuple(p + 1 for p in c) for c in rest]
+    return shifted + [(0,) + c for c in shifted]
+
+
+def _check_witnesses(inst, spec, cp=True, blp=True, steps=20):
+    """n_cp's series (pure, both points) and n_blp's system and joint
+    series (pure, both points; warm, the first) against their orbit-basis
+    runs, to 1e-12."""
+    if cp:
+        got = n_cp(inst, spec, POINTS, steps).series
+        want = orbit_cp_series(inst, spec, POINTS, steps)
+        assert np.max(np.abs(got - want)) <= 1e-12, (inst, spec.positions)
+    for bath, points in ((None, POINTS), (WARM, POINTS[:1])) if blp else ():
+        result = n_blp(inst, spec, points, steps, bath)
+        system, joint = orbit_blp_series(inst, spec, points, steps, bath)
+        assert np.max(np.abs(result.series - system)) <= 1e-12, (inst, spec.positions, bath)
+        assert np.max(np.abs(result.meta["joint_series"] - joint)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_witnesses_equal_their_orbit_basis_runs(n):
+    # Every class of three marked indices: n_cp's (m, q) classes and
+    # n_blp's (qubit 0 noisy or not, class of the rest); from n = 6 on,
+    # each marked index takes one of hadamard and the two Haar draws.
+    N = 2**n
+    for k, marked in enumerate(sorted({0, N - 1, N // 3})):
+        inst = GroverInstance(n, marked)
+        for u in WITNESS_UNITARIES if n <= 5 else WITNESS_UNITARIES[4 + k : 5 + k]:
+            for positions in _classes(n, marked):
+                _check_witnesses(inst, noise_spec(u, len(positions), n, positions), blp=False)
+            for positions in _split_classes(n, marked):
+                _check_witnesses(inst, noise_spec(u, len(positions), n, positions), cp=False)
+
+
+def test_witnesses_equal_their_orbit_basis_runs_at_sampled_classes():
+    # n_cp up to n = 40 and n_blp up to n = 30, where the orbit reference's
+    # d (n_cp) or d_rest (n_blp) is at most 48.
+    rng = np.random.default_rng(38)
+    for witness, top, checked in (("cp", 41, 0), ("blp", 31, 0)):
+        while checked < 10:
+            n = int(rng.integers(11, top))
+            marked = int(rng.integers(2**n))
+            m = int(rng.integers(1, n + 1))
+            positions = tuple(sorted(int(p) for p in rng.choice(n, m, replace=False)))
+            if witness == "cp":
+                d = noise._orbit_class(n, marked, positions)[2]
+            else:
+                rest = tuple(p - 1 for p in positions if p)
+                d = noise._orbit_class(n - 1, marked % 2 ** (n - 1), rest)[2]
+            if d > 48:
+                continue
+            spec = noise_spec(WITNESS_UNITARIES[checked % 7], m, n, positions)
+            _check_witnesses(GroverInstance(n, marked), spec, witness == "cp", witness == "blp")
+            checked += 1
