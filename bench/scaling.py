@@ -17,16 +17,18 @@ set size of one of them. Each table is compared with
 ``bench/reference.json``: the largest absolute difference of its float
 cells and the number of int cells that differ, and the run is marked
 ``ok`` only if the first is at most 1e-12 and the second 0. The records
-go into ``BENCH_38.json`` at the root of this checkout, next to the
+go into ``BENCH_39.json`` at the root of this checkout, next to the
 records already there. ``--runs`` picks runs by name.
 ``--write-reference`` stores the tables of ``--root`` for those runs in
 the reference, next to the ones already there. The committed reference
 holds the tables of the orbit basis: the success tables from before the
-weight basis, and the witness tables from before the witnesses moved to
-it.
+weight basis, the witness tables from before the witnesses moved to it,
+and the verification tables from before they moved too (the d' = 256
+caps at n = 128, m = 127 and marked index 0 ran at orbit d = 256 as
+well).
 
 Nothing in the test suite or CI runs this script, and no bound here gates
-anything: the d = 256 verification caps take seconds, the orbit-basis
+anything: the d' = 256 verification caps take seconds, the orbit-basis
 success tables took 5-7 s per `invariance` run, and the orbit-basis
 witnesses at n = 30..40 took 6-11 s and 1.5-1.7 GiB per table.
 """
@@ -49,15 +51,16 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 REFERENCE_PATH = os.path.join(HERE, "reference.json")
-OUT_PATH = os.path.join(ROOT, "BENCH_38.json")
+OUT_PATH = os.path.join(ROOT, "BENCH_39.json")
 TOL = 1e-12
 
 # 20 values in (0, 1) for p and for mu: a 20 x 20 grid.
 _GRID = ",".join(f"{0.025 + 0.05 * i:.3f}" for i in range(20))
 
 # (name, argv): the success tables at scale, whose step loops run at the
-# dimension the representation gives each system, and the two verification
-# caps (d = 256 on the orbit space), which that representation leaves alone.
+# dimension the representation gives each system, and the verification
+# subcommands at their d' = 256 cap and at the old orbit cap (n = 30,
+# q = 15 of m = 30: orbit d = 256, d' = 60).
 RUNS = (
     ("invariance-n40", ["invariance", "--n", "40", "--marked", "7", "--noise", "hadamard"]),
     ("invariance-n24", ["invariance", "--n", "24", "--marked", "4095"]),
@@ -66,10 +69,17 @@ RUNS = (
         "--steps", "30000",
     ]),
     ("dilation-check-cap", [
+        "dilation-check", "--n", "128", "--m", "127", "--noise", "hadamard",
+        "--p", "0.3", "--mu", "0.5",
+    ]),
+    ("oracle-check-cap", [
+        "oracle-check", "--n", "128", "--m", "127", "--noise", "hadamard", "--steps", "12",
+    ]),
+    ("dilation-check-n30", [
         "dilation-check", "--n", "30", "--m", "30", "--marked", "1073709056",
         "--noise", "hadamard", "--p", "0.3", "--mu", "0.5",
     ]),
-    ("oracle-check-cap", [
+    ("oracle-check-n30", [
         "oracle-check", "--n", "30", "--m", "30", "--marked", "1073709056",
         "--noise", "hadamard", "--steps", "12",
     ]),
@@ -173,7 +183,7 @@ def record(argv: list[str], starts: list, reference: Optional[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT, help="checkout whose src is run")
-    parser.add_argument("--label", default="change", help="key of this record in BENCH_38.json")
+    parser.add_argument("--label", default="change", help="key of this record in BENCH_39.json")
     parser.add_argument("--parent", help="checkout whose starts alternate with those of --root")
     parser.add_argument("--repeats", type=int, default=3, help="fresh starts per run")
     parser.add_argument("--runs", help="comma-separated names of the runs to start (default all)")

@@ -40,7 +40,6 @@ from .noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
-    orbit_basis,
     sigma_x_reduced,
     sigma_y_p2,
     single_qubit_unitary,

@@ -62,7 +62,7 @@ from .markov import (
     markov_evolve,
 )
 from .measures import n_blp, n_cp
-from .noise import MarkovNoiseParams, SingleQubitUnitary, _dicke_operators
+from .noise import MarkovNoiseParams, SingleQubitUnitary, _weight_system
 from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary
 from .noise import single_qubit_unitary
 
@@ -71,11 +71,11 @@ class ConfigError(ValueError):
     """Bad command line, config file, or option value."""
 
 
-# Largest orbit dimension d that dilation-check and oracle-check build
-# their operators at, whatever n is. d = 256 (n = 30, m = 30, q = 15) gives
-# dilation-check 8d x 8d unitaries of 64 MiB, about 3 s a point on one
+# Largest weight-basis dimension d' that dilation-check and oracle-check
+# build their operators at, whatever n is. d' = 256 (n = 128, m = 127)
+# gives dilation-check 8d' x 8d' unitaries of 64 MiB, 2-3 s a point on one
 # core, and oracle-check 13 history sums of 1 MiB at 12 steps, about 0.5 s.
-ORBIT_MAX_DIM = 256
+CHECK_MAX_DIM = 256
 
 
 @dataclass
@@ -378,15 +378,15 @@ def _cpdiv_group(group) -> np.ndarray:
     return n_cp(inst, spec, params, steps).value
 
 
-def _orbit_dim(command: str, a, spec) -> int:
-    """d of the orbit space a verification subcommand builds on, from the
-    (m, q) class of ``spec``; above ``ORBIT_MAX_DIM`` it is refused before
+def _check_dim(command: str, a, spec) -> int:
+    """d' of the weight basis a verification subcommand builds on, from the
+    (m, q) class of ``spec``; above ``CHECK_MAX_DIM`` it is refused before
     any operator or pool is built."""
     m, q, d = _orbit_class(a.n, a.marked, spec.positions)
-    if d > ORBIT_MAX_DIM:
+    if d > CHECK_MAX_DIM:
         raise ConfigError(
-            f"{command} runs on the orbit space of dimension d; d={d} at n={a.n}, m={m}, "
-            f"q={q} exceeds {ORBIT_MAX_DIM}"
+            f"{command} runs on the weight basis of dimension d'; d'={d} at n={a.n}, m={m}, "
+            f"q={q} exceeds {CHECK_MAX_DIM}"
         )
     return d
 
@@ -421,11 +421,11 @@ def _dilation_row(params, g, gp, chi, trials, seed) -> list:
 
 def _dilation_point(point):
     inst, spec, params, trials, seed = point
-    # G, G' and chi on the orbit space V of noise.orbit_basis, d x d. V holds
-    # |s> and is invariant under G and chi, so the register's collision
-    # unitary U meets the one built from these, U_d, as
-    # U (I_8 (x) V) = (I_8 (x) V) U_d.
-    chi, g, gp, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    # G, G' and chi on the weight basis B, d' x d', as the step loop runs
+    # them. B holds |s> and is invariant under G and chi, so the register's
+    # collision unitary U meets the one built from these, U_d', as
+    # U (I_8 (x) B) = (I_8 (x) B) U_d'.
+    chi, g, gp, _ = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
     return _dilation_row(params, g, gp, chi, trials, seed)
 
 
@@ -580,7 +580,7 @@ _DILATION_TOLS = {
 def _handle_dilation_check(a, meta: dict) -> ResultTable:
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
-    meta["dim"] = _orbit_dim("dilation-check", a, spec)
+    meta["dim"] = _check_dim("dilation-check", a, spec)
     points = [(inst, spec, params, a.trials, a.seed) for params in _params(a.p, a.mu)]
     rows = _run_grid(_dilation_point, points, a.jobs)
     for row in rows:
@@ -600,12 +600,12 @@ def _handle_oracle_check(a, meta: dict) -> ResultTable:
         raise ConfigError(f"oracle-check is exponential in steps; {a.steps} > {HISTORY_MAX_STEPS}")
     inst = GroverInstance(a.n, a.marked)
     spec = noise_spec(a.noise, a.m, a.n)
-    meta["dim"] = _orbit_dim("oracle-check", a, spec)
+    meta["dim"] = _check_dim("oracle-check", a, spec)
     params = MarkovNoiseParams(a.p, a.mu)
     evolved = markov_evolve(inst, spec, params, a.steps)
-    # The history sums on the orbit space, where the evolution's d x d label
-    # blocks live: G, G' and |s> at d x d, with |w> as column 0.
-    _, g, gp, s = _dicke_operators(a.n, a.marked, spec.u.matrix, spec.positions)
+    # The history sums on the weight basis, where the evolution's d' x d'
+    # label blocks live: G, G' and |s> at d' x d', with |w> as index 0.
+    _, g, gp, s = _weight_system(a.n, a.marked, spec.u, spec.positions)
     sums = history_oracle(g, gp, s, params, a.steps)
     # The steps are compared in stacks of at most _BATCH_ENTRIES entries (at
     # least one step), one trace_distance call each.
@@ -661,15 +661,15 @@ _SUBCOMMANDS = {
         {"p": "0.5", "mu": "0.9", "temps": "0.5,1,2", "steps": "45"},
     ),
     "dilation-check": _Subcommand(
-        "verify the collision unitaries against the Kraus step on a grid, on the orbit "
-        f"space of dimension d; d <= {ORBIT_MAX_DIM}",
+        "verify the collision unitaries against the Kraus step on a grid, on the weight "
+        f"basis of dimension d'; d' <= {CHECK_MAX_DIM}",
         _handle_dilation_check,
         ("n", "marked", "noise", "m", "p-list", "mu-list", "trials", "seed"),
         {"p": "0.1,0.5,0.9", "mu": "0,0.5,1", "trials": "20", "seed": "1234"},
     ),
     "oracle-check": _Subcommand(
-        "compare the collision evolution to the explicit history sum, on the orbit space "
-        f"of dimension d; d <= {ORBIT_MAX_DIM} and steps <= {HISTORY_MAX_STEPS}",
+        "compare the collision evolution to the explicit history sum, on the weight basis "
+        f"of dimension d'; d' <= {CHECK_MAX_DIM} and steps <= {HISTORY_MAX_STEPS}",
         _handle_oracle_check,
         ("n", "marked", "noise", "m", "p", "mu", "steps"), {"p": "0.5", "mu": "0.5", "steps": "8"},
     ),

@@ -16,9 +16,9 @@ half make the columns orthonormal for every parameter choice. Replacing
 the pure ancillas with thermal ones (Gibbs weights at temperature T)
 yields the finite-temperature channel via the same U. The verification
 layer below is written for any D: ``dilation-check`` passes G, G' and chi
-at d x d on the orbit space V of :mod:`~noisygrover.noise` (D = d), which
-holds |s> and is invariant under G and chi, so the register's U at
-D = N = 2^n meets that U_d as U (I_8 (x) V) = (I_8 (x) V) U_d.
+at d' x d' on the weight basis B of :mod:`~noisygrover.noise` (D = d'),
+which holds |s> and is invariant under G and chi, so the register's U at
+D = N = 2^n meets that U_d' as U (I_8 (x) B) = (I_8 (x) B) U_d'.
 
 The step loop never builds those matrices. Every block of U sits in one
 walker row r and column c, so the step keeps the walker label classical
@@ -49,11 +49,10 @@ in an :class:`EvolutionTrace`, the result type of every evolution run,
 and ``collision_first_max`` drops each slice of the first batch axis once
 its members have passed their first success maximum and stops when none
 is left, so its cost follows the first maxima and its memory the
-members, not the horizon. No 2d x 2d joint is taken or formed. The
-success tables and the witness series hand the loop G and G' at d' x d'
-on the weight basis of :mod:`~noisygrover.noise` (for blp's pair, qubit 0
-times that of the other n - 1 qubits); ``markov_evolve`` hands it those
-at d x d on the orbit basis; the size is reported as ``meta["dim"]``.
+members, not the horizon. No 2d x 2d joint is taken or formed. Every
+caller hands the loop G and G' at d' x d' on the weight basis of
+:mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that of the
+other n - 1 qubits); the size is reported as ``meta["dim"]``.
 
 U also factors as
 
@@ -753,11 +752,10 @@ def collision_evolve(
     through both ops, 4 conjugations (a bath whose excited weight rounds
     to 0 runs the pure step). The loop is dense at whatever size it is
     given: N x N G, G' for the full register, or the forms on an invariant
-    subspace: ``markov_evolve`` passes d x d ones on the orbit basis
-    (:func:`~noisygrover.noise._dicke_operators`), and ``markov_series``,
-    ``markov_first_max``, ``n_cp`` and ``n_blp`` d' x d' ones on the weight
-    basis (:func:`~noisygrover.noise._weight_operators`). ``meta["dim"]``
-    is that size.
+    subspace: ``markov_evolve``, ``markov_series``, ``markov_first_max``,
+    ``n_cp`` and ``n_blp`` pass d' x d' ones on the weight basis
+    (:func:`~noisygrover.noise._weight_operators`). ``meta["dim"]`` is that
+    size.
     Success probability is the ``marked`` diagonal entry of
     sigma_0 + sigma_1: each step's two entries are read as it is drawn,
     and the series is formed from them once at the end. A start that is

@@ -10,27 +10,25 @@ state starts as |+><+| (x) |s><s|, and every step is the exact completely
 positive map that applies G on the g branch, G' on the g' branch, and
 mixes branch populations with the conditional probabilities. The success
 probability is read off the system marginal at the marked index. Nothing
-of size 2^n is formed; each path runs on a basis that
-:mod:`~noisygrover.noise` builds from scalars, with |w> as index 0.
+of size 2^n is formed: every path runs on the weight basis that
+:mod:`~noisygrover.noise` builds from scalars, of dimension
+d' <= 2(m + 1) whatever q and n are, with |w> as index 0.
 
-:func:`markov_evolve` runs at d x d on the orbit basis
-(:func:`~noisygrover.noise._dicke_operators`) and keeps every step's label
-blocks, which lift to the register through
-:func:`~noisygrover.noise.orbit_basis`. :func:`history_oracle`, the
-explicit sum over label histories that checks it, takes G, G' and |s> of
-any size D. The success tables run on the smaller weight basis, of
-dimension d' <= 2(m + 1) whatever q and n are
-(:func:`~noisygrover.noise._weight_operators`), and keep no blocks:
-:func:`markov_series` runs many (p, mu) points of one system as one
-batched step loop, and :func:`markov_first_max` reads where each point's
-first maximum falls from the same loop, stopped once every point has
-passed it. Both are the one-system case of :func:`_table`, which takes the
-systems of a table (the position classes of ``invariance``, the n list of
-``firstmax``, the m list of ``noisy``), groups them by d', shares their
+:func:`markov_evolve` runs one system at one point from its
+:func:`~noisygrover.noise._weight_system` and keeps every step's label
+blocks. :func:`history_oracle`, the explicit sum over label histories
+that checks it, takes G, G' and |s> of any size D. The success tables keep
+no blocks: :func:`markov_series` runs many (p, mu) points of one system as
+one batched step loop, and :func:`markov_first_max` reads where each
+point's first maximum falls from the same loop, stopped once every point
+has passed it. Both are the one-system case of :func:`_table`, which takes
+the systems of a table (the position classes of ``invariance``, the n list
+of ``firstmax``, the m list of ``noisy``), groups them by d', shares their
 transfer weights and each distinct u's eigen frame, and runs one step
 loop per distinct d' over the systems of that d', each with its own G, G'
-and start, stacked against the points. The two bases give the same
-series to rounding, not bitwise: the tests hold them to 1e-12.
+and start (:func:`~noisygrover.noise._weight_operators`), stacked against
+the points. A row of :func:`markov_series` is the series of
+:func:`markov_evolve` at that point, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ from .linalg import ComplexMatrix, projector, require_density
 from .noise import (
     MarkovNoiseParams,
     NoiseSpec,
-    _dicke_operators,
     _eigen_frame,
     _orbit_class,
     _weight_coordinates,
     _weight_operators,
+    _weight_system,
     conditional_probs,
 )
 
@@ -94,11 +92,10 @@ def _table_groups(
     frames: dict = {}
     groups: dict[int, list] = {}
     for i, (inst, spec) in enumerate(systems):
-        m, q, _ = _orbit_class(inst.n, inst.marked, spec.positions)
+        m, q, d = _orbit_class(inst.n, inst.marked, spec.positions)
         if spec.u not in frames:
             frames[spec.u] = _eigen_frame(spec.u)
-        item = _weight_coordinates(inst.n, m, q, frames[spec.u])
-        groups.setdefault(len(item[0]), []).append((i, item))
+        groups.setdefault(d, []).append((i, _weight_coordinates(inst.n, m, q, frames[spec.u])))
     members = [[i for i, _ in group] for group in groups.values()]
     return members, [([item for _, item in group], first, steady) for group in groups.values()]
 
@@ -159,10 +156,9 @@ def markov_series(
     bath=None,
 ) -> np.ndarray:
     """Success probabilities for every (p, mu) point of ``params_seq`` at
-    once, shape (len(params_seq), steps + 1); row b agrees with
+    once, shape (len(params_seq), steps + 1); row b is
     ``markov_evolve(inst, spec, params_seq[b], steps, bath).probabilities``
-    to rounding (the tests hold it to 1e-12), on the weight basis of
-    dimension d' in place of the orbit basis of dimension d.
+    bit for bit.
 
     The points share G, G' and the start, so they run as one batched step
     loop over their transfer tensors (:func:`collision_evolve`). This is
@@ -212,20 +208,20 @@ def markov_evolve(
     step from thermal two-qubit ancillas instead of pure ones;
     ``bath=None`` is the zero-temperature (pure) construction.
 
-    The loop runs on the orbit basis, at d x d
-    (:func:`~noisygrover.noise._dicke_operators`), with d as
+    The loop runs on the weight basis, at d' x d'
+    (:func:`~noisygrover.noise._weight_system`), with d' as
     ``meta["dim"]``, from the label blocks of |+><+| (x) |s><s|, and
     returns every step's blocks sigma_0, sigma_1 as ``blocks``, shape
-    (steps + 1, 2, d, d), t = 0 included. The blocks live in the span of
-    the orbit basis V (:func:`~noisygrover.noise.orbit_basis`), whose lift
-    V (sigma_0 + sigma_1) V^T is the N x N register state; nothing here
-    builds V. Its success series is the row of :func:`markov_series` for
-    ``params``, which runs on the weight basis, to rounding. ``validate`` checks, once after the run, every step's blocks
-    from t = 0 on at 1e-9 (an isometry keeps trace, hermiticity and the
-    nonzero spectrum; at t = 0 that is all the loop reads of the start) and
+    (steps + 1, 2, d', d'), t = 0 included. The blocks live in the span of
+    the weight basis B, whose lift B (sigma_0 + sigma_1) B^dagger is the
+    N x N register state; nothing here builds B. Its success series is the
+    row of :func:`markov_series` for ``params``, bit for bit. ``validate``
+    checks, once after the run, every step's blocks from t = 0 on at 1e-9
+    (an isometry keeps trace, hermiticity and the nonzero spectrum; at
+    t = 0 that is all the loop reads of the start) and
     raises :class:`InvariantViolation` at the first bad step.
     """
-    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
     first, steady = transfer_weights([params], bath)
     # A batch (1,) of the one point.
     sigma0 = _label_start(projector(s))[None]
@@ -251,8 +247,8 @@ def history_oracle(
     O_1 = G', the D x D operators given, and |s> of size D. Used to
     validate the collision construction; refuses steps >
     ``HISTORY_MAX_STEPS``, and G, G' and |s> whose shapes do not match.
-    It is generic in D: the CLI passes the d x d operators of the orbit
-    space (:func:`~noisygrover.noise._dicke_operators`), and the tests the
+    It is generic in D: the CLI passes the d' x d' operators of the weight
+    basis (:func:`~noisygrover.noise._weight_system`), and the tests the
     dense N x N ones as well.
 
     The histories form a binary tree: a node applies G or G' to its

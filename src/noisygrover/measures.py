@@ -17,9 +17,7 @@ qubit 0 times that span of the other n - 1 qubits, of dimension
 difference of its two states, so the backflow pair runs once, as that
 difference; its part outside the space is fixed by a trace
 (:func:`n_blp`). The step loop keeps label blocks only, at that
-dimension, and each witness reads its states off them. The orbit basis
-(:func:`~noisygrover.noise._dicke_operators`) stays with
-``markov_evolve`` and the verification layer, the references.
+dimension, and each witness reads its states off them.
 
 Both witnesses take one (p, mu) point or a sequence of them. A sequence
 shares G, G' and the bath, so it runs as batched

@@ -16,22 +16,17 @@ For U proportional to a Pauli or the identity the success probability
 admits closed forms in the overlaps <w| chi G |s>, and is independent of
 which qubits are hit (identity, sigma_x, sigma_z up to phase) or depends
 only on the parity of m (sigma_y up to phase). Those overlaps and the
-classifier for this "good noise" family live here, and so do the two
-bases the simulator runs in, each holding |s> and |w> and invariant under
-G and G', with n entering only through scalars:
-
-- the orbit basis, the span of :func:`orbit_basis` for the (m, q) class of
-  the position set (:func:`_orbit_class`), of dimension
-  d = (q + 1)(m - q + 1), doubled when m < n, with G, G' and |s> from
-  Dicke-basis closed forms (:func:`_dicke_operators`). ``markov_evolve``
-  and the verification layer, the independent references, run on it;
-- the weight basis, the span of P_j |s> and P_j |w> with P_j the projector
-  onto total weight j of the noisy qubits in u's eigenbasis, of dimension
-  d' <= 2(m + 1), with G, G' and |s> from u's 2 x 2 eigen frame
-  (:func:`_eigen_frame`) and binomial closed forms of order m
-  (:func:`_weight_coordinates`, :func:`_weight_operators`, and
-  :func:`_weight_system` for one system). The success tables and the
-  witnesses run on it.
+classifier for this "good noise" family live here, and so does the one
+basis the simulator runs in, the weight basis: the span of P_j |s> and
+P_j |w>, with P_j the projector onto total weight j = 0 .. m of the noisy
+qubits in u's eigenbasis. It holds |s> and |w>, is invariant under G and
+G', and has dimension d' <= 2(m + 1) (:func:`_orbit_class`), whatever q
+and n are. G, G', chi and |s> on it come from u's 2 x 2 eigen frame
+(:func:`_eigen_frame`) and binomial closed forms of order m
+(:func:`_weight_coordinates`), formed for a stack of systems of one d'
+(:func:`_weight_operators`) or for one system (:func:`_weight_system`);
+n enters only through scalars. The success tables, the witnesses,
+``markov_evolve`` and the verification subcommands all run on it.
 """
 
 from __future__ import annotations
@@ -198,111 +193,17 @@ def noisy_grover(g: ComplexMatrix, chi: ComplexMatrix) -> ComplexMatrix:
     return chi @ g
 
 
-def orbit_basis(inst: GroverInstance, spec: NoiseSpec) -> np.ndarray:
-    """Orthonormal N x d basis of a subspace that holds |s> and |w> and is
-    invariant under G and G' = chi G; column 0 is |w>.
-
-    Split the qubits into the noisy ones where the marked index has a 0
-    bit (m - q of them), the noisy ones where it has a 1 bit (q, as in
-    :func:`closed_form_overlaps`) and the clean ones C. A basis state is in
-    class (j, k, c) when it differs from the marked index in j bits of the
-    first set and k of the second, and c = 1 when it differs anywhere on C.
-    Column (j (q + 1) + k) nc + c is the indicator of that class over the
-    square root of its size, C(m-q, j) C(q, k) times 2^(n-m) - 1 when c = 1;
-    nc = 2, or 1 when m = n (there is no C). The span is
-    Sym^(m-q) (x) Sym^q (x) span{|w_C>, |+..+>_C}: u^(x m) maps each
-    symmetric factor into itself, chi leaves C alone, and G is -I plus a
-    rank-2 term on span{|s>, |w>}, which lies inside. So d = (q + 1)(m - q + 1)
-    nc whatever n is (:func:`_orbit_class`), and no threshold is involved.
-    ``markov_evolve`` and the verification layer build G, G' and |s> in
-    this basis from closed forms (:func:`_dicke_operators`); V
-    itself only lifts kept states back to N x N and serves the tests as a
-    reference.
-    """
-    n = inst.n
-    if any(p >= n for p in spec.positions):
-        raise ValueError(f"positions {spec.positions} exceed qubit count {n}")
-    m, q, d = _orbit_class(n, inst.marked, spec.positions)
-    bits = (np.arange(inst.N)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 first
-    diff = bits != bits[inst.marked]
-    noisy = np.isin(np.arange(n), spec.positions)
-    one = bits[inst.marked] == 1
-    nc = 1 if m == n else 2
-    j = diff[:, noisy & ~one].sum(axis=1)
-    k = diff[:, noisy & one].sum(axis=1)
-    label = (j * (q + 1) + k) * nc + diff[:, ~noisy].any(axis=1)
-    basis = np.zeros((inst.N, d))
-    basis[np.arange(inst.N), label] = 1.0 / np.sqrt(np.bincount(label)[label])
-    return basis
-
-
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
-_EYE2 = np.eye(2)
-
-
-def _dicke_powers(a: np.ndarray, k: int) -> list[ComplexMatrix]:
-    """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
-    j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
-    Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
-    basis states of Hamming weight x. ``a`` may be a stack (..., 2, 2), and
-    then every power is the stack (..., j + 1, j + 1) of its members' powers,
-    each bitwise the power of that member alone.
-
-    The entries are the binomial sums
-
-        D[x, y] = sqrt(C(j,y)/C(j,x)) sum_i C(y,i) C(j-y,x-i)
-                  a11^i a01^(y-i) a10^(x-i) a00^(j-y-x+i),
-
-    but those cancel: at j = 40 they lose up to 2e-11 to rounding. So the
-    powers are built one qubit at a time through the isometry
-    |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
-    which only ever forms contractions and stays at rounding level. Each
-    step forms the four shifted copies of the last power, one per entry
-    a_ij, as ((c_i c_j^T) a_ij) last with c_0 the |0> weights and c_1 the
-    |1> weights, in one product, and adds them into the slices of a zero
-    matrix where they land.
-    """
-    a = np.asarray(a)
-    # weights[j - 1, :, x] for step j, x < j: c_0 = sqrt((j - x) / j), the
-    # weight of |D^(j-1)_x>|0>, and c_1 = sqrt((x + 1) / j), that of
-    # |D^(j-1)_x>|1> (the abs only keeps the unused entries x > j real).
-    j, x = np.arange(1, k + 1)[:, None], np.arange(k)
-    weights = np.empty((k, 2, k))
-    weights[:, 0], weights[:, 1] = np.abs(j - x), x + 1
-    weights = np.sqrt(weights / j[:, None])
-    entries = a[..., :, :, None, None]
-    powers = [np.ones(a.shape[:-2] + (1, 1), dtype=complex)]
-    for size in range(1, k + 1):
-        c = weights[size - 1, :, :size]
-        shifted = c[:, None, :, None] * c[None, :, None, :] * entries
-        shifted = shifted * powers[-1][..., None, None, :, :]
-        d = np.zeros(a.shape[:-2] + (size + 1, size + 1), dtype=complex)
-        d[..., :-1, :-1] = shifted[..., 0, 0, :, :]  # from D[x, y]
-        d[..., :-1, 1:] += shifted[..., 0, 1, :, :]  # from D[x, y - 1]
-        d[..., 1:, :-1] += shifted[..., 1, 0, :, :]  # from D[x - 1, y]
-        d[..., 1:, 1:] += shifted[..., 1, 1, :, :]  # from D[x - 1, y - 1]
-        powers.append(d)
-    return powers
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b over the last two axes, with any leading axes broadcast: the
-    products of ``np.kron``, without its per-call set-up."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
 def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
-    """(m, q, d) of a set of noisy positions: its size m, the number q of
-    them where the marked index has a 1 bit, and the dimension
-    d = (q + 1)(m - q + 1) nc of the span of :func:`orbit_basis`, with
-    nc = 2 when m < n and 1 when m = n. A position outside [0, n) raises
-    ``ValueError``."""
+    """(m, q, d') of a set of noisy positions: its size m, the number q of
+    them where the marked index has a 1 bit, and the dimension d' of its
+    weight basis (:func:`_weight_coordinates`): 2(m + 1) when m < n, and at
+    m = n, m + 1 when q = 0 or q = m and 2m otherwise (1 for n = 0). A
+    position outside [0, n) raises ``ValueError``."""
     if any(not 0 <= p < n for p in positions):
         raise ValueError(f"positions {positions} outside [0, {n})")
     m = len(positions)
     q = sum(marked >> (n - 1 - p) & 1 for p in positions)
-    return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
+    return m, q, 2 * (m + 1) if m < n else (2 * m if 0 < q < m else m + 1)
 
 
 def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
@@ -319,47 +220,6 @@ def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
         for m in range(1, n + 1)
         for q in range(max(0, m - len(zeros)), min(m, len(ones)) + 1)
     ]
-
-
-def _dicke_operators(
-    n: int, marked: int, u: np.ndarray, positions: tuple[int, ...]
-) -> tuple[ComplexMatrix, np.ndarray, ComplexMatrix, np.ndarray]:
-    """(chi, G, G', |s>) in the orbit basis of :func:`orbit_basis`, d x d
-    and d, of one system, built from n, the marked index, the 2 x 2 matrix
-    ``u`` and the noisy positions only; |w> is column 0 and G and |s> are
-    real. n = 0 gives the 1 x 1 case. Nothing of size 2^n is formed.
-
-    Flipping the q noisy qubits where the marked index has a 1 bit maps the
-    class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
-    on the other m - q noisy qubits, times that of weight k on the q
-    flipped ones, times |0_C> (c = 0) or the normalized sum of the nonzero
-    basis states of the clean qubits C (c = 1). In that frame chi is u on
-    the first set and X u X on the second, and the identity on C, so
-
-        chi = D^(m-q)(u) (x) D^(q)(X u X) (x) I_nc,
-        s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N),
-
-    with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1, in the column
-    order of :func:`orbit_basis`; nc = 1 when m = n. One recursion
-    (:func:`_dicke_powers`) on the pair (u, X u X) up to max(m - q, q)
-    gives both Dicke factors.
-    """
-    m, q, _ = _orbit_class(n, marked, positions)
-    powers = _dicke_powers(np.array((u, _FLIP @ u @ _FLIP)), max(m - q, q))
-    chi = _kron(powers[m - q][0], powers[q][1])
-    clean = (1,)  # class sizes on C
-    if m < n:
-        chi = _kron(chi, _EYE2)
-        clean = (1, 2 ** (n - m) - 1)
-    N = 2**n
-    s = np.sqrt([
-        math.comb(m - q, j) * math.comb(q, k) * size / N
-        for j in range(m - q + 1)
-        for k in range(q + 1)
-        for size in clean
-    ])
-    g = reduced_grover_operator(s, 0, N)
-    return chi, g, chi @ g, s
 
 
 def _eigen_frame(u: SingleQubitUnitary) -> tuple[tuple[complex, complex], ...]:
@@ -416,8 +276,9 @@ def _weight_coordinates(n: int, m: int, q: int, frame) -> tuple[list, list, list
     total weight j = 0 .. m of the noisy qubits in u's eigenbasis; chi is
     the scalar lambda_j = l0^(m-j) l1^j (divided by its modulus) on that
     block, so the span holds |s> and |w> and is invariant under chi and G.
-    In the frame of :func:`_dicke_operators` the m - q group sees u and the
-    q group X u X, whose eigenvectors are X v_i, and a product state
+    Flip the q noisy qubits where the marked index has a 1 bit: then |w> is
+    |0> on every qubit, the other m - q noisy qubits see u and the q
+    flipped ones X u X, whose eigenvectors are X v_i, and a product state
     phi^(x k) has eigen-Dicke coordinates sqrt(C(k, a)) (v0^dagger phi)^(k-a)
     (v1^dagger phi)^a. With p, z, z' of the frame, x = P_j s and y = P_j w:
 
@@ -430,10 +291,13 @@ def _weight_coordinates(n: int, m: int, q: int, frame) -> tuple[list, list, list
     x / |x| and slot j, 1 the rest of y: |s> reads (|x|, 0) and |w> reads
     (c, sqrt(max(|y|^2 - |c|^2, 0))) with c = x^dagger y / |x|, formed as
     g0 e0^(m-j) e1^j [t^j](...) / sqrt(C(m, j)) with e_i = conj(p_i) / |p_i|,
-    so a tiny |x| loses nothing; a zero p_i takes e_i = 1. The second slot
-    exists where the
-    weight-j block of the orbit space, of dimension
-    nc #{a + b = j : a <= m - q, b <= q}, is not a line; chi is lambda_j on
+    so a tiny |x| loses nothing; a zero p_i takes e_i = 1. Every word of G
+    and chi maps |s> into Sym^(m-q) (x) Sym^q on the noisy qubits (in the
+    flipped frame) times span{|0>, |+..+>} on the n - m clean ones (one
+    vector when m = n), and P_j maps that space into itself. The second
+    slot exists where its weight-j block, of dimension
+    nc #{a + b = j : a <= m - q, b <= q} with nc = 2 when m < n and 1 when
+    m = n, is not a line; chi is lambda_j on
     the whole block, so its value is exact even when it is 0. So d' depends
     on (n, m, q) alone: 2(m + 1) when m < n (nc = 2), and at m = n, m + 1
     when q = 0 or q = m and 2m otherwise.
@@ -477,7 +341,7 @@ def _weight_operators(
         chi[k, l] = lambda_k delta_kl + y_k conj(y_l) (c^2 mu - c (lambda_k + lambda_l)),
 
     G is :func:`reduced_grover_operator` of |s> and G' = chi G. |s> is
-    |H s| with s_0 = <w|s> = sqrt(1/N) put back, as the orbit basis has it,
+    |H s| with s_0 = <w|s> = sqrt(1/N) put back exactly,
     and the rest scaled to norm sqrt(1 - 1/N): H leaves an absolute rounding
     error in every entry, and s_0 sets every step's rotation angle. The
     reflection runs on scalars, per system; the matrices are formed for the

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisygrover import collision, noise
+from noisygrover import collision, markov, noise
 from noisygrover.grover import (
     GroverInstance,
     grover_operator,
@@ -25,7 +25,6 @@ from noisygrover.noise import (
     NoiseSpec,
     build_chi,
     noisy_grover,
-    orbit_basis,
     sigma_x_reduced,
     single_qubit_unitary,
 )
@@ -126,17 +125,135 @@ def label_blocks(joint):
     return np.stack([joint[..., :h, :h], joint[..., h:, h:]], axis=-3)
 
 
+def orbit_class(n, marked, positions):
+    """(m, q, d) of a set of noisy positions on the orbit basis of
+    :func:`orbit_basis`: ``noise._orbit_class``'s m and q (and its check of
+    the positions), and d = (q + 1)(m - q + 1) nc with nc = 2 when m < n
+    and 1 when m = n."""
+    m, q, _ = noise._orbit_class(n, marked, positions)
+    return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
+
+
+def orbit_basis(inst, spec):
+    """Orthonormal N x d basis of a subspace that holds |s> and |w> and is
+    invariant under G and G' = chi G; column 0 is |w>.
+
+    Split the qubits into the noisy ones where the marked index has a 0
+    bit (m - q of them), the noisy ones where it has a 1 bit (q, as in
+    :func:`~noisygrover.noise.closed_form_overlaps`) and the clean ones C.
+    A basis state is in class (j, k, c) when it differs from the marked
+    index in j bits of the first set and k of the second, and c = 1 when it
+    differs anywhere on C. Column (j (q + 1) + k) nc + c is the indicator of
+    that class over the square root of its size, C(m-q, j) C(q, k) times
+    2^(n-m) - 1 when c = 1; nc = 2, or 1 when m = n (there is no C). The
+    span is Sym^(m-q) (x) Sym^q (x) span{|w_C>, |+..+>_C}: u^(x m) maps
+    each symmetric factor into itself, chi leaves C alone, and G is -I plus
+    a rank-2 term on span{|s>, |w>}, which lies inside. So
+    d = (q + 1)(m - q + 1) nc whatever n is (:func:`orbit_class`), and no
+    threshold is involved. :func:`dicke_operators_loop` builds G, G' and
+    |s> in this basis from closed forms; V itself lifts kept states back to
+    N x N and serves the tests as a reference.
+    """
+    n = inst.n
+    if any(p >= n for p in spec.positions):
+        raise ValueError(f"positions {spec.positions} exceed qubit count {n}")
+    m, q, d = orbit_class(n, inst.marked, spec.positions)
+    bits = (np.arange(inst.N)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 first
+    diff = bits != bits[inst.marked]
+    noisy = np.isin(np.arange(n), spec.positions)
+    one = bits[inst.marked] == 1
+    nc = 1 if m == n else 2
+    j = diff[:, noisy & ~one].sum(axis=1)
+    k = diff[:, noisy & one].sum(axis=1)
+    label = (j * (q + 1) + k) * nc + diff[:, ~noisy].any(axis=1)
+    basis = np.zeros((inst.N, d))
+    basis[np.arange(inst.N), label] = 1.0 / np.sqrt(np.bincount(label)[label])
+    return basis
+
+
+def weight_basis(inst, spec):
+    """The N x d' weight basis B of (inst, spec), built densely: the basis
+    in which ``noise._weight_system`` gives chi, G, G' and |s>, so that
+    B^dagger chi B is its chi, and likewise G, G' and B^dagger |s>.
+
+    Rotate the noisy qubits into u's eigenbasis V (``noise._eigen_frame``),
+    where each weight projector P_j is a 0/1 mask. Slot (j, 0) is
+    e0^(m-j) e1^j times the weight-j Dicke state of the noisy qubits, with
+    |+> on the clean ones, e_i the phase of p_i = <v_i|+> (1 where
+    p_i = 0): P_j |s> normalized, where that is not 0. Slot (j, 1) is the
+    normalized rest of P_j |w>, or, where that rest is 0, a unit vector of
+    the weight-j block orthogonal to |s> and |w>. It exists where the
+    weight-j block of the orbit space, nc #{a + b = j : a <= m - q, b <= q}
+    vectors, is not a line. The coordinates of |s> and |w> are read off
+    these columns, and ``noise._weight_operators``' Householder reflection
+    H and phase P applied: B = B0 H P^dagger. Nothing here reads
+    ``noise._weight_coordinates``; only the phases that the basis leaves
+    free are read off ``noise._weight_system``'s chi (below). For small n:
+    it forms N x N arrays.
+    """
+    n, N = inst.n, inst.N
+    m, q, _ = noise._orbit_class(n, inst.marked, spec.positions)
+    _, p, z, zf = noise._eigen_frame(spec.u)
+    v = np.array([np.conj(z), np.conj(zf)])  # v[:, i] = v_i
+    rotate, weight = np.ones((1, 1)), np.zeros(1, dtype=int)
+    for qubit in range(n):
+        noisy = qubit in spec.positions
+        rotate = np.kron(rotate, v if noisy else np.eye(2))
+        weight = (weight[:, None] + (np.arange(2) if noisy else np.zeros(2, dtype=int))).ravel()
+    s, w = uniform_superposition(inst), np.eye(N)[inst.marked]
+    w_rot = rotate.conj().T @ w
+    phase = [c / abs(c) if abs(c) else 1.0 for c in p]
+    nc = 2 if m < n else 1
+    columns = []
+    for j in range(m + 1):
+        mask = weight == j
+        x = phase[0] ** (m - j) * phase[1] ** j * mask / math.sqrt(mask.sum())
+        columns.append(x)
+        if nc * sum(1 for a in range(m - q + 1) if 0 <= j - a <= q) < 2:
+            continue
+        rest = mask * w_rot
+        rest = rest - x * np.vdot(x, rest)
+        if np.linalg.norm(rest) <= 1e-12:
+            # any unit vector of the block orthogonal to x, and so to s and w
+            block = np.eye(N)[:, mask]
+            block = block - np.outer(x, x.conj() @ block)
+            rest = block[:, np.argmax(np.linalg.norm(block, axis=0))]
+        columns.append(rest / np.linalg.norm(rest))
+    b0 = rotate @ np.array(columns).T
+    s_c, w_c = b0.conj().T @ s, b0.conj().T @ w
+    head = abs(w_c[0]) / np.linalg.norm(w_c)
+    v = w_c / np.linalg.norm(w_c)
+    v[0] += w_c[0] / abs(w_c[0]) if head else 1.0
+    h = np.eye(len(v)) - np.outer(v, v.conj()) / (1.0 + head)
+    hs = h @ s_c
+    ph = np.array([b.conjugate() / abs(b) if abs(b) > 1e-14 else 1.0 for b in hs])
+    basis = b0 @ h @ np.diag(ph.conj())
+    # A column k > 0 with no |s> coordinate keeps a free phase, which
+    # _weight_operators takes from a number at rounding level; read it off
+    # the chi it builds, at the column's largest entry in a fixed row.
+    free = np.abs(hs) <= 1e-14
+    free[0] = False
+    chi = basis.conj().T @ build_chi(n, spec) @ basis
+    want = noise._weight_system(n, inst.marked, spec.u, spec.positions)[0]
+    for k in np.flatnonzero(free):
+        row = np.argmax(np.where(free, 0.0, np.abs(chi[:, k])))
+        if abs(chi[row, k]) > 1e-8:
+            ratio = want[row, k] / chi[row, k]
+            basis[:, k] *= ratio / abs(ratio)
+    return basis
+
+
 def lift(inst, spec, blocks):
-    """d x d matrices (..., d, d) in the orbit basis V of (inst, spec),
-    lifted to N x N as V sigma V^T: a ``markov_evolve`` run's register
+    """d' x d' matrices (..., d', d') in the weight basis B of (inst, spec),
+    lifted to N x N as B sigma B^dagger: a ``markov_evolve`` run's register
     states are ``lift(inst, spec, trace.blocks.sum(axis=1))``."""
-    v = orbit_basis(inst, spec)
-    return v @ blocks @ v.T
+    b = weight_basis(inst, spec)
+    return b @ blocks @ b.conj().T
 
 
-def orbit_blocks(inst, spec, params, steps, bath=None):
+def lifted_blocks(inst, spec, params, steps, bath=None):
     """The label blocks of ``markov_evolve``'s run, (steps + 1, 2, N, N),
-    each lifted to N x N through the orbit basis."""
+    each lifted to N x N through the weight basis."""
     return lift(inst, spec, markov_evolve(inst, spec, params, steps, bath).blocks)
 
 
@@ -214,11 +331,9 @@ def verify_dilation_loop(u, kset, trials=20, seed=1234):
     return float(np.max(np.concatenate(deviations)))
 
 
-# The step loop and the Dicke recursion as they were before their buffers
-# and stacks: a fresh array per product and per step, the success
-# probability read per step, one recursion per 2 x 2 matrix. Kept as the
-# references that collision's step loop and noise's stacked recursion must
-# equal bitwise.
+# The step loop as it was before its buffers: a fresh array per product
+# and per step, the success probability read per step. Kept as the
+# reference that collision's step loop must equal bitwise.
 
 
 def step_stream_loop(sigma, first_plan, steady_plan):
@@ -260,9 +375,27 @@ def evolve_loop(g, gp, first, steady, sigma0, steps, marked=0):
     return np.stack(probs, axis=-1), np.stack(blocks, axis=-4)
 
 
+# The orbit basis's operators, one Dicke recursion per 2 x 2 matrix and one
+# system at a time: its only builder, and the independent reference the
+# weight basis is held to.
+
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 def dicke_powers_loop(a, k):
-    """noise._dicke_powers of one 2 x 2 matrix ``a``, one shifted copy of
-    the last power per line."""
+    """[D^(0)(a), .., D^(k)(a)], where D^(j)(a) is the 2 x 2 matrix ``a`` on
+    j qubits, a^(x j), restricted to the symmetric subspace Sym^j in the
+    Dicke basis |D_0> .. |D_j>, and |D_x> is the normalized sum of the
+    basis states of Hamming weight x.
+
+    The binomial sums for the entries cancel (at j = 40 they lose up to
+    2e-11 to rounding), so the powers are built one qubit at a time through
+    the isometry
+    |D^(j+1)_x> = sqrt((j+1-x)/(j+1)) |D^(j)_x>|0> + sqrt(x/(j+1)) |D^(j)_(x-1)>|1>,
+    which only forms contractions and stays at rounding level: one shifted
+    copy of the last power per entry a_ij, each added into the slice of a
+    zero matrix where it lands.
+    """
     powers = [np.ones((1, 1), dtype=complex)]
     for size in range(1, k + 1):
         x = np.arange(size + 1)
@@ -278,19 +411,13 @@ def dicke_powers_loop(a, k):
     return powers
 
 
-# The orbit operators as the verification subcommands built them, one
-# recursion per system up to its own max(m - q, q) and G and G' one system
-# at a time: the reference that noise._dicke_operators must equal bitwise;
-# and the witnesses' split operators from the per-system weight build.
-
-
 def orbit_lift_loop(n, m, q, dicke):
     """(chi, |s>) of a position set of class (m, q) on n qubits, from its
     Dicke pair (D^(m-q)(u), D^(q)(X u X))."""
-    chi = noise._kron(*dicke)
+    chi = np.kron(*dicke)
     clean = (1,)
     if m < n:
-        chi = noise._kron(chi, np.eye(2))
+        chi = np.kron(chi, np.eye(2))
         clean = (1, 2 ** (n - m) - 1)
     N = 2**n
     s = np.sqrt([
@@ -303,13 +430,43 @@ def orbit_lift_loop(n, m, q, dicke):
 
 
 def dicke_operators_loop(n, marked, u, positions):
-    """(chi, G, G', |s>) of one system from its own recursion, G and |s>
-    real."""
-    m, q, _ = noise._orbit_class(n, marked, positions)
-    powers = noise._dicke_powers(np.array((u, noise._FLIP @ u @ noise._FLIP)), max(m - q, q))
-    chi, s = orbit_lift_loop(n, m, q, (powers[m - q][0], powers[q][1]))
+    """(chi, G, G', |s>) of one system in the orbit basis of
+    :func:`orbit_basis`, d x d and d, built from n, the marked index, the
+    2 x 2 matrix ``u`` and the noisy positions only; |w> is column 0 and G
+    and |s> are real.
+
+    Flipping the q noisy qubits where the marked index has a 1 bit maps the
+    class (j, k, c) of :func:`orbit_basis` onto the Dicke state of weight j
+    on the other m - q noisy qubits, times that of weight k on the q
+    flipped ones, times |0_C> (c = 0) or the normalized sum of the nonzero
+    basis states of the clean qubits C (c = 1). In that frame chi is u on
+    the first set and X u X on the second, and the identity on C, so
+    chi = D^(m-q)(u) (x) D^(q)(X u X) (x) I_nc and
+    s[(j, k, c)] = sqrt(C(m-q, j) C(q, k) size_c / N) (:func:`orbit_lift_loop`),
+    with size_c = 1 for c = 0 and 2^(n-m) - 1 for c = 1.
+    """
+    m, q, _ = orbit_class(n, marked, positions)
+    dicke = dicke_powers_loop(u, m - q)[m - q], dicke_powers_loop(_FLIP @ u @ _FLIP, q)[q]
+    chi, s = orbit_lift_loop(n, m, q, dicke)
     g = reduced_grover_operator(s, 0, 2**n)
     return chi, g, chi @ g, s
+
+
+def orbit_evolve(inst, spec, params, steps, bath=None):
+    """``markov_evolve`` as it ran on the orbit basis: the step loop at
+    d x d on :func:`dicke_operators_loop`'s G and G', from the label blocks
+    of |+><+| (x) |s><s|, keeping every step's blocks, which lift through
+    :func:`orbit_basis`."""
+    _, g, gp, s = dicke_operators_loop(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    first, steady = collision.transfer_weights([params], bath)
+    sigma0 = markov._label_start(projector(s))[None]
+    run = collision.collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True)
+    return collision.EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])
+
+
+# The witnesses' split operators from the per-system weight build, and the
+# stack rule as it took an item budget: the references that
+# measures._split_operators and collision._chunks must equal bitwise.
 
 
 def split_operators_loop(inst, spec):
@@ -352,11 +509,11 @@ def orbit_split_operators(inst, spec):
     """(G, G', |s>) on n_blp's space W = C^2 (x) W_rest in the basis
     I_2 (x) V_rest, with V_rest the orbit basis of the other n - 1 qubits
     (:func:`split_basis`): u (or I_2) on qubit 0 times the Dicke-basis chi
-    of the rest (``noise._dicke_operators``), |s> = |+> (x) |s_rest> and
+    of the rest (:func:`dicke_operators_loop`), |s> = |+> (x) |s_rest> and
     |w> = |b_0> (x) |w_rest>."""
     half = inst.N // 2
     u = spec.u.matrix
-    chi, _, _, s = noise._dicke_operators(
+    chi, _, _, s = dicke_operators_loop(
         inst.n - 1, inst.marked % half, u, tuple(p - 1 for p in spec.positions if p)
     )
     chi = np.kron(u if 0 in spec.positions else np.eye(2), chi)
@@ -382,7 +539,7 @@ def _orbit_run(g, gp, start, points, steps, bath=None):
 def orbit_cp_series(inst, spec, points, steps):
     """n_cp's series (len(points), steps + 1) on the orbit basis: half the
     trace norm of the system image of |s><s| - |w><w|."""
-    _, g, gp, s = noise._dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = dicke_operators_loop(inst.n, inst.marked, spec.u.matrix, spec.positions)
     w = np.eye(s.size)[0]
     blocks = _orbit_run(g, gp, np.outer(s, s) - np.outer(w, w), points, steps)
     return _half_norms(blocks.sum(axis=-3))

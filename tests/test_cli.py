@@ -179,10 +179,9 @@ def test_load_config_syntax_error(tmp_path):
             ("noisy", "--n", "3", "--m", "1,2", "--positions", "0,1"), id="m-list-with-positions"
         ),
         pytest.param(("noisy", "--n", "3", "--temp", "0.5", "--st", "1"), id="abbreviated-flags"),
-        # d = 272 (q = 15 of m = 31 = n) at 12 steps, above ORBIT_MAX_DIM
+        # d' = 258 (m = 128 of n = 129) at 12 steps, above CHECK_MAX_DIM
         pytest.param(
-            ("oracle-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16),
-             "--steps", "12"),
+            ("oracle-check", "--n", "129", "--m", "128", "--steps", "12"),
             id="oracle-work-n10-steps12",
         ),
     ],
@@ -201,15 +200,15 @@ class _Accepted(Exception):
     "n,steps,accepted",
     [
         (7, 12, True), (10, 3, True), (8, 12, True), (9, 12, True), (10, 11, True),
-        (10, 12, True), (30, 12, True), (31, 12, False),
+        (10, 12, True), (30, 12, True), (128, 12, True), (129, 12, False),
     ],
 )
 def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
     # Every qubit noisy, with the marked index's top n - n // 2 bits set:
-    # q = n - n // 2 and d = (q + 1)(n - q + 1), from 20 at n = 7 to
-    # 36 at n = 10, 256 (the cap) at n = 30 and 272 at n = 31. The
-    # evolution is stubbed, so nothing runs: reaching it means the inputs
-    # were accepted.
+    # 0 < q = n - n // 2 < n, so d' = 2n, from 14 at n = 7 to 20 at
+    # n = 10, 60 at n = 30, 256 (the cap) at n = 128 and 258 at n = 129.
+    # The evolution is stubbed, so nothing runs: reaching it means the
+    # inputs were accepted.
     def stub(*args, **kwargs):
         raise _Accepted
 
@@ -223,7 +222,7 @@ def test_oracle_check_caps_its_work(capsys, monkeypatch, n, steps, accepted):
         return
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and f"d=272 at n={n}, m={n}, q=16 exceeds 256" in err
+    assert err.startswith("error:") and f"d'=258 at n={n}, m={n}, q=65 exceeds 256" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -353,13 +352,13 @@ def test_oracle_check_passes(capsys):
     assert code == 0
     meta, _, rows = parse_csv(out)
     assert float(meta["max_trace_distance"]) < 1e-10
-    assert meta["dim"] == "4"  # m = 1, q = 0 at n = 2: (0 + 1)(1 + 1) 2
+    assert meta["dim"] == "4"  # m = 1 < n = 2: d' = 2(m + 1)
     assert len(rows) == 7
     assert max(float(row[2]) for row in rows) < 1e-12  # prob_deviation, read at |w>
 
 
 def test_oracle_check_runs_on_the_orbit_space_at_forty_qubits():
-    # n = 40 with marked index 0: q = 0 of m = 30, d = 31 * 2 = 62. The
+    # n = 40 with marked index 0, m = 30 < n: d' = 2(m + 1) = 62. The
     # noise u is not symmetric, so a history sum built from u^T would miss
     # the evolution. The table holds the kept label blocks (2 (steps + 1) d^2
     # complex entries), the history sums ((steps + 1) d^2) and, while the
@@ -391,7 +390,7 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
     assert out1 == out2
     meta, columns, rows = parse_csv(out1)
     assert meta["all_within_tolerance"] == "true"
-    assert meta["dim"] == "4"  # m = 1, q = 0 at n = 2: (0 + 1)(1 + 1) 2
+    assert meta["dim"] == "4"  # m = 1 < n = 2: d' = 2(m + 1)
     assert "m_residual" in columns
     assert len(rows) == 9
 
@@ -521,8 +520,8 @@ def test_dilation_check_without_memory_repeats_the_first_step(capsys):
 
 
 def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, monkeypatch):
-    # Up to d = 11 two 8d x 8d unitaries fit the entry budget, and at d = 8
-    # one stacked call builds both steps. From d = 12 on one unitary is
+    # Up to d' = 11 two 8d' x 8d' unitaries fit the entry budget, and at
+    # d' = 8 one stacked call builds both steps. From d' = 12 on one unitary is
     # alive at a time: when the steady step's U is built, nothing holds the
     # first collision's.
     real, built, shapes, alive_at_build = cli.dilation_unitary, [], [], []
@@ -537,7 +536,7 @@ def test_dilation_check_drops_the_initial_unitary_before_the_steady_one(capsys, 
     monkeypatch.setattr(cli, "dilation_unitary", tracked)
     for argv, dim, stacks, alive in (
         (("--n", "8", "--m", "3"), "8", [(2, 64, 64)], [[]]),
-        (("--n", "5", "--m", "3", "--marked", "4"), "12", [(1, 96, 96)] * 2, [[], [False]]),
+        (("--n", "6", "--m", "5"), "12", [(1, 96, 96)] * 2, [[], [False]]),
     ):
         for record in (built, shapes, alive_at_build):
             record.clear()
@@ -727,15 +726,13 @@ def test_a_nan_mid_run_in_a_witness_exits_two(capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "argv,what",
     [
-        # Orbit classes over the d <= 256 cap: q = 19 of m = 39 (d = 840),
-        # and q = 15 of m = 31 = n (d = 272), the smallest refused d at m = n.
-        (("dilation-check", "--n", "40", "--m", "39", "--marked", str(2**40 - 2**21)),
-         "dilation-check"),
-        (("dilation-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16),
+        # Classes over the d' <= 256 cap: m = 128 < n (d' = 258), and
+        # q = 65 of m = 129 = n (d' = 258), the smallest refused d' of each.
+        (("dilation-check", "--n", "129", "--m", "128"), "dilation-check"),
+        (("dilation-check", "--n", "129", "--m", "129", "--marked", str(2**129 - 2**64),
           "--p", "0.1,0.2"), "dilation-check"),
-        (("oracle-check", "--n", "40", "--m", "39", "--marked", str(2**40 - 2**21)),
-         "oracle-check"),
-        (("oracle-check", "--n", "31", "--m", "31", "--marked", str(2**31 - 2**16)),
+        (("oracle-check", "--n", "129", "--m", "128"), "oracle-check"),
+        (("oracle-check", "--n", "129", "--m", "129", "--marked", str(2**129 - 2**64)),
          "oracle-check"),
         (("ideal", "--n", "1024"), "finite"),
         (("noisy", "--n", "1100", "--p", "0.1,0.2"), "finite"),
@@ -781,16 +778,15 @@ def test_dense_subcommands_run_at_their_caps(capsys):
 
 
 def test_dilation_check_admits_the_cap_exactly(capsys, monkeypatch):
-    # q = 15 of m = 30 = n gives d = 256, the cap: admitted, and recorded
-    # as dim. The point itself (about 3 s) is stubbed; CI runs it.
+    # m = 127 < n = 128 gives d' = 2(m + 1) = 256, the cap: admitted, and
+    # recorded as dim. The point itself (about 3 s) is stubbed; CI runs it.
     def zeros(point):
         params = point[2]
         return [params.p, params.mu] + [0.0] * (len(cli._DILATION_COLUMNS) - 2)
 
     monkeypatch.setattr(cli, "_dilation_point", zeros)
     code, out, err = run_cli(
-        capsys, "dilation-check", "--n", "30", "--m", "30", "--marked", str(2**30 - 2**15),
-        "--p", "0.3", "--mu", "0.5",
+        capsys, "dilation-check", "--n", "128", "--m", "127", "--p", "0.3", "--mu", "0.5",
     )
     assert code == 0, err
     meta, _, rows = parse_csv(out)
@@ -798,7 +794,7 @@ def test_dilation_check_admits_the_cap_exactly(capsys, monkeypatch):
 
 
 def test_dilation_check_runs_on_the_orbit_space_at_forty_qubits(capsys):
-    # n = 40 with marked index 0: q = 0 of m = 30, d = 31 * 2 = 62.
+    # n = 40 with marked index 0, m = 30 < n: d' = 2(m + 1) = 62.
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "40", "--m", "30", "--marked", "0",
         "--noise", "hadamard", "--p", "0.3", "--mu", "0.5", "--trials", "5",

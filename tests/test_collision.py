@@ -1017,15 +1017,16 @@ def _low_rank_start(name, inst):
     raise ValueError(name)
 
 
-def _check_against_dense(inst, spec, params, bath, start, steps, validate, orbit=False):
-    # orbit=True runs the |s> start through markov_evolve at d x d instead
-    # of collision_evolve on the full N x N operators; its label blocks and
-    # their sums, lifted through the orbit basis, meet the dense run.
+def _check_against_dense(inst, spec, params, bath, start, steps, validate, weight=False):
+    # weight=True runs the |s> start through markov_evolve at d' x d'
+    # instead of collision_evolve on the full N x N operators; its label
+    # blocks and their sums, lifted through the weight basis, meet the
+    # dense run.
     g = grover_operator(inst)
     gp = noisy_grover(g, build_chi(inst.n, spec))
     r0 = _low_rank_start(start, inst)
     probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
-    if orbit:
+    if weight:
         trace = markov_evolve(inst, spec, params, steps, bath=bath, validate=validate)
         for a, b in zip(lift(inst, spec, trace.blocks.sum(axis=1)), states):
             assert np.max(np.abs(a - b)) < 1e-12
@@ -1057,7 +1058,7 @@ def test_compressed_evolve_matches_dense_kraus(n, kind, start):
     _check_against_dense(inst, spec, params, bath, start, 6, validate=start != "witness")
 
 
-# markov_evolve through the orbit basis, n = 2..6, every m.
+# markov_evolve through the weight basis, n = 2..6, every m.
 @pytest.mark.parametrize("kind", ["pure", "thermal"])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_markov_evolve_matches_dense_kraus(n, kind):
@@ -1068,7 +1069,7 @@ def test_markov_evolve_matches_dense_kraus(n, kind):
         spec = noise_spec(haar_noise(rng), m, n, positions)
         params = MarkovNoiseParams(rng.uniform(), rng.uniform())
         bath = thermal_weights(rng.uniform(0.2, 3.0)) if kind == "thermal" else None
-        _check_against_dense(inst, spec, params, bath, "s", 6, validate=True, orbit=True)
+        _check_against_dense(inst, spec, params, bath, "s", 6, validate=True, weight=True)
 
 
 # Beyond the dense Kraus reference: the full N x N step loop at n = 7, 8,
@@ -1089,12 +1090,12 @@ def test_markov_evolve_matches_full_collision_evolve(n):
             g, gp, *transfer_weights(params, bath), sigma0, 5, marked=inst.marked,
             keep_blocks=True,
         )
-        orbit = markov_evolve(inst, spec, params, 5, bath=bath)
-        assert np.max(np.abs(orbit.probabilities - full.probabilities)) < 1e-12
-        states = lift(inst, spec, orbit.blocks.sum(axis=1))
+        reduced = markov_evolve(inst, spec, params, 5, bath=bath)
+        assert np.max(np.abs(reduced.probabilities - full.probabilities)) < 1e-12
+        states = lift(inst, spec, reduced.blocks.sum(axis=1))
         for sigma, rho in zip(full.blocks, states, strict=True):
             assert np.max(np.abs(sigma.sum(axis=0) - rho)) < 1e-12
-        lifted = lift(inst, spec, orbit.blocks)
+        lifted = lift(inst, spec, reduced.blocks)
         assert np.max(np.abs(lifted - full.blocks)) < 1e-12
 
 
@@ -1128,7 +1129,7 @@ def test_compressed_evolve_property(n, noise, order, m_frac, marked_frac, p, mu,
     spec = noise_spec(u, m, n, positions)
     bath = None if temperature is None else thermal_weights(temperature)
     params = MarkovNoiseParams(p, mu)
-    _check_against_dense(inst, spec, params, bath, start, 5, validate=False, orbit=start == "s")
+    _check_against_dense(inst, spec, params, bath, start, 5, validate=False, weight=start == "s")
 
 
 def _q(inst, positions):
@@ -1151,8 +1152,9 @@ def test_dim_is_full_for_full_rank_and_blp_partner_starts():
 
 
 def test_dim_bounded_on_markov_starts():
-    # The orbit basis spans Sym^(m-q) (x) Sym^q on the noisy qubits times
-    # span{|+...+>, |w_rest>} on the others (one vector if m = n), for any
+    # The weight basis spans P_j |s> and P_j |w> for each weight j of the
+    # noisy qubits in u's eigenbasis: two vectors per j when m < n, and at
+    # m = n one at j = 0 and j = m, and one per j when q is 0 or m, for any
     # noise: a Haar draw and Hadamard per n.
     rng = np.random.default_rng(8)
     params = MarkovNoiseParams(0.3, 0.4)
@@ -1161,7 +1163,7 @@ def test_dim_bounded_on_markov_starts():
             inst = GroverInstance(n, int(rng.integers(2**n)))
             positions = sorted(rng.choice(n, size=m, replace=False).tolist())
             q = _q(inst, positions)
-            expected = (q + 1) * (m - q + 1) * (1 if m == n else 2)
+            expected = 2 * (m + 1) if m < n else (2 * m if 0 < q < m else m + 1)
             dim = markov_evolve(inst, noise_spec(u, m, n, positions), params, 2).meta["dim"]
             assert dim == expected, (n, m, positions, inst.marked)
 

@@ -1,12 +1,21 @@
-"""The closed-form Dicke-basis operators against the N x d orbit bases they
-replace, the closed forms at n = 20..40, and the batched series."""
+"""The orbit basis's closed-form Dicke operators (``support``'s
+independent reference for the weight basis) against the N x d orbit
+bases they compress, ``markov_evolve`` against the closed forms at
+n = 20..40, and the batched series."""
 
 import math
 import os
 
 import numpy as np
 import pytest
-from support import haar_noise, label_blocks, reduced_sigma_x_walks
+from support import (
+    dicke_operators_loop,
+    dicke_powers_loop,
+    haar_noise,
+    label_blocks,
+    orbit_basis,
+    reduced_sigma_x_walks,
+)
 
 from noisygrover import cli, collision, grover, markov, measures, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
@@ -19,15 +28,7 @@ from noisygrover.markov import (
     perfect_memory_analytic,
 )
 from noisygrover.measures import _split_operators, n_blp, n_cp
-from noisygrover.noise import (
-    _dicke_operators,
-    _dicke_powers,
-    closed_form_overlaps,
-    noise_spec,
-    noise_unitary,
-    orbit_basis,
-    sigma_y_p2,
-)
+from noisygrover.noise import closed_form_overlaps, noise_spec, noise_unitary, sigma_y_p2
 
 
 def _compressed(inst, spec, v):
@@ -81,7 +82,7 @@ def _q(inst, spec):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dicke_operators_equal_the_orbit_basis_compressions(n):
     for inst, spec in _cases(n, 100 + n):
-        _, *got = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+        _, *got = dicke_operators_loop(inst.n, inst.marked, spec.u.matrix, spec.positions)
         want = _compressed(inst, spec, orbit_basis(inst, spec))
         for a, b in zip(got, want):
             assert a.shape == b.shape
@@ -119,7 +120,7 @@ def test_dicke_power_is_the_binomial_sum(k):
                 * a11**i * a01 ** (y - i) * a10 ** (x - i) * a00 ** (k - y - x + i)
                 for i in range(max(0, x + y - k), min(x, y) + 1)
             )
-    assert np.max(np.abs(_dicke_powers(a, k)[k] - want)) < 1e-13
+    assert np.max(np.abs(dicke_powers_loop(a, k)[k] - want)) < 1e-13
 
 
 @pytest.mark.parametrize("k", range(0, 7))
@@ -131,17 +132,17 @@ def test_dicke_power_is_the_restricted_tensor_power(k):
     power = np.ones((1, 1), dtype=complex)
     for _ in range(k):
         power = np.kron(power, a)
-    assert np.max(np.abs(_dicke_powers(a, k)[k] - e.T @ power @ e)) < 1e-13
+    assert np.max(np.abs(dicke_powers_loop(a, k)[k] - e.T @ power @ e)) < 1e-13
 
 
 def test_dicke_power_stays_unitary_at_forty_qubits():
     a = haar_noise(np.random.default_rng(7)).matrix
-    d = _dicke_powers(a, 40)[40]
+    d = dicke_powers_loop(a, 40)[40]
     assert np.max(np.abs(dagger(d) @ d - np.eye(41))) < 1e-13
 
 
 def _rolled_dicke_power(a, k):
-    # The recursion of _dicke_powers as it was first written: each shifted
+    # The recursion of dicke_powers_loop as it was first written: each shifted
     # copy of the last power is a full-size np.roll of it, zero-padded.
     d = np.ones((1, 1), dtype=complex)
     for size in range(1, k + 1):
@@ -167,10 +168,10 @@ def test_dicke_powers_are_bit_identical_to_the_rolled_recursion():
     haar = haar_noise(np.random.default_rng(3)).matrix
     for u in [noise_unitary(name).matrix for name in ("x", "y", "z", "hadamard")] + [haar]:
         for a in (u, flip @ u @ flip):
-            powers = _dicke_powers(a, 40)
+            powers = dicke_powers_loop(a, 40)
             assert len(powers) == 41
             for k in (0, 1, 2, 3, 7, 40):
-                assert np.array_equal(_dicke_powers(a, k)[k], _rolled_dicke_power(a, k)), k
+                assert np.array_equal(dicke_powers_loop(a, k)[k], _rolled_dicke_power(a, k)), k
                 assert np.array_equal(powers[k], _rolled_dicke_power(a, k)), k
 
 
@@ -212,9 +213,10 @@ def test_closed_forms_at_large_n(n):
 
 @pytest.mark.parametrize("n,ones", [(2, None), (5, None), (11, None), (40, 3)])
 def test_meta_dim_is_the_formula(n, ones):
+    # d' = 2(m + 1) when m < n; at m = n, 2m when 0 < q < m and m + 1 else.
     for inst, spec in _cases(n, 300 + n, ones):
         q, m = _q(inst, spec), len(spec.positions)
-        dim = (q + 1) * (m - q + 1) * (1 if m == n else 2)
+        dim = 2 * (m + 1) if m < n else (2 * m if 0 < q < m else m + 1)
         assert markov_evolve(inst, spec, MarkovNoiseParams(0.4, 0.5), 1).meta["dim"] == dim
 
 
@@ -248,17 +250,17 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     n_blp(inst, spec, params, 5)
     n_blp(inst, spec, params, 5, bath=thermal_weights(1.0))
     grover.ideal_success_series(inst, 5)
-    # The verification subcommands run on the orbit space too.
+    # The verification subcommands run on the weight basis too.
     for command in ("oracle-check", "dilation-check"):
         assert cli.main([command, "--n", "6", "--marked", "45", "--m", "3", "--p", "0.4",
                          "--mu", "0.7", "--output", os.devnull]) == 0
     assert calls == []
     # markov_evolve and history_oracle never build the dense operators or
     # orbit_basis: neither markov nor cli imports them, and the blocks
-    # markov_evolve keeps stay d x d.
+    # markov_evolve keeps stay d' x d'.
     for module in (markov, cli):
         assert [name for name in _DENSE_BUILDERS if hasattr(module, name)] == []
-    assert markov_evolve(inst, spec, params, 2).blocks.shape == (3, 2, 8, 8)  # d = 8, N = 64
+    assert markov_evolve(inst, spec, params, 2).blocks.shape == (3, 2, 8, 8)  # d' = 8, N = 64
     assert calls == []
 
 
@@ -282,7 +284,7 @@ def test_series_rows_equal_single_evolves(temperature):
 def test_batched_collision_evolve_keeps_each_members_states():
     inst = GroverInstance(4, 9)
     spec = noise_spec(haar_noise(np.random.default_rng(11)), 2, 4, (1, 3))
-    _, g, gp, s = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g, gp, s = dicke_operators_loop(inst.n, inst.marked, spec.u.matrix, spec.positions)
     sigma0 = label_blocks(tensor(projector(markov._PLUS), projector(s)))
     points = [(MarkovNoiseParams(p, mu), bath) for p in (0.0, 0.6) for mu in (0.2, 1.0)
               for bath in (None, thermal_weights(0.5))]

@@ -1,26 +1,27 @@
-"""dilation-check on the orbit space. V = orbit_basis holds |s> and is
-invariant under G and chi, so the register's collision unitary U and the
-one built from the d x d Dicke operators, U_d, meet as
-U (I_8 (x) V) = (I_8 (x) V) U_d; and the full-register check, run here from
-the dense operators, passes the same gates as the orbit one."""
+"""dilation-check on the weight basis. B = support.weight_basis holds |s>
+and is invariant under G and chi, so the register's collision unitary U
+and the one built from the d' x d' operators the CLI builds
+(``noise._weight_system``), U_d', meet as U (I_8 (x) B) = (I_8 (x) B) U_d';
+and the full-register check, run here from the dense operators, passes
+the same gates as the CLI's. (The test names say "orbit" for the basis
+these checks were tied through before the weight basis.)"""
 
 import itertools
 
 import numpy as np
 import pytest
-from support import haar_noise
+from support import haar_noise, weight_basis
 
 from noisygrover import cli, collision
 from noisygrover.collision import dilation_unitary
 from noisygrover.grover import GroverInstance, grover_operator
 from noisygrover.noise import (
     MarkovNoiseParams,
-    _dicke_operators,
+    _weight_system,
     build_chi,
     noise_spec,
     noise_unitary,
     noisy_grover,
-    orbit_basis,
 )
 
 NOISES = tuple(noise_unitary(name) for name in ("x", "y", "z", "hadamard")) + (
@@ -30,16 +31,16 @@ NOISES = tuple(noise_unitary(name) for name in ("x", "y", "z", "hadamard")) + (
 STEPS = (MarkovNoiseParams(0.3, 0.0), MarkovNoiseParams(0.3, 0.5))
 
 
-def _intertwining(u_full, u_orbit, v):
-    # max |U (I_8 (x) V) - (I_8 (x) V) U_d|, one block of the two 8 x 8
-    # grids at a time: block (i, j) is U[i, j] V - V U_d[i, j]. Only the
+def _intertwining(u_full, u_reduced, v):
+    # max |U (I_8 (x) B) - (I_8 (x) B) U_d'|, one block of the two 8 x 8
+    # grids at a time: block (i, j) is U[i, j] B - B U_d'[i, j]. Only the
     # blocks the layout fills are taken; every other block of
     # dilation_unitary is an exact zero on both sides.
     n_dim, d = v.shape
     full = u_full.reshape(8, n_dim, 8, n_dim)
-    orbit = u_orbit.reshape(8, d, 8, d)
+    reduced = u_reduced.reshape(8, d, 8, d)
     rows, cols = np.array([entry[:2] for entry in collision._LAYOUT]).T
-    return float(np.max(np.abs(full[rows, :, cols] @ v - v @ orbit[rows, :, cols])))
+    return float(np.max(np.abs(full[rows, :, cols] @ v - v @ reduced[rows, :, cols])))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -49,11 +50,11 @@ def test_orbit_unitary_is_the_register_unitary_on_the_orbit_space(n):
         inst = GroverInstance(n, marked)
         g = grover_operator(inst)
         for m in range(n + 1):
-            v = orbit_basis(inst, noise_spec(NOISES[0], m, n))  # V does not depend on u
             for u in NOISES:
                 spec = noise_spec(u, m, n)
+                v = weight_basis(inst, spec)
                 gp = noisy_grover(g, chis[m, u])
-                _, g_d, gp_d, _ = _dicke_operators(n, marked, u.matrix, spec.positions)
+                _, g_d, gp_d, _ = _weight_system(n, marked, u, spec.positions)
                 for params in STEPS:
                     dev = _intertwining(
                         dilation_unitary(params, g, gp), dilation_unitary(params, g_d, gp_d), v
@@ -62,25 +63,25 @@ def test_orbit_unitary_is_the_register_unitary_on_the_orbit_space(n):
 
 
 def test_a_permuted_orbit_basis_breaks_the_intertwining():
-    # Exchanging the columns of any two classes (j, k, c) of V gives a basis
-    # of the same span that no longer meets U_d.
+    # Exchanging any two columns of B gives a basis of the same span that
+    # no longer meets U_d'.
     inst = GroverInstance(4, 0b0110)
     spec = noise_spec(noise_unitary("hadamard"), 3, 4)
-    v = orbit_basis(inst, spec)
+    v = weight_basis(inst, spec)
     g = grover_operator(inst)
-    _, g_d, gp_d, _ = _dicke_operators(inst.n, inst.marked, spec.u.matrix, spec.positions)
+    _, g_d, gp_d, _ = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
     u_full = dilation_unitary(STEPS[1], g, noisy_grover(g, build_chi(inst.n, spec)))
-    u_orbit = dilation_unitary(STEPS[1], g_d, gp_d)
-    assert _intertwining(u_full, u_orbit, v) <= 1e-14
+    u_reduced = dilation_unitary(STEPS[1], g_d, gp_d)
+    assert _intertwining(u_full, u_reduced, v) <= 1e-14
     for a, b in itertools.combinations(range(v.shape[1]), 2):
         permuted = v.copy()
         permuted[:, [a, b]] = v[:, [b, a]]
-        assert _intertwining(u_full, u_orbit, permuted) > 1e-3, (a, b)
+        assert _intertwining(u_full, u_reduced, permuted) > 1e-3, (a, b)
 
 
 def _dense_row(point):
     # dilation-check's row from the dense N x N G, chi and G' in place of
-    # the d x d ones: the row cli._dilation_point computes, from other
+    # the d' x d' ones: the row cli._dilation_point computes, from other
     # operators.
     inst, spec, params, trials, seed = point
     g = grover_operator(inst)
@@ -106,15 +107,15 @@ def test_full_space_and_orbit_checks_pass_every_gate(n):
         spec = noise_spec(u, m, n)
         for params in (MarkovNoiseParams(0.3, 0.5), MarkovNoiseParams(1.0, 0.25)):
             point = (inst, spec, params, 3, 11)
-            dense, orbit = _dense_row(point), cli._dilation_point(point)
-            assert _failed_gates(dense) == set() == _failed_gates(orbit), (inst, m, u, params)
-            assert dense[-1] == orbit[-1] == 1  # m_control
+            dense, reduced = _dense_row(point), cli._dilation_point(point)
+            assert _failed_gates(dense) == set() == _failed_gates(reduced), (inst, m, u, params)
+            assert dense[-1] == reduced[-1] == 1  # m_control
 
 
 @pytest.mark.parametrize("entry", range(len(collision._LAYOUT)))
 def test_a_flipped_layout_sign_fails_unitarity_on_both_sides(monkeypatch, entry):
     # Each block's sign keeps two columns of U orthogonal; with one flipped,
-    # both the dense check and the orbit one fail both unitarity gates.
+    # both the dense check and the CLI's fail both unitarity gates.
     layout = list(collision._LAYOUT)
     row, col, sign, pair, which = layout[entry]
     layout[entry] = (row, col, -sign, pair, which)

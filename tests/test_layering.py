@@ -1,6 +1,6 @@
 """The package's import structure: no module imports inside a function
 (but for one deferred standard-library import), and each imports only
-the modules before it in ``ORDER`` (the noise model and its orbit space,
+the modules before it in ``ORDER`` (the noise model and its weight basis,
 then the collision step, then the tables read off it), so the modules
 form no import cycle."""
 
@@ -73,10 +73,13 @@ def test_intra_package_imports_point_left(name):
 
 # Names that left the package: (module, class or None, name, whether
 # tests/support.py holds it now). The moved ones are references that only
-# tests call: the dense ones, and the backflow witness's orbit-basis split
-# operators (``measures._split_operators`` before it moved to the weight
-# basis, now ``orbit_split_operators``); the deleted ones had no reader
-# outside the tests.
+# tests call: the dense ones, and the orbit basis with the backflow
+# witness's split operators on it (``measures._split_operators`` before it
+# moved to the weight basis, now ``orbit_split_operators``); the deleted
+# ones had no reader outside the tests. No module defines or imports the
+# orbit basis's builders: every caller runs on the weight basis, and
+# support.py keeps the orbit basis's one builder (``dicke_powers_loop``,
+# ``dicke_operators_loop``) as the independent reference.
 GONE = (
     ("linalg", None, "random_density", True),
     ("markov", None, "initial_joint_state", True),
@@ -89,6 +92,12 @@ GONE = (
     ("noise", "MarkovNoiseParams", "p_gp", False),
     ("cli", None, "_dilation_step", False),
     ("measures", None, "orbit_split_operators", True),
+    ("noise", None, "orbit_basis", True),
+    ("noise", None, "_dicke_operators", False),
+    ("noise", None, "_dicke_powers", False),
+    ("noise", None, "_kron", False),
+    ("cli", None, "ORBIT_MAX_DIM", False),
+    ("cli", None, "_orbit_dim", False),
 )
 
 
@@ -106,7 +115,7 @@ def test_positive_increment_sum_takes_no_threshold():
 
 
 def test_the_witnesses_import_no_orbit_builder():
-    # n_cp and n_blp run on the weight basis; the orbit basis stays with
-    # markov_evolve and the verification layer, the references.
+    # n_cp and n_blp run on the weight basis of one system, and need no
+    # list of position classes either.
     orbit = {"_dicke_operators", "_dicke_powers", "orbit_basis", "_orbit_representatives"}
     assert orbit.isdisjoint(vars(importlib.import_module("noisygrover.measures")))

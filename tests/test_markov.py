@@ -111,8 +111,9 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
     for rho in (projector(uniform_superposition(INST3)), random_density(5, rng)):
         joint = tensor(projector(markov._PLUS), rho)
         assert np.array_equal(markov._label_start(rho), label_blocks(joint))
-    # The success tables start from |s> of the weight basis, markov_evolve
-    # from |s> of the orbit basis.
+    # The success tables and markov_evolve start from |s> of the weight
+    # basis, the tables from their group's build and markov_evolve from
+    # the one-system build.
     params = MarkovNoiseParams(0.3, 0.6)
     for n, m in ((3, 1), (4, 4), (5, 2)):
         inst, spec = GroverInstance(n, 2**n - 2), noise_spec(noise_unitary("hadamard"), m, n)
@@ -124,7 +125,7 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
         joint = tensor(projector(markov._PLUS), projector(s))
         assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
         assert np.array_equal(sigma0[0, 0], label_blocks(joint))
-        s = noise._dicke_operators(n, inst.marked, spec.u.matrix, spec.positions)[3]
+        s = noise._weight_system(n, inst.marked, spec.u, spec.positions)[3]
         joint = tensor(projector(markov._PLUS), projector(s))
         assert np.array_equal(markov_evolve(inst, spec, params, 0).blocks[0], label_blocks(joint))
 

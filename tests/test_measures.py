@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import blp_pair, haar_noise, label_blocks, orbit_blocks, split_basis
+from support import blp_pair, haar_noise, label_blocks, lifted_blocks, split_basis
 
 from noisygrover import collision, measures
 from noisygrover.collision import (
@@ -181,7 +181,7 @@ def _cases(n, seed):
 
 def _dense_blp(inst, spec, params, steps, bath):
     # Reference: the |s> member's label blocks from markov_evolve lifted to
-    # N x N through the orbit basis, the partner on the full N x N G, G'
+    # N x N through the weight basis, the partner on the full N x N G, G'
     # through the step loop, and dense trace distances of the system
     # marginals and of the label blocks. At t = 0 the joint distance
     # is that of the two whole joint starts; from t = 1 on each joint is
@@ -190,7 +190,7 @@ def _dense_blp(inst, spec, params, steps, bath):
     gp = noisy_grover(g, build_chi(inst.n, spec))
     plus = projector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     partner = tensor(plus, blp_pair(inst).rho2)
-    lifted = orbit_blocks(inst, spec, params, steps, bath)
+    lifted = lifted_blocks(inst, spec, params, steps, bath)
     states = lifted.sum(axis=1)
     blocks = collision_evolve(
         g, gp, *transfer_weights(params, bath), label_blocks(partner), steps, keep_blocks=True

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from support import haar_noise
+from support import haar_noise, orbit_basis
 
 from noisygrover.grover import GroverInstance, grover_operator, marked_state, uniform_superposition
 from noisygrover.noise import (
@@ -15,7 +15,6 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
-    orbit_basis,
     sigma_x_reduced,
     sigma_y_p2,
     single_qubit_unitary,

@@ -1,10 +1,8 @@
-"""The buffered step loop and the stacked Dicke recursion, each against its
-reference in support.py, bitwise; the weight-basis operators of a d'-group
-against each system's alone, bitwise; the one orbit-operator builder
-against the per-system build it replaced, and the witnesses' split
-operators against the per-system weight build, bitwise; the loop's memory
-without kept blocks; and ``verify_dilation``'s prefix stability in the
-number of trials."""
+"""The buffered step loop against its reference in support.py, bitwise;
+the weight-basis operators of a d'-group against each system's alone,
+bitwise; the witnesses' split operators against the per-system weight
+build, bitwise; the loop's memory without kept blocks; and
+``verify_dilation``'s prefix stability in the number of trials."""
 
 import tracemalloc
 
@@ -12,7 +10,6 @@ import numpy as np
 import pytest
 from support import (
     dicke_operators_loop,
-    dicke_powers_loop,
     evolve_loop,
     haar_noise,
     split_operators_loop,
@@ -119,21 +116,6 @@ def test_first_max_reads_the_unbuffered_series_bitwise(d, bath):
     assert len(set(t_star.max(axis=1).tolist())) == 3
 
 
-def test_stacked_dicke_pair_equals_each_matrix_alone_bitwise():
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rng = np.random.default_rng(12)
-    unitaries = [noise_unitary(name).matrix for name in ("x", "y", "z", "hadamard")]
-    for u in unitaries + [haar_noise(rng).matrix for _ in range(2)]:
-        pair = np.stack((u, flip @ u @ flip))
-        powers = noise._dicke_powers(pair, 40)
-        assert [p.shape for p in powers] == [(2, k + 1, k + 1) for k in range(41)]
-        for i in range(2):
-            alone, loop = noise._dicke_powers(pair[i], 40), dicke_powers_loop(pair[i], 40)
-            for k in range(41):
-                assert np.array_equal(powers[k][i], loop[k]), (i, k)
-                assert np.array_equal(alone[k], loop[k]), (i, k)
-
-
 @pytest.mark.parametrize("d", [2, 4, 12])
 def test_group_operators_equal_each_system_alone_bitwise(d):
     systems = _systems(d)
@@ -156,28 +138,6 @@ def _same(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_dicke_operators_equal_the_per_system_build_bitwise(n):
-    rng = np.random.default_rng(200 + n)
-    for marked in (0, 2**n - 1, int(rng.integers(2**n))):
-        for m in range(n + 1):
-            positions = tuple(sorted(int(p) for p in rng.choice(n, m, replace=False)))
-            for u in UNITARIES:
-                _same(
-                    noise._dicke_operators(n, marked, u.matrix, positions),
-                    dicke_operators_loop(n, marked, u.matrix, positions),
-                )
-
-
-@pytest.mark.parametrize("q", [0, 15])
-def test_dicke_operators_at_forty_qubits_equal_the_per_system_build_bitwise(q):
-    marked = (2**q - 1) << (40 - q)  # 1 bits on qubits 0 .. q - 1
-    for u in (noise_unitary("hadamard"), U):
-        got = noise._dicke_operators(40, marked, u.matrix, tuple(range(30)))
-        assert noise._orbit_class(40, marked, tuple(range(30)))[1] == q
-        _same(got, dicke_operators_loop(40, marked, u.matrix, tuple(range(30))))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_split_operators_equal_the_per_system_build_bitwise(n):
     # At n = 1 the other n - 1 = 0 qubits give the 1 x 1 case, d' = 1,
@@ -196,8 +156,8 @@ def test_split_operators_equal_the_per_system_build_bitwise(n):
 
 def test_table_of_two_unitaries_shares_each_eigen_frame_bitwise(monkeypatch):
     # Two unitaries across systems of several d', one d'-group holding
-    # both: one eigen frame per distinct u, no Dicke recursion, and every
-    # group's operators bitwise those of each system built alone.
+    # both: one eigen frame per distinct u, and every group's operators
+    # bitwise those of each system built alone.
     other = UNITARIES[-1]
     systems = [
         (GroverInstance(5, 9), noise_spec(U, 2, 5, (0, 3))),
@@ -213,11 +173,7 @@ def test_table_of_two_unitaries_shares_each_eigen_frame_bitwise(monkeypatch):
         frames.append(u)
         return real(u)
 
-    def no_recursion(*args):
-        raise AssertionError("Dicke recursion on the success path")
-
     monkeypatch.setattr(markov, "_eigen_frame", spy)
-    monkeypatch.setattr(noise, "_dicke_powers", no_recursion)
     members, groups = markov._table_groups(systems, POINTS, None)
     assert frames == [U, other]
     # d' = 6, 6, 10, 5 (m = n = 4, q = 4), 14, 4
@@ -238,7 +194,7 @@ def test_evolve_without_blocks_keeps_no_step_history():
     # bytes, about 369 KB. Without kept blocks the loop's memory grows with
     # the horizon only by its per-step reads: the probability (8 bytes) and
     # the two marked diagonal entries (32 bytes) per member and step.
-    _, g, gp, s = noise._dicke_operators(40, 0, noise_unitary("hadamard").matrix, tuple(range(30)))
+    _, g, gp, s = dicke_operators_loop(40, 0, noise_unitary("hadamard").matrix, tuple(range(30)))
     assert g.shape == (62, 62)
     first, steady = transfer_weights(POINTS[3:6])
     sigma0 = markov._label_start(projector(s))
@@ -263,7 +219,7 @@ def test_verify_dilation_is_prefix_stable_in_trials(monkeypatch, n, m, marked):
     # one; at d = 62 every stack holds one trial. trials = k must give the
     # largest of the first k distances of one 8-trial run, bitwise.
     hadamard = noise_unitary("hadamard").matrix
-    _, g, gp, _ = noise._dicke_operators(n, marked, hadamard, tuple(range(m)))
+    _, g, gp, _ = dicke_operators_loop(n, marked, hadamard, tuple(range(m)))
     assert g.shape[0] == {8: 32, 40: 62}[n]
     u = dilation_unitary(MarkovNoiseParams(0.3, 0.5), g, gp)
     kset = kraus_from_dilation(u)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from support import haar_noise
 
-from noisygrover import cli, collision, markov, noise
+from noisygrover import cli, collision, markov
 from noisygrover.cli import main
 from noisygrover.collision import collision_evolve, collision_first_max, thermal_weights
 from noisygrover.grover import GroverInstance
@@ -181,10 +181,8 @@ def test_grouped_series_equal_per_class_markov_series(n):
 
 
 def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
-    calls = {"powers": 0, "frames": 0, "weights": 0}
-    real_powers, real_frame, real_weights = (
-        noise._dicke_powers, markov._eigen_frame, markov.transfer_weights
-    )
+    calls = {"frames": 0, "weights": 0}
+    real_frame, real_weights = markov._eigen_frame, markov.transfer_weights
 
     def count(name, real):
         def wrapper(*args, **kwargs):
@@ -192,7 +190,6 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(noise, "_dicke_powers", count("powers", real_powers))
     monkeypatch.setattr(markov, "_eigen_frame", count("frames", real_frame))
     monkeypatch.setattr(markov, "transfer_weights", count("weights", real_weights))
     inst = GroverInstance(5, 6)  # 00110
@@ -203,8 +200,8 @@ def test_table_groups_by_exact_d_and_shares_the_set_up(monkeypatch):
     assert [markov._group_inputs(group)[0].shape for group in groups] == [
         (2, 1, 4, 4), (3, 1, 6, 6)
     ]
-    # One eigen frame of u, one weights call, per table; no Dicke recursion.
-    assert calls == {"powers": 0, "frames": 1, "weights": 1}
+    # One eigen frame of u, one weights call, per table.
+    assert calls == {"frames": 1, "weights": 1}
 
 
 def test_stack_inputs_are_checked():

@@ -1,20 +1,30 @@
 """The weight basis: u's closed-form eigen frame, the coordinates of |s>
-and |w> against the dense projections they stand for, the dimension d',
-the operators' unitarity, the success tables' series against
-``markov_evolve`` on the orbit basis, the independent reference, and the
-witnesses' system and joint series against their runs on the orbit
-basis (``support.orbit_cp_series``, ``support.orbit_blp_series``), each
-to 1e-12."""
+and |w> against the dense projections they stand for, the operators
+against their compressions through the dense basis B
+(``support.weight_basis``), the dimension d', the operators' unitarity,
+the success tables' series against ``markov_evolve`` (bit for bit) and
+against its run on the orbit basis (``support.orbit_evolve``), the
+independent reference, and the witnesses' system and joint series
+against their runs on the orbit basis (``support.orbit_cp_series``,
+``support.orbit_blp_series``), each to 1e-12."""
 
 import math
 
 import numpy as np
 import pytest
-from support import haar_noise, orbit_blp_series, orbit_cp_series
+from support import (
+    dicke_operators_loop,
+    haar_noise,
+    orbit_blp_series,
+    orbit_class,
+    orbit_cp_series,
+    orbit_evolve,
+    weight_basis,
+)
 
 from noisygrover import markov, noise
 from noisygrover.collision import collision_evolve, thermal_weights, transfer_weights
-from noisygrover.grover import GroverInstance, uniform_superposition
+from noisygrover.grover import GroverInstance, grover_operator, uniform_superposition
 from noisygrover.linalg import projector
 from noisygrover.markov import MarkovNoiseParams, markov_evolve, markov_series
 from noisygrover.measures import n_blp, n_cp
@@ -115,19 +125,43 @@ def test_weight_coordinates_are_the_dense_projections(n):
                 assert slot == len(lam) == len(s_slots) == len(w_slots)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_basis_compresses_the_register_operators_to_the_weight_system(n):
+    # B^dagger chi B, B^dagger G B and B^dagger G' B are the weight
+    # system's chi, G and G', B^dagger |s> its |s>, B^dagger B = I and
+    # column 0 of B is |w>: every class of three marked indices, every u.
+    N = 2**n
+    for marked in sorted({0, N - 1, N // 3}):
+        inst = GroverInstance(n, marked)
+        s, w, g = uniform_superposition(inst), np.eye(N)[marked], grover_operator(inst)
+        for u in UNITARIES:
+            for positions in _classes(n, marked):
+                spec = noise_spec(u, len(positions), n, positions)
+                b = weight_basis(inst, spec)
+                chi = build_chi(n, spec)
+                want = noise._weight_system(n, marked, u, positions)
+                got = [b.conj().T @ op @ b for op in (chi, g, chi @ g)] + [b.conj().T @ s]
+                for a, c in zip(got, want, strict=True):
+                    assert np.max(np.abs(a - c)) <= 1e-13, (marked, u, positions)
+                assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-13
+                assert np.max(np.abs(b[:, 0] - w)) <= 1e-13
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_weight_dim_is_the_sum_over_weights_of_min_two_and_the_block(n):
     # d' = sum_j min(2, nc #{a + b = j : a <= m - q, b <= q}), at most the
-    # orbit dimension d, and 2(m + 1) whenever m < n.
+    # orbit dimension d, and 2(m + 1) whenever m < n; noise._orbit_class
+    # gives it as its third value.
     for marked in range(2**n):
         for positions in _classes(n, marked):
-            m, q, d = noise._orbit_class(n, marked, positions)
+            m, q, d = orbit_class(n, marked, positions)
             nc = 2 if m < n else 1
             blocks = [
                 nc * sum(1 for a in range(m - q + 1) if 0 <= j - a <= q) for j in range(m + 1)
             ]
             want = sum(min(2, size) for size in blocks)
             assert want <= d
+            assert noise._orbit_class(n, marked, positions) == (m, q, want)
             for u in UNITARIES:
                 assert len(_coordinates(n, marked, positions, u)[0]) == want
             if m < n:
@@ -153,6 +187,15 @@ def test_weight_operators_are_unitary_and_start_at_s(n):
                 assert s[0, 0] == math.sqrt(1.0 / 2**n) and abs(np.linalg.norm(s) - 1.0) <= 4e-16
 
 
+def _check_series(inst, spec, rows, points, steps, bath=None):
+    """Each row of a table's series is ``markov_evolve``'s series at its
+    point bit for bit, and the orbit basis's (``orbit_evolve``) to 1e-12."""
+    for row, params in zip(rows, points, strict=True):
+        assert np.array_equal(row, markov_evolve(inst, spec, params, steps, bath).probabilities)
+        want = orbit_evolve(inst, spec, params, steps, bath).probabilities
+        assert np.max(np.abs(row - want)) <= 1e-12, (inst, spec.positions)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_table_series_equal_markov_evolve(n):
     # Every class of three marked indices, pure and thermal, 60 steps; from
@@ -165,13 +208,11 @@ def test_table_series_equal_markov_evolve(n):
             for bath, points in ((None, POINTS), (WARM, POINTS[:1])):
                 (table,) = markov._table(markov._group_series, systems, points, 60, bath)
                 for i, (_, spec) in enumerate(systems):
-                    for b, params in enumerate(points):
-                        want = markov_evolve(inst, spec, params, 60, bath).probabilities
-                        assert np.max(np.abs(table[i, b] - want)) <= 1e-12, (marked, spec)
+                    _check_series(inst, spec, table[i], points, 60, bath)
 
 
 def test_series_equal_markov_evolve_at_sampled_classes_up_to_forty_qubits():
-    # Orbit dimension d <= 64 keeps each reference's kept blocks small.
+    # Orbit dimension d <= 64 keeps each orbit reference's kept blocks small.
     rng = np.random.default_rng(40)
     checked = 0
     while checked < 24:
@@ -179,25 +220,35 @@ def test_series_equal_markov_evolve_at_sampled_classes_up_to_forty_qubits():
         marked = int(rng.integers(2**n))
         m = int(rng.integers(1, n + 1))
         positions = tuple(sorted(int(p) for p in rng.choice(n, m, replace=False)))
-        if noise._orbit_class(n, marked, positions)[2] > 64:
+        if orbit_class(n, marked, positions)[2] > 64:
             continue
         inst, u = GroverInstance(n, marked), UNITARIES[checked % len(UNITARIES)]
         spec = noise_spec(u, m, n, positions)
-        got = markov_series(inst, spec, POINTS, 60)
-        for row, params in zip(got, POINTS):
-            want = markov_evolve(inst, spec, params, 60).probabilities
-            assert np.max(np.abs(row - want)) <= 1e-12, (n, marked, positions)
+        _check_series(inst, spec, markov_series(inst, spec, POINTS, 60), POINTS, 60)
         checked += 1
 
 
+def test_a_u_off_unitary_by_rounding_runs_the_same_on_every_path():
+    # single_qubit_unitary accepts |a|^2 + |b|^2 within 1e-10 of 1; here it
+    # is 1 + 8e-11. markov_evolve and the tables take u from the same
+    # eigen frame, so their series are the same bits.
+    root = math.sqrt(0.5 + 4e-11)
+    u = single_qubit_unitary(root, 1j * root, 0.7)
+    assert abs(abs(u.a) ** 2 + abs(u.b) ** 2 - 1.0) > 7e-11
+    inst, spec = GroverInstance(10), noise_spec(u, 5, 10)
+    params = MarkovNoiseParams(0.5, 0.5)
+    got = markov_evolve(inst, spec, params, 200).probabilities
+    assert np.array_equal(got, markov_series(inst, spec, [params], 200)[0])
+
+
 def test_three_thousand_noisy_steps_at_twenty_qubits():
-    # The orbit reference is markov_evolve's own set-up, without its kept
+    # The orbit reference is orbit_evolve's own set-up, without its kept
     # blocks: G, G' and |s> at d = 24 (m = 5, q = 2).
     inst, positions = GroverInstance(20, 12345), (0, 3, 7, 11, 19)
     first, steady = transfer_weights(POINTS)
     for u in (noise_unitary("hadamard"), noise_unitary("y"), UNITARIES[5]):
         spec = noise_spec(u, 5, 20, positions)
-        _, g, gp, s = noise._dicke_operators(20, inst.marked, u.matrix, positions)
+        _, g, gp, s = dicke_operators_loop(20, inst.marked, u.matrix, positions)
         assert g.shape == (24, 24)
         sigma0 = markov._label_start(projector(s))
         want = collision_evolve(g, gp, first, steady, sigma0, 3000).probabilities
@@ -278,10 +329,10 @@ def test_witnesses_equal_their_orbit_basis_runs_at_sampled_classes():
             m = int(rng.integers(1, n + 1))
             positions = tuple(sorted(int(p) for p in rng.choice(n, m, replace=False)))
             if witness == "cp":
-                d = noise._orbit_class(n, marked, positions)[2]
+                d = orbit_class(n, marked, positions)[2]
             else:
                 rest = tuple(p - 1 for p in positions if p)
-                d = noise._orbit_class(n - 1, marked % 2 ** (n - 1), rest)[2]
+                d = orbit_class(n - 1, marked % 2 ** (n - 1), rest)[2]
             if d > 48:
                 continue
             spec = noise_spec(WITNESS_UNITARIES[checked % 7], m, n, positions)
