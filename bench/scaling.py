@@ -13,19 +13,23 @@ each start in ``--root`` follows one in the parent checkout, so the two
 alternate, and both records are written, under ``parent`` and
 ``--label``. A run records the min and median wall time of those starts
 (interpreter start and imports included) and the largest peak resident
-set size of one of them. Each table is compared with
-``bench/reference.json``: the largest absolute difference of its float
-cells and the number of int cells that differ, and the run is marked
-``ok`` only if the first is at most 1e-12 and the second 0. The records
-go into ``BENCH_39.json`` at the root of this checkout, next to the
-records already there. ``--runs`` picks runs by name.
+set size of one of them. The starts of one checkout must write the same
+table bytes: a run records the SHA-256 of every distinct table file its
+starts wrote, and one with more than one is not ``ok``. Each table is
+also compared with ``bench/reference.json``: the largest absolute
+difference of its float cells and the number of int cells that differ,
+and the run is marked ``ok`` only if the first is at most 1e-12 and the
+second 0. The records go into ``BENCH_40.json`` at the root of this
+checkout, next to the records already there; the script exits 1 unless
+every run is ``ok``. ``--runs`` picks runs by name.
 ``--write-reference`` stores the tables of ``--root`` for those runs in
 the reference, next to the ones already there. The committed reference
 holds the tables of the orbit basis: the success tables from before the
 weight basis, the witness tables from before the witnesses moved to it,
 and the verification tables from before they moved too (the d' = 256
 caps at n = 128, m = 127 and marked index 0 ran at orbit d = 256 as
-well).
+well). The many-point ``firstmax`` grid's reference is the weight-basis
+table of the step loop that still wrote into its caller's array.
 
 Nothing in the test suite or CI runs this script, and no bound here gates
 anything: the d' = 256 verification caps take seconds, the orbit-basis
@@ -36,6 +40,7 @@ witnesses at n = 30..40 took 6-11 s and 1.5-1.7 GiB per table.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -51,7 +56,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 REFERENCE_PATH = os.path.join(HERE, "reference.json")
-OUT_PATH = os.path.join(ROOT, "BENCH_39.json")
+OUT_PATH = os.path.join(ROOT, "BENCH_40.json")
 TOL = 1e-12
 
 # 20 values in (0, 1) for p and for mu: a 20 x 20 grid.
@@ -107,6 +112,12 @@ RUNS = (
         "cpdiv", "--n", "6", "--m", "2", "--marked", "34", "--noise", "hadamard",
         "--p", _GRID, "--mu", _GRID, "--steps", "45",
     ]),
+    # 1,200 members at d' = 4 (three systems, 400 points each), where a
+    # step's cost is one BLAS call per member and product.
+    ("firstmax-grid-n10-14", [
+        "firstmax", "--n", "10,12,14", "--m", "1", "--noise", "hadamard",
+        "--p", _GRID, "--mu", _GRID, "--steps", "400",
+    ]),
 )
 
 _SNIPPET = "import sys; sys.path.insert(0, sys.argv[1]); from noisygrover.cli import main; " \
@@ -156,34 +167,39 @@ def environment() -> dict:
     }
 
 
-def measure(src: str, argv: list[str], output: str) -> tuple[float, float, dict]:
-    """(wall seconds, peak RSS in MiB, table without its meta) of one start."""
+def measure(src: str, argv: list[str], output: str) -> tuple[float, float, dict, str]:
+    """(wall seconds, peak RSS in MiB, table without its meta, SHA-256 of
+    the table file) of one start."""
     wall, peak = run_once(src, argv, output)
-    with open(output, encoding="utf-8") as fh:
-        table = {key: value for key, value in json.load(fh).items() if key != "meta"}
-    return wall, peak, table
+    with open(output, "rb") as fh:
+        raw = fh.read()
+    table = {key: value for key, value in json.loads(raw).items() if key != "meta"}
+    return wall, peak, table, hashlib.sha256(raw).hexdigest()
 
 
 def record(argv: list[str], starts: list, reference: Optional[dict]) -> dict:
-    """The record of one run from its starts' (wall, peak, table)."""
-    walls = [wall for wall, _, _ in starts]
+    """The record of one run from its starts' (wall, peak, table, hash)."""
+    walls = [start[0] for start in starts]
+    digests = sorted({start[3] for start in starts})
     out = {
         "argv": argv,
         "wall_min_s": min(walls),
         "wall_median_s": statistics.median(walls),
         "walls_s": walls,
-        "peak_rss_mib": max(peak for _, peak, _ in starts),
+        "peak_rss_mib": max(start[1] for start in starts),
+        "table_sha256": digests,
+        "ok": len(digests) == 1,
     }
     if reference is not None:
         out["max_abs_dev"], out["int_mismatches"] = deviation(starts[-1][2], reference)
-        out["ok"] = out["max_abs_dev"] <= TOL and not out["int_mismatches"]
+        out["ok"] &= out["max_abs_dev"] <= TOL and not out["int_mismatches"]
     return out
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT, help="checkout whose src is run")
-    parser.add_argument("--label", default="change", help="key of this record in BENCH_39.json")
+    parser.add_argument("--label", default="change", help="key of this record in BENCH_40.json")
     parser.add_argument("--parent", help="checkout whose starts alternate with those of --root")
     parser.add_argument("--repeats", type=int, default=3, help="fresh starts per run")
     parser.add_argument("--runs", help="comma-separated names of the runs to start (default all)")
@@ -219,9 +235,13 @@ def main() -> int:
                     reference[name] = starts[label][-1][2]
                 print(f"{label} {name}: min {rec['wall_min_s']:.3f} s, median "
                       f"{rec['wall_median_s']:.3f} s, peak {rec['peak_rss_mib']:.1f} MiB, "
+                      f"table hashes {len(rec['table_sha256'])}, "
                       f"max |dev| {rec.get('max_abs_dev', 'n/a')}, int cells differing "
                       f"{rec.get('int_mismatches', 'n/a')}", flush=True)
+    ok = all(r["ok"] for recs in records.values() for r in recs.values())
     if args.write_reference:
+        if not ok:
+            raise SystemExit("error: starts of one checkout wrote different tables")
         with open(REFERENCE_PATH, "w", encoding="utf-8") as fh:
             json.dump(reference, fh, indent=1)
             fh.write("\n")
@@ -235,7 +255,8 @@ def main() -> int:
         "interpreter with OPENBLAS_NUM_THREADS=1, alternating with the parent checkout's "
         "starts when both are recorded; wall times include interpreter start and imports; "
         "peak_rss_mib is the largest ru_maxrss of the starts; max_abs_dev and "
-        "int_mismatches compare the table with bench/reference.json."
+        "int_mismatches compare the table with bench/reference.json; table_sha256 lists "
+        "the distinct table files the starts wrote, one when they agree."
     ))
     for label, recs in records.items():
         bench.setdefault("records", {})[label] = {
@@ -244,7 +265,7 @@ def main() -> int:
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    return 0 if all(r.get("ok", True) for recs in records.values() for r in recs.values()) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

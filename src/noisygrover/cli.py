@@ -63,7 +63,7 @@ from .markov import (
 )
 from .measures import n_blp, n_cp
 from .noise import MarkovNoiseParams, SingleQubitUnitary, _weight_system
-from .noise import _orbit_class, _orbit_representatives, noise_spec, noise_unitary
+from .noise import _weight_class, _class_representatives, noise_spec, noise_unitary
 from .noise import single_qubit_unitary
 
 
@@ -382,7 +382,7 @@ def _check_dim(command: str, a, spec) -> int:
     """d' of the weight basis a verification subcommand builds on, from the
     (m, q) class of ``spec``; above ``CHECK_MAX_DIM`` it is refused before
     any operator or pool is built."""
-    m, q, d = _orbit_class(a.n, a.marked, spec.positions)
+    m, q, d = _weight_class(a.n, a.marked, spec.positions)
     if d > CHECK_MAX_DIM:
         raise ConfigError(
             f"{command} runs on the weight basis of dimension d'; d'={d} at n={a.n}, m={m}, "
@@ -505,7 +505,7 @@ def _handle_invariance(a, meta: dict) -> ResultTable:
     params = [MarkovNoiseParams(a.p, a.mu)]
     # Every nonempty subset shares its series with one of these position
     # sets, and (0,) is one of them.
-    classes = _orbit_representatives(a.n, a.marked)
+    classes = _class_representatives(a.n, a.marked)
     systems = [(inst, noise_spec(a.noise, len(c), a.n, c)) for c in classes]
     all_series = _success_table(_group_series, systems, params, a.steps, a.jobs)[0][:, 0]
     reference = all_series[classes.index((0,))]

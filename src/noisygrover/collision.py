@@ -42,11 +42,13 @@ runs a batch at once: transfer tensors, G, G' and the start each may carry
 leading batch axes (the (p, mu) points, or the systems of one d), which
 broadcast against each other, so a shared operator is never copied per
 member. The label blocks of every member form one batch + (2, d, d)
-stack, taken at the start and yielded for t = 0, 1, 2, ... Two readers
-draw from it: ``collision_evolve`` takes the first steps + 1 stacks and
-keeps the success series (and, on request, the label blocks themselves)
-in an :class:`EvolutionTrace`, the result type of every evolution run,
-and ``collision_first_max`` drops each slice of the first batch axis once
+stack, taken at the start and yielded for t = 0, 1, 2, ... The loop
+writes only into buffers it made, each step over the one before, so a
+reader that keeps a stack copies it. Two readers draw from it:
+``collision_evolve`` takes the first steps + 1 stacks and keeps the
+success series (and, on request, copies of the label blocks) in an
+:class:`EvolutionTrace`, the result type of every evolution run, and
+``collision_first_max`` drops each slice of the first batch axis once
 its members have passed their first success maximum and stops when none
 is left, so its cost follows the first maxima and its memory the
 members, not the horizon. No 2d x 2d joint is taken or formed. Every
@@ -571,13 +573,11 @@ def _label_steps(
     steady: np.ndarray,
     sigma0: np.ndarray,
     marked: int,
-    kept: int = 0,
-) -> tuple[tuple[int, ...], _Stream, Optional[np.ndarray]]:
+) -> tuple[tuple[int, ...], _Stream]:
     """Check the inputs of a step loop and set it up: returns the batch
-    shape, the generator :func:`_step_stream` of its label-block stacks
-    and, for ``kept`` > 0, the array batch + (kept, 2, d, d) that the
-    generator writes its first ``kept`` stacks into (else None). The checks
-    run here, at the call, not at the generator's first item.
+    shape and the generator :func:`_step_stream` of its label-block
+    stacks. The checks run here, at the call, not at the generator's first
+    item.
 
     The batch shape broadcasts the leading axes of G and G' (before their
     last two) and of ``sigma0`` and the transfer tensors (before their last
@@ -619,8 +619,7 @@ def _label_steps(
     ops = np.concatenate((g[..., None, :, :], gp[..., None, :, :]), axis=-3)
     ops_dag = np.conj(ops).swapaxes(-1, -2)
     plans = [_step_terms(w, ops, ops_dag) for w in (first, steady)]
-    blocks = np.empty(batch + (kept,) + shape[-3:], dtype=complex) if kept else None
-    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans, blocks), blocks
+    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans)
 
 
 def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
@@ -632,39 +631,36 @@ def _take(plan, keep: np.ndarray, ndim: int) -> tuple:
     )
 
 
-def _step_stream(sigma: np.ndarray, first_plan, steady_plan, blocks=None) -> _Stream:
+def _step_stream(sigma: np.ndarray, first_plan, steady_plan) -> _Stream:
     """The step loop: yields the label-block stack, batch + (2, d, d), after
-    t = 0, 1, 2, ... collisions, without end; the consumer stops it. A
-    stack stays valid until the next one is drawn: the loop writes each
-    step over the one before.
+    t = 0, 1, 2, ... collisions, without end; the consumer stops it. The
+    stack at t = 0 is ``sigma`` itself, which the loop only reads; every
+    later one is a buffer the loop made, so it writes into no array of its
+    caller. A stack stays valid until the next one is drawn: the loop
+    writes each step over the one before, and a reader that keeps a stack
+    copies it.
 
     A step is one mixing product over the input blocks c, one batched
     conjugation of the k mixed blocks per output block and, for k = 2 (a
     thermal bath), one sum of each block's two terms; the plans of
     :func:`_step_terms` fix k. The first collision uses ``first_plan``, all
     later ones ``steady_plan``. Every product writes into a buffer made
-    once per batch and k, so a step allocates nothing. With ``blocks``, an
-    array batch + (T, 2, d, d), the stack after t < T collisions is written
-    into ``blocks[..., t, :, :, :]`` and yielded from there. A consumer that
-    is done with some slices of the first batch axis sends the indices of
-    the others (never with ``blocks``): from the next step on, the loop
-    carries only those, and yields stacks cut to them.
+    once per batch and k, so a step allocates nothing. A consumer that is
+    done with some slices of the first batch axis sends the indices of the
+    others: from the next step on, the loop carries only those, and yields
+    stacks cut to them.
     """
     n_dim, ndim, plan = sigma.shape[-1], sigma.ndim - 3, first_plan
-    if blocks is not None:
-        blocks[..., 0, :, :, :] = sigma
-        sigma = blocks[..., 0, :, :, :]
     rows = sigma.reshape(sigma.shape[:-3] + (2, -1))
-    t, state, buffers = 0, None, {}
+    (out, out_rows, out_pure), buffers = _stack_views(np.empty(sigma.shape, dtype=complex)), {}
     while True:
         keep = yield sigma
         if keep is not None:
-            # The cut stack is a new array, which the next step may overwrite.
-            state = _stack_views(sigma[keep])
-            sigma, rows = state[:2]
+            # The cut stack is a new array, which the next step writes over.
+            out, out_rows, out_pure = _stack_views(sigma[keep])
+            sigma, rows = out, out_rows
             plan, steady_plan = _take(plan, keep, ndim), _take(steady_plan, keep, ndim)
             buffers.clear()
-        t += 1
         (mix, op, op_dag), batch = plan, sigma.shape[:-3]
         k = mix.shape[-2] // 2
         if k not in buffers:
@@ -673,12 +669,6 @@ def _step_stream(sigma: np.ndarray, first_plan, steady_plan, blocks=None) -> _St
             terms = np.empty_like(half) if k == 2 else None
             buffers[k] = (mixed, mixed.reshape(half.shape), half, terms)
         mixed, mixed_blocks, half, terms = buffers[k]
-        if blocks is not None:
-            out, out_rows, out_pure = _stack_views(blocks[..., t, :, :, :])
-        else:
-            if state is None:
-                state = _stack_views(np.empty(sigma.shape, dtype=complex))
-            out, out_rows, out_pure = state
         np.matmul(mix, rows, out=mixed)
         np.matmul(op, mixed_blocks, out=half)
         # A pure step has one term per block, which needs no sum.
@@ -763,21 +753,22 @@ def collision_evolve(
     tensors that are not finite, operators and start of mismatched size,
     or batch axes that do not broadcast raise ``ValueError``.
     ``keep_blocks`` keeps the stacks as ``blocks``, shape batch +
-    (steps + 1, 2, n, n), with ``sigma0`` at t = 0: the loop writes every
-    step there, and the series is read off them. Without it, memory is the
-    loop's few stacks plus 40 bytes per member and step. No joint is
-    formed: from t = 1 on it is diag(sigma_0, sigma_1).
+    (steps + 1, 2, n, n), with ``sigma0`` at t = 0: this function makes
+    that array, copies each stack the loop yields into it, and reads the
+    series off it at the end. Without it, memory is the loop's few stacks
+    plus 40 bytes per member and step. No joint is formed: from t = 1 on
+    it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    kept = steps + 1 if keep_blocks else 0
-    batch, stream, blocks = _label_steps(g, gp, first, steady, sigma0, marked, kept)
+    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
     if keep_blocks:
-        for _ in zip(range(steps + 1), stream):
-            pass
+        blocks = np.empty(batch + (steps + 1,) + np.shape(sigma0)[-3:], dtype=complex)
+        for t, sigma in zip(range(steps + 1), stream):
+            blocks[..., t, :, :, :] = sigma
         diagonal = blocks[..., :, :, marked, marked]
     else:
-        diagonal = np.empty(batch + (steps + 1, 2), dtype=complex)
+        blocks, diagonal = None, np.empty(batch + (steps + 1, 2), dtype=complex)
         for t, sigma in zip(range(steps + 1), stream):
             diagonal[..., t, :] = sigma[..., :, marked, marked]
     probs = np.empty(batch + (steps + 1,))
@@ -819,7 +810,7 @@ def collision_first_max(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream, _ = _label_steps(g, gp, first, steady, sigma0, marked)
+    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
     # A lone member runs as a batch (1,): the loop works on first-axis slices.
     shape = batch or (1,)
     t_out, p_out = np.empty(shape, dtype=np.intp), np.empty(shape)

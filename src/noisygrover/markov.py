@@ -48,7 +48,7 @@ from .noise import (
     MarkovNoiseParams,
     NoiseSpec,
     _eigen_frame,
-    _orbit_class,
+    _weight_class,
     _weight_coordinates,
     _weight_operators,
     _weight_system,
@@ -81,7 +81,7 @@ def _table_groups(
     """Set up one table of ``systems``, (inst, spec) pairs that share the
     (p, mu) points ``params_seq`` and ``bath``, as one step loop per
     distinct dimension d' of the weight basis.
-    Every position set is checked (:func:`~noisygrover.noise._orbit_class`)
+    Every position set is checked (:func:`~noisygrover.noise._weight_class`)
     before any step runs; one ``transfer_weights`` call serves the whole
     table, and one :func:`~noisygrover.noise._eigen_frame` each distinct u.
     The systems are grouped by d', in order of first appearance, never
@@ -92,7 +92,7 @@ def _table_groups(
     frames: dict = {}
     groups: dict[int, list] = {}
     for i, (inst, spec) in enumerate(systems):
-        m, q, d = _orbit_class(inst.n, inst.marked, spec.positions)
+        m, q, d = _weight_class(inst.n, inst.marked, spec.positions)
         if spec.u not in frames:
             frames[spec.u] = _eigen_frame(spec.u)
         groups.setdefault(d, []).append((i, _weight_coordinates(inst.n, m, q, frames[spec.u])))

@@ -44,7 +44,7 @@ from .collision import ThermalBathParams, _chunks, _points, collision_evolve, tr
 from .grover import GroverInstance, reduced_grover_operator
 from .linalg import ComplexMatrix, InvariantViolation, projector, trace_norm
 from .markov import _PLUS, _label_start
-from .noise import MarkovNoiseParams, NoiseSpec, _weight_system
+from .noise import MarkovNoiseParams, NoiseSpec, _eigen_frame, _weight_system
 
 # Increments below this threshold count as numerical noise, not backflow.
 INCREMENT_TOL = 1e-12
@@ -82,7 +82,9 @@ def _split_operators(
     positions but qubit 0; one vector when n = 1), so dim W = 2 d'_rest.
     W holds |s> and |w>, is invariant under G and G' and closed under every
     operator on qubit 0. From scalars only: chi is u on qubit 0 when it is
-    noisy (else I_2) times the weight-basis chi of the other n - 1 qubits
+    noisy (else I_2), as V diag(l0, l1) V^dagger from its eigen frame
+    (:func:`~noisygrover.noise._eigen_frame`) like on every other path,
+    times the weight-basis chi of the other n - 1 qubits
     (:func:`~noisygrover.noise._weight_system`), |s> = |+> (x) |s_rest>,
     and |w> = |b_0> (x) |w_rest> with b_0 the marked index's qubit-0 bit.
     """
@@ -90,7 +92,9 @@ def _split_operators(
     chi, _, _, s = _weight_system(
         inst.n - 1, inst.marked % half, spec.u, tuple(p - 1 for p in spec.positions if p)
     )
-    chi = np.kron(spec.u.matrix if 0 in spec.positions else np.eye(2), chi)
+    eigenvalues, _, z, zf = _eigen_frame(spec.u)
+    v = np.conj([z, zf])  # V: z and z' are the rows of V^dagger
+    chi = np.kron((v * eigenvalues) @ v.conj().T if 0 in spec.positions else np.eye(2), chi)
     s = np.kron(_PLUS.real, s)
     g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
     return g, chi @ g, s

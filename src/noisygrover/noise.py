@@ -20,7 +20,7 @@ classifier for this "good noise" family live here, and so does the one
 basis the simulator runs in, the weight basis: the span of P_j |s> and
 P_j |w>, with P_j the projector onto total weight j = 0 .. m of the noisy
 qubits in u's eigenbasis. It holds |s> and |w>, is invariant under G and
-G', and has dimension d' <= 2(m + 1) (:func:`_orbit_class`), whatever q
+G', and has dimension d' <= 2(m + 1) (:func:`_weight_class`), whatever q
 and n are. G, G', chi and |s> on it come from u's 2 x 2 eigen frame
 (:func:`_eigen_frame`) and binomial closed forms of order m
 (:func:`_weight_coordinates`), formed for a stack of systems of one d'
@@ -193,7 +193,7 @@ def noisy_grover(g: ComplexMatrix, chi: ComplexMatrix) -> ComplexMatrix:
     return chi @ g
 
 
-def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
+def _weight_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, int, int]:
     """(m, q, d') of a set of noisy positions: its size m, the number q of
     them where the marked index has a 1 bit, and the dimension d' of its
     weight basis (:func:`_weight_coordinates`): 2(m + 1) when m < n, and at
@@ -206,8 +206,8 @@ def _orbit_class(n: int, marked: int, positions: tuple[int, ...]) -> tuple[int, 
     return m, q, 2 * (m + 1) if m < n else (2 * m if 0 < q < m else m + 1)
 
 
-def _orbit_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
-    """One position set per class (m, q) of :func:`_orbit_class` with
+def _class_representatives(n: int, marked: int) -> list[tuple[int, ...]]:
+    """One position set per class (m, q) of :func:`_weight_class` with
     m >= 1, in order of m and then q: the first q positions where the
     marked index has a 1 bit and the first m - q where it has a 0 bit.
     G, G' and |s> depend on a position set only through its class, so every
@@ -384,8 +384,8 @@ def _weight_system(
     built from n, the marked index, u and the noisy positions as
     :func:`_weight_operators` builds the members of a d'-group: |w> at
     index 0, G and |s> real. n = 0 gives the 1 x 1 case. A position
-    outside [0, n) raises ``ValueError`` (:func:`_orbit_class`)."""
-    m, q, _ = _orbit_class(n, marked, positions)
+    outside [0, n) raises ``ValueError`` (:func:`_weight_class`)."""
+    m, q, _ = _weight_class(n, marked, positions)
     chi, g, gp, s = _weight_operators([_weight_coordinates(n, m, q, _eigen_frame(u))])
     return chi[0], g[0], gp[0], s[0]
 

@@ -127,10 +127,10 @@ def label_blocks(joint):
 
 def orbit_class(n, marked, positions):
     """(m, q, d) of a set of noisy positions on the orbit basis of
-    :func:`orbit_basis`: ``noise._orbit_class``'s m and q (and its check of
+    :func:`orbit_basis`: ``noise._weight_class``'s m and q (and its check of
     the positions), and d = (q + 1)(m - q + 1) nc with nc = 2 when m < n
     and 1 when m = n."""
-    m, q, _ = noise._orbit_class(n, marked, positions)
+    m, q, _ = noise._weight_class(n, marked, positions)
     return m, q, (q + 1) * (m - q + 1) * (2 if m < n else 1)
 
 
@@ -192,7 +192,7 @@ def weight_basis(inst, spec):
     it forms N x N arrays.
     """
     n, N = inst.n, inst.N
-    m, q, _ = noise._orbit_class(n, inst.marked, spec.positions)
+    m, q, _ = noise._weight_class(n, inst.marked, spec.positions)
     _, p, z, zf = noise._eigen_frame(spec.u)
     v = np.array([np.conj(z), np.conj(zf)])  # v[:, i] = v_i
     rotate, weight = np.ones((1, 1)), np.zeros(1, dtype=int)
@@ -481,7 +481,11 @@ def split_operators_loop(inst, spec):
     chi, _, _, s = noise._weight_operators(
         [noise._weight_coordinates(inst.n - 1, len(rest), q, frame)]
     )
-    chi = np.kron(spec.u.matrix if 0 in spec.positions else np.eye(2), chi[0])
+    u0 = np.eye(2)
+    if 0 in spec.positions:  # V diag(l0, l1) V^dagger, rows of V^dagger from the frame
+        v = np.conj(frame[2:])
+        u0 = (v * frame[0]) @ v.conj().T
+    chi = np.kron(u0, chi[0])
     s = np.kron(_PLUS.real, s[0])
     g = reduced_grover_operator(s, (inst.marked // half) * (s.size // 2), inst.N)
     return g, chi @ g, s

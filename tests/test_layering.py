@@ -79,7 +79,9 @@ def test_intra_package_imports_point_left(name):
 # ones had no reader outside the tests. No module defines or imports the
 # orbit basis's builders: every caller runs on the weight basis, and
 # support.py keeps the orbit basis's one builder (``dicke_powers_loop``,
-# ``dicke_operators_loop``) as the independent reference.
+# ``dicke_operators_loop``) as the independent reference. ``noise``'s
+# ``_orbit_class`` and ``_orbit_representatives`` are now ``_weight_class``
+# and ``_class_representatives``: they give the weight basis's d'.
 GONE = (
     ("linalg", None, "random_density", True),
     ("markov", None, "initial_joint_state", True),
@@ -98,6 +100,8 @@ GONE = (
     ("noise", None, "_kron", False),
     ("cli", None, "ORBIT_MAX_DIM", False),
     ("cli", None, "_orbit_dim", False),
+    ("noise", None, "_orbit_class", False),
+    ("noise", None, "_orbit_representatives", False),
 )
 
 
@@ -117,5 +121,5 @@ def test_positive_increment_sum_takes_no_threshold():
 def test_the_witnesses_import_no_orbit_builder():
     # n_cp and n_blp run on the weight basis of one system, and need no
     # list of position classes either.
-    orbit = {"_dicke_operators", "_dicke_powers", "orbit_basis", "_orbit_representatives"}
+    orbit = {"_dicke_operators", "_dicke_powers", "orbit_basis", "_class_representatives"}
     assert orbit.isdisjoint(vars(importlib.import_module("noisygrover.measures")))

@@ -119,7 +119,7 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
         inst, spec = GroverInstance(n, 2**n - 2), noise_spec(noise_unitary("hadamard"), m, n)
         _, (group,) = markov._table_groups([(inst, spec)], [params], None)
         sigma0 = markov._group_inputs(group)[4]
-        m, q, _ = noise._orbit_class(n, inst.marked, spec.positions)
+        m, q, _ = noise._weight_class(n, inst.marked, spec.positions)
         coordinates = noise._weight_coordinates(n, m, q, noise._eigen_frame(spec.u))
         s = noise._weight_operators([coordinates])[3][0]
         joint = tensor(projector(markov._PLUS), projector(s))

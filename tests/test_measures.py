@@ -36,6 +36,7 @@ from noisygrover.noise import (
     noise_spec,
     noise_unitary,
     noisy_grover,
+    single_qubit_unitary,
 )
 
 INST = GroverInstance(3)
@@ -276,6 +277,19 @@ def test_blp_reports_dim_and_joint_slack(n):
             d_rest = m + 1 if q in (0, m) else 2 * m
         assert result.meta["dim"] == 2 * d_rest
     assert n_blp(INST, SPEC, MarkovNoiseParams(0.3, 0.5), 1).meta["joint_slack"] == math.inf
+
+
+def test_blp_runs_a_rounded_u_through_its_eigen_frame():
+    # a and b 4e-11 off unit norm, which single_qubit_unitary accepts. Run
+    # as given, such a u on qubit 0 makes G' non-unitary by 8e-11 and moves
+    # the series by 7.9e-9 over 200 steps against the normalized u.
+    r = math.sqrt(0.5 + 4e-11)
+    off = single_qubit_unitary(r, r * 1j, 0.7)
+    norm = math.hypot(abs(off.a), abs(off.b))
+    on = single_qubit_unitary(off.a / norm, off.b / norm, 0.7)
+    inst, point = GroverInstance(10, 5), MarkovNoiseParams(0.5, 0.5)
+    series = [n_blp(inst, noise_spec(u, 5, 10), point, 200).series for u in (off, on)]
+    assert np.max(np.abs(series[0] - series[1])) <= 1e-13
 
 
 def test_blp_memory_stays_below_one_dense_matrix():

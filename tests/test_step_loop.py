@@ -1,7 +1,8 @@
-"""The buffered step loop against its reference in support.py, bitwise;
-the weight-basis operators of a d'-group against each system's alone,
-bitwise; the witnesses' split operators against the per-system weight
-build, bitwise; the loop's memory without kept blocks; and
+"""The buffered step loop against its reference in support.py, bitwise,
+also on read-only inputs, which it never writes; the weight-basis
+operators of a d'-group against each system's alone, bitwise; the
+witnesses' split operators against the per-system weight build, bitwise;
+the loop's memory without kept blocks; and
 ``verify_dilation``'s prefix stability in the number of trials."""
 
 import tracemalloc
@@ -38,7 +39,7 @@ BATHS = {"pure": None, "cold": thermal_weights(0.01), "warm": thermal_weights(0.
 
 
 def _weight_dim(n, marked, positions):
-    m, q, _ = noise._orbit_class(n, marked, positions)
+    m, q, _ = noise._weight_class(n, marked, positions)
     return len(noise._weight_coordinates(n, m, q, noise._eigen_frame(U))[0])
 
 
@@ -50,7 +51,7 @@ def _systems(d):
         for marked in range(2**n):
             hits = [
                 positions
-                for positions in [()] + noise._orbit_representatives(n, marked)
+                for positions in [()] + noise._class_representatives(n, marked)
                 if _weight_dim(n, marked, positions) == d
             ]
             if hits:
@@ -110,6 +111,28 @@ def test_first_max_reads_the_unbuffered_series_bitwise(d, bath):
     inputs = _group(d, BATHS[bath])
     series, _ = evolve_loop(*inputs, 120)
     t_star, p_star = collision_first_max(*inputs, 120)
+    want = np.array([[_first_max(row) for row in rows] for rows in series])
+    assert np.array_equal(t_star, want)
+    assert np.array_equal(p_star, np.take_along_axis(series, want[..., None], axis=-1)[..., 0])
+    assert len(set(t_star.max(axis=1).tolist())) == 3
+
+
+@pytest.mark.parametrize("bath", BATHS)
+def test_the_loop_writes_no_array_it_did_not_make(bath):
+    # Read-only G, G', transfer tensors and start, so any write into them
+    # raises; the three systems leave the first-maximum loop at different
+    # steps, so its stacks are cut twice.
+    inputs = [np.array(a) for a in _group(4, BATHS[bath])]
+    for a in inputs:
+        a.flags.writeable = False
+    series, blocks = evolve_loop(*inputs, 120)
+    plain = collision_evolve(*inputs, 120)
+    kept = collision_evolve(*inputs, 120, keep_blocks=True)
+    t_star, p_star = collision_first_max(*inputs, 120)
+    assert np.array_equal(plain.probabilities, series)
+    assert np.array_equal(kept.probabilities, series)
+    assert np.array_equal(kept.blocks, blocks)
+    assert not any(np.shares_memory(kept.blocks, a) for a in inputs)
     want = np.array([[_first_max(row) for row in rows] for rows in series])
     assert np.array_equal(t_star, want)
     assert np.array_equal(p_star, np.take_along_axis(series, want[..., None], axis=-1)[..., 0])
@@ -182,7 +205,7 @@ def test_table_of_two_unitaries_shares_each_eigen_frame_bitwise(monkeypatch):
         g, gp, _, _, sigma0 = markov._group_inputs(group)
         for k, i in enumerate(index):
             inst, spec = systems[i]
-            m, q, _ = noise._orbit_class(inst.n, inst.marked, spec.positions)
+            m, q, _ = noise._weight_class(inst.n, inst.marked, spec.positions)
             coordinates = noise._weight_coordinates(inst.n, m, q, real(spec.u))
             _, g_i, gp_i, s_i = noise._weight_operators([coordinates])
             assert np.array_equal(g[k, 0], g_i[0]) and np.array_equal(gp[k, 0], gp_i[0])

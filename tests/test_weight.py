@@ -54,11 +54,11 @@ def _frame_matrix(frame):
 
 def _classes(n, marked):
     """Every (m, q) class of position sets on n qubits, () included."""
-    return [()] + noise._orbit_representatives(n, marked)
+    return [()] + noise._class_representatives(n, marked)
 
 
 def _coordinates(n, marked, positions, u):
-    m, q, _ = noise._orbit_class(n, marked, positions)
+    m, q, _ = noise._weight_class(n, marked, positions)
     return noise._weight_coordinates(n, m, q, noise._eigen_frame(u))
 
 
@@ -103,7 +103,7 @@ def test_weight_coordinates_are_the_dense_projections(n):
         for u in UNITARIES:
             v, _ = _frame_matrix(noise._eigen_frame(u))
             for positions in _classes(n, marked):
-                m, q, _ = noise._orbit_class(n, marked, positions)
+                m, q, _ = noise._weight_class(n, marked, positions)
                 lam, s_slots, w_slots, size_n = _coordinates(n, marked, positions, u)
                 assert size_n == 2**n
                 full, weight = _weight_of(n, positions, v)
@@ -150,7 +150,7 @@ def test_weight_basis_compresses_the_register_operators_to_the_weight_system(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_weight_dim_is_the_sum_over_weights_of_min_two_and_the_block(n):
     # d' = sum_j min(2, nc #{a + b = j : a <= m - q, b <= q}), at most the
-    # orbit dimension d, and 2(m + 1) whenever m < n; noise._orbit_class
+    # orbit dimension d, and 2(m + 1) whenever m < n; noise._weight_class
     # gives it as its third value.
     for marked in range(2**n):
         for positions in _classes(n, marked):
@@ -161,7 +161,7 @@ def test_weight_dim_is_the_sum_over_weights_of_min_two_and_the_block(n):
             ]
             want = sum(min(2, size) for size in blocks)
             assert want <= d
-            assert noise._orbit_class(n, marked, positions) == (m, q, want)
+            assert noise._weight_class(n, marked, positions) == (m, q, want)
             for u in UNITARIES:
                 assert len(_coordinates(n, marked, positions, u)[0]) == want
             if m < n:
@@ -269,7 +269,7 @@ def test_invariance_at_five_qubits_runs_four_step_loops(monkeypatch, marked):
 
     monkeypatch.setattr(markov, "collision_evolve", spy)
     inst = GroverInstance(5, marked)
-    classes = noise._orbit_representatives(5, marked)
+    classes = noise._class_representatives(5, marked)
     systems = [(inst, noise_spec(UNITARIES[5], len(c), 5, c)) for c in classes]
     markov._table(markov._group_series, systems, POINTS[:1], 25)
     assert sizes == [4, 6, 8, 10]
