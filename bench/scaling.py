@@ -31,10 +31,12 @@ caps at n = 128, m = 127 and marked index 0 ran at orbit d = 256 as
 well). The many-point ``firstmax`` grid's reference is the weight-basis
 table of the step loop that still wrote into its caller's array.
 
-Nothing in the test suite or CI runs this script, and no bound here gates
-anything: the d' = 256 verification caps take seconds, the orbit-basis
-success tables took 5-7 s per `invariance` run, and the orbit-basis
-witnesses at n = 30..40 took 6-11 s and 1.5-1.7 GiB per table.
+The test suite does not run this script. CI runs its four verification
+runs (``dilation-check`` and ``oracle-check`` at n = 30 and at the cap)
+once each and fails unless each is ``ok``; no wall time or memory bound
+here gates anything: the orbit-basis success tables took 5-7 s per
+`invariance` run, and the orbit-basis witnesses at n = 30..40 took
+6-11 s and 1.5-1.7 GiB per table.
 """
 
 from __future__ import annotations

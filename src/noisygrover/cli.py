@@ -395,6 +395,9 @@ def _dilation_row(params, g, gp, chi, trials, seed) -> list:
     """The checks of the first collision (the step at mu = 0) and of the
     steady step at ``params``, for D x D G, G' and chi: [unitarity, Kraus
     and dilation defects] of each, then the steady step's factorization.
+    ``kraus_step`` serves the Kraus defect alone; the dilation deviation
+    compares U with one step of the step loop
+    (:func:`~noisygrover.collision.verify_dilation`).
 
     Both steps run as one stack when two 8D x 8D unitaries fit
     ``_BATCH_ENTRIES`` (D <= 11, :func:`~noisygrover.collision._chunks`), so
@@ -404,13 +407,15 @@ def _dilation_row(params, g, gp, chi, trials, seed) -> list:
     steps = [MarkovNoiseParams(params.p, 0.0), params]
     checks = []
     for run in _chunks([(8 * g.shape[0]) ** 2] * len(steps)):
-        u = ks = None  # the previous run's unitaries and Kraus sets die here
+        u = None  # the previous run's unitaries die here
         u = dilation_unitary(steps[run], g, gp)
-        ks = kraus_step(steps[run], g, gp)
         kraus_defect = np.max([
-            np.max(np.abs(a - b), axis=(-2, -1)) for a, b in zip(ks.ops, kraus_from_dilation(u).ops)
+            np.max(np.abs(a - b), axis=(-2, -1))
+            for a, b in zip(kraus_step(steps[run], g, gp).ops, kraus_from_dilation(u).ops)
         ], axis=0)
-        checks += zip(unitarity_defect(u), kraus_defect, verify_dilation(u, ks, trials, seed))
+        checks += zip(
+            unitarity_defect(u), kraus_defect, verify_dilation(u, steps[run], g, gp, trials, seed)
+        )
     fact = extract_m(u[-1], chi, g)  # the steady step's factorization
     # m_control is 1: the layout puts every G' block in grid rows 4-7, so CX
     # applies chi when the first ancilla is |1>.

@@ -34,6 +34,10 @@ it stacks from one incidence table of that block layout. The Kraus sets,
 the dilation and its factorization are the verification layer: each
 check returns its measurements (defects, deviations, residuals), which
 ``dilation-check`` gates in one table and the tests bound themselves.
+``verify_dilation`` ties U to the step the tables run: it compares U's
+reduced image of seeded pure probes with one step of the step loop on W,
+G and G'. The Kraus sets serve the check that they are U's |00> columns,
+and ``apply_kraus``, the dense sum K R K^dagger, is the tests' reference.
 The Kraus sets and unitaries of a sequence of points come as stacks,
 which the checks take whole, one value per member.
 
@@ -70,7 +74,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Generator, Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,8 +83,7 @@ from .linalg import (
     ComplexMatrix,
     dagger,
     hermiticity_defect,
-    random_pure_state,
-    trace_distance,
+    trace_norm,
 )
 from .noise import MarkovNoiseParams, _transition, conditional_probs
 
@@ -100,30 +102,9 @@ _BATCH_ENTRIES = 2**14
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of one collision step.
-
-    The set is read-only: :func:`apply_kraus` cuts the operators to their
-    nonzero boxes once per set and keeps the cuts.
-    """
+    """Kraus operators of one collision step."""
 
     ops: tuple[ComplexMatrix, ...]
-
-    @cached_property
-    def _boxes(self) -> tuple[tuple[slice, slice, ComplexMatrix], ...]:
-        """(rows, cols, box) per operator that is not all zero:
-        the bounding box of its nonzero rows and columns, found with ``any``
-        on the matrix itself (a NaN counts as nonzero) and, for a stack of
-        operators, over all its members, and the operator cut to it, a
-        view."""
-        boxes = []
-        for k in self.ops:
-            nonzero = k.reshape((-1,) + k.shape[-2:]).any(axis=0)
-            rows = np.flatnonzero(nonzero.any(axis=1))
-            if rows.size:
-                cols = np.flatnonzero(nonzero.any(axis=0))
-                rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-                boxes.append((rows, cols, k[..., rows, cols]))
-        return tuple(boxes)
 
 
 def _points(params: MarkovNoiseParams | Sequence[MarkovNoiseParams]) -> list[MarkovNoiseParams]:
@@ -179,24 +160,16 @@ def kraus_step(
 
 
 def apply_kraus(kset: KrausSet, r: ComplexMatrix) -> ComplexMatrix:
-    """sum_k K_k R K_k^dagger, each term on its operator's nonzero box, for
-    one matrix R or each member of a stack ``(..., 2D, 2D)``. A set whose
-    operators are (B, 2D, 2D) stacks maps every R through each of its B
-    members: the result is (B,) + ``r.shape``.
-
-    With K_k's nonzero rows in the range a and columns in the range b, the
-    term is K_k[a, b] R[..., b, b] K_k[a, b]^dagger, added into
-    out[..., a, a]; every entry outside those ranges is an exact zero of
-    the dense product. A ``kraus_step`` operator is one D x D block, so each
-    term costs an eighth of the dense one; an all-zero operator (a zero
-    weight) adds nothing and is skipped, and a dense operator keeps its
-    whole box. The boxes are cut once per set, over all its members.
+    """sum_k K_k R K_k^dagger, dense, for one matrix R or each member of a
+    stack ``(..., 2D, 2D)``: the reference that tests compare the step loop
+    with. A set whose operators are (B, 2D, 2D) stacks maps every R through
+    each of its B members: the result is (B,) + ``r.shape``.
     """
     batch = kset.ops[0].shape[:-2]
-    out = np.zeros(batch + r.shape, dtype=r.dtype)
-    for rows, cols, box in kset._boxes:
-        box = box.reshape(batch + (1,) * (r.ndim - 2) + box.shape[-2:])
-        out[..., rows, rows] += box @ r[..., cols, cols] @ dagger(box)
+    out = np.zeros(batch + r.shape, dtype=complex)
+    for k in kset.ops:
+        k = k.reshape(batch + (1,) * (r.ndim - 2) + k.shape[-2:])
+        out += k @ r @ dagger(k)
     return out
 
 
@@ -331,59 +304,84 @@ def kraus_from_dilation(u: ComplexMatrix) -> KrausSet:
     return KrausSet(tuple(u[..., alpha * n2 : (alpha + 1) * n2, :n2].copy() for alpha in range(4)))
 
 
+def _probes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` seeded Haar-random unit vectors of size ``dim``, (count,
+    dim), from one draw: row i is bitwise the i-th of ``count`` successive
+    draws of one complex Gaussian vector each (its real parts, then its
+    imaginary parts), divided by the root of ``np.linalg.norm``'s
+    ``x.real.dot(x.real) + x.imag.dot(x.imag)``."""
+    draw = rng.standard_normal((count, 2, dim))
+    v = draw[:, 0] + 1j * draw[:, 1]
+    norms = np.sqrt([x.real.dot(x.real) + x.imag.dot(x.imag) for x in v])
+    return v / norms[:, None]
+
+
 def verify_dilation(
-    u: ComplexMatrix, kset: KrausSet, trials: int = 20, seed: int = 1234
+    u: ComplexMatrix,
+    params: MarkovNoiseParams | Sequence[MarkovNoiseParams],
+    g: ComplexMatrix,
+    gp: ComplexMatrix,
+    trials: int = 20,
+    seed: int = 1234,
 ) -> float | np.ndarray:
     """The largest trace distance between Tr_anc[ U (|00><00| (x) R) U^dagger ]
-    and the Kraus map's image of R; for a stack of B unitaries (B, 8D, 8D)
-    and a set of (B, 2D, 2D) operator stacks, one value per member.
+    and one step of the step loop from R, for the collision unitary U of
+    the step at ``params`` with D x D ``g``, ``gp`` (the arguments of
+    :func:`dilation_unitary`); for a stack of B unitaries (B, 8D, 8D) and
+    a sequence of B points, one value per member.
 
-    Runs ``trials`` seeded Haar-random pure states psi on walker (x) system
-    and returns the largest trace distance between the two one-step images
-    of R = |psi><psi|; ``trials`` < 1 raises ``ValueError``, since no state
-    would be checked. A NaN deviation is kept as the maximum.
+    R runs over ``trials`` seeded Haar-random pure states psi on walker (x)
+    system (``trials`` < 1 raises ``ValueError``); a NaN deviation is kept
+    as the maximum. Pure probes lose nothing: ||(E - F)(R)||_1 is convex in
+    R, so the difference of two channels is largest on a pure input.
 
-    Pure probes lose nothing: ||(E - F)(R)||_1 is convex in R and every
-    state is a mixture of pure states, so the difference of two channels E
-    and F is largest on a pure input, and a pure probe is at least as
-    sensitive as a mixed one.
+    The step side is the one every table runs: :func:`_label_steps` on the
+    steady tensor of :func:`transfer_weights` at ``params`` (at (p, 0), the
+    first collision), G and G', from psi's walker-diagonal blocks
+    psi_c psi_c^dagger. U's side reads every entry of its |00> columns:
+    the joint states U (|00> (x) psi) = U[:, :2D] psi are pure, and their
+    four 2D-entry ancilla rows phi_a give the reduced state
+    sum_a phi_a phi_a^dagger. The step image is subtracted in place from
+    its two diagonal walker blocks; the off-diagonal ones, which the step
+    drops, stay in the one ``trace_norm`` call per stack, which gives one
+    norm per member and trial.
 
-    The probes are drawn once and shared by every member. The trials run
-    in stacks of at most ``_BATCH_ENTRIES // (2D)**2`` (at least one,
-    :func:`_chunks`) per member, in the order the states are drawn, one
-    ``random_pure_state`` call per trial, so every trial sees the state it
-    would see alone. The
-    joint states U (|00> (x) psi) = U[:, :2D] psi of a stack are pure, one
-    product per member that reads every entry of U's |00> columns. A stack
-    of one trial takes that product as two rows, the trial and a copy, and
-    keeps the first: numpy would take one row as a matrix-vector product,
-    which rounds differently from a row of the matrix product of several.
-    So a trial's distance is bitwise the same whatever stack it falls in,
-    and the result is prefix-stable in ``trials``: ``trials = k`` gives the
-    largest of the first k distances of a longer run. The stacks do not
-    shrink with B, so each member's value is bitwise the one it gets
-    alone. Each one's four 2D-entry ancilla rows phi_a
-    give its reduced state sum_a phi_a phi_a^dagger. The Kraus side is
-    ``apply_kraus`` on the stack of matrices |psi><psi|, never K psi, so
-    the two sides share no arithmetic. It takes each operator on its
-    nonzero box, which ``kset`` cuts once, at the first stack. Each stack
-    of trials takes one ``trace_distance`` call over every member, which
-    returns one distance per member and trial.
+    The probes are drawn once for every member, in stacks of at most
+    ``_BATCH_ENTRIES // (2D)**2`` trials (at least one, :func:`_chunks`),
+    each from one draw (:func:`_probes`), so every trial sees the state it
+    would see alone. A stack of one trial takes the U product as two rows,
+    the trial and a copy, and keeps the first: numpy would take one row as
+    a matrix-vector product, which rounds differently. So a trial's
+    distance is bitwise the same whatever stack it falls in: ``trials = k``
+    gives the largest of the first k distances of a longer run, and each
+    member's value is bitwise the one it gets alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    batch, n2 = u.shape[:-2], u.shape[-1] // 4
+    n_dim = _check_operators(g, gp)
+    batch, n2 = u.shape[:-2], 2 * n_dim
+    if u.shape[-2:] != (8 * n_dim, 8 * n_dim):
+        raise ValueError(f"unitary shape {u.shape} does not fit {n_dim} x {n_dim} operators")
+    # Each member's tensor, broadcast over the trials of a stack.
+    steady = transfer_weights(params)[1].reshape(batch + (1, 2, 2, 2))
     columns = u[..., :, :n2].swapaxes(-1, -2)
     rng = np.random.default_rng(seed)
     deviations = []
     for run in _chunks(itertools.repeat(n2**2, trials)):
-        psi = np.array([random_pure_state(n2, rng) for _ in range(run.stop - run.start)])
+        psi = _probes(rng, run.stop - run.start, n2)
         # A lone trial goes through the product as two rows, itself and a
         # copy: as one row it would take numpy's matrix-vector product.
         rows = psi if len(psi) > 1 else np.concatenate((psi, psi))
         phi = (rows @ columns)[..., : len(psi), :].reshape(batch + (-1, 4, n2))
-        image = apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
-        deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
+        image = phi.swapaxes(-1, -2) @ phi.conj()
+        halves = psi.reshape(-1, 2, n_dim)
+        start = halves[..., :, None] * halves.conj()[..., None, :]
+        _, stream = _label_steps(g, gp, steady, steady, start, 0)
+        next(stream)
+        step = next(stream)
+        image[..., :n_dim, :n_dim] -= step[..., 0, :, :]
+        image[..., n_dim:, n_dim:] -= step[..., 1, :, :]
+        deviations.append(0.5 * trace_norm(image))
     worst = np.max(np.concatenate(deviations, axis=-1), axis=-1)
     return float(worst) if u.ndim == 2 else worst
 

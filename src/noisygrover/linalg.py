@@ -233,9 +233,3 @@ def require_density(
             f"{what.format(*i) if i else what} is not a density matrix within {tol:.1e}: "
             f"hermiticity {herm:.3e}, trace defect {tr:.3e}, min eigenvalue {lo:.3e}"
         )
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit state vector (normalized complex Gaussian)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

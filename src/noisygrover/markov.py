@@ -43,7 +43,7 @@ from .collision import (
     _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
 )
 from .grover import GroverInstance
-from .linalg import ComplexMatrix, projector, require_density
+from .linalg import ComplexMatrix, projector
 from .noise import (
     MarkovNoiseParams,
     NoiseSpec,
@@ -198,7 +198,6 @@ def markov_evolve(
     params: MarkovNoiseParams,
     steps: int,
     bath=None,
-    validate: bool = False,
 ) -> EvolutionTrace:
     """Evolve the joint walker+system state for ``steps`` collisions.
 
@@ -215,19 +214,13 @@ def markov_evolve(
     (steps + 1, 2, d', d'), t = 0 included. The blocks live in the span of
     the weight basis B, whose lift B (sigma_0 + sigma_1) B^dagger is the
     N x N register state; nothing here builds B. Its success series is the
-    row of :func:`markov_series` for ``params``, bit for bit. ``validate``
-    checks, once after the run, every step's blocks from t = 0 on at 1e-9
-    (an isometry keeps trace, hermiticity and the nonzero spectrum; at
-    t = 0 that is all the loop reads of the start) and
-    raises :class:`InvariantViolation` at the first bad step.
+    row of :func:`markov_series` for ``params``, bit for bit.
     """
     _, g, gp, s = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
     first, steady = transfer_weights([params], bath)
     # A batch (1,) of the one point.
     sigma0 = _label_start(projector(s))[None]
     run = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True)
-    if validate:
-        require_density(run.blocks[0], 1e-9, what="joint state t={}", blocks=True)
     return EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])
 
 

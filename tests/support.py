@@ -16,7 +16,6 @@ from noisygrover.linalg import (
     ComplexMatrix,
     dagger,
     projector,
-    random_pure_state,
     tensor,
     trace_distance,
 )
@@ -35,6 +34,12 @@ def random_density(dim: int, rng: np.random.Generator) -> ComplexMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit state vector (normalized complex Gaussian)."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
@@ -315,20 +320,35 @@ def extract_m_loop(u, chi, g):
     return collision.FactorizationReport(m_grid, residual, defect)
 
 
-def verify_dilation_loop(u, kset, trials=20, seed=1234):
-    """collision.verify_dilation of one U and its Kraus set: the seeded
-    probes drawn for this step alone, in stacks of its own budget."""
-    n2 = u.shape[0] // 4
-    columns = u[:, :n2]
-    stack = max(1, collision._BATCH_ENTRIES // n2**2)
+def pure_step_image(params, g, gp, psi):
+    """One pure-ancilla step of walker (x) system from |psi><psi|, written
+    out: op_r (sum_c W[r, c, r] psi_c psi_c^dagger) op_r^dagger in walker
+    block r, op_0 = G and op_1 = G', W the steady tensor at ``params``; the
+    off-diagonal walker blocks are zero."""
+    n_dim = g.shape[0]
+    _, w = collision.transfer_weights(params)
+    halves = psi.reshape(2, n_dim)
+    image = np.zeros((2 * n_dim, 2 * n_dim), dtype=complex)
+    for r, op in enumerate((g, gp)):
+        mixed = sum(w[r, c, r] * np.outer(halves[c], halves[c].conj()) for c in range(2))
+        image[r * n_dim : (r + 1) * n_dim, r * n_dim : (r + 1) * n_dim] = op @ mixed @ dagger(op)
+    return image
+
+
+def verify_dilation_loop(u, params, g, gp, trials=20, seed=1234):
+    """collision.verify_dilation of one U, one trial at a time: each seeded
+    probe psi (one ``random_pure_state`` call) gives U's reduced image
+    sum_a phi_a phi_a^dagger, phi_a the ancilla rows of U[:, :2D] psi,
+    against ``pure_step_image``."""
+    n2 = 2 * g.shape[0]
     rng = np.random.default_rng(seed)
-    deviations = []
-    for start in range(0, trials, stack):
-        psi = np.array([random_pure_state(n2, rng) for _ in range(min(stack, trials - start))])
-        phi = (psi @ columns.T).reshape(-1, 4, n2)
-        image = collision.apply_kraus(kset, psi[:, :, None] * psi.conj()[:, None, :])
-        deviations.append(trace_distance(phi.swapaxes(-1, -2) @ phi.conj(), image))
-    return float(np.max(np.concatenate(deviations)))
+    worst = 0.0
+    for _ in range(trials):
+        psi = random_pure_state(n2, rng)
+        phi = (u[:, :n2] @ psi).reshape(4, n2)
+        image = sum(np.outer(a, a.conj()) for a in phi)
+        worst = max(worst, trace_distance(image, pure_step_image(params, g, gp, psi)))
+    return worst
 
 
 # The step loop as it was before its buffers: a fresh array per product

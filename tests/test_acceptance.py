@@ -37,6 +37,7 @@ from noisygrover.collision import (
 from noisygrover.grover import GroverInstance, grover_operator, ideal_success_series
 from noisygrover.linalg import (
     assert_density,
+    require_density,
     tensor,
     trace_distance,
 )
@@ -199,7 +200,7 @@ def test_c07_dilation_suite():
                 np.array_equal(a, b)
                 for a, b in zip(kset.ops, kraus_from_dilation(dil).ops)
             )
-            worst_dev = max(worst_dev, verify_dilation(dil, kset, trials=20, seed=1234))
+            worst_dev = max(worst_dev, verify_dilation(dil, step, g, gp, trials=20, seed=1234))
     ok = worst_unitarity <= 1e-10 and columns_exact and worst_dev <= 1e-12
     _report(
         "07", ok,
@@ -380,7 +381,8 @@ def test_c15_state_validity_and_contractivity():
     worst_eig = 0.0
     for name, m, params, bath in configs:
         spec = noise_spec(noise_unitary(name), m, 3)
-        trace = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
+        trace = markov_evolve(inst, spec, params, 12, bath=bath)
+        require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
         for rho in lift(inst, spec, trace.blocks.sum(axis=1)):
             report = assert_density(rho, tol=1e-9)
             assert report.passed, report

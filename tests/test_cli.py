@@ -396,9 +396,9 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
 
 
 def _nan_on_member(real, which):
-    # trace_distance on stacks that gives NaN for the ``which``-th distance
-    # (0-based) over all its calls, each call's distances taken in the
-    # order of its array's entries
+    # trace_distance (or trace_norm) on stacks that gives NaN for the
+    # ``which``-th value (0-based) over all its calls, each call's values
+    # taken in the order of its array's entries
     seen = [0]
 
     def patched(*args, **kwargs):
@@ -414,9 +414,9 @@ def _nan_on_member(real, which):
 @pytest.mark.parametrize("which", [0, 3, 4])
 def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
     # At n = 2 (d = 4) both steps run as one stack and their 5 trials as
-    # one stack of probes: one call returns the (2, 5) distances, 0-4 of
+    # one stack of probes: one call returns the (2, 5) trace norms, 0-4 of
     # the first collision and 5-9 of the steady one
-    monkeypatch.setattr(collision, "trace_distance", _nan_on_member(collision.trace_distance, which))
+    monkeypatch.setattr(collision, "trace_norm", _nan_on_member(collision.trace_norm, which))
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
     )

@@ -15,13 +15,15 @@ from support import (
     initial_joint_state,
     label_blocks,
     lift,
+    pure_step_image,
     random_density,
+    random_pure_state,
     unitality_defect,
     unitarity_defect_loop,
     verify_dilation_loop,
 )
 
-from noisygrover import collision
+from noisygrover import cli, collision
 from noisygrover.collision import (
     KrausSet,
     apply_kraus,
@@ -43,10 +45,10 @@ from noisygrover.linalg import (
     InvariantViolation,
     partial_trace,
     projector,
-    random_pure_state,
     require_density,
     tensor,
     trace_distance,
+    trace_norm,
 )
 from noisygrover.markov import (
     MarkovNoiseParams,
@@ -203,19 +205,27 @@ def test_kraus_sits_in_dilation_columns(step):
 def test_verify_dilation_passes_and_is_deterministic():
     params = MarkovNoiseParams(0.2, 0.4)
     dil = dilation_unitary(params, G, GP)
-    kset = kraus_step(params, G, GP)
-    dev1 = verify_dilation(dil, kset, trials=10, seed=7)
-    dev2 = verify_dilation(dil, kset, trials=10, seed=7)
+    dev1 = verify_dilation(dil, params, G, GP, trials=10, seed=7)
+    dev2 = verify_dilation(dil, params, G, GP, trials=10, seed=7)
     assert dev1 < 1e-12
     assert dev1 == dev2
+
+
+def test_verify_dilation_rejects_inputs_that_do_not_fit():
+    params = MarkovNoiseParams(0.2, 0.4)
+    dil = dilation_unitary(params, G, GP)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_dilation(dil, params, G, GP, trials=0)
+    with pytest.raises(ValueError, match="does not fit"):
+        verify_dilation(dil, params, G[:-1, :-1], GP[:-1, :-1])
+    with pytest.raises(ValueError, match="operator shapes"):
+        verify_dilation(dil, params, G, GP[:-1, :-1])
 
 
 def test_verify_dilation_catches_mismatch():
     params = MarkovNoiseParams(0.2, 0.4)
     dil = dilation_unitary(params, G, GP)
-    kset = kraus_step(params, G, GP)
-    broken = KrausSet((1.001 * kset.ops[0],) + kset.ops[1:])
-    assert not verify_dilation(dil, broken, trials=3) <= 1e-12
+    assert not verify_dilation(dil, params, 1.001 * G, GP, trials=3) <= 1e-12
 
 
 def _haar_system(n, seed):
@@ -231,32 +241,34 @@ def _haar_operators(n, seed):
     return g, noisy_grover(g, chi)
 
 
-def _full_product_dilation(u, kset, trials, seed):
+def _full_product_dilation(u, params, g, gp, trials, seed):
     # Reference: the whole 8N x 8N product U (|00><00| (x) |psi><psi|) U^dagger,
-    # on the seeded pure states verify_dilation draws, in the same order.
+    # on the seeded pure states verify_dilation draws, in the same order,
+    # less the step written out; and the largest trace norm of those
+    # differences, halved.
     n2 = u.shape[0] // 4
     anc = np.zeros((4, 4), dtype=complex)
     anc[0, 0] = 1.0
     rng = np.random.default_rng(seed)
-    reduced, worst = [], 0.0
+    differences = []
     for _ in range(trials):
         psi = random_pure_state(n2, rng)
         r = np.outer(psi, psi.conj())
-        reduced.append(partial_trace(u @ tensor(anc, r) @ u.conj().T, (4, n2), keep=(1,)))
-        worst = max(worst, trace_distance(reduced[-1], apply_kraus(kset, r)))
-    return reduced, worst
+        reduced = partial_trace(u @ tensor(anc, r) @ u.conj().T, (4, n2), keep=(1,))
+        differences.append(reduced - pure_step_image(params, g, gp, psi))
+    return differences, max(0.5 * trace_norm(h) for h in differences)
 
 
 def _spy_stacks(monkeypatch):
-    # Records the (dilation side, Kraus side) stacks of every trace_distance
-    # call verify_dilation makes; each call is one stack of trials.
-    real, stacks = collision.trace_distance, []
+    # Records the differences of the two images that every trace_norm call
+    # of verify_dilation takes; each call is one stack of trials.
+    real, stacks = collision.trace_norm, []
 
-    def spy(rho, sigma):
-        stacks.append((rho, sigma))
-        return real(rho, sigma)
+    def spy(h):
+        stacks.append(h)
+        return real(h)
 
-    monkeypatch.setattr(collision, "trace_distance", spy)
+    monkeypatch.setattr(collision, "trace_norm", spy)
     return stacks
 
 
@@ -266,15 +278,16 @@ def _stack_sizes(trials, n2):
     return [full] * (trials // full) + ([trials % full] if trials % full else [])
 
 
-def _check_against_full_product(monkeypatch, dil, kset, trials, seed):
+def _check_against_full_product(monkeypatch, params, g, gp, trials, seed):
+    dil = dilation_unitary(params, g, gp)
     stacks = _spy_stacks(monkeypatch)
-    dev = verify_dilation(dil, kset, trials=trials, seed=seed)
-    reduced, worst = _full_product_dilation(dil, kset, trials=trials, seed=seed)
+    dev = verify_dilation(dil, params, g, gp, trials=trials, seed=seed)
+    differences, worst = _full_product_dilation(dil, params, g, gp, trials=trials, seed=seed)
     n2 = dil.shape[0] // 4
-    # one distance per stack of trials, each member a 2N x 2N reduced state
-    assert [rho.shape for rho, _ in stacks] == [(k, n2, n2) for k in _stack_sizes(trials, n2)]
-    members = np.concatenate([rho for rho, _ in stacks])
-    for ours, ref in zip(members, reduced, strict=True):
+    # one norm per stack of trials, each member a 2N x 2N difference
+    assert [h.shape for h in stacks] == [(k, n2, n2) for k in _stack_sizes(trials, n2)]
+    members = np.concatenate(stacks)
+    for ours, ref in zip(members, differences, strict=True):
         assert np.max(np.abs(ours - ref)) < 1e-12
     assert dev <= 1e-12 and abs(dev - worst) < 1e-12
 
@@ -284,9 +297,7 @@ def _check_against_full_product(monkeypatch, dil, kset, trials, seed):
 def test_verify_dilation_matches_full_product(monkeypatch, n, step):
     g, gp = _haar_operators(n, 40 + n)
     params = _step(step, MarkovNoiseParams(0.35, 0.6))
-    dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
-    _check_against_full_product(monkeypatch, dil, kset, trials=6, seed=17)
+    _check_against_full_product(monkeypatch, params, g, gp, trials=6, seed=17)
 
 
 @pytest.mark.parametrize("step", STEPS)
@@ -294,10 +305,8 @@ def test_verify_dilation_matches_full_product_with_a_remainder_stack(monkeypatch
     # n = 4: 2N = 32, so a stack holds 16 trials and 37 split 16 + 16 + 5
     g, gp = _haar_operators(4, 44)
     params = _step(step, MarkovNoiseParams(0.35, 0.6))
-    dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
     assert _stack_sizes(37, 32) == [16, 16, 5]
-    _check_against_full_product(monkeypatch, dil, kset, trials=37, seed=18)
+    _check_against_full_product(monkeypatch, params, g, gp, trials=37, seed=18)
 
 
 @pytest.mark.parametrize("n,trials", [(2, 3), (4, 17), (5, 9), (6, 3)])
@@ -305,51 +314,86 @@ def test_verify_dilation_keeps_each_stack_within_the_entry_budget(monkeypatch, n
     g, gp = _haar_operators(n, 45)
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
     stacks = _spy_stacks(monkeypatch)
-    assert verify_dilation(dil, kset, trials=trials, seed=19) <= 1e-12
-    sizes = [rho.shape[0] for rho, _ in stacks]
-    for rho, sigma in stacks:
-        assert rho.shape == sigma.shape
-        assert rho.shape[0] == 1 or rho.size <= collision._BATCH_ENTRIES
+    assert verify_dilation(dil, params, g, gp, trials=trials, seed=19) <= 1e-12
+    sizes = [h.shape[0] for h in stacks]
+    for h in stacks:
+        assert h.shape[0] == 1 or h.size <= collision._BATCH_ENTRIES
     # full stacks first: 4 trials at n = 5, one from n = 6 on
     assert sizes == _stack_sizes(trials, 2 * 2**n)
     assert sizes[0] == {2: 3, 4: 16, 5: 4, 6: 1}[n]
 
 
-def _remixed(kset, seed):
-    # K'_k = sum_j V_kj K_j with V a seeded random 4 x 4 unitary: the same
-    # channel written with other operators.
-    rng = np.random.default_rng(seed)
-    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    ops = tuple(sum(v[k, j] * kset.ops[j] for j in range(4)) for k in range(4))
-    return KrausSet(ops)
+@pytest.mark.parametrize("n_dim", [1, 2, 6, 64, 128])
+def test_probes_are_the_per_trial_draws_bitwise(n_dim):
+    # verify_dilation draws a stack's probes at once; each equals the state
+    # one random_pure_state call per trial gives, and the stream goes on
+    # across stacks of one and of many trials.
+    rng, reference = np.random.default_rng(150 + n_dim), np.random.default_rng(150 + n_dim)
+    for count in (1, 5, 1, 64, 2):
+        got = collision._probes(rng, count, 2 * n_dim)
+        want = np.array([random_pure_state(2 * n_dim, reference) for _ in range(count)])
+        assert got.shape == want.shape == (count, 2 * n_dim)
+        assert np.array_equal(got, want), count
+
+
+def _row(params, g, chi, trials, seed):
+    # the dilation-check row of D x D operators, by column name
+    row = cli._dilation_row(params, g, noisy_grover(g, chi), chi, trials, seed)
+    return dict(zip(cli._DILATION_COLUMNS, row, strict=True))
 
 
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_verify_dilation_passes_a_unitarily_remixed_kraus_set(n, step):
-    g, gp = _haar_operators(n, 60 + n)
-    params = _step(step, MarkovNoiseParams(0.35, 0.6))
-    dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
-    remixed = _remixed(kset, 70 + n)
-    assert max(np.max(np.abs(a - b)) for a, b in zip(remixed.ops, kset.ops)) > 1e-2
-    assert verify_dilation(dil, remixed, trials=6, seed=17) < 1e-12
+def test_dilation_dev_passes_a_unitary_on_the_ancilla_outputs(monkeypatch, n, step):
+    # U' = (V (x) I_2D) U with V a seeded 4 x 4 unitary on the ancilla
+    # outputs has the reduced channel of U but other |00> columns: the
+    # dilation deviation still reads rounding, the Kraus defect does not.
+    g, chi = _haar_system(n, 60 + n)
+    rng = np.random.default_rng(70 + n)
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mix = np.kron(v, np.eye(2 * g.shape[0]))
+    real = cli.dilation_unitary
+    monkeypatch.setattr(cli, "dilation_unitary", lambda *args: mix @ real(*args))
+    row = _row(MarkovNoiseParams(0.35, 0.6), g, chi, trials=6, seed=17)
+    assert row[f"dilation_dev_{step}"] <= 1e-12
+    assert row[f"kraus_defect_{step}"] > 1e-3
+
+
+def test_dilation_dev_sees_two_swapped_transfer_weights(monkeypatch):
+    # W[0, 0, 0] and W[0, 1, 0] of the steady step swapped: the step loop
+    # no longer runs U's channel, which the dilation deviation sees and the
+    # Kraus defect, blind to W, does not. At mu = 0 the two are equal.
+    g, chi = _haar_system(3, 160)
+    params = MarkovNoiseParams(0.3, 0.6)
+    clean = _row(params, g, chi, trials=5, seed=3)
+    real = collision.transfer_weights
+
+    def swapped(*args):
+        first, steady = real(*args)
+        steady = steady.copy()
+        steady[..., 0, [0, 1], 0] = steady[..., 0, [1, 0], 0]
+        return first, steady
+
+    monkeypatch.setattr(collision, "transfer_weights", swapped)
+    row = _row(params, g, chi, trials=5, seed=3)
+    assert clean["dilation_dev_steady"] <= 1e-12
+    assert row["dilation_dev_steady"] > 1e-6
+    assert row["dilation_dev_initial"] == clean["dilation_dev_initial"] <= 1e-12
+    assert row["kraus_defect_initial"] == row["kraus_defect_steady"] == 0.0
 
 
 def test_verify_dilation_does_not_compare_a_map_with_itself(monkeypatch):
     g, gp = _haar_operators(3, 80)
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
     stacks = _spy_stacks(monkeypatch)
-    assert verify_dilation(dil, kset, trials=10, seed=5) <= 1e-12
-    pairs = [pair for rho, sigma in stacks for pair in zip(rho, sigma, strict=True)]
-    assert len(pairs) == 10
-    assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in pairs)
+    assert verify_dilation(dil, params, g, gp, trials=10, seed=5) <= 1e-12
+    members = [h for stack in stacks for h in stack]
+    assert len(members) == 10
+    assert all(np.max(np.abs(h)) < 1e-12 for h in members)
     # the two sides are computed differently, so rounding tells them apart
-    assert any(not np.array_equal(a, b) for a, b in pairs)
+    assert any(h.any() for h in members)
 
 
 @pytest.mark.parametrize("block", [(1, 0), (3, 1), (4, 0), (6, 1)])
@@ -357,14 +401,13 @@ def test_verify_dilation_sees_an_entry_off_the_layout(block):
     g, gp = _haar_operators(3, 50)
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
     n_dim = g.shape[0]
     row, col = block
     rows, cols = slice(row * n_dim, (row + 1) * n_dim), slice(col * n_dim, (col + 1) * n_dim)
     broken = dil.copy()
     assert not np.any(broken[rows, cols])  # the layout leaves this |00>-column block zero
     broken[rows, cols] = 1e-3 * g
-    assert verify_dilation(broken, kset, trials=3) > 1e-6
+    assert verify_dilation(broken, params, g, gp, trials=3) > 1e-6
 
 
 @pytest.mark.parametrize("block", [(0, 0), (2, 1), (5, 0), (7, 1)])
@@ -372,12 +415,11 @@ def test_verify_dilation_sees_a_scaled_ancilla_zero_column_block(block):
     g, gp = _haar_operators(3, 50)
     params = MarkovNoiseParams(0.35, 0.6)
     dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
     n_dim = g.shape[0]
     broken = dil.copy()
     row, col = block
     broken[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] *= 1.001
-    assert verify_dilation(broken, kset, trials=3) > 1e-6
+    assert verify_dilation(broken, params, g, gp, trials=3) > 1e-6
 
 
 def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
@@ -386,8 +428,7 @@ def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
     g, gp = _haar_operators(4, 46)
     params = MarkovNoiseParams(0.2, 0.4)
     dil = dilation_unitary(params, g, gp)
-    kset = kraus_step(params, g, gp)
-    real, calls = collision.trace_distance, []
+    real, calls = collision.trace_norm, []
 
     def nan_in_second(*args):
         calls.append(None)
@@ -396,8 +437,8 @@ def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
             out[1] = np.nan
         return out
 
-    monkeypatch.setattr(collision, "trace_distance", nan_in_second)
-    dev = verify_dilation(dil, kset, trials=20)
+    monkeypatch.setattr(collision, "trace_norm", nan_in_second)
+    dev = verify_dilation(dil, params, g, gp, trials=20)
     assert len(calls) == 2
     assert math.isnan(dev)
 
@@ -492,6 +533,15 @@ def _scattered_set(n_dim, seed):
     single[n_dim - 1, n_dim] = 0.5 - 0.25j
     zero = np.zeros_like(scattered)
     return KrausSet((scattered, single, zero))
+
+
+def _remixed(kset, seed):
+    # K'_k = sum_j V_kj K_j with V a seeded random 4 x 4 unitary: the same
+    # channel written with other operators.
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    ops = tuple(sum(v[k, j] * kset.ops[j] for j in range(4)) for k in range(4))
+    return KrausSet(ops)
 
 
 def _kraus_case(case):
@@ -688,28 +738,25 @@ def test_batched_block_products_keep_a_nan_block(n):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_verify_dilation_on_a_stack_equals_each_step_alone(n, p):
     # The two steps of a point share their probes: a B = 2 stack gives each
-    # member the value it gets alone, and the one-step loop's.
+    # member the value it gets alone, bitwise, and the one-trial loop's.
     g, gp = _haar_operators(n, 130 + n)
     steps = [MarkovNoiseParams(p, 0.0), MarkovNoiseParams(p, 0.6)]
-    stack, kset = dilation_unitary(steps, g, gp), kraus_step(steps, g, gp)
-    assert all(op.shape == (2, 2 * g.shape[0], 2 * g.shape[0]) for op in kset.ops)
-    stacked = verify_dilation(stack, kset, trials=7, seed=21)
+    stack = dilation_unitary(steps, g, gp)
+    stacked = verify_dilation(stack, steps, g, gp, trials=7, seed=21)
     assert stacked.shape == (2,)
     for params, u, value in zip(steps, stack, stacked, strict=True):
-        alone = kraus_step(params, g, gp)
-        assert all(np.array_equal(a, b) for a, b in zip(alone.ops, kraus_from_dilation(u).ops))
-        assert verify_dilation(u, alone, trials=7, seed=21) == value
-        assert verify_dilation_loop(u, alone, trials=7, seed=21) == value <= 1e-12
+        assert verify_dilation(u, params, g, gp, trials=7, seed=21) == value <= 1e-12
+        assert abs(verify_dilation_loop(u, params, g, gp, trials=7, seed=21) - value) <= 1e-15
 
 
 def test_verify_dilation_stacks_its_trials_over_every_member(monkeypatch):
     # n = 3: 2D = 16, so a stack holds 16384 // 256 = 64 trials of each of
-    # the B = 2 members, and 70 split 64 + 6, one trace_distance call each.
+    # the B = 2 members, and 70 split 64 + 6, one trace_norm call each.
     g, gp = _haar_operators(3, 140)
     steps = [MarkovNoiseParams(0.35, 0.0), MarkovNoiseParams(0.35, 0.6)]
     stacks = _spy_stacks(monkeypatch)
-    verify_dilation(dilation_unitary(steps, g, gp), kraus_step(steps, g, gp), trials=70, seed=3)
-    assert [rho.shape for rho, _ in stacks] == [(2, k, 16, 16) for k in (64, 6)]
+    verify_dilation(dilation_unitary(steps, g, gp), steps, g, gp, trials=70, seed=3)
+    assert [h.shape for h in stacks] == [(2, k, 16, 16) for k in (64, 6)]
 
 
 def _transition_roots(params):
@@ -1027,7 +1074,7 @@ def _check_against_dense(inst, spec, params, bath, start, steps, validate, weigh
     r0 = _low_rank_start(start, inst)
     probs, states, joints = _dense_evolve(*channel_maps(params, g, gp, bath), r0, steps, inst.marked)
     if weight:
-        trace = markov_evolve(inst, spec, params, steps, bath=bath, validate=validate)
+        trace = markov_evolve(inst, spec, params, steps, bath=bath)
         for a, b in zip(lift(inst, spec, trace.blocks.sum(axis=1)), states):
             assert np.max(np.abs(a - b)) < 1e-12
         _assert_blocks_match(lift(inst, spec, trace.blocks), states, joints)
@@ -1036,9 +1083,9 @@ def _check_against_dense(inst, spec, params, bath, start, steps, validate, weigh
         trace = collision_evolve(
             g, gp, *weights, label_blocks(r0), steps, marked=inst.marked, keep_blocks=True
         )
-        if validate:
-            require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
         _assert_blocks_match(trace.blocks, states, joints)
+    if validate:
+        require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
     return trace
 

@@ -244,7 +244,8 @@ def test_no_orbit_basis_or_dense_operator_on_the_unkept_paths(monkeypatch):
     spec = noise_spec(haar_noise(np.random.default_rng(3)), 3, 6, (0, 2, 5))
     params = MarkovNoiseParams(0.4, 0.7)
     markov_evolve(inst, spec, params, 5)
-    markov_evolve(inst, spec, params, 5, bath=thermal_weights(1.0), validate=True)
+    thermal = markov_evolve(inst, spec, params, 5, bath=thermal_weights(1.0))
+    require_density(thermal.blocks, 1e-9, what="joint state t={}", blocks=True)
     markov_series(inst, spec, [params, MarkovNoiseParams(0.1, 0.2)], 5)
     n_cp(inst, spec, params, 5)
     n_blp(inst, spec, params, 5)

@@ -13,6 +13,7 @@ import pytest
 import support
 
 import noisygrover
+from noisygrover.markov import markov_evolve
 from noisygrover.measures import positive_increment_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "noisygrover"
@@ -82,6 +83,9 @@ def test_intra_package_imports_point_left(name):
 # ``dicke_operators_loop``) as the independent reference. ``noise``'s
 # ``_orbit_class`` and ``_orbit_representatives`` are now ``_weight_class``
 # and ``_class_representatives``: they give the weight basis's d'.
+# ``random_pure_state`` is the reference that ``verify_dilation``'s probes,
+# drawn a stack at a time, must equal; ``KrausSet._boxes`` went when
+# ``apply_kraus`` became the plain dense sum.
 GONE = (
     ("linalg", None, "random_density", True),
     ("markov", None, "initial_joint_state", True),
@@ -102,6 +106,8 @@ GONE = (
     ("cli", None, "_orbit_dim", False),
     ("noise", None, "_orbit_class", False),
     ("noise", None, "_orbit_representatives", False),
+    ("linalg", None, "random_pure_state", True),
+    ("collision", "KrausSet", "_boxes", False),
 )
 
 
@@ -116,6 +122,12 @@ def test_test_only_names_left_the_package(module, cls, name, moved):
 
 def test_positive_increment_sum_takes_no_threshold():
     assert list(inspect.signature(positive_increment_sum).parameters) == ["series"]
+
+
+def test_markov_evolve_takes_no_validate():
+    # Callers that want the check run require_density on the kept blocks.
+    params = list(inspect.signature(markov_evolve).parameters)
+    assert params == ["inst", "spec", "params", "steps", "bath"]
 
 
 def test_the_witnesses_import_no_orbit_builder():

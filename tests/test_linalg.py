@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import random_density
+from support import random_density, random_pure_state
 
 from noisygrover.linalg import (
     InvariantViolation,
@@ -9,7 +9,6 @@ from noisygrover.linalg import (
     hermiticity_defect,
     partial_trace,
     projector,
-    random_pure_state,
     require_density,
     tensor,
     trace_distance,

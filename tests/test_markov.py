@@ -26,6 +26,7 @@ from noisygrover.linalg import (
     InvariantViolation,
     assert_density,
     projector,
+    require_density,
     tensor,
     trace_distance,
 )
@@ -298,17 +299,22 @@ def test_history_oracle_refuses_operators_that_do_not_match():
             history_oracle(*ops, params, 3)
 
 
+def _require_joint_states(trace):
+    # Every step's block-diagonal joint diag(sigma_0, sigma_1), t = 0
+    # included, is a density matrix within 1e-9; raises naming the first
+    # step that is not.
+    require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
+
+
 def test_trace_keeps_the_label_blocks():
-    # With or without validate, a run keeps every step's label blocks at
-    # d x d, t = 0 included.
+    # A run keeps every step's label blocks at d x d, t = 0 included, and
+    # they pass the joint density check.
     params = MarkovNoiseParams(0.4, 0.2)
     bare = markov_evolve(INST3, SPEC_X1, params, 5)
-    checked = markov_evolve(INST3, SPEC_X1, params, 5, validate=True)
+    _require_joint_states(bare)
     assert bare.probabilities.shape == (6,)
     d = bare.meta["dim"]
     assert bare.blocks.shape == (6, 2, d, d)
-    assert np.array_equal(bare.blocks, checked.blocks)
-    assert np.array_equal(bare.probabilities, checked.probabilities)
     # Lifted to N x N, the blocks' sums are density matrices whose marked
     # diagonal is the success probability.
     states = lift(INST3, SPEC_X1, bare.blocks.sum(axis=1))
@@ -352,23 +358,23 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
     monkeypatch.setattr(markov, "collision_evolve", poisoned)
     bath = None if temperature is None else thermal_weights(temperature)
     params = MarkovNoiseParams(0.4, 0.6)
+    trace = markov_evolve(INST3, SPEC_X1, params, 6, bath=bath)
     with pytest.raises(InvariantViolation, match=r"joint state t=3 is not a density matrix"):
-        markov_evolve(INST3, SPEC_X1, params, 6, bath=bath, validate=True)
+        _require_joint_states(trace)
     blocks = kept[0]
     d = blocks.shape[-1]
     for t, (upper, lower) in enumerate(blocks):
         joint = np.zeros((2 * d, 2 * d), dtype=complex)
         joint[:d, :d], joint[d:, d:] = upper, lower
         assert assert_density(joint, tol=1e-9).passed == (t not in (3, 5)), t
-    # Without validate the poisoned blocks come back unchecked.
-    unchecked = markov_evolve(INST3, SPEC_X1, params, 6, bath=bath)
-    assert np.array_equal(unchecked.blocks, kept[1], equal_nan=True)
+    # The run hands the poisoned blocks back unchecked.
+    assert np.array_equal(trace.blocks, blocks, equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["nan", "skew", "trace", "negative"])
 def test_validate_checks_the_start_blocks(monkeypatch, kind):
-    # The blocks at t = 0 are all the loop reads of the start, and validate
-    # checks them as it checks every later step.
+    # The blocks at t = 0 are all the loop reads of the start, and the
+    # check reads them as it reads every later step.
     def poisoned(*args, **kwargs):
         trace = real(*args, **kwargs)
         blocks = trace.blocks.copy()
@@ -377,8 +383,9 @@ def test_validate_checks_the_start_blocks(monkeypatch, kind):
 
     real = markov.collision_evolve
     monkeypatch.setattr(markov, "collision_evolve", poisoned)
+    trace = markov_evolve(INST3, SPEC_X1, MarkovNoiseParams(0.4, 0.6), 4)
     with pytest.raises(InvariantViolation, match=r"joint state t=0 is not a density matrix"):
-        markov_evolve(INST3, SPEC_X1, MarkovNoiseParams(0.4, 0.6), 4, validate=True)
+        _require_joint_states(trace)
 
 
 @pytest.mark.parametrize("temperature", [None, 1.0])
@@ -391,9 +398,7 @@ def test_validate_passes_clean_runs(n, temperature):
         u = haar_noise(rng)
         spec = noise_spec(u, m, n, sorted(rng.choice(n, size=m, replace=False).tolist()))
         params = MarkovNoiseParams(rng.uniform(), rng.uniform())
-        checked = markov_evolve(inst, spec, params, 12, bath=bath, validate=True)
-        plain = markov_evolve(inst, spec, params, 12, bath=bath)
-        assert np.array_equal(checked.probabilities, plain.probabilities)
+        _require_joint_states(markov_evolve(inst, spec, params, 12, bath=bath))
 
 
 def test_perfect_memory_analytic_values():

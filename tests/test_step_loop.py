@@ -21,7 +21,6 @@ from noisygrover.collision import (
     collision_evolve,
     collision_first_max,
     dilation_unitary,
-    kraus_from_dilation,
     thermal_weights,
     transfer_weights,
     verify_dilation,
@@ -244,19 +243,19 @@ def test_verify_dilation_is_prefix_stable_in_trials(monkeypatch, n, m, marked):
     hadamard = noise_unitary("hadamard").matrix
     _, g, gp, _ = dicke_operators_loop(n, marked, hadamard, tuple(range(m)))
     assert g.shape[0] == {8: 32, 40: 62}[n]
-    u = dilation_unitary(MarkovNoiseParams(0.3, 0.5), g, gp)
-    kset = kraus_from_dilation(u)
-    distances = []
-    real = collision.trace_distance
+    params = MarkovNoiseParams(0.3, 0.5)
+    u = dilation_unitary(params, g, gp)
+    norms = []
+    real = collision.trace_norm
 
-    def spy(a, b):
-        distances.append(real(a, b))
-        return distances[-1]
+    def spy(h):
+        norms.append(real(h))
+        return norms[-1]
 
-    monkeypatch.setattr(collision, "trace_distance", spy)
-    verify_dilation(u, kset, 8, 1234)
-    monkeypatch.setattr(collision, "trace_distance", real)
-    each = np.concatenate(distances)
+    monkeypatch.setattr(collision, "trace_norm", spy)
+    verify_dilation(u, params, g, gp, 8, 1234)
+    monkeypatch.setattr(collision, "trace_norm", real)
+    each = 0.5 * np.concatenate(norms)
     assert each.shape == (8,)
     for k in range(1, 9):
-        assert verify_dilation(u, kset, k, 1234) == np.max(each[:k]), k
+        assert verify_dilation(u, params, g, gp, k, 1234) == np.max(each[:k]), k
