@@ -17,8 +17,12 @@ that shares its bath as one witness call, whose runs of points each take
 one batched step loop and one stacked pass of trace norms, so ``blp`` and
 ``cpdiv`` are one group each and ``thermal`` one group per temperature.
 
-Flags are spelled in full, as config keys are: argparse's prefix matching
-is off.
+The command line is ``command`` and then ``--option value`` or
+``--option=value`` pairs, read in one pass from the option table below:
+a flag is spelled in full, as its config key is, a repeated flag keeps
+its last value, and any other token is an error. ``-h``/``--help`` prints
+the help of the command line or of one command, built from the same
+table; ``--version`` prints the version.
 
 Exit codes: 0 success, 1 invalid configuration or inputs, a run that
 does not fit in memory, or a standard output that was closed before the
@@ -27,7 +31,6 @@ table was written, 2 a numeric invariant failed mid-run.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import itertools
@@ -36,7 +39,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -129,13 +133,6 @@ def emit(table: ResultTable, fmt: str, stream: TextIO) -> None:
 # ---------------------------------------------------------------- parsing
 # A parser turns one option string into its value or raises ConfigError;
 # _resolve_options puts the option's name in front of the message.
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through ConfigError
-    # instead so main() can map it to exit code 1.
-    def error(self, message: str):  # noqa: D102
-        raise ConfigError(message)
-
 
 def _parse_int(text: str) -> int:
     try:
@@ -288,7 +285,7 @@ _DEFAULTS = {"marked": "0", "noise": "x", "m": "1", "format": "csv", "output": "
 
 class _Subcommand(NamedTuple):
     help: str
-    handler: Callable[[argparse.Namespace, dict], ResultTable]
+    handler: Callable[[SimpleNamespace, dict], ResultTable]
     options: tuple[str, ...]  # keys of _OPTIONS
     defaults: dict[str, Optional[str]]  # by dest, over _DEFAULTS
 
@@ -300,42 +297,105 @@ def _help(option: _Option, defaults: dict) -> str:
     return option.help if default is None else f"{option.help} (default {default})"
 
 
-def build_parser() -> _Parser:
-    # No prefix matching: a flag is spelled in full, as a config key is.
-    parser = _Parser(
-        prog="noisygrover", description=__doc__.split("\n\n")[0], allow_abbrev=False
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _section(title: str, rows: list[tuple[str, str]]) -> str:
+    width = max(len(name) for name, _ in rows) + 2
+    return f"{title}:\n" + "".join(f"  {name:<{width}}{text}\n" for name, text in rows)
+
+
+def _top_help() -> str:
+    options = [("-h, --help", "show this help message and exit"),
+               ("--version", "show the version and exit")]
+    return (
+        "usage: noisygrover [-h] [--version] command [--option value ...]\n\n"
+        + __doc__.split("\n\n")[0] + "\n\n"
+        + _section("commands", [(name, sub.help) for name, sub in _SUBCOMMANDS.items()])
+        + "\n" + _section("options", options)
+        + "\nSee noisygrover command --help for the options of one command.\n"
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="command")
-    for name, sub in _SUBCOMMANDS.items():
-        sub_parser = subs.add_parser(
-            name, help=sub.help, description=sub.help, allow_abbrev=False
-        )
-        defaults = {**_DEFAULTS, **sub.defaults}
-        for key in sub.options + _COMMON:
-            option = _OPTIONS[key]
-            sub_parser.add_argument("--" + option.dest, help=_help(option, defaults))
-        sub_parser.add_argument(
-            "--config", help="key = value option file; explicit flags override it"
-        )
-    return parser
 
 
-def _resolve_options(ns: argparse.Namespace) -> tuple[str, dict[str, str], argparse.Namespace]:
+def _command_help(command: str) -> str:
+    sub = _SUBCOMMANDS[command]
+    defaults = {**_DEFAULTS, **sub.defaults}
+    options = [_OPTIONS[key] for key in sub.options + _COMMON]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(f"--{o.dest} {o.dest.upper()}", _help(o, defaults)) for o in options]
+    rows.append(("--config CONFIG", "key = value option file; explicit flags override it"))
+    return (
+        f"usage: noisygrover {command} [-h] [--option value ...]\n\n{sub.help}\n\n"
+        + _section("options", rows)
+    )
+
+
+def _exit_with(text: str) -> NoReturn:
+    """Print ``text`` (a help or the version) and exit 0."""
+    sys.stdout.write(text)
+    raise SystemExit(0)
+
+
+class _Reader:
+    """The command line's reader, in one pass over argv: ``argv[0]`` names
+    the command, and the rest are ``--dest value`` or ``--dest=value`` pairs
+    of that command's options and ``--config``. A flag is spelled in full,
+    as its config key is, and a repeated one keeps its last value. Any
+    other token, a flag with no value and an unknown command raise
+    ``ConfigError``."""
+
+    def parse_args(self, argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+        """The command and the text of each of its options and ``config``,
+        None where no flag gave it; ``-h``/``--help`` and a top-level
+        ``--version`` print and exit 0."""
+        args = sys.argv[1:] if argv is None else list(argv)
+        if not args:
+            raise ConfigError("no command given; see --help")
+        command = args[0]
+        if command in _HELP_FLAGS:
+            _exit_with(_top_help())
+        if command == "--version":
+            _exit_with(f"noisygrover {__version__}\n")
+        if command not in _SUBCOMMANDS:
+            raise ConfigError(f"unknown command {command!r}; see --help")
+        sub = _SUBCOMMANDS[command]
+        texts = dict.fromkeys([_OPTIONS[key].dest for key in sub.options + _COMMON] + ["config"])
+        i = 1
+        while i < len(args):
+            token = args[i]
+            if token in _HELP_FLAGS:
+                _exit_with(_command_help(command))
+            flag, has_value, value = token.partition("=")
+            if not flag.startswith("--") or flag[2:] not in texts:
+                raise ConfigError(f"{command}: unrecognized argument {token!r}; see --help")
+            if not has_value:
+                # A flag is no value; "-2" and "-" are.
+                if i + 1 == len(args) or args[i + 1].startswith("--") or args[i + 1] == "-h":
+                    raise ConfigError(f"{command}: {flag} expects a value")
+                i += 1
+                value = args[i]
+            texts[flag[2:]] = value
+            i += 1
+        return SimpleNamespace(command=command, **texts)
+
+
+def build_parser() -> _Reader:
+    """The command line's reader; ``build_parser().parse_args(argv)`` gives
+    the namespace :func:`run` takes."""
+    return _Reader()
+
+
+def _resolve_options(ns: SimpleNamespace) -> tuple[str, dict[str, str], SimpleNamespace]:
     """Merge flags > config file > defaults, then parse each value once.
 
     Returns the command, the merged strings of the options that are set
     (the table's meta) and their parsed values, with ``given``: the dests
     a flag or the config file set."""
-    command = getattr(ns, "command", None)
-    if not command:
-        raise ConfigError("no command given; see --help")
-    if command not in _SUBCOMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
+    command = ns.command
     sub = _SUBCOMMANDS[command]
     options = [_OPTIONS[key] for key in sub.options + _COMMON]
-    texts = {option.dest: getattr(ns, option.dest, None) for option in options}
-    if getattr(ns, "config", None):
+    texts = {option.dest: getattr(ns, option.dest) for option in options}
+    if ns.config:
         for key, value in load_config(ns.config).items():
             if key not in texts:
                 raise ConfigError(f"config key {key!r} is not an option of {command!r}")
@@ -355,7 +415,7 @@ def _resolve_options(ns: argparse.Namespace) -> tuple[str, dict[str, str], argpa
         except ConfigError as exc:
             raise ConfigError(f"{option.dest}: {exc}") from None
     texts = {dest: text for dest, text in texts.items() if text is not None}
-    return command, texts, argparse.Namespace(given=given, **values)
+    return command, texts, SimpleNamespace(given=given, **values)
 
 
 # ------------------------------------------------------- grid workers
@@ -681,7 +741,7 @@ _SUBCOMMANDS = {
 }
 
 
-def _tabulate(command: str, texts: dict[str, str], args: argparse.Namespace) -> ResultTable:
+def _tabulate(command: str, texts: dict[str, str], args: SimpleNamespace) -> ResultTable:
     try:
         return _SUBCOMMANDS[command].handler(args, _meta(command, texts))
     except ValueError as exc:
@@ -691,7 +751,7 @@ def _tabulate(command: str, texts: dict[str, str], args: argparse.Namespace) -> 
         raise ConfigError(str(exc)) from exc
 
 
-def run(ns: argparse.Namespace) -> ResultTable:
+def run(ns: SimpleNamespace) -> ResultTable:
     """Programmatic entry point: a namespace from ``build_parser`` to a table."""
     return _tabulate(*_resolve_options(ns))
 

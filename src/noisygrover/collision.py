@@ -331,11 +331,12 @@ def verify_dilation(
     a sequence of B points, one value per member.
 
     R runs over ``trials`` seeded Haar-random pure states psi on walker (x)
-    system (``trials`` < 1 raises ``ValueError``); a NaN deviation is kept
-    as the maximum. Pure probes lose nothing: ||(E - F)(R)||_1 is convex in
-    R, so the difference of two channels is largest on a pure input.
+    system (``trials`` < 1 raises ``ValueError``); a trial whose image has
+    a NaN or inf entry reads NaN, which is kept as the maximum. Pure probes
+    lose nothing: ||(E - F)(R)||_1 is convex in R, so the difference of two
+    channels is largest on a pure input.
 
-    The step side is the one every table runs: :func:`_label_steps` on the
+    The step side is the one every table runs: :func:`_step_stream` on the
     steady tensor of :func:`transfer_weights` at ``params`` (at (p, 0), the
     first collision), G and G', from psi's walker-diagonal blocks
     psi_c psi_c^dagger. U's side reads every entry of its |00> columns:
@@ -362,8 +363,10 @@ def verify_dilation(
     batch, n2 = u.shape[:-2], 2 * n_dim
     if u.shape[-2:] != (8 * n_dim, 8 * n_dim):
         raise ValueError(f"unitary shape {u.shape} does not fit {n_dim} x {n_dim} operators")
-    # Each member's tensor, broadcast over the trials of a stack.
+    # Each member's tensor, broadcast over the trials of a stack: one plan
+    # of the step for every stack.
     steady = transfer_weights(params)[1].reshape(batch + (1, 2, 2, 2))
+    plan = _step_terms(steady, *_operator_pair(np.asarray(g, complex), np.asarray(gp, complex)))
     columns = u[..., :, :n2].swapaxes(-1, -2)
     rng = np.random.default_rng(seed)
     deviations = []
@@ -374,16 +377,30 @@ def verify_dilation(
         rows = psi if len(psi) > 1 else np.concatenate((psi, psi))
         phi = (rows @ columns)[..., : len(psi), :].reshape(batch + (-1, 4, n2))
         image = phi.swapaxes(-1, -2) @ phi.conj()
-        halves = psi.reshape(-1, 2, n_dim)
-        start = halves[..., :, None] * halves.conj()[..., None, :]
-        _, stream = _label_steps(g, gp, steady, steady, start, 0)
-        next(stream)
-        step = next(stream)
+        step = _pure_step(psi.reshape(-1, 2, n_dim), batch, plan)
         image[..., :n_dim, :n_dim] -= step[..., 0, :, :]
         image[..., n_dim:, n_dim:] -= step[..., 1, :, :]
-        deviations.append(0.5 * trace_norm(image))
+        step = None  # the step loop's buffers die here, before trace_norm's
+        # trace_norm refuses a non-finite entry: such a trial is zeroed for
+        # it and reads NaN.
+        bad = ~np.isfinite(image).all(axis=(-2, -1))
+        image[bad] = 0.0
+        norms = 0.5 * trace_norm(image)
+        norms[bad] = np.nan
+        deviations.append(norms)
     worst = np.max(np.concatenate(deviations, axis=-1), axis=-1)
     return float(worst) if u.ndim == 2 else worst
+
+
+def _pure_step(halves: np.ndarray, batch: tuple[int, ...], plan) -> np.ndarray:
+    """One step of the step loop on ``plan`` from the walker-diagonal
+    blocks psi_c psi_c^dagger of pure states with halves psi_c, (t, 2, d),
+    for every member of ``batch``: batch + (t, 2, d, d)."""
+    start = halves[..., :, None] * halves.conj()[..., None, :]
+    _check_hermitian(start)
+    stream = _step_stream(np.broadcast_to(start, batch + start.shape), plan, plan)
+    next(stream)
+    return next(stream)
 
 
 @dataclass(frozen=True)
@@ -609,15 +626,26 @@ def _label_steps(
     # reads only the real part of a diagonal entry, so a non-Hermitian block
     # would otherwise pass unnoticed. A NaN or inf entry makes the defect
     # NaN or inf, which fails the check too.
+    _check_hermitian(sigma0)
+    ops = _operator_pair(g, gp)
+    plans = [_step_terms(w, *ops) for w in (first, steady)]
+    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans)
+
+
+def _check_hermitian(sigma0: np.ndarray) -> None:
+    """Refuse a start whose label blocks are not Hermitian."""
     defect = hermiticity_defect(sigma0)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"label blocks are not Hermitian: defect {defect:.3e}")
+
+
+def _operator_pair(g: np.ndarray, gp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and G' as one stack (..., 2, d, d) over their broadcast batch
+    axes, and its adjoint: the ``ops`` and ``ops_dag`` of :func:`_step_terms`."""
     if g.shape != gp.shape:
         g, gp = np.broadcast_arrays(g, gp)
     ops = np.concatenate((g[..., None, :, :], gp[..., None, :, :]), axis=-3)
-    ops_dag = np.conj(ops).swapaxes(-1, -2)
-    plans = [_step_terms(w, ops, ops_dag) for w in (first, steady)]
-    return batch, _step_stream(np.broadcast_to(sigma0, batch + shape[-3:]), *plans)
+    return ops, np.conj(ops).swapaxes(-1, -2)
 
 
 def _take(plan, keep: np.ndarray, ndim: int) -> tuple:

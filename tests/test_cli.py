@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noisygrover import cli, collision, measures
 from noisygrover.cli import ConfigError, ResultTable, emit, load_config, main
@@ -347,6 +349,137 @@ def test_subcommand_help_shows_the_defaults_in_use(capsys, command):
             assert lines[f"--{dest}"].endswith(f"(default {text})"), lines[f"--{dest}"]
 
 
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=2).map(lambda v: ",".join(map(str, v)))
+
+
+_PROB = st.floats(0.0, 1.0).map(repr)
+
+# A text each option accepts that, with --n 2, keeps a table to milliseconds.
+# --output and --jobs stay at their defaults' values: the tables go to
+# standard output, and no pool starts.
+_VALID = {
+    "n": st.just("2"),
+    "n-list": st.sampled_from(["2", "2,3"]),
+    "marked": st.integers(0, 3).map(str),
+    "noise": st.sampled_from(["identity", "x", "y", "z", "hadamard", "custom:0.6,0.8j,1.1"]),
+    "m": st.integers(1, 2).map(str),
+    "m-list": _joined(st.integers(1, 2)),
+    "positions": st.sampled_from(["0", "1", "0,1"]),
+    "p": _PROB,
+    "p-list": _joined(_PROB),
+    "mu": _PROB,
+    "mu-list": _joined(_PROB),
+    "temperature": st.one_of(st.just("0"), st.floats(0.1, 5.0).map(repr)),
+    "temps": _joined(st.floats(0.1, 5.0).map(repr)),
+    "steps": st.integers(0, 6).map(str),
+    "trials": st.integers(1, 3).map(str),
+    "seed": st.integers(0, 2**32).map(str),
+    "format": st.sampled_from(["csv", "json"]),
+    "output": st.just("-"),
+    "jobs": st.just("1"),
+}
+
+# Texts each parser refuses; str, the parser of --output, takes any text.
+_INVALID = {
+    cli._parse_int: ["x", "1.5", ""],
+    cli._parse_int_list: ["1,x", "", "1,,2"],
+    cli._parse_float: ["x", ""],
+    cli._parse_float_list: ["0.5,y", ""],
+    cli._parse_natural: ["-1", "x"],
+    cli._parse_positive: ["0", "-2", "x"],
+    cli._parse_temperature: ["nan", "inf", "-0.5"],
+    cli._parse_temps: ["0", "1,inf", "x"],
+    cli._parse_format: ["yaml", ""],
+    cli._parse_noise: ["bogus", "custom:1,2", "custom:nan,0,0"],
+    str: [],
+}
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("process pool created before validation")
+
+
+def _exits_one_naming(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "", argv
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err, (argv, err)
+
+
+def _flag(key):
+    return "--" + cli._OPTIONS[key].dest
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+@settings(
+    max_examples=8, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_the_command_line_reads_its_option_table(tmp_path, capsys, command, data):
+    # Every argv comes from the option table: the options of ``command``,
+    # a text each accepts (_VALID) and the texts its parser refuses
+    # (_INVALID).
+    assert set(_VALID) == set(cli._OPTIONS)
+    assert {option.parse for option in cli._OPTIONS.values()} == set(_INVALID)
+    keys = cli._SUBCOMMANDS[command].options + cli._COMMON
+    flags = [_flag(key) for key in keys] + ["--config", "--help"]
+    cfg = tmp_path / "run.cfg"
+
+    # A valid argv gives the same bytes as --flag value pairs in any order,
+    # as --flag=value pairs after a refused value of the first flag, which
+    # its last value overrides, and from a config file.
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True), label="options")
+    if "positions" in chosen and "m-list" in chosen:
+        chosen.remove("m-list")  # the positions fix m
+    texts = {key: data.draw(_VALID[key], label=key) for key in chosen}
+    n_key = "n-list" if "n-list" in keys else "n"
+    texts.setdefault(n_key, data.draw(_VALID[n_key], label=n_key))
+    pairs = data.draw(st.permutations(sorted(texts.items())), label="order")
+    spaced = [token for key, text in pairs for token in (_flag(key), text)]
+    code, out, err = run_cli(capsys, command, *spaced)
+    assert code == 0 and out and err == "", (spaced, err)
+    overridden = (_INVALID[cli._OPTIONS[pairs[0][0]].parse] or ["any"])[0]
+    joined = [f"{_flag(pairs[0][0])}={overridden}"] + [f"{_flag(k)}={text}" for k, text in pairs]
+    assert run_cli(capsys, command, *joined) == (0, out, ""), joined
+    cfg.write_text("".join(f"{cli._OPTIONS[key].dest} = {text}\n" for key, text in pairs))
+    assert run_cli(capsys, command, "--config", str(cfg)) == (0, out, ""), pairs
+
+    # For each option, a text its parser refuses exits 1 with one error
+    # line that names the option, before any pool starts, in each of the
+    # three spellings.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        for key in keys:
+            if not _INVALID[cli._OPTIONS[key].parse]:
+                continue
+            bad = data.draw(st.sampled_from(_INVALID[cli._OPTIONS[key].parse]), label=key)
+            flag, name = _flag(key), f"error: {cli._OPTIONS[key].dest}: "
+            rest = [token for k, text in pairs if k != key for token in (_flag(k), text)]
+            rest += [] if key == "jobs" else ["--jobs", "2"]
+            _exits_one_naming(capsys, [command, flag, bad, *rest], name)
+            _exits_one_naming(capsys, [command, *rest, f"{flag}={bad}"], name)
+            cfg.write_text(f"{flag[2:]} = {bad}\n")
+            _exits_one_naming(capsys, [command, *rest, "--config", str(cfg)], name)
+
+    # So does every proper prefix of a flag that is not itself a flag, an
+    # unknown flag, a flag with no value and a flag followed by another.
+    valid = [command, _flag(n_key), texts[n_key]]
+    for flag in flags:
+        for prefix in (flag[:k] for k in range(1, len(flag))):
+            if prefix not in flags:
+                _exits_one_naming(capsys, valid + [prefix, "1"], repr(prefix))
+                _exits_one_naming(capsys, valid + [prefix + "=1"], repr(prefix + "=1"))
+        if flag != "--help":
+            _exits_one_naming(capsys, valid + [flag], flag)
+            _exits_one_naming(capsys, [command, flag, *valid[1:]], flag)
+    unknown = data.draw(
+        st.from_regex(r"--[a-z][a-z-]{0,10}", fullmatch=True).filter(lambda f: f not in flags),
+        label="unknown",
+    )
+    _exits_one_naming(capsys, valid + [unknown, "1"], repr(unknown))
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--n", "2", "--steps", "6")
     assert code == 0
@@ -396,9 +529,9 @@ def test_dilation_check_passes_and_is_reproducible(capsys):
 
 
 def _nan_on_member(real, which):
-    # trace_distance (or trace_norm) on stacks that gives NaN for the
-    # ``which``-th value (0-based) over all its calls, each call's values
-    # taken in the order of its array's entries
+    # trace_distance on stacks that gives NaN for the ``which``-th value
+    # (0-based) over all its calls, each call's values taken in the order
+    # of its array's entries
     seen = [0]
 
     def patched(*args, **kwargs):
@@ -413,10 +546,18 @@ def _nan_on_member(real, which):
 
 @pytest.mark.parametrize("which", [0, 3, 4])
 def test_dilation_check_fails_on_a_nan_deviation(capsys, monkeypatch, which):
-    # At n = 2 (d = 4) both steps run as one stack and their 5 trials as
-    # one stack of probes: one call returns the (2, 5) trace norms, 0-4 of
-    # the first collision and 5-9 of the steady one
-    monkeypatch.setattr(collision, "trace_norm", _nan_on_member(collision.trace_norm, which))
+    # At n = 2 (d = 4) both steps run as one stack. A NaN at (which, which)
+    # in the first collision's |00> columns (the first 2d = 8) of the
+    # unitary that verify_dilation reads makes its deviation NaN; the
+    # unitarity and Kraus defects read the unitary without it, and pass.
+    real = cli.verify_dilation
+
+    def nan_in_u(u, *args):
+        u = u.copy()
+        u[0, which, which] = np.nan
+        return real(u, *args)
+
+    monkeypatch.setattr(cli, "verify_dilation", nan_in_u)
     code, out, err = run_cli(
         capsys, "dilation-check", "--n", "2", "--p", "0.3", "--mu", "0.5", "--trials", "5",
     )
@@ -1009,6 +1150,20 @@ def test_cli_does_not_import_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_reads_argv_without_argparse():
+    # The reader is built from the option table, so neither building it
+    # nor a run pays for importing argparse, or gettext, which argparse
+    # loads.
+    code = (
+        "import os, sys, noisygrover.cli as cli; cli.build_parser(); "
+        "assert cli.main(['ideal', '--n', '2', '--steps=1', '--output', os.devnull]) == 0; "
+        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_help_and_version():

@@ -423,24 +423,26 @@ def test_verify_dilation_sees_a_scaled_ancilla_zero_column_block(block):
 
 
 def test_verify_dilation_keeps_a_nan_deviation(monkeypatch):
-    # n = 4: 20 trials run as stacks of 16 and 4; one member of the second
-    # stack reads NaN
+    # n = 4: 20 trials run as stacks of 16 and 4, over the two steps of a
+    # point. A NaN entry in the steady step's |00> columns makes each of
+    # its trials NaN, which trace_norm (which refuses a non-finite entry)
+    # never sees; the first collision keeps the value it gets alone.
     g, gp = _haar_operators(4, 46)
-    params = MarkovNoiseParams(0.2, 0.4)
-    dil = dilation_unitary(params, g, gp)
-    real, calls = collision.trace_norm, []
+    steps = [MarkovNoiseParams(0.2, 0.0), MarkovNoiseParams(0.2, 0.4)]
+    stack = dilation_unitary(steps, g, gp)
+    stack[1, 3, 5] = np.nan
+    real, finite = collision.trace_norm, []
 
-    def nan_in_second(*args):
-        calls.append(None)
-        out = real(*args)
-        if len(calls) == 2:
-            out[1] = np.nan
-        return out
+    def spy(h):
+        finite.append(bool(np.isfinite(h).all()))
+        return real(h)
 
-    monkeypatch.setattr(collision, "trace_norm", nan_in_second)
-    dev = verify_dilation(dil, params, g, gp, trials=20)
-    assert len(calls) == 2
-    assert math.isnan(dev)
+    monkeypatch.setattr(collision, "trace_norm", spy)
+    dev = verify_dilation(stack, steps, g, gp, trials=20)
+    assert math.isnan(dev[1])
+    assert dev[0] == verify_dilation(stack[0], steps[0], g, gp, trials=20) <= 1e-12
+    assert math.isnan(verify_dilation(stack[1], steps[1], g, gp, trials=20))
+    assert finite == [True] * 6
 
 
 def test_extract_m_recovers_unitary_grid():
