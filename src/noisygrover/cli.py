@@ -395,7 +395,7 @@ def _resolve_options(ns: SimpleNamespace) -> tuple[str, dict[str, str], SimpleNa
     sub = _SUBCOMMANDS[command]
     options = [_OPTIONS[key] for key in sub.options + _COMMON]
     texts = {option.dest: getattr(ns, option.dest) for option in options}
-    if ns.config:
+    if ns.config is not None:
         for key, value in load_config(ns.config).items():
             if key not in texts:
                 raise ConfigError(f"config key {key!r} is not an option of {command!r}")

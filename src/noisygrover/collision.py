@@ -48,17 +48,19 @@ broadcast against each other, so a shared operator is never copied per
 member. The label blocks of every member form one batch + (2, d, d)
 stack, taken at the start and yielded for t = 0, 1, 2, ... The loop
 writes only into buffers it made, each step over the one before, so a
-reader that keeps a stack copies it. Two readers draw from it:
-``collision_evolve`` takes the first steps + 1 stacks and keeps the
-success series (and, on request, copies of the label blocks) in an
-:class:`EvolutionTrace`, the result type of every evolution run, and
-``collision_first_max`` drops each slice of the first batch axis once
-its members have passed their first success maximum and stops when none
-is left, so its cost follows the first maxima and its memory the
-members, not the horizon. No 2d x 2d joint is taken or formed. Every
-caller hands the loop G and G' at d' x d' on the weight basis of
-:mod:`~noisygrover.noise` (for blp's pair, qubit 0 times that of the
-other n - 1 qubits); the size is reported as ``meta["dim"]``.
+reader that keeps a stack copies it. Two readers draw from it, each
+reading success off entry (0, 0) of sigma_0 + sigma_1, where the weight
+basis puts |w>: ``collision_evolve`` takes the first steps + 1 stacks
+and keeps the success series (and, on request, copies of the label
+blocks) in an :class:`EvolutionTrace`, the result type of every
+evolution run, and ``collision_first_max`` drops each slice of the
+first batch axis once its members have passed their first success
+maximum and stops when none is left, so its cost follows the first
+maxima and its memory the members, not the horizon. No 2d x 2d joint
+is taken or formed. Every caller hands the loop G and G' at d' x d' on
+the weight basis of :mod:`~noisygrover.noise` (for blp's pair, qubit 0
+times that of the other n - 1 qubits); the size is reported as
+``meta["dim"]``.
 
 U also factors as
 
@@ -95,8 +97,7 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 # ``unitarity_defect`` and ``extract_m`` (all 32 up to D = 22, one from
 # D = 91 on), for D x D operators, the 8D x 8D unitaries that
 # ``dilation-check`` stacks (two up to D = 11) and the D x D steps that
-# ``oracle-check`` compares. ``_chunks`` cuts every one of those stacks but
-# the history sum's, which halves its ranges.
+# ``oracle-check`` compares. ``_chunks`` cuts every one of those stacks.
 _BATCH_ENTRIES = 2**14
 
 
@@ -246,12 +247,12 @@ def _chunks(sizes: Iterable[int]) -> Generator[slice, None, None]:
     layer; an item larger than that has a run of its own. Items of one
     size s go floor(_BATCH_ENTRIES / s) to a run, at least one. ``sizes``
     is read one item at a time, so a run is cut before the next is read."""
-    start, total, end = 0, 0, -1
+    start, total, end, budget = 0, 0, -1, _BATCH_ENTRIES
     for end, size in enumerate(sizes):
-        if end > start and total + size > _BATCH_ENTRIES:
-            yield slice(start, end)
-            start, total = end, 0
         total += size
+        if total > budget and end > start:
+            yield slice(start, end)
+            start, total = end, size
     if end >= start:
         yield slice(start, end + 1)
 
@@ -587,7 +588,6 @@ def _label_steps(
     first: np.ndarray,
     steady: np.ndarray,
     sigma0: np.ndarray,
-    marked: int,
 ) -> tuple[tuple[int, ...], _Stream]:
     """Check the inputs of a step loop and set it up: returns the batch
     shape and the generator :func:`_step_stream` of its label-block
@@ -611,8 +611,6 @@ def _label_steps(
             raise ValueError(f"transfer weights shape {weights.shape} is not (..., 2, 2, 2)")
         if not np.isfinite(weights).all():
             raise ValueError("transfer weights are not finite")
-    if not 0 <= marked < n_dim:
-        raise ValueError(f"marked index {marked} outside [0, {n_dim})")
     try:
         batch = np.broadcast_shapes(
             g.shape[:-2], gp.shape[:-2], shape[:-3], first.shape[:-3], steady.shape[:-3]
@@ -727,11 +725,11 @@ class EvolutionTrace:
     blocks: Optional[np.ndarray] = None
 
 
-def _success(diagonal: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Success probabilities from the ``marked`` diagonal entries
-    (..., 2) of the label blocks sigma_0 and sigma_1: the sum of their real
+def _success(diagonal: np.ndarray) -> np.ndarray:
+    """Success probabilities from entry (0, 0), the marked state |w>, of
+    the label blocks sigma_0 and sigma_1, (..., 2): the sum of their real
     parts."""
-    return np.add(diagonal[..., 0].real, diagonal[..., 1].real, out=out)
+    return diagonal[..., 0].real + diagonal[..., 1].real
 
 
 def collision_evolve(
@@ -741,7 +739,6 @@ def collision_evolve(
     steady: np.ndarray,
     sigma0: np.ndarray,
     steps: int,
-    marked: int = 0,
     keep_blocks: bool = False,
 ) -> EvolutionTrace:
     """Iterate the collision map for ``steps`` steps from label blocks ``sigma0``.
@@ -772,34 +769,31 @@ def collision_evolve(
     ``n_cp`` and ``n_blp`` pass d' x d' ones on the weight basis
     (:func:`~noisygrover.noise._weight_operators`). ``meta["dim"]`` is that
     size.
-    Success probability is the ``marked`` diagonal entry of
-    sigma_0 + sigma_1: each step's two entries are read as it is drawn,
-    and the series is formed from them once at the end. A start that is
-    not (..., 2, n, n), blocks that are not finite and Hermitian, transfer
-    tensors that are not finite, operators and start of mismatched size,
-    or batch axes that do not broadcast raise ``ValueError``.
+    Success probability is entry (0, 0) of sigma_0 + sigma_1: the weight
+    basis puts the marked state |w> at index 0, and a caller whose basis
+    puts it elsewhere reads its own entry off kept blocks. Each stack's
+    two entries are read as it is drawn, and the series is formed from
+    them once at the end. A start that is not (..., 2, n, n), blocks
+    that are not finite and Hermitian, transfer tensors that are not
+    finite, operators and start of mismatched size, or batch axes that do
+    not broadcast raise ``ValueError``.
     ``keep_blocks`` keeps the stacks as ``blocks``, shape batch +
     (steps + 1, 2, n, n), with ``sigma0`` at t = 0: this function makes
-    that array, copies each stack the loop yields into it, and reads the
-    series off it at the end. Without it, memory is the loop's few stacks
-    plus 40 bytes per member and step. No joint is formed: from t = 1 on
-    it is diag(sigma_0, sigma_1).
+    that array and copies each stack the loop yields into it. Without it,
+    memory is the loop's few stacks plus 40 bytes per member and step. No
+    joint is formed: from t = 1 on it is diag(sigma_0, sigma_1).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
+    batch, stream = _label_steps(g, gp, first, steady, sigma0)
+    diagonal, blocks = np.empty(batch + (steps + 1, 2), dtype=complex), None
     if keep_blocks:
         blocks = np.empty(batch + (steps + 1,) + np.shape(sigma0)[-3:], dtype=complex)
-        for t, sigma in zip(range(steps + 1), stream):
+    for t, sigma in zip(range(steps + 1), stream):
+        diagonal[..., t, :] = sigma[..., :, 0, 0]
+        if keep_blocks:
             blocks[..., t, :, :, :] = sigma
-        diagonal = blocks[..., :, :, marked, marked]
-    else:
-        blocks, diagonal = None, np.empty(batch + (steps + 1, 2), dtype=complex)
-        for t, sigma in zip(range(steps + 1), stream):
-            diagonal[..., t, :] = sigma[..., :, marked, marked]
-    probs = np.empty(batch + (steps + 1,))
-    _success(diagonal, out=probs)
-    return EvolutionTrace(probs, meta={"dim": np.shape(sigma0)[-1]}, blocks=blocks)
+    return EvolutionTrace(_success(diagonal), meta={"dim": np.shape(sigma0)[-1]}, blocks=blocks)
 
 
 def collision_first_max(
@@ -809,7 +803,6 @@ def collision_first_max(
     steady: np.ndarray,
     sigma0: np.ndarray,
     steps: int,
-    marked: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t*, P*) of every member's success series within ``steps`` steps:
     where its first maximum falls and how high it is, each of the batch
@@ -836,7 +829,7 @@ def collision_first_max(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    batch, stream = _label_steps(g, gp, first, steady, sigma0, marked)
+    batch, stream = _label_steps(g, gp, first, steady, sigma0)
     # A lone member runs as a batch (1,): the loop works on first-axis slices.
     shape = batch or (1,)
     t_out, p_out = np.empty(shape, dtype=np.intp), np.empty(shape)
@@ -849,7 +842,7 @@ def collision_first_max(
     t_star, p_star = np.zeros(shape, dtype=np.intp), np.full(shape, -np.inf)
     for t in range(steps + 1):
         sigma = stream.send(keep) if t else next(stream)
-        now = _success(sigma[..., :, marked, marked]).reshape((-1,) + shape[1:])
+        now = _success(sigma[..., :, 0, 0]).reshape((-1,) + shape[1:])
         keep = None
         if t >= 2:  # close the members whose P(t - 1) is their first maximum
             peak = open_ & (last >= older) & (last >= now)

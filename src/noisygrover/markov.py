@@ -6,13 +6,14 @@ stationary distribution (1 - p, p) over {g, g'} and memory mu, so mu = 0
 is i.i.d. noise and mu = 1 freezes the first draw forever ("perfect
 memory"). Instead of sampling, the chain is carried exactly: a classical
 walker qubit (index 0 = g, 1 = g') is adjoined to the system, the joint
-state starts as |+><+| (x) |s><s|, and every step is the exact completely
-positive map that applies G on the g branch, G' on the g' branch, and
-mixes branch populations with the conditional probabilities. The success
-probability is read off the system marginal at the marked index. Nothing
-of size 2^n is formed: every path runs on the weight basis that
+state starts as |+><+| (x) |s><s|, whose two label blocks are |s><s| / 2
+exactly, and every step is the exact completely positive map that
+applies G on the g branch, G' on the g' branch, and mixes branch
+populations with the conditional probabilities. Nothing of size 2^n is
+formed: every path runs on the weight basis that
 :mod:`~noisygrover.noise` builds from scalars, of dimension
-d' <= 2(m + 1) whatever q and n are, with |w> as index 0.
+d' <= 2(m + 1) whatever q and n are, with |w> as index 0, so the
+success probability is entry (0, 0) of the system marginal.
 
 :func:`markov_evolve` runs one system at one point from its
 :func:`~noisygrover.noise._weight_system` and keeps every step's label
@@ -34,13 +35,14 @@ the points. A row of :func:`markov_series` is the series of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .collision import (
-    _BATCH_ENTRIES, EvolutionTrace, collision_evolve, collision_first_max, transfer_weights,
+    EvolutionTrace, _chunks, collision_evolve, collision_first_max, transfer_weights,
 )
 from .grover import GroverInstance
 from .linalg import ComplexMatrix, projector
@@ -62,15 +64,10 @@ HISTORY_MAX_STEPS = 12
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
-# The walker populations of projector(_PLUS), 0.4999999999999999 and not 0.5.
-_POPULATIONS = np.diagonal(projector(_PLUS))[:, None, None]
-
-
 def _label_start(rho: ComplexMatrix) -> np.ndarray:
     """The label blocks (..., 2, d, d) of |+><+| (x) rho, for rho (..., d, d):
-    each walker population of projector(_PLUS) times rho, the products that
-    the Kronecker product forms."""
-    return _POPULATIONS * rho[..., None, :, :]
+    rho / 2 in each, the walker populations 1/2 exactly."""
+    return np.full((2, 1, 1), 0.5) * rho[..., None, :, :]
 
 
 def _table_groups(
@@ -207,8 +204,8 @@ def markov_evolve(
     step from thermal two-qubit ancillas instead of pure ones;
     ``bath=None`` is the zero-temperature (pure) construction.
 
-    The loop runs on the weight basis, at d' x d'
-    (:func:`~noisygrover.noise._weight_system`), with d' as
+    The loop runs the one point, unbatched, on the weight basis, at
+    d' x d' (:func:`~noisygrover.noise._weight_system`), with d' as
     ``meta["dim"]``, from the label blocks of |+><+| (x) |s><s|, and
     returns every step's blocks sigma_0, sigma_1 as ``blocks``, shape
     (steps + 1, 2, d', d'), t = 0 included. The blocks live in the span of
@@ -217,11 +214,9 @@ def markov_evolve(
     row of :func:`markov_series` for ``params``, bit for bit.
     """
     _, g, gp, s = _weight_system(inst.n, inst.marked, spec.u, spec.positions)
-    first, steady = transfer_weights([params], bath)
-    # A batch (1,) of the one point.
-    sigma0 = _label_start(projector(s))[None]
-    run = collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True)
-    return EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])
+    return collision_evolve(
+        g, gp, *transfer_weights(params, bath), _label_start(projector(s)), steps, keep_blocks=True
+    )
 
 
 def history_oracle(
@@ -250,17 +245,18 @@ def history_oracle(
     2**(steps + 1) - 1 nodes, and every node but the root |s> costs one
     matrix-vector product and one rank-one term of its depth's sum, about
     2 D^2 complex multiply-adds: D^2 2^steps work over the tree. It is
-    walked depth first in batches of same-depth nodes: the children of a
-    batch whose weight is not 0 form one lexicographic range of the next
-    depth, and a range of more than ``_BATCH_ENTRIES`` vector entries is
-    halved, left half first, down to one state (1024 states at D = 16, 64
-    at D = 256). A zero weight drops the node and its subtree. Each batch
-    costs one (B, D) @ (D, D) product per label and one (D, B) @ (B, D)
-    product, sum_b w_b psi_b psi_b^dagger, added to its depth's sum.
-    Besides the ``steps`` + 1 D x D sums and that product, one batch of at
-    most ``_BATCH_ENTRIES`` entries per depth is alive at a time. The sums
-    agree with one history at a time to rounding, not bitwise, and each is
-    Hermitian to rounding.
+    walked depth first in runs of same-depth nodes: the children of a run
+    whose weight is not 0 form one lexicographic range of the next depth,
+    which :func:`~noisygrover.collision._chunks`, the verification layer's
+    one stack rule, cuts into runs of floor(``_BATCH_ENTRIES`` / D) states
+    (at least one; 1024 states at D = 16, 64 at D = 256), walked in order.
+    A zero weight drops the node and its subtree. Each run costs one
+    (B, D) @ (D, D) product per label and one (D, B) @ (B, D) product,
+    sum_b w_b psi_b psi_b^dagger, added to its depth's sum. Besides the
+    ``steps`` + 1 D x D sums and that product, one run of at most
+    ``_BATCH_ENTRIES`` entries (or one state) per depth is alive at a
+    time. The sums agree with one history at a time to rounding, not
+    bitwise, and each is Hermitian to rounding.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -280,23 +276,18 @@ def history_oracle(
     def expand(t: int, parents: np.ndarray, child_weights: np.ndarray) -> None:
         # the children at depth t of the rows ``parents``; child_weights[i, k]
         # is the weight of parent i's child k, and the nonzero ones are walked
+        # one run at a time
         rows, labels = np.nonzero(child_weights)  # row-major: lexicographic order
-        if len(rows):
-            walk(t, parents, rows, labels, child_weights[rows, labels])
-
-    def walk(t: int, parents, rows, labels, weights) -> None:
-        if len(rows) > 1 and len(rows) * s.size > _BATCH_ENTRIES:
-            half = len(rows) // 2
-            walk(t, parents, rows[:half], labels[:half], weights[:half])
-            walk(t, parents, rows[half:], labels[half:], weights[half:])
-            return
-        states = np.empty((len(rows), s.size), dtype=complex)
-        for k, op_t in enumerate(ops_t):
-            chosen = labels == k
-            states[chosen] = parents[rows[chosen]] @ op_t
-        acc[t] += (weights * states.T) @ states.conj()
-        if t < steps:
-            expand(t + 1, states, weights[:, None] * trans[:, labels].T)
+        for run in _chunks(itertools.repeat(s.size, len(rows))):
+            r, k = rows[run], labels[run]
+            weights = child_weights[r, k]
+            states = np.empty((len(r), s.size), dtype=complex)
+            for label, op_t in enumerate(ops_t):
+                chosen = k == label
+                states[chosen] = parents[r[chosen]] @ op_t
+            acc[t] += (weights * states.T) @ states.conj()
+            if t < steps:
+                expand(t + 1, states, weights[:, None] * trans[:, k].T)
 
     if steps:
         expand(1, s[None], first[None, :, 0])

@@ -258,14 +258,14 @@ def n_cp(
     ``params`` is one (p, mu) point or a sequence of them; a sequence runs
     as batched :func:`collision_evolve` calls, one per run of points
     (:func:`_kept_blocks`), and ``value`` (B,) and ``series``
-    (B, steps + 1) get the batch axis in front; ``meta`` is empty (the
-    run's dimension is d', which ``collision_evolve`` reports as its
-    ``meta["dim"]``). The system states are the sums sigma_0 + sigma_1 of
-    the label blocks that :func:`collision_evolve` keeps, and every one of
-    every member of a run goes through one stacked
-    :func:`~noisygrover.linalg.trace_norm`. A run whose states are
-    not finite raises :class:`~noisygrover.linalg.InvariantViolation`
-    naming the (p, mu) point and step.
+    (B, steps + 1) get the batch axis in front; ``meta["dim"]`` is d', the
+    run's dimension, as :func:`n_blp` reports dim W. The system states are
+    the sums sigma_0 + sigma_1 of the label blocks that
+    :func:`collision_evolve` keeps, and every one of every member of a run
+    goes through one stacked :func:`~noisygrover.linalg.trace_norm`. A run
+    whose states are not finite raises
+    :class:`~noisygrover.linalg.InvariantViolation` naming the (p, mu)
+    point and step.
     """
     points = _points(params)
     first, steady = transfer_weights(points)
@@ -275,4 +275,4 @@ def n_cp(
     return _measure(params, np.concatenate([
         _half_norm(blocks.sum(axis=-3))
         for blocks in _kept_blocks(g, gp, first, steady, sigma0, steps, points)
-    ]))
+    ]), dim=s.size)

@@ -43,10 +43,11 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def initial_joint_state(inst: GroverInstance) -> ComplexMatrix:
-    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N), the
-    dense start of the Kraus verification layer; the step loop takes its
-    label blocks (``markov._label_start``)."""
-    return tensor(projector(_PLUS), projector(uniform_superposition(inst)))
+    """R_0 = |+><+| on the walker (x) |s><s| on the system (2N x 2N), with
+    every walker entry 1/2 exactly: the dense start of the Kraus
+    verification layer, whose label blocks the step loop takes
+    (``markov._label_start``)."""
+    return tensor(np.full((2, 2), 0.5), projector(uniform_superposition(inst)))
 
 
 def dense_operators(inst: GroverInstance, spec: NoiseSpec):
@@ -375,10 +376,10 @@ def success_loop(sigma, marked):
     return sigma[..., 0, marked, marked].real + sigma[..., 1, marked, marked].real
 
 
-def evolve_loop(g, gp, first, steady, sigma0, steps, marked=0):
+def evolve_loop(g, gp, first, steady, sigma0, steps):
     """(series, blocks) of collision_evolve with keep_blocks, through
-    :func:`step_stream_loop` and :func:`success_loop`: batch + (steps + 1,)
-    and batch + (steps + 1, 2, d, d)."""
+    :func:`step_stream_loop` and :func:`success_loop` at entry (0, 0):
+    batch + (steps + 1,) and batch + (steps + 1, 2, d, d)."""
     g, gp, sigma0 = (np.asarray(a, dtype=complex) for a in (g, gp, sigma0))
     first, steady = (np.asarray(w, dtype=float) for w in (first, steady))
     batch = np.broadcast_shapes(
@@ -390,7 +391,7 @@ def evolve_loop(g, gp, first, steady, sigma0, steps, marked=0):
     stream = step_stream_loop(np.broadcast_to(sigma0, batch + sigma0.shape[-3:]), *plans)
     probs, blocks = [], []
     for _, sigma in zip(range(steps + 1), stream):
-        probs.append(success_loop(sigma, marked))
+        probs.append(success_loop(sigma, 0))
         blocks.append(sigma)
     return np.stack(probs, axis=-1), np.stack(blocks, axis=-4)
 
@@ -478,10 +479,10 @@ def orbit_evolve(inst, spec, params, steps, bath=None):
     of |+><+| (x) |s><s|, keeping every step's blocks, which lift through
     :func:`orbit_basis`."""
     _, g, gp, s = dicke_operators_loop(inst.n, inst.marked, spec.u.matrix, spec.positions)
-    first, steady = collision.transfer_weights([params], bath)
-    sigma0 = markov._label_start(projector(s))[None]
-    run = collision.collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True)
-    return collision.EvolutionTrace(run.probabilities[0], meta=run.meta, blocks=run.blocks[0])
+    return collision.collision_evolve(
+        g, gp, *collision.transfer_weights(params, bath), markov._label_start(projector(s)), steps,
+        keep_blocks=True,
+    )
 
 
 # The witnesses' split operators from the per-system weight build, and the
@@ -555,7 +556,7 @@ def _half_norms(x):
 def _orbit_run(g, gp, start, points, steps, bath=None):
     """The kept label blocks (len(points), steps + 1, 2, d, d) of one
     batched run from the label blocks of |+><+| (x) ``start``."""
-    sigma0 = projector(_PLUS).diagonal()[:, None, None] * start
+    sigma0 = np.full((2, 1, 1), 0.5) * start
     first, steady = collision.transfer_weights(points, bath)
     return collision.collision_evolve(g, gp, first, steady, sigma0, steps, keep_blocks=True).blocks
 

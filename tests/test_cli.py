@@ -152,6 +152,14 @@ def test_config_file_fails_loudly(tmp_path, capsys, text, what):
     assert err.startswith("error:") and what in err
 
 
+@pytest.mark.parametrize("flag", [("--config", ""), ("--config=",)], ids=["spaced", "joined"])
+def test_an_empty_config_path_exits_one(capsys, flag):
+    # An empty path names no file that can be read; it is not "no config".
+    code, out, err = run_cli(capsys, "ideal", "--n", "2", "--steps", "1", *flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cannot read config" in err
+
+
 def test_load_config_syntax_error(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("n @@ 3\n")
@@ -488,6 +496,17 @@ def test_oracle_check_passes(capsys):
     assert meta["dim"] == "4"  # m = 1 < n = 2: d' = 2(m + 1)
     assert len(rows) == 7
     assert max(float(row[2]) for row in rows) < 1e-12  # prob_deviation, read at |w>
+
+
+def test_oracle_check_reads_exactly_zero_at_the_start(capsys):
+    # Both sides start from |s><s|: the two label blocks are |s><s| / 2
+    # exactly, so their sum is the history sum at t = 0, bit for bit.
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--n", "10", "--m", "3", "--noise", "hadamard", "--steps", "12",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["rows"][0] == [0, 0.0, 0.0]
 
 
 def test_oracle_check_runs_on_the_orbit_space_at_forty_qubits():

@@ -18,6 +18,7 @@ from support import (
     pure_step_image,
     random_density,
     random_pure_state,
+    success_loop,
     unitality_defect,
     unitarity_defect_loop,
     verify_dilation_loop,
@@ -901,8 +902,6 @@ def test_collision_evolve_basics():
     assert trace.meta == {"dim": 4}
     with pytest.raises(ValueError):
         collision_evolve(G, GP, first, steady, sigma0, -1)
-    with pytest.raises(ValueError):
-        collision_evolve(G, GP, first, steady, sigma0, 2, marked=4)
     with pytest.raises(ValueError, match="transfer weights shape"):
         collision_evolve(G, GP, first, steady[0], sigma0, 2)
     with pytest.raises(ValueError, match="transfer weights shape"):
@@ -1037,12 +1036,11 @@ def test_block_evolve_matches_dense_kraus(seed, point):
     r0 = random_density(2 * inst.N, rng)
     steps = 6
     trace = collision_evolve(
-        g, gp, *transfer_weights(params, bath), label_blocks(r0), steps,
-        marked=inst.marked, keep_blocks=True,
+        g, gp, *transfer_weights(params, bath), label_blocks(r0), steps, keep_blocks=True
     )
     require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
     probs, states, joints = _dense_evolve(first, steady, r0, steps, inst.marked)
-    assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
+    assert np.max(np.abs(success_loop(trace.blocks, inst.marked) - probs)) < 1e-12
     _assert_blocks_match(trace.blocks, states, joints)
     assert np.array_equal(trace.blocks[0], label_blocks(r0))
 
@@ -1080,15 +1078,15 @@ def _check_against_dense(inst, spec, params, bath, start, steps, validate, weigh
         for a, b in zip(lift(inst, spec, trace.blocks.sum(axis=1)), states):
             assert np.max(np.abs(a - b)) < 1e-12
         _assert_blocks_match(lift(inst, spec, trace.blocks), states, joints)
+        series = trace.probabilities  # |w> is index 0 of the weight basis
     else:
         weights = transfer_weights(params, bath)
-        trace = collision_evolve(
-            g, gp, *weights, label_blocks(r0), steps, marked=inst.marked, keep_blocks=True
-        )
+        trace = collision_evolve(g, gp, *weights, label_blocks(r0), steps, keep_blocks=True)
         _assert_blocks_match(trace.blocks, states, joints)
+        series = success_loop(trace.blocks, inst.marked)
     if validate:
         require_density(trace.blocks, 1e-9, what="joint state t={}", blocks=True)
-    assert np.max(np.abs(trace.probabilities - probs)) < 1e-12
+    assert np.max(np.abs(series - probs)) < 1e-12
     return trace
 
 
@@ -1135,12 +1133,10 @@ def test_markov_evolve_matches_full_collision_evolve(n):
         g = grover_operator(inst)
         gp = noisy_grover(g, build_chi(n, spec))
         sigma0 = label_blocks(initial_joint_state(inst))
-        full = collision_evolve(
-            g, gp, *transfer_weights(params, bath), sigma0, 5, marked=inst.marked,
-            keep_blocks=True,
-        )
+        full = collision_evolve(g, gp, *transfer_weights(params, bath), sigma0, 5, keep_blocks=True)
         reduced = markov_evolve(inst, spec, params, 5, bath=bath)
-        assert np.max(np.abs(reduced.probabilities - full.probabilities)) < 1e-12
+        full_series = success_loop(full.blocks, inst.marked)
+        assert np.max(np.abs(reduced.probabilities - full_series)) < 1e-12
         states = lift(inst, spec, reduced.blocks.sum(axis=1))
         for sigma, rho in zip(full.blocks, states, strict=True):
             assert np.max(np.abs(sigma.sum(axis=0) - rho)) < 1e-12

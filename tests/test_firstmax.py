@@ -176,8 +176,6 @@ def test_reader_keeps_batch_shape_and_validates_eagerly():
     # The checks run at the call, before any step is taken.
     with pytest.raises(ValueError, match="non-negative"):
         collision_first_max(g, gp, first, steady, sigma0, -1)
-    with pytest.raises(ValueError, match="marked index"):
-        collision_first_max(g, gp, first, steady, sigma0, 5, marked=8)
     with pytest.raises(ValueError, match="transfer weights shape"):
         collision_first_max(g, gp, first[..., :1], steady, sigma0, 5)
 

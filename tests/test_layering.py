@@ -13,6 +13,7 @@ import pytest
 import support
 
 import noisygrover
+from noisygrover import collision, markov
 from noisygrover.markov import markov_evolve
 from noisygrover.measures import positive_increment_sum
 
@@ -85,7 +86,9 @@ def test_intra_package_imports_point_left(name):
 # and ``_class_representatives``: they give the weight basis's d'.
 # ``random_pure_state`` is the reference that ``verify_dilation``'s probes,
 # drawn a stack at a time, must equal; ``KrausSet._boxes`` went when
-# ``apply_kraus`` became the plain dense sum.
+# ``apply_kraus`` became the plain dense sum, and ``markov._POPULATIONS``
+# (the walker populations 0.4999999999999999) when the start became
+# exactly rho / 2 per label block.
 GONE = (
     ("linalg", None, "random_density", True),
     ("markov", None, "initial_joint_state", True),
@@ -108,6 +111,7 @@ GONE = (
     ("noise", None, "_orbit_representatives", False),
     ("linalg", None, "random_pure_state", True),
     ("collision", "KrausSet", "_boxes", False),
+    ("markov", None, "_POPULATIONS", False),
 )
 
 
@@ -128,6 +132,22 @@ def test_markov_evolve_takes_no_validate():
     # Callers that want the check run require_density on the kept blocks.
     params = list(inspect.signature(markov_evolve).parameters)
     assert params == ["inst", "spec", "params", "steps", "bath"]
+
+
+def test_the_step_loop_takes_no_marked_index():
+    # Success is read at entry (0, 0), where the weight basis puts |w>; a
+    # caller whose basis puts it elsewhere reads its entry off kept blocks.
+    for func in (
+        collision.collision_evolve, collision.collision_first_max, collision._label_steps
+    ):
+        assert "marked" not in inspect.signature(func).parameters, func.__name__
+
+
+def test_the_history_walk_cuts_its_runs_with_the_one_stack_rule():
+    # history_oracle takes its runs from collision._chunks, as the rest of
+    # the verification layer does, and reads no budget of its own.
+    assert markov._chunks is collision._chunks
+    assert not hasattr(markov, "_BATCH_ENTRIES")
 
 
 def test_the_witnesses_import_no_orbit_builder():

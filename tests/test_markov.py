@@ -13,7 +13,7 @@ from support import (
     random_density,
 )
 
-from noisygrover import markov, noise
+from noisygrover import collision, markov, noise
 from noisygrover.collision import thermal_weights
 from noisygrover.grover import (
     GroverInstance,
@@ -98,20 +98,21 @@ def test_initial_joint_state():
     r0 = initial_joint_state(INST3)
     assert r0.shape == (16, 16)
     assert assert_density(r0).passed
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    expected = tensor(projector(plus), projector(uniform_superposition(INST3)))
+    plus = np.full((2, 2), 0.5)  # |+><+|, every entry 1/2 exactly
+    expected = tensor(plus, projector(uniform_superposition(INST3)))
     assert np.array_equal(r0, expected)
 
 
 def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
     # The step loop's start is the two diagonal blocks of |+><+| (x) rho,
-    # with the walker populations 0.4999999999999999 that projector() gives.
-    half = float.fromhex("0x1.ffffffffffffep-2")
-    assert np.diagonal(projector(markov._PLUS)).tolist() == [half, half]
+    # with |+><+| exact: every entry 1/2, so each block is 0.5 * rho.
+    plus = np.full((2, 2), 0.5)
     rng = np.random.default_rng(4)
     for rho in (projector(uniform_superposition(INST3)), random_density(5, rng)):
-        joint = tensor(projector(markov._PLUS), rho)
-        assert np.array_equal(markov._label_start(rho), label_blocks(joint))
+        joint = tensor(plus, rho)
+        start = markov._label_start(rho)
+        assert np.array_equal(start, label_blocks(joint))
+        assert np.array_equal(start[0], 0.5 * rho) and np.array_equal(start[1], 0.5 * rho)
     # The success tables and markov_evolve start from |s> of the weight
     # basis, the tables from their group's build and markov_evolve from
     # the one-system build.
@@ -123,11 +124,11 @@ def test_start_blocks_are_the_joint_starts_blocks_bit_for_bit():
         m, q, _ = noise._weight_class(n, inst.marked, spec.positions)
         coordinates = noise._weight_coordinates(n, m, q, noise._eigen_frame(spec.u))
         s = noise._weight_operators([coordinates])[3][0]
-        joint = tensor(projector(markov._PLUS), projector(s))
+        joint = tensor(plus, projector(s))
         assert sigma0.shape == (1, 1, 2) + (s.size, s.size)
         assert np.array_equal(sigma0[0, 0], label_blocks(joint))
         s = noise._weight_system(n, inst.marked, spec.u, spec.positions)[3]
-        joint = tensor(projector(markov._PLUS), projector(s))
+        joint = tensor(plus, projector(s))
         assert np.array_equal(markov_evolve(inst, spec, params, 0).blocks[0], label_blocks(joint))
 
 
@@ -227,9 +228,9 @@ def test_history_oracle_equals_enumeration(n, p, mu):
 @pytest.mark.parametrize(
     "n, p, mu, steps",
     [
-        (2, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 4096 states a batch: no split
-        (3, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 2048 states a batch
-        (4, 0.6, 0.2, HISTORY_MAX_STEPS),  # 4096 leaves, 1024 states a batch
+        (2, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 4096 states a run: no cut
+        (3, 0.3, 0.7, HISTORY_MAX_STEPS),  # 4096 leaves, 2048 states a run
+        (4, 0.6, 0.2, HISTORY_MAX_STEPS),  # 4096 leaves, 1024 states a run
         (4, 0.0, 1.0, 9),
         (4, 1.0, 1.0, 10),
         (3, 0.0, 0.4, 11),
@@ -237,9 +238,9 @@ def test_history_oracle_equals_enumeration(n, p, mu):
     ],
 )
 def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
-    # A batch holds _BATCH_ENTRIES // N states, 2^14 / 2^n. At the horizon
-    # cap the deepest same-depth ranges of n = 3 and 4 outgrow a batch and
-    # are halved; zero-weight chains drop whole ranges.
+    # A run holds _BATCH_ENTRIES // N states, 2^14 / 2^n. At the horizon
+    # cap the deepest same-depth ranges of n = 3 and 4 outgrow a run and
+    # are cut into runs; zero-weight chains drop whole ranges.
     rng = np.random.default_rng(700 + n)
     u = single_qubit_unitary(
         np.exp(2j * math.pi * rng.uniform()) * 0.6,
@@ -251,6 +252,36 @@ def test_history_oracle_equals_enumeration_where_batches_split(n, p, mu, steps):
     params = MarkovNoiseParams(p, mu)
     sums = history_oracle(*dense_operators(inst, spec), params, steps)
     _assert_close_to_enumeration(sums, inst, spec, params, steps)
+
+
+@pytest.mark.parametrize("factor", [1, 3, 7])
+@pytest.mark.parametrize("n", [3, 4])
+def test_history_walk_cuts_its_runs_by_the_one_stack_rule(monkeypatch, n, factor):
+    # Budgets of D, 3D and 7D entries (D = N here) give runs of 1, 3 and 7
+    # states, which halving a range never makes. Every run that _chunks
+    # hands the walk holds at most _BATCH_ENTRIES entries or one state,
+    # and the sums still meet the enumeration.
+    rng = np.random.default_rng(800 + n)
+    inst = GroverInstance(n, int(rng.integers(2**n)))
+    spec = noise_spec(haar_noise(rng), 2, n, sorted(rng.choice(n, size=2, replace=False).tolist()))
+    params = MarkovNoiseParams(0.3, 0.7)
+    budget = factor * inst.N
+    monkeypatch.setattr(collision, "_BATCH_ENTRIES", budget)
+    real, runs = markov._chunks, []
+
+    def spy(sizes):
+        sizes = list(sizes)
+        for run in real(sizes):
+            runs.append(sizes[run])
+            yield run
+
+    monkeypatch.setattr(markov, "_chunks", spy)
+    ops = dense_operators(inst, spec)
+    for steps in range(9):
+        sums = history_oracle(*ops, params, steps)
+        _assert_close_to_enumeration(sums, inst, spec, params, steps)
+    assert all(len(run) == 1 or sum(run) <= budget for run in runs)
+    assert max(len(run) for run in runs) == factor
 
 
 @pytest.mark.parametrize("p, mu", [(0.3, 0.7), (0.0, 0.5), (1.0, 0.2), (0.6, 1.0), (0.5, 0.0)])
@@ -350,8 +381,8 @@ def test_validate_names_the_first_bad_step(monkeypatch, kind, temperature):
         trace = real(*args, **kwargs)
         blocks = trace.blocks.copy()
         for t in (3, 5):
-            _poison(kind, blocks[0, t, 1])
-        kept.append(blocks[0])
+            _poison(kind, blocks[t, 1])
+        kept.append(blocks)
         return replace(trace, blocks=blocks)
 
     real = markov.collision_evolve
@@ -378,7 +409,7 @@ def test_validate_checks_the_start_blocks(monkeypatch, kind):
     def poisoned(*args, **kwargs):
         trace = real(*args, **kwargs)
         blocks = trace.blocks.copy()
-        _poison(kind, blocks[0, 0, 0])
+        _poison(kind, blocks[0, 0])
         return replace(trace, blocks=blocks)
 
     real = markov.collision_evolve

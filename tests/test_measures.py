@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from support import blp_pair, haar_noise, label_blocks, lifted_blocks, split_basis
 
-from noisygrover import collision, measures
+from noisygrover import collision, measures, noise
 from noisygrover.collision import (
     apply_kraus,
     channel_maps,
@@ -279,6 +279,17 @@ def test_blp_reports_dim_and_joint_slack(n):
     assert n_blp(INST, SPEC, MarkovNoiseParams(0.3, 0.5), 1).meta["joint_slack"] == math.inf
 
 
+@pytest.mark.parametrize("n", [1, 3, 6, 9])
+def test_cp_reports_dim(n):
+    # d', the weight-basis dimension the run takes place at, as n_blp
+    # reports dim W.
+    for rng, inst, spec in _cases(n, 900 + n):
+        d = noise._weight_class(inst.n, inst.marked, spec.positions)[2]
+        result = n_cp(inst, spec, MarkovNoiseParams(rng.uniform(), rng.uniform()), 5)
+        assert result.meta == {"dim": d}
+        assert n_cp(inst, spec, _GRID, 5).meta == {"dim": d}
+
+
 def test_blp_runs_a_rounded_u_through_its_eigen_frame():
     # a and b 4e-11 off unit norm, which single_qubit_unitary accepts. Run
     # as given, such a u on qubit 0 makes G' non-unitary by 8e-11 and moves
@@ -349,9 +360,9 @@ def test_batched_witnesses_equal_single_calls(n):
     for _rng, inst, spec in _cases(n, 800 + n):
         cp = n_cp(inst, spec, _GRID, steps)
         assert cp.value.shape == (len(_GRID),) and cp.series.shape == (len(_GRID), steps + 1)
-        assert cp.meta == {}
         for i, params in enumerate(_GRID):
             single = n_cp(inst, spec, params, steps)
+            assert single.meta == cp.meta
             assert abs(cp.value[i] - single.value) < 1e-13, (n, spec.positions, params)
             assert np.max(np.abs(cp.series[i] - single.series)) < 1e-13
         for bath in (None, thermal_weights(0.7)):

@@ -92,14 +92,13 @@ def test_step_loop_equals_the_unbuffered_loop_bitwise(d, bath):
     assert np.array_equal(plain.probabilities, series)
     assert np.array_equal(kept.probabilities, series)
     assert np.array_equal(kept.blocks, blocks)
-    # One member alone, batch (), and every other marked index.
+    # One member alone, batch ().
     g, gp, first, steady, sigma0 = inputs
     g, gp, sigma0 = g[1, 0], gp[1, 0], sigma0[1, 0]
-    for marked in range(d):
-        alone = collision_evolve(g, gp, first[4], steady[4], sigma0, 30, marked, keep_blocks=True)
-        want_series, want_blocks = evolve_loop(g, gp, first[4], steady[4], sigma0, 30, marked)
-        assert np.array_equal(alone.probabilities, want_series)
-        assert np.array_equal(alone.blocks, want_blocks)
+    alone = collision_evolve(g, gp, first[4], steady[4], sigma0, 30, keep_blocks=True)
+    want_series, want_blocks = evolve_loop(g, gp, first[4], steady[4], sigma0, 30)
+    assert np.array_equal(alone.probabilities, want_series)
+    assert np.array_equal(alone.blocks, want_blocks)
 
 
 @pytest.mark.parametrize("bath", BATHS)
