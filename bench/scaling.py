@@ -19,7 +19,7 @@ starts wrote, and one with more than one is not ``ok``. Each table is
 also compared with ``bench/reference.json``: the largest absolute
 difference of its float cells and the number of int cells that differ,
 and the run is marked ``ok`` only if the first is at most 1e-12 and the
-second 0. The records go into ``BENCH_40.json`` at the root of this
+second 0. The records go into ``BENCH_45.json`` at the root of this
 checkout, next to the records already there; the script exits 1 unless
 every run is ``ok``. ``--runs`` picks runs by name.
 ``--write-reference`` stores the tables of ``--root`` for those runs in
@@ -58,7 +58,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 REFERENCE_PATH = os.path.join(HERE, "reference.json")
-OUT_PATH = os.path.join(ROOT, "BENCH_40.json")
+OUT_PATH = os.path.join(ROOT, "BENCH_45.json")
 TOL = 1e-12
 
 # 20 values in (0, 1) for p and for mu: a 20 x 20 grid.
@@ -201,7 +201,8 @@ def record(argv: list[str], starts: list, reference: Optional[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT, help="checkout whose src is run")
-    parser.add_argument("--label", default="change", help="key of this record in BENCH_40.json")
+    parser.add_argument("--label", default="change",
+                        help=f"key of this record in {os.path.basename(OUT_PATH)}")
     parser.add_argument("--parent", help="checkout whose starts alternate with those of --root")
     parser.add_argument("--repeats", type=int, default=3, help="fresh starts per run")
     parser.add_argument("--runs", help="comma-separated names of the runs to start (default all)")

@@ -73,10 +73,9 @@ measures how far it is from unitary.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +96,8 @@ from .noise import MarkovNoiseParams, _transition, conditional_probs
 # ``unitarity_defect`` and ``extract_m`` (all 32 up to D = 22, one from
 # D = 91 on), for D x D operators, the 8D x 8D unitaries that
 # ``dilation-check`` stacks (two up to D = 11) and the D x D steps that
-# ``oracle-check`` compares. ``_chunks`` cuts every one of those stacks.
+# ``oracle-check`` compares. ``_chunks`` cuts every one of those stacks
+# from the array of its items' sizes, with no Python work per item.
 _BATCH_ENTRIES = 2**14
 
 
@@ -141,6 +141,10 @@ def kraus_step(
         K_3 = sqrt(P[1, 0]) [[0, 0], [G', 0]]
         K_4 = sqrt(P[1, 1]) [[0, 0], [0, G']]
 
+    Each block is written for all points at once, bitwise what a write
+    per point gives. The set never reads ``_LAYOUT``, so it stays an
+    independent reference for U's |00> columns (:func:`kraus_from_dilation`).
+
     The first collision is this step at mu = 0. The set is trace preserving
     for any parameters. It is unital only on a thin set:
     sum K K^dagger = diag((1 + a) I, (1 - a) I) with a = (1 - mu)(1 - 2p),
@@ -148,14 +152,13 @@ def kraus_step(
     trace distance (p=0.3, mu=0.5 gives a = 0.2).
     """
     n_dim = _check_operators(g, gp)
-    weights = [conditional_probs(point) for point in _points(params)]
+    roots = np.sqrt([conditional_probs(point) for point in _points(params)])
     ops = []
     for row, col in np.ndindex(2, 2):
-        k = np.zeros((len(weights), 2 * n_dim, 2 * n_dim), dtype=complex)
-        for member, w in zip(k, weights):
-            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
-                math.sqrt(w[row, col]) * (g, gp)[row]
-            )
+        k = np.zeros((len(roots), 2 * n_dim, 2 * n_dim), dtype=complex)
+        k[:, row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
+            roots[:, row, col, None, None] * (g, gp)[row]
+        )
         ops.append(k[0] if isinstance(params, MarkovNoiseParams) else k)
     return KrausSet(tuple(ops))
 
@@ -211,15 +214,17 @@ def dilation_unitary(
     the ancilla-in |00> block columns *are* the Kraus operators. Column
     normalization holds because each column of the chain's transition
     matrix sums to one, so U is unitary for every p, mu in [0, 1].
+
+    Each ``_LAYOUT`` block is written for all points at once, bitwise
+    what a write per point gives; the layout is read at each call.
     """
     n_dim = _check_operators(g, gp)
-    weights = [conditional_probs(point) for point in _points(params)]
+    roots = np.sqrt([conditional_probs(point) for point in _points(params)])
     ops = (g, gp)
-    u = np.zeros((len(weights), 8 * n_dim, 8 * n_dim), dtype=complex)
-    for member, w in zip(u, weights):
-        for row, col, sign, pair, which in _LAYOUT:
-            block = sign * (math.sqrt(w[pair]) * ops[which])
-            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
+    u = np.zeros((len(roots), 8, n_dim, 8, n_dim), dtype=complex)
+    for row, col, sign, (nxt, prev), which in _LAYOUT:
+        u[:, row, :, col, :] = sign * (roots[:, nxt, prev, None, None] * ops[which])
+    u = u.reshape(len(roots), 8 * n_dim, 8 * n_dim)
     return u[0] if isinstance(params, MarkovNoiseParams) else u
 
 
@@ -241,20 +246,19 @@ def _blocks(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return grid[..., rows, :, cols, :]
 
 
-def _chunks(sizes: Iterable[int]) -> Generator[slice, None, None]:
+def _chunks(sizes: np.ndarray | Sequence[int]) -> Iterator[slice]:
     """Consecutive runs of items, as slices, whose ``sizes`` in entries sum
     to at most ``_BATCH_ENTRIES``, the one stack rule of the verification
-    layer; an item larger than that has a run of its own. Items of one
-    size s go floor(_BATCH_ENTRIES / s) to a run, at least one. ``sizes``
-    is read one item at a time, so a run is cut before the next is read."""
-    start, total, end, budget = 0, 0, -1, _BATCH_ENTRIES
-    for end, size in enumerate(sizes):
-        total += size
-        if total > budget and end > start:
-            yield slice(start, end)
-            start, total = end, size
-    if end >= start:
-        yield slice(start, end + 1)
+    layer; an item larger than that has a run of its own, and items of
+    one size s go floor(_BATCH_ENTRIES / s) to a run. ``sizes`` is an
+    integer array (or list), read whole: a run is cut where the running
+    sum (``cumsum``) passes the budget, one ``searchsorted`` per run."""
+    ends, start = np.cumsum(sizes, dtype=np.int64), 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BATCH_ENTRIES, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def unitarity_defect(u: ComplexMatrix) -> float | np.ndarray:
@@ -268,30 +272,35 @@ def unitarity_defect(u: ComplexMatrix) -> float | np.ndarray:
     and every term left out is an exact zero: only the block pairs (j, k)
     that share a nonzero block row are summed, 16 of the 64 for the
     layout, with 32 D x D products in place of the dense 8D x 8D one. The
-    products run over runs of whole pairs of at most ``_BATCH_ENTRIES``
-    entries, one batched matmul per rank of a row within its pair, so each
-    pair's terms are added in the order of its rows. A run of one pair
-    takes views of U, one product at a time, so no 8D x 8D matrix besides
-    U is formed. Every other block is an exact zero, so its defect is 1 on
+    (pair, row) triples, pair-major and each pair's rows in order, are cut
+    into runs of whole pairs of at most ``_BATCH_ENTRIES`` entries
+    (:func:`_chunks`, a pair larger than that alone). A run is one batched
+    matmul over its triples' blocks, and each pair's products are added
+    in the order of its rows, one add per rank of a row within its pair.
+    A run of one triple takes views of U, and no 8D x 8D matrix besides U
+    is formed. Every other block is an exact zero, so its defect is 1 on
     the diagonal and 0 off it. A NaN entry makes the defect NaN.
     """
     grid, nonzero = _grid(u)
     pairs = np.argwhere(nonzero.T @ nonzero)
-    rows = [np.flatnonzero(nonzero[:, j] & nonzero[:, k]) for j, k in pairs]
-    sizes = np.array([len(r) for r in rows])
+    shared = nonzero[:, pairs[:, 0]] & nonzero[:, pairs[:, 1]]  # (row, pair)
+    # The (pair, row) triples, pair-major and each pair's rows in order.
+    triple_pairs, triple_rows = np.nonzero(shared.T)
+    counts = shared.sum(axis=0)
+    starts = np.cumsum(counts) - counts  # each pair's first triple
     defects = np.broadcast_to(np.eye(8), u.shape[:-2] + (8, 8)).copy()
     eye = np.eye(grid.shape[-1])
     block_entries = math.prod(grid.shape[:-4]) * grid.shape[-1] ** 2  # one block, every member
-    for run in _chunks((sizes * block_entries).tolist()):
-        (j, k), counts = pairs[run].T, sizes[run]
-        for rank in range(counts.max()):  # each pair's rows in order
-            has = np.flatnonzero(counts > rank)
-            i = np.array([r[rank] for r in rows[run] if len(r) > rank])
-            product = dagger(_blocks(grid, i, j[has])) @ _blocks(grid, i, k[has])
-            if rank:
-                block[has] += product
-            else:
-                block = product
+    for run in _chunks(counts * block_entries):
+        (j, k), sizes, first = pairs[run].T, counts[run], starts[run.start]
+        triples = slice(first, first + sizes.sum())
+        i, t = triple_rows[triples], triple_pairs[triples]
+        products = dagger(_blocks(grid, i, pairs[t, 0])) @ _blocks(grid, i, pairs[t, 1])
+        offsets = starts[run] - first
+        block = products[offsets]
+        for rank in range(1, sizes.max()):  # each pair's rows in order
+            has = sizes > rank
+            block[has] += products[offsets[has] + rank]
         block[j == k] -= eye
         defects[..., j, k] = np.moveaxis(np.max(np.abs(block), axis=(-2, -1)), 0, -1)
     worst = np.max(defects, axis=(-2, -1))
@@ -371,7 +380,7 @@ def verify_dilation(
     columns = u[..., :, :n2].swapaxes(-1, -2)
     rng = np.random.default_rng(seed)
     deviations = []
-    for run in _chunks(itertools.repeat(n2**2, trials)):
+    for run in _chunks(np.full(trials, n2**2)):
         psi = _probes(rng, run.stop - run.start, n2)
         # A lone trial goes through the product as two rows, itself and a
         # copy: as one row it would take numpy's matrix-vector product.
@@ -436,7 +445,7 @@ def extract_m(u: ComplexMatrix, chi: ComplexMatrix, g: ComplexMatrix) -> Factori
     m_grid = np.zeros((8, 8), dtype=complex)
     residuals = np.zeros((8, 8))
     rows, cols = np.nonzero(nonzero)
-    for run in _chunks([n_dim**2] * len(rows)):
+    for run in _chunks(np.full(len(rows), n_dim**2)):
         i, j = rows[run], cols[run]
         blocks = _blocks(grid, i, j) @ g_dag
         faulty = i >= 4

@@ -35,7 +35,6 @@ the points. A row of :func:`markov_series` is the series of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Sequence
 
@@ -245,18 +244,24 @@ def history_oracle(
     2**(steps + 1) - 1 nodes, and every node but the root |s> costs one
     matrix-vector product and one rank-one term of its depth's sum, about
     2 D^2 complex multiply-adds: D^2 2^steps work over the tree. It is
-    walked depth first in runs of same-depth nodes: the children of a run
-    whose weight is not 0 form one lexicographic range of the next depth,
-    which :func:`~noisygrover.collision._chunks`, the verification layer's
-    one stack rule, cuts into runs of floor(``_BATCH_ENTRIES`` / D) states
-    (at least one; 1024 states at D = 16, 64 at D = 256), walked in order.
-    A zero weight drops the node and its subtree. Each run costs one
-    (B, D) @ (D, D) product per label and one (D, B) @ (B, D) product,
-    sum_b w_b psi_b psi_b^dagger, added to its depth's sum. Besides the
-    ``steps`` + 1 D x D sums and that product, one run of at most
-    ``_BATCH_ENTRIES`` entries (or one state) per depth is alive at a
-    time. The sums agree with one history at a time to rounding, not
-    bitwise, and each is Hermitian to rounding.
+    walked depth first in runs of same-depth nodes. The children of a run
+    are taken label-major: first the G children of its parents, in the
+    parents' order, then their G' children. A run's parents carry label 0
+    up to one row and label 1 after it, so the parents whose chain
+    probability into a label is not 0 form one slice of rows; a child whose
+    chain probability is 0 is dropped with its subtree (a weight that
+    underflows to 0 is carried, and adds exact zeros). Those children are
+    cut by :func:`~noisygrover.collision._chunks`, the verification
+    layer's one stack rule, into runs of floor(``_BATCH_ENTRIES`` / D)
+    states (at least one; 1024 states at D = 16, 64 at D = 256), each
+    formed when it is walked: one (B, D) @ (D, D) product of a slice of
+    parents per label present, and one (D, B) @ (B, D) product,
+    sum_b w_b psi_b psi_b^dagger, added to its depth's sum. No node costs
+    Python work of its own. Besides the ``steps`` + 1 D x D sums and that
+    product, one run of at most ``_BATCH_ENTRIES`` entries (or one state)
+    per depth is alive at a time, with its weights. The sums agree with
+    one history at a time to rounding, not bitwise (the order of the terms
+    within a product differs), and each is Hermitian to rounding.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -273,24 +278,36 @@ def history_oracle(
     acc = np.zeros((steps + 1, s.size, s.size), dtype=complex)
     acc[0] = projector(s)
 
-    def expand(t: int, parents: np.ndarray, child_weights: np.ndarray) -> None:
-        # the children at depth t of the rows ``parents``; child_weights[i, k]
-        # is the weight of parent i's child k, and the nonzero ones are walked
-        # one run at a time
-        rows, labels = np.nonzero(child_weights)  # row-major: lexicographic order
-        for run in _chunks(itertools.repeat(s.size, len(rows))):
-            r, k = rows[run], labels[run]
-            weights = child_weights[r, k]
-            states = np.empty((len(r), s.size), dtype=complex)
-            for label, op_t in enumerate(ops_t):
-                chosen = k == label
-                states[chosen] = parents[r[chosen]] @ op_t
-            acc[t] += (weights * states.T) @ states.conj()
+    def expand(t: int, parents: np.ndarray, weights: np.ndarray, split: int) -> None:
+        # The children at depth t of the run ``parents``, whose rows before
+        # ``split`` carry label 0 and the rest label 1, label-major: those of
+        # label k come from the parents whose chain probability into k is
+        # not 0, one slice of rows, times O_k^T.
+        chain = first if t == 1 else trans
+        sources, child_weights = [], []
+        for label in range(2):
+            kept = [
+                (a, b, chain[label, k])
+                for k, (a, b) in enumerate(((0, split), (split, len(parents))))
+                if a < b and chain[label, k]
+            ]
+            sources.append(parents[kept[0][0] : kept[-1][1]] if kept else parents[:0])
+            child_weights += [weights[a:b] * w for a, b, w in kept]
+        child_weights = np.concatenate(child_weights)
+        clean = len(sources[0])  # children of label 0
+        for run in _chunks(np.full(len(child_weights), s.size)):
+            head = sources[0][run]
+            tail = sources[1][max(run.start - clean, 0) : max(run.stop - clean, 0)]
+            states = np.empty((len(head) + len(tail), s.size), dtype=complex)
+            np.matmul(head, ops_t[0], out=states[: len(head)])
+            np.matmul(tail, ops_t[1], out=states[len(head) :])
+            run_weights = child_weights[run]
+            acc[t] += (run_weights * states.T) @ states.conj()
             if t < steps:
-                expand(t + 1, states, weights[:, None] * trans[:, k].T)
+                expand(t + 1, states, run_weights, len(head))
 
     if steps:
-        expand(1, s[None], first[None, :, 0])
+        expand(1, s[None], np.ones(1), 1)
     return acc
 
 

@@ -33,7 +33,6 @@ distances, for every step and member, through one stacked
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -127,7 +126,7 @@ def _kept_blocks(g, gp, first, steady, sigma0, steps: int, points: list[MarkovNo
     (:func:`~noisygrover.collision._chunks`). Each run is checked by
     :func:`_require_finite`."""
     entries = 2 * (steps + 1) * sigma0.shape[-1] ** 2
-    for run in _chunks(itertools.repeat(entries, len(points))):
+    for run in _chunks(np.full(len(points), entries)):
         blocks = collision_evolve(
             g, gp, first[run], steady[run], sigma0, steps, keep_blocks=True
         ).blocks

@@ -282,9 +282,38 @@ def reduced_sigma_x_walks(n, p, steps):
     return np.array(frozen), np.array(iid)
 
 
-# The verification layer one block at a time: the Python loops that
-# collision's batched block products replace, kept as the references those
-# must equal bitwise.
+# The verification layer one point and one block at a time: the Python
+# loops that collision's writes over all points and batched block
+# products replace, kept as the references those must equal bitwise.
+
+
+def kraus_step_loop(params, g, gp):
+    """collision.kraus_step's four operators, each a (B, 2D, 2D) stack over
+    the points ``params``, one point and one walker block at a time."""
+    n_dim = g.shape[0]
+    ops = []
+    for row, col in np.ndindex(2, 2):
+        k = np.zeros((len(params), 2 * n_dim, 2 * n_dim), dtype=complex)
+        for member, point in zip(k, params):
+            w = noise.conditional_probs(point)
+            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = (
+                math.sqrt(w[row, col]) * (g, gp)[row]
+            )
+        ops.append(k)
+    return ops
+
+
+def dilation_unitary_loop(params, g, gp):
+    """collision.dilation_unitary's (B, 8D, 8D) stack over the points
+    ``params``, one point and one ``_LAYOUT`` block at a time."""
+    n_dim = g.shape[0]
+    u = np.zeros((len(params), 8 * n_dim, 8 * n_dim), dtype=complex)
+    for member, point in zip(u, params):
+        w = noise.conditional_probs(point)
+        for row, col, sign, pair, which in collision._LAYOUT:
+            block = sign * (math.sqrt(w[pair]) * (g, gp)[which])
+            member[row * n_dim : (row + 1) * n_dim, col * n_dim : (col + 1) * n_dim] = block
+    return u
 
 
 def unitarity_defect_loop(u):

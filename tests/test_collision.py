@@ -10,9 +10,11 @@ from support import (
     blp_pair,
     chunks_loop,
     completeness_defect,
+    dilation_unitary_loop,
     extract_m_loop,
     haar_noise,
     initial_joint_state,
+    kraus_step_loop,
     label_blocks,
     lift,
     pure_step_image,
@@ -57,6 +59,7 @@ from noisygrover.markov import (
     markov_evolve,
 )
 from noisygrover.noise import (
+    _weight_system,
     build_chi,
     noise_spec,
     noise_unitary,
@@ -690,6 +693,41 @@ def test_batched_block_products_equal_the_loops_at_zero_weights(p, mu):
     for u, defect in zip(stack, unitarity_defect(stack), strict=True):
         assert unitarity_defect(u) == defect == unitarity_defect_loop(u)
         _same_report(extract_m(u, chi, g), extract_m_loop(u, chi, g))
+
+
+def _same_bits(got, want):
+    # bitwise: signed zeros and NaN payloads included
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# p and mu each at 0, 1 and between: the 3 x 3 grid holds every zero weight
+# of the chain, and its first point has none.
+_BUILDER_POINTS = [
+    MarkovNoiseParams(p, mu) for p, mu in itertools.product((0.35, 0.0, 1.0), (0.6, 0.0, 1.0))
+]
+
+
+@pytest.mark.parametrize("count", [1, 2, 9])
+@pytest.mark.parametrize("system", ["weight", "register", "complex"])
+def test_stacked_builders_equal_the_loops_bitwise(system, count):
+    # The weight basis gives a real G and a complex G', as dilation-check
+    # passes them; the register's G is complex with real entries, and the
+    # last case makes its entries complex. The bytes must agree, signs of
+    # zeros included.
+    if system == "weight":
+        _, g, gp, _ = _weight_system(5, 3, haar_noise(np.random.default_rng(5)), (1, 3))
+    else:
+        g, gp = _haar_operators(3, 94)
+        if system == "complex":
+            g = gp @ g
+    assert np.iscomplexobj(g) is (system != "weight") and np.iscomplexobj(gp)
+    points = _BUILDER_POINTS[:count]
+    kraus, unitary = kraus_step_loop(points, g, gp), dilation_unitary_loop(points, g, gp)
+    assert all(_same_bits(got, want) for got, want in zip(kraus_step(points, g, gp).ops, kraus))
+    assert _same_bits(dilation_unitary(points, g, gp), unitary)
+    for b, point in enumerate(points):  # one point, given alone
+        assert all(_same_bits(got, want[b]) for got, want in zip(kraus_step(point, g, gp).ops, kraus))
+        assert _same_bits(dilation_unitary(point, g, gp), unitary[b])
 
 
 _E = collision._BATCH_ENTRIES

@@ -126,3 +126,27 @@ def test_a_flipped_layout_sign_fails_unitarity_on_both_sides(monkeypatch, entry)
     )
     for checked in (_dense_row(point), cli._dilation_point(point)):
         assert {"unitarity_initial", "unitarity_steady"} <= _failed_gates(checked)
+
+
+def test_a_swapped_layout_pair_fails_the_kraus_defect_but_not_kraus_step(monkeypatch):
+    # The block in grid row 5 of |00> column 0 is sqrt(P[1, 0]) G'; read
+    # with its pair swapped it weighs sqrt(P[0, 1]) G', which differs at
+    # p = 0.3 for both steps (0.3 against 0.7 at mu = 0, 0.15 against 0.35
+    # at mu = 0.5). kraus_step never reads the layout, so it stays the
+    # reference that U's |00> columns now miss: the builders share no table.
+    spec = noise_spec(noise_unitary("hadamard"), 2, 3)
+    chi, g, gp, _ = _weight_system(3, 5, spec.u, spec.positions)
+    params = STEPS[1]
+    kraus = collision.kraus_step(STEPS, g, gp).ops
+    columns = [cli._DILATION_COLUMNS.index(f"kraus_defect_{step}") for step in ("initial", "steady")]
+    row = cli._dilation_row(params, g, gp, chi, 2, 7)
+    assert [row[c] for c in columns] == [0.0, 0.0]
+    layout = list(collision._LAYOUT)
+    entry = next(i for i, (r, c, *_rest) in enumerate(layout) if (r, c) == (5, 0))
+    grid_row, col, sign, (nxt, prev), which = layout[entry]
+    layout[entry] = (grid_row, col, sign, (prev, nxt), which)
+    monkeypatch.setattr(collision, "_LAYOUT", tuple(layout))
+    after = collision.kraus_step(STEPS, g, gp).ops
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, kraus, strict=True))
+    row = cli._dilation_row(params, g, gp, chi, 2, 7)
+    assert all(row[c] > 0.1 for c in columns), row

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,31 @@ def test_history_walk_cuts_its_runs_by_the_one_stack_rule(monkeypatch, n, factor
         _assert_close_to_enumeration(sums, inst, spec, params, steps)
     assert all(len(run) == 1 or sum(run) <= budget for run in runs)
     assert max(len(run) for run in runs) == factor
+
+
+@pytest.mark.parametrize("m", [31, 127])
+def test_history_walk_keeps_one_run_per_depth(m):
+    # d' = 2(m + 1) = 64 and 256 at n = m + 1. The walk's traced peak is
+    # bounded by what its docstring keeps alive: the steps + 1 D x D sums
+    # and one D x D product, one run of at most max(E, D) entries per depth
+    # with its weights and its parent run's child weights (3 floats a
+    # state), the rank-one sum's two run-sized temporaries, and 64 KiB for
+    # the rest. A walk that forms a whole depth at once holds the last two
+    # depths, 6144 states (6 MiB at D = 64, 24 MiB at D = 256), and fails.
+    steps, entries = HISTORY_MAX_STEPS, collision._BATCH_ENTRIES
+    spec = noise_spec(noise_unitary("hadamard"), m, m + 1)
+    _, g, gp, s = noise._weight_system(m + 1, 0, spec.u, spec.positions)
+    d = s.size
+    assert d == 2 * (m + 1)
+    run = max(entries, d)
+    bound = 16 * (steps + 2) * d**2 + (steps + 2) * 16 * run + steps * 24 * (run // d) + 2**16
+    tracemalloc.start()
+    try:
+        history_oracle(g, gp, s, MarkovNoiseParams(0.3, 0.6), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (d, peak, bound)
 
 
 @pytest.mark.parametrize("p, mu", [(0.3, 0.7), (0.0, 0.5), (1.0, 0.2), (0.6, 1.0), (0.5, 0.0)])
